@@ -6,6 +6,9 @@ serialization over all root-preserving bijections compatible with an
 iterated invariant refinement of the vertices; the refinement (degree,
 root distance, structure participation, neighbor multisets) is what makes
 the exhaustive search tractable at desk scale.
+
+Refinement signatures (same-shape tuples of nonnegative ints and
+self-delimiting `label_key` bytes) are ordered by native tuple order.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import CanonicalizationCapError
 from .graphs import RootedBall, StructuredGraph
@@ -22,34 +26,22 @@ DEFAULT_SIZE_CAP = 12
 DEFAULT_SEARCH_BUDGET = 100_000
 
 
-def _key(obj) -> bytes:
-    """Total-order key for nested tuples of ints / bytes / labels."""
-    if isinstance(obj, bytes):
-        return b"b" + obj
-    if isinstance(obj, int):
-        digits = str(obj).encode()
-        return b"i" + b"%08d" % len(digits) + digits
-    if isinstance(obj, tuple):
-        return b"t(" + b",".join(_key(x) for x in obj) + b")"
-    raise TypeError(obj)
-
-
 def _refine(graph: StructuredGraph, root: int):
     """Iterated invariant partition; returns v -> color id (root is alone
     in its cell, colors ordered by an isomorphism-invariant signature)."""
     dist = graph.distances_from(root)
     participation = {v: [] for v in graph.vertices}
     for tup, label in graph.structure.items():
+        lkey = label_key(label)
         for pos, v in enumerate(tup):
-            participation[v].append((tup, pos, label))
+            participation[v].append((len(tup), pos, lkey, tup))
 
     color = {
         v: (0 if v == root else 1, dist[v], graph.degree(v)) for v in graph.vertices
     }
 
     def normalize(sigs):
-        order = sorted(set(sigs.values()), key=_key)
-        index = {s: i for i, s in enumerate(order)}
+        index = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
         return {v: index[s] for v, s in sigs.items()}
 
     color = normalize(color)
@@ -57,18 +49,10 @@ def _refine(graph: StructuredGraph, root: int):
         sigs = {}
         for v in graph.vertices:
             nb = tuple(sorted(color[w] for w in graph.neighbors(v)))
-            struct = tuple(
-                sorted(
-                    (
-                        len(tup),
-                        pos,
-                        label_key(label),
-                        tuple(color[x] for x in tup),
-                    )
-                    for (tup, pos, label) in participation[v]
-                    if len(tup) > 0
-                )
-            )
+            struct = tuple(sorted(
+                (length, pos, lkey, tuple(color[x] for x in tup))
+                for (length, pos, lkey, tup) in participation[v]
+            ))
             sigs[v] = (color[v], nb, struct)
         new = normalize(sigs)
         if len(set(new.values())) == len(set(color.values())):
@@ -80,9 +64,10 @@ def _code_bytes(graph: StructuredGraph, mapping) -> bytes:
     n = len(graph.vertices)
     edges = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
                    for (u, v) in graph.edges)
+    # mapped tuples are distinct, so labels never break a tie
     entries = sorted(
         ((tuple(mapping[x] for x in tup), label) for tup, label in graph.structure.items()),
-        key=lambda e: (e[0], label_key(e[1])),
+        key=itemgetter(0),
     )
     payload = {
         "n": n,

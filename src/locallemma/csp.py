@@ -201,10 +201,6 @@ class Csp:
         return max((c.arity() for c in self.constraints), default=0)
 
 
-def make_csp(ground, m, constraints) -> Csp:
-    return Csp(tuple(ground), int(m), tuple(constraints))
-
-
 @dataclass(frozen=True)
 class CspStats:
     p: Fraction

@@ -113,9 +113,6 @@ class GadgetLayout:
     def v_id(self, x: int, i: int) -> int:
         return self.source_order.index(x) * self.block + (self.c + 1) + (i - 1)
 
-    def u_ids(self):
-        return [self.u_id(x, a) for x in self.source_order for a in range(self.c + 1)]
-
     def v_ids(self):
         return [self.v_id(x, i) for x in self.source_order for i in range(1, self.k)]
 

@@ -31,7 +31,7 @@ TAG_RANGE = 5
 class StructuredGraph:
     """Immutable graph + structure map. Vertices are distinct ints."""
 
-    __slots__ = ("vertices", "edges", "structure", "tuple_bound", "_nbrs", "_vset")
+    __slots__ = ("vertices", "edges", "structure", "tuple_bound", "_nbrs", "_vset", "_index")
 
     def __init__(self, vertices, edges, structure=None, tuple_bound=None):
         vertices = tuple(vertices)
@@ -61,16 +61,26 @@ class StructuredGraph:
             tuple_bound = max(max_len, 1)
         if max_len > tuple_bound:
             raise GraphBuildError(f"tuple of length {max_len} exceeds bound {tuple_bound}")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "structure", struct)
-        object.__setattr__(self, "tuple_bound", int(tuple_bound))
         nbrs = {v: [] for v in vertices}
         for u, v in sorted(norm):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "_nbrs", {v: tuple(ws) for v, ws in nbrs.items()})
-        object.__setattr__(self, "_vset", vset)
+        self._set(vertices, vset, frozenset(norm), struct, int(tuple_bound),
+                  {v: tuple(ws) for v, ws in nbrs.items()})
+
+    def _set(self, vertices, vset, edges, structure, tuple_bound, nbrs):
+        for name, value in (("vertices", vertices), ("_vset", vset), ("edges", edges),
+                            ("structure", structure), ("tuple_bound", tuple_bound),
+                            ("_nbrs", nbrs), ("_index", None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, vertices, vset, edges, structure, tuple_bound, nbrs):
+        """Unchecked constructor for graphs derived from a validated one;
+        neighbor tuples must ascend, as __init__ builds them."""
+        graph = object.__new__(cls)
+        graph._set(vertices, vset, edges, structure, tuple_bound, nbrs)
+        return graph
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("StructuredGraph is immutable")
@@ -122,12 +132,32 @@ class StructuredGraph:
                     frontier.append(w)
         return dist
 
+    def _incidence(self):
+        """(vertex -> position, structure keys in insertion order, first
+        vertex -> positions of its keys; the empty key is filed under
+        None), built on first use."""
+        if self._index is None:
+            keys = tuple(self.structure)
+            by_first: Dict[Optional[int], list] = {}
+            for i, tup in enumerate(keys):
+                by_first.setdefault(tup[0] if tup else None, []).append(i)
+            pos = {v: i for i, v in enumerate(self.vertices)}
+            object.__setattr__(self, "_index", (pos, keys, by_first))
+        return self._index
+
     def induced(self, vertices: Iterable[int]) -> "StructuredGraph":
-        keep = [v for v in self.vertices if v in set(vertices)]
-        kset = set(keep)
-        edges = [(u, v) for (u, v) in self.edges if u in kset and v in kset]
-        struct = {t: l for t, l in self.structure.items() if all(x in kset for x in t)}
-        return StructuredGraph(keep, edges, struct, self.tuple_bound)
+        """Induced structured subgraph on the given vertices (unknown ones
+        are ignored), in this graph's vertex and structure order; costs
+        O(subgraph) after a one-time O(graph) index."""
+        kset = self._vset.intersection(vertices)
+        pos, keys, by_first = self._incidence()
+        keep = tuple(sorted(kset, key=pos.__getitem__))
+        nbrs = {u: tuple(w for w in self._nbrs[u] if w in kset) for u in keep}
+        edges = frozenset((u, w) for u in keep for w in nbrs[u] if u < w)
+        hits = sorted(i for v in (None, *keep) for i in by_first.get(v, ())
+                      if all(x in kset for x in keys[i]))
+        struct = {keys[i]: self.structure[keys[i]] for i in hits}
+        return StructuredGraph._trusted(keep, kset, edges, struct, self.tuple_bound, nbrs)
 
     def replace_structure(self, structure, tuple_bound=None) -> "StructuredGraph":
         return StructuredGraph(
@@ -220,10 +250,6 @@ def _layer_pairs(label) -> Optional[tuple]:
     return None
 
 
-def is_layered(label) -> bool:
-    return _layer_pairs(label) is not None
-
-
 def with_labeling(graph: StructuredGraph, values: Mapping[int, int],
                   tag: int = TAG_OUTPUT) -> StructuredGraph:
     """Attach a vertex labeling as a new structure layer under `tag`.
@@ -266,15 +292,6 @@ def layer_value(graph: StructuredGraph, v: int, tag: int):
         if isinstance(p, tuple) and len(p) == 2 and p[0] == tag:
             found = p[1]
     return found
-
-
-def layer_values(graph: StructuredGraph, tag: int) -> VertexLabeling:
-    out = {}
-    for v in graph.vertices:
-        val = layer_value(graph, v, tag)
-        if val is not None:
-            out[v] = val
-    return out
 
 
 def graph_layer_tags(graph: StructuredGraph) -> tuple:

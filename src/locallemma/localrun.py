@@ -3,7 +3,8 @@ checkable coloring problems.
 
 A local algorithm is a pure function of the canonical type of the rooted
 radius-T ball; running it for T rounds means evaluating that function at
-every vertex independently.
+every vertex independently.  Since the rule is pure, it is evaluated once
+per distinct canonical form in a run and its output reused.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log, sqrt
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .canonical import CanonicalForm, canonical_type
 from .errors import EnumerationCapError, PipelineError
@@ -59,8 +60,6 @@ class RunReport:
     rounds_used: int
     valid: bool
     violating_vertices: List[int]
-    trials: Optional[int] = None
-    failures: Optional[int] = None
     checks: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -71,7 +70,7 @@ class RunReport:
 def run_deterministic(alg: LocalAlgorithm, graph: StructuredGraph, rounds: int,
                       canon_cap: int = None, canon_budget: int = None) -> VertexLabeling:
     """Evaluate alg at every vertex on the canonical type of its
-    radius-`rounds` ball."""
+    radius-`rounds` ball; alg is called once per distinct form."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     kwargs = {}
@@ -80,9 +79,12 @@ def run_deterministic(alg: LocalAlgorithm, graph: StructuredGraph, rounds: int,
     if canon_budget is not None:
         kwargs["budget"] = canon_budget
     out: VertexLabeling = {}
+    memo = {}
     for x in graph.vertices:
         form = canonical_type(ball(graph, x, rounds), **kwargs)
-        out[x] = int(alg(form))
+        if form.code not in memo:
+            memo[form.code] = int(alg(form))
+        out[x] = memo[form.code]
     return out
 
 

@@ -1,11 +1,14 @@
+import json
 import random
+from itertools import permutations, product
 
 import pytest
 
 from locallemma.canonical import CanonicalForm, are_isomorphic, canonical_type
 from locallemma.errors import CanonicalizationCapError
 from locallemma.generate import generate
-from locallemma.graphs import TAG_OUTPUT, ball, build_graph, with_labeling
+from locallemma.graphs import TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph, with_labeling
+from locallemma.labels import label_key, label_to_json
 
 
 def random_rooted(rng, n_max=5, with_structure=True):
@@ -111,3 +114,104 @@ def test_hex_round_trip():
     g = generate("path", {"n": 3})
     form = canonical_type(ball(g, 1, 1))
     assert CanonicalForm.from_hex(form.hex()) == form
+
+
+# Oracle: refinement ordered by a byte key, code entries sorted by
+# (mapped tuple, label_key), every leaf of the search tried.
+
+def byte_key(obj) -> bytes:
+    if isinstance(obj, bytes):
+        return b"b" + obj
+    if isinstance(obj, int):
+        digits = str(obj).encode()
+        return b"i" + b"%08d" % len(digits) + digits
+    if isinstance(obj, tuple):
+        return b"t(" + b",".join(byte_key(x) for x in obj) + b")"
+    raise TypeError(obj)
+
+
+def byte_key_refine(graph, root):
+    dist = graph.distances_from(root)
+    participation = {v: [] for v in graph.vertices}
+    for tup, label in graph.structure.items():
+        for pos, v in enumerate(tup):
+            participation[v].append((tup, pos, label))
+
+    def normalize(sigs):
+        index = {s: i for i, s in enumerate(sorted(set(sigs.values()), key=byte_key))}
+        return {v: index[s] for v, s in sigs.items()}
+
+    color = normalize({v: (0 if v == root else 1, dist[v], graph.degree(v))
+                       for v in graph.vertices})
+    while True:
+        sigs = {}
+        for v in graph.vertices:
+            nb = tuple(sorted(color[w] for w in graph.neighbors(v)))
+            struct = tuple(sorted((len(tup), pos, label_key(label), tuple(color[x] for x in tup))
+                                  for (tup, pos, label) in participation[v] if len(tup) > 0))
+            sigs[v] = (color[v], nb, struct)
+        new = normalize(sigs)
+        if len(set(new.values())) == len(set(color.values())):
+            return new
+        color = new
+
+
+def oracle_code(b) -> bytes:
+    graph = b.graph
+    color = byte_key_refine(graph, b.root)
+    cells = {}
+    for v in graph.vertices:
+        cells.setdefault(color[v], []).append(v)
+    cell_list = [sorted(cells[c]) for c in sorted(cells)]
+    best = None
+    for perms in product(*(permutations(cell) for cell in cell_list)):
+        mapping = {v: i for i, v in enumerate(v for perm in perms for v in perm)}
+        edges = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
+                       for (u, v) in graph.edges)
+        entries = sorted(((tuple(mapping[x] for x in t), l) for t, l in graph.structure.items()),
+                         key=lambda e: (e[0], label_key(e[1])))
+        payload = {"n": len(graph.vertices), "edges": [list(e) for e in edges],
+                   "structure": [[list(t), label_to_json(l)] for t, l in entries]}
+        code = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def random_layer_value(rng):
+    shape = rng.randrange(3)
+    if shape == 0:
+        return rng.randint(0, 4)
+    if shape == 1:
+        return (rng.randint(0, 2), rng.randint(0, 2))
+    return frozenset(rng.sample(range(4), rng.randint(0, 2)))
+
+
+def random_layered_graph(rng, graph):
+    for tag in (TAG_IDS, TAG_RAND, TAG_OUTPUT):
+        if rng.random() < 0.6:
+            values = {v: random_layer_value(rng) for v in graph.vertices if rng.random() < 0.8}
+            graph = with_labeling(graph, values, tag)
+    return graph
+
+
+def test_codes_match_byte_key_oracle_on_layered_balls():
+    rng = random.Random(21)
+    balls = []
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        ids = rng.sample(range(50), n)
+        edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+        structure = {}
+        for _ in range(rng.randint(0, 3)):
+            tup = tuple(rng.choice(ids) for _ in range(rng.randint(1, 3)))
+            structure[tup] = random_layer_value(rng)
+        g = random_layered_graph(rng, build_graph(ids, edges, structure))
+        balls.append(ball(g, rng.choice(ids), rng.randint(0, 3)))
+    for kind, params, radius in (("cycle", {"n": 9}, 3), ("torus_grid", {"rows": 5, "cols": 5}, 1),
+                                 ("random_tree", {"n": 20}, 2), ("directed_cycle", {"n": 9}, 4)):
+        g = random_layered_graph(rng, generate(kind, params, seed=rng.randrange(100)))
+        balls.extend(ball(g, x, radius) for x in g.vertices)
+    for b in balls:
+        assert canonical_type(b).code == oracle_code(b)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import locallemma
 from locallemma.cli import ExperimentConfig, emit_summary, main, run_experiment
 from locallemma.serialize import csp_to_json, dump_json, graph_to_json
 from locallemma.randgen import random_cover_csp, random_symmetric_csp
@@ -65,6 +69,29 @@ def test_pipeline_reports_reproducible(tmp_path):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_reports_identical_across_hash_seeds(tmp_path):
+    # reports must not depend on set/dict iteration order of hashed keys
+    gpath = tmp_path / "g.json"
+    assert run(["gen", "--kind", "directed_cycle", "--params", '{"n": 64}',
+                "--out", str(gpath)]) == 0
+    commands = {
+        "det": ["pipeline", "det", "--gen-kind", "directed_cycle",
+                "--gen-params", '{"n": 64}', "--seed", "11"],
+        "local": ["run-local", "--graph", str(gpath), "--alg", "cole_vishkin_3color",
+                  "--seed", "3"],
+    }
+    src = os.path.dirname(os.path.dirname(locallemma.__file__))
+    for name, args in commands.items():
+        reports = set()
+        for hash_seed in range(4):
+            out = tmp_path / f"{name}-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "locallemma.cli", *args, "--out", str(out)],
+                           env=env, check=True, timeout=300)
+            reports.add(out.read_bytes())
+        assert len(reports) == 1
 
 
 def test_pipeline_rand(tmp_path):

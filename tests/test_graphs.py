@@ -156,3 +156,57 @@ def test_with_labeling_empty_changes_only_marker():
 def test_distance_pairs_zero_radius():
     g = generate("cycle", {"n": 5})
     assert distance_pairs(g, 0) == set()
+
+
+def test_induced_accepts_one_shot_iterable():
+    g = generate("path", {"n": 5})
+    sub = g.induced(v for v in [1, 2, 3])
+    assert sub.vertices == (1, 2, 3)
+    assert sub.edges == frozenset({(1, 2), (2, 3)})
+
+
+def full_scan_induced(graph, vertices):
+    """Oracle: the induced subgraph by a scan of every vertex, edge and
+    structure entry of the whole graph, through the validated
+    constructor."""
+    kset = set(vertices)
+    keep = [v for v in graph.vertices if v in kset]
+    edges = [(u, v) for (u, v) in graph.edges if u in kset and v in kset]
+    struct = {t: l for t, l in graph.structure.items() if all(x in kset for x in t)}
+    return build_graph(keep, edges, struct, graph.tuple_bound)
+
+
+label_values = st.recursive(
+    st.integers(0, 3),
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def graph_and_subsets(draw):
+    vertices = draw(st.lists(st.integers(0, 30), min_size=1, max_size=9, unique=True))
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    tuples = draw(st.lists(st.lists(st.sampled_from(vertices), max_size=3).map(tuple),
+                           unique=True, max_size=12))
+    structure = [(t, draw(label_values)) for t in tuples]
+    graph = build_graph(vertices, edges, structure, 3)
+    # subsets may repeat vertices and name vertices outside the graph
+    subsets = draw(st.lists(st.lists(st.integers(0, 32)), min_size=1, max_size=3))
+    return graph, subsets
+
+
+@given(graph_and_subsets())
+def test_induced_matches_full_scan(case):
+    graph, subsets = case
+    balls = [graph.distances_from(x, limit=1).keys() for x in graph.vertices]
+    for subset in subsets + balls:
+        got, want = graph.induced(subset), full_scan_induced(graph, subset)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
+        assert list(got.structure.items()) == list(want.structure.items())
+        assert got.tuple_bound == want.tuple_bound
+        for v in want.vertices:
+            assert got.neighbors(v) == want.neighbors(v)
+            assert got.has_vertex(v)
+        assert got == want

@@ -4,10 +4,10 @@ import pytest
 from fractions import Fraction
 
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
-from locallemma.canonical import CanonicalForm
+from locallemma.canonical import CanonicalForm, canonical_type
 from locallemma.errors import PipelineError
 from locallemma.generate import generate
-from locallemma.graphs import TAG_RAND, build_graph, layer_value
+from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value
 from locallemma.localrun import (
     LocalAlgorithm,
     det_pipeline,
@@ -142,3 +142,19 @@ def test_randomized_failure_single_edge_exact_half():
     est = estimate_randomized_failure(seed_echo(), pi, edge, 0, m=2,
                                       trials=2000, seed=4)
     assert abs(est.rate - exact) <= est.radius
+
+
+def test_rule_called_once_per_distinct_form():
+    # radius-2 balls of a 9-vertex path: end, next-to-end and interior forms
+    g = generate("path", {"n": 9})
+    calls = []
+
+    def ball_size(form):
+        calls.append(form.code)
+        graph, _ = form.decode()
+        return len(graph.vertices)
+
+    outputs = run_deterministic(LocalAlgorithm("ball_size", ball_size), g, 2)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 3
+    per_vertex = {x: ball_size(canonical_type(ball(g, x, 2))) for x in g.vertices}
+    assert outputs == per_vertex == {0: 3, 1: 4, 2: 5, 3: 5, 4: 5, 5: 5, 6: 5, 7: 4, 8: 3}
