@@ -3,7 +3,9 @@ exact rationals and whose randomness derives from the recorded root seed,
 so identical configs produce byte-identical reports.
 
 Commands: gen, run-local, verify, csp {check,solve,cover}, pipeline
-{det,rand}, gadget, report.
+{det,rand}, gadget, report.  Each command's handler returns its report.
+Exit codes: 0 passed, 1 verification failed, 2 input or internal error (no
+report), 3 cap-out, 4 certified infeasible.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import List, Optional
 from .algorithms import builtin_algorithm, proper_coloring_problem
 from .compilers import rand_to_csp
 from .connect import apply
-from .csp import is_solution, stats
+from .csp import DEFAULT_CAP_BITS, is_solution, stats
 from .engine import (
     WeightedGroundSet,
     cover_family,
@@ -25,9 +27,11 @@ from .engine import (
     moser_tardos_solve,
     solve_weighted,
 )
+from .errors import (BootstrapInfeasibleError, CanonicalizationCapError, CoverBudgetError,
+                     EnumerationCapError, StepInfeasibleError)
 from .generate import gadget_build, generate
-from .graphs import TAG_IDS, greedy_coloring, with_labeling
-from .localrun import det_pipeline, run_deterministic, verify_lcl
+from .graphs import TAG_IDS, TAG_RAND, greedy_coloring, layer_value, with_labeling
+from .localrun import LocalAlgorithm, det_pipeline, run_deterministic, verify_lcl
 from .rng import derived_rng
 from .serialize import (
     csp_from_json,
@@ -46,26 +50,18 @@ DEFAULT_CANON_CAP = 64
 
 @dataclass
 class ExperimentConfig:
-    pipeline: str                   # det | rand | lll-suite | gadget
+    pipeline: str                   # det | rand | gadget
     graph: Optional[dict] = None    # inline graph json or generator spec
-    csp: Optional[dict] = None
     algorithm: Optional[str] = None
     params: dict = field(default_factory=dict)
     seed: int = 0
-    cap_enum_bits: int = 20
-    out: Optional[str] = None
+    cap_enum_bits: int = DEFAULT_CAP_BITS
 
     def validate(self):
-        if self.pipeline not in ("det", "rand", "lll-suite", "gadget"):
+        if self.pipeline not in ("det", "rand", "gadget"):
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.cap_enum_bits <= 0:
             raise ValueError("caps must be positive")
-
-
-def _resolve_graph(spec: dict, seed: int):
-    if "kind" in spec:
-        return generate(spec["kind"], spec.get("params", {}), seed)
-    return graph_from_json(spec)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -80,14 +76,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "checks": [],
         "passed": False,
     }
+    graph = (generate(cfg.graph["kind"], cfg.graph.get("params", {}), cfg.seed)
+             if "kind" in cfg.graph else graph_from_json(cfg.graph))
     if cfg.pipeline == "det":
-        graph = _resolve_graph(cfg.graph, cfg.seed)
         n = int(cfg.params.get("n", len(graph.vertices)))
         spec = builtin_algorithm(cfg.algorithm or "cole_vishkin_3color", {"n": n})
         rounds = int(cfg.params.get("rounds", spec.rounds(n)))
-        rng = derived_rng(cfg.seed, "det-order")
         order = list(graph.vertices)
-        rng.shuffle(order)
+        derived_rng(cfg.seed, "det-order").shuffle(order)
         run = det_pipeline(spec.algorithm, spec.problem, graph, n=n, rounds=rounds,
                            order=order, canon_cap=DEFAULT_CANON_CAP)
         report["checks"].append({"name": "pipeline-valid", "ok": run.valid,
@@ -95,14 +91,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["outputs"] = labeling_to_json(run.outputs)
         report["passed"] = run.valid
     elif cfg.pipeline == "rand":
-        graph = _resolve_graph(cfg.graph, cfg.seed)
         m = int(cfg.params.get("m", 16))
         rounds = int(cfg.params.get("rounds", 0))
-        spec_name = cfg.algorithm or "theta_echo"
-        if spec_name != "theta_echo":
+        if (cfg.algorithm or "theta_echo") != "theta_echo":
             raise ValueError("the rand pipeline drives the seed-echo algorithm")
-        from .graphs import TAG_RAND, layer_value
-        from .localrun import LocalAlgorithm
 
         def echo(form):
             decoded, root = form.decode()
@@ -133,25 +125,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                  "violators": run.violating_vertices})
         report["outputs"] = labeling_to_json(decoded)
         report["passed"] = run.valid
-    elif cfg.pipeline == "lll-suite":
-        csp = csp_from_json(cfg.csp)
-        st = stats(csp, cfg.cap_enum_bits)
-        report["stats"] = {"p": fraction_str(st.p), "d": st.d, "b": st.b}
-        for which in ("symmetric", "measurable"):
-            verdict = lll_check(csp, which, cap_bits=cfg.cap_enum_bits)
-            report["checks"].append({"name": f"lll-{which}", "ok": True,
-                                     "holds": verdict.holds,
-                                     "margin": fraction_str(verdict.margin)})
-        mt = moser_tardos_solve(csp, seed=cfg.seed,
-                                cap=int(cfg.params.get("cap", 50 * max(1, len(csp.constraints)))))
-        solved = mt.assignment is not None and is_solution(csp, mt.assignment)[0]
-        report["checks"].append({"name": "moser-tardos", "ok": solved,
-                                 "resamples": mt.resamples, "capped": mt.capped})
-        report["passed"] = solved
     elif cfg.pipeline == "gadget":
-        graph = _resolve_graph(cfg.graph, cfg.seed)
-        k = int(cfg.params["k"])
-        gadget = gadget_build(graph, k)
+        gadget = gadget_build(graph, int(cfg.params["k"]))
         d = graph.max_degree()
         ok = gadget.max_degree() <= d - 1
         report["checks"].append({"name": "gadget-degree", "ok": ok,
@@ -171,6 +146,8 @@ def emit_summary(report_paths: List[str]):
     for path in report_paths:
         try:
             data = load_json(path)
+            if not isinstance(data, dict):
+                raise ValueError(f"expected a JSON object, got {type(data).__name__}")
             row = {
                 "path": path,
                 "pipeline": data.get("pipeline", "?"),
@@ -184,7 +161,7 @@ def emit_summary(report_paths: List[str]):
                 row["iterations"] = data["iterations"]
                 iterations.append(data["iterations"])
             rows.append(row)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON, not a report
             errors.append({"path": path, "error": str(exc)})
     summary = {
         "reports": len(rows),
@@ -203,215 +180,205 @@ def emit_summary(report_paths: List[str]):
     return summary, "\n".join(lines)
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cap-enum-bits", type=int, default=20)
+CAP_OUTS = (EnumerationCapError, CanonicalizationCapError, CoverBudgetError)
+INFEASIBLE = (StepInfeasibleError, BootstrapInfeasibleError)
+OUTCOME_EXIT = {"cap-out": 3, "infeasible": 4}
+
+
+def _gen(args) -> dict:
+    return graph_to_json(generate(args.kind, json.loads(args.params), args.seed))
+
+
+def _lcl_report(args, run, **fields) -> dict:
+    return {"pipeline": args.pipeline, **fields, "outputs": labeling_to_json(run.outputs),
+            "valid": run.valid, "violating_vertices": run.violating_vertices,
+            "passed": run.valid}
+
+
+def _run_local(args) -> dict:
+    graph = graph_from_json(load_json(args.graph))
+    n = len(graph.vertices)
+    spec = builtin_algorithm(args.alg, {"n": n, "delta": graph.max_degree(), "m0": 2})
+    rounds = args.rounds if args.rounds is not None else spec.rounds(n)
+    if args.ids == "greedy":
+        order = list(graph.vertices)
+        derived_rng(args.seed, "ids-order").shuffle(order)
+        ids = greedy_coloring(graph, order)
+    else:
+        ids = {v: i + 1 for i, v in enumerate(graph.vertices)}
+    outputs = run_deterministic(spec.algorithm, with_labeling(graph, ids, TAG_IDS), rounds,
+                                canon_cap=DEFAULT_CANON_CAP)
+    run = verify_lcl(spec.problem, graph, outputs, canon_cap=DEFAULT_CANON_CAP)
+    return _lcl_report(args, run, seed=args.seed, alg=args.alg, rounds_used=rounds)
+
+
+def _verify(args) -> dict:
+    graph = graph_from_json(load_json(args.graph))
+    labels = labeling_from_json(load_json(args.labels))
+    if not args.problem.startswith("proper-"):
+        raise ValueError("known problems: proper-<k>")
+    k = None if args.problem == "proper-any" else int(args.problem.split("-")[1])
+    run = verify_lcl(proper_coloring_problem(k), graph, labels, canon_cap=DEFAULT_CANON_CAP)
+    return _lcl_report(args, run, problem=args.problem, rounds_used=run.rounds_used)
+
+
+def _csp_check(args) -> dict:
+    verdict = lll_check(csp_from_json(load_json(args.csp)), args.which,
+                        cap_bits=args.cap_enum_bits)
+    return {"pipeline": args.pipeline, "which": args.which, "holds": verdict.holds,
+            "margin": fraction_str(verdict.margin), "p": fraction_str(verdict.p),
+            "d": verdict.d, "passed": verdict.holds}
+
+
+def _csp_solve(args) -> dict:
+    csp = csp_from_json(load_json(args.csp))
+    report = {"pipeline": args.pipeline, "method": args.method, "seed": args.seed}
+    if args.method == "mt":
+        result = moser_tardos_solve(csp, seed=args.seed, cap=args.cap)
+        ok = result.assignment is not None and is_solution(csp, result.assignment)[0]
+        return {**report, "resamples": result.resamples, "capped": result.capped,
+                "assignment": labeling_to_json(result.assignment or {}), "passed": ok}
+    wts = (weights_from_json(load_json(args.weights)) if args.weights
+           else WeightedGroundSet.uniform(csp.ground))
+    result = solve_weighted(csp, wts, seed=args.seed, cap_bits=args.cap_enum_bits)
+    if args.trace:
+        dump_json(result.step_reports, args.trace)
+    return {**report, "iterations": result.iterations, "steps": result.step_reports,
+            "assignment": labeling_to_json(result.assignment), "passed": True}
+
+
+def _csp_cover(args) -> dict:
+    result = cover_family(csp_from_json(load_json(args.csp)), seed=args.seed,
+                          budget=args.budget, cap_bits=args.cap_enum_bits)
+    min_count = min(result.per_element_counts.values())
+    return {"pipeline": args.pipeline, "levels": result.levels,
+            "members": len(result.members), "min_element_coverage": min_count,
+            "route": result.route, "passed": min_count >= 2 ** (result.levels - 1)}
+
+
+def _pipeline(args) -> dict:
+    if args.graph:
+        graph_spec = load_json(args.graph)
+    elif args.gen_kind:
+        graph_spec = {"kind": args.gen_kind, "params": json.loads(args.gen_params)}
+    else:
+        raise ValueError("pipeline needs --graph or --gen-kind")
+    return run_experiment(ExperimentConfig(
+        pipeline=args.pipeline, graph=graph_spec, algorithm=args.alg,
+        params=json.loads(args.params), seed=args.seed, cap_enum_bits=args.cap_enum_bits))
+
+
+def _gadget(args) -> dict:
+    return run_experiment(ExperimentConfig(pipeline=args.pipeline, graph=load_json(args.graph),
+                                           params={"k": args.k}, seed=args.seed))
+
+
+def _report(args) -> dict:
+    summary, table = emit_summary(args.paths)
+    print(table)
+    return summary
+
+
+def _command(sub, name, handler, *reads, pipeline=None, **kwargs):
+    """A sub-command with its handler, the pipeline name its reports carry
+    (default: the command's name), and --out plus whichever of --seed and
+    --cap-enum-bits the handler reads."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler, pipeline=pipeline or name)
+    if "seed" in reads:
+        parser.add_argument("--seed", type=int, default=0)
+    if "cap" in reads:
+        parser.add_argument("--cap-enum-bits", type=int, default=DEFAULT_CAP_BITS)
     parser.add_argument("--out", default=None)
+    return parser
 
 
-def _emit(report: dict, out: Optional[str]) -> int:
+def _outcome(args) -> dict:
+    """The handler's report, or a report of the run's outcome when it caps
+    out or certifies infeasibility; the error names the cap and the need,
+    or the failing inequality."""
+    try:
+        return args.handler(args)
+    except CAP_OUTS + INFEASIBLE as exc:
+        outcome = "cap-out" if isinstance(exc, CAP_OUTS) else "infeasible"
+        return {"pipeline": args.pipeline, "outcome": outcome, "error": str(exc),
+                "passed": False}
+
+
+def _emit(report: dict, out: Optional[str], echo: bool) -> int:
+    """Write the report to `out`, or print it when `echo`; return the exit
+    code: 3 for a cap-out, 4 for certified infeasibility, else 1 iff the
+    report failed a verification (a summary's `passed` is a count)."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
+    elif echo:
         print(text)
-    return 0 if report.get("passed", True) else 1
+    if "outcome" in report:
+        return OUTCOME_EXIT[report["outcome"]]
+    return 1 if report.get("passed") is False else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="locallemma")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a graph")
+    p_gen = _command(sub, "gen", _gen, "seed", help="generate a graph")
     p_gen.add_argument("--kind", required=True)
     p_gen.add_argument("--params", default="{}")
-    _add_common(p_gen)
 
-    p_run = sub.add_parser("run-local", help="run a builtin local algorithm")
+    p_run = _command(sub, "run-local", _run_local, "seed", help="run a builtin local algorithm")
     p_run.add_argument("--graph", required=True)
     p_run.add_argument("--alg", required=True)
     p_run.add_argument("--rounds", type=int, default=None)
     p_run.add_argument("--ids", choices=["greedy", "explicit"], default="greedy")
-    p_run.add_argument("--params", default="{}")
-    _add_common(p_run)
 
-    p_ver = sub.add_parser("verify", help="verify a labeling against a problem")
+    p_ver = _command(sub, "verify", _verify, help="verify a labeling against a problem")
     p_ver.add_argument("--problem", required=True, help="e.g. proper-3")
     p_ver.add_argument("--graph", required=True)
     p_ver.add_argument("--labels", required=True)
-    _add_common(p_ver)
 
     p_csp = sub.add_parser("csp", help="CSP checks and solvers")
     csp_sub = p_csp.add_subparsers(dest="csp_command", required=True)
-    p_check = csp_sub.add_parser("check")
+    p_check = _command(csp_sub, "check", _csp_check, "cap", pipeline="csp-check")
     p_check.add_argument("--csp", required=True)
     p_check.add_argument("--which", default="symmetric",
                          choices=["symmetric", "general", "measurable",
                                   "neighborhood-growth"])
-    _add_common(p_check)
-    p_solve = csp_sub.add_parser("solve")
+    p_solve = _command(csp_sub, "solve", _csp_solve, "seed", "cap", pipeline="csp-solve")
     p_solve.add_argument("--csp", required=True)
     p_solve.add_argument("--method", choices=["mt", "weighted"], default="mt")
     p_solve.add_argument("--weights", default=None)
     p_solve.add_argument("--trace", default=None)
     p_solve.add_argument("--cap", type=int, default=None)
-    _add_common(p_solve)
-    p_cover = csp_sub.add_parser("cover")
+    p_cover = _command(csp_sub, "cover", _csp_cover, "seed", "cap", pipeline="csp-cover")
     p_cover.add_argument("--csp", required=True)
     p_cover.add_argument("--budget", type=int, default=1 << 16)
-    _add_common(p_cover)
 
-    p_pipe = sub.add_parser("pipeline", help="end-to-end experiment pipelines")
-    p_pipe.add_argument("which", choices=["det", "rand"])
+    # the positional `pipeline` (det | rand) is the name its reports carry
+    p_pipe = _command(sub, "pipeline", _pipeline, "seed", "cap",
+                      help="end-to-end experiment pipelines")
+    p_pipe.add_argument("pipeline", choices=["det", "rand"])
     p_pipe.add_argument("--graph", default=None)
     p_pipe.add_argument("--gen-kind", default=None)
     p_pipe.add_argument("--gen-params", default="{}")
     p_pipe.add_argument("--alg", default=None)
     p_pipe.add_argument("--params", default="{}")
-    _add_common(p_pipe)
 
-    p_gad = sub.add_parser("gadget", help="degree-reduction gadget")
+    p_gad = _command(sub, "gadget", _gadget, "seed", help="degree-reduction gadget")
     p_gad.add_argument("--graph", required=True)
     p_gad.add_argument("--k", type=int, required=True)
-    _add_common(p_gad)
 
-    p_rep = sub.add_parser("report", help="aggregate report files")
+    p_rep = _command(sub, "report", _report, help="aggregate report files")
     p_rep.add_argument("paths", nargs="*")
-    _add_common(p_rep)
 
     args = parser.parse_args(argv)
-
-    try:
-        if args.command == "gen":
-            graph = generate(args.kind, json.loads(args.params), args.seed)
-            data = graph_to_json(graph)
-            if args.out:
-                dump_json(data, args.out)
-            else:
-                print(json.dumps(data, indent=2, sort_keys=True))
-            return 0
-        if args.command == "run-local":
-            graph = graph_from_json(load_json(args.graph))
-            n = len(graph.vertices)
-            spec = builtin_algorithm(args.alg, {"n": n, "delta": graph.max_degree(),
-                                                "m0": 2})
-            rounds = args.rounds if args.rounds is not None else spec.rounds(n)
-            if args.ids == "greedy":
-                rng = derived_rng(args.seed, "ids-order")
-                order = list(graph.vertices)
-                rng.shuffle(order)
-                ids = greedy_coloring(graph, order)
-            else:
-                ids = {v: i + 1 for i, v in enumerate(graph.vertices)}
-            attached = with_labeling(graph, ids, TAG_IDS)
-            outputs = run_deterministic(spec.algorithm, attached, rounds,
-                                        canon_cap=DEFAULT_CANON_CAP)
-            run = verify_lcl(spec.problem, graph, outputs, canon_cap=DEFAULT_CANON_CAP)
-            report = {"pipeline": "run-local", "seed": args.seed, "alg": args.alg,
-                      "rounds_used": rounds,
-                      "outputs": labeling_to_json(outputs),
-                      "valid": run.valid,
-                      "violating_vertices": run.violating_vertices,
-                      "passed": run.valid}
-            return _emit(report, args.out)
-        if args.command == "verify":
-            graph = graph_from_json(load_json(args.graph))
-            labels = labeling_from_json(load_json(args.labels))
-            if not args.problem.startswith("proper-"):
-                raise ValueError("known problems: proper-<k>")
-            k = None if args.problem == "proper-any" else int(args.problem.split("-")[1])
-            run = verify_lcl(proper_coloring_problem(k), graph, labels,
-                             canon_cap=DEFAULT_CANON_CAP)
-            report = {"pipeline": "verify", "problem": args.problem,
-                      "outputs": labeling_to_json(run.outputs),
-                      "rounds_used": run.rounds_used,
-                      "valid": run.valid,
-                      "violating_vertices": run.violating_vertices,
-                      "passed": run.valid}
-            return _emit(report, args.out)
-        if args.command == "csp":
-            csp = csp_from_json(load_json(args.csp))
-            if args.csp_command == "check":
-                verdict = lll_check(csp, args.which, cap_bits=args.cap_enum_bits)
-                report = {"pipeline": "csp-check", "which": args.which,
-                          "holds": verdict.holds,
-                          "margin": fraction_str(verdict.margin),
-                          "p": fraction_str(verdict.p), "d": verdict.d,
-                          "passed": verdict.holds}
-                return _emit(report, args.out)
-            if args.csp_command == "solve":
-                if args.method == "mt":
-                    result = moser_tardos_solve(csp, seed=args.seed, cap=args.cap)
-                    ok = result.assignment is not None and is_solution(csp, result.assignment)[0]
-                    report = {"pipeline": "csp-solve", "method": "mt",
-                              "seed": args.seed,
-                              "resamples": result.resamples, "capped": result.capped,
-                              "assignment": labeling_to_json(result.assignment or {}),
-                              "passed": ok}
-                    return _emit(report, args.out)
-                wts = (weights_from_json(load_json(args.weights)) if args.weights
-                       else WeightedGroundSet.uniform(csp.ground))
-                result = solve_weighted(csp, wts, seed=args.seed,
-                                        cap_bits=args.cap_enum_bits)
-                report = {"pipeline": "csp-solve", "method": "weighted",
-                          "seed": args.seed,
-                          "iterations": result.iterations,
-                          "steps": result.step_reports,
-                          "assignment": labeling_to_json(result.assignment),
-                          "passed": True}
-                if args.trace:
-                    dump_json(report["steps"], args.trace)
-                return _emit(report, args.out)
-            if args.csp_command == "cover":
-                result = cover_family(csp, seed=args.seed, budget=args.budget,
-                                      cap_bits=args.cap_enum_bits)
-                min_count = min(result.per_element_counts.values())
-                report = {"pipeline": "csp-cover", "levels": result.levels,
-                          "members": len(result.members),
-                          "min_element_coverage": min_count,
-                          "route": result.route,
-                          "passed": min_count >= 2 ** (result.levels - 1)}
-                return _emit(report, args.out)
-        if args.command == "pipeline":
-            if args.graph:
-                graph_spec = load_json(args.graph)
-            elif args.gen_kind:
-                graph_spec = {"kind": args.gen_kind,
-                              "params": json.loads(args.gen_params)}
-            else:
-                raise ValueError("pipeline needs --graph or --gen-kind")
-            cfg = ExperimentConfig(
-                pipeline=args.which,
-                graph=graph_spec,
-                algorithm=args.alg,
-                params=json.loads(args.params),
-                seed=args.seed,
-                cap_enum_bits=args.cap_enum_bits,
-                out=args.out,
-            )
-            report = run_experiment(cfg)
-            if args.out:
-                dump_json(report, args.out)
-                return 0 if report["passed"] else 1
-            print(json.dumps(report, indent=2, sort_keys=True))
-            return 0 if report["passed"] else 1
-        if args.command == "gadget":
-            graph = graph_from_json(load_json(args.graph))
-            cfg = ExperimentConfig(pipeline="gadget", graph=graph_to_json(graph),
-                                   params={"k": args.k}, seed=args.seed)
-            report = run_experiment(cfg)
-            return _emit(report, args.out)
-        if args.command == "report":
-            summary, text = emit_summary(args.paths)
-            if args.out:
-                dump_json(summary, args.out)
-            print(text)
-            return 0
-    except Exception as exc:  # surface module errors with context, no partial report
+    try:  # the report command prints its table in place of the summary
+        return _emit(_outcome(args), args.out, echo=args.handler is not _report)
+    except Exception as exc:  # input or internal error: no report
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

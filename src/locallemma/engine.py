@@ -423,6 +423,8 @@ STEP_TARGET_N = 16
 STEP_TARGET_EPS = Fraction(1, 2**32)
 RESIDUAL_N = 8
 RESIDUAL_EPS = Fraction(1, 2**15)
+STEP_GRID = (16, 64, 256)     # candidate sizes of the step's amplified bootstrap
+EPS_BINARY = Fraction(1)      # binary-reduction slack: bootstrap aims at eps / (1 + EPS_BINARY)
 
 
 @dataclass
@@ -436,8 +438,7 @@ class StepResult:
 
 
 def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
-         n_grid=None, cap_bits: int = DEFAULT_CAP_BITS,
-         eps_binary: Fraction = Fraction(1)) -> StepResult:
+         cap_bits: int = DEFAULT_CAP_BITS) -> StepResult:
     """One halving step: bootstrap (direct route preferred) to a sparse
     target, binary-reduce it, build a partial solution, pull it back.
 
@@ -449,9 +450,8 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
     from .compilers import bootstrap
     from .connect import compose
 
-    boot = bootstrap(source, red_in, STEP_TARGET_N,
-                     STEP_TARGET_EPS / (1 + eps_binary),
-                     n_grid=n_grid or (16, 64, 256), cap_bits=cap_bits)
+    boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY),
+                     n_grid=STEP_GRID, cap_bits=cap_bits)
     if not boot.feasible:
         raise StepInfeasibleError(f"bootstrap infeasible: {boot.report}")
     if not boot.exact_p:
@@ -459,7 +459,7 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
             "amplified bootstrap target lacks exact probabilities at desk scale; "
             "cannot certify the step inequalities")
 
-    encoded, tau_red = binary_reduce(boot.csp, eps_binary, cap_bits)
+    encoded, tau_red = binary_reduce(boot.csp, EPS_BINARY, cap_bits)
     sigma_conn = compose(boot.reduction.connection, tau_red.connection)
     sigma = Reduction(sigma_conn, encoded, validated=boot.reduction.validated)
 
@@ -550,9 +550,8 @@ class SolveResult:
     traces: List[PartialSolutionTrace]
 
 
-def solve_weighted(source: Csp, wts: WeightedGroundSet, max_iters: Optional[int] = None,
-                   seed: int = 0, cap_bits: int = DEFAULT_CAP_BITS,
-                   n_grid=None) -> SolveResult:
+def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
+                   cap_bits: int = DEFAULT_CAP_BITS) -> SolveResult:
     """Iterate `step` until every positive-weight element is assigned; the
     remaining (zero-weight) elements are finished by direct extension.
     Remaining weight at least halves per iteration, so the loop runs at
@@ -562,14 +561,13 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, max_iters: Optional[int]
         raise StepInfeasibleError(
             f"source fails the measurable condition by {-pre.margin}")
     minw = wts.min_positive()
-    if max_iters is None:
-        # ceil(log2(1 / min positive weight)) + 1, in exact arithmetic
-        max_iters = 1
-        if minw is not None:
-            k = 0
-            while (1 << k) * minw < 1:
-                k += 1
-            max_iters = k + 1
+    # ceil(log2(1 / min positive weight)) + 1, in exact arithmetic
+    max_iters = 1
+    if minw is not None:
+        k = 0
+        while (1 << k) * minw < 1:
+            k += 1
+        max_iters = k + 1
 
     g_total: PartialAssignment = {}
     current = source
@@ -587,7 +585,7 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, max_iters: Optional[int]
                 f"iteration budget {max_iters} exceeded with "
                 f"{len(current.ground)} elements uncovered")
         result = step(current, red, live, seed=derived_rng(seed, "step", iterations).randrange(2**30),
-                      n_grid=n_grid, cap_bits=cap_bits)
+                      cap_bits=cap_bits)
         g_total.update(result.g)
         reports.append({
             "iteration": iterations,
@@ -624,8 +622,7 @@ class CoverResult:
 
 
 def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
-                 cap_bits: int = DEFAULT_CAP_BITS,
-                 eps_binary: Fraction = Fraction(1)) -> CoverResult:
+                 cap_bits: int = DEFAULT_CAP_BITS) -> CoverResult:
     """Finite covering family: the pulled-back partial solutions h_w over
     every branch word w in [2]^N of the binary construction.
 
@@ -644,13 +641,13 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     pre = lll_check(source, "measurable", cap_bits=cap_bits)
     if pre.holds:
         boot = bootstrap(source, red_in, STEP_TARGET_N,
-                         STEP_TARGET_EPS / (1 + eps_binary), cap_bits=cap_bits)
+                         STEP_TARGET_EPS / (1 + EPS_BINARY), cap_bits=cap_bits)
         if boot.feasible and boot.exact_p:
             red_in = boot.reduction
             route = f"bootstrap-{boot.route}"
     target = red_in.target
 
-    encoded, tau_red = binary_reduce(target, eps_binary, cap_bits)
+    encoded, tau_red = binary_reduce(target, EPS_BINARY, cap_bits)
     sigma = Reduction(compose(red_in.connection, tau_red.connection), encoded,
                       validated=red_in.validated)
     est = stats(encoded, cap_bits)

@@ -38,7 +38,7 @@ class BootstrapInfeasibleError(RuntimeError):
     """No candidate size in the grid satisfied the certified inequalities."""
 
     def __init__(self, report):
-        super().__init__("bootstrap infeasible at desk scale; see .report per candidate")
+        super().__init__(f"bootstrap infeasible at desk scale: {report}")
         self.report = report
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 import locallemma
 from locallemma.cli import ExperimentConfig, emit_summary, main, run_experiment
+from locallemma.generate import generate
 from locallemma.serialize import csp_to_json, dump_json, graph_to_json
 from locallemma.randgen import random_cover_csp, random_symmetric_csp
 
@@ -113,8 +115,9 @@ def test_malformed_config_no_partial_report(tmp_path):
 
 
 def test_run_experiment_validation():
-    with pytest.raises(ValueError):
-        run_experiment(ExperimentConfig(pipeline="bogus"))
+    for pipeline in ("bogus", "lll-suite"):
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig(pipeline=pipeline))
 
 
 def test_emit_summary(tmp_path):
@@ -126,10 +129,13 @@ def test_emit_summary(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     paths.append(str(broken))
+    for name, data in (("list.json", [1, 2]), ("checks.json", {"checks": 5})):
+        dump_json(data, tmp_path / name)
+        paths.append(str(tmp_path / name))
     summary, text = emit_summary(paths)
     assert summary["reports"] == 3
     assert summary["passed"] == 2 and summary["failed"] == 1
-    assert len(summary["errors"]) == 1
+    assert len(summary["errors"]) == 3
     assert "PARSE ERROR" in text
 
     empty_summary, empty_text = emit_summary([])
@@ -152,6 +158,33 @@ def test_emit_summary(tmp_path):
     assert tally["reports"] == 10 and tally["total_iterations"] == 10
 
 
+def test_cap_out_is_reported(tmp_path):
+    # a 30-ary parity predicate has 2^30 states, above the 2^20 cap
+    cpath = tmp_path / "parity.json"
+    dump_json({"ground": list(range(30)), "m": 2, "constraints": [
+        {"domain": list(range(30)), "predicate": {"name": "parity", "params": {}}}]}, cpath)
+    out = tmp_path / "r.json"
+    assert run(["csp", "check", "--csp", str(cpath), "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["pipeline"] == "csp-check" and report["outcome"] == "cap-out"
+    assert report["passed"] is False
+    assert "2^30" in report["error"] and "2^20" in report["error"]
+
+
+def test_certified_infeasibility_is_reported(tmp_path):
+    from locallemma.randgen import random_measurable_csp
+
+    cpath = tmp_path / "c.json"
+    dump_json(csp_to_json(random_measurable_csp(901, max_ground=80)), cpath)
+    out = tmp_path / "r.json"
+    assert run(["csp", "solve", "--csp", str(cpath), "--method", "weighted",
+                "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["pipeline"] == "csp-solve" and report["outcome"] == "infeasible"
+    assert report["passed"] is False
+    assert "bootstrap infeasible" in report["error"] and "p(d+1)^N" in report["error"]
+
+
 def test_gadget_command(tmp_path):
     from locallemma.graphs import build_graph
 
@@ -161,3 +194,90 @@ def test_gadget_command(tmp_path):
     assert run(["gadget", "--graph", str(gpath), "--k", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["checks"][0]["gadget_degree"] == 3
+
+
+# Every command on inputs built here, with the sha256 of each report pinned:
+# reports are a contract, so any byte of drift shows up as a mismatch.
+GOLDEN = [
+    ("gen", ["gen", "--kind", "directed_cycle", "--params", '{"n": 16}'], 0,
+     "0e3f9e455bc0c412ba0dc446c5a2ca3cf091d82f8c36ac040553046e3aecb2d8"),
+    ("run-local", ["run-local", "--graph", "cycle16.json", "--alg",
+                   "cole_vishkin_3color", "--seed", "3"], 0,
+     "d5d3c8c18179db072c08cd0a34e7980feefb4061ceb4366aa0ff535d7446e9e3"),
+    ("run-local-explicit", ["run-local", "--graph", "cycle16.json", "--alg",
+                            "cole_vishkin_3color", "--ids", "explicit",
+                            "--rounds", "5"], 0,
+     "2b040b526818e42447dc702ecb2f32a2bf88d0c7f0a2902c74f48288e4b0c55b"),
+    ("verify", ["verify", "--problem", "proper-2", "--graph", "cycle4.json",
+                "--labels", "labels4.json"], 0,
+     "129ddefeedfa59f211c40e80d587905fed251b1c314d27468e74f83ceae791ca"),
+    ("verify-bad", ["verify", "--problem", "proper-any", "--graph", "cycle4.json",
+                    "--labels", "bad4.json"], 1,
+     "03c7d6707f68134def670a849006b8359301599f32ba3d355c41d6f2fd594a15"),
+    ("csp-check", ["csp", "check", "--csp", "sym.json", "--which", "symmetric"], 0,
+     "8aa5064ec0a038a9c64de8fcbfd4d1ca5840199a59ba6228458e577fbb1677f2"),
+    ("csp-check-measurable", ["csp", "check", "--csp", "meas.json",
+                              "--which", "measurable"], 0,
+     "cd7c960f08d76ae8391c2405d2e39bf17057f098ebb0e1f691958f0efd3f3095"),
+    ("csp-solve-mt", ["csp", "solve", "--csp", "sym.json", "--method", "mt",
+                      "--seed", "7", "--cap", "1000"], 0,
+     "cf74e3d24a7a43339ceab6405dfcb6701a4fc078b3550b8e6066a1fe2f20fb1d"),
+    ("csp-solve-weighted", ["csp", "solve", "--csp", "meas.json", "--method",
+                            "weighted", "--seed", "7", "--trace", "trace.json"], 0,
+     "4572d83163d3dd0bd24e858c159a70d60ca3fde6d449ab17f50dc636bb109041"),
+    ("csp-cover", ["csp", "cover", "--csp", "cover.json"], 0,
+     "f4df54cb88efeff64210ce9f59dbe3cb25f94d2f0c6bacdfe5f7220199c7f237"),
+    ("pipeline-det", ["pipeline", "det", "--gen-kind", "directed_cycle",
+                      "--gen-params", '{"n": 16}', "--seed", "11"], 0,
+     "f20605d54392ae8cf49dc4c9bd36f590ed89c2b3b3be83cc493eac3e715cec81"),
+    ("pipeline-det-graph", ["pipeline", "det", "--graph", "cycle16.json"], 0,
+     "1e8841b7e8e69df765b22936352ef7c02dbe5eb3690fe104c21132bc696fe530"),
+    ("pipeline-rand", ["pipeline", "rand", "--gen-kind", "directed_cycle",
+                       "--gen-params", '{"n": 6}', "--params", '{"m": 6}',
+                       "--seed", "5"], 0,
+     "710904579660985203d265d94e95e40b1a174eaa0e2107588b9892ce195377b4"),
+    ("gadget", ["gadget", "--graph", "star5.json", "--k", "2"], 0,
+     "29720db98751c3b0459b9fad8aad5764c9cb06799a9ecf349a30af9fde82971c"),
+    ("report", ["report", "run-local.json", "verify-bad.json", "csp-check.json",
+                "csp-solve-weighted.json", "missing.json"], 0,
+     "9ceed54af98420bc519d5a3577fd50b4f894268cc15225b8e7596db7a03bda23"),
+]
+GOLDEN_TRACE = "8a482aa86682c9b9f6762a78f3c02db89ecd94bfc16c29a5bb1a02e140331267"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_reports(tmp_path, monkeypatch, capsys):
+    from locallemma.graphs import build_graph
+    from locallemma.randgen import random_measurable_csp
+
+    monkeypatch.chdir(tmp_path)
+    dump_json(graph_to_json(generate("directed_cycle", {"n": 16}, 0)), "cycle16.json")
+    dump_json(graph_to_json(generate("cycle", {"n": 4}, 0)), "cycle4.json")
+    dump_json({"values": [[0, 1], [1, 2], [2, 1], [3, 2]]}, "labels4.json")
+    dump_json({"values": [[0, 1], [1, 1], [2, 1], [3, 2]]}, "bad4.json")
+    dump_json(graph_to_json(build_graph(range(5), [(0, i) for i in range(1, 5)])),
+              "star5.json")
+    dump_json(csp_to_json(random_symmetric_csp(2)), "sym.json")
+    dump_json(csp_to_json(random_cover_csp(1, max_levels=10)), "cover.json")
+    dump_json(csp_to_json(random_measurable_csp(900, max_ground=40)), "meas.json")
+
+    got = {}
+    for name, argv, code, _ in GOLDEN:
+        capsys.readouterr()
+        assert run(argv + ["--out", f"{name}.json"]) == code, name
+        out_text = capsys.readouterr().out
+        report = (tmp_path / f"{name}.json").read_bytes()
+        got[name] = _sha(report)
+        assert run(argv) == code, name
+        stdout = capsys.readouterr().out
+        if name == "report":  # the table goes to stdout either way
+            assert stdout == out_text and "PARSE ERROR" in stdout
+        else:
+            assert stdout.encode() == report, name
+    got["trace"] = _sha((tmp_path / "trace.json").read_bytes())
+    expected = {name: sha for name, _, _, sha in GOLDEN}
+    expected["trace"] = GOLDEN_TRACE
+    assert got == expected
