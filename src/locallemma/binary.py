@@ -7,16 +7,18 @@ larger blocks first).  Probabilities of the encoded constraints are kept
 exact without enumeration via a digit-walk count of codes in a block that
 match the bits fixed so far — this is what lets the partial-solution
 machinery run on encodings with astronomically many patterns.
+
+Cost model: the block geometry is one `divmod` of 2^N by n, so a `BlockCode`
+takes O(1) memory and O(N) time per decode, whatever the range size n is.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from .connect import Connection, Reduction
-from .csp import Constraint, Csp, DEFAULT_CAP_BITS
+from .csp import Constraint, Csp
 
 
 def choose_delta(epsilon: Fraction, b: int) -> Fraction:
@@ -35,12 +37,6 @@ def choose_bits(n: int, delta: Fraction) -> int:
     while (1 << N) < n or n * -(-(1 << N) // n) > (1 + delta) * (1 << N):
         N += 1
     return N
-
-
-def block_sizes(n: int, N: int) -> Tuple[int, ...]:
-    total = 1 << N
-    floor, rem = divmod(total, n)
-    return tuple([floor + 1] * rem + [floor] * (n - rem))
 
 
 def _count_lt(limit: int, fixed: Dict[int, int], N: int) -> int:
@@ -64,25 +60,26 @@ def count_codes(lo: int, hi: int, fixed: Dict[int, int], N: int) -> int:
 
 
 class BlockCode:
-    """The code map xi: [2]^N -> [n] with its block geometry."""
+    """The code map xi: [2]^N -> [n]; with q, r = divmod(2^N, n), value i's
+    block is [(i-1) q + min(i-1, r), i q + min(i, r))."""
 
     def __init__(self, n: int, N: int):
         self.n = n
         self.N = N
-        self.sizes = block_sizes(n, N)
-        starts = [0]
-        for s in self.sizes:
-            starts.append(starts[-1] + s)
-        self.starts = starts  # starts[i-1]..starts[i] is value i's range
+        self.q, self.r = divmod(1 << N, n)
 
     def value_of(self, bits: Tuple[int, ...]) -> int:
         index = 0
         for c in bits:
             index = (index << 1) | (c - 1)
-        return bisect_right(self.starts, index)
+        head = self.r * (self.q + 1)  # codes in the r blocks of size q + 1
+        if index < head:
+            return index // (self.q + 1) + 1
+        return self.r + (index - head) // self.q + 1
 
     def block_range(self, value: int) -> Tuple[int, int]:
-        return self.starts[value - 1], self.starts[value]
+        q, r = self.q, self.r
+        return (value - 1) * q + min(value - 1, r), value * q + min(value, r)
 
     def consistent_count(self, value: int, fixed: Dict[int, int]) -> int:
         lo, hi = self.block_range(value)
@@ -147,8 +144,7 @@ def _encode_constraint(src: Constraint, code: BlockCode, zids: Dict[Tuple[int, i
                                      restrict_hook=restrict_hook, tag=src.tag or "binary")
 
 
-def binary_reduce(csp: Csp, epsilon: Fraction,
-                  cap_bits: int = DEFAULT_CAP_BITS):
+def binary_reduce(csp: Csp, epsilon: Fraction):
     """(binary CSP D on Y x [N], reduction csp <- D).
 
     Guarantees p(D) <= (1+epsilon) p(csp) and d(D) = d(csp); the decoding

@@ -148,6 +148,10 @@ def emit_summary(report_paths: List[str]):
             data = load_json(path)
             if not isinstance(data, dict):
                 raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+            if not isinstance(data.get("pipeline", "?"), str):
+                raise TypeError("field 'pipeline' is not a string")
+            if not isinstance(data.get("iterations", 0), int):
+                raise TypeError("field 'iterations' is not an integer")
             row = {
                 "path": path,
                 "pipeline": data.get("pipeline", "?"),

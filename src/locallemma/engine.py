@@ -12,6 +12,7 @@ implies the corresponding analytic condition.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -453,13 +454,14 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
     boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY),
                      n_grid=STEP_GRID, cap_bits=cap_bits)
     if not boot.feasible:
-        raise StepInfeasibleError(f"bootstrap infeasible: {boot.report}")
+        raise StepInfeasibleError(
+            f"bootstrap infeasible: {json.dumps(boot.report, sort_keys=True)}")
     if not boot.exact_p:
         raise StepInfeasibleError(
             "amplified bootstrap target lacks exact probabilities at desk scale; "
             "cannot certify the step inequalities")
 
-    encoded, tau_red = binary_reduce(boot.csp, EPS_BINARY, cap_bits)
+    encoded, tau_red = binary_reduce(boot.csp, EPS_BINARY)
     sigma_conn = compose(boot.reduction.connection, tau_red.connection)
     sigma = Reduction(sigma_conn, encoded, validated=boot.reduction.validated)
 
@@ -473,7 +475,8 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
         "p*d(rho)^2<=1/4": est.p * Fraction(d_sigma) ** 2 <= Fraction(1, 4),
     }
     if not cert["target_(16,2^-32)"] or not cert["p*d(rho)^2<=1/4"]:
-        raise StepInfeasibleError(f"step inequality failed: {cert}")
+        raise StepInfeasibleError(
+            f"step inequality failed: {json.dumps(cert, sort_keys=True)}")
 
     h, trace = construct_partial(encoded, sigma, wts, cap_bits=cap_bits, seed=seed)
     g, residual_red = pull_partial(sigma, h)
@@ -482,7 +485,8 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
     cert["p_residual"] = str(rst.p)
     cert["residual_(8,2^-15)"] = rst.p * (rst.d + 1) ** RESIDUAL_N <= RESIDUAL_EPS
     if not cert["residual_(8,2^-15)"]:
-        raise StepInfeasibleError(f"residual certification failed: {cert}")
+        raise StepInfeasibleError(
+            f"residual certification failed: {json.dumps(cert, sort_keys=True)}")
 
     covered = wts.weight_of(g.keys())
     if covered < Fraction(1, 2):
@@ -647,7 +651,7 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
             route = f"bootstrap-{boot.route}"
     target = red_in.target
 
-    encoded, tau_red = binary_reduce(target, EPS_BINARY, cap_bits)
+    encoded, tau_red = binary_reduce(target, EPS_BINARY)
     sigma = Reduction(compose(red_in.connection, tau_red.connection), encoded,
                       validated=red_in.validated)
     est = stats(encoded, cap_bits)

@@ -5,6 +5,8 @@ error carrying the cap, so callers can distinguish "wrong input" from
 "too big for exact arithmetic".
 """
 
+import json
+
 
 class GraphBuildError(ValueError):
     """Invalid graph construction input (self-loop, unknown vertex, ...)."""
@@ -38,7 +40,8 @@ class BootstrapInfeasibleError(RuntimeError):
     """No candidate size in the grid satisfied the certified inequalities."""
 
     def __init__(self, report):
-        super().__init__(f"bootstrap infeasible at desk scale: {report}")
+        super().__init__(
+            f"bootstrap infeasible at desk scale: {json.dumps(report, sort_keys=True)}")
         self.report = report
 
 

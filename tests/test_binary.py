@@ -1,11 +1,12 @@
 import random
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain, product, repeat
 
 from locallemma.binary import (
     BlockCode,
     binary_reduce,
-    block_sizes,
     choose_bits,
     choose_delta,
     count_codes,
@@ -23,6 +24,39 @@ from locallemma.csp import (
 from locallemma.randgen import random_small_csp
 
 
+class TableBlockCode:
+    """The former `BlockCode`: a materialized table of block starts searched
+    with `bisect_right`.  Kept as the differential oracle for the closed
+    form; the starts live in an int64 array so (2^22, 22) fits in 32 MB."""
+
+    def __init__(self, n, N):
+        self.N = N
+        floor, rem = divmod(1 << N, n)
+        sizes = chain((0,), repeat(floor + 1, rem), repeat(floor, n - rem))
+        self.starts = array("q", accumulate(sizes))  # value i: starts[i-1]..starts[i]
+
+    def value_of(self, bits):
+        index = 0
+        for c in bits:
+            index = (index << 1) | (c - 1)
+        return bisect_right(self.starts, index)
+
+    def block_range(self, value):
+        return self.starts[value - 1], self.starts[value]
+
+    def consistent_count(self, value, fixed):
+        lo, hi = self.block_range(value)
+        return count_codes(lo, hi, fixed, self.N)
+
+
+def _bits(x, N):
+    return tuple(((x >> (N - j)) & 1) + 1 for j in range(1, N + 1))
+
+
+def _widths(code):
+    return tuple(hi - lo for lo, hi in map(code.block_range, range(1, code.n + 1)))
+
+
 def test_choose_delta_bound():
     for b in (0, 1, 3, 5):
         for eps in (Fraction(1, 2), Fraction(1, 10)):
@@ -33,9 +67,9 @@ def test_choose_delta_bound():
 def test_power_of_two_range_is_exact():
     # n = 2 and n = 4 encode exactly: one code per value
     assert choose_bits(2, Fraction(1, 10)) == 1
-    assert block_sizes(2, 1) == (1, 1)
+    assert _widths(BlockCode(2, 1)) == (1, 1)
     assert choose_bits(4, Fraction(1, 10)) == 2
-    assert block_sizes(4, 2) == (1, 1, 1, 1)
+    assert _widths(BlockCode(4, 2)) == (1, 1, 1, 1)
 
 
 def test_three_values_spec_example():
@@ -43,7 +77,7 @@ def test_three_values_spec_example():
     delta = choose_delta(Fraction(1, 2), 1)
     N = choose_bits(3, delta)
     assert N == 2
-    assert block_sizes(3, 2) == (2, 1, 1)
+    assert _widths(BlockCode(3, 2)) == (2, 1, 1)
 
 
 def test_count_codes_matches_enumeration():
@@ -64,6 +98,37 @@ def test_block_code_round_trip():
     code = BlockCode(3, 2)
     values = [code.value_of(bits) for bits in product((1, 2), repeat=2)]
     assert values == [1, 1, 2, 3]  # lexicographic blocks, larger first
+
+    # closed form against the table oracle: every code and every value
+    rng = random.Random(4)
+    for N in range(1, 9):
+        codes = list(product((1, 2), repeat=N))
+        for n in range(2, (1 << N) + 1):
+            code, oracle = BlockCode(n, N), TableBlockCode(n, N)
+            assert [code.value_of(b) for b in codes] == [oracle.value_of(b) for b in codes]
+            fixed = {j: rng.randint(0, 1) for j in range(1, N + 1) if rng.random() < 0.5}
+            for value in range(1, n + 1):
+                assert code.block_range(value) == oracle.block_range(value)
+                for f in ({}, fixed):
+                    assert code.consistent_count(value, f) == oracle.consistent_count(value, f)
+
+    # range sizes of the weighted workloads: the codes on both sides of the
+    # boundaries of sampled blocks (the first and last 256, the 256 around
+    # the switch from size q + 1 to size q, and every (n / 4096)-th)
+    cases = [(1 << k, k) for k in (20, 21, 22)]
+    cases.append((2**20 + 3, choose_bits(2**20 + 3, Fraction(1, 2))))
+    for n, N in cases:
+        code, oracle = BlockCode(n, N), TableBlockCode(n, N)
+        assert code.block_range(n)[1] == 1 << N
+        r = (1 << N) % n
+        sample = set(range(1, 257)) | set(range(n - 255, n + 1))
+        sample |= set(range(max(1, r - 127), min(n, r + 128) + 1))
+        sample |= set(range(1, n + 1, n // 4096))
+        for value in sorted(sample):
+            lo, hi = code.block_range(value)
+            assert (lo, hi) == oracle.block_range(value)
+            for x in {max(lo - 1, 0), lo, hi - 1, min(hi, (1 << N) - 1)}:
+                assert code.value_of(_bits(x, N)) == oracle.value_of(_bits(x, N))
 
 
 def test_binary_reduce_single_domain_enumeration():

@@ -129,13 +129,15 @@ def test_emit_summary(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     paths.append(str(broken))
-    for name, data in (("list.json", [1, 2]), ("checks.json", {"checks": 5})):
+    for name, data in (("list.json", [1, 2]), ("checks.json", {"checks": 5}),
+                       ("iters.json", {"iterations": "x"}),
+                       ("pipeline.json", {"pipeline": {"a": 1}})):
         dump_json(data, tmp_path / name)
         paths.append(str(tmp_path / name))
     summary, text = emit_summary(paths)
     assert summary["reports"] == 3
     assert summary["passed"] == 2 and summary["failed"] == 1
-    assert len(summary["errors"]) == 3
+    assert len(summary["errors"]) == 5
     assert "PARSE ERROR" in text
 
     empty_summary, empty_text = emit_summary([])
@@ -183,6 +185,8 @@ def test_certified_infeasibility_is_reported(tmp_path):
     assert report["pipeline"] == "csp-solve" and report["outcome"] == "infeasible"
     assert report["passed"] is False
     assert "bootstrap infeasible" in report["error"] and "p(d+1)^N" in report["error"]
+    payload = json.loads(report["error"].split(": ", 1)[1])
+    assert isinstance(payload, list) and all(isinstance(e, dict) for e in payload)
 
 
 def test_gadget_command(tmp_path):
