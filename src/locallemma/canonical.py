@@ -8,15 +8,25 @@ root distance, structure participation, neighbor multisets) is what makes
 the exhaustive search tractable at desk scale.
 
 Refinement signatures (same-shape tuples of nonnegative ints and
-self-delimiting `label_key` bytes) are ordered by native tuple order.
+self-delimiting `label_key` bytes) are ordered by native tuple order, and
+refinement stops as soon as every vertex is alone in its cell.  Each
+label's key and JSON form are computed once and kept in a bounded cache.
+
+A form made by `canonical_type` keeps the winning leaf of its search (the
+relabeled edges and structure entries its code was written from), so
+`decode` rebuilds the representative from it in O(ball) with no parsing
+and no re-validation.  A form made by `from_hex` carries no leaf: its
+bytes are parsed and the graph validated in full.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter
+from typing import Optional
 
 from .errors import CanonicalizationCapError
 from .graphs import RootedBall, StructuredGraph
@@ -24,6 +34,16 @@ from .labels import label_from_json, label_key, label_to_json
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_SEARCH_BUDGET = 100_000
+# distinct labels whose encodings are kept; the cache never grows past it
+_LABEL_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _encoded(label):
+    """(label_key(label), label_to_json(label)).  Graph labels are
+    validated and never bool, so no two labels that are equal as cache
+    keys (as 1 and True are) encode differently."""
+    return label_key(label), label_to_json(label)
 
 
 def _refine(graph: StructuredGraph, root: int):
@@ -32,7 +52,7 @@ def _refine(graph: StructuredGraph, root: int):
     dist = graph.distances_from(root)
     participation = {v: [] for v in graph.vertices}
     for tup, label in graph.structure.items():
-        lkey = label_key(label)
+        lkey = _encoded(label)[0]
         for pos, v in enumerate(tup):
             participation[v].append((len(tup), pos, lkey, tup))
 
@@ -42,10 +62,11 @@ def _refine(graph: StructuredGraph, root: int):
 
     def normalize(sigs):
         index = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        return {v: index[s] for v, s in sigs.items()}
+        return {v: index[s] for v, s in sigs.items()}, len(index)
 
-    color = normalize(color)
-    while True:
+    # a discrete partition is final: color[v] leads every signature
+    color, cells = normalize(color)
+    while cells < len(graph.vertices):
         sigs = {}
         for v in graph.vertices:
             nb = tuple(sorted(color[w] for w in graph.neighbors(v)))
@@ -54,13 +75,16 @@ def _refine(graph: StructuredGraph, root: int):
                 for (length, pos, lkey, tup) in participation[v]
             ))
             sigs[v] = (color[v], nb, struct)
-        new = normalize(sigs)
-        if len(set(new.values())) == len(set(color.values())):
+        new, new_cells = normalize(sigs)
+        if new_cells == cells:
             return new
-        color = new
+        color, cells = new, new_cells
+    return color
 
 
-def _code_bytes(graph: StructuredGraph, mapping) -> bytes:
+def _code_bytes(graph: StructuredGraph, mapping):
+    """The code of the graph relabeled by `mapping`, and the leaf it is
+    written from: (n, sorted edges, structure entries sorted by tuple)."""
     n = len(graph.vertices)
     edges = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
                    for (u, v) in graph.edges)
@@ -72,14 +96,18 @@ def _code_bytes(graph: StructuredGraph, mapping) -> bytes:
     payload = {
         "n": n,
         "edges": [list(e) for e in edges],
-        "structure": [[list(t), label_to_json(l)] for t, l in entries],
+        "structure": [[list(t), _encoded(l)[1]] for t, l in entries],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    code = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return code, (n, edges, entries)
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     code: bytes
+    # the winning leaf of canonical_type's search; equality and hash
+    # read only the code
+    leaf: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def hex(self) -> str:
         return self.code.hex()
@@ -89,7 +117,22 @@ class CanonicalForm:
         return CanonicalForm(bytes.fromhex(text))
 
     def decode(self):
-        """Canonical representative: (graph on vertices 0..n-1, root 0)."""
+        """Canonical representative: (graph on vertices 0..n-1, root 0),
+        built fresh on every call; the same graph, in the same vertex,
+        neighbor and structure order, from the leaf or from the code."""
+        if self.leaf is not None:
+            n, edges, entries = self.leaf
+            vertices = tuple(range(n))
+            nbrs = {v: [] for v in vertices}
+            for u, v in edges:  # sorted, so every neighbor tuple ascends
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            structure = dict(entries)
+            tuple_bound = max(max((len(t) for t in structure), default=0), 1)
+            graph = StructuredGraph._trusted(
+                vertices, frozenset(vertices), frozenset(edges), structure, tuple_bound,
+                {v: tuple(ws) for v, ws in nbrs.items()})
+            return graph, 0
         payload = json.loads(self.code.decode())
         structure = {
             tuple(t): label_from_json(l) for t, l in payload["structure"]
@@ -124,14 +167,14 @@ def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
         offsets.append(at)
         at += len(cell)
 
-    best = None
+    best = best_leaf = None
 
     def assign(idx, mapping):
-        nonlocal best
+        nonlocal best, best_leaf
         if idx == len(cell_list):
-            code = _code_bytes(graph, mapping)
+            code, leaf = _code_bytes(graph, mapping)
             if best is None or code < best:
-                best = code
+                best, best_leaf = code, leaf
             return
         cell = cell_list[idx]
         base = offsets[idx]
@@ -141,7 +184,7 @@ def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
             assign(idx + 1, mapping)
 
     assign(0, {})
-    return CanonicalForm(best)
+    return CanonicalForm(best, best_leaf)
 
 
 def are_isomorphic(b1: RootedBall, b2: RootedBall) -> bool:

@@ -4,8 +4,8 @@ so identical configs produce byte-identical reports.
 
 Commands: gen, run-local, verify, csp {check,solve,cover}, pipeline
 {det,rand}, gadget, report.  Each command's handler returns its report.
-Exit codes: 0 passed, 1 verification failed, 2 input or internal error (no
-report), 3 cap-out, 4 certified infeasible.
+Exit codes: 0 passed, 1 verification failed, 2 input error (no report),
+3 cap-out, 4 certified infeasible, 5 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def emit_summary(report_paths: List[str]):
 
 CAP_OUTS = (EnumerationCapError, CanonicalizationCapError, CoverBudgetError)
 INFEASIBLE = (StepInfeasibleError, BootstrapInfeasibleError)
-OUTCOME_EXIT = {"cap-out": 3, "infeasible": 4}
+OUTCOME_EXIT = {"cap-out": 3, "infeasible": 4, "internal-error": 5}
 
 
 def _gen(args) -> dict:
@@ -299,20 +299,23 @@ def _command(sub, name, handler, *reads, pipeline=None, **kwargs):
 
 def _outcome(args) -> dict:
     """The handler's report, or a report of the run's outcome when it caps
-    out or certifies infeasibility; the error names the cap and the need,
-    or the failing inequality."""
+    out, certifies infeasibility or breaks an internal invariant (a failed
+    assertion); the error names the cap and the need, the failing
+    inequality, or the assertion."""
     try:
         return args.handler(args)
-    except CAP_OUTS + INFEASIBLE as exc:
-        outcome = "cap-out" if isinstance(exc, CAP_OUTS) else "infeasible"
-        return {"pipeline": args.pipeline, "outcome": outcome, "error": str(exc),
-                "passed": False}
+    except CAP_OUTS + INFEASIBLE + (AssertionError,) as exc:
+        outcome = ("cap-out" if isinstance(exc, CAP_OUTS)
+                   else "infeasible" if isinstance(exc, INFEASIBLE) else "internal-error")
+        return {"pipeline": args.pipeline, "outcome": outcome,
+                "error": str(exc) or type(exc).__name__, "passed": False}
 
 
 def _emit(report: dict, out: Optional[str], echo: bool) -> int:
     """Write the report to `out`, or print it when `echo`; return the exit
-    code: 3 for a cap-out, 4 for certified infeasibility, else 1 iff the
-    report failed a verification (a summary's `passed` is a count)."""
+    code: 3 for a cap-out, 4 for certified infeasibility, 5 for an internal
+    error, else 1 iff the report failed a verification (a summary's
+    `passed` is a count)."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
@@ -380,7 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:  # the report command prints its table in place of the summary
         return _emit(_outcome(args), args.out, echo=args.handler is not _report)
-    except Exception as exc:  # input or internal error: no report
+    except Exception as exc:  # input error: no report
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -210,15 +210,19 @@ def ball(graph: StructuredGraph, x: int, radius: int) -> RootedBall:
 
 def distance_pairs(graph: StructuredGraph, k: int):
     """All unordered pairs at graph distance between 1 and k."""
+    return max_ball_and_pairs(graph, k)[1]
+
+
+def max_ball_and_pairs(graph: StructuredGraph, k: int):
+    """(max |B(x, k)| over the vertices x, distance_pairs(graph, k)), from
+    one BFS per vertex."""
+    max_ball = 0
     pairs = set()
-    if k <= 0:
-        return pairs
     for v in graph.vertices:
         dist = graph.distances_from(v, limit=k)
-        for w, d in dist.items():
-            if 1 <= d and v < w:
-                pairs.add((v, w))
-    return pairs
+        max_ball = max(max_ball, len(dist))
+        pairs.update((v, w) for w, d in dist.items() if d and v < w)
+    return max_ball, pairs
 
 
 def power_graph(graph: StructuredGraph, k: int) -> StructuredGraph:

@@ -25,11 +25,20 @@ def is_label(value) -> bool:
     return False
 
 
+def _nonnegative_int(value) -> bool:
+    """True for a label int; TypeError for the ints that are not labels."""
+    if not isinstance(value, int):
+        return False
+    if isinstance(value, bool) or value < 0:
+        raise TypeError(f"not a label: {value!r}")
+    return True
+
+
 def label_key(value) -> bytes:
     """Total-order key. Ints sort numerically, then tuples, then sets."""
-    if isinstance(value, int):
+    if _nonnegative_int(value):
         digits = str(value).encode()
-        # length-prefixed decimal keeps numeric order for arbitrary ints
+        # length-prefixed decimal keeps numeric order for nonnegative ints
         return b"i" + b"%08d" % len(digits) + digits
     if isinstance(value, tuple):
         return b"t(" + b",".join(label_key(v) for v in value) + b")"
@@ -43,7 +52,7 @@ def label_sorted(values) -> list:
 
 
 def label_to_json(value):
-    if isinstance(value, int):
+    if _nonnegative_int(value):
         return value
     if isinstance(value, tuple):
         return {"t": [label_to_json(v) for v in value]}

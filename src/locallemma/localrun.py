@@ -23,8 +23,8 @@ from .graphs import (
     StructuredGraph,
     VertexLabeling,
     ball,
-    distance_pairs,
     greedy_coloring,
+    max_ball_and_pairs,
     with_labeling,
 )
 from .rng import derived_rng
@@ -113,11 +113,9 @@ def det_pipeline(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGrap
     inside every 2R-ball), run alg, verify.
     """
     radius = rounds + problem.t
-    max_ball = max((len(graph.distances_from(x, limit=2 * radius)) for x in graph.vertices),
-                   default=0)
+    max_ball, pairs = max_ball_and_pairs(graph, 2 * radius)
     if max_ball > n:
         raise PipelineError(f"ball size precondition fails: max |B(x,2R)| = {max_ball} > n = {n}")
-    pairs = distance_pairs(graph, 2 * radius)
     power = StructuredGraph(graph.vertices, pairs, {}, 1)
     ids = greedy_coloring(power, order if order is not None else graph.vertices)
     colors_used = max(ids.values(), default=0)

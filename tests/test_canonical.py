@@ -3,9 +3,11 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from locallemma.canonical import CanonicalForm, are_isomorphic, canonical_type
-from locallemma.errors import CanonicalizationCapError
+from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _encoded, _refine,
+                                  are_isomorphic, canonical_type)
+from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generate import generate
 from locallemma.graphs import TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph, with_labeling
 from locallemma.labels import label_key, label_to_json
@@ -195,23 +197,96 @@ def random_layered_graph(rng, graph):
     return graph
 
 
+def random_layered_ball(rng):
+    n = rng.randint(1, 7)
+    ids = rng.sample(range(50), n)
+    edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.4]
+    structure = {}
+    for _ in range(rng.randint(0, 3)):
+        tup = tuple(rng.choice(ids) for _ in range(rng.randint(1, 3)))
+        structure[tup] = random_layer_value(rng)
+    g = random_layered_graph(rng, build_graph(ids, edges, structure))
+    return ball(g, rng.choice(ids), rng.randint(0, 3))
+
+
 def test_codes_match_byte_key_oracle_on_layered_balls():
     rng = random.Random(21)
-    balls = []
-    for _ in range(150):
-        n = rng.randint(1, 7)
-        ids = rng.sample(range(50), n)
-        edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.4]
-        structure = {}
-        for _ in range(rng.randint(0, 3)):
-            tup = tuple(rng.choice(ids) for _ in range(rng.randint(1, 3)))
-            structure[tup] = random_layer_value(rng)
-        g = random_layered_graph(rng, build_graph(ids, edges, structure))
-        balls.append(ball(g, rng.choice(ids), rng.randint(0, 3)))
+    balls = [random_layered_ball(rng) for _ in range(150)]
     for kind, params, radius in (("cycle", {"n": 9}, 3), ("torus_grid", {"rows": 5, "cols": 5}, 1),
                                  ("random_tree", {"n": 20}, 2), ("directed_cycle", {"n": 9}, 4)):
         g = random_layered_graph(rng, generate(kind, params, seed=rng.randrange(100)))
         balls.extend(ball(g, x, radius) for x in g.vertices)
     for b in balls:
         assert canonical_type(b).code == oracle_code(b)
+
+
+# The fast paths against their oracles: a form's leaf against its parsed
+# and validated code, refinement with its early stop against the byte-key
+# refinement that always runs to a stable partition.
+
+def assert_leaf_decodes_like_code(b):
+    form = canonical_type(b)
+    parsed = CanonicalForm.from_hex(form.hex())
+    assert form.leaf is not None and parsed.leaf is None
+    fast, root = form.decode()
+    slow, slow_root = parsed.decode()
+    assert root == slow_root == 0
+    assert fast.vertices == slow.vertices
+    assert fast.edges == slow.edges
+    assert list(fast.structure.items()) == list(slow.structure.items())
+    assert fast.tuple_bound == slow.tuple_bound
+    for v in slow.vertices:
+        assert fast.neighbors(v) == slow.neighbors(v)
+    assert form.decode()[0] is not fast
+    assert _refine(b.graph, b.root) == byte_key_refine(b.graph, b.root)
+
+
+@given(st.randoms(use_true_random=False).map(random_layered_ball))
+def test_leaf_decode_and_refine_match_oracles_on_layered_balls(b):
+    assert_leaf_decodes_like_code(b)
+
+
+def test_leaf_decode_and_refine_match_oracles_on_id_and_symmetric_balls():
+    g = generate("directed_cycle", {"n": 12})
+    ids = with_labeling(g, {v: (5 * v) % 7 + 1 for v in g.vertices}, TAG_IDS)
+    balls = [ball(ids, x, 4) for x in ids.vertices]
+    for kind, params, radius in (("cycle", {"n": 9}, 3), ("torus_grid", {"rows": 5, "cols": 5}, 1),
+                                 ("random_regular", {"n": 30, "d": 3}, 2),
+                                 ("random_tree", {"n": 20}, 2)):
+        g = generate(kind, params, seed=1)
+        balls.extend(ball(g, x, radius) for x in g.vertices)
+    for b in balls:
+        assert_leaf_decodes_like_code(b)
+
+
+@pytest.mark.parametrize("code, error", [
+    (b'{"edges":[[0,0]],"n":1,"structure":[]}', GraphBuildError),   # self-loop
+    (b'{"edges":[[0,5]],"n":2,"structure":[]}', GraphBuildError),   # unknown vertex
+    (b'{"edges":[],"n":1,"structure":[[[3],1]]}', GraphBuildError),  # unknown vertex
+    (b'{"edges":[],"n":1,"structure":[[[0],true]]}', ValueError),   # bool label
+])
+def test_from_hex_decode_still_validates(code, error):
+    with pytest.raises(error):
+        CanonicalForm.from_hex(code.hex()).decode()
+
+
+def test_form_with_leaf_equals_parsed_form():
+    g = with_labeling(generate("cycle", {"n": 5}), {0: 2, 1: 3}, TAG_IDS)
+    form = canonical_type(ball(g, 0, 2))
+    parsed = CanonicalForm.from_hex(form.hex())
+    assert form == parsed and hash(form) == hash(parsed)
+
+
+@pytest.mark.parametrize("value", [True, False, -3, (1, True), frozenset({-1}), "a"])
+def test_non_labels_have_no_key_or_json(value):
+    with pytest.raises(TypeError):
+        label_key(value)
+    with pytest.raises(TypeError):
+        label_to_json(value)
+
+
+def test_label_cache_is_bounded():
+    for value in range(_LABEL_CACHE_SIZE + 10):
+        assert _encoded(value) == (label_key(value), value)
+    assert _encoded.cache_info().currsize <= _LABEL_CACHE_SIZE

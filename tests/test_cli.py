@@ -83,6 +83,8 @@ def test_reports_identical_across_hash_seeds(tmp_path):
                 "--gen-params", '{"n": 64}', "--seed", "11"],
         "local": ["run-local", "--graph", str(gpath), "--alg", "cole_vishkin_3color",
                   "--seed", "3"],
+        "rand": ["pipeline", "rand", "--gen-kind", "directed_cycle",
+                 "--gen-params", '{"n": 6}', "--params", '{"m": 6}', "--seed", "5"],
     }
     src = os.path.dirname(os.path.dirname(locallemma.__file__))
     for name, args in commands.items():
@@ -187,6 +189,26 @@ def test_certified_infeasibility_is_reported(tmp_path):
     assert "bootstrap infeasible" in report["error"] and "p(d+1)^N" in report["error"]
     payload = json.loads(report["error"].split(": ", 1)[1])
     assert isinstance(payload, list) and all(isinstance(e, dict) for e in payload)
+
+
+def test_internal_error_is_reported(tmp_path, monkeypatch, capsys):
+    from locallemma import cli
+
+    def broken(args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "_gen", broken)
+    out = tmp_path / "r.json"
+    assert run(["gen", "--kind", "cycle", "--params", '{"n": 4}', "--out", str(out)]) == 5
+    report = json.loads(out.read_text())
+    assert report == {"pipeline": "gen", "outcome": "internal-error",
+                      "error": "invariant broken", "passed": False}
+    assert capsys.readouterr().err == ""
+    # an input error still exits 2 with one stderr line and no report
+    monkeypatch.undo()
+    out.unlink()
+    assert run(["gen", "--kind", "nonsense", "--out", str(out)]) == 2
+    assert not out.exists() and capsys.readouterr().err.startswith("error: ")
 
 
 def test_gadget_command(tmp_path):

@@ -12,6 +12,7 @@ from locallemma.graphs import (
     graph_layer_tags,
     greedy_coloring,
     layer_value,
+    max_ball_and_pairs,
     power_graph,
     with_labeling,
 )
@@ -156,6 +157,26 @@ def test_with_labeling_empty_changes_only_marker():
 def test_distance_pairs_zero_radius():
     g = generate("cycle", {"n": 5})
     assert distance_pairs(g, 0) == set()
+
+
+def two_pass_max_ball_and_pairs(graph, k):
+    """Oracle: one BFS per vertex for the ball sizes and another for the
+    pairs, as the det pipeline once did."""
+    max_ball = max((len(graph.distances_from(x, limit=k)) for x in graph.vertices), default=0)
+    pairs = set()
+    if k > 0:
+        for v in graph.vertices:
+            for w, d in graph.distances_from(v, limit=k).items():
+                if 1 <= d and v < w:
+                    pairs.add((v, w))
+    return max_ball, pairs
+
+
+@given(st.integers(0, 40), st.integers(1, 12), st.integers(-1, 4))
+def test_max_ball_and_pairs_matches_two_passes(seed, n, k):
+    g = random_graph(seed, n, p_edge=0.25)
+    assert max_ball_and_pairs(g, k) == two_pass_max_ball_and_pairs(g, k)
+    assert distance_pairs(g, k) == two_pass_max_ball_and_pairs(g, k)[1]
 
 
 def test_induced_accepts_one_shot_iterable():

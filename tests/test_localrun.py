@@ -105,7 +105,8 @@ def test_det_pipeline_trivial_lcl():
 def test_det_pipeline_ball_precondition():
     g = generate("cycle", {"n": 4})
     pi = proper_coloring_problem(3)
-    with pytest.raises(PipelineError):
+    with pytest.raises(PipelineError, match=r"^ball size precondition fails: "
+                       r"max \|B\(x,2R\)\| = 4 > n = 2$"):
         det_pipeline(DEGREE, pi, g, n=2, rounds=1)
 
 
