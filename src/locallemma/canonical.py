@@ -1,16 +1,50 @@
 """Canonical codes for rooted structured graphs.
 
 Equal codes iff the rooted structured graphs are isomorphic (root to root,
-adjacency preserved, structure map transported).  The code is the minimal
-serialization over all root-preserving bijections compatible with an
-iterated invariant refinement of the vertices; the refinement (degree,
-root distance, structure participation, neighbor multisets) is what makes
-the exhaustive search tractable at desk scale.
+adjacency preserved, structure map transported).  The code is the least
+serialization, by bytes, over all root-preserving bijections compatible
+with an iterated invariant refinement of the vertices; the refinement
+(degree, root distance, structure participation, neighbor multisets) is
+what makes the search tractable at desk scale.
 
 Refinement signatures (same-shape tuples of nonnegative ints and
 self-delimiting `label_key` bytes) are ordered by native tuple order, and
-refinement stops as soon as every vertex is alone in its cell.  Each
-label's key and JSON form are computed once and kept in a bounded cache.
+refinement stops as soon as every vertex is alone in its cell.  Root
+distances come with the ball.  Each label's key and JSON form are
+computed once and kept in a bounded cache.
+
+The search fills positions 0..n-1 one at a time, in cell order, each with
+an unused vertex of its cell; a leaf is one bijection.  It returns the
+code of the full search while visiting few leaves and serializing one:
+
+- Leaves compare without serializing.  A leaf's key is the tuple of the
+  JSON texts of its relabeled edges, in numeric edge order, then of its
+  relabeled structure entries, in numeric tuple order: the texts its code
+  joins, in the code's order.  Each text is a complete JSON array, so
+  none is a proper prefix of another, and all leaves of one search have
+  as many edges and entries; so the first text where two keys differ
+  decides the byte order of the two codes, and key order is code order
+  (the texts are ASCII, so text order is byte order).
+  Only the least leaf is serialized.  A search with one leaf builds no
+  key.
+- Automorphisms prune (McKay & Piperno, "Practical graph isomorphism,
+  II", 2014).  A leaf pi whose key equals the key of an earlier leaf ref
+  (the first or the best) relabels the graph into the same graph, so
+  g = ref^-1 . pi is an automorphism; it fixes the root and maps each
+  cell onto itself.  When g fixes the vertices at positions 0..p-1,
+  sigma -> sigma . g^-1 maps the leaves with w at position p onto those
+  with g(w) there, one for one and with equal keys.  So a candidate in
+  the orbit of an already searched sibling, under the automorphisms found
+  so far that fix every assigned vertex, is skipped.  And when pi first
+  leaves ref's path at position k, g fixes positions 0..k-1 and maps pi's
+  vertex at k to ref's, whose subtree is finished: the search abandons
+  pi's subtree and resumes at position k.  Each skipped subtree is an
+  image of a searched one, so the least key, the code and the leaf are
+  those of the full search.
+
+The search budget counts the leaves of the unpruned search (the product
+of the cell factorials), so which balls cap out does not depend on the
+pruning.
 
 A form made by `canonical_type` keeps the winning leaf of its search (the
 relabeled edges and structure entries its code was written from), so
@@ -46,10 +80,11 @@ def _encoded(label):
     return label_key(label), label_to_json(label)
 
 
-def _refine(graph: StructuredGraph, root: int):
+def _refine(b: RootedBall):
     """Iterated invariant partition; returns v -> color id (root is alone
-    in its cell, colors ordered by an isomorphism-invariant signature)."""
-    dist = graph.distances_from(root)
+    in its cell, colors ordered by an isomorphism-invariant signature).
+    Root distances are the ball's own."""
+    graph, root, dist = b.graph, b.root, b.dist
     participation = {v: [] for v in graph.vertices}
     for tup, label in graph.structure.items():
         lkey = _encoded(label)[0]
@@ -144,16 +179,17 @@ class CanonicalForm:
 def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
                    budget: int = DEFAULT_SEARCH_BUDGET) -> CanonicalForm:
     """Canonical code of a rooted ball, invariant under relabeling."""
-    graph, root = b.graph, b.root
+    graph = b.graph
     n = len(graph.vertices)
     if n > cap:
         raise CanonicalizationCapError(n, cap)
-    color = _refine(graph, root)
+    color = _refine(b)
     cells = {}
     for v in graph.vertices:
         cells.setdefault(color[v], []).append(v)
     cell_list = [sorted(cells[c]) for c in sorted(cells)]
 
+    # the budget counts every leaf of the unpruned search
     total = 1
     for cell in cell_list:
         for i in range(2, len(cell) + 1):
@@ -161,30 +197,137 @@ def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
         if total > budget:
             raise CanonicalizationCapError(total, budget, what="bijection search")
 
-    offsets = []
-    at = 0
-    for cell in cell_list:
-        offsets.append(at)
-        at += len(cell)
+    order = [v for cell in cell_list for v in cell]
+    if total == 1:
+        return CanonicalForm(*_code_bytes(graph, {v: i for i, v in enumerate(order)}))
+    path = _search(graph, order, [len(cell) for cell in cell_list])
+    return CanonicalForm(*_code_bytes(graph, {order[i]: p for p, i in enumerate(path)}))
 
-    best = best_leaf = None
 
-    def assign(idx, mapping):
-        nonlocal best, best_leaf
-        if idx == len(cell_list):
-            code, leaf = _code_bytes(graph, mapping)
-            if best is None or code < best:
-                best, best_leaf = code, leaf
-            return
-        cell = cell_list[idx]
-        base = offsets[idx]
-        for perm in permutations(cell):
-            for j, v in enumerate(perm):
-                mapping[v] = base + j
-            assign(idx + 1, mapping)
+@lru_cache(maxsize=64)
+def _edge_json(n):
+    """Flat table whose entry a*n + b, for a < b < n, is the JSON text of
+    the edge [a, b]."""
+    table = [None] * (n * n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            table[a * n + b] = f"[{a},{b}]"
+    return table
 
-    assign(0, {})
-    return CanonicalForm(best, best_leaf)
+
+def _leaf_key(pos, edges, entries, edge_json):
+    """Sort key of the leaf that puts vertex i at position pos[i]: the
+    JSON text of each relabeled edge in numeric edge order, then of each
+    relabeled structure entry in numeric tuple order.  Leaves of one
+    search order by key as their codes order by bytes."""
+    n = len(pos)
+    ends = []
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        ends.append(a * n + b if a < b else b * n + a)
+    ends.sort()
+    # mapped tuples are distinct, so the texts never break a tie
+    mapped = sorted((tuple([pos[x] for x in tup]), text) for tup, text in entries)
+    # tuples built from lists of known length, so freed ones are reused
+    return (tuple([edge_json[e] for e in ends]),
+            tuple([f"[[{','.join(map(str, t))}],{text}]" for t, text in mapped]))
+
+
+def _orbits(seeds, gens):
+    """Union of the orbits of `seeds` under the group generated by `gens`."""
+    out = set(seeds)
+    stack = list(seeds)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if y not in out:
+                out.add(y)
+                stack.append(y)
+    return out
+
+
+def _search(graph, order, sizes):
+    """The least leaf of the bijection search, as the vertex ids (indices
+    into `order`, the vertices in cell order) at positions 0..n-1.
+
+    A vertex alone in its cell keeps its position.  The other positions
+    are the search's levels, filled one at a time: position p takes an
+    unused id of its cell, lo[p]..hi[p]-1.  A leaf whose key equals the
+    first leaf's or the best leaf's gives an automorphism; see the module
+    docstring for why skipping what it covers is exact.  Recursion goes
+    one call deep per level, and the budget bounds the levels."""
+    n = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    lo, hi = [], []
+    for size in sizes:
+        start = len(lo)
+        lo.extend([start] * size)
+        hi.extend([start + size] * size)
+    levels = [p for p in range(n) if hi[p] - lo[p] > 1]
+    depth = len(levels)
+    edges = [(index[u], index[v]) for u, v in graph.edges]
+    entries = [(tuple(index[x] for x in tup),
+                json.dumps(_encoded(label)[1], sort_keys=True, separators=(",", ":")))
+               for tup, label in graph.structure.items()]
+    edge_json = _edge_json(n)
+    leaf_key = _leaf_key
+    pos = list(range(n))  # vertex id -> position, -1 while unassigned
+    for p in levels:
+        pos[p] = -1
+    path = list(range(n))  # position -> vertex id
+    autos = []
+    first = best = None  # (key, path) of the first and of the least leaf
+
+    def leaf():
+        """Level to resume at: depth, or the level where this leaf leaves
+        the path of an equal earlier leaf."""
+        nonlocal first, best
+        key = leaf_key(pos, edges, entries, edge_json)
+        if best is None:
+            first = best = (key, path[:])
+            return depth
+        if key < best[0]:
+            best = (key, path[:])
+            return depth
+        ref = first[1] if key == first[0] else best[1] if key == best[0] else None
+        if ref is None:
+            return depth
+        autos.append(tuple([ref[p] for p in pos]))  # ref^-1 . this leaf
+        k = 0
+        while path[levels[k]] == ref[levels[k]]:
+            k += 1
+        return k
+
+    def visit(i, fixing, checked):
+        """Search below levels 0..i-1; `fixing` holds the automorphisms
+        among autos[:checked] that fix the vertices placed there."""
+        if i == depth:
+            return leaf()
+        p = levels[i]
+        searched = []
+        covered = ()
+        for w in range(lo[p], hi[p]):
+            if pos[w] >= 0 or w in covered:
+                continue
+            pos[w] = p
+            path[p] = w
+            back = visit(i + 1, [g for g in fixing if g[w] == w], checked)
+            pos[w] = -1
+            if back < i:
+                return back
+            searched.append(w)
+            if checked < len(autos):
+                placed = [path[q] for q in levels[:i]]
+                fixing = fixing + [g for g in autos[checked:]
+                                   if all(g[x] == x for x in placed)]
+                checked = len(autos)
+            if fixing:
+                covered = _orbits(searched, fixing)
+        return depth
+
+    visit(0, [], 0)
+    return best[1]
 
 
 def are_isomorphic(b1: RootedBall, b2: RootedBall) -> bool:

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .canonical import canonical_type
 from .connect import Connection, Reduction, compose
 from .csp import Constraint, Csp, DEFAULT_CAP_BITS
 from .errors import BootstrapInfeasibleError
-from .graphs import TAG_IDS, TAG_OUTPUT, TAG_RAND, StructuredGraph, ball, with_labeling
+from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, ball,
+                     with_labeling)
 from .graphcsp import encode_graph_csp
 from .localrun import LclProblem, LocalAlgorithm
 
@@ -27,14 +29,10 @@ def _run_on_ball(alg: LocalAlgorithm, rooted, rounds: int, inner_radius: int,
     computed entirely inside the stored ball (valid because sub-balls of
     radius `rounds` around those vertices lie inside)."""
     graph = rooted.graph
-    dist = graph.distances_from(rooted.root)
     out = {}
-    for y, d in dist.items():
+    for y, d in rooted.dist.items():
         if d <= inner_radius:
-            from .canonical import canonical_type
-            from .graphs import ball as take_ball
-
-            form = canonical_type(take_ball(graph, y, rounds), cap=canon_cap)
+            form = canonical_type(ball(graph, y, rounds), cap=canon_cap)
             out[y] = int(alg(form))
     return out
 
@@ -62,13 +60,12 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
             dom = tuple(sorted(rooted.graph.vertices))
             theta = dict(zip(dom, values))
             seeded = with_labeling(rooted.graph, theta, TAG_RAND)
-            outputs = _run_on_ball(alg, type(rooted)(seeded, rooted.root, rooted.radius),
-                                   rounds, problem.t, canon_cap)
+            # seeding keeps the vertices and edges, so the ball's distances hold
+            outputs = _run_on_ball(
+                alg, RootedBall._trusted(seeded, rooted.root, rooted.radius, rooted.dist),
+                rounds, problem.t, canon_cap)
             labeled = with_labeling(seeded, outputs, TAG_OUTPUT)
-            from .canonical import canonical_type
-            from .graphs import ball as take_ball
-
-            form = canonical_type(take_ball(labeled, x, problem.t), cap=canon_cap)
+            form = canonical_type(ball(labeled, x, problem.t), cap=canon_cap)
             result = int(problem.verifier(form)) == 0
             memo[values] = result
             return result
@@ -91,10 +88,7 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
             if any(y not in view for y in positions):
                 return None
             seeded = with_labeling(rooted.graph, {y: view[y] for y in positions}, TAG_RAND)
-            from .canonical import canonical_type
-            from .graphs import ball as take_ball
-
-            form = canonical_type(take_ball(seeded, x, rounds), cap=canon_cap)
+            form = canonical_type(ball(seeded, x, rounds), cap=canon_cap)
             return int(alg(form))
 
         return rule

@@ -167,9 +167,10 @@ class StructuredGraph:
 
 
 class RootedBall:
-    """Induced substructure on all vertices within `radius` of `root`."""
+    """Induced substructure on all vertices within `radius` of `root`;
+    `dist` maps every vertex to its distance from the root."""
 
-    __slots__ = ("graph", "root", "radius")
+    __slots__ = ("graph", "root", "radius", "dist")
 
     def __init__(self, graph: StructuredGraph, root: int, radius: int):
         if not graph.has_vertex(root):
@@ -180,9 +181,20 @@ class RootedBall:
         far = [v for v in graph.vertices if dist.get(v, radius + 1) > radius]
         if far:
             raise GraphBuildError(f"vertices {far} beyond radius {radius} of root")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "radius", int(radius))
+        self._set(graph, root, int(radius), dist)
+
+    def _set(self, graph, root, radius, dist):
+        for name, value in (("graph", graph), ("root", root), ("radius", radius),
+                            ("dist", dist)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, graph, root, radius, dist):
+        """Unchecked constructor; `dist` must hold the in-ball distance
+        from the root of every vertex of `graph`, and no other key."""
+        rooted = object.__new__(cls)
+        rooted._set(graph, root, int(radius), dist)
+        return rooted
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RootedBall is immutable")
@@ -204,8 +216,10 @@ def ball(graph: StructuredGraph, x: int, radius: int) -> RootedBall:
         raise GraphBuildError(f"unknown vertex {x}")
     if radius < 0:
         raise GraphBuildError("radius must be nonnegative")
+    # a path of length <= radius from x stays inside the ball, so these
+    # truncated distances are the in-ball distances
     dist = graph.distances_from(x, limit=radius)
-    return RootedBall(graph.induced(dist.keys()), x, radius)
+    return RootedBall._trusted(graph.induced(dist.keys()), x, radius, dist)
 
 
 def distance_pairs(graph: StructuredGraph, k: int):

@@ -120,20 +120,6 @@ def labeling_from_json(data: dict) -> Dict[int, int]:
     return {int(v): int(c) for v, c in data["values"]}
 
 
-def trace_to_json(trace) -> dict:
-    """PartialSolutionTrace as JSON: partition classes, chosen branch,
-    dangerous-set snapshots, estimator values, coverage."""
-    return {
-        "mode": trace.mode,
-        "classes": [list(cls) for cls in trace.classes],
-        "chosen": list(trace.chosen),
-        "dangerous": [sorted(d) for d in trace.dangerous],
-        "phi": [phi.as_json() for phi in trace.phi],
-        "covered_weight": fraction_str(trace.covered_weight),
-        "p": fraction_str(trace.p),
-    }
-
-
 def weights_to_json(wts: WeightedGroundSet) -> dict:
     return {"weights": sorted([int(x), fraction_str(w)] for x, w in wts.weights.items())}
 

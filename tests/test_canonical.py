@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from locallemma import canonical
 from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _encoded, _refine,
                                   are_isomorphic, canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
@@ -217,8 +218,55 @@ def test_codes_match_byte_key_oracle_on_layered_balls():
                                  ("random_tree", {"n": 20}, 2), ("directed_cycle", {"n": 9}, 4)):
         g = random_layered_graph(rng, generate(kind, params, seed=rng.randrange(100)))
         balls.extend(ball(g, x, radius) for x in g.vertices)
+    # unlabeled symmetric balls, where the search prunes: the 13-vertex
+    # torus ball (13,824 leaves unpruned) and mostly the depth-2 3-regular
+    # tree (4,320 leaves)
+    torus = generate("torus_grid", {"rows": 12, "cols": 12})
+    balls.extend(ball(torus, x, 2) for x in (0, 77, 143))
+    regular = generate("random_regular", {"n": 2000, "d": 3}, seed=rng.randrange(100))
+    balls.extend(ball(regular, x, 2) for x in rng.sample(regular.vertices, 6))
     for b in balls:
-        assert canonical_type(b).code == oracle_code(b)
+        assert canonical_type(b, cap=13).code == oracle_code(b)
+
+
+def star(leaves):
+    return build_graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
+def regular_tree_ball():
+    """The depth-2 3-regular tree rooted at its center."""
+    edges = [(0, 1), (0, 2), (0, 3)] + [(c, 4 + 2 * i + j) for i, c in enumerate((1, 2, 3))
+                                         for j in (0, 1)]
+    return ball(build_graph(range(10), edges), 0, 2)
+
+
+def test_pruned_search_visits_fewer_leaves(monkeypatch):
+    leaves = []
+    key_of = canonical._leaf_key
+
+    def counting(*args):
+        leaves.append(1)
+        return key_of(*args)
+
+    monkeypatch.setattr(canonical, "_leaf_key", counting)
+    torus = generate("torus_grid", {"rows": 12, "cols": 12})
+    for b, unpruned in ((ball(torus, 0, 2), 13_824), (regular_tree_ball(), 4_320)):
+        leaves.clear()
+        form = canonical_type(b, cap=13)
+        assert 0 < len(leaves) <= unpruned // 4
+        assert form.code == oracle_code(b)
+    # one-leaf searches build no key
+    leaves.clear()
+    canonical_type(ball(generate("path", {"n": 5}), 0, 4))
+    assert leaves == []
+
+
+def test_budget_counts_the_unpruned_search():
+    with pytest.raises(CanonicalizationCapError,
+                       match="bijection search 362880 > cap 100000"):
+        canonical_type(ball(star(9), 0, 1))
+    below = ball(star(8), 0, 1)  # 40,320 leaves
+    assert canonical_type(below).code == oracle_code(below)
 
 
 # The fast paths against their oracles: a form's leaf against its parsed
@@ -239,7 +287,7 @@ def assert_leaf_decodes_like_code(b):
     for v in slow.vertices:
         assert fast.neighbors(v) == slow.neighbors(v)
     assert form.decode()[0] is not fast
-    assert _refine(b.graph, b.root) == byte_key_refine(b.graph, b.root)
+    assert _refine(b) == byte_key_refine(b.graph, b.root)
 
 
 @given(st.randoms(use_true_random=False).map(random_layered_ball))

@@ -6,6 +6,7 @@ from locallemma.generate import generate
 from locallemma.graphs import (
     TAG_IDS,
     TAG_OUTPUT,
+    RootedBall,
     ball,
     build_graph,
     distance_pairs,
@@ -157,6 +158,28 @@ def test_with_labeling_empty_changes_only_marker():
 def test_distance_pairs_zero_radius():
     g = generate("cycle", {"n": 5})
     assert distance_pairs(g, 0) == set()
+
+
+@given(st.integers(0, 40), st.integers(1, 12), st.integers(0, 4))
+def test_ball_distances_match_in_ball_bfs(seed, n, radius):
+    # the truncated BFS that `ball` hands over against a BFS of the ball
+    # itself and against the checking public constructor
+    g = random_graph(seed, n, p_edge=0.25)
+    for x in g.vertices:
+        b = ball(g, x, radius)
+        in_ball = b.graph.distances_from(x)
+        assert b.dist == in_ball
+        assert list(b.dist) == list(in_ball)
+        checked = RootedBall(b.graph, x, radius)
+        assert checked.dist == in_ball and checked.radius == b.radius == radius
+
+
+def test_public_rooted_ball_still_checks_radius():
+    g = generate("path", {"n": 4})
+    with pytest.raises(GraphBuildError, match=r"vertices \[3\] beyond radius 2"):
+        RootedBall(g, 0, 2)
+    with pytest.raises(GraphBuildError, match="not in ball graph"):
+        RootedBall(g, 9, 2)
 
 
 def two_pass_max_ball_and_pairs(graph, k):
