@@ -179,6 +179,15 @@ class CanonicalForm:
 def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
                    budget: int = DEFAULT_SEARCH_BUDGET) -> CanonicalForm:
     """Canonical code of a rooted ball, invariant under relabeling."""
+    return _canonical_map(b, cap, budget)[0]
+
+
+def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
+                   budget: int = DEFAULT_SEARCH_BUDGET):
+    """(canonical_type(b), the winning vertex map: ball vertex ->
+    canonical position).  The map is an isomorphism from the ball onto
+    the form's representative, so two balls with equal codes are carried
+    onto each other by one map followed by the other's inverse."""
     graph = b.graph
     n = len(graph.vertices)
     if n > cap:
@@ -199,9 +208,11 @@ def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
 
     order = [v for cell in cell_list for v in cell]
     if total == 1:
-        return CanonicalForm(*_code_bytes(graph, {v: i for i, v in enumerate(order)}))
-    path = _search(graph, order, [len(cell) for cell in cell_list])
-    return CanonicalForm(*_code_bytes(graph, {order[i]: p for p, i in enumerate(path)}))
+        mapping = {v: i for i, v in enumerate(order)}
+    else:
+        path = _search(graph, order, [len(cell) for cell in cell_list])
+        mapping = {order[i]: p for p, i in enumerate(path)}
+    return CanonicalForm(*_code_bytes(graph, mapping)), mapping
 
 
 @lru_cache(maxsize=64)

@@ -5,6 +5,18 @@ The compiled constraint at vertex x forbids exactly the seed patterns on
 its radius-R ball that make the verifier reject at x, so a solution of the
 compiled CSP is a seed assignment on which the algorithm provably succeeds
 everywhere.
+
+The algorithm and the verifier read only the isomorphism type of a seeded
+ball, so the constraint at x depends only on the type of x's seed-free
+radius-R ball: an isomorphism between two such balls (root to root) maps
+the seeded balls, the inner radius-T balls and the verifier ball of one
+onto those of the other.  Each predicate therefore puts its seed tuple in
+the canonical position order of x's ball and looks it up in a memo shared
+by every vertex of that type; a miss is computed on x's own ball.  Cost:
+one enumeration of the m^|B| patterns per ball type, plus one memo lookup
+per pattern per vertex.  A ball whose canonicalization caps out is a type
+of its own, with its sorted domain as position order, so compiling caps
+out exactly where the per-vertex path did.
 """
 
 from __future__ import annotations
@@ -13,10 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .canonical import canonical_type
+from .canonical import _canonical_map, canonical_type
 from .connect import Connection, Reduction, compose
 from .csp import Constraint, Csp, DEFAULT_CAP_BITS
-from .errors import BootstrapInfeasibleError
+from .errors import BootstrapInfeasibleError, CanonicalizationCapError
 from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, ball,
                      with_labeling)
 from .graphcsp import encode_graph_csp
@@ -47,17 +59,26 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
     """
     radius = rounds + problem.t
     balls = {x: ball(graph, x, radius) for x in graph.vertices}
+    # one memo per type of seed-free ball, keyed by seeds in canonical order
+    memos: Dict[object, Dict[Tuple[int, ...], bool]] = {}
 
-    def make_pred(x):
+    def make_pred(x, dom):
         rooted = balls[x]
-        memo: Dict[Tuple[int, ...], bool] = {}
+        try:
+            form, mapping = _canonical_map(rooted, cap=canon_cap)
+        except CanonicalizationCapError:  # x is a type of its own
+            key, order = x, tuple(range(len(dom)))
+        else:
+            at = {v: i for i, v in enumerate(dom)}
+            key = form.code
+            order = tuple(at[v] for v in sorted(mapping, key=mapping.__getitem__))
+        memo = memos.setdefault(key, {})
 
         def predicate(values: Tuple[int, ...]) -> bool:
-            values = tuple(values)
-            cached = memo.get(values)
+            canon = tuple([values[i] for i in order])
+            cached = memo.get(canon)
             if cached is not None:
                 return cached
-            dom = tuple(sorted(rooted.graph.vertices))
             theta = dict(zip(dom, values))
             seeded = with_labeling(rooted.graph, theta, TAG_RAND)
             # seeding keeps the vertices and edges, so the ball's distances hold
@@ -67,7 +88,7 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
             labeled = with_labeling(seeded, outputs, TAG_OUTPUT)
             form = canonical_type(ball(labeled, x, problem.t), cap=canon_cap)
             result = int(problem.verifier(form)) == 0
-            memo[values] = result
+            memo[canon] = result
             return result
 
         return predicate
@@ -75,7 +96,7 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
     constraints = []
     for x in graph.vertices:
         dom = tuple(sorted(balls[x].graph.vertices))
-        constraints.append(Constraint.from_predicate(dom, m, make_pred(x), tag=f"B_{x}"))
+        constraints.append(Constraint.from_predicate(dom, m, make_pred(x, dom), tag=f"B_{x}"))
     compiled = Csp(tuple(graph.vertices), m, tuple(constraints))
 
     det_sets = {x: frozenset(balls[x].graph.vertices) for x in graph.vertices}

@@ -90,14 +90,24 @@ def csp_to_json(csp: Csp) -> dict:
     return {"ground": list(csp.ground), "m": csp.m, "constraints": constraints}
 
 
+def _strict_int(value, where: str) -> int:
+    """`value` if it is an int and not a bool; a float, a numeric string
+    or `true` is refused, with the field named, rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected int, got {value!r}")
+    return value
+
+
 def csp_from_json(data: dict) -> Csp:
     constraints = []
-    m = int(data["m"])
-    for entry in data["constraints"]:
-        domain = [int(x) for x in entry["domain"]]
+    m = _strict_int(data["m"], "m")
+    for i, entry in enumerate(data["constraints"]):
+        at = f"constraints[{i}]"
+        domain = [_strict_int(x, f"{at}.domain[{j}]") for j, x in enumerate(entry["domain"])]
         if "forbidden" in entry:
-            constraints.append(Constraint.explicit(
-                domain, m, [tuple(v) for v in entry["forbidden"]]))
+            constraints.append(Constraint.explicit(domain, m, [
+                tuple(_strict_int(v, f"{at}.forbidden[{k}][{j}]") for j, v in enumerate(member))
+                for k, member in enumerate(entry["forbidden"])]))
         elif "predicate" in entry:
             name = entry["predicate"]["name"]
             params = entry["predicate"].get("params", {})
@@ -117,7 +127,8 @@ def labeling_to_json(values: Dict[int, int]) -> dict:
 
 
 def labeling_from_json(data: dict) -> Dict[int, int]:
-    return {int(v): int(c) for v, c in data["values"]}
+    return {_strict_int(v, f"values[{i}][0]"): _strict_int(c, f"values[{i}][1]")
+            for i, (v, c) in enumerate(data["values"])}
 
 
 def weights_to_json(wts: WeightedGroundSet) -> dict:

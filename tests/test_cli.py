@@ -211,6 +211,35 @@ def test_internal_error_is_reported(tmp_path, monkeypatch, capsys):
     assert not out.exists() and capsys.readouterr().err.startswith("error: ")
 
 
+def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
+    # files that int() used to read: m 2.9 as 2, domain [1.7, 2.2] as (1, 2),
+    # forbidden [1, true] as (1, 1), labels [["3", 2.5], [1, true]] as {3: 2, 1: 1}
+    csps = {
+        "m.json": ({"ground": [0, 1], "m": 2.9, "constraints": []}, "m"),
+        "domain.json": ({"ground": [1, 2], "m": 3, "constraints": [
+            {"domain": [1.7, 2.2], "forbidden": [[1, 2]]}]}, "constraints[0].domain[0]"),
+        "forbidden.json": ({"ground": [0, 1], "m": 2, "constraints": [
+            {"domain": [0, 1], "forbidden": [[1, True]]}]}, "constraints[0].forbidden[0][1]"),
+    }
+    out = tmp_path / "r.json"
+    for name, (data, field) in csps.items():
+        dump_json(data, tmp_path / name)
+        for argv in (["csp", "check"], ["csp", "solve"], ["csp", "cover"]):
+            capsys.readouterr()
+            assert run(argv + ["--csp", str(tmp_path / name), "--out", str(out)]) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith(f"error: {field}: expected int")
+    gpath = tmp_path / "g.json"
+    dump_json(graph_to_json(generate("cycle", {"n": 4})), gpath)
+    lpath = tmp_path / "labels.json"
+    dump_json({"values": [["3", 2.5], [1, True]]}, lpath)
+    capsys.readouterr()
+    assert run(["verify", "--problem", "proper-2", "--graph", str(gpath),
+                "--labels", str(lpath), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: values[0][0]: expected int, got '3'\n"
+
+
 def test_gadget_command(tmp_path):
     from locallemma.graphs import build_graph
 
@@ -262,6 +291,9 @@ GOLDEN = [
                        "--gen-params", '{"n": 6}', "--params", '{"m": 6}',
                        "--seed", "5"], 0,
      "710904579660985203d265d94e95e40b1a174eaa0e2107588b9892ce195377b4"),
+    ("pipeline-rand-readme", ["pipeline", "rand", "--gen-kind", "directed_cycle",
+                              "--gen-params", '{"n": 16}', "--params", '{"m": 16}'], 0,
+     "d1d43dcc35ec59ae9bf59f863a1068582a9d3e43b7c94efd1e91d5ec77e41b20"),
     ("gadget", ["gadget", "--graph", "star5.json", "--k", "2"], 0,
      "29720db98751c3b0459b9fad8aad5764c9cb06799a9ecf349a30af9fde82971c"),
     ("report", ["report", "run-local.json", "verify-bad.json", "csp-check.json",

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from typing import Dict, Tuple
 
 import pytest
 
+from locallemma import compilers
 from locallemma.algorithms import proper_coloring_problem
-from locallemma.compilers import bootstrap, rand_to_csp
-from locallemma.connect import apply, identity_reduction
+from locallemma.canonical import canonical_type
+from locallemma.compilers import _run_on_ball, bootstrap, rand_to_csp
+from locallemma.connect import Connection, apply, identity_reduction
 from locallemma.csp import (
     Constraint,
     Csp,
@@ -14,7 +18,8 @@ from locallemma.csp import (
     stats,
 )
 from locallemma.generate import generate
-from locallemma.graphs import TAG_RAND, layer_value
+from locallemma.graphs import (TAG_OUTPUT, TAG_RAND, RootedBall, ball, base_structure,
+                               layer_value, with_labeling)
 from locallemma.localrun import LocalAlgorithm, verify_lcl
 
 
@@ -126,3 +131,132 @@ def test_bootstrap_growth_along_grid():
     for r in rows:
         assert Fraction(r["p_bound"]) == Fraction(1, r["n"])
         assert r["d_bound"] <= r["max_ball_2R"]
+
+
+# -- sharing one enumeration per ball type ----------------------------------
+
+
+def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
+    """The per-vertex compiler: every vertex enumerates its own seed
+    patterns, with a memo of its own (test oracle)."""
+    radius = rounds + problem.t
+    balls = {x: ball(graph, x, radius) for x in graph.vertices}
+
+    def make_pred(x):
+        rooted = balls[x]
+        memo: Dict[Tuple[int, ...], bool] = {}
+
+        def predicate(values):
+            values = tuple(values)
+            if values not in memo:
+                dom = tuple(sorted(rooted.graph.vertices))
+                seeded = with_labeling(rooted.graph, dict(zip(dom, values)), TAG_RAND)
+                outputs = _run_on_ball(
+                    alg, RootedBall._trusted(seeded, rooted.root, rooted.radius, rooted.dist),
+                    rounds, problem.t, canon_cap)
+                labeled = with_labeling(seeded, outputs, TAG_OUTPUT)
+                form = canonical_type(ball(labeled, x, problem.t), cap=canon_cap)
+                memo[values] = int(problem.verifier(form)) == 0
+            return memo[values]
+
+        return predicate
+
+    constraints = tuple(
+        Constraint.from_predicate(sorted(balls[x].graph.vertices), m, make_pred(x),
+                                  tag=f"B_{x}")
+        for x in graph.vertices)
+
+    def rule_for(x):
+        positions = tuple(sorted(balls[x].graph.vertices))
+
+        def rule(view):
+            if any(y not in view for y in positions):
+                return None
+            seeded = with_labeling(balls[x].graph, {y: view[y] for y in positions},
+                                   TAG_RAND)
+            return int(alg(canonical_type(ball(seeded, x, rounds), cap=canon_cap)))
+
+        return rule
+
+    decoder = Connection(
+        source=tuple(graph.vertices), target=tuple(graph.vertices),
+        det_sets={x: frozenset(balls[x].graph.vertices) for x in graph.vertices},
+        rules={x: rule_for(x) for x in graph.vertices}, kind="rand_to_csp",
+        params={"alg": alg.name, "rounds": rounds, "m": str(m)})
+    return Csp(tuple(graph.vertices), m, constraints), decoder
+
+
+def seed_mix(k):
+    """Reads the root's seed, its neighbors' and, where edges are oriented,
+    its successor's: on a directed cycle a map that reversed the
+    orientation would change the answers."""
+
+    def rule(form):
+        graph, root = form.decode()
+        seeds = {v: layer_value(graph, v, TAG_RAND) for v in graph.vertices}
+        succ = [v for (u, v), label in base_structure(graph).items() if u == root
+                and label == 1]
+        total = 2 * seeds[root] + sum(seeds[w] for w in graph.neighbors(root))
+        total += sum(3 * seeds[v] for v in succ)
+        return 1 + total % k
+
+    return LocalAlgorithm("seed_mix", rule)
+
+
+def assert_same_compilation(graph, alg, problem, m, rounds, canon_cap=64):
+    got, decoder = rand_to_csp(alg, problem, graph, m, rounds, canon_cap=canon_cap)
+    want, want_decoder = oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap)
+    assert got.ground == want.ground and got.m == want.m
+    assert len(got.constraints) == len(want.constraints)
+    for c, o in zip(got.constraints, want.constraints):
+        assert (c.domain, c.tag) == (o.domain, o.tag)
+        assert c.materialize().members == o.materialize().members, c.tag
+    rng = random.Random(len(graph.vertices) * 10 + m + rounds)
+    for _ in range(4):
+        theta = {x: rng.randint(1, m) for x in graph.vertices}
+        assert apply(decoder, theta) == apply(want_decoder, theta)
+    return got
+
+
+CYCLES = [("directed_cycle", {"n": n}) for n in (3, 4, 5, 6, 8, 10)]
+CYCLES += [("cycle", {"n": n}) for n in (3, 4, 6, 9)]
+TORUS = ("torus_grid", {"rows": 3, "cols": 3})
+# (kind, params, m, rounds); the 3x3 torus runs 9 * m^|B| patterns through
+# the oracle (about 15 s at m = 2, rounds = 1), so it gets one case a round
+CASES = [(k, p, m, r) for k, p in CYCLES for m, r in ((3, 0), (4, 0), (2, 1))]
+CASES += [(*TORUS, 3, 0), (*TORUS, 2, 1)]
+
+
+@pytest.mark.parametrize("kind,params,m,rounds", CASES)
+def test_compiled_bodies_match_per_vertex_oracle(kind, params, m, rounds):
+    graph = generate(kind, params)
+    algs = [seed_echo()]
+    if rounds:
+        algs = [seed_mix(m)] + (algs if kind != "torus_grid" else [])
+    for alg in algs:
+        assert_same_compilation(graph, alg, proper_coloring_problem(m), m, rounds)
+
+
+def test_capped_out_balls_are_types_of_their_own(monkeypatch):
+    # the radius-2 ball of the 9-cycle has 5 vertices, over the cap of 4;
+    # every ball the predicates canonicalize has 3
+    calls = []
+    monkeypatch.setattr(compilers, "_run_on_ball",
+                        lambda *a: calls.append(1) or _run_on_ball(*a))
+    graph = generate("cycle", {"n": 9})
+    problem = proper_coloring_problem(2)
+    compiled = assert_same_compilation(graph, seed_mix(2), problem, 2, 1, canon_cap=4)
+    calls.clear()
+    compiled, _ = rand_to_csp(seed_mix(2), problem, graph, 2, 1, canon_cap=4)
+    stats(compiled)
+    assert len(calls) == 9 * 2**5
+
+
+def test_vertices_of_one_type_share_the_enumeration(monkeypatch):
+    calls = []
+    monkeypatch.setattr(compilers, "_run_on_ball",
+                        lambda *a: calls.append(1) or _run_on_ball(*a))
+    graph = generate("directed_cycle", {"n": 12})
+    compiled, _ = rand_to_csp(seed_echo(), proper_coloring_problem(4), graph, m=4, rounds=0)
+    stats(compiled)
+    assert len(calls) == 4**3  # one ball type; the per-vertex path makes 12 * 64

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from locallemma.csp import probability, stats
 from locallemma.engine import WeightedGroundSet
 from locallemma.generate import generate
@@ -75,3 +77,31 @@ def test_labeling_round_trip():
 def test_weights_round_trip():
     wts = WeightedGroundSet({0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)})
     assert weights_from_json(weights_to_json(wts)).weights == wts.weights
+
+
+# inputs that int() used to coerce: floats, numeric strings, bools
+COERCED = [
+    (csp_from_json, {"ground": [0, 1], "m": 2.9, "constraints": []},
+     "m: expected int, got 2.9"),
+    (csp_from_json, {"ground": [1, 2], "m": 3,
+                     "constraints": [{"domain": [1.7, 2.2], "forbidden": []}]},
+     "constraints[0].domain[0]: expected int, got 1.7"),
+    (csp_from_json, {"ground": [1, 2], "m": 3,
+                     "constraints": [{"domain": [1, 2.2], "forbidden": []}]},
+     "constraints[0].domain[1]: expected int, got 2.2"),
+    (csp_from_json, {"ground": [0, 1], "m": 2,
+                     "constraints": [{"domain": [0, 1], "forbidden": [[1, True]]}]},
+     "constraints[0].forbidden[0][1]: expected int, got True"),
+    (labeling_from_json, {"values": [["3", 2.5], [1, True]]},
+     "values[0][0]: expected int, got '3'"),
+    (labeling_from_json, {"values": [[3, 2.5]]}, "values[0][1]: expected int, got 2.5"),
+    (labeling_from_json, {"values": [[0, 1], [1, True]]},
+     "values[1][1]: expected int, got True"),
+]
+
+
+@pytest.mark.parametrize("reader,data,message", COERCED)
+def test_readers_refuse_non_ints(reader, data, message):
+    with pytest.raises(ValueError) as err:
+        reader(data)
+    assert str(err.value) == message
