@@ -26,7 +26,6 @@ from .csp import (
     discrete_partition,
     intersection_graph,
     is_solution,
-    neighborhood_counts,
     probability,
     restrict_constraint,
     restrict_csp,
@@ -64,7 +63,6 @@ def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fracti
         margin = MEASURABLE_RHS - st.p * (st.d + 1) ** 8
         return LllVerdict("measurable", margin >= 0, margin, st.p, st.d)
     if which == "general":
-        counts = neighborhood_counts(csp)
         if eta is None:
             eta = {i: Fraction(1, st.d + 1) for i in range(len(csp.constraints))}
         doms = [set(c.domain) for c in csp.constraints]
@@ -220,7 +218,6 @@ class PartialSolutionTrace:
     phi: List[QuadExpr]             # estimator per prefix, same length
     covered_weight: Fraction = Fraction(0)
     p: Fraction = Fraction(0)
-    mode: str = "derandomized"
 
 
 def _is_dangerous(prob: Fraction, p: Fraction) -> bool:
@@ -228,7 +225,13 @@ def _is_dangerous(prob: Fraction, p: Fraction) -> bool:
 
 
 class _LevelState:
-    """Mutable restriction state shared by the constructors below."""
+    """Restriction state of the level recursion: the live constraints, their
+    conditional probabilities, which of them are frozen, and the dangerous
+    set (the union of the frozen constraints' original domains).
+
+    `descend` replaces the lists it changes rather than editing them, so a
+    snapshot is a tuple of references and stays valid after later steps.
+    """
 
     def __init__(self, csp: Csp, p: Fraction, cap_bits: int):
         self.p = p
@@ -237,36 +240,37 @@ class _LevelState:
         self.probs = [probability(c, cap_bits) for c in csp.constraints]
         self.original_domains = [frozenset(c.domain) for c in csp.constraints]
         self.frozen = [_is_dangerous(pr, p) for pr in self.probs]
-
-    def dangerous_elements(self) -> frozenset:
-        out = set()
-        for i, frozen in enumerate(self.frozen):
-            if frozen:
-                out.update(self.original_domains[i])
-        return frozenset(out)
+        self.dangerous = frozenset().union(
+            *(dom for dom, frozen in zip(self.original_domains, self.frozen) if frozen))
 
     def snapshot(self):
-        return (list(self.constraints), list(self.probs), list(self.frozen))
+        return self.constraints, self.probs, self.frozen, self.dangerous
 
     def restore(self, snap):
-        self.constraints, self.probs, self.frozen = (list(snap[0]), list(snap[1]),
-                                                     list(snap[2]))
+        self.constraints, self.probs, self.frozen, self.dangerous = snap
 
-    def fix(self, elements, value: int):
-        """Restrict every live constraint by const(elements, value)."""
-        if not elements:
-            return
-        g = const_assignment(elements, value)
-        for i, c in enumerate(self.constraints):
-            if self.frozen[i]:
+    def descend(self, cls: Sequence[int], value: int) -> PartialAssignment:
+        """One level: fix the elements of `cls` outside the dangerous set to
+        `value`, restrict every live constraint they meet, and freeze those
+        whose conditional probability passes sqrt(p).  Returns the
+        assignment made."""
+        g = const_assignment([x for x in cls if x not in self.dangerous], value)
+        if not g:
+            return g
+        constraints, probs, frozen = list(self.constraints), list(self.probs), list(self.frozen)
+        newly_frozen = []
+        for i, c in enumerate(constraints):
+            if frozen[i] or g.keys().isdisjoint(c.domain):
                 continue
-            if not (set(c.domain) & set(elements)):
-                continue
-            restricted = restrict_constraint(c, g)
-            self.constraints[i] = restricted
-            self.probs[i] = probability(restricted, self.cap_bits)
-            if _is_dangerous(self.probs[i], self.p):
-                self.frozen[i] = True
+            constraints[i] = restrict_constraint(c, g)
+            probs[i] = probability(constraints[i], self.cap_bits)
+            if _is_dangerous(probs[i], self.p):
+                frozen[i] = True
+                newly_frozen.append(self.original_domains[i])
+        self.constraints, self.probs, self.frozen = constraints, probs, frozen
+        if newly_frozen:
+            self.dangerous = self.dangerous.union(*newly_frozen)
+        return g
 
 
 def _term(prob: Fraction, p: Fraction) -> QuadExpr:
@@ -278,17 +282,19 @@ def _term(prob: Fraction, p: Fraction) -> QuadExpr:
 
 
 def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
-                      mode: str = "derandomized", samples: int = 8, seed: int = 0,
                       cap_bits: int = DEFAULT_CAP_BITS):
     """Partial solution h of `csp` by the level recursion over a discrete
     partition, freezing constraints whose conditional probability exceeds
     sqrt(p).
 
+    Each level takes the branch value in 1..m that minimizes the
+    pessimistic estimator phi (the smallest such value on a tie); the trace
+    records the value, the dangerous set and phi after each level as the
+    walk makes them.
+
     Guarantees, verified before returning: every restricted constraint has
     P^2 <= n^2 p, and the weight of source elements whose determining set
     avoids the dangerous set is >= 1 - d(rho) sqrt(p) (squared form).
-    `mode` is "derandomized" (pessimistic-estimator branch choice) or
-    "sampled" (best of `samples` random branch words, cross-validation).
     """
     n = csp.m
     st = stats(csp, cap_bits)
@@ -311,8 +317,6 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
             (wts.weights.get(x, Fraction(0)) for x in conn.source
              if dom & conn.det_sets[x]), Fraction(0)))
 
-    state = _LevelState(csp, p, cap_bits)
-
     def phi(st_: _LevelState) -> QuadExpr:
         total = QuadExpr(Fraction(0), Fraction(0), p)
         for i in range(len(st_.constraints)):
@@ -321,79 +325,44 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
             total = total + _term(st_.probs[i], p).scaled(weight_touching[i])
         return total
 
-    def run_word(word: Sequence[int], st_: _LevelState):
-        h: PartialAssignment = {}
-        dangerous_trace = [st_.dangerous_elements()]
-        phi_trace = [phi(st_)]
-        for k, cls in enumerate(classes):
-            danger = st_.dangerous_elements()
-            fresh = [x for x in cls if x not in danger]
-            value = word[k]
-            h.update(const_assignment(fresh, value))
-            st_.fix(fresh, value)
-            dangerous_trace.append(st_.dangerous_elements())
-            phi_trace.append(phi(st_))
-        return h, dangerous_trace, phi_trace
-
-    if mode == "derandomized":
-        chosen: List[int] = []
-        for cls in classes:
-            danger = state.dangerous_elements()
-            fresh = [x for x in cls if x not in danger]
-            best_i, best_phi, best_snap = None, None, None
-            for i in range(1, n + 1):
-                snap = state.snapshot()
-                state.fix(fresh, i)
-                cand_phi = phi(state)
-                if best_phi is None or cand_phi < best_phi:
-                    best_i, best_phi = i, cand_phi
-                    best_snap = state.snapshot()
-                state.restore(snap)
-            state.restore(best_snap)
-            chosen.append(best_i)
-        final_state = _LevelState(csp, p, cap_bits)
-        h, dangerous_trace, phi_trace = run_word(chosen, final_state)
-        state = final_state
-    elif mode == "sampled":
-        rng = derived_rng(seed, "construct-partial", len(classes))
+    state = _LevelState(csp, p, cap_bits)
+    h: PartialAssignment = {}
+    chosen: List[int] = []
+    dangerous_trace = [state.dangerous]
+    phi_trace = [phi(state)]
+    for cls in classes:
+        start = state.snapshot()
         best = None
-        for _ in range(max(1, samples)):
-            word = [rng.randint(1, n) for _ in classes]
-            cand_state = _LevelState(csp, p, cap_bits)
-            h_c, dt_c, pt_c = run_word(word, cand_state)
-            danger = dt_c[-1]
-            covered = sum((wts.weights.get(x, Fraction(0)) for x in conn.source
-                           if not (conn.det_sets[x] & danger)), Fraction(0))
-            if best is None or covered > best[0]:
-                best = (covered, word, h_c, dt_c, pt_c, cand_state)
-        _, chosen, h, dangerous_trace, phi_trace, state = best
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        for value in range(1, n + 1):
+            g = state.descend(cls, value)
+            cand_phi = phi(state)
+            if best is None or cand_phi < best[0]:
+                best = (cand_phi, value, g, state.snapshot())
+            state.restore(start)
+        best_phi, value, g, snap = best
+        state.restore(snap)
+        h.update(g)
+        chosen.append(value)
+        dangerous_trace.append(state.dangerous)
+        phi_trace.append(best_phi)
 
     # verify the returned guarantees exactly
-    final_danger = dangerous_trace[-1]
-    for i, c in enumerate(state.constraints):
-        prob = state.probs[i]
+    for prob in state.probs:
         if prob * prob > Fraction(n * n) * p:
             raise AssertionError("restricted probability bound violated")
     covered_weight = sum((wts.weights.get(x, Fraction(0)) for x in conn.source
-                          if not (conn.det_sets[x] & final_danger)), Fraction(0))
+                          if not (conn.det_sets[x] & state.dangerous)), Fraction(0))
     shortfall = Fraction(1) - covered_weight
     if shortfall > 0 and shortfall * shortfall > Fraction(d_rho * d_rho) * p:
-        if mode == "derandomized":
-            raise AssertionError("coverage bound violated")
-        # a sampled word may miss the bound; fall back to the guaranteed mode
-        return construct_partial(csp, red, wts, mode="derandomized",
-                                 cap_bits=cap_bits)
+        raise AssertionError("coverage bound violated")
 
     trace = PartialSolutionTrace(
         classes=list(classes),
-        chosen=list(chosen),
-        dangerous=list(dangerous_trace),
+        chosen=chosen,
+        dangerous=dangerous_trace,
         phi=phi_trace,
         covered_weight=covered_weight,
         p=p,
-        mode=mode,
     )
     return h, trace
 
@@ -411,12 +380,10 @@ def branch_trace(csp: Csp, word: Sequence[int], cap_bits: int = DEFAULT_CAP_BITS
         raise ValueError(f"word length {len(word)} != {len(classes)} classes")
     state = _LevelState(csp, st.p, cap_bits)
     h: PartialAssignment = {}
-    dangerous = [state.dangerous_elements()]
+    dangerous = [state.dangerous]
     for cls, value in zip(classes, word):
-        fresh = [x for x in cls if x not in dangerous[-1]]
-        h.update(const_assignment(fresh, value))
-        state.fix(fresh, value)
-        dangerous.append(state.dangerous_elements())
+        h.update(state.descend(cls, value))
+        dangerous.append(state.dangerous)
     return h, dangerous
 
 
@@ -438,10 +405,11 @@ class StepResult:
     trace: PartialSolutionTrace
 
 
-def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
+def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
          cap_bits: int = DEFAULT_CAP_BITS) -> StepResult:
     """One halving step: bootstrap (direct route preferred) to a sparse
-    target, binary-reduce it, build a partial solution, pull it back.
+    target, binary-reduce it, build a partial solution by the derandomized
+    level recursion, pull it back.  No step draws randomness.
 
     Certifies exactly: the binary target satisfies p (d+1)^16 <= 2^-32 and
     p d(rho)^2 <= 1/4; the returned g covers weight >= 1/2; the residual
@@ -478,7 +446,7 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet, seed: int = 0,
         raise StepInfeasibleError(
             f"step inequality failed: {json.dumps(cert, sort_keys=True)}")
 
-    h, trace = construct_partial(encoded, sigma, wts, cap_bits=cap_bits, seed=seed)
+    h, trace = construct_partial(encoded, sigma, wts, cap_bits=cap_bits)
     g, residual_red = pull_partial(sigma, h)
     residual_target = residual_red.target
     rst = stats(residual_target, cap_bits)
@@ -557,9 +525,10 @@ class SolveResult:
 def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
                    cap_bits: int = DEFAULT_CAP_BITS) -> SolveResult:
     """Iterate `step` until every positive-weight element is assigned; the
-    remaining (zero-weight) elements are finished by direct extension.
-    Remaining weight at least halves per iteration, so the loop runs at
-    most ceil(log2(1/min positive weight)) + 1 times."""
+    remaining (zero-weight) elements are finished by direct extension,
+    which `seed` drives when it falls back to resampling.  Remaining
+    weight at least halves per iteration, so the loop runs at most
+    ceil(log2(1/min positive weight)) + 1 times."""
     pre = lll_check(source, "measurable", cap_bits=cap_bits)
     if not pre.holds:
         raise StepInfeasibleError(
@@ -588,8 +557,7 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
             raise StepInfeasibleError(
                 f"iteration budget {max_iters} exceeded with "
                 f"{len(current.ground)} elements uncovered")
-        result = step(current, red, live, seed=derived_rng(seed, "step", iterations).randrange(2**30),
-                      cap_bits=cap_bits)
+        result = step(current, red, live, cap_bits=cap_bits)
         g_total.update(result.g)
         reports.append({
             "iteration": iterations,
@@ -676,8 +644,7 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
 
     def visit(level: int, state: _LevelState, h: PartialAssignment):
         if level == len(classes):
-            danger = state.dangerous_elements()
-            covered = [x for x in conn.source if not (conn.det_sets[x] & danger)]
+            covered = [x for x in conn.source if not (conn.det_sets[x] & state.dangerous)]
             for x in covered:
                 counts[x] += 1
             g = apply(conn, h)
@@ -696,15 +663,11 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
                         "nor has a verified solution witness")
             certificates.append(cert)
             return
-        danger = state.dangerous_elements()
-        fresh = [x for x in classes[level] if x not in danger]
+        start = state.snapshot()
         for value in (1, 2):
-            snap = state.snapshot()
-            state.fix(fresh, value)
-            h_next = dict(h)
-            h_next.update(const_assignment(fresh, value))
-            visit(level + 1, state, h_next)
-            state.restore(snap)
+            g = state.descend(classes[level], value)
+            visit(level + 1, state, {**h, **g})
+            state.restore(start)
 
     visit(0, _LevelState(encoded, p, cap_bits), {})
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import log, sqrt
 from typing import Callable, List
 
-from .canonical import CanonicalForm, canonical_type
+from .canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
 from .errors import EnumerationCapError, PipelineError
 from .graphs import (
     TAG_IDS,
@@ -68,20 +68,15 @@ class RunReport:
 
 
 def run_deterministic(alg: LocalAlgorithm, graph: StructuredGraph, rounds: int,
-                      canon_cap: int = None, canon_budget: int = None) -> VertexLabeling:
+                      canon_cap: int = DEFAULT_SIZE_CAP) -> VertexLabeling:
     """Evaluate alg at every vertex on the canonical type of its
     radius-`rounds` ball; alg is called once per distinct form."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    kwargs = {}
-    if canon_cap is not None:
-        kwargs["cap"] = canon_cap
-    if canon_budget is not None:
-        kwargs["budget"] = canon_budget
     out: VertexLabeling = {}
     memo = {}
     for x in graph.vertices:
-        form = canonical_type(ball(graph, x, rounds), **kwargs)
+        form = canonical_type(ball(graph, x, rounds), cap=canon_cap)
         if form.code not in memo:
             memo[form.code] = int(alg(form))
         out[x] = memo[form.code]
@@ -89,7 +84,7 @@ def run_deterministic(alg: LocalAlgorithm, graph: StructuredGraph, rounds: int,
 
 
 def verify_lcl(problem: LclProblem, graph: StructuredGraph, labeling: VertexLabeling,
-               canon_cap: int = None) -> RunReport:
+               canon_cap: int = DEFAULT_SIZE_CAP) -> RunReport:
     """Run the verifier on the graph with `labeling` attached as the output
     layer; valid iff every vertex reports 1."""
     missing = [v for v in graph.vertices if v not in labeling]
@@ -107,7 +102,8 @@ def verify_lcl(problem: LclProblem, graph: StructuredGraph, labeling: VertexLabe
 
 
 def det_pipeline(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,
-                 n: int, rounds: int, order=None, canon_cap: int = None) -> RunReport:
+                 n: int, rounds: int, order=None,
+                 canon_cap: int = DEFAULT_SIZE_CAP) -> RunReport:
     """Deterministic pipeline: greedy-color the distance-2R power graph
     with at most n colors, attach the colors as identifiers (distinct
     inside every 2R-ball), run alg, verify.
@@ -151,7 +147,7 @@ class FailureEstimate:
 def estimate_randomized_failure(alg: LocalAlgorithm, problem: LclProblem,
                                 graph: StructuredGraph, rounds: int, m: int,
                                 trials: int, seed: int = 0,
-                                canon_cap: int = None) -> FailureEstimate:
+                                canon_cap: int = DEFAULT_SIZE_CAP) -> FailureEstimate:
     """Empirical failure fraction over uniform seed layers, with a 99%
     confidence radius."""
     if trials < 1 or m < 1:
@@ -175,7 +171,7 @@ def estimate_randomized_failure(alg: LocalAlgorithm, problem: LclProblem,
 
 def exact_randomized_failure(alg: LocalAlgorithm, problem: LclProblem,
                              graph: StructuredGraph, rounds: int, m: int,
-                             cap_bits: int = 20, canon_cap: int = None) -> Fraction:
+                             cap_bits: int = 20, canon_cap: int = DEFAULT_SIZE_CAP) -> Fraction:
     """Exact failure probability by enumerating all m^|V| seed maps;
     capped at |V| * log2(m) <= cap_bits."""
     from itertools import product

@@ -38,12 +38,18 @@ def graph_to_json(graph: StructuredGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> StructuredGraph:
-    structure = {
-        tuple(entry["tuple"]): label_from_json(entry["label"])
-        for entry in data.get("structure", [])
-    }
-    return build_graph(data["vertices"], [tuple(e) for e in data.get("edges", [])],
-                       structure, data.get("tuple_bound"))
+    vertices = [_strict_int(v, f"vertices[{i}]") for i, v in enumerate(data["vertices"])]
+    edges = [tuple(_strict_int(v, f"edges[{i}][{j}]") for j, v in enumerate(e))
+             for i, e in enumerate(data.get("edges", []))]
+    # a list of pairs, not a dict, so build_graph refuses a repeated tuple
+    structure = [
+        (tuple(_strict_int(v, f"structure[{i}].tuple[{j}]") for j, v in enumerate(entry["tuple"])),
+         label_from_json(entry["label"]))
+        for i, entry in enumerate(data.get("structure", []))
+    ]
+    bound = data.get("tuple_bound")
+    return build_graph(vertices, edges, structure,
+                       None if bound is None else _strict_int(bound, "tuple_bound"))
 
 
 PREDICATES = {}
@@ -136,7 +142,15 @@ def weights_to_json(wts: WeightedGroundSet) -> dict:
 
 
 def weights_from_json(data: dict) -> WeightedGroundSet:
-    return WeightedGroundSet({int(x): fraction_from_str(w) for x, w in data["weights"]})
+    weights = {}
+    for i, (x, w) in enumerate(data["weights"]):
+        x = _strict_int(x, f"weights[{i}][0]")
+        if x in weights:
+            raise ValueError(f"weights[{i}][0]: duplicate id {x}")
+        if not isinstance(w, str):
+            raise ValueError(f"weights[{i}][1]: expected a rational string, got {w!r}")
+        weights[x] = fraction_from_str(w)
+    return WeightedGroundSet(weights)
 
 
 def dump_json(data, path) -> None:

@@ -238,6 +238,31 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
                 "--labels", str(lpath), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == "error: values[0][0]: expected int, got '3'\n"
+    # a vertex 3.0 and an edge end true, which the graph reader used to keep
+    bad_graphs = {
+        "vertices[3]": {"vertices": [0, 1, 2, 3.0], "edges": [[0, 1], [1, 2], [2, 3]]},
+        "edges[1][0]": {"vertices": [0, 1, 2], "edges": [[0, 1], [True, 2]]},
+    }
+    for field, data in bad_graphs.items():
+        dump_json(data, gpath)
+        capsys.readouterr()
+        assert run(["run-local", "--graph", str(gpath), "--alg", "id_echo",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {field}: expected int")
+    # weights [["1", "1/2"], [2.7, "1/2"]], which used to read as {1: 1/2, 2: 1/2}
+    cpath = tmp_path / "c.json"
+    dump_json({"ground": [1, 2], "m": 4, "constraints": []}, cpath)
+    wpath = tmp_path / "w.json"
+    for field, weights in (("weights[0][0]: expected int", [["1", "1/2"], [2.7, "1/2"]]),
+                           ("weights[1][1]: expected a rational string",
+                            [[1, "1/2"], [2, 0.5]])):
+        dump_json({"weights": weights}, wpath)
+        capsys.readouterr()
+        assert run(["csp", "solve", "--csp", str(cpath), "--method", "weighted",
+                    "--weights", str(wpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
 def test_gadget_command(tmp_path):

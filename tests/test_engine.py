@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from locallemma.connect import identity_reduction
+from locallemma.binary import binary_reduce
+from locallemma.compilers import bootstrap
+from locallemma.connect import Reduction, apply, compose, identity_reduction
 from locallemma.csp import (
+    DEFAULT_CAP_BITS,
     Constraint,
     Csp,
     const_assignment,
+    discrete_partition,
     is_solution,
     probability,
     restrict_constraint,
@@ -15,8 +20,14 @@ from locallemma.csp import (
     stats,
 )
 from locallemma.engine import (
+    EPS_BINARY,
+    STEP_GRID,
+    STEP_TARGET_EPS,
+    STEP_TARGET_N,
     QuadExpr,
     WeightedGroundSet,
+    _term,
+    branch_trace,
     construct_partial,
     cover_family,
     extend_solution,
@@ -187,15 +198,137 @@ def test_construct_partial_dangerous_freezing_replay():
                 assert direct.materialize().members == c.materialize().members
 
 
-def test_construct_partial_sampled_mode():
-    csp = random_binary_lowp_csp(7, max_ground=30)
-    red = identity_reduction(csp)
-    wts = WeightedGroundSet.uniform(csp.ground)
-    h, trace = construct_partial(csp, red, wts, mode="sampled", samples=4, seed=5)
-    st = stats(csp)
-    shortfall = 1 - trace.covered_weight
-    d_rho = red.degree()
-    assert shortfall <= 0 or shortfall * shortfall <= Fraction(d_rho * d_rho) * st.p
+class _OracleLevelState:
+    """The restriction state as it stood before the level walk was shared:
+    copying snapshots and a `fix` that takes the elements to assign."""
+
+    def __init__(self, csp, p, cap_bits):
+        self.p = p
+        self.cap_bits = cap_bits
+        self.constraints = list(csp.constraints)
+        self.probs = [probability(c, cap_bits) for c in csp.constraints]
+        self.original_domains = [frozenset(c.domain) for c in csp.constraints]
+        self.frozen = [pr * pr > p for pr in self.probs]
+
+    def dangerous_elements(self):
+        out = set()
+        for i, frozen in enumerate(self.frozen):
+            if frozen:
+                out.update(self.original_domains[i])
+        return frozenset(out)
+
+    def snapshot(self):
+        return (list(self.constraints), list(self.probs), list(self.frozen))
+
+    def restore(self, snap):
+        self.constraints, self.probs, self.frozen = (list(snap[0]), list(snap[1]),
+                                                     list(snap[2]))
+
+    def fix(self, elements, value):
+        if not elements:
+            return
+        g = const_assignment(elements, value)
+        for i, c in enumerate(self.constraints):
+            if self.frozen[i]:
+                continue
+            if not (set(c.domain) & set(elements)):
+                continue
+            restricted = restrict_constraint(c, g)
+            self.constraints[i] = restricted
+            self.probs[i] = probability(restricted, self.cap_bits)
+            if self.probs[i] * self.probs[i] > self.p:
+                self.frozen[i] = True
+
+
+def oracle_construct_partial(csp, red, wts, cap_bits=DEFAULT_CAP_BITS):
+    """Derandomized construct_partial as it stood with its replay: choose
+    the branch word level by level, then replay the word on a fresh state
+    to record h, the dangerous sets, phi and the covered weight."""
+    n = csp.m
+    p = stats(csp, cap_bits).p
+    classes = discrete_partition(csp)
+    conn = red.connection
+    weight_touching = [
+        sum((wts.weights.get(x, Fraction(0)) for x in conn.source
+             if set(c.domain) & conn.det_sets[x]), Fraction(0))
+        for c in csp.constraints]
+
+    def phi(st_):
+        total = QuadExpr(Fraction(0), Fraction(0), p)
+        for i in range(len(st_.constraints)):
+            if weight_touching[i] != 0:
+                total = total + _term(st_.probs[i], p).scaled(weight_touching[i])
+        return total
+
+    def run_word(word, st_):
+        h = {}
+        dangerous_trace = [st_.dangerous_elements()]
+        phi_trace = [phi(st_)]
+        for k, cls in enumerate(classes):
+            danger = st_.dangerous_elements()
+            fresh = [x for x in cls if x not in danger]
+            h.update(const_assignment(fresh, word[k]))
+            st_.fix(fresh, word[k])
+            dangerous_trace.append(st_.dangerous_elements())
+            phi_trace.append(phi(st_))
+        return h, dangerous_trace, phi_trace
+
+    state = _OracleLevelState(csp, p, cap_bits)
+    chosen = []
+    for cls in classes:
+        danger = state.dangerous_elements()
+        fresh = [x for x in cls if x not in danger]
+        best_i, best_phi, best_snap = None, None, None
+        for i in range(1, n + 1):
+            snap = state.snapshot()
+            state.fix(fresh, i)
+            cand_phi = phi(state)
+            if best_phi is None or cand_phi < best_phi:
+                best_i, best_phi = i, cand_phi
+                best_snap = state.snapshot()
+            state.restore(snap)
+        state.restore(best_snap)
+        chosen.append(best_i)
+    h, dangerous_trace, phi_trace = run_word(chosen, _OracleLevelState(csp, p, cap_bits))
+    covered_weight = sum((wts.weights.get(x, Fraction(0)) for x in conn.source
+                          if not (conn.det_sets[x] & dangerous_trace[-1])), Fraction(0))
+    return h, classes, chosen, dangerous_trace, phi_trace, covered_weight
+
+
+def assert_matches_oracle(csp, red, wts):
+    h, trace = construct_partial(csp, red, wts)
+    want_h, classes, chosen, dangerous, phi, covered = oracle_construct_partial(csp, red, wts)
+    assert h == want_h and list(h) == list(want_h)
+    assert trace.classes == list(classes)
+    assert trace.chosen == chosen
+    assert trace.dangerous == dangerous
+    assert [(e.a, e.b) for e in trace.phi] == [(e.a, e.b) for e in phi]
+    assert trace.covered_weight == covered
+
+
+def test_construct_partial_matches_replay_oracle():
+    for seed in range(40):
+        csp = random_binary_lowp_csp(seed)
+        assert_matches_oracle(csp, identity_reduction(csp),
+                              WeightedGroundSet.uniform(csp.ground))
+
+
+def test_construct_partial_matches_replay_oracle_on_step_target():
+    # the binary target, composed connection and weights as `step` builds
+    # them, with weights that differ between source elements
+    source = random_measurable_csp(0, max_ground=90)
+    red_in = identity_reduction(source)
+    boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY),
+                     n_grid=STEP_GRID)
+    assert boot.feasible and boot.exact_p
+    encoded, tau_red = binary_reduce(boot.csp, EPS_BINARY)
+    sigma = Reduction(compose(boot.reduction.connection, tau_red.connection), encoded,
+                      validated=boot.reduction.validated)
+    raw = {x: i % 3 + 1 for i, x in enumerate(source.ground)}
+    total = sum(raw.values())
+    wts = WeightedGroundSet({x: Fraction(w, total) for x, w in raw.items()})
+    assert len(set(wts.weights.values())) == 3
+    assert_matches_oracle(encoded, sigma, wts)
 
 
 def test_construct_partial_precondition():
@@ -231,7 +364,7 @@ def test_step_covers_half_and_certifies():
     for seed in (0, 3, 9):
         csp = random_measurable_csp(seed, max_ground=90)
         wts = WeightedGroundSet.uniform(csp.ground)
-        result = step(csp, identity_reduction(csp), wts, seed=seed)
+        result = step(csp, identity_reduction(csp), wts)
         assert result.covered_fraction >= Fraction(1, 2)
         assert result.certificates["target_(16,2^-32)"]
         assert result.certificates["p*d(rho)^2<=1/4"]
@@ -317,3 +450,17 @@ def test_cover_family_budget():
     csp = random_cover_csp(3, max_levels=12)
     with pytest.raises(CoverBudgetError):
         cover_family(csp, budget=4)
+
+
+def test_cover_family_members_are_branch_traces():
+    # on the direct-binary route every member is the pulled-back h_w of
+    # its branch word, in the order of product((1, 2), repeat=levels)
+    csp = random_cover_csp(0, max_levels=10)
+    result = cover_family(csp, budget=1 << 14)
+    assert result.route == "direct-binary"
+    encoded, tau_red = binary_reduce(csp, EPS_BINARY)
+    conn = compose(identity_reduction(csp).connection, tau_red.connection)
+    words = list(product((1, 2), repeat=result.levels))
+    assert len(result.members) == len(words)
+    for member, word in zip(result.members, words):
+        assert member == apply(conn, branch_trace(encoded, word)[0])

@@ -97,11 +97,44 @@ COERCED = [
     (labeling_from_json, {"values": [[3, 2.5]]}, "values[0][1]: expected int, got 2.5"),
     (labeling_from_json, {"values": [[0, 1], [1, True]]},
      "values[1][1]: expected int, got True"),
+    (graph_from_json, {"vertices": [0, 1, 2.0]}, "vertices[2]: expected int, got 2.0"),
+    (graph_from_json, {"vertices": [0, 1, "2"]}, "vertices[2]: expected int, got '2'"),
+    (graph_from_json, {"vertices": [0, 1, 2], "edges": [[0, 1], [2, True]]},
+     "edges[1][1]: expected int, got True"),
+    (graph_from_json, {"vertices": [0, 1], "structure": [{"tuple": [0, 1.0], "label": 1}]},
+     "structure[0].tuple[1]: expected int, got 1.0"),
+    (graph_from_json, {"vertices": [0, 1], "tuple_bound": 2.5},
+     "tuple_bound: expected int, got 2.5"),
+    (weights_from_json, {"weights": [["1", "1/2"], [2.7, "1/2"]]},
+     "weights[0][0]: expected int, got '1'"),
+    (weights_from_json, {"weights": [[1, "1/2"], [2.7, "1/2"]]},
+     "weights[1][0]: expected int, got 2.7"),
+    (weights_from_json, {"weights": [[True, "1/2"], [2, "1/2"]]},
+     "weights[0][0]: expected int, got True"),
+    (weights_from_json, {"weights": [[1, 0.5], [2, "1/2"]]},
+     "weights[0][1]: expected a rational string, got 0.5"),
 ]
 
 
 @pytest.mark.parametrize("reader,data,message", COERCED)
 def test_readers_refuse_non_ints(reader, data, message):
+    with pytest.raises(ValueError) as err:
+        reader(data)
+    assert str(err.value) == message
+
+
+# a repeated key used to keep its last value: label 2 on (0,), weight 1 on 1
+DUPLICATED = [
+    (graph_from_json, {"vertices": [0, 1], "structure": [{"tuple": [0], "label": 1},
+                                                         {"tuple": [0], "label": 2}]},
+     "duplicate structure entry for tuple (0,)"),
+    (weights_from_json, {"weights": [[1, "1/2"], [1, "1"], [2, "0"]]},
+     "weights[1][0]: duplicate id 1"),
+]
+
+
+@pytest.mark.parametrize("reader,data,message", DUPLICATED)
+def test_readers_refuse_duplicate_keys(reader, data, message):
     with pytest.raises(ValueError) as err:
         reader(data)
     assert str(err.value) == message
