@@ -34,6 +34,7 @@ from .graphs import TAG_IDS, TAG_RAND, greedy_coloring, layer_value, with_labeli
 from .localrun import LocalAlgorithm, det_pipeline, run_deterministic, verify_lcl
 from .rng import derived_rng
 from .serialize import (
+    _strict_int,
     csp_from_json,
     dump_json,
     fraction_str,
@@ -64,6 +65,12 @@ class ExperimentConfig:
             raise ValueError("caps must be positive")
 
 
+def _param(cfg: ExperimentConfig, name: str, default: Optional[int] = None) -> int:
+    """A non-negative int parameter, required when it has no default."""
+    value = cfg.params[name] if default is None else cfg.params.get(name, default)
+    return _strict_int(value, f"params.{name}", low=0)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute one pipeline end to end and return the report dict; the
     `passed` field drives the process exit code."""
@@ -79,9 +86,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     graph = (generate(cfg.graph["kind"], cfg.graph.get("params", {}), cfg.seed)
              if "kind" in cfg.graph else graph_from_json(cfg.graph))
     if cfg.pipeline == "det":
-        n = int(cfg.params.get("n", len(graph.vertices)))
+        n = _param(cfg, "n", len(graph.vertices))
         spec = builtin_algorithm(cfg.algorithm or "cole_vishkin_3color", {"n": n})
-        rounds = int(cfg.params.get("rounds", spec.rounds(n)))
+        rounds = _param(cfg, "rounds", spec.rounds(n))
         order = list(graph.vertices)
         derived_rng(cfg.seed, "det-order").shuffle(order)
         run = det_pipeline(spec.algorithm, spec.problem, graph, n=n, rounds=rounds,
@@ -91,8 +98,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["outputs"] = labeling_to_json(run.outputs)
         report["passed"] = run.valid
     elif cfg.pipeline == "rand":
-        m = int(cfg.params.get("m", 16))
-        rounds = int(cfg.params.get("rounds", 0))
+        m = _param(cfg, "m", 16)
+        rounds = _param(cfg, "rounds", 0)
         if (cfg.algorithm or "theta_echo") != "theta_echo":
             raise ValueError("the rand pipeline drives the seed-echo algorithm")
 
@@ -126,7 +133,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         report["outputs"] = labeling_to_json(decoded)
         report["passed"] = run.valid
     elif cfg.pipeline == "gadget":
-        gadget = gadget_build(graph, int(cfg.params["k"]))
+        gadget = gadget_build(graph, _param(cfg, "k"))
         d = graph.max_degree()
         ok = gadget.max_degree() <= d - 1
         report["checks"].append({"name": "gadget-degree", "ok": ok,

@@ -67,7 +67,19 @@ def identity_connection(ground) -> Connection:
 
 def compose(rho: Connection, sigma: Connection) -> Connection:
     """rho after sigma: X <- Y composed with Y <- Z gives X <- Z with
-    S(x) = union of sigma's determining sets over S_rho(x)."""
+    S(x) = union of sigma's determining sets over S_rho(x).  Identity is
+    the unit: with it on either side, the other side's sets and rules."""
+    params = {"outer": rho.describe(), "inner": sigma.describe()}
+    if "identity" in (rho.kind, sigma.kind):
+        kept = sigma if rho.kind == "identity" else rho
+        return Connection(
+            source=rho.source,
+            target=sigma.target,
+            det_sets={x: kept.det_sets[x] for x in rho.source},
+            rules={x: kept.rules[x] for x in rho.source},
+            kind="compose",
+            params=params,
+        )
     det_sets = {}
     rules = {}
     for x in rho.source:
@@ -93,7 +105,7 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
         det_sets=det_sets,
         rules=rules,
         kind="compose",
-        params={"outer": rho.describe(), "inner": sigma.describe()},
+        params=params,
     )
 
 

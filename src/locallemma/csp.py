@@ -289,14 +289,16 @@ def const_assignment(elements, value: int) -> PartialAssignment:
 
 
 def intersection_graph(csp: Csp) -> StructuredGraph:
-    """Ground elements adjacent iff they share a constraint domain."""
-    edges = set()
+    """Ground elements adjacent iff they share a constraint domain.  A Csp
+    has distinct ground elements and domains inside the ground, so the
+    graph is built unchecked, with ascending neighbor tuples."""
+    adj = {x: set() for x in csp.ground}
     for c in csp.constraints:
-        dom = sorted(c.domain)
-        for i in range(len(dom)):
-            for j in range(i + 1, len(dom)):
-                edges.add((dom[i], dom[j]))
-    return StructuredGraph(csp.ground, edges, {}, 1)
+        for x in c.domain:
+            adj[x].update(y for y in c.domain if y != x)
+    nbrs = {x: tuple(sorted(ws)) for x, ws in adj.items()}
+    edges = frozenset((x, w) for x, ws in nbrs.items() for w in ws if x < w)
+    return StructuredGraph._trusted(tuple(nbrs), frozenset(nbrs), edges, {}, 1, nbrs)
 
 
 def discrete_partition(csp: Csp) -> List[Tuple[int, ...]]:

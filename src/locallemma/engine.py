@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .connect import Reduction, apply, identity_reduction, pull_partial
+from .binary import binary_reduce
+from .connect import Connection, Reduction, compose, identity_reduction, pull_partial
 from .csp import (
     Csp,
     DEFAULT_CAP_BITS,
@@ -249,19 +250,21 @@ class _LevelState:
     def restore(self, snap):
         self.constraints, self.probs, self.frozen, self.dangerous = snap
 
-    def descend(self, cls: Sequence[int], value: int) -> PartialAssignment:
+    def descend(self, cls: Sequence[int], value: int) -> Tuple[PartialAssignment, List[int]]:
         """One level: fix the elements of `cls` outside the dangerous set to
         `value`, restrict every live constraint they meet, and freeze those
         whose conditional probability passes sqrt(p).  Returns the
-        assignment made."""
+        assignment made and the indices of the restricted constraints."""
         g = const_assignment([x for x in cls if x not in self.dangerous], value)
+        changed: List[int] = []
         if not g:
-            return g
+            return g, changed
         constraints, probs, frozen = list(self.constraints), list(self.probs), list(self.frozen)
         newly_frozen = []
         for i, c in enumerate(constraints):
             if frozen[i] or g.keys().isdisjoint(c.domain):
                 continue
+            changed.append(i)
             constraints[i] = restrict_constraint(c, g)
             probs[i] = probability(constraints[i], self.cap_bits)
             if _is_dangerous(probs[i], self.p):
@@ -270,7 +273,7 @@ class _LevelState:
         self.constraints, self.probs, self.frozen = constraints, probs, frozen
         if newly_frozen:
             self.dangerous = self.dangerous.union(*newly_frozen)
-        return g
+        return g, changed
 
 
 def _term(prob: Fraction, p: Fraction) -> QuadExpr:
@@ -317,34 +320,34 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
             (wts.weights.get(x, Fraction(0)) for x in conn.source
              if dom & conn.det_sets[x]), Fraction(0)))
 
-    def phi(st_: _LevelState) -> QuadExpr:
-        total = QuadExpr(Fraction(0), Fraction(0), p)
-        for i in range(len(st_.constraints)):
-            if weight_touching[i] == 0:
-                continue
-            total = total + _term(st_.probs[i], p).scaled(weight_touching[i])
-        return total
+    def weighted_term(i: int, probs: List[Fraction]) -> QuadExpr:
+        return _term(probs[i], p).scaled(weight_touching[i])
 
+    # phi is a running sum: a level changes only the terms of the
+    # constraints `descend` restricted, and the arithmetic is exact
     state = _LevelState(csp, p, cap_bits)
+    phi = sum((weighted_term(i, state.probs) for i, w in enumerate(weight_touching) if w),
+              QuadExpr(Fraction(0), Fraction(0), p))
     h: PartialAssignment = {}
     chosen: List[int] = []
     dangerous_trace = [state.dangerous]
-    phi_trace = [phi(state)]
+    phi_trace = [phi]
     for cls in classes:
-        start = state.snapshot()
+        start, old_probs = state.snapshot(), state.probs
         best = None
         for value in range(1, n + 1):
-            g = state.descend(cls, value)
-            cand_phi = phi(state)
+            g, changed = state.descend(cls, value)
+            cand_phi = sum((weighted_term(i, state.probs) - weighted_term(i, old_probs)
+                            for i in changed if weight_touching[i]), phi)
             if best is None or cand_phi < best[0]:
                 best = (cand_phi, value, g, state.snapshot())
             state.restore(start)
-        best_phi, value, g, snap = best
+        phi, value, g, snap = best
         state.restore(snap)
         h.update(g)
         chosen.append(value)
         dangerous_trace.append(state.dangerous)
-        phi_trace.append(best_phi)
+        phi_trace.append(phi)
 
     # verify the returned guarantees exactly
     for prob in state.probs:
@@ -382,7 +385,7 @@ def branch_trace(csp: Csp, word: Sequence[int], cap_bits: int = DEFAULT_CAP_BITS
     h: PartialAssignment = {}
     dangerous = [state.dangerous]
     for cls, value in zip(classes, word):
-        h.update(state.descend(cls, value))
+        h.update(state.descend(cls, value)[0])
         dangerous.append(state.dangerous)
     return h, dangerous
 
@@ -415,9 +418,7 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
     p d(rho)^2 <= 1/4; the returned g covers weight >= 1/2; the residual
     target satisfies p (d+1)^8 <= 2^-15.
     """
-    from .binary import binary_reduce
     from .compilers import bootstrap
-    from .connect import compose
 
     boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY),
                      n_grid=STEP_GRID, cap_bits=cap_bits)
@@ -603,10 +604,17 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     certifies every residual either by the (8, 2^-15) inequality or by a
     checked solution witness (a solvable residual is reducible to the
     empty CSP).
+
+    Cost model: the walk carries each member down the tree (see
+    `_family_leaves`), so rules run per element fixed, not per leaf times
+    source elements, and no leaf re-encodes a constraint.  The residual is
+    built from the level state's constraints: `descend` has restricted
+    every live constraint that h meets, and a frozen one was restricted
+    before it froze and is never met again, since its domain lies in the
+    dangerous set that no later level fixes.  So it has the bodies, and
+    the p, d, certificate and witness, of `encoded` restricted to h.
     """
-    from .binary import binary_reduce
     from .compilers import bootstrap
-    from .connect import compose
 
     red_in = identity_reduction(source)
     route = "direct-binary"
@@ -641,35 +649,25 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     members: List[PartialAssignment] = []
     certificates: List[dict] = []
     counts = {x: 0 for x in source.ground}
-
-    def visit(level: int, state: _LevelState, h: PartialAssignment):
-        if level == len(classes):
-            covered = [x for x in conn.source if not (conn.det_sets[x] & state.dangerous)]
-            for x in covered:
-                counts[x] += 1
-            g = apply(conn, h)
-            members.append(g)
-            residual = restrict_csp(encoded, h)
-            rst = stats(residual, cap_bits)
-            cert = {"p_residual": str(rst.p), "d_residual": rst.d}
-            ok = rst.p * (rst.d + 1) ** RESIDUAL_N <= RESIDUAL_EPS
-            cert["residual_(8,2^-15)"] = ok
-            if not ok:
-                witness = _solution_witness(residual, seed, cap_bits)
-                cert["solution_witness"] = witness is not None
-                if witness is None:
-                    raise StepInfeasibleError(
-                        "residual neither satisfies the (8,2^-15) inequality "
-                        "nor has a verified solution witness")
-            certificates.append(cert)
-            return
-        start = state.snapshot()
-        for value in (1, 2):
-            g = state.descend(classes[level], value)
-            visit(level + 1, state, {**h, **g})
-            state.restore(start)
-
-    visit(0, _LevelState(encoded, p, cap_bits), {})
+    for h, member, state in _family_leaves(encoded, classes, conn, p, cap_bits):
+        covered = [x for x in conn.source if not (conn.det_sets[x] & state.dangerous)]
+        for x in covered:
+            counts[x] += 1
+        members.append(member)
+        residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
+                       tuple(state.constraints))
+        rst = stats(residual, cap_bits)
+        cert = {"p_residual": str(rst.p), "d_residual": rst.d}
+        ok = rst.p * (rst.d + 1) ** RESIDUAL_N <= RESIDUAL_EPS
+        cert["residual_(8,2^-15)"] = ok
+        if not ok:
+            witness = _solution_witness(residual, seed, cap_bits)
+            cert["solution_witness"] = witness is not None
+            if witness is None:
+                raise StepInfeasibleError(
+                    "residual neither satisfies the (8,2^-15) inequality "
+                    "nor has a verified solution witness")
+        certificates.append(cert)
 
     uncovered = [x for x in source.ground if counts[x] == 0]
     if uncovered:
@@ -681,6 +679,39 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
         certificates=certificates,
         route=route,
     )
+
+
+def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Connection,
+                   p: Fraction, cap_bits: int):
+    """Yield (h, apply(conn, h), level state) for every branch word, in
+    product((1, 2), repeat=len(classes)) order.  When a level fixes
+    elements, only their readers (the source elements whose determining
+    set holds one) run their rules again, on views of the extended h.
+    A view changes only when a level fixes one of its elements, so each
+    carried value is the rule on its view of h, for any connection."""
+    elems, det_sets, rules = conn.source, conn.det_sets, conn.rules
+    readers: Dict[int, List[int]] = {}   # target element -> positions in elems
+    for k, x in enumerate(elems):
+        for z in det_sets[x]:
+            readers.setdefault(z, []).append(k)
+
+    def visit(level: int, state: _LevelState, h: PartialAssignment, values: list):
+        if level == len(classes):
+            yield h, {x: v for x, v in zip(elems, values) if v is not None}, state
+            return
+        start = state.snapshot()
+        for value in (1, 2):
+            g, _ = state.descend(classes[level], value)
+            h_next = {**h, **g}
+            touched = {k for z in g for k in readers.get(z, ())}
+            values_next = list(values) if touched else values
+            for k in touched:
+                x = elems[k]
+                values_next[k] = rules[x]({y: h_next[y] for y in det_sets[x] if y in h_next})
+            yield from visit(level + 1, state, h_next, values_next)
+            state.restore(start)
+
+    yield from visit(0, _LevelState(encoded, p, cap_bits), {}, [rules[x]({}) for x in elems])
 
 
 def _solution_witness(csp: Csp, seed: int, cap_bits: int) -> Optional[Dict[int, int]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Optional
 
 from .csp import Constraint, Csp
 from .engine import WeightedGroundSet
@@ -96,16 +96,20 @@ def csp_to_json(csp: Csp) -> dict:
     return {"ground": list(csp.ground), "m": csp.m, "constraints": constraints}
 
 
-def _strict_int(value, where: str) -> int:
-    """`value` if it is an int and not a bool; a float, a numeric string
-    or `true` is refused, with the field named, rather than coerced."""
+def _strict_int(value, where: str, low: Optional[int] = None) -> int:
+    """`value` if it is an int and not a bool (and at least `low`, when
+    given); a float, a numeric string or `true` is refused, with the field
+    named, rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: expected int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{where}: expected int >= {low}, got {value!r}")
     return value
 
 
 def csp_from_json(data: dict) -> Csp:
     constraints = []
+    ground = tuple(_strict_int(x, f"ground[{i}]") for i, x in enumerate(data["ground"]))
     m = _strict_int(data["m"], "m")
     for i, entry in enumerate(data["constraints"]):
         at = f"constraints[{i}]"
@@ -125,7 +129,7 @@ def csp_from_json(data: dict) -> Csp:
                 tag="predicate:" + json.dumps([name, params], sort_keys=True)))
         else:
             raise ValueError("constraint needs 'forbidden' or 'predicate'")
-    return Csp(tuple(data["ground"]), m, tuple(constraints))
+    return Csp(ground, m, tuple(constraints))
 
 
 def labeling_to_json(values: Dict[int, int]) -> dict:

@@ -220,6 +220,7 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
             {"domain": [1.7, 2.2], "forbidden": [[1, 2]]}]}, "constraints[0].domain[0]"),
         "forbidden.json": ({"ground": [0, 1], "m": 2, "constraints": [
             {"domain": [0, 1], "forbidden": [[1, True]]}]}, "constraints[0].forbidden[0][1]"),
+        "ground.json": ({"ground": [0, 1.5], "m": 2, "constraints": []}, "ground[1]"),
     }
     out = tmp_path / "r.json"
     for name, (data, field) in csps.items():
@@ -229,6 +230,18 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
             assert run(argv + ["--csp", str(tmp_path / name), "--out", str(out)]) == 2
             assert not out.exists()
             assert capsys.readouterr().err.startswith(f"error: {field}: expected int")
+    # pipeline parameters that int() used to read: n "6" as 6, m 6.9 as 6,
+    # rounds true as 1; a negative count is refused too
+    for pipeline, params, field in (("det", '{"n": "6"}', "params.n: expected int"),
+                                    ("rand", '{"m": 6.9}', "params.m: expected int"),
+                                    ("rand", '{"m": 6, "rounds": true}',
+                                     "params.rounds: expected int"),
+                                    ("det", '{"rounds": -1}', "params.rounds: expected int >= 0")):
+        capsys.readouterr()
+        assert run(["pipeline", pipeline, "--gen-kind", "directed_cycle",
+                    "--gen-params", '{"n": 6}', "--params", params, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {field}")
     gpath = tmp_path / "g.json"
     dump_json(graph_to_json(generate("cycle", {"n": 4})), gpath)
     lpath = tmp_path / "labels.json"

@@ -1,3 +1,4 @@
+import json
 import random
 
 from locallemma.connect import (
@@ -74,14 +75,49 @@ def test_monotonicity_on_extension_chains():
             prev = cur
 
 
+def nested_compose(rho, sigma):
+    """compose as it stood before identity was its unit: every composed
+    rule decodes its view through sigma's rules, then applies rho's."""
+    det_sets, rules = {}, {}
+    for x in rho.source:
+        inner = tuple(rho.det_sets[x])
+        det_sets[x] = frozenset().union(*(sigma.det_sets[y] for y in inner))
+
+        def rule(view, x=x, inner=inner):
+            mid = {}
+            for y in inner:
+                val = sigma.rules[y]({z: view[z] for z in sigma.det_sets[y] if z in view})
+                if val is not None:
+                    mid[y] = val
+            return rho.rules[x](mid)
+
+        rules[x] = rule
+    return Connection(source=rho.source, target=sigma.target, det_sets=det_sets,
+                      rules=rules, kind="compose",
+                      params={"outer": rho.describe(), "inner": sigma.describe()})
+
+
 def test_compose_identity_neutral():
+    # identity on either side: the other side's sets and rules, the nested
+    # composition's description and outputs
     rng = random.Random(4)
-    sigma = random_connection(rng, range(3), range(5))
-    rho = identity_connection((0, 1, 2))
-    comp = compose(rho, sigma)
     for trial in range(20):
+        sigma = random_connection(rng, range(3), range(5))
+        rho = random_connection(rng, range(2), range(3))
+        for outer, inner in ((identity_connection((0, 1, 2)), sigma),
+                             (rho, identity_connection((0, 1, 2)))):
+            comp, want = compose(outer, inner), nested_compose(outer, inner)
+            assert json.dumps(comp.describe()) == json.dumps(want.describe())
+            assert comp.source == want.source and comp.target == want.target
+            assert dict(comp.det_sets) == want.det_sets
+            for _ in range(20):
+                f = {y: rng.randint(1, 3) for y in range(5) if rng.random() < 0.6}
+                assert apply(comp, f) == apply(want, f)
+                for x in comp.source:
+                    view = {y: v for y, v in f.items() if y in comp.det_sets[x]}
+                    assert comp.rules[x](view) == want.rules[x](view)
         f = {y: rng.randint(1, 3) for y in range(5) if rng.random() < 0.8}
-        assert apply(comp, f) == apply(sigma, f)
+        assert apply(compose(identity_connection((0, 1, 2)), sigma), f) == apply(sigma, f)
 
 
 def test_compose_width_degree_bounds():

@@ -11,6 +11,7 @@ from locallemma.csp import (
     check_partial_solution,
     const_assignment,
     discrete_partition,
+    intersection_graph,
     is_solution,
     probability,
     restrict_constraint,
@@ -19,7 +20,8 @@ from locallemma.csp import (
     stats,
 )
 from locallemma.errors import EnumerationCapError
-from locallemma.randgen import random_small_csp
+from locallemma.graphs import StructuredGraph
+from locallemma.randgen import random_cover_csp, random_small_csp
 
 
 def explicit_constraints(draw_seed, n=4, m=3):
@@ -181,3 +183,18 @@ def test_discrete_partition_trivial_cases():
     c = Constraint.explicit((0, 1, 2), 2, [(1, 1, 1)])
     classes = discrete_partition(Csp((0, 1, 2), 2, (c,)))
     assert len(classes) == 3
+
+
+def test_intersection_graph_matches_validating_constructor():
+    # the unchecked build gives the graph, neighbor tuples included, that
+    # the validating constructor gives on the pairs sharing a domain
+    csps = ([random_small_csp(seed, max_ground=10, max_constraints=6) for seed in range(30)]
+            + [random_cover_csp(seed, max_levels=12) for seed in range(10)])
+    for csp in csps:
+        edges = {(x, y) for c in csp.constraints for x in c.domain for y in c.domain if x < y}
+        want = StructuredGraph(csp.ground, edges, {}, 1)
+        got = intersection_graph(csp)
+        assert got == want
+        assert got.vertices == want.vertices
+        for x in csp.ground:
+            assert got.neighbors(x) == want.neighbors(x)

@@ -6,7 +6,7 @@ import pytest
 
 from locallemma.binary import binary_reduce
 from locallemma.compilers import bootstrap
-from locallemma.connect import Reduction, apply, compose, identity_reduction
+from locallemma.connect import Connection, Reduction, apply, compose, identity_reduction
 from locallemma.csp import (
     DEFAULT_CAP_BITS,
     Constraint,
@@ -21,11 +21,16 @@ from locallemma.csp import (
 )
 from locallemma.engine import (
     EPS_BINARY,
+    RESIDUAL_EPS,
+    RESIDUAL_N,
     STEP_GRID,
     STEP_TARGET_EPS,
     STEP_TARGET_N,
     QuadExpr,
     WeightedGroundSet,
+    _LevelState,
+    _family_leaves,
+    _solution_witness,
     _term,
     branch_trace,
     construct_partial,
@@ -464,3 +469,99 @@ def test_cover_family_members_are_branch_traces():
     assert len(result.members) == len(words)
     for member, word in zip(result.members, words):
         assert member == apply(conn, branch_trace(encoded, word)[0])
+
+
+def oracle_cover_family(source, seed=0, budget=1 << 16, cap_bits=DEFAULT_CAP_BITS):
+    """cover_family as it stood with a full rebuild at every leaf: apply
+    the composed connection to h, restrict the encoded CSP to h and take
+    the residual's stats.  Returns (members, levels, counts, certificates,
+    route)."""
+    red_in, route = identity_reduction(source), "direct-binary"
+    if lll_check(source, "measurable", cap_bits=cap_bits).holds:
+        boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY),
+                         cap_bits=cap_bits)
+        if boot.feasible and boot.exact_p:
+            red_in, route = boot.reduction, f"bootstrap-{boot.route}"
+    encoded, tau_red = binary_reduce(red_in.target, EPS_BINARY)
+    conn = compose(red_in.connection, tau_red.connection)
+    classes = discrete_partition(encoded)
+    assert 2 ** len(classes) <= budget
+    members, certificates = [], []
+    counts = {x: 0 for x in source.ground}
+
+    def visit(level, state, h):
+        if level == len(classes):
+            for x in conn.source:
+                if not (conn.det_sets[x] & state.dangerous):
+                    counts[x] += 1
+            members.append(apply(conn, h))
+            residual = restrict_csp(encoded, h)
+            rst = stats(residual, cap_bits)
+            cert = {"p_residual": str(rst.p), "d_residual": rst.d}
+            cert["residual_(8,2^-15)"] = rst.p * (rst.d + 1) ** RESIDUAL_N <= RESIDUAL_EPS
+            if not cert["residual_(8,2^-15)"]:
+                witness = _solution_witness(residual, seed, cap_bits)
+                assert witness is not None
+                cert["solution_witness"] = True
+            certificates.append(cert)
+            return
+        start = state.snapshot()
+        for value in (1, 2):
+            g, _ = state.descend(classes[level], value)
+            visit(level + 1, state, {**h, **g})
+            state.restore(start)
+
+    visit(0, _LevelState(encoded, stats(encoded, cap_bits).p, cap_bits), {})
+    return members, len(classes), counts, certificates, route
+
+
+def test_cover_family_matches_leaf_rebuild_oracle():
+    arities, witnesses = set(), 0
+    for seed in range(20):
+        csp = random_cover_csp(seed, max_levels=12)
+        result = cover_family(csp, seed=seed, budget=1 << 14)
+        members, levels, counts, certificates, route = oracle_cover_family(
+            csp, seed=seed, budget=1 << 14)
+        assert [list(m.items()) for m in result.members] == [list(m.items()) for m in members]
+        assert list(result.per_element_counts.items()) == list(counts.items())
+        assert result.certificates == certificates
+        assert (result.levels, result.route) == (levels, route)
+        arities.add(csp.constraints[0].arity())
+        witnesses += sum("solution_witness" in cert for cert in certificates)
+    assert arities == {10, 11, 12} and witnesses > 0
+
+
+def test_family_leaves_carry_members_of_partial_view_rules():
+    # a hand-built monotone connection whose rules answer on partial views
+    # (a min settled by any decoded 1, constants), composed over a binary
+    # decode: at every leaf the carried member is apply(conn, h)
+    target = Csp(tuple(range(7)), 4, (
+        Constraint.explicit((0, 1), 4, [(1, 1)]),
+        Constraint.explicit((1, 2), 4, [(2, 3)]),
+        Constraint.explicit((3, 4, 5), 4, [(1, 2, 3)]),
+    ))  # element 6 lies in no constraint
+    reads = {0: (0, 1), 1: (1, 2, 3), 2: (5, 6), 3: (4,), 4: ()}
+
+    def settled_min(ys):
+        def rule(view):
+            if 1 in view.values():
+                return 1
+            return min(view.values()) if len(view) == len(ys) else None
+        return rule
+
+    rules = {x: settled_min(ys) for x, ys in reads.items() if x < 3}
+    rules.update({3: lambda view: 3, 4: lambda view: 2})
+    rho = Connection(source=tuple(reads), target=target.ground,
+                     det_sets={x: frozenset(ys) for x, ys in reads.items()}, rules=rules)
+    encoded, tau_red = binary_reduce(target, EPS_BINARY)
+    conn = compose(rho, tau_red.connection)
+    classes = discrete_partition(encoded)
+    leaves = early = 0
+    for h, member, state in _family_leaves(encoded, classes, conn, stats(encoded).p,
+                                           DEFAULT_CAP_BITS):
+        want = apply(conn, h)
+        assert member == want and list(member) == list(want)
+        leaves += 1
+        early += any(not conn.det_sets[x] <= h.keys() for x in member)
+    assert leaves == 2 ** len(classes)
+    assert early > 0  # some leaf holds a value its rule gave on a partial view

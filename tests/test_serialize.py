@@ -113,6 +113,12 @@ COERCED = [
      "weights[0][0]: expected int, got True"),
     (weights_from_json, {"weights": [[1, 0.5], [2, "1/2"]]},
      "weights[0][1]: expected a rational string, got 0.5"),
+    (csp_from_json, {"ground": [0, 1.0], "m": 2, "constraints": []},
+     "ground[1]: expected int, got 1.0"),
+    (csp_from_json, {"ground": ["0", 1], "m": 2, "constraints": []},
+     "ground[0]: expected int, got '0'"),
+    (csp_from_json, {"ground": [0, True], "m": 2, "constraints": []},
+     "ground[1]: expected int, got True"),
 ]
 
 
