@@ -2,21 +2,33 @@
 and bootstrap a CSP to a sparser target through a local solver.
 
 The compiled constraint at vertex x forbids exactly the seed patterns on
-its radius-R ball that make the verifier reject at x, so a solution of the
-compiled CSP is a seed assignment on which the algorithm provably succeeds
-everywhere.
+its radius-R ball (R = T + t) that make the verifier reject at x, so a
+solution of the compiled CSP is a seed assignment on which the algorithm
+provably succeeds everywhere.
 
 The algorithm and the verifier read only the isomorphism type of a seeded
-ball, so the constraint at x depends only on the type of x's seed-free
-radius-R ball: an isomorphism between two such balls (root to root) maps
-the seeded balls, the inner radius-T balls and the verifier ball of one
-onto those of the other.  Each predicate therefore puts its seed tuple in
-the canonical position order of x's ball and looks it up in a memo shared
-by every vertex of that type; a miss is computed on x's own ball.  Cost:
-one enumeration of the m^|B| patterns per ball type, plus one memo lookup
-per pattern per vertex.  A ball whose canonicalization caps out is a type
-of its own, with its sorted domain as position order, so compiling caps
-out exactly where the per-vertex path did.
+ball, so a value computed on one seeded ball holds for every seeded ball
+whose seed-free ball has the same type and whose seeds agree position by
+position in canonical order: one ball's winning map followed by the
+inverse of the other's carries one seeded ball onto the other.  Three
+memos rest on this, each keyed by (seed-free type, values in canonical
+order):
+
+- the constraint at x: radius-R type, seeds;
+- the algorithm's output at y: radius-T type, seeds;
+- the verifier's verdict at x: radius-t type, (seed, output) pairs.
+
+Cost: each vertex's seed-free balls are built and typed once per radius.
+Each predicate type enumerates its m^|B| patterns once, and every vertex
+of that type pays one lookup per pattern.  A predicate miss makes one
+output lookup per vertex within t of x and one verdict lookup; an output
+or verdict miss canonicalizes the vertex's own seeded ball.  At T = 0 an
+inner ball is one seeded vertex, so at most m outputs per inner type are
+computed.  The decoder reads the same output memo.  A ball that caps out
+is a type of its own, in sorted vertex order.  Whether a seeded ball caps
+out depends only on its refinement, which isomorphic balls share, so
+compiling caps out at the pattern, and with the error, of the per-vertex
+path.
 """
 
 from __future__ import annotations
@@ -35,18 +47,15 @@ from .graphcsp import encode_graph_csp
 from .localrun import LclProblem, LocalAlgorithm
 
 
-def _run_on_ball(alg: LocalAlgorithm, rooted, rounds: int, inner_radius: int,
-                 canon_cap: int):
-    """Outputs of alg at every vertex within inner_radius of the root,
-    computed entirely inside the stored ball (valid because sub-balls of
-    radius `rounds` around those vertices lie inside)."""
-    graph = rooted.graph
-    out = {}
-    for y, d in rooted.dist.items():
-        if d <= inner_radius:
-            form = canonical_type(ball(graph, y, rounds), cap=canon_cap)
-            out[y] = int(alg(form))
-    return out
+def _typed(rooted: RootedBall, canon_cap: int):
+    """(rooted, type key, its vertices in canonical position order) for a
+    seed-free ball; a ball that caps out is keyed by its root, in sorted
+    vertex order."""
+    try:
+        form, mapping = _canonical_map(rooted, cap=canon_cap)
+    except CanonicalizationCapError:
+        return rooted, rooted.root, tuple(sorted(rooted.graph.vertices))
+    return rooted, form.code, tuple(sorted(mapping, key=mapping.__getitem__))
 
 
 def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,
@@ -57,67 +66,79 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
     seed patterns making the verifier output 0 at x.  The connection runs
     the algorithm on a fully-seeded ball and emits the output at x.
     """
-    radius = rounds + problem.t
-    balls = {x: ball(graph, x, radius) for x in graph.vertices}
-    # one memo per type of seed-free ball, keyed by seeds in canonical order
+    t = problem.t
+    radius = rounds + t
+    # per radius: x -> (its seed-free ball, type key, canonical order)
+    typed = {r: {x: _typed(ball(graph, x, r), canon_cap) for x in graph.vertices}
+             for r in {radius, rounds, t}}
+    outer, inner, near = typed[radius], typed[rounds], typed[t]
+    outputs: Dict[tuple, int] = {}
+    verdicts: Dict[tuple, bool] = {}
+    # one predicate memo per type of seed-free radius-R ball
     memos: Dict[object, Dict[Tuple[int, ...], bool]] = {}
 
+    def output_at(y, seeds):
+        """The algorithm's output at y; `seeds` covers y's inner ball."""
+        rooted, key, order = inner[y]
+        canon = (key, tuple([seeds[v] for v in order]))
+        out = outputs.get(canon)
+        if out is None:
+            seeded = with_labeling(rooted.graph, {v: seeds[v] for v in order}, TAG_RAND)
+            form = canonical_type(RootedBall._trusted(seeded, y, rounds, rooted.dist),
+                                  cap=canon_cap)
+            out = outputs[canon] = int(alg(form))
+        return out
+
+    def rejects(x, seeds):
+        """True iff the verifier outputs 0 at x; `seeds` covers x's outer
+        ball.  Outputs are computed in BFS order from x, the per-vertex
+        path's order, so a cap-out raises on the same ball."""
+        rooted, key, order = near[x]
+        outs = {y: output_at(y, seeds) for y in rooted.dist}
+        canon = (key, tuple([(seeds[v], outs[v]) for v in order]))
+        result = verdicts.get(canon)
+        if result is None:
+            seeded = with_labeling(rooted.graph, {v: seeds[v] for v in order}, TAG_RAND)
+            labeled = with_labeling(seeded, outs, TAG_OUTPUT)
+            form = canonical_type(RootedBall._trusted(labeled, x, t, rooted.dist),
+                                  cap=canon_cap)
+            result = verdicts[canon] = int(problem.verifier(form)) == 0
+        return result
+
     def make_pred(x, dom):
-        rooted = balls[x]
-        try:
-            form, mapping = _canonical_map(rooted, cap=canon_cap)
-        except CanonicalizationCapError:  # x is a type of its own
-            key, order = x, tuple(range(len(dom)))
-        else:
-            at = {v: i for i, v in enumerate(dom)}
-            key = form.code
-            order = tuple(at[v] for v in sorted(mapping, key=mapping.__getitem__))
+        _, key, canon_order = outer[x]
+        at = {v: i for i, v in enumerate(dom)}
+        order = tuple([at[v] for v in canon_order])
         memo = memos.setdefault(key, {})
 
         def predicate(values: Tuple[int, ...]) -> bool:
             canon = tuple([values[i] for i in order])
             cached = memo.get(canon)
-            if cached is not None:
-                return cached
-            theta = dict(zip(dom, values))
-            seeded = with_labeling(rooted.graph, theta, TAG_RAND)
-            # seeding keeps the vertices and edges, so the ball's distances hold
-            outputs = _run_on_ball(
-                alg, RootedBall._trusted(seeded, rooted.root, rooted.radius, rooted.dist),
-                rounds, problem.t, canon_cap)
-            labeled = with_labeling(seeded, outputs, TAG_OUTPUT)
-            form = canonical_type(ball(labeled, x, problem.t), cap=canon_cap)
-            result = int(problem.verifier(form)) == 0
-            memo[canon] = result
-            return result
+            if cached is None:
+                cached = memo[canon] = rejects(x, dict(zip(dom, values)))
+            return cached
 
         return predicate
 
-    constraints = []
-    for x in graph.vertices:
-        dom = tuple(sorted(balls[x].graph.vertices))
-        constraints.append(Constraint.from_predicate(dom, m, make_pred(x, dom), tag=f"B_{x}"))
+    doms = {x: tuple(sorted(outer[x][0].graph.vertices)) for x in graph.vertices}
+    constraints = [Constraint.from_predicate(doms[x], m, make_pred(x, doms[x]), tag=f"B_{x}")
+                   for x in graph.vertices]
     compiled = Csp(tuple(graph.vertices), m, tuple(constraints))
 
-    det_sets = {x: frozenset(balls[x].graph.vertices) for x in graph.vertices}
-
     def rule_for(x):
-        rooted = balls[x]
-        positions = tuple(sorted(rooted.graph.vertices))
+        positions = doms[x]
 
         def rule(view: Dict[int, int]):
             if any(y not in view for y in positions):
                 return None
-            seeded = with_labeling(rooted.graph, {y: view[y] for y in positions}, TAG_RAND)
-            form = canonical_type(ball(seeded, x, rounds), cap=canon_cap)
-            return int(alg(form))
+            return output_at(x, view)
 
         return rule
 
     decoder = Connection(
         source=tuple(graph.vertices),
         target=tuple(graph.vertices),
-        det_sets=det_sets,
+        det_sets={x: frozenset(doms[x]) for x in graph.vertices},
         rules={x: rule_for(x) for x in graph.vertices},
         kind="rand_to_csp",
         params={"alg": alg.name, "rounds": rounds, "m": str(m)},

@@ -13,23 +13,25 @@ from typing import Dict, Tuple
 from .errors import InfeasibleParamsError
 from .graphs import StructuredGraph, build_graph
 from .rng import derived_rng
+from .serialize import _strict_int
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
     """Deterministic generator: path, cycle, directed_cycle, torus_grid,
-    random_regular, random_tree."""
+    random_regular, random_tree.  Size parameters must be ints (not bools);
+    anything else is refused with the field named."""
     if kind == "path":
-        n = int(params["n"])
+        n = _strict_int(params["n"], "n")
         if n < 1:
             raise InfeasibleParamsError("path needs n >= 1")
         return build_graph(range(n), [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
-        n = int(params["n"])
+        n = _strict_int(params["n"], "n")
         if n < 3:
             raise InfeasibleParamsError("cycle needs n >= 3")
         return build_graph(range(n), [(i, (i + 1) % n) for i in range(n)])
     if kind == "directed_cycle":
-        n = int(params["n"])
+        n = _strict_int(params["n"], "n")
         if n < 3:
             raise InfeasibleParamsError("directed cycle needs n >= 3")
         edges = [(i, (i + 1) % n) for i in range(n)]
@@ -37,7 +39,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
         structure = {(i, (i + 1) % n): 1 for i in range(n)}
         return build_graph(range(n), edges, structure, tuple_bound=2)
     if kind == "torus_grid":
-        rows, cols = int(params["rows"]), int(params["cols"])
+        rows, cols = _strict_int(params["rows"], "rows"), _strict_int(params["cols"], "cols")
         if rows < 3 or cols < 3:
             raise InfeasibleParamsError("torus grid needs rows, cols >= 3")
         def vid(i, j):
@@ -49,7 +51,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
                 edges.add(tuple(sorted((vid(i, j), vid(i, (j + 1) % cols)))))
         return build_graph(range(rows * cols), edges)
     if kind == "random_regular":
-        n, d = int(params["n"]), int(params["d"])
+        n, d = _strict_int(params["n"], "n"), _strict_int(params["d"], "d")
         if n * d % 2 != 0 or d >= n or d < 0:
             raise InfeasibleParamsError("need n*d even and 0 <= d < n")
         rng = derived_rng(seed, "random_regular", n, d)
@@ -68,7 +70,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
                 return build_graph(range(n), edges)
         raise InfeasibleParamsError("pairing model failed to produce a simple graph")
     if kind == "random_tree":
-        n = int(params["n"])
+        n = _strict_int(params["n"], "n")
         if n < 1:
             raise InfeasibleParamsError("tree needs n >= 1")
         if n <= 2:

@@ -159,12 +159,6 @@ class StructuredGraph:
         struct = {keys[i]: self.structure[keys[i]] for i in hits}
         return StructuredGraph._trusted(keep, kset, edges, struct, self.tuple_bound, nbrs)
 
-    def replace_structure(self, structure, tuple_bound=None) -> "StructuredGraph":
-        return StructuredGraph(
-            self.vertices, self.edges, structure,
-            self.tuple_bound if tuple_bound is None else tuple_bound,
-        )
-
 
 class RootedBall:
     """Induced substructure on all vertices within `radius` of `root`;
@@ -274,7 +268,8 @@ def with_labeling(graph: StructuredGraph, values: Mapping[int, int],
 
     Existing singleton labels are preserved (wrapped under TAG_BASE), and
     the empty-tuple entry records the layer so that even an empty labeling
-    changes the structure; repeated application nests.
+    changes the structure; repeated application nests.  New values are
+    checked here, so the result shares the graph's vertices and edges.
     """
     bad = [v for v in values if not graph.has_vertex(v)]
     if bad:
@@ -297,7 +292,8 @@ def with_labeling(graph: StructuredGraph, values: Mapping[int, int],
         if not is_label(value):
             raise GraphBuildError(f"invalid layer value for {v}: {value!r}")
         append_pair((v,), (tag, value))
-    return graph.replace_structure(struct, max(graph.tuple_bound, 1))
+    return StructuredGraph._trusted(graph.vertices, graph._vset, graph.edges, struct,
+                                    max(graph.tuple_bound, 1), graph._nbrs)
 
 
 def layer_value(graph: StructuredGraph, v: int, tag: int):

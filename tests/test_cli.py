@@ -276,6 +276,19 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
                     "--weights", str(wpath), "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {field}")
+    # generator sizes that int() used to read: n 16.9 as a 16-cycle, rows
+    # "3" as 3, d true as 1
+    for kind, params, field in (("directed_cycle", '{"n": 16.9}', "n: expected int, got 16.9"),
+                                ("torus_grid", '{"rows": "3", "cols": 3}',
+                                 "rows: expected int, got '3'"),
+                                ("random_regular", '{"n": 4, "d": true}',
+                                 "d: expected int, got True")):
+        for argv in (["pipeline", "det", "--gen-kind", kind, "--gen-params", params],
+                     ["gen", "--kind", kind, "--params", params]):
+            capsys.readouterr()
+            assert run(argv + ["--out", str(out)]) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err == f"error: {field}\n"
 
 
 def test_gadget_command(tmp_path):

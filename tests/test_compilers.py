@@ -1,13 +1,13 @@
+import dataclasses
 import random
 from fractions import Fraction
 from typing import Dict, Tuple
 
 import pytest
 
-from locallemma import compilers
 from locallemma.algorithms import proper_coloring_problem
 from locallemma.canonical import canonical_type
-from locallemma.compilers import _run_on_ball, bootstrap, rand_to_csp
+from locallemma.compilers import bootstrap, rand_to_csp
 from locallemma.connect import Connection, apply, identity_reduction
 from locallemma.csp import (
     Constraint,
@@ -17,9 +17,10 @@ from locallemma.csp import (
     solutions_exhaustive,
     stats,
 )
+from locallemma.errors import CanonicalizationCapError
 from locallemma.generate import generate
 from locallemma.graphs import (TAG_OUTPUT, TAG_RAND, RootedBall, ball, base_structure,
-                               layer_value, with_labeling)
+                               build_graph, layer_value, with_labeling)
 from locallemma.localrun import LocalAlgorithm, verify_lcl
 
 
@@ -136,6 +137,20 @@ def test_bootstrap_growth_along_grid():
 # -- sharing one enumeration per ball type ----------------------------------
 
 
+def _run_on_ball(alg: LocalAlgorithm, rooted, rounds: int, inner_radius: int,
+                 canon_cap: int):
+    """Outputs of alg at every vertex within inner_radius of the root,
+    computed entirely inside the stored ball (valid because sub-balls of
+    radius `rounds` around those vertices lie inside)."""
+    graph = rooted.graph
+    out = {}
+    for y, d in rooted.dist.items():
+        if d <= inner_radius:
+            form = canonical_type(ball(graph, y, rounds), cap=canon_cap)
+            out[y] = int(alg(form))
+    return out
+
+
 def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
     """The per-vertex compiler: every vertex enumerates its own seed
     patterns, with a memo of its own (test oracle)."""
@@ -237,26 +252,56 @@ def test_compiled_bodies_match_per_vertex_oracle(kind, params, m, rounds):
         assert_same_compilation(graph, alg, proper_coloring_problem(m), m, rounds)
 
 
-def test_capped_out_balls_are_types_of_their_own(monkeypatch):
+def counted(alg, problem):
+    """(alg, problem) that count their calls in `calls`."""
+    calls = {"alg": 0, "verifier": 0}
+
+    def rule(form):
+        calls["alg"] += 1
+        return alg(form)
+
+    def verifier(form):
+        calls["verifier"] += 1
+        return problem.verifier(form)
+
+    checker = LocalAlgorithm(problem.verifier.name, verifier)
+    return (LocalAlgorithm(alg.name, rule), dataclasses.replace(problem, verifier=checker),
+            calls)
+
+
+def test_capped_out_balls_are_types_of_their_own():
     # the radius-2 ball of the 9-cycle has 5 vertices, over the cap of 4;
-    # every ball the predicates canonicalize has 3
-    calls = []
-    monkeypatch.setattr(compilers, "_run_on_ball",
-                        lambda *a: calls.append(1) or _run_on_ball(*a))
+    # every ball the memos canonicalize has 3
     graph = generate("cycle", {"n": 9})
-    problem = proper_coloring_problem(2)
-    compiled = assert_same_compilation(graph, seed_mix(2), problem, 2, 1, canon_cap=4)
-    calls.clear()
-    compiled, _ = rand_to_csp(seed_mix(2), problem, graph, 2, 1, canon_cap=4)
+    alg, problem, calls = counted(seed_mix(2), proper_coloring_problem(2))
+    assert_same_compilation(graph, alg, problem, 2, 1, canon_cap=4)
+    calls.update(alg=0, verifier=0)
+    compiled, _ = rand_to_csp(alg, problem, graph, 2, 1, canon_cap=4)
     stats(compiled)
-    assert len(calls) == 9 * 2**5
+    # every inner ball is one type, seen under its 2^3 seed triples; every
+    # verifier ball is one type, seen under 32 (seed, output) triples; the
+    # per-vertex path made 9 * 2^5 * 3 algorithm and 9 * 2^5 verifier calls
+    assert calls == {"alg": 2**3, "verifier": 32}
 
 
-def test_vertices_of_one_type_share_the_enumeration(monkeypatch):
-    calls = []
-    monkeypatch.setattr(compilers, "_run_on_ball",
-                        lambda *a: calls.append(1) or _run_on_ball(*a))
+def test_vertices_of_one_type_share_the_enumeration():
     graph = generate("directed_cycle", {"n": 12})
-    compiled, _ = rand_to_csp(seed_echo(), proper_coloring_problem(4), graph, m=4, rounds=0)
+    alg, problem, calls = counted(seed_echo(), proper_coloring_problem(4))
+    compiled, _ = rand_to_csp(alg, problem, graph, m=4, rounds=0)
     stats(compiled)
-    assert len(calls) == 4**3  # one ball type; the per-vertex path makes 12 * 64
+    # one inner type of one seeded vertex, one verifier type; the
+    # per-vertex path made 12 * 64 * 3 algorithm and 12 * 64 verifier calls
+    assert calls == {"alg": 4, "verifier": 4**3}
+
+
+def test_inner_cap_out_raises_as_the_oracle_does():
+    # the centre's seed-free radius-1 ball is the whole 9-leaf star: one
+    # cell of 9 leaves, 9! leaves over the search budget
+    graph = build_graph(range(10), [(0, i) for i in range(1, 10)])
+    problem = proper_coloring_problem(2)
+    for compile_ in (rand_to_csp, oracle_rand_to_csp):
+        compiled, _ = compile_(seed_mix(2), problem, graph, 2, 1)
+        with pytest.raises(CanonicalizationCapError) as err:
+            stats(compiled)
+        assert str(err.value) == ("canonicalization cap exceeded: "
+                                  "bijection search 362880 > cap 100000")

@@ -4,9 +4,13 @@ from hypothesis import given, strategies as st
 from locallemma.errors import GraphBuildError
 from locallemma.generate import generate
 from locallemma.graphs import (
+    LAYER_MARK,
+    TAG_BASE,
     TAG_IDS,
     TAG_OUTPUT,
+    TAG_RAND,
     RootedBall,
+    StructuredGraph,
     ball,
     build_graph,
     distance_pairs,
@@ -153,6 +157,58 @@ def test_with_labeling_empty_changes_only_marker():
     g1 = with_labeling(g, {}, TAG_OUTPUT)
     assert g1.edges == g.edges
     assert set(g1.structure) - set(g.structure) == {()}
+
+
+def layered_structure(graph, values, tag):
+    """The structure `with_labeling` documents, built entry by entry:
+    the graph's entries in order, then the layer marker and each value
+    under `tag`, a plain label wrapped under TAG_BASE (test oracle)."""
+    struct = dict(graph.structure)
+    for tup, pair in [((), (tag, 0))] + [((v,), (tag, x)) for v, x in values.items()]:
+        old = struct.get(tup)
+        if old is None:
+            struct[tup] = (LAYER_MARK, pair)
+        elif isinstance(old, tuple) and old and old[0] == LAYER_MARK:
+            struct[tup] = old + (pair,)
+        else:
+            struct[tup] = (LAYER_MARK, (TAG_BASE, old), pair)
+    return struct
+
+
+def test_with_labeling_matches_validating_constructor():
+    import random
+
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        vertices = rng.sample(range(3 * n), n)
+        edges = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]
+                 if rng.random() < 0.4]
+        # plain singleton labels, pair entries and, half the time, a marker
+        structure = {(v,): rng.randint(0, 5) for v in vertices if rng.random() < 0.5}
+        structure.update({(u, v): 1 for u, v in edges if rng.random() < 0.5})
+        if rng.random() < 0.5:
+            structure[()] = 7
+        graph = build_graph(vertices, edges, structure, rng.choice([None, 3]))
+        layers = [(TAG_IDS, {v: rng.randint(1, 9) for v in vertices}),
+                  (TAG_RAND, {v: rng.randint(1, 3) for v in rng.sample(vertices, n // 2)}),
+                  (TAG_OUTPUT, {})]
+        for tag, values in layers:  # each layer nests on the one before
+            got = with_labeling(graph, values, tag)
+            want = StructuredGraph(graph.vertices, graph.edges,
+                                   layered_structure(graph, values, tag),
+                                   max(graph.tuple_bound, 1))
+            assert got == want and got.vertices == want.vertices
+            assert list(got.structure.items()) == list(want.structure.items())
+            assert all(got.neighbors(v) == want.neighbors(v) for v in vertices)
+            assert got.tuple_bound == want.tuple_bound and got.max_degree() == want.max_degree()
+            graph = got
+        base = (TAG_BASE,) if () in structure else ()
+        assert graph_layer_tags(graph) == base + (TAG_IDS, TAG_RAND, TAG_OUTPUT)
+    g = generate("cycle", {"n": 4})
+    for values in ({9: 1}, {0: True}, {0: -1}, {0: 1.5}, {0: "1"}):
+        with pytest.raises(GraphBuildError):
+            with_labeling(g, values, TAG_IDS)
 
 
 def test_distance_pairs_zero_radius():

@@ -1,8 +1,11 @@
 """Every name a library module imports is used in that module, so a
 deletion cannot leave a dead import behind.  `__init__.py` re-exports by
-import and `from __future__` imports bind nothing, so both are exempt."""
+import and `from __future__` imports bind nothing, so both are exempt.
+Every private module-level function or class is named somewhere else in
+`src/`, so a change cannot leave a dead helper behind."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,48 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unused_private_defs(sources: dict) -> list:
+    """(module, name) of each undecorated module-level `_private` function
+    or class that no source names outside its own definition.  A decorator
+    such as `@register_predicate` is a use."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def names(tree):
+        out = Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                out[node.attr] += 1
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                out.update(alias.name for alias in node.names)
+        return out
+
+    named = sum((names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and not node.decorator_list
+                    and named[node.name] == names(node)[node.name]):
+                unused.append((module, node.name))
+    return unused
+
+
+def test_private_checker_flags_only_unnamed_definitions():
+    sources = {
+        "a.py": ("def _used(): pass\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+                 "@wrap\ndef _registered(): pass\nclass _Orphan: pass\n"
+                 "def _imported(): pass\ndef _by_attribute(): pass\n"
+                 "def public(): return _used()\n"),
+        "b.py": "from .a import _imported\nfrom . import a\nx = a._by_attribute\n",
+    }
+    assert unused_private_defs(sources) == [("a.py", "_recursive"), ("a.py", "_Orphan")]
+
+
+def test_every_private_definition_is_named_in_src():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unused_private_defs(sources) == []
