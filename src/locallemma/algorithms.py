@@ -22,6 +22,7 @@ from .graphs import (
     base_structure,
     layer_value,
 )
+from .graphcsp import csp_to_lcl, encoded_constraints
 from .localrun import LclProblem, LocalAlgorithm
 
 
@@ -166,18 +167,6 @@ def _trial_coloring_rule(delta: int, rounds: int) -> Callable[[CanonicalForm], i
     return rule
 
 
-def _collect_constraints(graph: StructuredGraph):
-    """Ascending-domain constraint entries of an encoded graph-CSP ball."""
-    out = []
-    for tup, label in base_structure(graph).items():
-        if not isinstance(label, frozenset) or not tup:
-            continue
-        if tup != tuple(sorted(tup)) or len(set(tup)) != len(tup):
-            continue
-        out.append((tup, label))
-    return out
-
-
 def parallel_resample_logic_rounds(n: int, c: int = 8) -> int:
     return max(1, ceil(c / 2 * log2(max(n, 2))))
 
@@ -196,7 +185,7 @@ def _parallel_resample_rule(m0: int, logic_rounds: int) -> Callable[[CanonicalFo
             if t is None or i is None:
                 return 0
             theta[v], ids[v] = t, i
-        constraints = _collect_constraints(graph)
+        constraints = encoded_constraints(graph)
         ident = {dom: tuple(sorted(ids[v] for v in dom)) for dom, _ in constraints}
         current = {v: digit(theta[v], 0) for v in graph.vertices}
         for r in range(1, logic_rounds + 1):
@@ -274,8 +263,6 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
         logic = parallel_resample_logic_rounds(n, c)
         alg = LocalAlgorithm("parallel_resample", _parallel_resample_rule(m0, logic),
                              {"m0": m0, "n": n, "c": c})
-        from .graphcsp import csp_to_lcl
-
         return BuiltinSpec(
             name=name, algorithm=alg,
             rounds=lambda nn: 2 * parallel_resample_logic_rounds(nn, c),

@@ -37,9 +37,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .algorithms import builtin_algorithm
 from .canonical import _canonical_map, canonical_type
 from .connect import Connection, Reduction, compose
-from .csp import Constraint, Csp, DEFAULT_CAP_BITS
+from .csp import Constraint, Csp, DEFAULT_CAP_BITS, intersection_graph, stats
+from .engine import direct_entry, lll_check
 from .errors import BootstrapInfeasibleError, CanonicalizationCapError
 from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, ball,
                      with_labeling)
@@ -181,9 +183,6 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
     bound comes from exact ball geometry.  Candidates failing either
     inequality are reported; with none left the result is infeasible.
     """
-    from .csp import stats
-    from .engine import lll_check
-
     epsilon = Fraction(epsilon)
     target = red_in.target
     pre = lll_check(target, "measurable", cap_bits=cap_bits)
@@ -193,26 +192,15 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
               "margin": str(pre.margin)}])
 
     st = stats(target, cap_bits)
-    d_red = red_in.degree()
-    report: List[dict] = []
-    lhs_dplus = st.p * (st.d + 1) ** N
-    lhs_dred = st.p * Fraction(d_red) ** N
-    if lhs_dplus <= epsilon and lhs_dred <= epsilon:
+    entry = direct_entry(st.p, st.d, red_in.degree(), N, epsilon)
+    report: List[dict] = [entry]
+    if entry["ok"]:
         return BootstrapResult(
             feasible=True, route="direct", csp=target, reduction=red_in,
-            p_bound=st.p, exact_p=True,
-            report=[{"stage": "direct", "p": str(st.p), "d": st.d,
-                     "d_rho": d_red, "ok": True}],
+            p_bound=st.p, exact_p=True, report=report,
         )
-    report.append({"stage": "direct", "p": str(st.p), "d": st.d, "d_rho": d_red,
-                   "ok": False,
-                   "p(d+1)^N": str(lhs_dplus), "p*d(rho)^N": str(lhs_dred),
-                   "epsilon": str(epsilon)})
 
     # amplified route over the candidate grid
-    from .algorithms import builtin_algorithm
-    from .csp import intersection_graph
-
     carrier = intersection_graph(target)
     encoded = encode_graph_csp(carrier, target, cap_bits)
     ids = {v: i + 1 for i, v in enumerate(encoded.vertices)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .csp import Csp, PartialAssignment
+from .csp import Csp, PartialAssignment, is_solution, restrict_csp, solutions_exhaustive
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,6 @@ def identity_reduction(csp: Csp) -> Reduction:
 def pull_partial(red: Reduction, g: PartialAssignment):
     """Pull a partial solution g of the target back to the source, and
     build the residual reduction (source/g-image) <- (target/g)."""
-    from .csp import restrict_csp
-
     conn = red.connection
     g_source = apply(conn, g)
     residual_target = restrict_csp(red.target, g)
@@ -177,8 +175,6 @@ def validate_reduction(red: Reduction, source: Csp, cap_bits: int = 16,
                        limit: int = 512) -> Reduction:
     """Solve the target exhaustively (capped) and check that every decoded
     solution solves the source; returns the reduction with the flag set."""
-    from .csp import is_solution, solutions_exhaustive
-
     checked = 0
     for f in solutions_exhaustive(red.target, cap_bits):
         decoded = apply(red.connection, f)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import log2
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
 from .graphs import StructuredGraph, greedy_coloring
@@ -97,13 +97,7 @@ class Constraint:
             return len(self.members)
         if self.count is not None:
             return self.count
-        bits = self.arity() * log2(self.m) if self.m > 1 else 0
-        if bits > cap_bits:
-            raise EnumerationCapError(bits, cap_bits, what="constraint body count")
-        total = 0
-        for values in product(range(1, self.m + 1), repeat=self.arity()):
-            if self.predicate(values):
-                total += 1
+        total = sum(1 for _ in self._body(cap_bits, "constraint body count"))
         object.__setattr__(self, "count", total)
         return total
 
@@ -111,12 +105,17 @@ class Constraint:
         """Explicit version of a predicate constraint (capped)."""
         if self.members is not None:
             return self
+        return Constraint.explicit(self.domain, self.m,
+                                   self._body(cap_bits, "constraint materialization"))
+
+    def _body(self, cap_bits: int, what: str):
+        """The predicate's members, enumerated lazily; the cap is checked
+        at once, and a cap-out names `what`."""
         bits = self.arity() * log2(self.m) if self.m > 1 else 0
         if bits > cap_bits:
-            raise EnumerationCapError(bits, cap_bits, what="constraint materialization")
-        body = [values for values in product(range(1, self.m + 1), repeat=self.arity())
-                if self.predicate(values)]
-        return Constraint.explicit(self.domain, self.m, body)
+            raise EnumerationCapError(bits, cap_bits, what=what)
+        return (values for values in product(range(1, self.m + 1), repeat=self.arity())
+                if self.predicate(values))
 
 
 def probability(constraint: Constraint, cap_bits: int = DEFAULT_CAP_BITS) -> Fraction:
@@ -210,7 +209,12 @@ class CspStats:
 
 def neighborhood_counts(csp: Csp) -> List[int]:
     """|N(B)| per constraint: how many other constraints share an element."""
-    doms = [set(c.domain) for c in csp.constraints]
+    return overlap_counts([c.domain for c in csp.constraints])
+
+
+def overlap_counts(domains: Sequence[Tuple[int, ...]]) -> List[int]:
+    """Per domain, how many other domains share an element with it."""
+    doms = [set(dom) for dom in domains]
     elems: Dict[int, List[int]] = {}
     for i, dom in enumerate(doms):
         for x in dom:

@@ -27,6 +27,7 @@ from .csp import (
     discrete_partition,
     intersection_graph,
     is_solution,
+    overlap_counts,
     probability,
     restrict_constraint,
     restrict_csp,
@@ -394,8 +395,22 @@ STEP_TARGET_N = 16
 STEP_TARGET_EPS = Fraction(1, 2**32)
 RESIDUAL_N = 8
 RESIDUAL_EPS = Fraction(1, 2**15)
-STEP_GRID = (16, 64, 256)     # candidate sizes of the step's amplified bootstrap
-EPS_BINARY = Fraction(1)      # binary-reduction slack: bootstrap aims at eps / (1 + EPS_BINARY)
+# binary-reduction slack: the step's target must meet eps / (1 + EPS_BINARY)
+# = 2^-33 before encoding.  Only the direct route can: an amplified target
+# at size n certifies p <= 1/n, and for n <= 4096 that is >= 2^-12.
+EPS_BINARY = Fraction(1)
+
+
+def direct_entry(p: Fraction, d: int, d_rho: int, N: int = STEP_TARGET_N,
+                 epsilon: Fraction = STEP_TARGET_EPS / (1 + EPS_BINARY)) -> dict:
+    """The direct route's check, p (d+1)^N <= epsilon and p d(rho)^N <=
+    epsilon, as a report entry naming both sides of each inequality."""
+    lhs_dplus = p * (d + 1) ** N
+    lhs_drho = p * Fraction(d_rho) ** N
+    return {"stage": "direct", "p": str(p), "d": d, "d_rho": d_rho,
+            "ok": lhs_dplus <= epsilon and lhs_drho <= epsilon,
+            "p(d+1)^N": str(lhs_dplus), "p*d(rho)^N": str(lhs_drho),
+            "epsilon": str(epsilon)}
 
 
 @dataclass
@@ -410,29 +425,25 @@ class StepResult:
 
 def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
          cap_bits: int = DEFAULT_CAP_BITS) -> StepResult:
-    """One halving step: bootstrap (direct route preferred) to a sparse
-    target, binary-reduce it, build a partial solution by the derandomized
-    level recursion, pull it back.  No step draws randomness.
+    """One halving step: check that the target of `red_in` meets the
+    direct (16, 2^-33) inequalities, binary-reduce it, build a partial
+    solution by the derandomized level recursion, pull it back.  No step
+    draws randomness.  The direct route is the only one at desk scale (see
+    EPS_BINARY); a target that fails it raises with the failing entry.
 
     Certifies exactly: the binary target satisfies p (d+1)^16 <= 2^-32 and
     p d(rho)^2 <= 1/4; the returned g covers weight >= 1/2; the residual
     target satisfies p (d+1)^8 <= 2^-15.
     """
-    from .compilers import bootstrap
-
-    boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY),
-                     n_grid=STEP_GRID, cap_bits=cap_bits)
-    if not boot.feasible:
+    st = stats(red_in.target, cap_bits)
+    entry = direct_entry(st.p, st.d, red_in.degree())
+    if not entry["ok"]:
         raise StepInfeasibleError(
-            f"bootstrap infeasible: {json.dumps(boot.report, sort_keys=True)}")
-    if not boot.exact_p:
-        raise StepInfeasibleError(
-            "amplified bootstrap target lacks exact probabilities at desk scale; "
-            "cannot certify the step inequalities")
+            f"bootstrap infeasible: {json.dumps([entry], sort_keys=True)}")
 
-    encoded, tau_red = binary_reduce(boot.csp, EPS_BINARY)
-    sigma_conn = compose(boot.reduction.connection, tau_red.connection)
-    sigma = Reduction(sigma_conn, encoded, validated=boot.reduction.validated)
+    encoded, tau_red = binary_reduce(red_in.target, EPS_BINARY)
+    sigma_conn = compose(red_in.connection, tau_red.connection)
+    sigma = Reduction(sigma_conn, encoded, validated=red_in.validated)
 
     est = stats(encoded, cap_bits)
     d_sigma = sigma.degree()
@@ -613,21 +624,20 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     before it froze and is never met again, since its domain lies in the
     dangerous set that no later level fixes.  So it has the bodies, and
     the p, d, certificate and witness, of `encoded` restricted to h.
+    Its p is the largest of the level state's probabilities, which
+    `descend` keeps in step with the constraints, and the residual CSP
+    itself is built only when a witness is needed.
+
+    The route is "bootstrap-direct" when the source meets the direct
+    (16, 2^-33) inequalities and "direct-binary" otherwise; both encode
+    the source itself.
     """
-    from .compilers import bootstrap
-
     red_in = identity_reduction(source)
-    route = "direct-binary"
-    pre = lll_check(source, "measurable", cap_bits=cap_bits)
-    if pre.holds:
-        boot = bootstrap(source, red_in, STEP_TARGET_N,
-                         STEP_TARGET_EPS / (1 + EPS_BINARY), cap_bits=cap_bits)
-        if boot.feasible and boot.exact_p:
-            red_in = boot.reduction
-            route = f"bootstrap-{boot.route}"
-    target = red_in.target
+    st = stats(source, cap_bits)
+    direct = direct_entry(st.p, st.d, red_in.degree())["ok"]
+    route = "bootstrap-direct" if direct else "direct-binary"
 
-    encoded, tau_red = binary_reduce(target, EPS_BINARY)
+    encoded, tau_red = binary_reduce(source, EPS_BINARY)
     sigma = Reduction(compose(red_in.connection, tau_red.connection), encoded,
                       validated=red_in.validated)
     est = stats(encoded, cap_bits)
@@ -654,13 +664,14 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
         for x in covered:
             counts[x] += 1
         members.append(member)
-        residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
-                       tuple(state.constraints))
-        rst = stats(residual, cap_bits)
-        cert = {"p_residual": str(rst.p), "d_residual": rst.d}
-        ok = rst.p * (rst.d + 1) ** RESIDUAL_N <= RESIDUAL_EPS
+        rp = max(state.probs, default=Fraction(0))
+        rd = max(overlap_counts([c.domain for c in state.constraints]), default=0)
+        cert = {"p_residual": str(rp), "d_residual": rd}
+        ok = rp * (rd + 1) ** RESIDUAL_N <= RESIDUAL_EPS
         cert["residual_(8,2^-15)"] = ok
         if not ok:
+            residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
+                           tuple(state.constraints))
             witness = _solution_witness(residual, seed, cap_bits)
             cert["solution_witness"] = witness is not None
             if witness is None:

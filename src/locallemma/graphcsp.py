@@ -78,11 +78,7 @@ def decode_graph_csp(encoded: StructuredGraph):
     """Inverse of encode_graph_csp (up to constraint order)."""
     m = layer_value_global(encoded)
     constraints = []
-    for tup, label in base_structure(encoded).items():
-        if tup != tuple(sorted(tup)) or len(set(tup)) != len(tup):
-            continue
-        if not isinstance(label, frozenset):
-            continue
+    for tup, label in encoded_constraints(encoded):
         for body in sorted(label, key=_body_key):
             constraints.append(Constraint.explicit(tup, m, body))
     carrier = StructuredGraph(encoded.vertices, encoded.edges, {}, 1)
@@ -104,11 +100,12 @@ def layer_value_global(encoded: StructuredGraph) -> int:
     raise GraphBuildError("missing range layer on the encoded graph")
 
 
-def constraints_at_root(decoded: StructuredGraph, root: int):
-    """(domain tuple, bodies) pairs whose ascending domain contains root."""
+def encoded_constraints(graph: StructuredGraph):
+    """(domain tuple, bodies) pairs of an encoded graph-CSP or a ball of
+    one: the frozenset entries on nonempty ascending, distinct tuples."""
     out = []
-    for tup, label in base_structure(decoded).items():
-        if not isinstance(label, frozenset) or root not in tup:
+    for tup, label in base_structure(graph).items():
+        if not isinstance(label, frozenset) or not tup:
             continue
         if tup != tuple(sorted(tup)) or len(set(tup)) != len(tup):
             continue
@@ -131,7 +128,9 @@ def csp_to_lcl(m: int, b: int, p, d: int) -> LclProblem:
         own = values.get(root)
         if own is None or not (isinstance(own, int) and 1 <= own <= m):
             return 0
-        for dom, bodies in constraints_at_root(decoded, root):
+        for dom, bodies in encoded_constraints(decoded):
+            if root not in dom:
+                continue
             if any(x not in values for x in dom):
                 return 0
             pattern = tuple(values[x] for x in dom)

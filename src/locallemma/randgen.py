@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .csp import Constraint, Csp
+from .csp import Constraint, Csp, stats
 from .engine import INV_E2_LOWER, lll_check
 from .rng import derived_rng
 
@@ -73,8 +73,6 @@ def random_binary_lowp_csp(seed: int, max_ground: int = 60, max_degree: int = 4)
                 body.add(tuple(rng.randint(1, 2) for _ in dom))
             constraints.append(Constraint.explicit(dom, 2, body))
         csp = Csp(tuple(ground), 2, tuple(constraints))
-        from .csp import stats
-
         st = stats(csp)
         if st.d <= max_degree and st.p * (st.d + 1) ** 2 <= INV_E2_LOWER / 4:
             return csp

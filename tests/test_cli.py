@@ -191,6 +191,24 @@ def test_certified_infeasibility_is_reported(tmp_path):
     assert isinstance(payload, list) and all(isinstance(e, dict) for e in payload)
 
 
+def test_direct_route_failure_is_certified_not_an_input_error(tmp_path):
+    # one forbidden pattern on 20 binary elements: p = 2^-20 and d = 0 meet
+    # the measurable condition but not the direct p(d+1)^16 <= 2^-33, and
+    # the CSP is far too wide to encode as a graph (20! entries)
+    cpath = tmp_path / "wide.json"
+    dump_json({"ground": list(range(20)), "m": 2, "constraints": [
+        {"domain": list(range(20)), "forbidden": [[1] * 20]}]}, cpath)
+    out = tmp_path / "r.json"
+    assert run(["csp", "solve", "--csp", str(cpath), "--method", "weighted",
+                "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "infeasible" and "p(d+1)^N" in report["error"]
+    assert run(["csp", "cover", "--csp", str(cpath), "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "cap-out"
+    assert "needs 2^20 members" in report["error"]
+
+
 def test_internal_error_is_reported(tmp_path, monkeypatch, capsys):
     from locallemma import cli
 

@@ -23,7 +23,6 @@ from locallemma.engine import (
     EPS_BINARY,
     RESIDUAL_EPS,
     RESIDUAL_N,
-    STEP_GRID,
     STEP_TARGET_EPS,
     STEP_TARGET_N,
     QuadExpr,
@@ -323,8 +322,7 @@ def test_construct_partial_matches_replay_oracle_on_step_target():
     # them, with weights that differ between source elements
     source = random_measurable_csp(0, max_ground=90)
     red_in = identity_reduction(source)
-    boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY),
-                     n_grid=STEP_GRID)
+    boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY))
     assert boot.feasible and boot.exact_p
     encoded, tau_red = binary_reduce(boot.csp, EPS_BINARY)
     sigma = Reduction(compose(boot.reduction.connection, tau_red.connection), encoded,
@@ -431,6 +429,7 @@ def test_extend_solution_large_range():
 def test_cover_family_no_constraints():
     csp = Csp((0, 1, 2), 2, ())
     result = cover_family(csp)
+    assert result.route == "bootstrap-direct"
     assert result.levels == 1
     assert len(result.members) == 2
     assert sorted(set(m.values()) for m in result.members) == [{1}, {2}]

@@ -2,7 +2,9 @@
 deletion cannot leave a dead import behind.  `__init__.py` re-exports by
 import and `from __future__` imports bind nothing, so both are exempt.
 Every private module-level function or class is named somewhere else in
-`src/`, so a change cannot leave a dead helper behind."""
+`src/`, so a change cannot leave a dead helper behind.  No function imports
+from a sibling module that its module already imports from at top level,
+so an import kept inside a function is one that closes a cycle."""
 
 import ast
 from collections import Counter
@@ -82,3 +84,31 @@ def test_private_checker_flags_only_unnamed_definitions():
 def test_every_private_definition_is_named_in_src():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unused_private_defs(sources) == []
+
+
+def redundant_local_imports(source: str) -> list:
+    """(line, module) of each `from .x import ...` inside a function body
+    of a module that already imports from `.x` at top level."""
+    tree = ast.parse(source)
+    top = {node.module for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level == 1}
+    return sorted({(node.lineno, node.module)
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module in top})
+
+
+def test_local_import_checker_flags_only_repeated_modules():
+    source = ("from .a import b\nfrom os import path\n"
+              "def f():\n    from .a import c\n    from .d import e\n"
+              "    from os import sep\n"
+              "    def g():\n        from .a import h\n    return b, c, e, g, h, sep\n"
+              "class K:\n    def m(self):\n        from .a import i\n        return i\n")
+    assert redundant_local_imports(source) == [(4, "a"), (8, "a"), (12, "a")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_level_import_of_a_top_level_module(module):
+    assert redundant_local_imports((SRC / module).read_text()) == []
