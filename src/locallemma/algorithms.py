@@ -28,7 +28,7 @@ from .localrun import LclProblem, LocalAlgorithm
 
 def proper_coloring_problem(k: Optional[int]) -> LclProblem:
     """Radius-1 verifier for proper coloring; k = None drops the palette
-    bound and only checks that adjacent outputs differ."""
+    bound and only checks that adjacent outputs differ (value-symmetric)."""
 
     def verify(form: CanonicalForm) -> int:
         graph, root = form.decode()
@@ -47,7 +47,7 @@ def proper_coloring_problem(k: Optional[int]) -> LclProblem:
 
     name = f"proper-{k}-coloring" if k is not None else "proper-coloring"
     return LclProblem(t=1, verifier=LocalAlgorithm(name=name, rule=verify,
-                                                   params={"k": k}))
+                                                   params={"k": k}, value_symmetric=True))
 
 
 def _successor_map(graph: StructuredGraph) -> Dict[int, int]:

@@ -29,12 +29,23 @@ is a type of its own, in sorted vertex order.  Whether a seeded ball caps
 out depends only on its refinement, which isomorphic balls share, so
 compiling caps out at the pattern, and with the error, of the per-vertex
 path.
+
+Value-symmetric pairs (`LocalAlgorithm.symmetric_at`) get a fourth memo
+above these: a permutation of [m] on the seeds then fixes every verdict,
+so B_x depends only on the seeds' equality pattern in canonical order, a
+restricted growth string with at most m blocks (at most Bell(|B|) per
+type).  Each is evaluated once at compile time, on blocks valued 1, 2, ...
+and on blocks valued m, m-1, ... (a differing verdict is a wrong
+declaration and raises AssertionError).  |B_x| is exact: the seed tuples
+of a k-block pattern are the m(m-1)...(m-k+1) injections of its blocks
+into [m].  The predicate is a lookup, so nothing downstream enumerates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, factorial, log2, perm
 from typing import Dict, List, Optional, Tuple
 
 from .algorithms import builtin_algorithm
@@ -42,7 +53,8 @@ from .canonical import _canonical_map, canonical_type
 from .connect import Connection, Reduction, compose
 from .csp import Constraint, Csp, DEFAULT_CAP_BITS, intersection_graph, stats
 from .engine import direct_entry, lll_check
-from .errors import BootstrapInfeasibleError, CanonicalizationCapError
+from .errors import (BootstrapInfeasibleError, CanonicalizationCapError, EncodingBudgetError,
+                     EnumerationCapError)
 from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, ball,
                      with_labeling)
 from .graphcsp import encode_graph_csp
@@ -60,13 +72,30 @@ def _typed(rooted: RootedBall, canon_cap: int):
     return rooted, form.code, tuple(sorted(mapping, key=mapping.__getitem__))
 
 
+def _growth_strings(size: int, blocks: int, prefix: Tuple[int, ...] = ()):
+    """Restricted growth strings of length `size` with at most `blocks`
+    blocks that extend `prefix`, lazily and in lexicographic order."""
+    if len(prefix) == size:
+        yield prefix
+        return
+    for b in range(min(max(prefix, default=-1) + 2, blocks)):
+        yield from _growth_strings(size, blocks, prefix + (b,))
+
+
+def _growth_string_count(size: int, blocks: int) -> int:
+    """len(_growth_strings(size, blocks)): S(size, k) summed over k <= blocks."""
+    return sum(sum((-1) ** j * comb(k, j) * (k - j) ** size for j in range(k + 1))
+               // factorial(k) for k in range(min(size, blocks) + 1))
+
+
 def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,
-                m: int, rounds: int, canon_cap: int = 64):
+                m: int, rounds: int, canon_cap: int = 64, cap_bits: int = DEFAULT_CAP_BITS):
     """(compiled CSP over seed maps, decoding connection).
 
     Constraint B_x lives on the radius-(rounds + t) ball of x and holds the
     seed patterns making the verifier output 0 at x.  The connection runs
-    the algorithm on a fully-seeded ball and emits the output at x.
+    the algorithm on a fully-seeded ball and emits the output at x.  More
+    than 2^cap_bits seed patterns per constraint raise EnumerationCapError.
     """
     t = problem.t
     radius = rounds + t
@@ -76,8 +105,10 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
     outer, inner, near = typed[radius], typed[rounds], typed[t]
     outputs: Dict[tuple, int] = {}
     verdicts: Dict[tuple, bool] = {}
-    # one predicate memo per type of seed-free radius-R ball
+    # per type of seed-free radius-R ball: a predicate memo, or on the
+    # pattern path (rejecting growth strings, body count)
     memos: Dict[object, Dict[Tuple[int, ...], bool]] = {}
+    patterns: Dict[object, Tuple[frozenset, int]] = {}
 
     def output_at(y, seeds):
         """The algorithm's output at y; `seeds` covers y's inner ball."""
@@ -107,10 +138,36 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
             result = verdicts[canon] = int(problem.verifier(form)) == 0
         return result
 
+    def pattern_body(x):
+        """(rejecting growth strings, body count) of x's radius-R type; each
+        pattern's verdict is checked on a second representative."""
+        _, key, order = outer[x]
+        if key not in patterns:
+            body = set()
+            for pattern in _growth_strings(len(order), m):
+                verdict = rejects(x, {v: 1 + b for v, b in zip(order, pattern)})
+                if m > 1 and verdict != rejects(x, {v: m - b for v, b in zip(order, pattern)}):
+                    raise AssertionError(
+                        f"{alg.name} / {problem.verifier.name} declared value-symmetric, but "
+                        f"B_{x} differs on two representatives of seed pattern {pattern}")
+                if verdict:
+                    body.add(pattern)
+            patterns[key] = frozenset(body), sum(perm(m, max(p) + 1) for p in body)
+        return patterns[key]
+
     def make_pred(x, dom):
+        """(predicate, exact body count or None) of B_x over `dom`."""
         _, key, canon_order = outer[x]
         at = {v: i for i, v in enumerate(dom)}
         order = tuple([at[v] for v in canon_order])
+        if symmetric:
+            body, count = pattern_body(x)
+
+            def lookup(values: Tuple[int, ...]) -> bool:
+                blocks: Dict[int, int] = {}
+                return tuple([blocks.setdefault(values[i], len(blocks)) for i in order]) in body
+
+            return lookup, count
         memo = memos.setdefault(key, {})
 
         def predicate(values: Tuple[int, ...]) -> bool:
@@ -120,10 +177,15 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
                 cached = memo[canon] = rejects(x, dict(zip(dom, values)))
             return cached
 
-        return predicate
+        return predicate, None
 
     doms = {x: tuple(sorted(outer[x][0].graph.vertices)) for x in graph.vertices}
-    constraints = [Constraint.from_predicate(doms[x], m, make_pred(x, doms[x]), tag=f"B_{x}")
+    symmetric = alg.symmetric_at(m) and problem.verifier.symmetric_at(m)
+    if symmetric:
+        bits = log2(max((_growth_string_count(len(d), m) for d in doms.values()), default=1))
+        if bits > cap_bits:
+            raise EnumerationCapError(bits, cap_bits, what="seed patterns")
+    constraints = [Constraint.from_predicate(doms[x], m, *make_pred(x, doms[x]), tag=f"B_{x}")
                    for x in graph.vertices]
     compiled = Csp(tuple(graph.vertices), m, tuple(constraints))
 
@@ -181,7 +243,8 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
     it back to a CSP over seeds; its probability bound 1/n is certified by
     the compiler given the solver's declared failure bound, and the degree
     bound comes from exact ball geometry.  Candidates failing either
-    inequality are reported; with none left the result is infeasible.
+    inequality are reported; with none left the result is infeasible.  So
+    is a target too wide to encode, with the encoder's refusal reported.
     """
     epsilon = Fraction(epsilon)
     target = red_in.target
@@ -201,8 +264,11 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
         )
 
     # amplified route over the candidate grid
-    carrier = intersection_graph(target)
-    encoded = encode_graph_csp(carrier, target, cap_bits)
+    try:
+        encoded = encode_graph_csp(intersection_graph(target), target, cap_bits)
+    except EncodingBudgetError as exc:
+        report.append({"stage": "amplified", "ok": False, "detail": str(exc)})
+        return BootstrapResult(feasible=False, route="amplified", report=report)
     ids = {v: i + 1 for i, v in enumerate(encoded.vertices)}
     encoded = with_labeling(encoded, ids, TAG_IDS)
 

@@ -12,6 +12,10 @@ class GraphBuildError(ValueError):
     """Invalid graph construction input (self-loop, unknown vertex, ...)."""
 
 
+class EncodingBudgetError(GraphBuildError):
+    """A graph-CSP encoding would need more entries than its budget."""
+
+
 class CanonicalizationCapError(RuntimeError):
     def __init__(self, size, cap, what="ball size"):
         super().__init__(f"canonicalization cap exceeded: {what} {size} > cap {cap}")

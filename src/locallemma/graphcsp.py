@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from .canonical import CanonicalForm
 from .csp import Constraint, Csp, DEFAULT_CAP_BITS
-from .errors import GraphBuildError
+from .errors import EncodingBudgetError, GraphBuildError
 from .graphs import (
     LAYER_MARK,
     TAG_OUTPUT,
@@ -59,7 +59,7 @@ def encode_graph_csp(graph: StructuredGraph, csp: Csp,
         by_domain.setdefault(dom, []).append(explicit.members)
         total_entries += factorial(len(dom))
         if total_entries > ENTRY_BUDGET:
-            raise GraphBuildError("constraint domains too large to encode exhaustively")
+            raise EncodingBudgetError("constraint domains too large to encode exhaustively")
 
     structure: dict = {(): (LAYER_MARK, (TAG_RANGE, csp.m))}
     for dom, bodies in by_domain.items():

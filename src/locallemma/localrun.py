@@ -15,7 +15,7 @@ from math import log, sqrt
 from typing import Callable, List
 
 from .canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
-from .errors import EnumerationCapError, PipelineError
+from .errors import PipelineError
 from .graphs import (
     TAG_IDS,
     TAG_OUTPUT,
@@ -32,14 +32,22 @@ from .rng import derived_rng
 
 @dataclass(frozen=True)
 class LocalAlgorithm:
-    """Named deterministic rule from canonical ball types to outputs."""
+    """Named deterministic rule from canonical ball types to outputs.
+    `value_symmetric` declares that permuting the seed values [m] permutes
+    an algorithm's outputs alike, or leaves a verifier's verdict unchanged
+    when applied to seeds and outputs; a palette `k` limits it to m <= k."""
 
     name: str
     rule: Callable[[CanonicalForm], int]
     params: dict = field(default_factory=dict)
+    value_symmetric: bool = False
 
     def __call__(self, form: CanonicalForm) -> int:
         return int(self.rule(form))
+
+    def symmetric_at(self, m: int) -> bool:
+        k = self.params.get("k")
+        return self.value_symmetric and (k is None or k >= m)
 
 
 @dataclass(frozen=True)
@@ -168,26 +176,3 @@ def estimate_randomized_failure(alg: LocalAlgorithm, problem: LclProblem,
         failures=failures,
     )
 
-
-def exact_randomized_failure(alg: LocalAlgorithm, problem: LclProblem,
-                             graph: StructuredGraph, rounds: int, m: int,
-                             cap_bits: int = 20, canon_cap: int = DEFAULT_SIZE_CAP) -> Fraction:
-    """Exact failure probability by enumerating all m^|V| seed maps;
-    capped at |V| * log2(m) <= cap_bits."""
-    from itertools import product
-
-    n = len(graph.vertices)
-    bits = n * log(m, 2) if m > 1 else 0
-    if bits > cap_bits:
-        raise EnumerationCapError(bits, cap_bits, what="seed enumeration")
-    failures = 0
-    total = 0
-    for values in product(range(1, m + 1), repeat=n):
-        theta = dict(zip(graph.vertices, values))
-        attached = with_labeling(graph, theta, TAG_RAND)
-        outputs = run_deterministic(alg, attached, rounds, canon_cap=canon_cap)
-        report = verify_lcl(problem, graph, outputs, canon_cap=canon_cap)
-        total += 1
-        if not report.valid:
-            failures += 1
-    return Fraction(failures, total)

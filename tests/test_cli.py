@@ -408,3 +408,17 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
     expected = {name: sha for name, _, _, sha in GOLDEN}
     expected["trace"] = GOLDEN_TRACE
     assert got == expected
+
+
+def test_pipeline_rand_reaches_the_measurable_regime(tmp_path):
+    # m = 2^35 is the smallest range at which the compiled CSP meets
+    # p(d+1)^8 <= 2^-15; enumerating m^3 seed patterns would cap out
+    out = tmp_path / "r.json"
+    assert run(["pipeline", "rand", "--gen-kind", "directed_cycle",
+                "--gen-params", '{"n": 16}', "--params", '{"m": 34359738368}',
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    stats = report["checks"][0]
+    assert stats["name"] == "compiled-stats"
+    assert stats["p"] == "68719476735/1180591620717411303424" and stats["d"] == 4

@@ -7,7 +7,7 @@ import pytest
 
 from locallemma.algorithms import proper_coloring_problem
 from locallemma.canonical import canonical_type
-from locallemma.compilers import bootstrap, rand_to_csp
+from locallemma.compilers import _growth_string_count, _growth_strings, bootstrap, rand_to_csp
 from locallemma.connect import Connection, apply, identity_reduction
 from locallemma.csp import (
     Constraint,
@@ -17,7 +17,7 @@ from locallemma.csp import (
     solutions_exhaustive,
     stats,
 )
-from locallemma.errors import CanonicalizationCapError
+from locallemma.errors import CanonicalizationCapError, EnumerationCapError, GraphBuildError
 from locallemma.generate import generate
 from locallemma.graphs import (TAG_OUTPUT, TAG_RAND, RootedBall, ball, base_structure,
                                build_graph, layer_value, with_labeling)
@@ -305,3 +305,149 @@ def test_inner_cap_out_raises_as_the_oracle_does():
             stats(compiled)
         assert str(err.value) == ("canonicalization cap exceeded: "
                                   "bijection search 362880 > cap 100000")
+
+
+# -- compiling value-symmetric pairs by seed equality pattern ----------------
+
+
+def successor_echo():
+    """Echoes the successor's seed on an oriented ball and, on an unoriented
+    one, the root's seed when no neighbor repeats it, else 0.  It reads
+    seeds only through equality, so it is value-symmetric."""
+
+    def rule(form):
+        graph, root = form.decode()
+        seeds = {v: layer_value(graph, v, TAG_RAND) for v in graph.vertices}
+        succ = [v for (u, v), label in base_structure(graph).items() if u == root
+                and label == 1]
+        if succ:
+            return seeds[succ[0]]
+        if any(seeds[w] == seeds[root] for w in graph.neighbors(root)):
+            return 0
+        return seeds[root]
+
+    return LocalAlgorithm("successor_echo", rule)
+
+
+def declared(alg, problem, flag=True):
+    """Copies of alg and problem that declare value symmetry, or do not."""
+    verifier = dataclasses.replace(problem.verifier, value_symmetric=flag)
+    return (dataclasses.replace(alg, value_symmetric=flag),
+            dataclasses.replace(problem, verifier=verifier))
+
+
+def test_growth_strings_are_counted_by_stirling_sums():
+    bell = [1, 1, 2, 5, 15, 52, 203]
+    for size in range(7):
+        strings = list(_growth_strings(size, size))
+        assert len(strings) == len(set(strings)) == bell[size]
+        for blocks in range(size + 2):
+            assert _growth_string_count(size, blocks) == len(list(_growth_strings(size, blocks)))
+    assert list(_growth_strings(3, 2)) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+
+
+SYMMETRIC_CASES = [(k, p, m, 0) for k, p in CYCLES for m in (1, 3, 6)]
+SYMMETRIC_CASES += [(k, p, m, 1) for k, p in CYCLES for m in (2, 4)]
+SYMMETRIC_CASES += [(*TORUS, m, 0) for m in (2, 4, 6)]
+
+
+@pytest.mark.parametrize("kind,params,m,rounds", SYMMETRIC_CASES)
+def test_pattern_path_matches_the_enumeration(kind, params, m, rounds):
+    graph = generate(kind, params)
+    rule = successor_echo() if rounds else seed_echo()
+    pi = proper_coloring_problem(m)
+    got, decoder = rand_to_csp(*declared(rule, pi), graph, m, rounds)
+    want, want_decoder = rand_to_csp(*declared(rule, pi, flag=False), graph, m, rounds)
+    assert got.ground == want.ground and len(got.constraints) == len(want.constraints)
+    for c, o in zip(got.constraints, want.constraints):
+        assert (c.domain, c.tag) == (o.domain, o.tag)
+        assert o.count is None and c.count is not None
+        members = c.materialize().members
+        assert members == o.materialize().members, c.tag
+        assert c.count == len(members)
+    rng = random.Random(len(graph.vertices) * 10 + m + rounds)
+    for _ in range(4):
+        theta = {x: rng.randint(1, m) for x in graph.vertices}
+        assert apply(decoder, theta) == apply(want_decoder, theta)
+
+
+def seed_order():
+    """1 if the root's seed is below its successor's, else 2: it compares
+    seeds by order, so it is not value-symmetric."""
+
+    def rule(form):
+        graph, root = form.decode()
+        succ = [v for (u, v), label in base_structure(graph).items() if u == root
+                and label == 1]
+        seeds = {v: layer_value(graph, v, TAG_RAND) for v in graph.vertices}
+        return 1 if seeds[root] < seeds[succ[0]] else 2
+
+    return LocalAlgorithm("seed_order", rule)
+
+
+def test_a_wrong_declaration_is_caught_by_the_second_representative():
+    graph = generate("directed_cycle", {"n": 6})
+    alg, problem = declared(seed_order(), proper_coloring_problem(None))
+    with pytest.raises(AssertionError, match="two representatives of seed pattern"):
+        rand_to_csp(alg, problem, graph, 3, 1)
+
+
+def test_palette_below_the_range_keeps_the_enumeration():
+    # proper 3-coloring is not invariant under permutations of [4]: value 4
+    # fails the palette, its image may not
+    pi = proper_coloring_problem(3)
+    assert pi.verifier.symmetric_at(3) and not pi.verifier.symmetric_at(4)
+    graph = generate("directed_cycle", {"n": 12})
+    seen = []
+    for flag in (False, True):
+        alg, problem, calls = counted(seed_echo(), pi)
+        verifier = dataclasses.replace(problem.verifier, params=pi.verifier.params)
+        alg, problem = declared(alg, dataclasses.replace(problem, verifier=verifier), flag)
+        compiled, _ = rand_to_csp(alg, problem, graph, m=4, rounds=0)
+        assert all(c.count is None for c in compiled.constraints)
+        seen.append((stats(compiled), dict(calls)))
+    assert seen[0] == seen[1]
+    assert seen[1][1] == {"alg": 4, "verifier": 4**3}
+
+
+def test_too_many_seed_patterns_cap_out_before_enumerating():
+    # the centre's radius-1 ball has 21 vertices: about 2^30.7 patterns of
+    # at most 3 blocks, above the default cap of 2^20
+    graph = build_graph(range(21), [(0, i) for i in range(1, 21)])
+    alg, problem, calls = counted(seed_echo(), proper_coloring_problem(None))
+    alg, problem = declared(alg, problem)
+    with pytest.raises(EnumerationCapError) as err:
+        rand_to_csp(alg, problem, graph, 3, 0)
+    assert str(err.value).startswith("seed patterns needs ~2^30.7 states")
+    assert err.value.cap_bits == 20
+    assert calls == {"alg": 0, "verifier": 0}
+
+
+def test_bootstrap_too_wide_to_encode_is_infeasible():
+    # one forbidden pattern on 20 binary elements: p = 2^-20 and d = 0 meet
+    # the measurable condition but not the direct check, and the amplified
+    # route's encoding would need 20! entries
+    c = Constraint.explicit(range(20), 2, [(1,) * 20])
+    csp = Csp(tuple(range(20)), 2, (c,))
+    res = bootstrap(csp, identity_reduction(csp), N=16, epsilon=Fraction(1, 2**33))
+    assert not res.feasible and res.route == "amplified" and res.csp is None
+    direct, amplified = res.report
+    assert direct["stage"] == "direct" and direct["ok"] is False
+    assert direct["p"] == "1/1048576" and direct["d"] == 0
+    assert amplified == {"stage": "amplified", "ok": False,
+                         "detail": "constraint domains too large to encode exhaustively"}
+
+
+def test_bootstrap_input_errors_still_raise():
+    # the same constraint twice is refused by the encoder as an input error
+    c = Constraint.explicit((0, 1, 2), 2**8, [(1, 1, 1)])  # p = 2^-24, d = 1
+    csp = Csp((0, 1, 2), 2**8, (c, c))
+    with pytest.raises(GraphBuildError, match="duplicate constraint"):
+        bootstrap(csp, identity_reduction(csp), N=16, epsilon=Fraction(1, 2**32))
+
+
+def test_pattern_path_on_edgeless_and_empty_graphs():
+    pi = proper_coloring_problem(None)
+    for graph in (build_graph(range(4), []), build_graph([], [])):
+        compiled, _ = rand_to_csp(*declared(seed_echo(), pi), graph, m=3, rounds=0)
+        assert [c.count for c in compiled.constraints] == [0] * len(graph.vertices)

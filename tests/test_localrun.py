@@ -1,18 +1,19 @@
 import random
+from fractions import Fraction
+from itertools import product
+from math import log2
 
 import pytest
-from fractions import Fraction
 
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
-from locallemma.canonical import CanonicalForm, canonical_type
-from locallemma.errors import PipelineError
+from locallemma.canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
+from locallemma.errors import EnumerationCapError, PipelineError
 from locallemma.generate import generate
-from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value
+from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value, with_labeling
 from locallemma.localrun import (
     LocalAlgorithm,
     det_pipeline,
     estimate_randomized_failure,
-    exact_randomized_failure,
     run_deterministic,
     verify_lcl,
 )
@@ -133,6 +134,27 @@ def test_randomized_failure_ignoring_algorithm():
     est = estimate_randomized_failure(const, pi, build_graph(range(3), []), 0,
                                       m=4, trials=50, seed=1)
     assert est.rate == 0  # edgeless graph: constant coloring is proper
+
+
+def exact_randomized_failure(alg, problem, graph, rounds, m, cap_bits=20,
+                             canon_cap=DEFAULT_SIZE_CAP):
+    """Exact failure probability by enumerating all m^|V| seed maps;
+    capped at |V| * log2(m) <= cap_bits (test oracle)."""
+    n = len(graph.vertices)
+    bits = n * log2(m) if m > 1 else 0
+    if bits > cap_bits:
+        raise EnumerationCapError(bits, cap_bits, what="seed enumeration")
+    failures = 0
+    total = 0
+    for values in product(range(1, m + 1), repeat=n):
+        theta = dict(zip(graph.vertices, values))
+        attached = with_labeling(graph, theta, TAG_RAND)
+        outputs = run_deterministic(alg, attached, rounds, canon_cap=canon_cap)
+        report = verify_lcl(problem, graph, outputs, canon_cap=canon_cap)
+        total += 1
+        if not report.valid:
+            failures += 1
+    return Fraction(failures, total)
 
 
 def test_randomized_failure_single_edge_exact_half():
