@@ -10,23 +10,28 @@ what makes the search tractable at desk scale.
 Refinement signatures (same-shape tuples of nonnegative ints and
 self-delimiting `label_key` bytes) are ordered by native tuple order, and
 refinement stops as soon as every vertex is alone in its cell.  Root
-distances come with the ball.  Each label's key and JSON form are
+distances come with the ball.  Each label's key and compact JSON text are
 computed once and kept in a bounded cache.
+
+The code is the compact, key-sorted JSON object {"edges", "n",
+"structure"}, written by joining texts: the JSON text of each relabeled
+edge, in numeric edge order, then of each relabeled structure entry, in
+numeric tuple order, its label's cached text inside.  No payload is built
+and nothing is serialized twice.
 
 The search fills positions 0..n-1 one at a time, in cell order, each with
 an unused vertex of its cell; a leaf is one bijection.  It returns the
-code of the full search while visiting few leaves and serializing one:
+code of the full search while visiting few leaves and writing one:
 
-- Leaves compare without serializing.  A leaf's key is the tuple of the
-  JSON texts of its relabeled edges, in numeric edge order, then of its
-  relabeled structure entries, in numeric tuple order: the texts its code
-  joins, in the code's order.  Each text is a complete JSON array, so
-  none is a proper prefix of another, and all leaves of one search have
-  as many edges and entries; so the first text where two keys differ
-  decides the byte order of the two codes, and key order is code order
-  (the texts are ASCII, so text order is byte order).
-  Only the least leaf is serialized.  A search with one leaf builds no
-  key.
+- Leaves compare without writing a code.  A leaf's key is the pair of
+  tuples of those texts: the texts its code joins, in the code's order.
+  Each text is a complete JSON array, so none is a proper prefix of
+  another, and all leaves of one search have as many edges and entries;
+  so the first text where two keys differ decides the byte order of the
+  two codes, and key order is code order (the texts are ASCII, so text
+  order is byte order).  The code is joined from the winning leaf's key.
+  A search with one leaf builds no key: its texts are written once, from
+  the identity positions.
 - Automorphisms prune (McKay & Piperno, "Practical graph isomorphism,
   II", 2014).  A leaf pi whose key equals the key of an earlier leaf ref
   (the first or the best) relabels the graph into the same graph, so
@@ -58,7 +63,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 from operator import itemgetter
 from typing import Optional
 
@@ -74,10 +78,11 @@ _LABEL_CACHE_SIZE = 4096
 
 @lru_cache(maxsize=_LABEL_CACHE_SIZE)
 def _encoded(label):
-    """(label_key(label), label_to_json(label)).  Graph labels are
-    validated and never bool, so no two labels that are equal as cache
-    keys (as 1 and True are) encode differently."""
-    return label_key(label), label_to_json(label)
+    """(label_key(label), the compact JSON text of label_to_json(label)).
+    Graph labels are validated and never bool, so no two labels that are
+    equal as cache keys (as 1 and True are) encode differently."""
+    return label_key(label), json.dumps(label_to_json(label), sort_keys=True,
+                                        separators=(",", ":"))
 
 
 def _refine(b: RootedBall):
@@ -91,9 +96,8 @@ def _refine(b: RootedBall):
         for pos, v in enumerate(tup):
             participation[v].append((len(tup), pos, lkey, tup))
 
-    color = {
-        v: (0 if v == root else 1, dist[v], graph.degree(v)) for v in graph.vertices
-    }
+    nbrs = graph._nbrs
+    color = {v: (0 if v == root else 1, dist[v], len(nbrs[v])) for v in graph.vertices}
 
     def normalize(sigs):
         index = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
@@ -104,12 +108,12 @@ def _refine(b: RootedBall):
     while cells < len(graph.vertices):
         sigs = {}
         for v in graph.vertices:
-            nb = tuple(sorted(color[w] for w in graph.neighbors(v)))
-            struct = tuple(sorted(
-                (length, pos, lkey, tuple(color[x] for x in tup))
-                for (length, pos, lkey, tup) in participation[v]
-            ))
-            sigs[v] = (color[v], nb, struct)
+            nb = [color[w] for w in nbrs[v]]
+            nb.sort()
+            struct = [(length, pos, lkey, tuple([color[x] for x in tup]))
+                      for (length, pos, lkey, tup) in participation[v]]
+            struct.sort()
+            sigs[v] = (color[v], tuple(nb), tuple(struct))
         new, new_cells = normalize(sigs)
         if new_cells == cells:
             return new
@@ -117,24 +121,29 @@ def _refine(b: RootedBall):
     return color
 
 
-def _code_bytes(graph: StructuredGraph, mapping):
-    """The code of the graph relabeled by `mapping`, and the leaf it is
-    written from: (n, sorted edges, structure entries sorted by tuple)."""
-    n = len(graph.vertices)
-    edges = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-                   for (u, v) in graph.edges)
+def _leaf(graph: StructuredGraph, mapping):
+    """The graph relabeled by `mapping`, as the leaf its code is written
+    from: (n, sorted edges, structure entries sorted by tuple)."""
+    edges = []
+    for u, v in graph.edges:
+        a, b = mapping[u], mapping[v]
+        edges.append((a, b) if a < b else (b, a))
+    edges.sort()
     # mapped tuples are distinct, so labels never break a tie
     entries = sorted(
-        ((tuple(mapping[x] for x in tup), label) for tup, label in graph.structure.items()),
+        ((tuple([mapping[x] for x in tup]), label) for tup, label in graph.structure.items()),
         key=itemgetter(0),
     )
-    payload = {
-        "n": n,
-        "edges": [list(e) for e in edges],
-        "structure": [[list(t), _encoded(l)[1]] for t, l in entries],
-    }
-    code = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return code, (n, edges, entries)
+    return len(graph.vertices), edges, entries
+
+
+def _code(n, edge_texts, entry_texts) -> bytes:
+    """The code: the compact, key-sorted JSON object {"edges", "n",
+    "structure"}, joined from the texts of its edges and entries."""
+    # the one writer of codes; a search's leaf keys are these texts in this
+    # order, so key order is code byte order by construction
+    return (f'{{"edges":[{",".join(edge_texts)}],"n":{n},'
+            f'"structure":[{",".join(entry_texts)}]}}').encode()
 
 
 @dataclass(frozen=True)
@@ -209,10 +218,16 @@ def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
     order = [v for cell in cell_list for v in cell]
     if total == 1:
         mapping = {v: i for i, v in enumerate(order)}
+        leaf = _leaf(graph, mapping)
+        edge_json = _edge_json(n)
+        # the texts _leaf_key would write for this one leaf
+        texts = ([edge_json[a * n + b] for a, b in leaf[1]],
+                 [f"[[{','.join(map(str, t))}],{_encoded(label)[1]}]" for t, label in leaf[2]])
     else:
-        path = _search(graph, order, [len(cell) for cell in cell_list])
+        texts, path = _search(graph, order, [len(cell) for cell in cell_list])
         mapping = {order[i]: p for p, i in enumerate(path)}
-    return CanonicalForm(*_code_bytes(graph, mapping)), mapping
+        leaf = _leaf(graph, mapping)
+    return CanonicalForm(_code(n, *texts), leaf), mapping
 
 
 @lru_cache(maxsize=64)
@@ -259,8 +274,9 @@ def _orbits(seeds, gens):
 
 
 def _search(graph, order, sizes):
-    """The least leaf of the bijection search, as the vertex ids (indices
-    into `order`, the vertices in cell order) at positions 0..n-1.
+    """The least leaf of the bijection search: (its key, the vertex ids
+    (indices into `order`, the vertices in cell order) at positions
+    0..n-1).
 
     A vertex alone in its cell keeps its position.  The other positions
     are the search's levels, filled one at a time: position p takes an
@@ -278,8 +294,7 @@ def _search(graph, order, sizes):
     levels = [p for p in range(n) if hi[p] - lo[p] > 1]
     depth = len(levels)
     edges = [(index[u], index[v]) for u, v in graph.edges]
-    entries = [(tuple(index[x] for x in tup),
-                json.dumps(_encoded(label)[1], sort_keys=True, separators=(",", ":")))
+    entries = [(tuple(index[x] for x in tup), _encoded(label)[1])
                for tup, label in graph.structure.items()]
     edge_json = _edge_json(n)
     leaf_key = _leaf_key
@@ -338,27 +353,4 @@ def _search(graph, order, sizes):
         return depth
 
     visit(0, [], 0)
-    return best[1]
-
-
-def are_isomorphic(b1: RootedBall, b2: RootedBall) -> bool:
-    """Brute-force root-preserving isomorphism test (test oracle).
-
-    Tries every bijection matching roots; exponential, only for tiny balls.
-    """
-    g1, g2 = b1.graph, b2.graph
-    v1 = [v for v in g1.vertices if v != b1.root]
-    v2 = [v for v in g2.vertices if v != b2.root]
-    if len(v1) != len(v2):
-        return False
-    struct1 = g1.structure
-    for perm in permutations(v2):
-        phi = {b1.root: b2.root}
-        phi.update(zip(v1, perm))
-        if any(g2.adjacent(phi[u], phi[v]) != g1.adjacent(u, v)
-               for i, u in enumerate(g1.vertices) for v in g1.vertices[i + 1:]):
-            continue
-        mapped = {tuple(phi[x] for x in t): l for t, l in struct1.items()}
-        if mapped == g2.structure:
-            return True
-    return False
+    return best

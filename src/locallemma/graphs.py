@@ -155,7 +155,7 @@ class StructuredGraph:
         nbrs = {u: tuple(w for w in self._nbrs[u] if w in kset) for u in keep}
         edges = frozenset((u, w) for u in keep for w in nbrs[u] if u < w)
         hits = sorted(i for v in (None, *keep) for i in by_first.get(v, ())
-                      if all(x in kset for x in keys[i]))
+                      if kset.issuperset(keys[i]))
         struct = {keys[i]: self.structure[keys[i]] for i in hits}
         return StructuredGraph._trusted(keep, kset, edges, struct, self.tuple_bound, nbrs)
 

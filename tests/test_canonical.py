@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from locallemma import canonical
 from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _encoded, _refine,
-                                  are_isomorphic, canonical_type)
+                                  canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generate import generate
-from locallemma.graphs import TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph, with_labeling
+from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, StructuredGraph, ball, build_graph,
+                               greedy_coloring, max_ball_and_pairs, with_labeling)
 from locallemma.labels import label_key, label_to_json
 
 
@@ -65,6 +66,29 @@ def test_invariance_under_relabeling():
         b = random_rooted(rng)
         b2 = relabeled(b, rng)
         assert canonical_type(b) == canonical_type(b2)
+
+
+def are_isomorphic(b1, b2) -> bool:
+    """Brute-force root-preserving isomorphism test (test oracle).
+
+    Tries every bijection matching roots; exponential, only for tiny balls.
+    """
+    g1, g2 = b1.graph, b2.graph
+    v1 = [v for v in g1.vertices if v != b1.root]
+    v2 = [v for v in g2.vertices if v != b2.root]
+    if len(v1) != len(v2):
+        return False
+    struct1 = g1.structure
+    for perm in permutations(v2):
+        phi = {b1.root: b2.root}
+        phi.update(zip(v1, perm))
+        if any(g2.adjacent(phi[u], phi[v]) != g1.adjacent(u, v)
+               for i, u in enumerate(g1.vertices) for v in g1.vertices[i + 1:]):
+            continue
+        mapped = {tuple(phi[x] for x in t): l for t, l in struct1.items()}
+        if mapped == g2.structure:
+            return True
+    return False
 
 
 def test_iso_completeness_against_brute_force():
@@ -269,12 +293,24 @@ def test_budget_counts_the_unpruned_search():
     assert canonical_type(below).code == oracle_code(below)
 
 
-# The fast paths against their oracles: a form's leaf against its parsed
-# and validated code, refinement with its early stop against the byte-key
+# The fast paths against their oracles: a form's code against the payload
+# serializer's output for its leaf, the leaf against its parsed and
+# validated code, refinement with its early stop against the byte-key
 # refinement that always runs to a stable partition.
 
+def compact_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def payload_code(form) -> bytes:
+    n, edges, entries = form.leaf
+    return compact_json({"n": n, "edges": [list(e) for e in edges],
+                         "structure": [[list(t), label_to_json(l)] for t, l in entries]}).encode()
+
+
 def assert_leaf_decodes_like_code(b):
-    form = canonical_type(b)
+    form = canonical_type(b, cap=max(len(b.graph.vertices), 12))
+    assert form.code == payload_code(form)
     parsed = CanonicalForm.from_hex(form.hex())
     assert form.leaf is not None and parsed.leaf is None
     fast, root = form.decode()
@@ -295,13 +331,29 @@ def test_leaf_decode_and_refine_match_oracles_on_layered_balls(b):
     assert_leaf_decodes_like_code(b)
 
 
+def local_det_balls(n=48, radius=7, seed=0):
+    """Balls of the deterministic pipeline's shape: a directed cycle with
+    greedy identifiers of its distance-2R power graph, drawn along a
+    shuffled order, and the radius-R ball (2R + 1 vertices) at every vertex."""
+    g = generate("directed_cycle", {"n": n})
+    order = list(g.vertices)
+    random.Random(seed).shuffle(order)
+    _, pairs = max_ball_and_pairs(g, 2 * radius)
+    ids = greedy_coloring(StructuredGraph(g.vertices, pairs, {}, 1), order)
+    labeled = with_labeling(g, ids, TAG_IDS)
+    return [ball(labeled, x, radius) for x in labeled.vertices]
+
+
 def test_leaf_decode_and_refine_match_oracles_on_id_and_symmetric_balls():
     g = generate("directed_cycle", {"n": 12})
     ids = with_labeling(g, {v: (5 * v) % 7 + 1 for v in g.vertices}, TAG_IDS)
     balls = [ball(ids, x, 4) for x in ids.vertices]
+    balls.extend(local_det_balls())
+    # the whole directed 9-cycle: the two vertices at distance 4 tell apart
+    # only by the colours inside their edge tuples
     for kind, params, radius in (("cycle", {"n": 9}, 3), ("torus_grid", {"rows": 5, "cols": 5}, 1),
                                  ("random_regular", {"n": 30, "d": 3}, 2),
-                                 ("random_tree", {"n": 20}, 2)):
+                                 ("random_tree", {"n": 20}, 2), ("directed_cycle", {"n": 9}, 4)):
         g = generate(kind, params, seed=1)
         balls.extend(ball(g, x, radius) for x in g.vertices)
     for b in balls:
@@ -335,6 +387,8 @@ def test_non_labels_have_no_key_or_json(value):
 
 
 def test_label_cache_is_bounded():
-    for value in range(_LABEL_CACHE_SIZE + 10):
-        assert _encoded(value) == (label_key(value), value)
+    values = list(range(_LABEL_CACHE_SIZE + 10))
+    values += [(1, frozenset({0, 2})), frozenset({(3,), 1}), (), frozenset(), ((2,), (0, 1))]
+    for value in values:
+        assert _encoded(value) == (label_key(value), compact_json(label_to_json(value)))
     assert _encoded.cache_info().currsize <= _LABEL_CACHE_SIZE

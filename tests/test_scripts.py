@@ -28,3 +28,17 @@ def test_pipeline_scripts_run(tmp_path, script, args):
         assert list(tmp_path.glob("*.json"))
     else:
         assert "failures=0" in result.stdout
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["local_det", "local_sym", "rand_compile"])
+def test_benchmark_round_zero_matches_reference_digest(workload, seed):
+    # round 0 of each workload hashes its outputs; the benchmark exits 0
+    # only if every op passed and the hash matches perfbench/reference.json
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "(match)" in result.stdout, result.stdout
