@@ -16,7 +16,6 @@ from .csp import (
     Constraint,
     Csp,
     PartialAssignment,
-    check_partial_solution,
     discrete_partition,
     is_solution,
     probability,
@@ -30,6 +29,7 @@ from .engine import (
     LllVerdict,
     MoserTardosResult,
     WeightedGroundSet,
+    check_partial_solution,
     construct_partial,
     cover_family,
     lll_check,

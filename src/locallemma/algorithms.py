@@ -217,8 +217,6 @@ class BuiltinSpec:
     algorithm: LocalAlgorithm
     rounds: Callable[[int], int]
     problem: LclProblem
-    graph_class: str
-    randomized: bool
     seed_range: Optional[Callable[[int], int]] = None
 
 
@@ -232,16 +230,12 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
         return BuiltinSpec(
             name=name, algorithm=alg, rounds=cole_vishkin_rounds,
             problem=proper_coloring_problem(3),
-            graph_class="directed cycles and paths with an identifier layer",
-            randomized=False,
         )
     if name == "id_echo":
         alg = LocalAlgorithm("id_echo", _id_echo_rule, {})
         return BuiltinSpec(
             name=name, algorithm=alg, rounds=lambda n: 0,
             problem=proper_coloring_problem(None),
-            graph_class="graphs with a distinct identifier layer",
-            randomized=False,
         )
     if name == "trial_coloring":
         delta = int(params["delta"])
@@ -252,8 +246,6 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
         return BuiltinSpec(
             name=name, algorithm=alg, rounds=trial_coloring_rounds,
             problem=proper_coloring_problem(delta + 1),
-            graph_class=f"graphs of maximum degree {delta} with a randomness layer",
-            randomized=True,
             seed_range=lambda nn: (delta + 1) ** trial_coloring_rounds(nn),
         )
     if name == "parallel_resample":
@@ -267,8 +259,6 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
             name=name, algorithm=alg,
             rounds=lambda nn: 2 * parallel_resample_logic_rounds(nn, c),
             problem=csp_to_lcl(m0, 0, "compiled", 0),
-            graph_class="encoded graph-CSP instances with identifier and randomness layers",
-            randomized=True,
             seed_range=lambda nn: m0 ** (parallel_resample_logic_rounds(nn, c) + 1),
         )
     raise KeyError(f"unknown builtin algorithm {name!r}")

@@ -185,6 +185,5 @@ def binary_reduce(csp: Csp, epsilon: Fraction):
         det_sets=det_sets,
         rules={y: rule_for(y) for y in csp.ground},
         kind="binary-decode",
-        params={"n": csp.m, "bits": N, "delta": str(delta), "epsilon": str(epsilon)},
     )
-    return encoded, Reduction(tau, encoded, validated=True)
+    return encoded, Reduction(tau, encoded)

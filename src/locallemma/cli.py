@@ -259,8 +259,10 @@ def _csp_solve(args) -> dict:
 
 
 def _csp_cover(args) -> dict:
-    result = cover_family(csp_from_json(load_json(args.csp)), seed=args.seed,
-                          budget=args.budget, cap_bits=args.cap_enum_bits)
+    csp = csp_from_json(load_json(args.csp))
+    if not csp.ground:
+        raise ValueError("need a nonempty ground set")
+    result = cover_family(csp, seed=args.seed, budget=args.budget, cap_bits=args.cap_enum_bits)
     min_count = min(result.per_element_counts.values())
     return {"pipeline": args.pipeline, "levels": result.levels,
             "members": len(result.members), "min_element_coverage": min_count,

@@ -205,7 +205,6 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
         det_sets={x: frozenset(doms[x]) for x in graph.vertices},
         rules={x: rule_for(x) for x in graph.vertices},
         kind="rand_to_csp",
-        params={"alg": alg.name, "rounds": rounds, "m": str(m)},
     )
     return compiled, decoder
 
@@ -304,7 +303,7 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
         compiled, decoder = rand_to_csp(spec.algorithm, spec.problem, encoded,
                                         m_n, rounds, canon_cap=canon_cap)
         rho_out = compose(red_in.connection, decoder)
-        reduction = Reduction(rho_out, compiled, validated=False)
+        reduction = Reduction(rho_out, compiled)
         return BootstrapResult(
             feasible=True, route="amplified", csp=compiled, reduction=reduction,
             chosen_n=n, p_bound=p_bound, exact_p=False, report=report,

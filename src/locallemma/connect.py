@@ -9,7 +9,7 @@ a value on any total view of S(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .csp import Csp, PartialAssignment, is_solution, restrict_csp, solutions_exhaustive
@@ -22,7 +22,6 @@ class Connection:
     det_sets: Mapping[int, frozenset]
     rules: Mapping[int, Callable[[Dict[int, int]], Optional[int]]]
     kind: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         missing = [x for x in self.source if x not in self.det_sets or x not in self.rules]
@@ -31,9 +30,6 @@ class Connection:
 
     def width(self) -> int:
         return max((len(self.det_sets[x]) for x in self.source), default=0)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
 
 
 def apply(conn: Connection, f: PartialAssignment) -> PartialAssignment:
@@ -69,7 +65,6 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
     """rho after sigma: X <- Y composed with Y <- Z gives X <- Z with
     S(x) = union of sigma's determining sets over S_rho(x).  Identity is
     the unit: with it on either side, the other side's sets and rules."""
-    params = {"outer": rho.describe(), "inner": sigma.describe()}
     if "identity" in (rho.kind, sigma.kind):
         kept = sigma if rho.kind == "identity" else rho
         return Connection(
@@ -78,7 +73,6 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
             det_sets={x: kept.det_sets[x] for x in rho.source},
             rules={x: kept.rules[x] for x in rho.source},
             kind="compose",
-            params=params,
         )
     det_sets = {}
     rules = {}
@@ -105,18 +99,16 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
         det_sets=det_sets,
         rules=rules,
         kind="compose",
-        params=params,
     )
 
 
 @dataclass(frozen=True)
 class Reduction:
     """Connection plus target CSP; solutions of the target pull back to
-    solutions of the source (validated by testing, recorded in the flag)."""
+    solutions of the source (checked by `validate_reduction`)."""
 
     connection: Connection
     target: Csp
-    validated: bool = False
 
     def width(self) -> int:
         return self.connection.width()
@@ -130,12 +122,9 @@ class Reduction:
             best = max(best, sum(1 for dom in doms if dom & s))
         return best
 
-    def describe(self) -> dict:
-        return self.connection.describe()
-
 
 def identity_reduction(csp: Csp) -> Reduction:
-    return Reduction(identity_connection(csp.ground), csp, validated=True)
+    return Reduction(identity_connection(csp.ground), csp)
 
 
 def pull_partial(red: Reduction, g: PartialAssignment):
@@ -166,15 +155,14 @@ def pull_partial(red: Reduction, g: PartialAssignment):
         det_sets=det_sets,
         rules=rules,
         kind="residual",
-        params={"base": conn.describe()},
     )
-    return g_source, Reduction(residual_conn, residual_target, validated=red.validated)
+    return g_source, Reduction(residual_conn, residual_target)
 
 
 def validate_reduction(red: Reduction, source: Csp, cap_bits: int = 16,
                        limit: int = 512) -> Reduction:
     """Solve the target exhaustively (capped) and check that every decoded
-    solution solves the source; returns the reduction with the flag set."""
+    solution solves the source; returns the reduction."""
     checked = 0
     for f in solutions_exhaustive(red.target, cap_bits):
         decoded = apply(red.connection, f)
@@ -187,4 +175,4 @@ def validate_reduction(red: Reduction, source: Csp, cap_bits: int = 16,
         checked += 1
         if checked >= limit:
             break
-    return Reduction(red.connection, red.target, validated=True)
+    return red

@@ -263,31 +263,6 @@ def solutions_exhaustive(csp: Csp, cap_bits: int = DEFAULT_CAP_BITS):
             yield assignment
 
 
-def check_partial_solution(csp: Csp, g: PartialAssignment,
-                           cap_bits: int = DEFAULT_CAP_BITS,
-                           mt_cap: Optional[int] = None,
-                           seed: int = 0) -> Optional[bool]:
-    """Three-valued: True / False when decidable (exhaustive search within
-    the cap, or an immediate contradiction), None when only the resampling
-    oracle was available and it capped out."""
-    restricted = restrict_csp(csp, g)
-    for c in restricted.constraints:
-        if c.arity() == 0 and c.is_explicit() and c.members:
-            return False  # g already violates a fully-covered constraint
-    bits = len(restricted.ground) * log2(restricted.m) if restricted.m > 1 else 0
-    if bits <= cap_bits:
-        for _ in solutions_exhaustive(restricted, cap_bits):
-            return True
-        return False
-    from .engine import moser_tardos_solve
-
-    cap = mt_cap if mt_cap is not None else 200 * max(1, len(restricted.constraints))
-    result = moser_tardos_solve(restricted, seed=seed, cap=cap)
-    if result.assignment is not None:
-        return True
-    return None
-
-
 def const_assignment(elements, value: int) -> PartialAssignment:
     return {x: value for x in elements}
 

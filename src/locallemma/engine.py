@@ -49,7 +49,6 @@ class LllVerdict:
     margin: Fraction
     p: Fraction
     d: int
-    eta: Optional[Dict[int, Fraction]] = None
 
 
 def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fraction]] = None,
@@ -80,7 +79,7 @@ def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fracti
             margin = gap if margin is None else min(margin, gap)
         if margin is None:
             margin = Fraction(1)
-        return LllVerdict("general", margin >= 0, margin, st.p, st.d, eta=dict(eta))
+        return LllVerdict("general", margin >= 0, margin, st.p, st.d)
     if which == "neighborhood-growth":
         graph = intersection_graph(csp)
         ball2 = max((len(graph.distances_from(x, limit=2)) for x in graph.vertices),
@@ -206,9 +205,6 @@ class QuadExpr:
 
         return float(self.a) + float(self.b) * sqrt(float(self.p))
 
-    def as_json(self):
-        return {"const": str(self.a), "sqrtp_coeff": str(self.b), "float": self.float()}
-
 
 @dataclass
 class PartialSolutionTrace:
@@ -219,7 +215,6 @@ class PartialSolutionTrace:
     dangerous: List[frozenset]      # D(u) per prefix, length len(classes)+1
     phi: List[QuadExpr]             # estimator per prefix, same length
     covered_weight: Fraction = Fraction(0)
-    p: Fraction = Fraction(0)
 
 
 def _is_dangerous(prob: Fraction, p: Fraction) -> bool:
@@ -366,7 +361,6 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
         dangerous=dangerous_trace,
         phi=phi_trace,
         covered_weight=covered_weight,
-        p=p,
     )
     return h, trace
 
@@ -413,6 +407,14 @@ def direct_entry(p: Fraction, d: int, d_rho: int, N: int = STEP_TARGET_N,
             "epsilon": str(epsilon)}
 
 
+def _binary_stage(red_in: Reduction, cap_bits: int):
+    """Binary-reduce the target of `red_in` and compose the decoding onto
+    its connection: (encoded, sigma, stats(encoded), d(sigma))."""
+    encoded, tau_red = binary_reduce(red_in.target, EPS_BINARY)
+    sigma = Reduction(compose(red_in.connection, tau_red.connection), encoded)
+    return encoded, sigma, stats(encoded, cap_bits), sigma.degree()
+
+
 @dataclass
 class StepResult:
     g: PartialAssignment
@@ -441,12 +443,7 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
         raise StepInfeasibleError(
             f"bootstrap infeasible: {json.dumps([entry], sort_keys=True)}")
 
-    encoded, tau_red = binary_reduce(red_in.target, EPS_BINARY)
-    sigma_conn = compose(red_in.connection, tau_red.connection)
-    sigma = Reduction(sigma_conn, encoded, validated=red_in.validated)
-
-    est = stats(encoded, cap_bits)
-    d_sigma = sigma.degree()
+    encoded, sigma, est, d_sigma = _binary_stage(red_in, cap_bits)
     cert = {
         "p_target": str(est.p),
         "d_target": est.d,
@@ -510,19 +507,38 @@ def extend_solution(csp: Csp, g: PartialAssignment, seed: int = 0,
             current[y] = value
             remaining = restrict_csp(remaining, {y: value})
             continue
-        try:
-            for solution in solutions_exhaustive(remaining, cap_bits):
-                current.update(solution)
-                return current
-            raise StepInfeasibleError("no extension exists for the residual CSP")
-        except EnumerationCapError:
-            result = moser_tardos_solve(remaining, seed=seed,
-                                        cap=500 * max(1, len(remaining.constraints)))
-            if result.assignment is None:
-                raise StepInfeasibleError("extension search capped out")
-            current.update(result.assignment)
-            return current
+        solution, decided = _search(remaining, seed, cap_bits)
+        if solution is None:
+            raise StepInfeasibleError("no extension exists for the residual CSP" if decided
+                                      else "extension search capped out")
+        current.update(solution)
+        return current
     return current
+
+
+def _search(csp: Csp, seed: int, cap_bits: int) -> Tuple[Optional[Dict[int, int]], bool]:
+    """(a solution or None, decided): exhaustive search within the cap,
+    else the resampling oracle at 500 resamples per constraint.  The
+    answer is undecided only when resampling capped out."""
+    try:
+        return next(solutions_exhaustive(csp, cap_bits), None), True
+    except EnumerationCapError:
+        result = moser_tardos_solve(csp, seed=seed, cap=500 * max(1, len(csp.constraints)))
+        return result.assignment, result.assignment is not None
+
+
+def check_partial_solution(csp: Csp, g: PartialAssignment,
+                           cap_bits: int = DEFAULT_CAP_BITS, seed: int = 0) -> Optional[bool]:
+    """Whether g extends to a solution of `csp`.  Three-valued: True when
+    a solution is found, False when none exists (exhaustive search within
+    the cap, or an immediate contradiction), None when only the resampling
+    oracle was available and it capped out."""
+    restricted = restrict_csp(csp, g)
+    for c in restricted.constraints:
+        if c.arity() == 0 and c.is_explicit() and c.members:
+            return False  # g already violates a fully-covered constraint
+    solution, decided = _search(restricted, seed, cap_bits)
+    return solution is not None if decided else None
 
 
 @dataclass
@@ -530,7 +546,6 @@ class SolveResult:
     assignment: Dict[int, int]
     iterations: int
     step_reports: List[dict]
-    extended_elements: List[int]
     traces: List[PartialSolutionTrace]
 
 
@@ -557,12 +572,11 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
     g_total: PartialAssignment = {}
     current = source
     red = identity_reduction(source)
-    current_wts = wts
     reports: List[dict] = []
     traces: List[PartialSolutionTrace] = []
     iterations = 0
     while current.ground:
-        live = current_wts.restricted_normalized(current.ground) if current_wts else None
+        live = wts.restricted_normalized(current.ground)
         if live is None:
             break  # only zero-weight elements remain
         if iterations >= max_iters:
@@ -582,7 +596,6 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
         red = result.residual_reduction
         iterations += 1
 
-    extended = [x for x in source.ground if x not in g_total]
     assignment = extend_solution(source, g_total, seed=seed, cap_bits=cap_bits)
     ok, violated = is_solution(source, assignment)
     if not ok:
@@ -591,7 +604,6 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
         assignment=assignment,
         iterations=iterations,
         step_reports=reports,
-        extended_elements=extended,
         traces=traces,
     )
 
@@ -637,15 +649,11 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     direct = direct_entry(st.p, st.d, red_in.degree())["ok"]
     route = "bootstrap-direct" if direct else "direct-binary"
 
-    encoded, tau_red = binary_reduce(source, EPS_BINARY)
-    sigma = Reduction(compose(red_in.connection, tau_red.connection), encoded,
-                      validated=red_in.validated)
-    est = stats(encoded, cap_bits)
+    encoded, sigma, est, d_sigma = _binary_stage(red_in, cap_bits)
     p, d = est.p, est.d
     if p * (d + 1) ** 2 > INV_E2_LOWER / 4:
         raise StepInfeasibleError(
             "binary target fails the partial-solution precondition")
-    d_sigma = sigma.degree()
     if Fraction(4) * Fraction(d_sigma * d_sigma) * p > 1:
         raise StepInfeasibleError(
             "d(rho) sqrt(p) <= 1/2 fails; family coverage not certified")
@@ -672,7 +680,7 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
         if not ok:
             residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
                            tuple(state.constraints))
-            witness = _solution_witness(residual, seed, cap_bits)
+            witness, _ = _search(residual, seed, cap_bits)
             cert["solution_witness"] = witness is not None
             if witness is None:
                 raise StepInfeasibleError(
@@ -723,13 +731,3 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
             state.restore(start)
 
     yield from visit(0, _LevelState(encoded, p, cap_bits), {}, [rules[x]({}) for x in elems])
-
-
-def _solution_witness(csp: Csp, seed: int, cap_bits: int) -> Optional[Dict[int, int]]:
-    try:
-        for solution in solutions_exhaustive(csp, cap_bits):
-            return solution
-        return None
-    except EnumerationCapError:
-        result = moser_tardos_solve(csp, seed=seed, cap=500 * max(1, len(csp.constraints)))
-        return result.assignment

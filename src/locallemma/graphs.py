@@ -21,7 +21,6 @@ VertexLabeling = Dict[int, int]
 # layers a graph carries (and global parameters such as a CSP range).
 LAYER_MARK: frozenset = frozenset()
 TAG_BASE = 0
-TAG_INPUT = 1
 TAG_IDS = 2
 TAG_RAND = 3
 TAG_OUTPUT = 4

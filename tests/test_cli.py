@@ -109,11 +109,19 @@ def test_pipeline_rand(tmp_path):
     assert "decoded-coloring-valid" in names
 
 
-def test_malformed_config_no_partial_report(tmp_path):
+def test_malformed_config_no_partial_report(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = run(["pipeline", "det", "--gen-kind", "nonsense", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+    # an empty ground set: cover refuses it as the weighted solver does
+    cpath = tmp_path / "empty.json"
+    dump_json({"ground": [], "m": 2, "constraints": []}, cpath)
+    for argv in (["csp", "cover"], ["csp", "solve", "--method", "weighted"]):
+        capsys.readouterr()
+        assert run(argv + ["--csp", str(cpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: need a nonempty ground set\n"
 
 
 def test_run_experiment_validation():

@@ -196,8 +196,7 @@ def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
     decoder = Connection(
         source=tuple(graph.vertices), target=tuple(graph.vertices),
         det_sets={x: frozenset(balls[x].graph.vertices) for x in graph.vertices},
-        rules={x: rule_for(x) for x in graph.vertices}, kind="rand_to_csp",
-        params={"alg": alg.name, "rounds": rounds, "m": str(m)})
+        rules={x: rule_for(x) for x in graph.vertices}, kind="rand_to_csp")
     return Csp(tuple(graph.vertices), m, constraints), decoder
 
 

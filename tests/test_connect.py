@@ -1,5 +1,6 @@
-import json
 import random
+
+import pytest
 
 from locallemma.connect import (
     Connection,
@@ -11,7 +12,7 @@ from locallemma.connect import (
     pull_partial,
     validate_reduction,
 )
-from locallemma.csp import Csp, is_solution, restrict_csp, solutions_exhaustive
+from locallemma.csp import Constraint, Csp, is_solution, restrict_csp, solutions_exhaustive
 from locallemma.randgen import random_small_csp
 
 
@@ -93,13 +94,12 @@ def nested_compose(rho, sigma):
 
         rules[x] = rule
     return Connection(source=rho.source, target=sigma.target, det_sets=det_sets,
-                      rules=rules, kind="compose",
-                      params={"outer": rho.describe(), "inner": sigma.describe()})
+                      rules=rules, kind="compose")
 
 
 def test_compose_identity_neutral():
     # identity on either side: the other side's sets and rules, the nested
-    # composition's description and outputs
+    # composition's kind and outputs
     rng = random.Random(4)
     for trial in range(20):
         sigma = random_connection(rng, range(3), range(5))
@@ -107,7 +107,7 @@ def test_compose_identity_neutral():
         for outer, inner in ((identity_connection((0, 1, 2)), sigma),
                              (rho, identity_connection((0, 1, 2)))):
             comp, want = compose(outer, inner), nested_compose(outer, inner)
-            assert json.dumps(comp.describe()) == json.dumps(want.describe())
+            assert comp.kind == want.kind
             assert comp.source == want.source and comp.target == want.target
             assert dict(comp.det_sets) == want.det_sets
             for _ in range(20):
@@ -200,11 +200,15 @@ def test_pull_partial_residual_end_to_end():
     assert hits >= 20
 
 
-def test_validate_reduction_sets_flag():
+def test_validate_reduction_returns_checked_reduction():
     csp = random_small_csp(21, max_ground=4, max_m=2)
     red = identity_reduction(csp)
-    validated = validate_reduction(red, csp)
-    assert validated.validated
+    assert validate_reduction(red, csp) is red
+    # a target that drops the source's constraint decodes to a violation
+    ground = (0, 1)
+    source = Csp(ground, 2, (Constraint.explicit(ground, 2, [(1, 1)]),))
+    with pytest.raises(AssertionError, match="violates constraints"):
+        validate_reduction(Reduction(identity_connection(ground), Csp(ground, 2, ())), source)
 
 
 def test_determining_sets_minimal_spot_check():

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from locallemma.csp import (
     Constraint,
     Csp,
-    check_partial_solution,
     const_assignment,
     discrete_partition,
     intersection_graph,
@@ -19,6 +18,7 @@ from locallemma.csp import (
     solutions_exhaustive,
     stats,
 )
+from locallemma.engine import check_partial_solution
 from locallemma.errors import EnumerationCapError
 from locallemma.graphs import StructuredGraph
 from locallemma.randgen import random_cover_csp, random_small_csp

@@ -29,9 +29,10 @@ from locallemma.engine import (
     WeightedGroundSet,
     _LevelState,
     _family_leaves,
-    _solution_witness,
+    _search,
     _term,
     branch_trace,
+    check_partial_solution,
     construct_partial,
     cover_family,
     extend_solution,
@@ -325,8 +326,7 @@ def test_construct_partial_matches_replay_oracle_on_step_target():
     boot = bootstrap(source, red_in, STEP_TARGET_N, STEP_TARGET_EPS / (1 + EPS_BINARY))
     assert boot.feasible and boot.exact_p
     encoded, tau_red = binary_reduce(boot.csp, EPS_BINARY)
-    sigma = Reduction(compose(boot.reduction.connection, tau_red.connection), encoded,
-                      validated=boot.reduction.validated)
+    sigma = Reduction(compose(boot.reduction.connection, tau_red.connection), encoded)
     raw = {x: i % 3 + 1 for i, x in enumerate(source.ground)}
     total = sum(raw.values())
     wts = WeightedGroundSet({x: Fraction(w, total) for x, w in raw.items()})
@@ -348,8 +348,6 @@ def test_construct_partial_h_is_partial_solution():
         red = identity_reduction(csp)
         wts = WeightedGroundSet.uniform(csp.ground)
         h, _ = construct_partial(csp, red, wts)
-        from locallemma.csp import check_partial_solution
-
         assert check_partial_solution(csp, h) is True
 
 
@@ -422,6 +420,27 @@ def test_extend_solution_large_range():
     csp = random_measurable_csp(17, max_ground=40)
     f = extend_solution(csp, {})
     assert is_solution(csp, f)[0]
+
+
+def test_extend_solution_failure_texts():
+    # every value of element 0 is forbidden, so the per-element pass falls
+    # back to search; within the cap, exhaustive search decides there is none
+    csp = Csp((0, 1), 2, (Constraint.explicit((0,), 2, [(1,), (2,)]),))
+    with pytest.raises(StepInfeasibleError, match="no extension exists for the residual CSP"):
+        extend_solution(csp, {})
+    # above the cap, resampling caps out on a predicate that forbids everything
+    csp = Csp(tuple(range(6)), 2, (Constraint.from_predicate((0,), 2, lambda values: True),))
+    with pytest.raises(StepInfeasibleError, match="extension search capped out"):
+        extend_solution(csp, {}, cap_bits=4)
+
+
+def test_check_partial_solution_above_the_cap():
+    pair = Constraint.explicit((0, 1), 2, [(1, 1)])
+    csp = Csp(tuple(range(6)), 2, (pair,))
+    assert check_partial_solution(csp, {0: 1, 1: 1}, cap_bits=2) is False
+    assert check_partial_solution(csp, {0: 1}, cap_bits=2) is True
+    hopeless = Csp(csp.ground, 2, (pair, Constraint.from_predicate((2,), 2, lambda values: True)))
+    assert check_partial_solution(hopeless, {}, cap_bits=2) is None
 
 
 # ---------------------------------------------------------------- cover_family
@@ -499,7 +518,7 @@ def oracle_cover_family(source, seed=0, budget=1 << 16, cap_bits=DEFAULT_CAP_BIT
             cert = {"p_residual": str(rst.p), "d_residual": rst.d}
             cert["residual_(8,2^-15)"] = rst.p * (rst.d + 1) ** RESIDUAL_N <= RESIDUAL_EPS
             if not cert["residual_(8,2^-15)"]:
-                witness = _solution_witness(residual, seed, cap_bits)
+                witness, _ = _search(residual, seed, cap_bits)
                 assert witness is not None
                 cert["solution_witness"] = True
             certificates.append(cert)

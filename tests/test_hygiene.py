@@ -4,7 +4,10 @@ import and `from __future__` imports bind nothing, so both are exempt.
 Every private module-level function or class is named somewhere else in
 `src/`, so a change cannot leave a dead helper behind.  No function imports
 from a sibling module that its module already imports from at top level,
-so an import kept inside a function is one that closes a cycle."""
+so an import kept inside a function is one that closes a cycle.  Every
+public module-level name is named in `src/`, `scripts/` or `perfbench/`, or
+is on the explicit `API` list of names that only tests and library users
+reach."""
 
 import ast
 from collections import Counter
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "locallemma"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "locallemma"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -41,23 +45,24 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
+def names(tree) -> Counter:
+    """How often each name, attribute or imported name occurs in `tree`."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
 def unused_private_defs(sources: dict) -> list:
     """(module, name) of each undecorated module-level `_private` function
     or class that no source names outside its own definition.  A decorator
     such as `@register_predicate` is a use."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-
-    def names(tree):
-        out = Counter()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                out[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                out[node.attr] += 1
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                out.update(alias.name for alias in node.names)
-        return out
-
     named = sum((names(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
@@ -112,3 +117,65 @@ def test_local_import_checker_flags_only_repeated_modules():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_level_import_of_a_top_level_module(module):
     assert redundant_local_imports((SRC / module).read_text()) == []
+
+
+def top_level_names(tree):
+    """(name, defining node) for each module-level function, class and
+    assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def unreferenced_public_names(sources: dict, users: list) -> list:
+    """(module, name) of each public module-level name in `sources` that no
+    source names outside its own definition and no text in `users` names.
+    Any name or attribute spelled the same counts as a use, so the check
+    can miss a dead name but does not flag one that is read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = sum((names(tree) for tree in trees.values()), Counter())
+    named += sum((names(ast.parse(text)) for text in users), Counter())
+    return [(module, name) for module, tree in trees.items()
+            for name, node in top_level_names(tree)
+            if not name.startswith("_") and named[name] == names(node)[name]]
+
+
+def test_public_checker_flags_only_unnamed_definitions():
+    sources = {
+        "a.py": ("LIMIT = 3\nTAG: int = 1\nPLANTED = 0\n"
+                 "def used(): return LIMIT\ndef recursive(n):\n    return recursive(n - 1)\n"
+                 "class Planted: pass\ndef _private(): pass\n"),
+        "b.py": "from .a import used\n",
+    }
+    users = ["import a\nprint(a.TAG)\n"]
+    assert unreferenced_public_names(sources, users) == [
+        ("a.py", "PLANTED"), ("a.py", "recursive"), ("a.py", "Planted")]
+
+
+# Public names that only tests and library users reach.  `__init__.py`
+# re-exports by import, so it is not counted as a use.
+API = {
+    ("compilers.py", "bootstrap"),
+    ("connect.py", "validate_reduction"),
+    ("csp.py", "probability_estimate"),
+    ("engine.py", "branch_trace"),
+    ("engine.py", "check_partial_solution"),
+    ("generate.py", "lift_coloring"),
+    ("graphcsp.py", "decode_graph_csp"),
+    ("graphs.py", "graph_layer_tags"),
+    ("graphs.py", "power_graph"),
+    ("localrun.py", "estimate_randomized_failure"),
+    ("randgen.py", "random_binary_lowp_csp"),
+    ("randgen.py", "random_small_csp"),
+    ("serialize.py", "csp_to_json"),
+    ("serialize.py", "weights_to_json"),
+}
+
+
+def test_every_public_name_is_used_or_listed_as_api():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    users = [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
+    assert sorted(unreferenced_public_names(sources, users)) == sorted(API)
