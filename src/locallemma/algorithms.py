@@ -47,7 +47,7 @@ def proper_coloring_problem(k: Optional[int]) -> LclProblem:
 
     name = f"proper-{k}-coloring" if k is not None else "proper-coloring"
     return LclProblem(t=1, verifier=LocalAlgorithm(name=name, rule=verify,
-                                                   params={"k": k}, value_symmetric=True))
+                                                   palette=k, value_symmetric=True))
 
 
 def _successor_map(graph: StructuredGraph) -> Dict[int, int]:
@@ -226,13 +226,13 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
     params = dict(params or {})
     if name == "cole_vishkin_3color":
         n = int(params["n"])
-        alg = LocalAlgorithm("cole_vishkin_3color", _cole_vishkin_rule(n), {"n": n})
+        alg = LocalAlgorithm("cole_vishkin_3color", _cole_vishkin_rule(n))
         return BuiltinSpec(
             name=name, algorithm=alg, rounds=cole_vishkin_rounds,
             problem=proper_coloring_problem(3),
         )
     if name == "id_echo":
-        alg = LocalAlgorithm("id_echo", _id_echo_rule, {})
+        alg = LocalAlgorithm("id_echo", _id_echo_rule)
         return BuiltinSpec(
             name=name, algorithm=alg, rounds=lambda n: 0,
             problem=proper_coloring_problem(None),
@@ -241,8 +241,7 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
         delta = int(params["delta"])
         n = int(params["n"])
         rounds = trial_coloring_rounds(n)
-        alg = LocalAlgorithm("trial_coloring", _trial_coloring_rule(delta, rounds),
-                             {"delta": delta, "n": n})
+        alg = LocalAlgorithm("trial_coloring", _trial_coloring_rule(delta, rounds))
         return BuiltinSpec(
             name=name, algorithm=alg, rounds=trial_coloring_rounds,
             problem=proper_coloring_problem(delta + 1),
@@ -253,12 +252,11 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
         n = int(params["n"])
         c = int(params.get("c", 8))
         logic = parallel_resample_logic_rounds(n, c)
-        alg = LocalAlgorithm("parallel_resample", _parallel_resample_rule(m0, logic),
-                             {"m0": m0, "n": n, "c": c})
+        alg = LocalAlgorithm("parallel_resample", _parallel_resample_rule(m0, logic))
         return BuiltinSpec(
             name=name, algorithm=alg,
             rounds=lambda nn: 2 * parallel_resample_logic_rounds(nn, c),
-            problem=csp_to_lcl(m0, 0, "compiled", 0),
+            problem=csp_to_lcl(m0),
             seed_range=lambda nn: m0 ** (parallel_resample_logic_rounds(nn, c) + 1),
         )
     raise KeyError(f"unknown builtin algorithm {name!r}")

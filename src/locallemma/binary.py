@@ -184,6 +184,5 @@ def binary_reduce(csp: Csp, epsilon: Fraction):
         target=ground,
         det_sets=det_sets,
         rules={y: rule_for(y) for y in csp.ground},
-        kind="binary-decode",
     )
     return encoded, Reduction(tau, encoded)

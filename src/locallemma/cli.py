@@ -108,7 +108,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             value = layer_value(decoded, root, TAG_RAND)
             return value if isinstance(value, int) else 0
 
-        alg = LocalAlgorithm("theta_echo", echo, {"m": m}, value_symmetric=True)
+        alg = LocalAlgorithm("theta_echo", echo, value_symmetric=True)
         problem = proper_coloring_problem(m)
         compiled, decoder = rand_to_csp(alg, problem, graph, m, rounds,
                                         canon_cap=DEFAULT_CANON_CAP, cap_bits=cfg.cap_enum_bits)

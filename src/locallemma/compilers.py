@@ -204,7 +204,6 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
         target=tuple(graph.vertices),
         det_sets={x: frozenset(doms[x]) for x in graph.vertices},
         rules={x: rule_for(x) for x in graph.vertices},
-        kind="rand_to_csp",
     )
     return compiled, decoder
 

@@ -4,7 +4,10 @@ Each source element carries a determining set S(x) in the target ground
 and a local rule from (possibly partial) views on S(x) to a value or None.
 Monotonicity — an extension of a view never changes a defined output — is
 a tested contract of every registered construction, and rules must return
-a value on any total view of S(x).
+a value on any total view of S(x).  Rules are pure functions of their
+view: equal views give equal outputs, and a rule keeps no state between
+calls (`rand_to_csp`'s decoder, `pull_partial`'s residual rules and
+`compose` all are), so callers may memoize a rule on its view.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ class Connection:
     target: Tuple[int, ...]
     det_sets: Mapping[int, frozenset]
     rules: Mapping[int, Callable[[Dict[int, int]], Optional[int]]]
-    kind: str = "custom"
+    identity: bool = False   # set by identity_connection; compose skips it
 
     def __post_init__(self):
         missing = [x for x in self.source if x not in self.det_sets or x not in self.rules]
@@ -57,7 +60,7 @@ def identity_connection(ground) -> Connection:
         target=ground,
         det_sets={x: frozenset([x]) for x in ground},
         rules={x: rule_for(x) for x in ground},
-        kind="identity",
+        identity=True,
     )
 
 
@@ -65,14 +68,13 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
     """rho after sigma: X <- Y composed with Y <- Z gives X <- Z with
     S(x) = union of sigma's determining sets over S_rho(x).  Identity is
     the unit: with it on either side, the other side's sets and rules."""
-    if "identity" in (rho.kind, sigma.kind):
-        kept = sigma if rho.kind == "identity" else rho
+    if rho.identity or sigma.identity:
+        kept = sigma if rho.identity else rho
         return Connection(
             source=rho.source,
             target=sigma.target,
             det_sets={x: kept.det_sets[x] for x in rho.source},
             rules={x: kept.rules[x] for x in rho.source},
-            kind="compose",
         )
     det_sets = {}
     rules = {}
@@ -98,7 +100,6 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
         target=sigma.target,
         det_sets=det_sets,
         rules=rules,
-        kind="compose",
     )
 
 
@@ -116,11 +117,8 @@ class Reduction:
     def degree(self) -> int:
         """max over x of the number of target constraints meeting S(x)."""
         doms = [set(c.domain) for c in self.target.constraints]
-        best = 0
-        for x in self.connection.source:
-            s = self.connection.det_sets[x]
-            best = max(best, sum(1 for dom in doms if dom & s))
-        return best
+        return max((sum(1 for dom in doms if dom & self.connection.det_sets[x])
+                    for x in self.connection.source), default=0)
 
 
 def identity_reduction(csp: Csp) -> Reduction:
@@ -154,7 +152,6 @@ def pull_partial(red: Reduction, g: PartialAssignment):
         target=residual_target.ground,
         det_sets=det_sets,
         rules=rules,
-        kind="residual",
     )
     return g_source, Reduction(residual_conn, residual_target)
 

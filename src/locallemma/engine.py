@@ -223,11 +223,12 @@ def _is_dangerous(prob: Fraction, p: Fraction) -> bool:
 
 class _LevelState:
     """Restriction state of the level recursion: the live constraints, their
-    conditional probabilities, which of them are frozen, and the dangerous
-    set (the union of the frozen constraints' original domains).
+    conditional probabilities and the largest, `p_max`, which of them are
+    frozen, and the dangerous set (the union of the frozen constraints'
+    original domains).
 
-    `descend` replaces the lists it changes rather than editing them, so a
-    snapshot is a tuple of references and stays valid after later steps.
+    `descend` replaces its lists when it changes any of them, rather than
+    editing them, so a snapshot is a tuple of references that stays valid.
     """
 
     def __init__(self, csp: Csp, p: Fraction, cap_bits: int):
@@ -235,16 +236,21 @@ class _LevelState:
         self.cap_bits = cap_bits
         self.constraints = list(csp.constraints)
         self.probs = [probability(c, cap_bits) for c in csp.constraints]
+        self.p_max = max(self.probs, default=Fraction(0))
         self.original_domains = [frozenset(c.domain) for c in csp.constraints]
+        self.meeting: Dict[int, List[int]] = {}   # element -> constraints on it
+        for i, c in enumerate(csp.constraints):
+            for x in c.domain:
+                self.meeting.setdefault(x, []).append(i)
         self.frozen = [_is_dangerous(pr, p) for pr in self.probs]
         self.dangerous = frozenset().union(
             *(dom for dom, frozen in zip(self.original_domains, self.frozen) if frozen))
 
     def snapshot(self):
-        return self.constraints, self.probs, self.frozen, self.dangerous
+        return self.constraints, self.probs, self.p_max, self.frozen, self.dangerous
 
     def restore(self, snap):
-        self.constraints, self.probs, self.frozen, self.dangerous = snap
+        self.constraints, self.probs, self.p_max, self.frozen, self.dangerous = snap
 
     def descend(self, cls: Sequence[int], value: int) -> Tuple[PartialAssignment, List[int]]:
         """One level: fix the elements of `cls` outside the dangerous set to
@@ -253,20 +259,24 @@ class _LevelState:
         assignment made and the indices of the restricted constraints."""
         g = const_assignment([x for x in cls if x not in self.dangerous], value)
         changed: List[int] = []
-        if not g:
-            return g, changed
-        constraints, probs, frozen = list(self.constraints), list(self.probs), list(self.frozen)
+        constraints, probs, frozen = self.constraints, self.probs, self.frozen
         newly_frozen = []
-        for i, c in enumerate(constraints):
-            if frozen[i] or g.keys().isdisjoint(c.domain):
+        for i in sorted({i for x in g for i in self.meeting.get(x, ())}):
+            if frozen[i] or g.keys().isdisjoint(constraints[i].domain):
                 continue
+            if not changed:
+                constraints, probs, frozen = list(constraints), list(probs), list(frozen)
             changed.append(i)
-            constraints[i] = restrict_constraint(c, g)
+            constraints[i] = restrict_constraint(constraints[i], g)
             probs[i] = probability(constraints[i], self.cap_bits)
             if _is_dangerous(probs[i], self.p):
                 frozen[i] = True
                 newly_frozen.append(self.original_domains[i])
-        self.constraints, self.probs, self.frozen = constraints, probs, frozen
+        if changed:
+            # the old maximum survives unless a restricted constraint held it
+            held = any(self.probs[i] == self.p_max for i in changed)
+            self.p_max = max(probs) if held else max(self.p_max, *(probs[i] for i in changed))
+            self.constraints, self.probs, self.frozen = constraints, probs, frozen
         if newly_frozen:
             self.dangerous = self.dangerous.union(*newly_frozen)
         return g, changed
@@ -308,20 +318,18 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
     d_rho = red.degree()
     conn = red.connection
 
+    state = _LevelState(csp, p, cap_bits)
     # weight of source elements whose determining set meets each original domain
-    weight_touching: List[Fraction] = []
-    for i, c in enumerate(csp.constraints):
-        dom = set(c.domain)
-        weight_touching.append(sum(
-            (wts.weights.get(x, Fraction(0)) for x in conn.source
-             if dom & conn.det_sets[x]), Fraction(0)))
+    weight_touching = [Fraction(0)] * len(csp.constraints)
+    for x in conn.source:
+        for i in {i for z in conn.det_sets[x] for i in state.meeting.get(z, ())}:
+            weight_touching[i] += wts.weights.get(x, Fraction(0))
 
     def weighted_term(i: int, probs: List[Fraction]) -> QuadExpr:
         return _term(probs[i], p).scaled(weight_touching[i])
 
     # phi is a running sum: a level changes only the terms of the
     # constraints `descend` restricted, and the arithmetic is exact
-    state = _LevelState(csp, p, cap_bits)
     phi = sum((weighted_term(i, state.probs) for i, w in enumerate(weight_touching) if w),
               QuadExpr(Fraction(0), Fraction(0), p))
     h: PartialAssignment = {}
@@ -346,23 +354,16 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
         phi_trace.append(phi)
 
     # verify the returned guarantees exactly
-    for prob in state.probs:
-        if prob * prob > Fraction(n * n) * p:
-            raise AssertionError("restricted probability bound violated")
+    if state.p_max * state.p_max > Fraction(n * n) * p:
+        raise AssertionError("restricted probability bound violated")
     covered_weight = sum((wts.weights.get(x, Fraction(0)) for x in conn.source
                           if not (conn.det_sets[x] & state.dangerous)), Fraction(0))
     shortfall = Fraction(1) - covered_weight
     if shortfall > 0 and shortfall * shortfall > Fraction(d_rho * d_rho) * p:
         raise AssertionError("coverage bound violated")
 
-    trace = PartialSolutionTrace(
-        classes=list(classes),
-        chosen=chosen,
-        dangerous=dangerous_trace,
-        phi=phi_trace,
-        covered_weight=covered_weight,
-    )
-    return h, trace
+    return h, PartialSolutionTrace(list(classes), chosen, dangerous_trace, phi_trace,
+                                   covered_weight)
 
 
 def branch_trace(csp: Csp, word: Sequence[int], cap_bits: int = DEFAULT_CAP_BITS):
@@ -628,17 +629,17 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     checked solution witness (a solvable residual is reducible to the
     empty CSP).
 
-    Cost model: the walk carries each member down the tree (see
-    `_family_leaves`), so rules run per element fixed, not per leaf times
-    source elements, and no leaf re-encodes a constraint.  The residual is
-    built from the level state's constraints: `descend` has restricted
-    every live constraint that h meets, and a frozen one was restricted
-    before it froze and is never met again, since its domain lies in the
-    dangerous set that no later level fixes.  So it has the bodies, and
-    the p, d, certificate and witness, of `encoded` restricted to h.
-    Its p is the largest of the level state's probabilities, which
-    `descend` keeps in step with the constraints, and the residual CSP
-    itself is built only when a witness is needed.
+    Cost model: the walk carries each member down the tree, running each
+    rule once per distinct view (see `_family_leaves`), and no leaf
+    re-encodes a constraint.  The residual is the level state's
+    constraints: `descend` has restricted every live constraint that h
+    meets, and a frozen one was restricted before it froze and is never
+    met again, since its domain lies in the dangerous set that no later
+    level fixes.  So it has the bodies, p (`p_max`), d, certificate and
+    witness of `encoded` restricted to h.  The rest is paid per distinct
+    key, and each key is all its value reads: d per tuple of live domains
+    (`overlap_counts`), a certificate per (p, d), copied to each leaf, and
+    coverage per dangerous set, weighted by its number of leaves.
 
     The route is "bootstrap-direct" when the source meets the direct
     (16, 2^-33) inequalities and "direct-binary" otherwise; both encode
@@ -666,38 +667,39 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     conn = sigma.connection
     members: List[PartialAssignment] = []
     certificates: List[dict] = []
-    counts = {x: 0 for x in source.ground}
+    leaves_by_dangerous: Dict[frozenset, int] = {}
+    d_memo: Dict[Tuple[Tuple[int, ...], ...], int] = {}
+    cert_memo: Dict[Tuple[Fraction, int], dict] = {}
     for h, member, state in _family_leaves(encoded, classes, conn, p, cap_bits):
-        covered = [x for x in conn.source if not (conn.det_sets[x] & state.dangerous)]
-        for x in covered:
-            counts[x] += 1
         members.append(member)
-        rp = max(state.probs, default=Fraction(0))
-        rd = max(overlap_counts([c.domain for c in state.constraints]), default=0)
-        cert = {"p_residual": str(rp), "d_residual": rd}
-        ok = rp * (rd + 1) ** RESIDUAL_N <= RESIDUAL_EPS
-        cert["residual_(8,2^-15)"] = ok
-        if not ok:
+        leaves_by_dangerous[state.dangerous] = leaves_by_dangerous.get(state.dangerous, 0) + 1
+        domains = tuple(c.domain for c in state.constraints)
+        rd = d_memo.get(domains)
+        if rd is None:
+            rd = d_memo[domains] = max(overlap_counts(domains), default=0)
+        rp = state.p_max
+        cert = cert_memo.get((rp, rd))
+        if cert is None:
+            cert = cert_memo[rp, rd] = {
+                "p_residual": str(rp), "d_residual": rd,
+                "residual_(8,2^-15)": rp * (rd + 1) ** RESIDUAL_N <= RESIDUAL_EPS}
+        cert = dict(cert)
+        if not cert["residual_(8,2^-15)"]:
             residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
                            tuple(state.constraints))
-            witness, _ = _search(residual, seed, cap_bits)
-            cert["solution_witness"] = witness is not None
-            if witness is None:
+            if _search(residual, seed, cap_bits)[0] is None:
                 raise StepInfeasibleError(
                     "residual neither satisfies the (8,2^-15) inequality "
                     "nor has a verified solution witness")
+            cert["solution_witness"] = True
         certificates.append(cert)
 
+    counts = {x: sum(leaves for dangerous, leaves in leaves_by_dangerous.items()
+                     if not (conn.det_sets[x] & dangerous)) for x in source.ground}
     uncovered = [x for x in source.ground if counts[x] == 0]
     if uncovered:
         raise AssertionError(f"family fails to cover {uncovered[:5]}")
-    return CoverResult(
-        members=members,
-        levels=levels,
-        per_element_counts=counts,
-        certificates=certificates,
-        route=route,
-    )
+    return CoverResult(members, levels, counts, certificates, route)
 
 
 def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Connection,
@@ -707,12 +709,23 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
     elements, only their readers (the source elements whose determining
     set holds one) run their rules again, on views of the extended h.
     A view changes only when a level fixes one of its elements, so each
-    carried value is the rule on its view of h, for any connection."""
+    carried value is the rule on its view of h, for any connection.  A rule
+    runs once per view: it is memoized on h's values over its determining
+    set, None where h is undefined, which fixes the view exactly since
+    values are >= 1, and rules are pure functions of their views."""
     elems, det_sets, rules = conn.source, conn.det_sets, conn.rules
+    dets = [tuple(det_sets[x]) for x in elems]
+    memos: List[dict] = [{} for _ in elems]
     readers: Dict[int, List[int]] = {}   # target element -> positions in elems
-    for k, x in enumerate(elems):
-        for z in det_sets[x]:
+    for k, ys in enumerate(dets):
+        for z in ys:
             readers.setdefault(z, []).append(k)
+
+    def rule_on(k: int, h: PartialAssignment):
+        key = tuple(map(h.get, dets[k]))
+        if key not in memos[k]:
+            memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
+        return memos[k][key]
 
     def visit(level: int, state: _LevelState, h: PartialAssignment, values: list):
         if level == len(classes):
@@ -725,9 +738,9 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
             touched = {k for z in g for k in readers.get(z, ())}
             values_next = list(values) if touched else values
             for k in touched:
-                x = elems[k]
-                values_next[k] = rules[x]({y: h_next[y] for y in det_sets[x] if y in h_next})
+                values_next[k] = rule_on(k, h_next)
             yield from visit(level + 1, state, h_next, values_next)
             state.restore(start)
 
-    yield from visit(0, _LevelState(encoded, p, cap_bits), {}, [rules[x]({}) for x in elems])
+    yield from visit(0, _LevelState(encoded, p, cap_bits), {},
+                     [rule_on(k, {}) for k in range(len(elems))])

@@ -113,7 +113,7 @@ def encoded_constraints(graph: StructuredGraph):
     return out
 
 
-def csp_to_lcl(m: int, b: int, p, d: int) -> LclProblem:
+def csp_to_lcl(m: int) -> LclProblem:
     """Radius-1 verifier for encoded graph-CSP instances: a vertex accepts
     iff its value is in [m] and no constraint containing it is violated by
     the candidate assignment layer."""
@@ -138,9 +138,4 @@ def csp_to_lcl(m: int, b: int, p, d: int) -> LclProblem:
                 return 0
         return 1
 
-    verifier = LocalAlgorithm(
-        name="csp-verifier",
-        rule=verify,
-        params={"m": int(m), "b": int(b), "p": str(p), "d": int(d)},
-    )
-    return LclProblem(t=1, verifier=verifier)
+    return LclProblem(t=1, verifier=LocalAlgorithm(name="csp-verifier", rule=verify))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log, sqrt
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from .canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
 from .errors import PipelineError
@@ -35,19 +35,18 @@ class LocalAlgorithm:
     """Named deterministic rule from canonical ball types to outputs.
     `value_symmetric` declares that permuting the seed values [m] permutes
     an algorithm's outputs alike, or leaves a verifier's verdict unchanged
-    when applied to seeds and outputs; a palette `k` limits it to m <= k."""
+    when applied to seeds and outputs; a `palette` k limits it to m <= k."""
 
     name: str
     rule: Callable[[CanonicalForm], int]
-    params: dict = field(default_factory=dict)
+    palette: Optional[int] = None
     value_symmetric: bool = False
 
     def __call__(self, form: CanonicalForm) -> int:
         return int(self.rule(form))
 
     def symmetric_at(self, m: int) -> bool:
-        k = self.params.get("k")
-        return self.value_symmetric and (k is None or k >= m)
+        return self.value_symmetric and (self.palette is None or self.palette >= m)
 
 
 @dataclass(frozen=True)

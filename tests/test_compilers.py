@@ -196,7 +196,7 @@ def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
     decoder = Connection(
         source=tuple(graph.vertices), target=tuple(graph.vertices),
         det_sets={x: frozenset(balls[x].graph.vertices) for x in graph.vertices},
-        rules={x: rule_for(x) for x in graph.vertices}, kind="rand_to_csp")
+        rules={x: rule_for(x) for x in graph.vertices})
     return Csp(tuple(graph.vertices), m, constraints), decoder
 
 
@@ -400,7 +400,7 @@ def test_palette_below_the_range_keeps_the_enumeration():
     seen = []
     for flag in (False, True):
         alg, problem, calls = counted(seed_echo(), pi)
-        verifier = dataclasses.replace(problem.verifier, params=pi.verifier.params)
+        verifier = dataclasses.replace(problem.verifier, palette=pi.verifier.palette)
         alg, problem = declared(alg, dataclasses.replace(problem, verifier=verifier), flag)
         compiled, _ = rand_to_csp(alg, problem, graph, m=4, rounds=0)
         assert all(c.count is None for c in compiled.constraints)

@@ -583,3 +583,70 @@ def test_family_leaves_carry_members_of_partial_view_rules():
         early += any(not conn.det_sets[x] <= h.keys() for x in member)
     assert leaves == 2 ** len(classes)
     assert early > 0  # some leaf holds a value its rule gave on a partial view
+
+
+def test_family_leaves_run_each_rule_once_per_distinct_view():
+    # rules that count their calls and read every element of a total view:
+    # each (reader, view) pair runs once, and every carried member is
+    # apply(conn, h) of the same connection without the counters
+    target = Csp(tuple(range(8)), 2, (Constraint.explicit(tuple(range(8)), 2, [(1,) * 8]),))
+    reads = {0: (0, 1, 2), 1: (2, 3), 2: (3, 4, 5, 6), 3: (7,), 4: (1, 6), 5: ()}
+
+    def weighted_sum(ys):
+        def rule(view):
+            if len(view) < len(ys):
+                return None
+            return 1 + sum((i + 1) * view[y] for i, y in enumerate(ys))
+        return rule
+
+    calls = {}
+
+    def counted(x, rule):
+        def counting_rule(view):
+            key = (x, tuple(sorted(view.items())))
+            calls[key] = calls.get(key, 0) + 1
+            return rule(view)
+        return counting_rule
+
+    det_sets = {x: frozenset(ys) for x, ys in reads.items()}
+    plain = Connection(source=tuple(reads), target=target.ground, det_sets=det_sets,
+                       rules={x: weighted_sum(ys) for x, ys in reads.items()})
+    counting = Connection(source=plain.source, target=target.ground, det_sets=det_sets,
+                          rules={x: counted(x, plain.rules[x]) for x in reads})
+    classes = discrete_partition(target)
+    leaves = 0
+    for h, member, state in _family_leaves(target, classes, counting, stats(target).p,
+                                           DEFAULT_CAP_BITS):
+        assert member == apply(plain, h)
+        leaves += 1
+    assert leaves == 2 ** len(classes) == 256
+    assert calls and set(calls.values()) == {1}
+
+
+def test_cover_family_coverage_by_dangerous_set_matches_per_leaf_oracle():
+    # two constraints sharing element 9 and a third apart: the leaves end
+    # with several dangerous sets, two residual degrees and two residual
+    # probabilities, so every memo of the walk meets more than one key
+    doms = (tuple(range(0, 10)), tuple(range(9, 19)), tuple(range(19, 29)))
+    patterns = ((1,) * 10, (1,) * 10, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
+    csp = Csp(tuple(range(30)), 2, tuple(Constraint.explicit(dom, 2, [pattern])
+                                        for dom, pattern in zip(doms, patterns)))
+    encoded, tau_red = binary_reduce(csp, EPS_BINARY)
+    conn = compose(identity_reduction(csp).connection, tau_red.connection)
+    dangerous = {}
+    for h, member, state in _family_leaves(encoded, discrete_partition(encoded), conn,
+                                           stats(encoded).p, DEFAULT_CAP_BITS):
+        dangerous[state.dangerous] = dangerous.get(state.dangerous, 0) + 1
+    assert len(dangerous) >= 3 and max(dangerous.values()) > 1
+
+    result = cover_family(csp, seed=3, budget=1 << 14)
+    members, levels, counts, certificates, route = oracle_cover_family(csp, seed=3,
+                                                                       budget=1 << 14)
+    assert list(result.per_element_counts.items()) == list(counts.items())
+    assert result.certificates == certificates
+    assert len({id(cert) for cert in result.certificates}) == len(certificates)
+    assert [list(m.items()) for m in result.members] == [list(m.items()) for m in members]
+    assert {cert["d_residual"] for cert in certificates} == {0, 1}
+    assert len({cert["p_residual"] for cert in certificates}) == 2
+    assert any("solution_witness" in cert for cert in certificates)
+    assert len(set(counts.values())) > 1

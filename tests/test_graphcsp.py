@@ -61,9 +61,8 @@ def test_csp_to_lcl_verifier():
     c1 = Constraint.explicit((0, 1), 2, [(1, 1)])
     c2 = Constraint.explicit((1, 2), 2, [(2, 2)])
     csp = Csp((0, 1, 2), 2, (c1, c2))
-    st = stats(csp)
     encoded = encode_graph_csp(intersection_graph(csp), csp)
-    problem = csp_to_lcl(csp.m, st.b, st.p, st.d)
+    problem = csp_to_lcl(csp.m)
 
     good = {0: 1, 1: 2, 2: 1}
     assert verify_lcl(problem, encoded, good).valid

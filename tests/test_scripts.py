@@ -31,7 +31,7 @@ def test_pipeline_scripts_run(tmp_path, script, args):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("workload", ["local_det", "local_sym", "rand_compile"])
+@pytest.mark.parametrize("workload", ["local_det", "local_sym", "rand_compile", "lll_solve"])
 def test_benchmark_round_zero_matches_reference_digest(workload, seed):
     # round 0 of each workload hashes its outputs; the benchmark exits 0
     # only if every op passed and the hash matches perfbench/reference.json
