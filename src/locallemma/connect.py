@@ -116,8 +116,8 @@ class Reduction:
 
     def degree(self) -> int:
         """max over x of the number of target constraints meeting S(x)."""
-        doms = [set(c.domain) for c in self.target.constraints]
-        return max((sum(1 for dom in doms if dom & self.connection.det_sets[x])
+        meeting, det_sets = self.target.meeting, self.connection.det_sets
+        return max((len({i for z in det_sets[x] for i in meeting.get(z, ())})
                     for x in self.connection.source), default=0)
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import product
 from math import log2
+from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
-from .graphs import StructuredGraph, greedy_coloring
+from .graphs import StructuredGraph
 from .rng import derived_rng
 
 DEFAULT_CAP_BITS = 20
@@ -178,7 +180,8 @@ def restrict_constraint(constraint: Constraint, g: PartialAssignment) -> Constra
 
 @dataclass(frozen=True)
 class Csp:
-    """Finite CSP: ordered ground set, range size m, constraint list."""
+    """Finite CSP: ordered ground set, range size m, constraint list.  Its index
+    `meeting` (element -> ascending indices of the constraints on it) is cached."""
 
     ground: Tuple[int, ...]
     m: int
@@ -199,6 +202,19 @@ class Csp:
     def bound(self) -> int:
         return max((c.arity() for c in self.constraints), default=0)
 
+    @cached_property
+    def meeting(self) -> Dict[int, Tuple[int, ...]]:
+        return incidence(c.domain for c in self.constraints)
+
+
+def incidence(domains: Iterable[Sequence[int]]) -> Dict[int, Tuple[int, ...]]:
+    """Element -> ascending indices of the domains that hold it."""
+    meeting: Dict[int, List[int]] = {}
+    for i, dom in enumerate(domains):
+        for x in dom:
+            meeting.setdefault(x, []).append(i)
+    return {x: tuple(idx) for x, idx in meeting.items()}
+
 
 @dataclass(frozen=True)
 class CspStats:
@@ -209,24 +225,15 @@ class CspStats:
 
 def neighborhood_counts(csp: Csp) -> List[int]:
     """|N(B)| per constraint: how many other constraints share an element."""
-    return overlap_counts([c.domain for c in csp.constraints])
+    return overlap_counts([c.domain for c in csp.constraints], csp.meeting)
 
 
-def overlap_counts(domains: Sequence[Tuple[int, ...]]) -> List[int]:
-    """Per domain, how many other domains share an element with it."""
-    doms = [set(dom) for dom in domains]
-    elems: Dict[int, List[int]] = {}
-    for i, dom in enumerate(doms):
-        for x in dom:
-            elems.setdefault(x, []).append(i)
-    out = []
-    for i, dom in enumerate(doms):
-        touching = set()
-        for x in dom:
-            touching.update(elems[x])
-        touching.discard(i)
-        out.append(len(touching))
-    return out
+def overlap_counts(domains: Sequence[Tuple[int, ...]],
+                   meeting: Dict[int, Tuple[int, ...]]) -> List[int]:
+    """Per domain, how many other domains share an element with it, given
+    the domains' incidence `meeting`."""
+    # a nonempty domain meets itself once
+    return [len({j for x in dom for j in meeting[x]}) - bool(dom) for dom in domains]
 
 
 def stats(csp: Csp, cap_bits: int = DEFAULT_CAP_BITS) -> CspStats:
@@ -282,11 +289,16 @@ def intersection_graph(csp: Csp) -> StructuredGraph:
 
 def discrete_partition(csp: Csp) -> List[Tuple[int, ...]]:
     """Partition of the ground set into classes meeting every constraint
-    domain at most once, by greedy coloring of the intersection graph in
-    ground order; at most (b-1)(d+1)+1 classes."""
-    graph = intersection_graph(csp)
-    coloring = greedy_coloring(graph, csp.ground)
-    classes: Dict[int, List[int]] = {}
+    domain at most once: first fit in ground order, each element taking the
+    first class that holds none of its co-domain elements (the greedy
+    coloring of the intersection graph); at most (b-1)(d+1)+1 classes."""
+    meeting = csp.meeting
+    taken = [0] * len(csp.constraints)   # bit c set: class c already meets the domain
+    classes: Dict[int, List[int]] = {}   # first fit opens classes in index order
     for x in csp.ground:
-        classes.setdefault(coloring[x], []).append(x)
-    return [tuple(classes[c]) for c in sorted(classes)]
+        used = reduce(or_, (taken[i] for i in meeting.get(x, ())), 0)
+        c = (~used & (used + 1)).bit_length() - 1   # the lowest class not in use
+        classes.setdefault(c, []).append(x)
+        for i in meeting.get(x, ()):
+            taken[i] |= 1 << c
+    return [tuple(cls) for cls in classes.values()]

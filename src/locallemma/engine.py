@@ -25,6 +25,7 @@ from .csp import (
     PartialAssignment,
     const_assignment,
     discrete_partition,
+    incidence,
     intersection_graph,
     is_solution,
     overlap_counts,
@@ -44,7 +45,6 @@ MEASURABLE_RHS = Fraction(1, 2**15)
 
 @dataclass
 class LllVerdict:
-    condition: str
     holds: bool
     margin: Fraction
     p: Fraction
@@ -59,34 +59,28 @@ def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fracti
     st = stats(csp, cap_bits)
     if which == "symmetric":
         margin = INV_E_LOWER - st.p * (st.d + 1)
-        return LllVerdict("symmetric", margin >= 0, margin, st.p, st.d)
-    if which == "measurable":
+    elif which == "measurable":
         margin = MEASURABLE_RHS - st.p * (st.d + 1) ** 8
-        return LllVerdict("measurable", margin >= 0, margin, st.p, st.d)
-    if which == "general":
+    elif which == "general":
         if eta is None:
             eta = {i: Fraction(1, st.d + 1) for i in range(len(csp.constraints))}
-        doms = [set(c.domain) for c in csp.constraints]
-        margin = None
+        gaps = []
         for i, c in enumerate(csp.constraints):
             if not (0 <= eta[i] < 1):
                 raise ValueError("eta values must lie in [0, 1)")
             rhs = eta[i]
-            for j, dom in enumerate(doms):
-                if j != i and dom & doms[i]:
-                    rhs *= 1 - eta[j]
-            gap = rhs - probability(c, cap_bits)
-            margin = gap if margin is None else min(margin, gap)
-        if margin is None:
-            margin = Fraction(1)
-        return LllVerdict("general", margin >= 0, margin, st.p, st.d)
-    if which == "neighborhood-growth":
+            for j in {j for x in c.domain for j in csp.meeting[x]} - {i}:
+                rhs *= 1 - eta[j]
+            gaps.append(rhs - probability(c, cap_bits))
+        margin = min(gaps, default=Fraction(1))
+    elif which == "neighborhood-growth":
         graph = intersection_graph(csp)
         ball2 = max((len(graph.distances_from(x, limit=2)) for x in graph.vertices),
                     default=0)
         margin = INV_E_LOWER - st.p * ball2
-        return LllVerdict("neighborhood-growth", margin >= 0, margin, st.p, st.d)
-    raise ValueError(f"unknown condition {which!r}")
+    else:
+        raise ValueError(f"unknown condition {which!r}")
+    return LllVerdict(margin >= 0, margin, st.p, st.d)
 
 
 @dataclass
@@ -200,11 +194,6 @@ class QuadExpr:
     def __lt__(self, other: "QuadExpr") -> bool:
         return (self - other).sign() < 0
 
-    def float(self) -> float:
-        from math import sqrt
-
-        return float(self.a) + float(self.b) * sqrt(float(self.p))
-
 
 @dataclass
 class PartialSolutionTrace:
@@ -238,10 +227,7 @@ class _LevelState:
         self.probs = [probability(c, cap_bits) for c in csp.constraints]
         self.p_max = max(self.probs, default=Fraction(0))
         self.original_domains = [frozenset(c.domain) for c in csp.constraints]
-        self.meeting: Dict[int, List[int]] = {}   # element -> constraints on it
-        for i, c in enumerate(csp.constraints):
-            for x in c.domain:
-                self.meeting.setdefault(x, []).append(i)
+        self.meeting = csp.meeting
         self.frozen = [_is_dangerous(pr, p) for pr in self.probs]
         self.dangerous = frozenset().union(
             *(dom for dom, frozen in zip(self.original_domains, self.frozen) if frozen))
@@ -322,7 +308,7 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
     # weight of source elements whose determining set meets each original domain
     weight_touching = [Fraction(0)] * len(csp.constraints)
     for x in conn.source:
-        for i in {i for z in conn.det_sets[x] for i in state.meeting.get(z, ())}:
+        for i in {i for z in conn.det_sets[x] for i in csp.meeting.get(z, ())}:
             weight_touching[i] += wts.weights.get(x, Fraction(0))
 
     def weighted_term(i: int, probs: List[Fraction]) -> QuadExpr:
@@ -490,24 +476,26 @@ def extend_solution(csp: Csp, g: PartialAssignment, seed: int = 0,
     the resampling oracle.
     """
     current = dict(g)
-    remaining = restrict_csp(csp, g)
-    for y in list(remaining.ground):
-        live = [c for c in remaining.constraints if y in c.domain]
+    # restriction keeps constraint positions, so csp.meeting names the ones
+    # that can hold y; restricting one that does not returns it unchanged
+    constraints = list(restrict_csp(csp, g).constraints)
+    for y in [x for x in csp.ground if x not in g]:
+        live = [i for i in csp.meeting.get(y, ()) if y in constraints[i].domain]
         bad = set()
-        enumerable = True
-        for c in live:
+        for i in live:
+            c = constraints[i]
             if c.members is None:
-                enumerable = False
+                bad = None
                 break
             pos = c.domain.index(y)
             bad.update(member[pos] for member in c.members)
-        if enumerable and len(bad) < remaining.m:
-            value = 1
-            while value in bad:
-                value += 1
-            current[y] = value
-            remaining = restrict_csp(remaining, {y: value})
+        if bad is not None and len(bad) < csp.m:
+            current[y] = value = next(v for v in range(1, csp.m + 1) if v not in bad)
+            for i in live:
+                constraints[i] = restrict_constraint(constraints[i], {y: value})
             continue
+        remaining = Csp(tuple(x for x in csp.ground if x not in current), csp.m,
+                        tuple(constraints))
         solution, decided = _search(remaining, seed, cap_bits)
         if solution is None:
             raise StepInfeasibleError("no extension exists for the residual CSP" if decided
@@ -676,7 +664,7 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
         domains = tuple(c.domain for c in state.constraints)
         rd = d_memo.get(domains)
         if rd is None:
-            rd = d_memo[domains] = max(overlap_counts(domains), default=0)
+            rd = d_memo[domains] = max(overlap_counts(domains, incidence(domains)), default=0)
         rp = state.p_max
         cert = cert_memo.get((rp, rd))
         if cert is None:

@@ -424,24 +424,39 @@ def test_criterion_10_cover_family():
 # ------------------------------------------------------------ criterion 11
 
 def _k_colorable_masks(adj, n, k):
-    colors = [0] * n
-    order = sorted(range(n), key=lambda v: -bin(adj[v]).count("1"))
+    """Whether the graph on 0..n-1 with neighbour bitmasks `adj` has a
+    proper k-coloring.  Backtracking that colors next the uncolored vertex
+    with the fewest colors left (then the one of highest degree), stops as
+    soon as an uncolored vertex has none left, and tries at most one color
+    that no vertex has yet, since unused colors are interchangeable."""
+    degree = [bin(a).count("1") for a in adj]
+    blocked = [0] * n        # bit c: color c is on a colored neighbour
+    uncolored = set(range(n))
 
-    def assign(i):
-        if i == n:
+    def assign(used):
+        if not uncolored:
             return True
-        v = order[i]
-        used = 0
-        for w in range(n):
-            if adj[v] >> w & 1 and colors[w]:
-                used |= 1 << colors[w]
-        for c in range(1, k + 1):
-            if not (used >> c & 1):
-                colors[v] = c
-                if assign(i + 1):
-                    colors[v] = 0
-                    return True
-                colors[v] = 0
+        v = min(uncolored, key=lambda u: (-bin(blocked[u]).count("1"), -degree[u], u))
+        uncolored.remove(v)
+        for c in range(1, min(used + 1, k) + 1):
+            bit = 1 << c
+            if blocked[v] & bit:
+                continue
+            newly, dead = [], False
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                if w in uncolored and not blocked[w] & bit:
+                    blocked[w] |= bit
+                    newly.append(w)
+                    dead = dead or bin(blocked[w]).count("1") == k
+            if not dead and assign(max(used, c)):
+                return True
+            for w in newly:
+                blocked[w] ^= bit
+        uncolored.add(v)
         return False
 
     return assign(0)

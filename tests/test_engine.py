@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import sqrt
 
 import pytest
 
@@ -91,14 +92,19 @@ def test_quadexpr_signs():
     assert QuadExpr(Fraction(0), Fraction(1), Fraction(0)).sign() == 0
 
 
+def quad_float(e: QuadExpr) -> float:
+    """Floating-point value of a + b*sqrt(p), for comparison only."""
+    return float(e.a) + float(e.b) * sqrt(float(e.p))
+
+
 def test_quadexpr_compare_random_against_float():
     rng = random.Random(1)
     for _ in range(300):
         p = Fraction(rng.randint(0, 50), 100)
         e1 = QuadExpr(Fraction(rng.randint(-8, 8), 7), Fraction(rng.randint(-8, 8), 5), p)
         e2 = QuadExpr(Fraction(rng.randint(-8, 8), 7), Fraction(rng.randint(-8, 8), 5), p)
-        if abs(e1.float() - e2.float()) > 1e-9:
-            assert (e1 < e2) == (e1.float() < e2.float())
+        if abs(quad_float(e1) - quad_float(e2)) > 1e-9:
+            assert (e1 < e2) == (quad_float(e1) < quad_float(e2))
 
 
 # ---------------------------------------------------------------- Moser-Tardos
