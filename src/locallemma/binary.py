@@ -3,9 +3,11 @@
 Encodes a range-[n] CSP over ground Y as a range-[2] CSP over Y x [N]:
 each element gets N bit positions, and bit patterns map to values through
 a block assignment of the 2^N codes (block sizes floor/ceil of 2^N/n,
-larger blocks first).  Probabilities of the encoded constraints are kept
-exact without enumeration via a digit-walk count of codes in a block that
-match the bits fixed so far — this is what lets the partial-solution
+larger blocks first).  Each encoded constraint is built once, as a
+`csp.Fixed` body: the full-bit decode predicate plus a counter, a
+digit-walk count of codes in a block that match the bits fixed so far.
+Restriction only merges fixed bits into that record, and probabilities stay
+exact without enumeration — this is what lets the partial-solution
 machinery run on encodings with astronomically many patterns.
 
 Cost model: the block geometry is one `divmod` of 2^N by n, so a `BlockCode`
@@ -15,10 +17,11 @@ takes O(1) memory and O(N) time per decode, whatever the range size n is.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Dict, Tuple
 
 from .connect import Connection, Reduction
-from .csp import Constraint, Csp
+from .csp import Constraint, Csp, Fixed
 
 
 def choose_delta(epsilon: Fraction, b: int) -> Fraction:
@@ -45,13 +48,14 @@ def _count_lt(limit: int, fixed: Dict[int, int], N: int) -> int:
     if limit >= (1 << N):
         return 1 << (N - len(fixed))
     total = 0
+    free = N - len(fixed)  # free positions after j, once j has been read
     for j in range(1, N + 1):
         hbit = (limit >> (N - j)) & 1
-        if hbit == 1 and fixed.get(j, 0) == 0:
-            free = sum(1 for jj in range(j + 1, N + 1) if jj not in fixed)
-            total += 1 << free
-        if j in fixed and fixed[j] != hbit:
-            return total
+        if j not in fixed:
+            free -= 1
+            total += hbit << free  # a 0 here under limit's 1: every completion is below
+        elif fixed[j] != hbit:
+            return total + (hbit << free)
     return total
 
 
@@ -86,62 +90,30 @@ class BlockCode:
         return count_codes(lo, hi, fixed, self.N)
 
 
-def _encode_constraint(src: Constraint, code: BlockCode, zids: Dict[Tuple[int, int], int],
-                       fixed: Dict[int, Dict[int, int]]) -> Constraint:
-    """Binary view of `src` with some bit positions already fixed.
-
-    fixed maps source element -> {bit position -> 0/1}.  Exact counting via
-    the block geometry when the source body is explicit.
-    """
-    n_bits = code.N
-    free_positions = []
-    for y in src.domain:
-        fy = fixed.get(y, {})
-        for j in range(1, n_bits + 1):
-            if j not in fy:
-                free_positions.append((y, j))
-    domain = tuple(sorted(zids[pos] for pos in free_positions))
-    pos_of = {zids[pos]: pos for pos in free_positions}
-
-    def decode_with(values: Tuple[int, ...]):
-        merged: Dict[int, Dict[int, int]] = {y: dict(fixed.get(y, {})) for y in src.domain}
-        for z, v in zip(domain, values):
-            y, j = pos_of[z]
-            merged[y][j] = v - 1
-        out = []
-        for y in src.domain:
-            bits = tuple(merged[y][j] + 1 for j in range(1, n_bits + 1))
-            out.append(code.value_of(bits))
-        return tuple(out)
+def _encode_constraint(src: Constraint, code: BlockCode,
+                       zids: Dict[Tuple[int, int], int]) -> Constraint:
+    """Binary view of `src`: a `Fixed` body over every bit position of its
+    domain, decoding the bits through `code`.  When the source body is
+    explicit its counter is exact under any fixed bits, from the block
+    geometry, so restriction never enumerates."""
+    positions = {zids[y, j]: (y, j) for y in src.domain for j in range(1, code.N + 1)}
+    domain = tuple(sorted(positions))
+    at = {z: i for i, z in enumerate(domain)}
+    slots = [[at[zids[y, j]] for j in range(1, code.N + 1)] for y in src.domain]
 
     def predicate(values: Tuple[int, ...]) -> bool:
-        return src.contains(decode_with(values))
+        return src.contains(tuple(code.value_of(tuple(values[i] for i in s)) for s in slots))
 
-    count = None
-    if src.members is not None:
-        count = 0
-        for member in src.members:
-            prod = 1
-            for y, value in zip(src.domain, member):
-                prod *= code.consistent_count(value, fixed.get(y, {}))
-                if prod == 0:
-                    break
-            count += prod
+    def counter(fixed: Dict[int, int]) -> int:
+        bits: Dict[int, Dict[int, int]] = {y: {} for y in src.domain}
+        for z, v in fixed.items():
+            y, j = positions[z]
+            bits[y][j] = v - 1
+        return sum(prod(code.consistent_count(value, bits[y])
+                        for y, value in zip(src.domain, member)) for member in src.members)
 
-    def restrict_hook(overlap: Dict[int, int]) -> Constraint:
-        new_fixed = {y: dict(bits) for y, bits in fixed.items()}
-        for z, v in overlap.items():
-            y, j = pos_of[z]
-            new_fixed.setdefault(y, {})[j] = v - 1
-        return _encode_constraint(src, code, zids, new_fixed)
-
-    if count == 0 and src.members is not None:
-        return Constraint.explicit((), 2, [])
-    if not domain:
-        violated = src.contains(decode_with(()))
-        return Constraint.explicit((), 2, [()] if violated else [])
-    return Constraint.from_predicate(domain, 2, predicate, count=count,
-                                     restrict_hook=restrict_hook, tag=src.tag or "binary")
+    return Fixed(predicate, domain, domain, counter=None if src.members is None else counter
+                 ).constraint(2, src.tag or "binary")
 
 
 def binary_reduce(csp: Csp, epsilon: Fraction):
@@ -161,7 +133,7 @@ def binary_reduce(csp: Csp, epsilon: Fraction):
     zids = {(y, j): y_index[y] * N + (j - 1) for y in csp.ground for j in range(1, N + 1)}
     ground = tuple(zids[(y, j)] for y in csp.ground for j in range(1, N + 1))
 
-    constraints = tuple(_encode_constraint(c, code, zids, {}) for c in csp.constraints)
+    constraints = tuple(_encode_constraint(c, code, zids) for c in csp.constraints)
     encoded = Csp(ground, 2, constraints)
 
     det_sets = {y: frozenset(zids[(y, j)] for j in range(1, N + 1)) for y in csp.ground}

@@ -2,14 +2,16 @@
 
 A constraint is a set of forbidden total assignments on its domain, stored
 either explicitly (tuples of values aligned with the sorted domain) or as
-a membership predicate with an optional exact count.  Values live in
+a membership predicate with an optional exact count.  A restricted
+predicate body is data, a `Fixed` record: the base predicate, the values
+fixed so far and, when the body has one, an exact counter.  Values live in
 [m] = {1, ..., m}.  Every probability is an exact Fraction; enumeration
 behind predicate bodies is capped at `cap_bits` bits of state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
@@ -30,10 +32,11 @@ PartialAssignment = Dict[int, int]
 class Constraint:
     """Forbidden-pattern set over `domain` with range [m].
 
-    Exactly one of `members` / `predicate` is set.  `count` caches |body|
-    for predicate constraints; `restrict_hook`, when present, builds the
-    restriction without losing exact counting (used by the binary range
-    encoding, whose bodies are far too large to enumerate).
+    Exactly one of `members` / `predicate` is set.  `count` is |body| when
+    known up front; a `Fixed` body's counter keeps it exact under
+    restriction (binary-encoded bodies are far too large to enumerate).  A
+    size `body_size` enumerates is cached outside the fields, so equality
+    and hashing never change.
     """
 
     domain: Tuple[int, ...]
@@ -41,7 +44,6 @@ class Constraint:
     members: Optional[frozenset] = None
     predicate: Optional[Callable[[Tuple[int, ...]], bool]] = None
     count: Optional[int] = None
-    restrict_hook: Optional[Callable[[PartialAssignment], "Constraint"]] = None
     tag: str = ""
 
     @staticmethod
@@ -67,20 +69,16 @@ class Constraint:
 
     @staticmethod
     def from_predicate(domain, m: int, predicate, count: Optional[int] = None,
-                       restrict_hook=None, tag: str = "") -> "Constraint":
+                       tag: str = "") -> "Constraint":
         domain = tuple(sorted(domain))
         if len(set(domain)) != len(domain):
             raise ValueError("constraint domain has repeated elements")
         return Constraint(domain=domain, m=int(m), predicate=predicate,
-                          count=None if count is None else int(count),
-                          restrict_hook=restrict_hook, tag=tag)
+                          count=None if count is None else int(count), tag=tag)
 
     def __post_init__(self):
         if (self.members is None) == (self.predicate is None):
             raise ValueError("constraint needs exactly one of members/predicate")
-
-    def is_explicit(self) -> bool:
-        return self.members is not None
 
     def arity(self) -> int:
         return len(self.domain)
@@ -99,9 +97,10 @@ class Constraint:
             return len(self.members)
         if self.count is not None:
             return self.count
-        total = sum(1 for _ in self._body(cap_bits, "constraint body count"))
-        object.__setattr__(self, "count", total)
-        return total
+        if "_enumerated" not in self.__dict__:  # not a field: eq and hash ignore it
+            self.__dict__["_enumerated"] = sum(
+                1 for _ in self._body(cap_bits, "constraint body count"))
+        return self.__dict__["_enumerated"]
 
     def materialize(self, cap_bits: int = DEFAULT_CAP_BITS) -> "Constraint":
         """Explicit version of a predicate constraint (capped)."""
@@ -146,15 +145,41 @@ def probability_estimate(constraint: Constraint, trials: int, seed: int = 0) -> 
     return ProbabilityEstimate(Fraction(hits, trials), hoeffding_radius(trials), trials)
 
 
+@dataclass(frozen=True)
+class Fixed:
+    """A predicate body as data: `base` over `base_domain`, with the sorted
+    (element, value) pairs `fixed` set and the `free` elements read from
+    the call; `counter(fixed)`, if given, counts the body exactly.  Every
+    restricted predicate and every binary-encoded view is one."""
+
+    base: Callable[[Tuple[int, ...]], bool]
+    base_domain: Tuple[int, ...]
+    free: Tuple[int, ...]
+    fixed: Tuple[Tuple[int, int], ...] = ()
+    counter: Optional[Callable[[PartialAssignment], int]] = None
+
+    def __call__(self, values: Tuple[int, ...]) -> bool:
+        merged = dict(self.fixed)
+        merged.update(zip(self.free, values))
+        return self.base(tuple(merged[x] for x in self.base_domain))
+
+    def constraint(self, m: int, tag: str) -> Constraint:
+        """This body on its free domain; an empty domain or a zero count
+        collapses to {()} (violated) or the empty constraint."""
+        count = None if self.counter is None else self.counter(dict(self.fixed))
+        if count == 0 or not self.free:
+            return Constraint.explicit((), m, [()] if count != 0 and self(()) else [])
+        return Constraint.from_predicate(self.free, m, self, count=count, tag=tag)
+
+
 def restrict_constraint(constraint: Constraint, g: PartialAssignment) -> Constraint:
     """B/g: forbidden patterns on dom(B) \\ dom(g) whose union with g is
     forbidden by B.  Fully-covered domains collapse to {()} (violated) or
-    the empty constraint."""
+    the empty constraint.  A predicate body becomes (or stays) one `Fixed`
+    record over the unrestricted predicate."""
     overlap = {x: g[x] for x in constraint.domain if x in g}
     if not overlap:
         return constraint
-    if constraint.restrict_hook is not None:
-        return constraint.restrict_hook(overlap)
     keep = [i for i, x in enumerate(constraint.domain) if x not in overlap]
     new_domain = tuple(constraint.domain[i] for i in keep)
     if constraint.members is not None:
@@ -164,18 +189,12 @@ def restrict_constraint(constraint: Constraint, g: PartialAssignment) -> Constra
                    if x in overlap):
                 body.add(tuple(member[i] for i in keep))
         return Constraint.explicit(new_domain, constraint.m, body)
-    if not new_domain:
-        full = tuple(overlap[x] for x in constraint.domain)
-        return Constraint.explicit((), constraint.m, [()] if constraint.predicate(full) else [])
-    fixed = dict(overlap)
-    base = constraint
-
-    def restricted(values: Tuple[int, ...]) -> bool:
-        merged = dict(zip(new_domain, values))
-        merged.update(fixed)
-        return base.predicate(tuple(merged[x] for x in base.domain))
-
-    return Constraint.from_predicate(new_domain, constraint.m, restricted, tag=constraint.tag)
+    body = constraint.predicate
+    if not isinstance(body, Fixed):
+        body = Fixed(body, constraint.domain, constraint.domain)
+    fixed = {**dict(body.fixed), **overlap}
+    return replace(body, free=new_domain, fixed=tuple(sorted(fixed.items()))).constraint(
+        constraint.m, constraint.tag)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,9 @@ class LllVerdict:
 def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fraction]] = None,
               cap_bits: int = DEFAULT_CAP_BITS) -> LllVerdict:
     """Exact-rational check of one of the solvability conditions:
-    symmetric p(d+1) <= 0.3678, general (per-constraint eta), measurable
-    p(d+1)^8 <= 2^-15, neighborhood-growth p * max|B(x,2)| <= 0.3678."""
+    symmetric p(d+1) <= 0.3678, general (per-constraint eta, by default
+    1/(d+1), or 1/2 at d = 0), measurable p(d+1)^8 <= 2^-15,
+    neighborhood-growth p * max|B(x,2)| <= 0.3678."""
     st = stats(csp, cap_bits)
     if which == "symmetric":
         margin = INV_E_LOWER - st.p * (st.d + 1)
@@ -63,7 +64,7 @@ def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fracti
         margin = MEASURABLE_RHS - st.p * (st.d + 1) ** 8
     elif which == "general":
         if eta is None:
-            eta = {i: Fraction(1, st.d + 1) for i in range(len(csp.constraints))}
+            eta = {i: Fraction(1, max(st.d, 1) + 1) for i in range(len(csp.constraints))}
         gaps = []
         for i, c in enumerate(csp.constraints):
             if not (0 <= eta[i] < 1):
@@ -92,7 +93,8 @@ class MoserTardosResult:
 
 def moser_tardos_solve(csp: Csp, seed: int = 0, cap: Optional[int] = None) -> MoserTardosResult:
     """Start uniform; while violated, resample the least-index violated
-    constraint's domain.  Cap-out is a distinct verdict, not an error."""
+    constraint's domain.  Cap-out is a distinct verdict, not an error; a
+    violated constraint on the empty domain caps out at once."""
     rng = derived_rng(seed, "moser-tardos", len(csp.ground))
     if cap is None:
         cap = 50 * max(1, len(csp.constraints))
@@ -100,17 +102,13 @@ def moser_tardos_solve(csp: Csp, seed: int = 0, cap: Optional[int] = None) -> Mo
     resamples = 0
     while True:
         violated = None
-        for i, c in enumerate(csp.constraints):
-            if c.arity() == 0:
-                if c.is_explicit() and c.members:
-                    return MoserTardosResult(None, resamples, True)
-                continue
+        for c in csp.constraints:
             if c.violated_by(assignment):
                 violated = c
                 break
         if violated is None:
             return MoserTardosResult(assignment, resamples, False)
-        if resamples >= cap:
+        if resamples >= cap or not violated.domain:  # nothing left to resample
             return MoserTardosResult(None, resamples, True)
         for x in violated.domain:
             assignment[x] = rng.randint(1, csp.m)
@@ -524,7 +522,7 @@ def check_partial_solution(csp: Csp, g: PartialAssignment,
     oracle was available and it capped out."""
     restricted = restrict_csp(csp, g)
     for c in restricted.constraints:
-        if c.arity() == 0 and c.is_explicit() and c.members:
+        if c.arity() == 0 and c.contains(()):
             return False  # g already violates a fully-covered constraint
     solution, decided = _search(restricted, seed, cap_bits)
     return solution is not None if decided else None

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .csp import Constraint, Csp
+from .csp import Constraint, Csp, Fixed
 from .engine import WeightedGroundSet
 from .graphs import StructuredGraph, build_graph
 from .labels import label_from_json, label_to_json
@@ -88,8 +88,9 @@ def csp_to_json(csp: Csp) -> dict:
                 "forbidden": sorted(list(member) for member in c.members),
             })
         else:
-            if not c.tag.startswith("predicate:"):
-                raise ValueError("only registered predicate constraints serialize")
+            # a restricted or binary-encoded body is a Fixed over another predicate
+            if not c.tag.startswith("predicate:") or isinstance(c.predicate, Fixed):
+                raise ValueError("only unrestricted registered predicate constraints serialize")
             name, params = json.loads(c.tag[len("predicate:"):])
             constraints.append({"domain": list(c.domain),
                                 "predicate": {"name": name, "params": params}})

@@ -64,6 +64,19 @@ def test_csp_check_solve_cover(tmp_path):
     assert run(["csp", "cover", "--csp", str(cover_path), "--out", str(out)]) == 0
 
 
+def test_csp_check_general_with_no_neighbours(tmp_path):
+    # pairwise disjoint domains give d = 0, where the default eta is 1/2
+    cpath, out = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json({"ground": [0, 1, 2, 3], "m": 2,
+               "constraints": [{"domain": [0, 1], "forbidden": [[1, 1]]},
+                               {"domain": [2, 3], "forbidden": [[2, 2], [1, 2]]}]}, cpath)
+    assert run(["csp", "check", "--csp", str(cpath), "--which", "general",
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["which"] == "general" and report["holds"]
+    assert report["d"] == 0 and report["margin"] == "0/1"
+
+
 def test_pipeline_reports_reproducible(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["pipeline", "det", "--gen-kind", "directed_cycle",

@@ -43,6 +43,7 @@ from locallemma.engine import (
     step,
 )
 from locallemma.errors import StepInfeasibleError
+from locallemma.serialize import csp_from_json
 from locallemma.randgen import (
     random_binary_lowp_csp,
     random_cover_csp,
@@ -121,6 +122,16 @@ def test_mt_single_forbidden_value():
     for seed in range(10):
         result = moser_tardos_solve(csp, seed=seed, cap=50)
         assert result.assignment == {0: 2}
+
+
+def test_mt_caps_out_on_a_violated_empty_domain_predicate():
+    # read from JSON, all_equal on no elements holds for the empty tuple
+    csp = csp_from_json({"ground": [0, 1], "m": 2,
+                         "constraints": [{"domain": [], "predicate": {"name": "all_equal"}}]})
+    assert csp.constraints[0].predicate is not None
+    result = moser_tardos_solve(csp, seed=0)
+    assert result.capped and result.assignment is None and result.resamples == 0
+    assert check_partial_solution(csp, {}) is False
 
 
 def test_mt_valid_under_symmetric_condition():

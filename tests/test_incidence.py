@@ -83,7 +83,7 @@ def general_margin_oracle(csp: Csp, eta=None):
     """min over constraints of eta_i * prod over every other domain that
     shares an element of (1 - eta_j), minus P[B_i]."""
     if eta is None:
-        eta = {i: Fraction(1, stats(csp).d + 1) for i in range(len(csp.constraints))}
+        eta = {i: Fraction(1, max(stats(csp).d, 1) + 1) for i in range(len(csp.constraints))}
     doms = [set(c.domain) for c in csp.constraints]
     margin = None
     for i, c in enumerate(csp.constraints):
@@ -219,7 +219,7 @@ def test_general_lll_matches_pairwise_oracle():
 @given(explicit_csps(), st.lists(st.fractions(0, 1, max_denominator=9), min_size=5,
                                  max_size=5))
 def test_general_lll_matches_oracle_on_explicit_csps(csp, draws):
-    # the default eta = 1/(d+1) is 1 when d = 0, which both reject
+    # the default eta is 1/(d+1), or 1/2 when d = 0
     assert outcome(general_margin, csp) == outcome(general_margin_oracle, csp)
     eta = {i: draws[i] for i in range(len(csp.constraints))}
     assert outcome(general_margin, csp, eta) == outcome(general_margin_oracle, csp, eta)

@@ -42,3 +42,14 @@ def test_benchmark_round_zero_matches_reference_digest(workload, seed):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "(match)" in result.stdout, result.stdout
+
+
+def test_scaling_probe_hash_is_stable():
+    # the probe's hash covers assignments and step reports, not times
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "probe_scaling.py"),
+         "--sizes", "60", "--repeats", "1"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "hash b249eb69ec668e23" in result.stdout, result.stdout

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from locallemma.csp import probability, stats
+from locallemma.binary import binary_reduce
+from locallemma.csp import probability, restrict_csp, stats
 from locallemma.engine import WeightedGroundSet
 from locallemma.generate import generate
 from locallemma.labels import label_from_json, label_key, label_to_json
@@ -67,6 +69,25 @@ def test_csp_predicate_from_json():
     assert probability(csp.constraints[1]) == Fraction(1, 3)
     again = csp_from_json(csp_to_json(csp))
     assert stats(again) == stats(csp)
+
+
+def test_csp_to_json_round_trips_a_body_or_refuses_it():
+    data = {"ground": [0, 1, 2], "m": 3,
+            "constraints": [{"domain": [0, 1, 2], "predicate": {"name": "all_equal"}}]}
+    csp = csp_from_json(data)
+    again = csp_from_json(csp_to_json(csp))
+    assert [again.constraints[0].contains(v) for v in product((1, 2, 3), repeat=3)] \
+        == [csp.constraints[0].contains(v) for v in product((1, 2, 3), repeat=3)]
+    # all_equal with element 0 fixed to 1 forbids (1, 1) only, not all_equal on (1, 2)
+    restricted = restrict_csp(csp, {0: 1})
+    assert probability(restricted.constraints[0]) == Fraction(1, 9)
+    with pytest.raises(ValueError, match="unrestricted registered predicate"):
+        csp_to_json(restricted)
+    # the binary view keeps the predicate's tag but not its body
+    encoded, _ = binary_reduce(csp, Fraction(1, 2))
+    assert encoded.constraints[0].tag == csp.constraints[0].tag
+    with pytest.raises(ValueError, match="unrestricted registered predicate"):
+        csp_to_json(encoded)
 
 
 def test_labeling_round_trip():
