@@ -4,7 +4,7 @@ on one instance family at growing n.
 
 The family: ternary explicit CSPs over [n] with range m = 2^22, n // 6
 constraints, one forbidden pattern each, and every element in at most two
-domains (so d <= 3).  Per size it prints the median of `--repeats` wall
+domains (so d <= 3).  Per size it prints the median of REPEATS wall
 times for each call; then the exponent of a least-squares fit of log time
 against log n, and one hash over every assignment and step report, which
 must not change when only the speed of the code does.
@@ -25,12 +25,13 @@ from locallemma import Constraint, Csp, WeightedGroundSet, solve_weighted
 from locallemma.engine import extend_solution
 
 M = 2 ** 22
+REPEATS = 3
 
 
-def probe_csp(n: int, seed: int) -> Csp:
+def probe_csp(n: int) -> Csp:
     """n // 6 ternary constraints; each element fills at most two domain
     slots, taken in a shuffled order, a repeat within a domain skipped."""
-    rng = random.Random(f"probe-{seed}-{n}")
+    rng = random.Random(f"probe-0-{n}")
     slots = [x for x in range(n) for _ in range(2)]
     rng.shuffle(slots)
     slots = iter(slots)
@@ -44,10 +45,10 @@ def probe_csp(n: int, seed: int) -> Csp:
     return Csp(tuple(range(n)), M, tuple(constraints))
 
 
-def timed(call, repeats: int):
+def timed(call):
     """(median wall time in seconds, result of the last call)."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
@@ -67,18 +68,15 @@ def exponent(sizes, times) -> float:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--sizes", type=int, nargs="+", default=[300, 600, 1200, 2400])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     digest = hashlib.sha256()
     solve_times, extend_times = [], []
     for n in args.sizes:
-        csp = probe_csp(n, args.seed)
+        csp = probe_csp(n)
         wts = WeightedGroundSet.uniform(csp.ground)
-        t_solve, solved = timed(lambda: solve_weighted(csp, wts, seed=args.seed), args.repeats)
-        t_extend, extended = timed(lambda: extend_solution(csp, {}, seed=args.seed),
-                                   args.repeats)
+        t_solve, solved = timed(lambda: solve_weighted(csp, wts, seed=0))
+        t_extend, extended = timed(lambda: extend_solution(csp, {}, seed=0))
         record = {"n": n, "solve": sorted(solved.assignment.items()),
                   "steps": solved.step_reports, "extend": sorted(extended.items())}
         digest.update(json.dumps(record, sort_keys=True, default=str).encode())

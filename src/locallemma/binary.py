@@ -17,7 +17,6 @@ takes O(1) memory and O(N) time per decode, whatever the range size n is.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import Dict, Tuple
 
 from .connect import Connection, Reduction
@@ -109,8 +108,15 @@ def _encode_constraint(src: Constraint, code: BlockCode,
         for z, v in fixed.items():
             y, j = positions[z]
             bits[y][j] = v - 1
-        return sum(prod(code.consistent_count(value, bits[y])
-                        for y, value in zip(src.domain, member)) for member in src.members)
+        total = 0
+        for member in src.members:
+            factor = 1
+            for y, value in zip(src.domain, member):
+                factor *= code.consistent_count(value, bits[y])
+                if factor == 0:
+                    break
+            total += factor
+        return total
 
     return Fixed(predicate, domain, domain, counter=None if src.members is None else counter
                  ).constraint(2, src.tag or "binary")

@@ -2,7 +2,6 @@
 code they replaced: the self-rebuilding binary encoding and the
 closure-wrapping `restrict_constraint`, kept here as oracles."""
 
-import inspect
 import random
 import sys
 from fractions import Fraction
@@ -12,9 +11,11 @@ from typing import Dict, Tuple
 
 from hypothesis import given, strategies as st
 
+import locallemma
 from locallemma.binary import BlockCode, _encode_constraint, choose_bits, choose_delta
 from locallemma.csp import Constraint, Csp, Fixed, probability, restrict_constraint
 from locallemma.engine import EPS_BINARY
+from locallemma.randgen import random_cover_csp, random_measurable_csp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,14 +172,41 @@ def explicit_csps(draw):
     return Csp(ground, m, tuple(constraints))
 
 
-def lll_solve_round_zero():
-    """The CSPs of the `lll_solve` benchmark's round 0 at seed 0."""
+def lll_solve_round_zero(monkeypatch):
+    """The CSPs of the `lll_solve` benchmark's round 0 at seed 0, built by
+    the generator calls of `perfbench/workloads.py` and checked equal to
+    the CSPs its ops pass to `solve_weighted` and `cover_family`."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from workloads import LllSolve
+        import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    return [inspect.getclosurevars(op.call).nonlocals["csp"] for op in LllSolve(0).round(0)]
+    rng = workloads.round_rng("lll_solve", 0, 0)
+    weighted = {}
+    while len(weighted) < len(workloads.LllSolve.WEIGHTED):
+        s = rng.randrange(10**6)
+        if "hard" not in weighted:
+            weighted["hard"] = random_measurable_csp(s, max_ground=200, hard=True)
+            continue
+        csp = random_measurable_csp(s, max_ground=200)
+        kind = f"m{csp.m.bit_length() - 1}" if workloads.csp_regime(csp) else "uncertified"
+        weighted.setdefault(kind, csp)
+    cover = {}
+    while len(cover) < len(workloads.LllSolve.COVER):
+        csp = random_cover_csp(rng.randrange(10**6), max_levels=12)
+        shape = (len(csp.constraints[0].domain), len(csp.constraints))
+        if shape in workloads.LllSolve.COVER:
+            cover.setdefault(shape, csp)
+    built = ([weighted[kind] for kind in workloads.LllSolve.WEIGHTED]
+             + [cover[shape] for shape in workloads.LllSolve.COVER])
+
+    ran = []
+    monkeypatch.setattr(locallemma, "solve_weighted", lambda csp, *a, **k: ran.append(csp))
+    monkeypatch.setattr(locallemma, "cover_family", lambda csp, *a, **k: ran.append(csp))
+    for op in workloads.LllSolve(0).round(0):
+        op.call()
+    assert ran == built, "perfbench's lll_solve round 0 no longer runs these CSPs"
+    return built
 
 
 # ---------------------------------------------------------------- differential
@@ -188,8 +216,8 @@ def test_binary_bit_chains_match_rebuilding_oracle(csp, seed):
     check_bit_chains(csp, random.Random(seed))
 
 
-def test_binary_bit_chains_match_oracle_on_lll_solve_round_zero():
-    csps = lll_solve_round_zero()
+def test_binary_bit_chains_match_oracle_on_lll_solve_round_zero(monkeypatch):
+    csps = lll_solve_round_zero(monkeypatch)
     assert len(csps) == 8 and {csp.m for csp in csps} >= {2, 2**20, 2**21, 2**22}
     rng = random.Random(0)
     for csp in csps:

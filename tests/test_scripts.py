@@ -49,7 +49,7 @@ def test_scaling_probe_hash_is_stable():
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "probe_scaling.py"),
-         "--sizes", "60", "--repeats", "1"],
+         "--sizes", "60"],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "hash b249eb69ec668e23" in result.stdout, result.stdout
