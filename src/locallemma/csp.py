@@ -53,10 +53,8 @@ class Constraint:
             raise ValueError("constraint domain has repeated elements")
         body = set()
         for member in members:
-            if isinstance(member, dict):
-                if set(member) != set(domain):
-                    raise ValueError("member must be total on exactly the domain")
-                member = tuple(member[x] for x in domain)
+            if isinstance(member, dict):  # read as a tuple it would be its keys
+                raise ValueError("member must be a value tuple, not a dict")
             member = tuple(int(v) for v in member)
             if len(member) != len(domain):
                 raise ValueError("member arity mismatch")
@@ -200,7 +198,7 @@ def restrict_constraint(constraint: Constraint, g: PartialAssignment) -> Constra
 @dataclass(frozen=True)
 class Csp:
     """Finite CSP: ordered ground set, range size m, constraint list.  Its index
-    `meeting` (element -> ascending indices of the constraints on it) is cached."""
+    `meeting` (element -> ascending constraint indices) and `stats` are cached."""
 
     ground: Tuple[int, ...]
     m: int
@@ -257,11 +255,11 @@ def overlap_counts(domains: Sequence[Tuple[int, ...]],
 
 def stats(csp: Csp, cap_bits: int = DEFAULT_CAP_BITS) -> CspStats:
     """(p, d, b) = (max probability, max neighborhood size, max arity)."""
-    p = Fraction(0)
-    for c in csp.constraints:
-        p = max(p, probability(c, cap_bits))
-    d = max(neighborhood_counts(csp), default=0)
-    return CspStats(p=p, d=d, b=csp.bound())
+    cache = csp.__dict__.setdefault("_stats", {})  # not a field: eq and hash ignore it
+    if cap_bits not in cache:
+        p = max((probability(c, cap_bits) for c in csp.constraints), default=Fraction(0))
+        cache[cap_bits] = CspStats(p, max(neighborhood_counts(csp), default=0), csp.bound())
+    return cache[cap_bits]
 
 
 def restrict_csp(csp: Csp, g: PartialAssignment) -> Csp:

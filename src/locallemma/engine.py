@@ -244,12 +244,14 @@ class _LevelState:
         g = const_assignment([x for x in cls if x not in self.dangerous], value)
         changed: List[int] = []
         constraints, probs, frozen = self.constraints, self.probs, self.frozen
+        if not any(not frozen[i] and constraints[i].domain
+                   for x in g for i in self.meeting.get(x, ())):
+            return g, changed  # nothing live meets g: every state list stays as it is
+        constraints, probs, frozen = list(constraints), list(probs), list(frozen)
         newly_frozen = []
         for i in sorted({i for x in g for i in self.meeting.get(x, ())}):
             if frozen[i] or g.keys().isdisjoint(constraints[i].domain):
                 continue
-            if not changed:
-                constraints, probs, frozen = list(constraints), list(probs), list(frozen)
             changed.append(i)
             constraints[i] = restrict_constraint(constraints[i], g)
             probs[i] = probability(constraints[i], self.cap_bits)
@@ -615,17 +617,18 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     checked solution witness (a solvable residual is reducible to the
     empty CSP).
 
-    Cost model: the walk carries each member down the tree, running each
-    rule once per distinct view (see `_family_leaves`), and no leaf
-    re-encodes a constraint.  The residual is the level state's
-    constraints: `descend` has restricted every live constraint that h
-    meets, and a frozen one was restricted before it froze and is never
-    met again, since its domain lies in the dangerous set that no later
-    level fixes.  So it has the bodies, p (`p_max`), d, certificate and
-    witness of `encoded` restricted to h.  The rest is paid per distinct
-    key, and each key is all its value reads: d per tuple of live domains
-    (`overlap_counts`), a certificate per (p, d), copied to each leaf, and
-    coverage per dangerous set, weighted by its number of leaves.
+    Cost model: one live h and the members ride down the tree, each rule
+    running once per distinct view (see `_family_leaves`); a level that
+    meets no live constraint restricts and copies nothing.  The residual
+    is the level state's constraints: `descend` has restricted every live
+    constraint that h meets, and a frozen one is never met again, since
+    its domain lies in the dangerous set that no later level fixes.  Its p
+    (`p_max`), d, certificate and witness are paid once per level state,
+    keyed by the identity of `state.constraints` (the memo holds each
+    list, so no id is reused).  That is exact: `descend` replaces the list
+    whenever it changes the state and never edits it, so the leaves that
+    end on one list share p_max, the dangerous set, the domains and h's
+    key set.  Each leaf gets its own copy of the certificate.
 
     The route is "bootstrap-direct" when the source meets the direct
     (16, 2^-33) inequalities and "direct-binary" otherwise; both encode
@@ -653,34 +656,29 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     conn = sigma.connection
     members: List[PartialAssignment] = []
     certificates: List[dict] = []
-    leaves_by_dangerous: Dict[frozenset, int] = {}
-    d_memo: Dict[Tuple[Tuple[int, ...], ...], int] = {}
-    cert_memo: Dict[Tuple[Fraction, int], dict] = {}
+    # id(state.constraints) -> [that list, its dangerous set, certificate, leaves]
+    per_state: Dict[int, list] = {}
     for h, member, state in _family_leaves(encoded, classes, conn, p, cap_bits):
         members.append(member)
-        leaves_by_dangerous[state.dangerous] = leaves_by_dangerous.get(state.dangerous, 0) + 1
-        domains = tuple(c.domain for c in state.constraints)
-        rd = d_memo.get(domains)
-        if rd is None:
-            rd = d_memo[domains] = max(overlap_counts(domains, incidence(domains)), default=0)
-        rp = state.p_max
-        cert = cert_memo.get((rp, rd))
-        if cert is None:
-            cert = cert_memo[rp, rd] = {
-                "p_residual": str(rp), "d_residual": rd,
-                "residual_(8,2^-15)": rp * (rd + 1) ** RESIDUAL_N <= RESIDUAL_EPS}
-        cert = dict(cert)
-        if not cert["residual_(8,2^-15)"]:
-            residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
-                           tuple(state.constraints))
-            if _search(residual, seed, cap_bits)[0] is None:
-                raise StepInfeasibleError(
-                    "residual neither satisfies the (8,2^-15) inequality "
-                    "nor has a verified solution witness")
-            cert["solution_witness"] = True
-        certificates.append(cert)
+        entry = per_state.get(id(state.constraints))
+        if entry is None:
+            domains = [c.domain for c in state.constraints]
+            rp, rd = state.p_max, max(overlap_counts(domains, incidence(domains)), default=0)
+            cert = {"p_residual": str(rp), "d_residual": rd,
+                    "residual_(8,2^-15)": rp * (rd + 1) ** RESIDUAL_N <= RESIDUAL_EPS}
+            if not cert["residual_(8,2^-15)"]:
+                residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
+                               tuple(state.constraints))
+                if _search(residual, seed, cap_bits)[0] is None:
+                    raise StepInfeasibleError(
+                        "residual neither satisfies the (8,2^-15) inequality "
+                        "nor has a verified solution witness")
+                cert["solution_witness"] = True
+            per_state[id(state.constraints)] = entry = [state.constraints, state.dangerous, cert, 0]
+        entry[3] += 1
+        certificates.append(dict(entry[2]))
 
-    counts = {x: sum(leaves for dangerous, leaves in leaves_by_dangerous.items()
+    counts = {x: sum(leaves for _, dangerous, _, leaves in per_state.values()
                      if not (conn.det_sets[x] & dangerous)) for x in source.ground}
     uncovered = [x for x in source.ground if counts[x] == 0]
     if uncovered:
@@ -691,21 +689,20 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
 def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Connection,
                    p: Fraction, cap_bits: int):
     """Yield (h, apply(conn, h), level state) for every branch word, in
-    product((1, 2), repeat=len(classes)) order.  When a level fixes
-    elements, only their readers (the source elements whose determining
-    set holds one) run their rules again, on views of the extended h.
-    A view changes only when a level fixes one of its elements, so each
-    carried value is the rule on its view of h, for any connection.  A rule
-    runs once per view: it is memoized on h's values over its determining
-    set, None where h is undefined, which fixes the view exactly since
-    values are >= 1, and rules are pure functions of their views."""
-    elems, det_sets, rules = conn.source, conn.det_sets, conn.rules
-    dets = [tuple(det_sets[x]) for x in elems]
+    product((1, 2), repeat=len(classes)) order.  `h` and the state are
+    live, valid until the next leaf: a level adds its g to h on the way
+    down and deletes it on the way back (the classes are disjoint, so g's
+    keys are new); each member is a fresh copy of the carried values.
+    When a level fixes elements, only their readers (the source elements
+    whose determining set holds one) run their rules again, on views of
+    the extended h, so each carried value is the rule on its view of h,
+    for any connection.  A rule runs once per view (rules are pure): it is
+    memoized on h's values over its determining set, None where h is
+    undefined, which fixes the view exactly since values are >= 1."""
+    elems, rules = conn.source, conn.rules
+    dets = [tuple(conn.det_sets[x]) for x in elems]
     memos: List[dict] = [{} for _ in elems]
-    readers: Dict[int, List[int]] = {}   # target element -> positions in elems
-    for k, ys in enumerate(dets):
-        for z in ys:
-            readers.setdefault(z, []).append(k)
+    readers = incidence(dets)   # target element -> positions in elems of its readers
 
     def rule_on(k: int, h: PartialAssignment):
         key = tuple(map(h.get, dets[k]))
@@ -713,20 +710,25 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
             memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
         return memos[k][key]
 
-    def visit(level: int, state: _LevelState, h: PartialAssignment, values: list):
+    h, state = {}, _LevelState(encoded, p, cap_bits)
+
+    def visit(level: int, values: dict):   # source element -> value, None where undefined
         if level == len(classes):
-            yield h, {x: v for x, v in zip(elems, values) if v is not None}, state
+            yield h, (values.copy() if None not in values.values()
+                      else {x: v for x, v in values.items() if v is not None}), state
             return
-        start = state.snapshot()
+        start, touched = state.snapshot(), None
         for value in (1, 2):
             g, _ = state.descend(classes[level], value)
-            h_next = {**h, **g}
-            touched = {k for z in g for k in readers.get(z, ())}
-            values_next = list(values) if touched else values
+            h.update(g)
+            if touched is None:  # both branches fix the same elements
+                touched = {k for z in g for k in readers.get(z, ())}
+            values_next = values.copy() if touched else values
             for k in touched:
-                values_next[k] = rule_on(k, h_next)
-            yield from visit(level + 1, state, h_next, values_next)
+                values_next[elems[k]] = rule_on(k, h)
+            yield from visit(level + 1, values_next)
+            for z in g:
+                del h[z]
             state.restore(start)
 
-    yield from visit(0, _LevelState(encoded, p, cap_bits), {},
-                     [rule_on(k, {}) for k in range(len(elems))])
+    yield from visit(0, {x: rule_on(k, h) for k, x in enumerate(elems)})

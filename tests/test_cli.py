@@ -372,6 +372,11 @@ GOLDEN = [
      "4572d83163d3dd0bd24e858c159a70d60ca3fde6d449ab17f50dc636bb109041"),
     ("csp-cover", ["csp", "cover", "--csp", "cover.json"], 0,
      "f4df54cb88efeff64210ce9f59dbe3cb25f94d2f0c6bacdfe5f7220199c7f237"),
+    # overlapping domains: the walk certifies residuals by solution witnesses
+    # and meets two residual degrees (csp-cover's disjoint domains always give
+    # d = 0); the report holds no certificates, so its bytes equal csp-cover's
+    ("csp-cover-overlap", ["csp", "cover", "--csp", "overlap.json", "--seed", "3"], 0,
+     "f4df54cb88efeff64210ce9f59dbe3cb25f94d2f0c6bacdfe5f7220199c7f237"),
     ("pipeline-det", ["pipeline", "det", "--gen-kind", "directed_cycle",
                       "--gen-params", '{"n": 16}', "--seed", "11"], 0,
      "f20605d54392ae8cf49dc4c9bd36f590ed89c2b3b3be83cc493eac3e715cec81"),
@@ -398,6 +403,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_golden_reports(tmp_path, monkeypatch, capsys):
+    from locallemma.csp import Constraint, Csp
     from locallemma.graphs import build_graph
     from locallemma.randgen import random_measurable_csp
 
@@ -411,6 +417,11 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
     dump_json(csp_to_json(random_symmetric_csp(2)), "sym.json")
     dump_json(csp_to_json(random_cover_csp(1, max_levels=10)), "cover.json")
     dump_json(csp_to_json(random_measurable_csp(900, max_ground=40)), "meas.json")
+    doms = (tuple(range(0, 10)), tuple(range(9, 19)), tuple(range(19, 29)))
+    patterns = ((1,) * 10, (1,) * 10, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
+    dump_json(csp_to_json(Csp(tuple(range(30)), 2, tuple(
+        Constraint.explicit(dom, 2, [pattern]) for dom, pattern in zip(doms, patterns)))),
+        "overlap.json")
 
     got = {}
     for name, argv, code, _ in GOLDEN:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from locallemma.csp import (
     Constraint,
     Csp,
+    CspStats,
     const_assignment,
     discrete_partition,
     intersection_graph,
@@ -46,6 +47,15 @@ def test_probability_full_is_one():
     assert probability(c) == 1
 
 
+def test_explicit_refuses_dict_members():
+    # a dict member would be read as its keys: {1: 1, 2: 2} as (1, 2)
+    with pytest.raises(ValueError, match="not a dict"):
+        Constraint.explicit((1, 2), 2, [{1: 1, 2: 2}])
+    with pytest.raises(ValueError, match="not a dict"):
+        Constraint.explicit((0, 1), 3, [(1, 2), {0: 2, 1: 3}])
+    assert Constraint.explicit((1, 2), 2, [(1, 2)]).members == {(1, 2)}
+
+
 def test_probability_predicate_enumeration():
     c = Constraint.from_predicate((0, 1), 3, lambda v: v[0] == v[1])
     assert probability(c) == Fraction(1, 3)
@@ -55,6 +65,15 @@ def test_probability_cap():
     c = Constraint.from_predicate(tuple(range(8)), 64, lambda v: False)
     with pytest.raises(EnumerationCapError):
         probability(c, cap_bits=20)
+
+
+def test_stats_caps_out_per_cap_and_caches_only_a_value():
+    body = Constraint.from_predicate((0, 1, 2, 3), 2, lambda v: v[0] == 1)
+    csp = Csp((0, 1, 2, 3), 2, (body,))
+    with pytest.raises(EnumerationCapError):
+        stats(csp, cap_bits=3)
+    assert stats(csp) == stats(csp, cap_bits=4) == CspStats(Fraction(1, 2), 0, 4)
+    assert stats(csp) is stats(csp)
 
 
 def test_probability_estimate_typed():

@@ -4,6 +4,7 @@ from itertools import product
 from math import sqrt
 
 import pytest
+from hypothesis import given, strategies as st
 
 from locallemma.binary import binary_reduce
 from locallemma.compilers import bootstrap
@@ -667,3 +668,178 @@ def test_cover_family_coverage_by_dangerous_set_matches_per_leaf_oracle():
     assert len({cert["p_residual"] for cert in certificates}) == 2
     assert any("solution_witness" in cert for cert in certificates)
     assert len(set(counts.values())) > 1
+
+
+# ------------------------------------- cover walk against the copying walk
+
+class CopyingLevelState(_LevelState):
+    """`_LevelState` with `descend` as it stood before its early return:
+    every level builds and sorts the set of constraints its g meets."""
+
+    def descend(self, cls, value):
+        g = const_assignment([x for x in cls if x not in self.dangerous], value)
+        changed = []
+        constraints, probs, frozen = self.constraints, self.probs, self.frozen
+        newly_frozen = []
+        for i in sorted({i for x in g for i in self.meeting.get(x, ())}):
+            if frozen[i] or g.keys().isdisjoint(constraints[i].domain):
+                continue
+            if not changed:
+                constraints, probs, frozen = list(constraints), list(probs), list(frozen)
+            changed.append(i)
+            constraints[i] = restrict_constraint(constraints[i], g)
+            probs[i] = probability(constraints[i], self.cap_bits)
+            if probs[i] * probs[i] > self.p:
+                frozen[i] = True
+                newly_frozen.append(self.original_domains[i])
+        if changed:
+            held = any(self.probs[i] == self.p_max for i in changed)
+            self.p_max = max(probs) if held else max(self.p_max, *(probs[i] for i in changed))
+            self.constraints, self.probs, self.frozen = constraints, probs, frozen
+        if newly_frozen:
+            self.dangerous = self.dangerous.union(*newly_frozen)
+        return g, changed
+
+
+def copying_family_leaves(encoded, classes, conn, p, cap_bits):
+    """`_family_leaves` as it stood with a fresh h = {**h, **g} at every
+    node and `CopyingLevelState`; each yielded h is its own dict."""
+    elems, det_sets, rules = conn.source, conn.det_sets, conn.rules
+    dets = [tuple(det_sets[x]) for x in elems]
+    memos = [{} for _ in elems]
+    readers = {}
+    for k, ys in enumerate(dets):
+        for z in ys:
+            readers.setdefault(z, []).append(k)
+
+    def rule_on(k, h):
+        key = tuple(map(h.get, dets[k]))
+        if key not in memos[k]:
+            memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
+        return memos[k][key]
+
+    def visit(level, state, h, values):
+        if level == len(classes):
+            yield h, {x: v for x, v in zip(elems, values) if v is not None}, state
+            return
+        start = state.snapshot()
+        for value in (1, 2):
+            g, _ = state.descend(classes[level], value)
+            h_next = {**h, **g}
+            touched = {k for z in g for k in readers.get(z, ())}
+            values_next = list(values) if touched else values
+            for k in touched:
+                values_next[k] = rule_on(k, h_next)
+            yield from visit(level + 1, state, h_next, values_next)
+            state.restore(start)
+
+    yield from visit(0, CopyingLevelState(encoded, p, cap_bits), {},
+                     [rule_on(k, {}) for k in range(len(elems))])
+
+
+def leaf_view(h, member, state):
+    return (list(h.items()), list(member.items()), state.dangerous, state.p_max,
+            [c.domain for c in state.constraints], list(state.probs), list(state.frozen))
+
+
+def assert_walk_matches_copying_walk(encoded, conn):
+    """Leaf by leaf, the live walk equals the copying walk in h (values and
+    key order), member, dangerous set, p_max and the constraints' domains,
+    probabilities and freezing, and each h is the branch trace of its word
+    in product((1, 2), repeat=levels) order.  Returns the leaves' dangerous
+    sets."""
+    classes, p = discrete_partition(encoded), stats(encoded).p
+    words = product((1, 2), repeat=len(classes))
+    leaves = zip(_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
+                 copying_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS), words)
+    dangerous = []
+    for live, copied, word in leaves:
+        assert leaf_view(*live) == leaf_view(*copied)
+        assert list(live[0].items()) == list(branch_trace(encoded, word)[0].items())
+        dangerous.append(live[2].dangerous)
+    assert len(dangerous) == 2 ** len(classes)
+    return dangerous
+
+
+def overlapping_cover_csp():
+    """The three-constraint CSP of the dangerous-set coverage test: two
+    domains sharing element 9 and a third apart."""
+    doms = (tuple(range(0, 10)), tuple(range(9, 19)), tuple(range(19, 29)))
+    patterns = ((1,) * 10, (1,) * 10, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
+    return Csp(tuple(range(30)), 2, tuple(Constraint.explicit(dom, 2, [pattern])
+                                         for dom, pattern in zip(doms, patterns)))
+
+
+def encoded_with_connection(csp):
+    encoded, tau_red = binary_reduce(csp, EPS_BINARY)
+    return encoded, compose(identity_reduction(csp).connection, tau_red.connection)
+
+
+def test_family_leaves_match_copying_walk_on_cover_csps():
+    frozen_somewhere = 0
+    for seed in range(8):
+        dangerous = assert_walk_matches_copying_walk(
+            *encoded_with_connection(random_cover_csp(seed, max_levels=10)))
+        frozen_somewhere += len(set(dangerous)) > 1
+    dangerous = assert_walk_matches_copying_walk(*encoded_with_connection(overlapping_cover_csp()))
+    assert len(set(dangerous)) >= 3 and frozen_somewhere > 0
+
+
+@st.composite
+def overlapping_csps(draw):
+    """Explicit CSPs on at most 7 elements whose domains overlap: each
+    domain after the first shares an element with an earlier one."""
+    n, m = draw(st.integers(2, 7)), draw(st.integers(2, 3))
+    ground = tuple(range(n))
+    constraints, used = [], set()
+    for _ in range(draw(st.integers(1, 4))):
+        dom = set(draw(st.sets(st.sampled_from(ground), min_size=1, max_size=min(3, n))))
+        if used:
+            dom.add(draw(st.sampled_from(sorted(used))))
+        used |= dom
+        dom = tuple(sorted(dom))
+        body = draw(st.sets(st.tuples(*[st.integers(1, m)] * len(dom)), min_size=1,
+                            max_size=m ** len(dom)))
+        constraints.append(Constraint.explicit(dom, m, body))
+    return Csp(ground, m, tuple(constraints))
+
+
+@given(overlapping_csps())
+def test_family_leaves_match_copying_walk_on_overlapping_csps(csp):
+    # the walk on the CSP itself (values 1 and 2 of [m]) and, when it has
+    # at most 8 levels, on its binary encoding through the decoding
+    assert_walk_matches_copying_walk(csp, identity_reduction(csp).connection)
+    encoded, conn = encoded_with_connection(csp)
+    if len(discrete_partition(encoded)) <= 8:
+        assert_walk_matches_copying_walk(encoded, conn)
+
+
+def test_cover_family_searches_once_per_level_state(monkeypatch):
+    import locallemma.engine as engine
+
+    csp = overlapping_cover_csp()
+    want = oracle_cover_family(csp, seed=3, budget=1 << 14)
+    encoded, conn = encoded_with_connection(csp)
+    states = {}   # id -> the list itself, held so that no id is reused
+    witness_leaves = 0
+    for (h, member, state), cert in zip(
+            _family_leaves(encoded, discrete_partition(encoded), conn, stats(encoded).p,
+                           DEFAULT_CAP_BITS), want[3]):
+        if "solution_witness" in cert:
+            states[id(state.constraints)] = state.constraints
+            witness_leaves += 1
+
+    calls = []
+
+    def counting_search(*args):
+        calls.append(args)
+        return _search(*args)
+
+    monkeypatch.setattr(engine, "_search", counting_search)
+    result = cover_family(csp, seed=3, budget=1 << 14)
+    assert 0 < len(calls) <= len(states) < witness_leaves
+    assert [list(m.items()) for m in result.members] == [list(m.items()) for m in want[0]]
+    assert (result.levels, result.per_element_counts, result.certificates, result.route) == \
+        (want[1], want[2], want[3], want[4])
+    assert list(result.per_element_counts) == list(want[2])
+    assert len({id(cert) for cert in result.certificates}) == len(result.certificates)

@@ -166,6 +166,12 @@ def test_meeting_is_a_cached_index_and_not_a_field(csp):
         assert list(want) == sorted(set(want))
     assert set(meeting) <= set(csp.ground)
     assert meeting == incidence(c.domain for c in csp.constraints)
+    # stats is cached the same way: once per cap, outside the fields
+    cached = stats(csp)
+    assert stats(csp) is cached and stats(csp, 8) is stats(csp, 8)
+    assert csp == twin and hash(csp) == hash(twin) and repr(csp) == repr(twin)
+    assert cached == stats(Csp(csp.ground, csp.m, csp.constraints))
+    assert cached.p == max((probability(c) for c in csp.constraints), default=0)
 
 
 @given(csps_with_partial())
