@@ -4,12 +4,14 @@ Equal codes iff the rooted structured graphs are isomorphic (root to root,
 adjacency preserved, structure map transported).  The code is the least
 serialization, by bytes, over all root-preserving bijections compatible
 with an iterated invariant refinement of the vertices; the refinement
-(degree, root distance, structure participation, neighbor multisets) is
-what makes the search tractable at desk scale.
+(root distance, degree and own label, then structure participation and
+neighbor multisets) is what makes the search tractable at desk scale.
 
 Refinement signatures (same-shape tuples of nonnegative ints and
 self-delimiting `label_key` bytes) are ordered by native tuple order, and
-refinement stops as soon as every vertex is alone in its cell.  Root
+refinement stops as soon as every vertex is alone in its cell: a ball
+whose own labels separate its vertices, after the first sort (codes from
+before own labels joined it differ on some labelled balls).  Root
 distances come with the ball.  Each label's key and compact JSON text are
 computed once and kept in a bounded cache.
 
@@ -88,16 +90,18 @@ def _encoded(label):
 def _refine(b: RootedBall):
     """Iterated invariant partition; returns v -> color id (root is alone
     in its cell, colors ordered by an isomorphism-invariant signature).
-    Root distances are the ball's own."""
+    The initial color is (root flag, the ball's root distance, degree),
+    and in a ball with singleton entries the vertex's own label key (b""
+    for none): labels that separate the vertices make it discrete after
+    one sort, with no signature round and no participation lists."""
     graph, root, dist = b.graph, b.root, b.dist
-    participation = {v: [] for v in graph.vertices}
-    for tup, label in graph.structure.items():
-        lkey = _encoded(label)[0]
-        for pos, v in enumerate(tup):
-            participation[v].append((len(tup), pos, lkey, tup))
-
-    nbrs = graph._nbrs
-    color = {v: (0 if v == root else 1, dist[v], len(nbrs[v])) for v in graph.vertices}
+    structure, nbrs, n = graph.structure, graph._nbrs, len(graph.vertices)
+    own = {tup[0]: _encoded(label)[0] for tup, label in structure.items() if len(tup) == 1}
+    if own:
+        color = {v: (0 if v == root else 1, dist[v], len(nbrs[v]), own.get(v, b""))
+                 for v in graph.vertices}
+    else:
+        color = {v: (0 if v == root else 1, dist[v], len(nbrs[v])) for v in graph.vertices}
 
     def normalize(sigs):
         index = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
@@ -105,7 +109,14 @@ def _refine(b: RootedBall):
 
     # a discrete partition is final: color[v] leads every signature
     color, cells = normalize(color)
-    while cells < len(graph.vertices):
+    if cells == n:
+        return color
+    participation = {v: [] for v in graph.vertices}
+    for tup, label in structure.items():
+        lkey = _encoded(label)[0]
+        for pos, v in enumerate(tup):
+            participation[v].append((len(tup), pos, lkey, tup))
+    while True:
         sigs = {}
         for v in graph.vertices:
             nb = [color[w] for w in nbrs[v]]
@@ -115,10 +126,9 @@ def _refine(b: RootedBall):
             struct.sort()
             sigs[v] = (color[v], tuple(nb), tuple(struct))
         new, new_cells = normalize(sigs)
-        if new_cells == cells:
+        if new_cells in (cells, n):
             return new
         color, cells = new, new_cells
-    return color
 
 
 def _leaf(graph: StructuredGraph, mapping):

@@ -55,8 +55,8 @@ from .csp import Constraint, Csp, DEFAULT_CAP_BITS, intersection_graph, stats
 from .engine import direct_entry, lll_check
 from .errors import (BootstrapInfeasibleError, CanonicalizationCapError, EncodingBudgetError,
                      EnumerationCapError)
-from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, ball,
-                     with_labeling)
+from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, _with_layers,
+                     ball, with_labeling)
 from .graphcsp import encode_graph_csp
 from .localrun import LclProblem, LocalAlgorithm
 
@@ -131,8 +131,8 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
         canon = (key, tuple([(seeds[v], outs[v]) for v in order]))
         result = verdicts.get(canon)
         if result is None:
-            seeded = with_labeling(rooted.graph, {v: seeds[v] for v in order}, TAG_RAND)
-            labeled = with_labeling(seeded, outs, TAG_OUTPUT)
+            labeled = _with_layers(rooted.graph, ((TAG_RAND, {v: seeds[v] for v in order}),
+                                                  (TAG_OUTPUT, outs)))
             form = canonical_type(RootedBall._trusted(labeled, x, t, rooted.dist),
                                   cap=canon_cap)
             result = verdicts[canon] = int(problem.verifier(form)) == 0

@@ -270,27 +270,29 @@ def with_labeling(graph: StructuredGraph, values: Mapping[int, int],
     changes the structure; repeated application nests.  New values are
     checked here, so the result shares the graph's vertices and edges.
     """
-    bad = [v for v in values if not graph.has_vertex(v)]
-    if bad:
-        raise GraphBuildError(f"labeling mentions unknown vertices {bad}")
+    return _with_layers(graph, ((tag, values),))
+
+
+def _with_layers(graph: StructuredGraph, layers) -> StructuredGraph:
+    """with_labeling for each (tag, values) in turn, on one structure copy."""
     struct = dict(graph.structure)
 
     def append_pair(tup, pair):
         old = struct.get(tup)
-        if old is None:
-            struct[tup] = (LAYER_MARK, pair)
-        else:
-            pairs = _layer_pairs(old)
-            if pairs is None:
-                struct[tup] = (LAYER_MARK, (TAG_BASE, old), pair)
-            else:
-                struct[tup] = (LAYER_MARK,) + pairs + (pair,)
+        pairs = () if old is None else _layer_pairs(old)
+        if pairs is None:  # a plain label
+            pairs = ((TAG_BASE, old),)
+        struct[tup] = (LAYER_MARK,) + pairs + (pair,)
 
-    append_pair((), (tag, 0))
-    for v, value in values.items():
-        if not is_label(value):
-            raise GraphBuildError(f"invalid layer value for {v}: {value!r}")
-        append_pair((v,), (tag, value))
+    for tag, values in layers:
+        bad = [v for v in values if not graph.has_vertex(v)]
+        if bad:
+            raise GraphBuildError(f"labeling mentions unknown vertices {bad}")
+        append_pair((), (tag, 0))
+        for v, value in values.items():
+            if not is_label(value):
+                raise GraphBuildError(f"invalid layer value for {v}: {value!r}")
+            append_pair((v,), (tag, value))
     return StructuredGraph._trusted(graph.vertices, graph._vset, graph.edges, struct,
                                     max(graph.tuple_bound, 1), graph._nbrs)
 

@@ -144,7 +144,9 @@ def test_hex_round_trip():
 
 
 # Oracle: refinement ordered by a byte key, code entries sorted by
-# (mapped tuple, label_key), every leaf of the search tried.
+# (mapped tuple, label_key), every leaf of the search tried.  The initial
+# colour carries each vertex's own singleton label key (b"" for none);
+# code version 1, pinned below, started from (root flag, dist, degree).
 
 def byte_key(obj) -> bytes:
     if isinstance(obj, bytes):
@@ -157,7 +159,7 @@ def byte_key(obj) -> bytes:
     raise TypeError(obj)
 
 
-def byte_key_refine(graph, root):
+def byte_key_refine(graph, root, own_labels=True):
     dist = graph.distances_from(root)
     participation = {v: [] for v in graph.vertices}
     for tup, label in graph.structure.items():
@@ -168,7 +170,11 @@ def byte_key_refine(graph, root):
         index = {s: i for i, s in enumerate(sorted(set(sigs.values()), key=byte_key))}
         return {v: index[s] for v, s in sigs.items()}
 
-    color = normalize({v: (0 if v == root else 1, dist[v], graph.degree(v))
+    def own(v):
+        label = graph.structure.get((v,))
+        return (label_key(label) if label is not None else b"",) if own_labels else ()
+
+    color = normalize({v: (0 if v == root else 1, dist[v], graph.degree(v)) + own(v)
                        for v in graph.vertices})
     while True:
         sigs = {}
@@ -183,9 +189,13 @@ def byte_key_refine(graph, root):
         color = new
 
 
-def oracle_code(b) -> bytes:
+def byte_key_refine_v1(graph, root):
+    return byte_key_refine(graph, root, own_labels=False)
+
+
+def oracle_code(b, refine=byte_key_refine) -> bytes:
     graph = b.graph
-    color = byte_key_refine(graph, b.root)
+    color = refine(graph, b.root)
     cells = {}
     for v in graph.vertices:
         cells.setdefault(color[v], []).append(v)
@@ -203,6 +213,10 @@ def oracle_code(b) -> bytes:
         if best is None or code < best:
             best = code
     return best
+
+
+def oracle_code_v1(b) -> bytes:
+    return oracle_code(b, byte_key_refine_v1)
 
 
 def random_layer_value(rng):
@@ -251,6 +265,56 @@ def test_codes_match_byte_key_oracle_on_layered_balls():
     balls.extend(ball(regular, x, 2) for x in rng.sample(regular.vertices, 6))
     for b in balls:
         assert canonical_type(b, cap=13).code == oracle_code(b)
+
+
+def random_small_layered_ball(rng, n):
+    """A ball of 2 <= n <= 6 vertices: a star rooted at its centre, a cycle or
+    a random connected graph, with identifier, seed and output layers drawn
+    from few values, so some vertices carry no label and symmetric
+    vertices repeat one."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        edges = [(0, i) for i in range(1, n)]
+    elif shape == 1:
+        edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    else:  # connected: a random tree and some chords
+        edges = {(rng.randrange(j), j) for j in range(1, n)}
+        edges.update((i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.3)
+    g = build_graph(range(n), sorted(edges))
+    for tag in (TAG_IDS, TAG_RAND, TAG_OUTPUT):
+        if rng.random() < 0.7:
+            g = with_labeling(g, {v: rng.randint(1, 2) for v in g.vertices
+                                  if rng.random() < 0.7}, tag)
+    return ball(g, 0, n)
+
+
+def swapped_labels(b, rng):
+    """b with the singleton labels of two of its vertices exchanged."""
+    g = b.graph
+    structure = dict(g.structure)
+    u, w = rng.sample(g.vertices, 2)
+    at_u, at_w = structure.pop((u,), None), structure.pop((w,), None)
+    structure.update({(x,): label for x, label in ((u, at_w), (w, at_u)) if label is not None})
+    return type(b)(build_graph(g.vertices, g.edges, structure, g.tuple_bound), b.root, b.radius)
+
+
+def test_iso_completeness_on_layered_balls():
+    # "same code iff isomorphic" on labelled balls, checked by the
+    # brute-force search, which shares nothing with the refinement; half
+    # the pairs are relabelled copies, half relabelled copies with two
+    # vertices' labels exchanged (isomorphic exactly when the exchange is
+    # undone by a symmetry)
+    rng = random.Random(19)
+    seen = {(copy, iso): 0 for copy in (True, False) for iso in (True, False)}
+    for _ in range(400):
+        b1 = random_small_layered_ball(rng, rng.randint(2, 6))
+        copy = rng.random() < 0.5
+        b2 = relabeled(b1 if copy else swapped_labels(b1, rng), rng)
+        same_iso = are_isomorphic(b1, b2)
+        assert (canonical_type(b1) == canonical_type(b2)) == same_iso
+        seen[copy, same_iso] += 1
+    assert seen[True, False] == 0
+    assert min(seen[True, True], seen[False, True], seen[False, False]) > 40
 
 
 def star(leaves):
@@ -358,6 +422,25 @@ def test_leaf_decode_and_refine_match_oracles_on_id_and_symmetric_balls():
         balls.extend(ball(g, x, radius) for x in g.vertices)
     for b in balls:
         assert_leaf_decodes_like_code(b)
+
+
+def test_new_codes_equal_version_1_codes_on_pinned_families():
+    # the own label in the initial colour is a declared code version; on
+    # identifier balls, radius-1 directed-cycle balls with output or seed
+    # labels, and unlabelled balls, every code is version 1's byte for byte
+    balls = local_det_balls()
+    rng = random.Random(5)
+    for tag in (TAG_OUTPUT, TAG_RAND):
+        g = generate("directed_cycle", {"n": 12})
+        labeled = with_labeling(g, {v: rng.randint(1, 3) for v in g.vertices}, tag)
+        balls.extend(ball(labeled, x, 1) for x in labeled.vertices)
+    torus = generate("torus_grid", {"rows": 12, "cols": 12})
+    balls.extend(ball(torus, x, radius) for x in (0, 77) for radius in (1, 2))
+    for kind, params in (("random_regular", {"n": 40, "d": 3}), ("random_tree", {"n": 30})):
+        g = generate(kind, params, seed=2)
+        balls.extend(ball(g, x, 2) for x in rng.sample(g.vertices, 4))
+    for b in balls:
+        assert canonical_type(b, cap=15).code == oracle_code_v1(b)
 
 
 @pytest.mark.parametrize("code, error", [

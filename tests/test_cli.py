@@ -442,6 +442,35 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
     assert got == expected
 
 
+# The `csp cover` report holds no certificates, so csp-cover and
+# csp-cover-overlap share one hash; this pins what the walk certifies on
+# the same two inputs, read back from JSON as the CLI reads them, with the
+# seeds their golden commands pass.
+COVER_CERTIFICATES = {
+    "cover.json": "495de16bc2924dd67a4014643afbf16ea5d6e494e5d8166539028893f7866bf5",
+    "overlap.json": "6922f48ca192e575584df849f9bc33551bd8654237d3ccdf6f2de1bc9a9d60b9",
+}
+
+
+def test_cover_certificates_and_counts_are_pinned():
+    from locallemma.csp import Constraint, Csp
+    from locallemma.engine import cover_family
+    from locallemma.serialize import csp_from_json
+
+    doms = (tuple(range(0, 10)), tuple(range(9, 19)), tuple(range(19, 29)))
+    patterns = ((1,) * 10, (1,) * 10, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
+    overlap = Csp(tuple(range(30)), 2, tuple(
+        Constraint.explicit(dom, 2, [pattern]) for dom, pattern in zip(doms, patterns)))
+    got = {}
+    for name, csp, seed in (("cover.json", random_cover_csp(1, max_levels=10), 0),
+                            ("overlap.json", overlap, 3)):
+        result = cover_family(csp_from_json(json.loads(json.dumps(csp_to_json(csp)))), seed=seed)
+        got[name] = _sha(json.dumps({"certificates": result.certificates,
+                                     "per_element_counts": list(result.per_element_counts.items())},
+                                    sort_keys=True, separators=(",", ":")).encode())
+    assert got == COVER_CERTIFICATES
+
+
 def test_pipeline_rand_reaches_the_measurable_regime(tmp_path):
     # m = 2^35 is the smallest range at which the compiled CSP meets
     # p(d+1)^8 <= 2^-15; enumerating m^3 seed patterns would cap out

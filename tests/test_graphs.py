@@ -11,6 +11,7 @@ from locallemma.graphs import (
     TAG_RAND,
     RootedBall,
     StructuredGraph,
+    _with_layers,
     ball,
     build_graph,
     distance_pairs,
@@ -209,6 +210,32 @@ def test_with_labeling_matches_validating_constructor():
     for values in ({9: 1}, {0: True}, {0: -1}, {0: 1.5}, {0: "1"}):
         with pytest.raises(GraphBuildError):
             with_labeling(g, values, TAG_IDS)
+
+
+def test_layers_on_one_copy_match_the_two_call_chain():
+    # rand_to_csp's verifier balls: seeds in a shuffled (canonical) order,
+    # then outputs in BFS order, on a ball that may carry labels of its own
+    import random
+
+    for seed in range(30):
+        rng = random.Random(seed)
+        kind, params = rng.choice([("directed_cycle", {"n": 12}), ("random_tree", {"n": 15}),
+                                   ("random_regular", {"n": 16, "d": 3})])
+        graph = generate(kind, params, seed=seed)
+        if rng.random() < 0.5:
+            graph = with_labeling(graph, {v: rng.randint(1, 9) for v in graph.vertices}, TAG_IDS)
+        rooted = ball(graph, rng.choice(graph.vertices), rng.randint(0, 2))
+        before = list(rooted.graph.structure.items())
+        order = list(rooted.graph.vertices)
+        rng.shuffle(order)
+        seeds = {v: rng.randint(1, 4) for v in order}
+        outs = {y: rng.randint(0, 3) for y in rooted.dist}
+        chain = with_labeling(with_labeling(rooted.graph, seeds, TAG_RAND), outs, TAG_OUTPUT)
+        got = _with_layers(rooted.graph, ((TAG_RAND, seeds), (TAG_OUTPUT, outs)))
+        assert list(got.structure.items()) == list(chain.structure.items())
+        assert got == chain and got.vertices == chain.vertices
+        assert got.tuple_bound == chain.tuple_bound
+        assert list(rooted.graph.structure.items()) == before
 
 
 def test_distance_pairs_zero_radius():
