@@ -90,18 +90,15 @@ def _encoded(label):
 def _refine(b: RootedBall):
     """Iterated invariant partition; returns v -> color id (root is alone
     in its cell, colors ordered by an isomorphism-invariant signature).
-    The initial color is (root flag, the ball's root distance, degree),
-    and in a ball with singleton entries the vertex's own label key (b""
-    for none): labels that separate the vertices make it discrete after
-    one sort, with no signature round and no participation lists."""
+    The initial color is (root flag, the ball's root distance, degree,
+    the vertex's own label key, b"" for none): labels that separate the
+    vertices make it discrete after one sort, with no signature round and
+    no participation lists."""
     graph, root, dist = b.graph, b.root, b.dist
     structure, nbrs, n = graph.structure, graph._nbrs, len(graph.vertices)
     own = {tup[0]: _encoded(label)[0] for tup, label in structure.items() if len(tup) == 1}
-    if own:
-        color = {v: (0 if v == root else 1, dist[v], len(nbrs[v]), own.get(v, b""))
-                 for v in graph.vertices}
-    else:
-        color = {v: (0 if v == root else 1, dist[v], len(nbrs[v])) for v in graph.vertices}
+    color = {v: (0 if v == root else 1, dist[v], len(nbrs[v]), own.get(v, b""))
+             for v in graph.vertices}
 
     def normalize(sigs):
         index = {s: i for i, s in enumerate(sorted(set(sigs.values())))}

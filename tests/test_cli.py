@@ -8,6 +8,7 @@ import pytest
 
 import locallemma
 from locallemma.cli import ExperimentConfig, emit_summary, main, run_experiment
+from locallemma.csp import Constraint, Csp
 from locallemma.generate import generate
 from locallemma.serialize import csp_to_json, dump_json, graph_to_json
 from locallemma.randgen import random_cover_csp, random_symmetric_csp
@@ -402,8 +403,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def overlap_csp():
+    """Three constraints on overlapping domains: the `overlap.json` input
+    of the golden `csp cover` command."""
+    doms = (tuple(range(0, 10)), tuple(range(9, 19)), tuple(range(19, 29)))
+    patterns = ((1,) * 10, (1,) * 10, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
+    return Csp(tuple(range(30)), 2, tuple(
+        Constraint.explicit(dom, 2, [pattern]) for dom, pattern in zip(doms, patterns)))
+
+
 def test_golden_reports(tmp_path, monkeypatch, capsys):
-    from locallemma.csp import Constraint, Csp
     from locallemma.graphs import build_graph
     from locallemma.randgen import random_measurable_csp
 
@@ -417,11 +426,7 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
     dump_json(csp_to_json(random_symmetric_csp(2)), "sym.json")
     dump_json(csp_to_json(random_cover_csp(1, max_levels=10)), "cover.json")
     dump_json(csp_to_json(random_measurable_csp(900, max_ground=40)), "meas.json")
-    doms = (tuple(range(0, 10)), tuple(range(9, 19)), tuple(range(19, 29)))
-    patterns = ((1,) * 10, (1,) * 10, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
-    dump_json(csp_to_json(Csp(tuple(range(30)), 2, tuple(
-        Constraint.explicit(dom, 2, [pattern]) for dom, pattern in zip(doms, patterns)))),
-        "overlap.json")
+    dump_json(csp_to_json(overlap_csp()), "overlap.json")
 
     got = {}
     for name, argv, code, _ in GOLDEN:
@@ -453,17 +458,12 @@ COVER_CERTIFICATES = {
 
 
 def test_cover_certificates_and_counts_are_pinned():
-    from locallemma.csp import Constraint, Csp
     from locallemma.engine import cover_family
     from locallemma.serialize import csp_from_json
 
-    doms = (tuple(range(0, 10)), tuple(range(9, 19)), tuple(range(19, 29)))
-    patterns = ((1,) * 10, (1,) * 10, (1, 2, 2, 1, 2, 1, 1, 2, 1, 2))
-    overlap = Csp(tuple(range(30)), 2, tuple(
-        Constraint.explicit(dom, 2, [pattern]) for dom, pattern in zip(doms, patterns)))
     got = {}
     for name, csp, seed in (("cover.json", random_cover_csp(1, max_levels=10), 0),
-                            ("overlap.json", overlap, 3)):
+                            ("overlap.json", overlap_csp(), 3)):
         result = cover_family(csp_from_json(json.loads(json.dumps(csp_to_json(csp)))), seed=seed)
         got[name] = _sha(json.dumps({"certificates": result.certificates,
                                      "per_element_counts": list(result.per_element_counts.items())},
