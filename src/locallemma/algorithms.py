@@ -4,7 +4,10 @@ Each builtin comes with its declared round count as a function of the
 instance size and the problem it solves.  Rules operate on the canonical
 representative of the ball, so they can only use information that survives
 relabeling: adjacency, structure layers (orientation, identifiers,
-randomness, candidate outputs) and the root.
+randomness, candidate outputs) and the root.  A rule reads the
+representative either as a graph (`form.decode()`) or, with no graph
+built, as its leaf (`form.parts()`: n, sorted edges, entries sorted by
+tuple, root at position 0).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from .graphs import (
     TAG_IDS,
     TAG_OUTPUT,
     TAG_RAND,
-    StructuredGraph,
-    base_structure,
+    base_label,
+    label_layer,
     layer_value,
 )
 from .graphcsp import csp_to_lcl, encoded_constraints
@@ -50,15 +53,6 @@ def proper_coloring_problem(k: Optional[int]) -> LclProblem:
                                                    palette=k, value_symmetric=True))
 
 
-def _successor_map(graph: StructuredGraph) -> Dict[int, int]:
-    """Orientation layer: entry (u, v) -> 1 means an edge directed u -> v."""
-    succ = {}
-    for tup, label in base_structure(graph).items():
-        if len(tup) == 2 and label == 1 and graph.adjacent(*tup):
-            succ[tup[0]] = tup[1]
-    return succ
-
-
 def cole_vishkin_steps(n: int) -> int:
     """Iterations of id-bit reduction needed to reach colors in [0, 5]."""
     value = max(n - 1, 0)
@@ -77,45 +71,43 @@ def _cole_vishkin_rule(n: int) -> Callable[[CanonicalForm], int]:
     steps = cole_vishkin_steps(n)
 
     def rule(form: CanonicalForm) -> int:
-        graph, root = form.decode()
-        succ = _successor_map(graph)
-        pred = {v: u for u, v in succ.items()}
-        colors = {}
-        for v in graph.vertices:
-            ident = layer_value(graph, v, TAG_IDS)
-            if ident is None or not isinstance(ident, int):
-                return 0
-            colors[v] = ident - 1
-        known = set(graph.vertices)
+        size, edges, entries = form.parts()
+        edge_set = set(edges)
+        ids, succ = [None] * size, [None] * size
+        # entries ascend by tuple: a later orientation entry of u wins
+        for tup, label in entries:
+            if len(tup) == 1:
+                ids[tup[0]] = label_layer(label, TAG_IDS)
+            elif (len(tup) == 2 and base_label(label) == 1
+                  and (tup in edge_set or tup[::-1] in edge_set)):
+                succ[tup[0]] = tup[1]
+        if not all(isinstance(ident, int) for ident in ids):
+            return 0
+        colors = [ident - 1 for ident in ids]  # None once a colour is unknown
+        pred = [None] * size  # the last, so largest, u directed into v
+        for u, v in enumerate(succ):
+            if v is not None:
+                pred[v] = u
         for _ in range(steps):
-            nxt = {}
-            for v in known:
-                s = succ.get(v)
-                if s is None or s not in known:
+            nxt = [None] * size
+            for v, s in enumerate(succ):
+                c = colors[v]
+                if c is None or s is None or colors[s] is None:
                     continue
-                diff = colors[v] ^ colors[s]
-                if diff == 0:
-                    nxt[v] = 0  # broken identifiers; verification will catch it
-                    continue
+                diff = c ^ colors[s]
                 i = (diff & -diff).bit_length() - 1
-                nxt[v] = 2 * i + ((colors[v] >> i) & 1)
-            known = set(nxt)
+                # equal identifiers are broken; verification will catch it
+                nxt[v] = 2 * i + ((c >> i) & 1) if diff else 0
             colors = nxt
         for kill in (5, 4, 3):
-            nxt = {}
-            for v in known:
-                s, p = succ.get(v), pred.get(v)
-                if s not in known or p not in known:
+            nxt = [None] * size
+            for v, s in enumerate(succ):
+                c, p = colors[v], pred[v]
+                if c is None or s is None or p is None or colors[s] is None or colors[p] is None:
                     continue
-                if colors[v] == kill:
-                    nxt[v] = min({0, 1, 2} - {colors[s], colors[p]})
-                else:
-                    nxt[v] = colors[v]
-            known = set(nxt)
+                nxt[v] = min({0, 1, 2} - {colors[s], colors[p]}) if c == kill else c
             colors = nxt
-        if root not in colors:
-            return 0
-        return colors[root] + 1
+        return 0 if colors[0] is None else colors[0] + 1
 
     return rule
 

@@ -54,10 +54,12 @@ of the cell factorials), so which balls cap out does not depend on the
 pruning.
 
 A form made by `canonical_type` keeps the winning leaf of its search (the
-relabeled edges and structure entries its code was written from), so
-`decode` rebuilds the representative from it in O(ball) with no parsing
-and no re-validation.  A form made by `from_hex` carries no leaf: its
-bytes are parsed and the graph validated in full.
+relabeled edges and structure entries its code was written from), and
+`parts` returns it with no parsing and no re-validation.  A form made by
+`from_hex` carries no leaf: `parts` parses its bytes, validates the graph
+in full and returns the same leaf shape.  `decode` builds the
+representative from `parts` in O(ball), and a rule that needs no graph
+reads `parts` directly.
 """
 
 from __future__ import annotations
@@ -167,28 +169,33 @@ class CanonicalForm:
     def from_hex(text: str) -> "CanonicalForm":
         return CanonicalForm(bytes.fromhex(text))
 
+    def parts(self):
+        """The representative as a leaf, root 0: (n, sorted edges, entries
+        sorted by tuple); a `from_hex` form parses and validates its code
+        on every call."""
+        if self.leaf is not None:
+            return self.leaf
+        payload = json.loads(self.code.decode())
+        # a list, so the constructor rejects a repeated tuple
+        structure = [(tuple(t), label_from_json(l)) for t, l in payload["structure"]]
+        graph = StructuredGraph(range(payload["n"]), payload["edges"], structure)
+        return _leaf(graph, range(len(graph.vertices)))
+
     def decode(self):
         """Canonical representative: (graph on vertices 0..n-1, root 0),
-        built fresh on every call; the same graph, in the same vertex,
-        neighbor and structure order, from the leaf or from the code."""
-        if self.leaf is not None:
-            n, edges, entries = self.leaf
-            vertices = tuple(range(n))
-            nbrs = {v: [] for v in vertices}
-            for u, v in edges:  # sorted, so every neighbor tuple ascends
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-            structure = dict(entries)
-            tuple_bound = max(max((len(t) for t in structure), default=0), 1)
-            graph = StructuredGraph._trusted(
-                vertices, frozenset(vertices), frozenset(edges), structure, tuple_bound,
-                {v: tuple(ws) for v, ws in nbrs.items()})
-            return graph, 0
-        payload = json.loads(self.code.decode())
-        structure = {
-            tuple(t): label_from_json(l) for t, l in payload["structure"]
-        }
-        graph = StructuredGraph(range(payload["n"]), payload["edges"], structure)
+        built fresh from `parts()` on every call, neighbor tuples
+        ascending and structure in tuple order."""
+        n, edges, entries = self.parts()
+        vertices = tuple(range(n))
+        nbrs = {v: [] for v in vertices}
+        for u, v in edges:  # sorted, so every neighbor tuple ascends
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        structure = dict(entries)
+        tuple_bound = max(max((len(t) for t in structure), default=0), 1)
+        graph = StructuredGraph._trusted(
+            vertices, frozenset(vertices), frozenset(edges), structure, tuple_bound,
+            {v: tuple(ws) for v, ws in nbrs.items()})
         return graph, 0
 
 

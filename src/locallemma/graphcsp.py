@@ -19,6 +19,7 @@ from .graphs import (
     TAG_RANGE,
     StructuredGraph,
     base_structure,
+    label_layer,
     layer_value,
 )
 from .localrun import LclProblem, LocalAlgorithm
@@ -91,13 +92,10 @@ def _body_key(body) -> tuple:
 
 
 def layer_value_global(encoded: StructuredGraph) -> int:
-    entry = encoded.structure.get(())
-    if not (isinstance(entry, tuple) and entry and entry[0] == LAYER_MARK):
+    m = label_layer(encoded.structure.get(()), TAG_RANGE)
+    if m is None:
         raise GraphBuildError("missing range layer on the encoded graph")
-    for pair in entry[1:]:
-        if isinstance(pair, tuple) and len(pair) == 2 and pair[0] == TAG_RANGE:
-            return int(pair[1])
-    raise GraphBuildError("missing range layer on the encoded graph")
+    return int(m)
 
 
 def encoded_constraints(graph: StructuredGraph):

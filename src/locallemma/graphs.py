@@ -297,23 +297,29 @@ def _with_layers(graph: StructuredGraph, layers) -> StructuredGraph:
                                     max(graph.tuple_bound, 1), graph._nbrs)
 
 
-def layer_value(graph: StructuredGraph, v: int, tag: int):
-    """Last value attached at vertex v under `tag`, or None."""
-    pairs = _layer_pairs(graph.structure.get((v,)))
-    if pairs is None:
-        return None
+def label_layer(label, tag):
+    """Last value under `tag` in a layered label, or None (also for a
+    plain label)."""
     found = None
-    for p in pairs:
-        if isinstance(p, tuple) and len(p) == 2 and p[0] == tag:
-            found = p[1]
+    # _layer_pairs's test, inline: rules call this once per vertex
+    if isinstance(label, tuple) and label and label[0] == LAYER_MARK:
+        for p in label:  # the marker is no pair, so it never matches
+            if isinstance(p, tuple) and len(p) == 2 and p[0] == tag:
+                found = p[1]
     return found
 
 
-def graph_layer_tags(graph: StructuredGraph) -> tuple:
-    pairs = _layer_pairs(graph.structure.get(()))
-    if pairs is None:
-        return ()
-    return tuple(p[0] for p in pairs if isinstance(p, tuple) and len(p) == 2)
+def base_label(label):
+    """A plain label itself; for a layered label, its last TAG_BASE value,
+    or None when it has none."""
+    if isinstance(label, tuple) and label and label[0] == LAYER_MARK:
+        return label_layer(label, TAG_BASE)
+    return label
+
+
+def layer_value(graph: StructuredGraph, v: int, tag: int):
+    """Last value attached at vertex v under `tag`, or None."""
+    return label_layer(graph.structure.get((v,)), tag)
 
 
 def base_structure(graph: StructuredGraph) -> Dict[tuple, Label]:
@@ -321,12 +327,8 @@ def base_structure(graph: StructuredGraph) -> Dict[tuple, Label]:
     pure layer entries dropped)."""
     out = {}
     for tup, label in graph.structure.items():
-        pairs = _layer_pairs(label)
-        if pairs is None:
-            if tup != ():
-                out[tup] = label
-            continue
-        for p in pairs:
-            if isinstance(p, tuple) and len(p) == 2 and p[0] == TAG_BASE:
-                out[tup] = p[1]
+        base = base_label(label)
+        # a plain label on the empty tuple is dropped, a wrapped one kept
+        if base is not None and (tup or base is not label):
+            out[tup] = base
     return out

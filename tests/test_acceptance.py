@@ -283,14 +283,14 @@ def seed_echo():
 
 def flip_on_conflict():
     # T = 1: output theta(x), flipped when it collides with the successor's
-    from locallemma.algorithms import _successor_map
+    from test_algorithms import successor_map
 
     def rule(form):
         graph, root = form.decode()
         mine = layer_value(graph, root, TAG_RAND)
         if not isinstance(mine, int):
             return 0
-        succ = _successor_map(graph).get(root)
+        succ = successor_map(graph).get(root)
         if succ is None:
             return mine
         theirs = layer_value(graph, succ, TAG_RAND)

@@ -1,13 +1,19 @@
-import pytest
+import random
 from fractions import Fraction
 
+import pytest
+from test_canonical import local_det_balls, random_layered_ball
+
 from locallemma.algorithms import (
+    _cole_vishkin_rule,
     builtin_algorithm,
     cole_vishkin_rounds,
     cole_vishkin_steps,
 )
+from locallemma.canonical import CanonicalForm, canonical_type
 from locallemma.generate import generate
-from locallemma.graphs import TAG_IDS, TAG_RAND, with_labeling
+from locallemma.graphs import (LAYER_MARK, TAG_BASE, TAG_IDS, TAG_OUTPUT, TAG_RAND, ball,
+                               base_structure, build_graph, layer_value, with_labeling)
 from locallemma.localrun import (
     estimate_randomized_failure,
     run_deterministic,
@@ -46,6 +52,163 @@ def test_cole_vishkin_on_directed_cycle(n):
     report = verify_lcl(spec.problem, g, outputs)
     assert report.valid
     assert set(outputs.values()) <= {1, 2, 3}
+
+
+# The Cole-Vishkin rule reads the form's leaf; the oracle is the rule as it
+# was written on the decoded graph, with a successor map built through
+# base_structure and identifiers read through layer_value.
+
+def successor_map(graph):
+    """Orientation layer: entry (u, v) -> 1 means an edge directed u -> v."""
+    succ = {}
+    for tup, label in base_structure(graph).items():
+        if len(tup) == 2 and label == 1 and graph.adjacent(*tup):
+            succ[tup[0]] = tup[1]
+    return succ
+
+
+def oracle_cole_vishkin_rule(n):
+    steps = cole_vishkin_steps(n)
+
+    def rule(form):
+        graph, root = form.decode()
+        succ = successor_map(graph)
+        pred = {v: u for u, v in succ.items()}
+        colors = {}
+        for v in graph.vertices:
+            ident = layer_value(graph, v, TAG_IDS)
+            if ident is None or not isinstance(ident, int):
+                return 0
+            colors[v] = ident - 1
+        known = set(graph.vertices)
+        for _ in range(steps):
+            nxt = {}
+            for v in known:
+                s = succ.get(v)
+                if s is None or s not in known:
+                    continue
+                diff = colors[v] ^ colors[s]
+                if diff == 0:
+                    nxt[v] = 0
+                    continue
+                i = (diff & -diff).bit_length() - 1
+                nxt[v] = 2 * i + ((colors[v] >> i) & 1)
+            known = set(nxt)
+            colors = nxt
+        for kill in (5, 4, 3):
+            nxt = {}
+            for v in known:
+                s, p = succ.get(v), pred.get(v)
+                if s not in known or p not in known:
+                    continue
+                if colors[v] == kill:
+                    nxt[v] = min({0, 1, 2} - {colors[s], colors[p]})
+                else:
+                    nxt[v] = colors[v]
+            known = set(nxt)
+            colors = nxt
+        if root not in colors:
+            return 0
+        return colors[root] + 1
+
+    return rule
+
+
+# orientation labels: plain, wrapped under TAG_BASE (the last TAG_BASE pair
+# counts), layered with no TAG_BASE pair, and labels that are not 1
+ORIENTATIONS = [1, 1, 1, 0, 2, (1,), (LAYER_MARK, (TAG_BASE, 1)),
+                (LAYER_MARK, (TAG_BASE, 0), (TAG_BASE, 1)),
+                (LAYER_MARK, (TAG_BASE, 1), (TAG_BASE, 0)),
+                (LAYER_MARK, (TAG_IDS, 1)), (LAYER_MARK, (TAG_BASE, 1), (TAG_RAND, 0))]
+
+
+def random_oriented_ball(rng):
+    """A ball of a directed cycle or path with chords, extra orientation
+    entries on edges and non-edges (some vertices get two successors or
+    two predecessors), identifiers that may repeat, be 0, be missing or
+    not be ints, and seed and output layers on top."""
+    k = rng.randint(1, 10)
+    arcs = [(i, (i + 1) % k) for i in range(k - (rng.random() < 0.3))]
+    edges = {(min(a), max(a)) for a in arcs if a[0] != a[1]}
+    edges.update((i, j) for i in range(k) for j in range(i + 2, k) if rng.random() < 0.1)
+    structure = {a: 1 for a in arcs if a[0] != a[1]}
+    for _ in range(rng.randint(0, 4)):
+        structure[(rng.randrange(k), rng.randrange(k))] = rng.choice(ORIENTATIONS)
+    if rng.random() < 0.3:
+        structure[(rng.randrange(k),)] = rng.randint(0, 3)  # a plain label, wrapped below
+    g = build_graph(range(k), sorted(edges), structure)
+    spread = rng.choice([2, k, 1000])
+    ids = {v: rng.randint(0, spread) for v in g.vertices if rng.random() < 0.97}
+    if rng.random() < 0.05:
+        ids[rng.randrange(k)] = (1, 2)
+    g = with_labeling(g, ids, TAG_IDS)
+    for tag in (TAG_RAND, TAG_OUTPUT, TAG_IDS):
+        if rng.random() < 0.3:
+            g = with_labeling(g, {v: rng.randint(1, 5) for v in g.vertices
+                                  if rng.random() < 0.5}, tag)
+    return ball(g, rng.randrange(k), rng.randint(0, 6))
+
+
+def crafted_balls():
+    """One ball per edge case of the rule, each at the middle vertex 10 of
+    a directed 21-vertex path, at radius 9 unless noted."""
+    def path_ball(ids, orientation=1, extra=(), chords=(), radius=9):
+        edges = [(i, i + 1) for i in range(20)] + list(chords)
+        structure = {(i, i + 1): orientation for i in range(20)}
+        structure.update(extra)
+        g = with_labeling(build_graph(range(21), edges, structure), ids, TAG_IDS)
+        return ball(g, 10, radius)
+
+    distinct = {v: (7 * v) % 23 + 1 for v in range(21)}
+    cycle = generate("cycle", {"n": 21})
+    return [
+        path_ball(distinct),
+        path_ball({v: i for v, i in distinct.items() if v != 12}),  # no identifier
+        path_ball({**distinct, 11: (6,)}),  # a non-int identifier
+        path_ball({**distinct, 11: distinct[10]}),  # equal adjacent identifiers
+        path_ball({**distinct, 11: 0}),  # identifier 0, colour -1
+        path_ball(distinct, (LAYER_MARK, (TAG_BASE, 1))),
+        path_ball(distinct, (LAYER_MARK, (TAG_BASE, 0), (TAG_BASE, 1))),
+        path_ball(distinct, (LAYER_MARK, (TAG_BASE, 1), (TAG_BASE, 0))),
+        path_ball(distinct, extra={(10, 13): 1, (12, 8): 1}),  # orientation on non-edges
+        path_ball(distinct, extra={(12, 9): 1}, chords=[(9, 12)]),  # two predecessors
+        path_ball(distinct, extra={(10, 13): 1}, chords=[(10, 13)]),  # a second successor
+        path_ball(distinct, radius=2),  # too few rounds
+        ball(with_labeling(cycle, distinct, TAG_IDS), 10, 9),  # undirected cycle
+    ]
+
+
+def assert_rule_matches_oracle(balls, n):
+    """The rule equals the oracle on every ball, from the leaf and from the
+    parsed hex code; returns the outputs."""
+    fast, slow = _cole_vishkin_rule(n), oracle_cole_vishkin_rule(n)
+    outputs = []
+    for b in balls:
+        form = canonical_type(b, cap=len(b.graph.vertices))
+        parsed = CanonicalForm.from_hex(form.hex())
+        want = slow(form)
+        assert fast(form) == want == fast(parsed) == slow(parsed)
+        outputs.append(want)
+    return outputs
+
+
+@pytest.mark.parametrize("n", [48, 256, 1024])
+def test_cole_vishkin_rule_matches_oracle_on_local_det_balls(n):
+    for seed in range(2):
+        balls = local_det_balls(n, cole_vishkin_rounds(n), seed)
+        assert set(assert_rule_matches_oracle(balls, n)) == {1, 2, 3}
+
+
+def test_cole_vishkin_rule_matches_oracle_on_random_and_crafted_balls():
+    rng = random.Random(20)
+    layered = [random_layered_ball(rng) for _ in range(200)]
+    oriented = [random_oriented_ball(rng) for _ in range(400)]
+    seen = set()
+    for n in (4, 8, 48, 1024, 2 ** 20):  # 0 to 5 colour-reduction steps
+        assert_rule_matches_oracle(layered, n)
+        seen.update(assert_rule_matches_oracle(oriented, n))
+        seen.update(assert_rule_matches_oracle(crafted_balls(), n))
+    assert seen >= {0, 1, 2, 3}
 
 
 def test_trial_coloring_failure_small():

@@ -377,6 +377,7 @@ def assert_leaf_decodes_like_code(b):
     assert form.code == payload_code(form)
     parsed = CanonicalForm.from_hex(form.hex())
     assert form.leaf is not None and parsed.leaf is None
+    assert form.parts() is form.leaf and parsed.parts() == form.leaf
     fast, root = form.decode()
     slow, slow_root = parsed.decode()
     assert root == slow_root == 0
@@ -452,6 +453,26 @@ def test_new_codes_equal_version_1_codes_on_pinned_families():
 def test_from_hex_decode_still_validates(code, error):
     with pytest.raises(error):
         CanonicalForm.from_hex(code.hex()).decode()
+
+
+@pytest.mark.parametrize("code, error", [
+    (b'{"edges":[[0,0]],"n":1,"structure":[]}', GraphBuildError),   # self-loop
+    (b'{"edges":[[0,5]],"n":2,"structure":[]}', GraphBuildError),   # unknown vertex
+    (b'{"edges":[],"n":1,"structure":[[[3],1]]}', GraphBuildError),  # unknown vertex
+    (b'{"edges":[],"n":1,"structure":[[[0],true]]}', ValueError),   # bool label
+    (b'{"edges":[],"n":1,"structure":[[[0],-1]]}', ValueError),     # negative label
+    (b'{"edges":[],"n":2,"structure":[[[0],1],[[0],2]]}', GraphBuildError),  # duplicate
+])
+def test_from_hex_parts_validates(code, error):
+    with pytest.raises(error):
+        CanonicalForm.from_hex(code.hex()).parts()
+
+
+def test_from_hex_parts_are_in_leaf_shape():
+    # edges normalized, deduplicated and sorted, entries sorted by tuple
+    code = b'{"edges":[[2,1],[0,1],[1,2]],"n":3,"structure":[[[2],1],[[0,1],1],[[0],2]]}'
+    assert CanonicalForm.from_hex(code.hex()).parts() == (
+        3, [(0, 1), (1, 2)], [((0,), 2), ((0, 1), 1), ((2,), 1)])
 
 
 def test_form_with_leaf_equals_parsed_form():

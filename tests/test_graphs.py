@@ -11,12 +11,14 @@ from locallemma.graphs import (
     TAG_RAND,
     RootedBall,
     StructuredGraph,
+    _layer_pairs,
     _with_layers,
     ball,
+    base_structure,
     build_graph,
     distance_pairs,
-    graph_layer_tags,
     greedy_coloring,
+    label_layer,
     layer_value,
     max_ball_and_pairs,
     power_graph,
@@ -30,6 +32,14 @@ def random_graph(rng_seed: int, n: int, p_edge: float = 0.4):
     rng = random.Random(rng_seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_edge]
     return build_graph(range(n), edges)
+
+
+def graph_layer_tags(graph: StructuredGraph) -> tuple:
+    """Tags of the layers recorded on the empty-tuple entry, in order."""
+    pairs = _layer_pairs(graph.structure.get(()))
+    if pairs is None:
+        return ()
+    return tuple(p[0] for p in pairs if isinstance(p, tuple) and len(p) == 2)
 
 
 def test_build_simple_edge():
@@ -236,6 +246,47 @@ def test_layers_on_one_copy_match_the_two_call_chain():
         assert got == chain and got.vertices == chain.vertices
         assert got.tuple_bound == chain.tuple_bound
         assert list(rooted.graph.structure.items()) == before
+
+
+def pair_loop_base_structure(graph):
+    """base_structure as one loop over each label's pairs (test oracle)."""
+    out = {}
+    for tup, label in graph.structure.items():
+        pairs = _layer_pairs(label)
+        if pairs is None:
+            if tup != ():
+                out[tup] = label
+            continue
+        for p in pairs:
+            if isinstance(p, tuple) and len(p) == 2 and p[0] == TAG_BASE:
+                out[tup] = p[1]
+    return out
+
+
+def test_label_readers_match_the_pair_loop():
+    import random
+
+    rng = random.Random(7)
+    # plain labels, layered ones with zero, one or two TAG_BASE pairs and
+    # repeated tags, and tuples that only look like pairs
+    labels = [0, 1, 2, (1,), (1, 2), frozenset({1}), (LAYER_MARK,),
+              (LAYER_MARK, (TAG_BASE, 1)), (LAYER_MARK, (TAG_BASE, 0), (TAG_BASE, 1)),
+              (LAYER_MARK, (TAG_BASE, 1), (TAG_IDS, 4), (TAG_BASE, 0)),
+              (LAYER_MARK, (TAG_IDS, 3), (TAG_RAND, 5), (TAG_IDS, 6)),
+              (LAYER_MARK, (TAG_IDS, 3, 4), (TAG_IDS,), 7, (TAG_OUTPUT, (1, 2)))]
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        structure = {}
+        for _ in range(rng.randint(0, 6)):
+            tup = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+            structure[tup] = rng.choice(labels)
+        graph = build_graph(range(n), [], structure)
+        assert list(base_structure(graph).items()) == list(pair_loop_base_structure(graph).items())
+    for label in labels:
+        for tag in (TAG_BASE, TAG_IDS, TAG_RAND, TAG_OUTPUT):
+            pairs = _layer_pairs(label) or ()
+            want = [p[1] for p in pairs if isinstance(p, tuple) and len(p) == 2 and p[0] == tag]
+            assert label_layer(label, tag) == (want[-1] if want else None)
 
 
 def test_distance_pairs_zero_radius():

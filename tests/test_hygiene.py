@@ -165,7 +165,6 @@ API = {
     ("engine.py", "check_partial_solution"),
     ("generate.py", "lift_coloring"),
     ("graphcsp.py", "decode_graph_csp"),
-    ("graphs.py", "graph_layer_tags"),
     ("graphs.py", "power_graph"),
     ("localrun.py", "estimate_randomized_failure"),
     ("randgen.py", "random_binary_lowp_csp"),
