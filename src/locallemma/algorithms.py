@@ -34,19 +34,16 @@ def proper_coloring_problem(k: Optional[int]) -> LclProblem:
     bound and only checks that adjacent outputs differ (value-symmetric)."""
 
     def verify(form: CanonicalForm) -> int:
-        graph, root = form.decode()
-        values = {}
-        for v in graph.vertices:
-            val = layer_value(graph, v, TAG_OUTPUT)
-            if val is None or not isinstance(val, int):
-                return 0
-            values[v] = val
-        if k is not None and not (1 <= values[root] <= k):
+        size, edges, entries = form.parts()
+        values = [None] * size
+        for tup, label in entries:
+            if len(tup) == 1:
+                values[tup[0]] = label_layer(label, TAG_OUTPUT)
+        if not all(isinstance(val, int) for val in values):
             return 0
-        for (u, v) in graph.edges:
-            if values[u] == values[v]:
-                return 0
-        return 1
+        if k is not None and not 1 <= values[0] <= k:
+            return 0
+        return 0 if any(values[u] == values[v] for u, v in edges) else 1
 
     name = f"proper-{k}-coloring" if k is not None else "proper-coloring"
     return LclProblem(t=1, verifier=LocalAlgorithm(name=name, rule=verify,

@@ -18,8 +18,8 @@ computed once and kept in a bounded cache.
 The code is the compact, key-sorted JSON object {"edges", "n",
 "structure"}, written by joining texts: the JSON text of each relabeled
 edge, in numeric edge order, then of each relabeled structure entry, in
-numeric tuple order, its label's cached text inside.  No payload is built
-and nothing is serialized twice.
+numeric tuple order, each from cached tuple and label texts
+(`_entry_texts`).  Every code is joined once, from its leaf's texts.
 
 The search fills positions 0..n-1 one at a time, in cell order, each with
 an unused vertex of its cell; a leaf is one bijection.  It returns the
@@ -31,9 +31,9 @@ code of the full search while visiting few leaves and writing one:
   another, and all leaves of one search have as many edges and entries;
   so the first text where two keys differ decides the byte order of the
   two codes, and key order is code order (the texts are ASCII, so text
-  order is byte order).  The code is joined from the winning leaf's key.
-  A search with one leaf builds no key: its texts are written once, from
-  the identity positions.
+  order is byte order).  A leaf's texts are its key's, so the least
+  leaf's code is the least code.  A discrete refinement is the one leaf's
+  map, and no key is built.
 - Automorphisms prune (McKay & Piperno, "Practical graph isomorphism,
   II", 2014).  A leaf pi whose key equals the key of an earlier leaf ref
   (the first or the best) relabels the graph into the same graph, so
@@ -76,7 +76,7 @@ from .labels import label_from_json, label_key, label_to_json
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_SEARCH_BUDGET = 100_000
-# distinct labels whose encodings are kept; the cache never grows past it
+# distinct labels, or position tuples, kept per text cache; none grows past it
 _LABEL_CACHE_SIZE = 4096
 
 
@@ -138,12 +138,21 @@ def _leaf(graph: StructuredGraph, mapping):
         a, b = mapping[u], mapping[v]
         edges.append((a, b) if a < b else (b, a))
     edges.sort()
+    entries = [(tuple([mapping[x] for x in tup]), label) for tup, label in graph.structure.items()]
     # mapped tuples are distinct, so labels never break a tie
-    entries = sorted(
-        ((tuple([mapping[x] for x in tup]), label) for tup, label in graph.structure.items()),
-        key=itemgetter(0),
-    )
+    entries.sort(key=itemgetter(0))
     return len(graph.vertices), edges, entries
+
+
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _tuple_json(t):
+    """The JSON text of a position tuple, "[a,b]"."""
+    return f"[{','.join(map(str, t))}]"
+
+
+def _entry_texts(mapped):
+    """The JSON text "[[a,b],label]" of each (position tuple, label text)."""
+    return [f"[{_tuple_json(t)},{text}]" for t, text in mapped]
 
 
 def _code(n, edge_texts, entry_texts) -> bytes:
@@ -216,32 +225,28 @@ def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
     if n > cap:
         raise CanonicalizationCapError(n, cap)
     color = _refine(b)
-    cells = {}
-    for v in graph.vertices:
-        cells.setdefault(color[v], []).append(v)
-    cell_list = [sorted(cells[c]) for c in sorted(cells)]
-
-    # the budget counts every leaf of the unpruned search
-    total = 1
-    for cell in cell_list:
-        for i in range(2, len(cell) + 1):
-            total *= i
-        if total > budget:
-            raise CanonicalizationCapError(total, budget, what="bijection search")
-
-    order = [v for cell in cell_list for v in cell]
-    if total == 1:
-        mapping = {v: i for i, v in enumerate(order)}
-        leaf = _leaf(graph, mapping)
-        edge_json = _edge_json(n)
-        # the texts _leaf_key would write for this one leaf
-        texts = ([edge_json[a * n + b] for a, b in leaf[1]],
-                 [f"[[{','.join(map(str, t))}],{_encoded(label)[1]}]" for t, label in leaf[2]])
+    if len(set(color.values())) == n and budget >= 1:
+        mapping = color  # discrete: the one leaf's map (budget 0 caps out below)
     else:
-        texts, path = _search(graph, order, [len(cell) for cell in cell_list])
+        cells = {}
+        for v in graph.vertices:
+            cells.setdefault(color[v], []).append(v)
+        cell_list = [sorted(cells[c]) for c in sorted(cells)]
+        # the budget counts every leaf of the unpruned search
+        total = 1
+        for cell in cell_list:
+            for i in range(2, len(cell) + 1):
+                total *= i
+            if total > budget:
+                raise CanonicalizationCapError(total, budget, what="bijection search")
+        order = [v for cell in cell_list for v in cell]
+        path = _search(graph, order, [len(cell) for cell in cell_list])
         mapping = {order[i]: p for p, i in enumerate(path)}
-        leaf = _leaf(graph, mapping)
-    return CanonicalForm(_code(n, *texts), leaf), mapping
+    # the texts the search's key writes for this leaf at identity positions
+    leaf = _leaf(graph, mapping)
+    edge_json = _edge_json(n)
+    texts = _entry_texts([(t, _encoded(label)[1]) for t, label in leaf[2]])
+    return CanonicalForm(_code(n, [edge_json[a * n + b] for a, b in leaf[1]], texts), leaf), mapping
 
 
 @lru_cache(maxsize=64)
@@ -270,7 +275,7 @@ def _leaf_key(pos, edges, entries, edge_json):
     mapped = sorted((tuple([pos[x] for x in tup]), text) for tup, text in entries)
     # tuples built from lists of known length, so freed ones are reused
     return (tuple([edge_json[e] for e in ends]),
-            tuple([f"[[{','.join(map(str, t))}],{text}]" for t, text in mapped]))
+            tuple(_entry_texts(mapped)))
 
 
 def _orbits(seeds, gens):
@@ -288,9 +293,8 @@ def _orbits(seeds, gens):
 
 
 def _search(graph, order, sizes):
-    """The least leaf of the bijection search: (its key, the vertex ids
-    (indices into `order`, the vertices in cell order) at positions
-    0..n-1).
+    """The least leaf of the bijection search, as the vertex ids (indices
+    into `order`, the vertices in cell order) at positions 0..n-1.
 
     A vertex alone in its cell keeps its position.  The other positions
     are the search's levels, filled one at a time: position p takes an
@@ -367,4 +371,4 @@ def _search(graph, order, sizes):
         return depth
 
     visit(0, [], 0)
-    return best
+    return best[1]

@@ -210,6 +210,8 @@ def _run_local(args) -> dict:
     graph = graph_from_json(load_json(args.graph))
     n = len(graph.vertices)
     spec = builtin_algorithm(args.alg, {"n": n, "delta": graph.max_degree(), "m0": 2})
+    if spec.seed_range is not None:
+        raise ValueError(f"builtin {args.alg!r} reads a seed layer; run-local attaches none")
     rounds = args.rounds if args.rounds is not None else spec.rounds(n)
     if args.ids == "greedy":
         order = list(graph.vertices)

@@ -146,17 +146,19 @@ class StructuredGraph:
 
     def induced(self, vertices: Iterable[int]) -> "StructuredGraph":
         """Induced structured subgraph on the given vertices (unknown ones
-        are ignored), in this graph's vertex and structure order; costs
-        O(subgraph) after a one-time O(graph) index."""
+        are ignored), in this graph's vertex and structure order, with one
+        sort of the structure hits; O(subgraph) after a one-time index."""
         kset = self._vset.intersection(vertices)
         pos, keys, by_first = self._incidence()
-        keep = tuple(sorted(kset, key=pos.__getitem__))
-        nbrs = {u: tuple(w for w in self._nbrs[u] if w in kset) for u in keep}
-        edges = frozenset((u, w) for u in keep for w in nbrs[u] if u < w)
-        hits = sorted(i for v in (None, *keep) for i in by_first.get(v, ())
-                      if kset.issuperset(keys[i]))
+        keep = sorted(kset, key=pos.__getitem__)
+        inside, within = kset.__contains__, kset.issuperset
+        nbrs = {u: tuple(filter(inside, self._nbrs[u])) for u in keep}
+        edges = [(u, w) for u in keep for w in nbrs[u] if u < w]
+        hits = [i for v in (None, *keep) for i in by_first.get(v, ()) if within(keys[i])]
+        hits.sort()
         struct = {keys[i]: self.structure[keys[i]] for i in hits}
-        return StructuredGraph._trusted(keep, kset, edges, struct, self.tuple_bound, nbrs)
+        return StructuredGraph._trusted(tuple(keep), kset, frozenset(edges), struct,
+                                        self.tuple_bound, nbrs)
 
 
 class RootedBall:
@@ -205,31 +207,18 @@ def build_graph(vertices, edges, structure=None, tuple_bound=None) -> Structured
 def ball(graph: StructuredGraph, x: int, radius: int) -> RootedBall:
     """Rooted ball of the given radius: induced structured subgraph on the
     vertices at distance <= radius from x."""
-    if not graph.has_vertex(x):
-        raise GraphBuildError(f"unknown vertex {x}")
+    # raises on an unknown vertex; a path of length <= radius from x stays
+    # inside the ball, so these are the in-ball distances
+    dist = graph.distances_from(x, limit=radius)
     if radius < 0:
         raise GraphBuildError("radius must be nonnegative")
-    # a path of length <= radius from x stays inside the ball, so these
-    # truncated distances are the in-ball distances
-    dist = graph.distances_from(x, limit=radius)
     return RootedBall._trusted(graph.induced(dist.keys()), x, radius, dist)
 
 
 def distance_pairs(graph: StructuredGraph, k: int):
     """All unordered pairs at graph distance between 1 and k."""
-    return max_ball_and_pairs(graph, k)[1]
-
-
-def max_ball_and_pairs(graph: StructuredGraph, k: int):
-    """(max |B(x, k)| over the vertices x, distance_pairs(graph, k)), from
-    one BFS per vertex."""
-    max_ball = 0
-    pairs = set()
-    for v in graph.vertices:
-        dist = graph.distances_from(v, limit=k)
-        max_ball = max(max_ball, len(dist))
-        pairs.update((v, w) for w, d in dist.items() if d and v < w)
-    return max_ball, pairs
+    return {(v, w) for v in graph.vertices
+            for w, d in graph.distances_from(v, limit=k).items() if d and v < w}
 
 
 def power_graph(graph: StructuredGraph, k: int) -> StructuredGraph:
@@ -242,17 +231,27 @@ def power_graph(graph: StructuredGraph, k: int) -> StructuredGraph:
 def greedy_coloring(graph: StructuredGraph, order) -> VertexLabeling:
     """First-fit proper coloring along `order` with colors 1, 2, ...;
     never uses more than max_degree + 1 colors."""
+    return greedy_power_coloring(graph, order, 1)[0]
+
+
+def greedy_power_coloring(graph: StructuredGraph, order, k: int):
+    """(first-fit coloring of the distance-k power graph along `order`,
+    max |B(x, k)|): one truncated BFS per vertex x, and x takes the least
+    color in 1, 2, ... unused in B(x, k); no power graph is built."""
     order = list(order)
     if sorted(order) != sorted(graph.vertices):
         raise GraphBuildError("order must be a permutation of the vertex set")
     colors: VertexLabeling = {}
+    max_ball = 0
     for v in order:
-        used = {colors[w] for w in graph.neighbors(v) if w in colors}
+        ball_k = graph.distances_from(v, limit=k)
+        max_ball = max(max_ball, len(ball_k))
+        used = {colors.get(w) for w in ball_k}  # None for the uncolored
         c = 1
         while c in used:
             c += 1
         colors[v] = c
-    return colors
+    return colors, max_ball
 
 
 def _layer_pairs(label) -> Optional[tuple]:

@@ -23,8 +23,7 @@ from .graphs import (
     StructuredGraph,
     VertexLabeling,
     ball,
-    greedy_coloring,
-    max_ball_and_pairs,
+    greedy_power_coloring,
     with_labeling,
 )
 from .rng import derived_rng
@@ -111,16 +110,15 @@ def verify_lcl(problem: LclProblem, graph: StructuredGraph, labeling: VertexLabe
 def det_pipeline(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,
                  n: int, rounds: int, order=None,
                  canon_cap: int = DEFAULT_SIZE_CAP) -> RunReport:
-    """Deterministic pipeline: greedy-color the distance-2R power graph
-    with at most n colors, attach the colors as identifiers (distinct
-    inside every 2R-ball), run alg, verify.
+    """Deterministic pipeline: first-fit identifiers along `order` (one
+    truncated BFS per vertex, no power graph), distinct inside every
+    2R-ball and, as max |B(x,2R)| <= n, at most n; attach, run alg, verify.
     """
     radius = rounds + problem.t
-    max_ball, pairs = max_ball_and_pairs(graph, 2 * radius)
+    ids, max_ball = greedy_power_coloring(
+        graph, order if order is not None else graph.vertices, 2 * radius)
     if max_ball > n:
         raise PipelineError(f"ball size precondition fails: max |B(x,2R)| = {max_ball} > n = {n}")
-    power = StructuredGraph(graph.vertices, pairs, {}, 1)
-    ids = greedy_coloring(power, order if order is not None else graph.vertices)
     colors_used = max(ids.values(), default=0)
     if colors_used > n:
         raise PipelineError(f"greedy used {colors_used} colors > n = {n}")

@@ -1,20 +1,28 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from test_canonical import local_det_balls, random_layered_ball
+from test_compilers import seed_echo
 
 from locallemma.algorithms import (
     _cole_vishkin_rule,
     builtin_algorithm,
     cole_vishkin_rounds,
     cole_vishkin_steps,
+    proper_coloring_problem,
 )
 from locallemma.canonical import CanonicalForm, canonical_type
+from locallemma.compilers import rand_to_csp
+from locallemma.csp import stats
 from locallemma.generate import generate
 from locallemma.graphs import (LAYER_MARK, TAG_BASE, TAG_IDS, TAG_OUTPUT, TAG_RAND, ball,
                                base_structure, build_graph, layer_value, with_labeling)
 from locallemma.localrun import (
+    LclProblem,
+    det_pipeline,
     estimate_randomized_failure,
     run_deterministic,
     verify_lcl,
@@ -209,6 +217,114 @@ def test_cole_vishkin_rule_matches_oracle_on_random_and_crafted_balls():
         seen.update(assert_rule_matches_oracle(oriented, n))
         seen.update(assert_rule_matches_oracle(crafted_balls(), n))
     assert seen >= {0, 1, 2, 3}
+
+
+# The proper-colouring verifier reads the form's leaf; the oracle is the
+# verifier as it was written on the decoded graph, with outputs read
+# through layer_value.
+
+def oracle_proper_coloring_verify(k):
+    def verify(form):
+        graph, root = form.decode()
+        values = {}
+        for v in graph.vertices:
+            val = layer_value(graph, v, TAG_OUTPUT)
+            if val is None or not isinstance(val, int):
+                return 0
+            values[v] = val
+        if k is not None and not (1 <= values[root] <= k):
+            return 0
+        for (u, v) in graph.edges:
+            if values[u] == values[v]:
+                return 0
+        return 1
+
+    return verify
+
+
+def assert_verifier_matches_oracle(forms, palettes=(None, 1, 2, 3, 5)):
+    """The verifier equals the oracle on every form, from the leaf and
+    from the parsed hex code, at every palette; returns the verdicts."""
+    verdicts = set()
+    for k in palettes:
+        fast, slow = proper_coloring_problem(k).verifier, oracle_proper_coloring_verify(k)
+        for form in forms:
+            parsed = CanonicalForm.from_hex(form.hex())
+            want = slow(form)
+            assert fast(form) == want == fast(parsed) == slow(parsed)
+            verdicts.add(want)
+    return verdicts
+
+
+def forms_of(balls):
+    return [canonical_type(b, cap=max(len(b.graph.vertices), 12)) for b in balls]
+
+
+@pytest.mark.parametrize("n", [48, 256])
+def test_verifier_matches_oracle_on_local_det_verdict_balls(n):
+    g = generate("directed_cycle", {"n": n})
+    spec = builtin_algorithm("cole_vishkin_3color", {"n": n})
+    rng = random.Random(n)
+    order = list(g.vertices)
+    rng.shuffle(order)
+    outputs = det_pipeline(spec.algorithm, spec.problem, g, n=n, rounds=spec.rounds(n),
+                           order=order, canon_cap=64).outputs
+    # and spoiled: some outputs copy the successor's, leave the palette or go
+    spoiled = dict(outputs)
+    for v in rng.sample(g.vertices, n // 4):
+        spoiled[v] = rng.choice([outputs[(v + 1) % n], 0, 4])
+    balls = []
+    for outs in (outputs, spoiled, {v: c for v, c in spoiled.items() if v % 7}):
+        labeled = with_labeling(g, outs, TAG_OUTPUT)
+        balls.extend(ball(labeled, x, 1) for x in labeled.vertices)
+    assert assert_verifier_matches_oracle(forms_of(balls)) == {0, 1}
+
+
+def test_verifier_matches_oracle_on_rand_to_csp_verdict_balls():
+    forms = []
+    problem = proper_coloring_problem(3)
+
+    def record(form):
+        forms.append(form)
+        return problem.verifier.rule(form)
+
+    recording = LclProblem(t=1, verifier=replace(problem.verifier, rule=record))
+    for n, m, rounds in ((6, 3, 0), (5, 2, 1), (4, 4, 0)):
+        compiled, _ = rand_to_csp(seed_echo(), recording, generate("directed_cycle", {"n": n}),
+                                  m, rounds)
+        stats(compiled)
+    assert len(forms) > 20
+    assert assert_verifier_matches_oracle(forms) == {0, 1}
+
+
+@given(st.randoms(use_true_random=False).map(random_layered_ball))
+def test_verifier_matches_oracle_on_layered_balls(b):
+    assert_verifier_matches_oracle(forms_of([b]))
+
+
+@pytest.mark.parametrize("outputs, k, want", [
+    ({0: 1, 1: 2, 2: 1}, 2, 1),
+    ({0: 1, 1: 2}, 2, 0),  # a missing output
+    ({0: 1, 1: 2, 2: (1,)}, 2, 0),  # a non-int output
+    ({0: 1, 1: 3, 2: 1}, 2, 0),  # the root outside the palette
+    ({0: 1, 1: 0, 2: 1}, 2, 0),  # the root below the palette
+    ({0: 1, 1: 7, 2: 2}, None, 1),  # no palette bound
+    ({0: 2, 1: 7, 2: 2}, None, 1),  # neighbours may share a colour
+    ({0: 1, 1: 1, 2: 2}, None, 0),  # adjacent outputs equal
+])
+def test_verifier_edge_cases_match_oracle(outputs, k, want):
+    path = build_graph(range(3), [(0, 1), (1, 2)])
+    form = canonical_type(ball(with_labeling(path, outputs, TAG_OUTPUT), 1, 1))
+    assert proper_coloring_problem(k).verifier(form) == want
+    assert assert_verifier_matches_oracle([form], palettes=(k,)) == {want}
+
+
+def test_verifier_rejects_a_plain_singleton_label_like_oracle():
+    # a label not under an output layer reads as no output
+    g = build_graph(range(2), [(0, 1)], {(0,): 1, (1,): 2})
+    form = canonical_type(ball(g, 0, 1))
+    assert proper_coloring_problem(None).verifier(form) == 0
+    assert assert_verifier_matches_oracle([form]) == {0}
 
 
 def test_trial_coloring_failure_small():

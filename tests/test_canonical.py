@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from locallemma import canonical
-from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _encoded, _refine,
-                                  canonical_type)
+from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm,
+                                  _canonical_map, _edge_json, _encoded, _entry_texts, _leaf_key,
+                                  _refine, _tuple_json, canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generate import generate
-from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, StructuredGraph, ball, build_graph,
-                               greedy_coloring, max_ball_and_pairs, with_labeling)
+from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph,
+                               greedy_power_coloring, with_labeling)
 from locallemma.labels import label_key, label_to_json
 
 
@@ -398,13 +399,12 @@ def test_leaf_decode_and_refine_match_oracles_on_layered_balls(b):
 
 def local_det_balls(n=48, radius=7, seed=0):
     """Balls of the deterministic pipeline's shape: a directed cycle with
-    greedy identifiers of its distance-2R power graph, drawn along a
-    shuffled order, and the radius-R ball (2R + 1 vertices) at every vertex."""
+    first-fit identifiers distinct in every 2R-ball, drawn along a shuffled
+    order, and the radius-R ball (2R + 1 vertices) at every vertex."""
     g = generate("directed_cycle", {"n": n})
     order = list(g.vertices)
     random.Random(seed).shuffle(order)
-    _, pairs = max_ball_and_pairs(g, 2 * radius)
-    ids = greedy_coloring(StructuredGraph(g.vertices, pairs, {}, 1), order)
+    ids, _ = greedy_power_coloring(g, order, 2 * radius)
     labeled = with_labeling(g, ids, TAG_IDS)
     return [ball(labeled, x, radius) for x in labeled.vertices]
 
@@ -423,6 +423,61 @@ def test_leaf_decode_and_refine_match_oracles_on_id_and_symmetric_balls():
         balls.extend(ball(g, x, radius) for x in g.vertices)
     for b in balls:
         assert_leaf_decodes_like_code(b)
+
+
+def identity_leaf_key(leaf):
+    """`_leaf_key` of a leaf at the identity positions: the texts the
+    search would write for it."""
+    n, edges, entries = leaf
+    return _leaf_key(list(range(n)), edges, [(t, _encoded(label)[1]) for t, label in entries],
+                     _edge_json(n))
+
+
+def cell_order_map(b):
+    """Oracle: a one-leaf ball's map as the general path builds it: cells
+    in colour order, each cell's vertices ascending, positions in turn."""
+    color = _refine(b)
+    cells = {}
+    for v in b.graph.vertices:
+        cells.setdefault(color[v], []).append(v)
+    order = [v for c in sorted(cells) for v in sorted(cells[c])]
+    return {v: i for i, v in enumerate(order)}
+
+
+def assert_one_leaf_paths_match(b):
+    """A code is joined from the search's key texts of its leaf at the
+    identity positions, each entry's written by the shared writer; a
+    discrete ball's map is the general path's."""
+    form, mapping = _canonical_map(b, cap=max(len(b.graph.vertices), 12))
+    n, edges, entries = form.leaf
+    edge_texts, entry_texts = identity_leaf_key(form.leaf)
+    assert list(entry_texts) == _entry_texts([(t, _encoded(l)[1]) for t, l in entries])
+    assert list(entry_texts) == [compact_json([list(t), label_to_json(l)]) for t, l in entries]
+    assert list(edge_texts) == [compact_json(list(e)) for e in edges]
+    assert form.code == canonical._code(n, edge_texts, entry_texts)
+    if len(set(_refine(b).values())) == len(b.graph.vertices):
+        assert mapping == cell_order_map(b)
+        with pytest.raises(CanonicalizationCapError, match="bijection search"):
+            canonical_type(b, cap=64, budget=0)
+
+
+def test_one_leaf_texts_and_map_match_the_search_on_local_det_balls():
+    balls = local_det_balls()
+    assert all(len(set(_refine(b).values())) == len(b.graph.vertices) for b in balls)
+    for b in balls:
+        assert_one_leaf_paths_match(b)
+
+
+@given(st.randoms(use_true_random=False).map(random_layered_ball))
+def test_one_leaf_texts_and_map_match_the_search_on_layered_balls(b):
+    assert_one_leaf_paths_match(b)
+
+
+def test_tuple_texts_are_compact_json_and_cached_boundedly():
+    tuples = [(), (0,), (3, 11), (2, 0, 7)] + [(i, i + 1) for i in range(_LABEL_CACHE_SIZE + 10)]
+    for t in tuples:
+        assert _tuple_json(t) == compact_json(list(t))
+    assert _tuple_json.cache_info().currsize <= _LABEL_CACHE_SIZE
 
 
 def test_new_codes_equal_version_1_codes_on_pinned_families():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from locallemma.algorithms import cole_vishkin_rounds
 from locallemma.errors import GraphBuildError
 from locallemma.generate import generate
 from locallemma.graphs import (
@@ -18,9 +21,9 @@ from locallemma.graphs import (
     build_graph,
     distance_pairs,
     greedy_coloring,
+    greedy_power_coloring,
     label_layer,
     layer_value,
-    max_ball_and_pairs,
     power_graph,
     with_labeling,
 )
@@ -329,6 +332,91 @@ def two_pass_max_ball_and_pairs(graph, k):
     return max_ball, pairs
 
 
+def max_ball_and_pairs(graph, k):
+    """Oracle: (max |B(x, k)| over the vertices x, distance_pairs(graph,
+    k)), from one BFS per vertex, as the det pipeline once drew them."""
+    max_ball = 0
+    pairs = set()
+    for v in graph.vertices:
+        dist = graph.distances_from(v, limit=k)
+        max_ball = max(max_ball, len(dist))
+        pairs.update((v, w) for w, d in dist.items() if d and v < w)
+    return max_ball, pairs
+
+
+def neighbor_first_fit(graph, order):
+    """Oracle: first-fit along `order` reading each vertex's neighbor
+    tuple, as greedy_coloring once did."""
+    order = list(order)
+    if sorted(order) != sorted(graph.vertices):
+        raise GraphBuildError("order must be a permutation of the vertex set")
+    colors = {}
+    for v in order:
+        used = {colors[w] for w in graph.neighbors(v) if w in colors}
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def power_graph_first_fit(graph, order, k):
+    """Oracle: the det pipeline's identifiers as it once drew them: the
+    distance pairs, a validated power graph built from them, and
+    first-fit on its neighbor tuples; with the max ball."""
+    max_ball, pairs = max_ball_and_pairs(graph, k)
+    power = StructuredGraph(graph.vertices, pairs, {}, 1)
+    return neighbor_first_fit(power, order), max_ball
+
+
+def shuffled(vertices, seed):
+    order = list(vertices)
+    random.Random(seed).shuffle(order)
+    return order
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_one_pass_ids_match_power_graph_oracle_on_local_det_cycles(n):
+    g = generate("directed_cycle", {"n": n})
+    k = 2 * (cole_vishkin_rounds(n) + 1)  # 2R for Cole-Vishkin and its verifier
+    for seed in range(3):
+        order = shuffled(g.vertices, seed)
+        assert greedy_power_coloring(g, order, k) == power_graph_first_fit(g, order, k)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("random_regular", {"n": 60, "d": 3}),
+    ("random_tree", {"n": 80}),
+    ("torus_grid", {"rows": 7, "cols": 9}),
+])
+def test_one_pass_ids_match_power_graph_oracle_on_generated_graphs(kind, params):
+    g = generate(kind, params, seed=4)
+    for k in (1, 2, 3, 5):
+        order = shuffled(g.vertices, k)
+        ids, max_ball = greedy_power_coloring(g, order, k)
+        assert (ids, max_ball) == power_graph_first_fit(g, order, k)
+        assert max(ids.values()) <= max_ball
+    assert greedy_coloring(g, order) == neighbor_first_fit(g, order)
+
+
+@given(st.integers(0, 40), st.integers(1, 12), st.integers(-1, 4), st.integers(0, 99))
+def test_one_pass_ids_match_power_graph_oracle_on_random_graphs(seed, n, k, order_seed):
+    g = random_graph(seed, n, p_edge=0.25)
+    order = shuffled(g.vertices, order_seed)
+    assert greedy_power_coloring(g, order, k) == power_graph_first_fit(g, order, k)
+    assert greedy_coloring(g, order) == neighbor_first_fit(g, order)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [0, 1, 2, 3, 3], [0, 1, 2, 3, 4, 4],
+                                   [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 9]])
+def test_one_pass_ids_refuse_a_non_permutation_order(order):
+    g = generate("cycle", {"n": 5})
+    with pytest.raises(GraphBuildError, match="order must be a permutation"):
+        greedy_power_coloring(g, order, 2)
+    with pytest.raises(GraphBuildError, match="order must be a permutation"):
+        greedy_coloring(g, order)
+
+
 @given(st.integers(0, 40), st.integers(1, 12), st.integers(-1, 4))
 def test_max_ball_and_pairs_matches_two_passes(seed, n, k):
     g = random_graph(seed, n, p_edge=0.25)
@@ -388,3 +476,44 @@ def test_induced_matches_full_scan(case):
             assert got.neighbors(v) == want.neighbors(v)
             assert got.has_vertex(v)
         assert got == want
+
+
+def index_induced(graph, vertices):
+    """Oracle: the induced subgraph from the incidence index as it was
+    built before the one-loop version, with generator expressions."""
+    kset = graph._vset.intersection(vertices)
+    pos, keys, by_first = graph._incidence()
+    keep = tuple(sorted(kset, key=pos.__getitem__))
+    nbrs = {u: tuple(w for w in graph._nbrs[u] if w in kset) for u in keep}
+    edges = frozenset((u, w) for u in keep for w in nbrs[u] if u < w)
+    hits = sorted(i for v in (None, *keep) for i in by_first.get(v, ())
+                  if kset.issuperset(keys[i]))
+    struct = {keys[i]: graph.structure[keys[i]] for i in hits}
+    return StructuredGraph._trusted(keep, kset, edges, struct, graph.tuple_bound, nbrs)
+
+
+@st.composite
+def layered_graph_and_subsets(draw):
+    """graph_and_subsets with seed, identifier and output layers on top
+    (entries of length 0, 1 and 2 included), and the empty subset."""
+    graph, subsets = draw(graph_and_subsets())
+    for tag in draw(st.lists(st.sampled_from([TAG_IDS, TAG_RAND, TAG_OUTPUT]), max_size=3)):
+        values = draw(st.dictionaries(st.sampled_from(graph.vertices), st.integers(0, 5)))
+        graph = with_labeling(graph, values, tag)
+    return graph, subsets + [[]]
+
+
+@given(layered_graph_and_subsets())
+def test_induced_matches_index_oracle_on_layered_graphs(case):
+    graph, subsets = case
+    balls = [graph.distances_from(x, limit=r).keys() for x in graph.vertices for r in (1, 2)]
+    for subset in subsets + balls:
+        got, want = graph.induced(subset), index_induced(graph, subset)
+        assert got.vertices == want.vertices and type(got.vertices) is tuple
+        assert got.edges == want.edges and type(got.edges) is frozenset
+        assert list(got.structure.items()) == list(want.structure.items())
+        assert got.tuple_bound == want.tuple_bound
+        assert got._vset == want._vset
+        assert got._nbrs == want._nbrs
+        for v in want.vertices:
+            assert got.neighbors(v) == want.neighbors(v)

@@ -7,7 +7,7 @@ import pytest
 
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
 from locallemma.canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
-from locallemma.errors import EnumerationCapError, PipelineError
+from locallemma.errors import EnumerationCapError, GraphBuildError, PipelineError
 from locallemma.generate import generate
 from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value, with_labeling
 from locallemma.localrun import (
@@ -109,6 +109,15 @@ def test_det_pipeline_ball_precondition():
     with pytest.raises(PipelineError, match=r"^ball size precondition fails: "
                        r"max \|B\(x,2R\)\| = 4 > n = 2$"):
         det_pipeline(DEGREE, pi, g, n=2, rounds=1)
+
+
+def test_det_pipeline_refuses_a_non_permutation_order():
+    g = generate("cycle", {"n": 6})
+    pi = proper_coloring_problem(3)
+    for order in ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4, 5, 5],
+                  [0, 1, 2, 3, 4, 5, 6]):
+        with pytest.raises(GraphBuildError, match="order must be a permutation"):
+            det_pipeline(DEGREE, pi, g, n=6, rounds=0, order=order)
 
 
 def seed_echo():
