@@ -392,7 +392,11 @@ def main(argv=None) -> int:
     p_rep.add_argument("paths", nargs="*")
 
     args = parser.parse_args(argv)
-    try:  # the report command prints its table in place of the summary
+    try:
+        for option, low in (("cap_enum_bits", 1), ("cap", 0), ("budget", 1)):
+            if getattr(args, option, None) is not None:  # out of range: an input error
+                _strict_int(getattr(args, option), "--" + option.replace("_", "-"), low)
+        # the report command prints its table in place of the summary
         return _emit(_outcome(args), args.out, echo=args.handler is not _report)
     except Exception as exc:  # input error: no report
         print(f"error: {exc}", file=sys.stderr)

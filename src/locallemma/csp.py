@@ -288,7 +288,7 @@ def solutions_exhaustive(csp: Csp, cap_bits: int = DEFAULT_CAP_BITS):
 
 
 def const_assignment(elements, value: int) -> PartialAssignment:
-    return {x: value for x in elements}
+    return dict.fromkeys(elements, value)
 
 
 def intersection_graph(csp: Csp) -> StructuredGraph:

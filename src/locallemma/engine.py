@@ -215,7 +215,9 @@ class _LevelState:
     original domains).
 
     `descend` replaces its lists when it changes any of them, rather than
-    editing them, so a snapshot is a tuple of references that stays valid.
+    editing them, so a snapshot is a tuple of references that stays valid
+    and the constraints list fixes the state: `descend` memoizes its quiet
+    test per (class, constraints list) by id, holding both (no id reuse).
     """
 
     def __init__(self, csp: Csp, p: Fraction, cap_bits: int):
@@ -229,6 +231,7 @@ class _LevelState:
         self.frozen = [_is_dangerous(pr, p) for pr in self.probs]
         self.dangerous = frozenset().union(
             *(dom for dom, frozen in zip(self.original_domains, self.frozen) if frozen))
+        self.quiet: Dict[Tuple[int, int], tuple] = {}   # -> (cls, constraints, g's keys, quiet)
 
     def snapshot(self):
         return self.constraints, self.probs, self.p_max, self.frozen, self.dangerous
@@ -241,11 +244,16 @@ class _LevelState:
         `value`, restrict every live constraint they meet, and freeze those
         whose conditional probability passes sqrt(p).  Returns the
         assignment made and the indices of the restricted constraints."""
-        g = const_assignment([x for x in cls if x not in self.dangerous], value)
-        changed: List[int] = []
         constraints, probs, frozen = self.constraints, self.probs, self.frozen
-        if not any(not frozen[i] and constraints[i].domain
-                   for x in g for i in self.meeting.get(x, ())):
+        memo = self.quiet.get((id(cls), id(constraints)))
+        if memo is None or memo[0] is not cls or memo[1] is not constraints:
+            keys = [x for x in cls if x not in self.dangerous]
+            quiet = not any(not frozen[i] and constraints[i].domain
+                            for x in keys for i in self.meeting.get(x, ()))
+            memo = self.quiet[id(cls), id(constraints)] = cls, constraints, keys, quiet
+        g = const_assignment(memo[2], value)
+        changed: List[int] = []
+        if memo[3]:
             return g, changed  # nothing live meets g: every state list stays as it is
         constraints, probs, frozen = list(constraints), list(probs), list(frozen)
         newly_frozen = []
@@ -619,16 +627,15 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
 
     Cost model: one live h and the members ride down the tree, each rule
     running once per distinct view (see `_family_leaves`); a level that
-    meets no live constraint restricts and copies nothing.  The residual
-    is the level state's constraints: `descend` has restricted every live
+    meets no live constraint pays one memo lookup.  The residual is the
+    level state's constraints: `descend` has restricted every live
     constraint that h meets, and a frozen one is never met again, since
     its domain lies in the dangerous set that no later level fixes.  Its p
     (`p_max`), d, certificate and witness are paid once per level state,
     keyed by the identity of `state.constraints` (the memo holds each
-    list, so no id is reused).  That is exact: `descend` replaces the list
-    whenever it changes the state and never edits it, so the leaves that
-    end on one list share p_max, the dangerous set, the domains and h's
-    key set.  Each leaf gets its own copy of the certificate.
+    list, so no id is reused), which fixes the state (see `_LevelState`):
+    the leaves that end on one list share p_max, the dangerous set, the
+    domains and h's key set.  Each leaf gets its own copy of the certificate.
 
     The route is "bootstrap-direct" when the source meets the direct
     (16, 2^-33) inequalities and "direct-binary" otherwise; both encode
@@ -689,16 +696,15 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
 def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Connection,
                    p: Fraction, cap_bits: int):
     """Yield (h, apply(conn, h), level state) for every branch word, in
-    product((1, 2), repeat=len(classes)) order.  `h` and the state are
-    live, valid until the next leaf: a level adds its g to h on the way
-    down and deletes it on the way back (the classes are disjoint, so g's
-    keys are new); each member is a fresh copy of the carried values.
-    When a level fixes elements, only their readers (the source elements
-    whose determining set holds one) run their rules again, on views of
-    the extended h, so each carried value is the rule on its view of h,
-    for any connection.  A rule runs once per view (rules are pure): it is
-    memoized on h's values over its determining set, None where h is
-    undefined, which fixes the view exactly since values are >= 1."""
+    product((1, 2), repeat=len(classes)) order, from one loop stepping
+    through the words as an odometer.  h, the carried values and the state
+    are live, valid until the next leaf: going down, a level adds its g to
+    h and sets its readers' values (only the source elements whose
+    determining set meets g run their rules again, on views of the extended
+    h); going up, it deletes g's keys, puts the old values back and
+    restores its snapshot.  A member is one copy of the values.  A rule
+    runs once per view (rules are pure): it is memoized on h's values over
+    its determining set, None where h is undefined, exact as values are >= 1."""
     elems, rules = conn.source, conn.rules
     dets = [tuple(conn.det_sets[x]) for x in elems]
     memos: List[dict] = [{} for _ in elems]
@@ -711,24 +717,38 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
         return memos[k][key]
 
     h, state = {}, _LevelState(encoded, p, cap_bits)
-
-    def visit(level: int, values: dict):   # source element -> value, None where undefined
-        if level == len(classes):
-            yield h, (values.copy() if None not in values.values()
-                      else {x: v for x, v in values.items() if v is not None}), state
-            return
-        start, touched = state.snapshot(), None
-        for value in (1, 2):
+    values = {x: rule_on(k, h) for k, x in enumerate(elems)}   # None where undefined
+    undefined = sum(v is None for v in values.values())
+    levels, level = len(classes), 0
+    # per level: its branch value, (snapshot, g's keys, readers, None count on entry), undo list
+    word, frames, undo = [0] * levels, [None] * levels, [None] * levels
+    while True:
+        while level < levels:   # down, through the next branch of each level
+            value = word[level] = word[level] + 1
+            start = state.snapshot() if value == 1 else None
             g, _ = state.descend(classes[level], value)
             h.update(g)
-            if touched is None:  # both branches fix the same elements
-                touched = {k for z in g for k in readers.get(z, ())}
-            values_next = values.copy() if touched else values
-            for k in touched:
-                values_next[elems[k]] = rule_on(k, h)
-            yield from visit(level + 1, values_next)
-            for z in g:
+            if start is not None:   # both branches fix the same elements
+                frames[level] = start, g.keys(), {k for z in g for k in readers.get(z, ())}, undefined
+            undo[level] = changes = []
+            for k in frames[level][2]:
+                x, new = elems[k], rule_on(k, h)
+                changes.append((x, values[x]))
+                undefined += (new is None) - (values[x] is None)
+                values[x] = new
+            level += 1
+        yield h, (values.copy() if not undefined
+                  else {x: v for x, v in values.items() if v is not None}), state
+        while level:   # up, past every level whose second branch is done
+            level -= 1
+            start, keys, _, undefined = frames[level]
+            for z in keys:
                 del h[z]
+            for x, old in undo[level]:
+                values[x] = old
             state.restore(start)
-
-    yield from visit(0, {x: rule_on(k, h) for k, x in enumerate(elems)})
+            if word[level] == 1:
+                break
+            word[level] = 0
+        else:
+            return

@@ -152,6 +152,34 @@ def test_malformed_config_no_partial_report(tmp_path, capsys):
         assert capsys.readouterr().err == "error: need a nonempty ground set\n"
 
 
+def test_out_of_range_int_options_exit_2_without_report(tmp_path, capsys):
+    # a negative resample cap or budget, and an enumeration cap below 1,
+    # used to run and write a report: "capped" with an empty assignment,
+    # or a cap-out against budget -1
+    cpath, out = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json({"ground": [0, 1], "m": 2,
+               "constraints": [{"domain": [0, 1], "forbidden": [[1, 1]]}]}, cpath)
+    csp = ["--csp", str(cpath)]
+    pipeline = ["--gen-kind", "directed_cycle", "--gen-params", '{"n": 6}']
+    refused = [(["csp", "solve", "--cap", "-1"] + csp, "--cap: expected int >= 0, got -1"),
+               (["csp", "cover", "--budget", "-1"] + csp, "--budget: expected int >= 1, got -1"),
+               (["csp", "cover", "--budget", "0"] + csp, "--budget: expected int >= 1, got 0")]
+    for argv in (["csp", "check"] + csp, ["csp", "solve"] + csp, ["csp", "cover"] + csp,
+                 ["pipeline", "det"] + pipeline, ["pipeline", "rand"] + pipeline):
+        for bits in ("0", "-2"):
+            refused.append((argv + ["--cap-enum-bits", bits],
+                            f"--cap-enum-bits: expected int >= 1, got {bits}"))
+    for argv, message in refused:
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # no resamples at all is a valid cap: the report says whether the start solved it
+    assert run(["csp", "solve", "--cap", "0", "--seed", "1"] + csp + ["--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    assert report["resamples"] == 0 and report["capped"] is not report["passed"]
+
+
 def test_run_experiment_validation():
     for pipeline in ("bogus", "lll-suite"):
         with pytest.raises(ValueError):

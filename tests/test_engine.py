@@ -4,7 +4,7 @@ from itertools import product
 from math import sqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from locallemma.binary import binary_reduce
 from locallemma.compilers import bootstrap
@@ -15,6 +15,7 @@ from locallemma.csp import (
     Csp,
     const_assignment,
     discrete_partition,
+    incidence,
     is_solution,
     probability,
     restrict_constraint,
@@ -470,6 +471,10 @@ def test_cover_family_no_constraints():
     assert result.levels == 1
     assert len(result.members) == 2
     assert sorted(set(m.values()) for m in result.members) == [{1}, {2}]
+    # the empty ground: zero levels, so the walk yields exactly one leaf
+    result = cover_family(Csp((), 2, ()))
+    assert (result.levels, result.members) == (0, [{}])
+    assert [cert["p_residual"] for cert in result.certificates] == ["0"]
 
 
 def test_cover_family_coverage_counts():
@@ -737,24 +742,69 @@ def copying_family_leaves(encoded, classes, conn, p, cap_bits):
                      [rule_on(k, {}) for k in range(len(elems))])
 
 
+def recursive_family_leaves(encoded, classes, conn, p, cap_bits):
+    """`_family_leaves` as it stood with a recursive generator per level: a
+    chain of `levels` frames resumes at every leaf, each node copies the
+    carried values, and each leaf rescans them for None."""
+    elems, rules = conn.source, conn.rules
+    dets = [tuple(conn.det_sets[x]) for x in elems]
+    memos = [{} for _ in elems]
+    readers = incidence(dets)   # target element -> positions in elems of its readers
+
+    def rule_on(k, h):
+        key = tuple(map(h.get, dets[k]))
+        if key not in memos[k]:
+            memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
+        return memos[k][key]
+
+    h, state = {}, _LevelState(encoded, p, cap_bits)
+
+    def visit(level, values):   # source element -> value, None where undefined
+        if level == len(classes):
+            yield h, (values.copy() if None not in values.values()
+                      else {x: v for x, v in values.items() if v is not None}), state
+            return
+        start, touched = state.snapshot(), None
+        for value in (1, 2):
+            g, _ = state.descend(classes[level], value)
+            h.update(g)
+            if touched is None:  # both branches fix the same elements
+                touched = {k for z in g for k in readers.get(z, ())}
+            values_next = values.copy() if touched else values
+            for k in touched:
+                values_next[elems[k]] = rule_on(k, h)
+            yield from visit(level + 1, values_next)
+            for z in g:
+                del h[z]
+            state.restore(start)
+
+    yield from visit(0, {x: rule_on(k, h) for k, x in enumerate(elems)})
+
+
+def state_view(state):
+    return (state.dangerous, state.p_max, [c.domain for c in state.constraints],
+            list(state.probs), list(state.frozen))
+
+
 def leaf_view(h, member, state):
-    return (list(h.items()), list(member.items()), state.dangerous, state.p_max,
-            [c.domain for c in state.constraints], list(state.probs), list(state.frozen))
+    return (list(h.items()), list(member.items())) + state_view(state)
 
 
 def assert_walk_matches_copying_walk(encoded, conn):
-    """Leaf by leaf, the live walk equals the copying walk in h (values and
-    key order), member, dangerous set, p_max and the constraints' domains,
-    probabilities and freezing, and each h is the branch trace of its word
-    in product((1, 2), repeat=levels) order.  Returns the leaves' dangerous
-    sets."""
+    """Leaf by leaf, the live walk equals the recursive walk and the
+    copying walk in h (values and key order), member, dangerous set, p_max
+    and the constraints' domains, probabilities and freezing, and each h
+    is the branch trace of its word in product((1, 2), repeat=levels)
+    order.  Returns the leaves' dangerous sets."""
     classes, p = discrete_partition(encoded), stats(encoded).p
     words = product((1, 2), repeat=len(classes))
     leaves = zip(_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
-                 copying_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS), words)
+                 recursive_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
+                 copying_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS), words,
+                 strict=True)
     dangerous = []
-    for live, copied, word in leaves:
-        assert leaf_view(*live) == leaf_view(*copied)
+    for live, recursive, copied, word in leaves:
+        assert leaf_view(*live) == leaf_view(*recursive) == leaf_view(*copied)
         assert list(live[0].items()) == list(branch_trace(encoded, word)[0].items())
         dangerous.append(live[2].dangerous)
     assert len(dangerous) == 2 ** len(classes)
@@ -785,11 +835,23 @@ def test_family_leaves_match_copying_walk_on_cover_csps():
     assert len(set(dangerous)) >= 3 and frozen_somewhere > 0
 
 
+def test_family_leaves_match_copying_walk_on_zero_and_one_level_csps():
+    # the empty ground (zero levels: one leaf) and one level, where fixing
+    # the single element to the forbidden value freezes the constraint
+    unary = Csp((0,), 2, (Constraint.explicit((0,), 2, [(1,)]),))
+    for csp in (Csp((), 2, ()), Csp((0, 1, 2), 2, ()), unary):
+        assert len(discrete_partition(csp)) == (len(csp.ground) > 0)
+        dangerous = assert_walk_matches_copying_walk(csp, identity_reduction(csp).connection)
+        assert_walk_matches_copying_walk(*encoded_with_connection(csp))
+    assert dangerous == [frozenset({0}), frozenset()]   # the unary CSP's two leaves
+
+
 @st.composite
-def overlapping_csps(draw):
-    """Explicit CSPs on at most 7 elements whose domains overlap: each
-    domain after the first shares an element with an earlier one."""
-    n, m = draw(st.integers(2, 7)), draw(st.integers(2, 3))
+def overlapping_csps(draw, max_m=3):
+    """Explicit CSPs on at most 7 elements, with range at most `max_m`,
+    whose domains overlap: each domain after the first shares an element
+    with an earlier one."""
+    n, m = draw(st.integers(2, 7)), draw(st.integers(2, max_m))
     ground = tuple(range(n))
     constraints, used = [], set()
     for _ in range(draw(st.integers(1, 4))):
@@ -812,6 +874,65 @@ def test_family_leaves_match_copying_walk_on_overlapping_csps(csp):
     encoded, conn = encoded_with_connection(csp)
     if len(discrete_partition(encoded)) <= 8:
         assert_walk_matches_copying_walk(encoded, conn)
+
+
+@st.composite
+def descend_programs(draw):
+    """A CSP of range at most 4, a few classes (one of them repeated as an
+    equal but distinct tuple) and a sequence of snapshot, descend and
+    restore calls, descending on values 1..m."""
+    csp = draw(overlapping_csps(max_m=4))
+    classes = [tuple(sorted(draw(st.sets(st.sampled_from(csp.ground), min_size=1))))
+               for _ in range(draw(st.integers(1, 3)))]
+    classes.append(tuple(list(classes[0])))
+    calls = draw(st.lists(st.one_of(
+        st.just(("snapshot",)),
+        st.tuples(st.just("descend"), st.integers(0, len(classes) - 1), st.integers(1, csp.m)),
+        st.tuples(st.just("restore"), st.integers(0, 7))), max_size=30))
+    return csp, classes, calls
+
+
+FREEZING_PROGRAM = (
+    Csp((0, 1, 2), 2, (Constraint.explicit((0, 1), 2, [(1, 1)]),
+                       Constraint.explicit((1, 2), 2, [(2, 1)]))),
+    [(0, 1), (2,)],
+    [("snapshot",), ("descend", 1, 1), ("descend", 0, 2), ("restore", 0), ("descend", 0, 1),
+     ("descend", 1, 1), ("descend", 1, 2), ("snapshot",), ("restore", 0), ("descend", 0, 1),
+     ("restore", 1), ("descend", 1, 1)])
+
+
+@example(FREEZING_PROGRAM)
+@given(descend_programs())
+def test_descend_memo_matches_copying_descend(program):
+    # the memoized quiet test answers exactly as a fresh scan: after every
+    # call both states agree in g (keys and order), the changed constraints
+    # and the whole state, also on repeated classes and after a freeze has
+    # replaced the state or a restore has brought an old one back
+    csp, classes, calls = program
+    p = stats(csp).p
+    memoized = _LevelState(csp, p, DEFAULT_CAP_BITS)
+    copying = CopyingLevelState(csp, p, DEFAULT_CAP_BITS)
+    snapshots = []
+    for call in calls:
+        if call[0] == "snapshot":
+            snapshots.append((memoized.snapshot(), copying.snapshot()))
+        elif call[0] == "restore" and snapshots:
+            snap, copied = snapshots[call[1] % len(snapshots)]
+            memoized.restore(snap)
+            copying.restore(copied)
+        elif call[0] == "descend":
+            g, changed = memoized.descend(classes[call[1]], call[2])
+            want_g, want_changed = copying.descend(classes[call[1]], call[2])
+            assert list(g.items()) == list(want_g.items()) and changed == want_changed
+        assert state_view(memoized) == state_view(copying)
+
+
+def test_descend_memo_program_freezes():
+    # the pinned example of the memo test does meet frozen constraints
+    csp, classes, calls = FREEZING_PROGRAM
+    state = _LevelState(csp, stats(csp).p, DEFAULT_CAP_BITS)
+    state.descend(classes[0], 1)
+    assert state.frozen == [True, False] and state.dangerous == {0, 1}
 
 
 def test_cover_family_searches_once_per_level_state(monkeypatch):
