@@ -54,7 +54,6 @@ from .localrun import (
     LocalAlgorithm,
     RunReport,
     det_pipeline,
-    estimate_randomized_failure,
     run_deterministic,
     verify_lcl,
 )

@@ -13,19 +13,10 @@ tuple, root at position 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from .canonical import CanonicalForm
-from .graphs import (
-    TAG_IDS,
-    TAG_OUTPUT,
-    TAG_RAND,
-    base_label,
-    label_layer,
-    layer_value,
-)
-from .graphcsp import csp_to_lcl, encoded_constraints
+from .graphs import TAG_IDS, TAG_OUTPUT, base_label, label_layer
 from .localrun import LclProblem, LocalAlgorithm
 
 
@@ -109,91 +100,15 @@ def _cole_vishkin_rule(n: int) -> Callable[[CanonicalForm], int]:
     return rule
 
 
-def _id_echo_rule(form: CanonicalForm) -> int:
-    graph, root = form.decode()
-    ident = layer_value(graph, root, TAG_IDS)
-    return int(ident) if isinstance(ident, int) else 0
-
-
-def trial_coloring_rounds(n: int) -> int:
-    # per-round survival of an uncolored vertex is bounded away from 1, so
-    # failure decays geometrically; 4 log2 n + 2 keeps it under 1/n at desk
-    # scale with a comfortable margin
-    return max(1, ceil(4 * log2(max(n, 2)))) + 2
-
-
-def _trial_coloring_rule(delta: int, rounds: int) -> Callable[[CanonicalForm], int]:
-    palette = delta + 1
-
-    def digit(theta: int, r: int) -> int:
-        return ((theta - 1) // palette**r) % palette + 1
+def echo_rule(tag: int) -> Callable[[CanonicalForm], int]:
+    """Output the root's value under `tag` (0 when it has none or it is no
+    int), read from the leaf: entries ascend by tuple, so the root's (0,)
+    entry comes first or right after the empty tuple's."""
 
     def rule(form: CanonicalForm) -> int:
-        graph, root = form.decode()
-        theta = {}
-        for v in graph.vertices:
-            val = layer_value(graph, v, TAG_RAND)
-            if val is None or not isinstance(val, int):
-                return 0
-            theta[v] = val
-        final: Dict[int, int] = {}
-        for r in range(rounds):
-            cand = {v: digit(theta[v], r) for v in graph.vertices if v not in final}
-            settled = {}
-            for v, cv in cand.items():
-                ok = True
-                for u in graph.neighbors(v):
-                    if final.get(u) == cv or (u in cand and cand[u] == cv):
-                        ok = False
-                        break
-                if ok:
-                    settled[v] = cv
-            final.update(settled)
-            if root in final:
-                break
-        return final.get(root, 0)
-
-    return rule
-
-
-def parallel_resample_logic_rounds(n: int, c: int = 8) -> int:
-    return max(1, ceil(c / 2 * log2(max(n, 2))))
-
-
-def _parallel_resample_rule(m0: int, logic_rounds: int) -> Callable[[CanonicalForm], int]:
-    def digit(theta: int, r: int) -> int:
-        return ((theta - 1) // m0**r) % m0 + 1
-
-    def rule(form: CanonicalForm) -> int:
-        graph, root = form.decode()
-        theta = {}
-        ids = {}
-        for v in graph.vertices:
-            t = layer_value(graph, v, TAG_RAND)
-            i = layer_value(graph, v, TAG_IDS)
-            if t is None or i is None:
-                return 0
-            theta[v], ids[v] = t, i
-        constraints = encoded_constraints(graph)
-        ident = {dom: tuple(sorted(ids[v] for v in dom)) for dom, _ in constraints}
-        current = {v: digit(theta[v], 0) for v in graph.vertices}
-        for r in range(1, logic_rounds + 1):
-            violated = []
-            for dom, bodies in constraints:
-                pattern = tuple(current[v] for v in dom)
-                if any(pattern in body for body in bodies):
-                    violated.append(dom)
-            if not violated:
-                break
-            vset = set(violated)
-            resample = set()
-            for dom in violated:
-                others = [d for d in vset if d != dom and set(d) & set(dom)]
-                if all(ident[dom] <= ident[d] for d in others):
-                    resample.update(dom)
-            for v in resample:
-                current[v] = digit(theta[v], r)
-        return current[root]
+        label = next((label for tup, label in form.parts()[2] if tup == (0,)), None)
+        value = label_layer(label, tag)
+        return value if isinstance(value, int) else 0
 
     return rule
 
@@ -206,12 +121,10 @@ class BuiltinSpec:
     algorithm: LocalAlgorithm
     rounds: Callable[[int], int]
     problem: LclProblem
-    seed_range: Optional[Callable[[int], int]] = None
 
 
 def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
-    """Registered algorithms: cole_vishkin_3color, trial_coloring,
-    parallel_resample, id_echo."""
+    """Registered algorithms: cole_vishkin_3color, id_echo."""
     params = dict(params or {})
     if name == "cole_vishkin_3color":
         n = int(params["n"])
@@ -221,31 +134,9 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
             problem=proper_coloring_problem(3),
         )
     if name == "id_echo":
-        alg = LocalAlgorithm("id_echo", _id_echo_rule)
+        alg = LocalAlgorithm("id_echo", echo_rule(TAG_IDS))
         return BuiltinSpec(
             name=name, algorithm=alg, rounds=lambda n: 0,
             problem=proper_coloring_problem(None),
-        )
-    if name == "trial_coloring":
-        delta = int(params["delta"])
-        n = int(params["n"])
-        rounds = trial_coloring_rounds(n)
-        alg = LocalAlgorithm("trial_coloring", _trial_coloring_rule(delta, rounds))
-        return BuiltinSpec(
-            name=name, algorithm=alg, rounds=trial_coloring_rounds,
-            problem=proper_coloring_problem(delta + 1),
-            seed_range=lambda nn: (delta + 1) ** trial_coloring_rounds(nn),
-        )
-    if name == "parallel_resample":
-        m0 = int(params["m0"])
-        n = int(params["n"])
-        c = int(params.get("c", 8))
-        logic = parallel_resample_logic_rounds(n, c)
-        alg = LocalAlgorithm("parallel_resample", _parallel_resample_rule(m0, logic))
-        return BuiltinSpec(
-            name=name, algorithm=alg,
-            rounds=lambda nn: 2 * parallel_resample_logic_rounds(nn, c),
-            problem=csp_to_lcl(m0),
-            seed_range=lambda nn: m0 ** (parallel_resample_logic_rounds(nn, c) + 1),
         )
     raise KeyError(f"unknown builtin algorithm {name!r}")

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .algorithms import builtin_algorithm, proper_coloring_problem
+from .algorithms import builtin_algorithm, echo_rule, proper_coloring_problem
 from .compilers import rand_to_csp
 from .connect import apply
 from .csp import DEFAULT_CAP_BITS, is_solution, stats
@@ -27,10 +27,10 @@ from .engine import (
     moser_tardos_solve,
     solve_weighted,
 )
-from .errors import (BootstrapInfeasibleError, CanonicalizationCapError, CoverBudgetError,
-                     EnumerationCapError, StepInfeasibleError)
+from .errors import (CanonicalizationCapError, CoverBudgetError, EnumerationCapError,
+                     StepInfeasibleError)
 from .generate import gadget_build, generate
-from .graphs import TAG_IDS, TAG_RAND, greedy_coloring, layer_value, with_labeling
+from .graphs import TAG_IDS, TAG_RAND, greedy_coloring, with_labeling
 from .localrun import LocalAlgorithm, det_pipeline, run_deterministic, verify_lcl
 from .rng import derived_rng
 from .serialize import (
@@ -102,13 +102,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         rounds = _param(cfg, "rounds", 0)
         if (cfg.algorithm or "theta_echo") != "theta_echo":
             raise ValueError("the rand pipeline drives the seed-echo algorithm")
-
-        def echo(form):
-            decoded, root = form.decode()
-            value = layer_value(decoded, root, TAG_RAND)
-            return value if isinstance(value, int) else 0
-
-        alg = LocalAlgorithm("theta_echo", echo, value_symmetric=True)
+        alg = LocalAlgorithm("theta_echo", echo_rule(TAG_RAND), value_symmetric=True)
         problem = proper_coloring_problem(m)
         compiled, decoder = rand_to_csp(alg, problem, graph, m, rounds,
                                         canon_cap=DEFAULT_CANON_CAP, cap_bits=cfg.cap_enum_bits)
@@ -192,7 +186,7 @@ def emit_summary(report_paths: List[str]):
 
 
 CAP_OUTS = (EnumerationCapError, CanonicalizationCapError, CoverBudgetError)
-INFEASIBLE = (StepInfeasibleError, BootstrapInfeasibleError)
+INFEASIBLE = (StepInfeasibleError,)
 OUTCOME_EXIT = {"cap-out": 3, "infeasible": 4, "internal-error": 5}
 
 
@@ -209,9 +203,7 @@ def _lcl_report(args, run, **fields) -> dict:
 def _run_local(args) -> dict:
     graph = graph_from_json(load_json(args.graph))
     n = len(graph.vertices)
-    spec = builtin_algorithm(args.alg, {"n": n, "delta": graph.max_degree(), "m0": 2})
-    if spec.seed_range is not None:
-        raise ValueError(f"builtin {args.alg!r} reads a seed layer; run-local attaches none")
+    spec = builtin_algorithm(args.alg, {"n": n})
     rounds = args.rounds if args.rounds is not None else spec.rounds(n)
     if args.ids == "greedy":
         order = list(graph.vertices)

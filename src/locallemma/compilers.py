@@ -48,7 +48,6 @@ from fractions import Fraction
 from math import comb, factorial, log2, perm
 from typing import Dict, List, Optional, Tuple
 
-from .algorithms import builtin_algorithm
 from .canonical import _canonical_map, canonical_type
 from .connect import Connection, Reduction, compose
 from .csp import Constraint, Csp, DEFAULT_CAP_BITS, intersection_graph, stats
@@ -57,7 +56,7 @@ from .errors import (BootstrapInfeasibleError, CanonicalizationCapError, Encodin
                      EnumerationCapError)
 from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, _with_layers,
                      ball, with_labeling)
-from .graphcsp import encode_graph_csp
+from .graphcsp import csp_to_lcl, encode_graph_csp, parallel_resample
 from .localrun import LclProblem, LocalAlgorithm
 
 
@@ -269,14 +268,13 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
         return BootstrapResult(feasible=False, route="amplified", report=report)
     ids = {v: i + 1 for i, v in enumerate(encoded.vertices)}
     encoded = with_labeling(encoded, ids, TAG_IDS)
+    problem = csp_to_lcl(target.m)
 
     for n in sorted(n_grid):
         if n < 2:
             continue
-        spec = builtin_algorithm("parallel_resample",
-                                 {"m0": target.m, "n": n, "c": rounds_coefficient})
-        rounds = spec.rounds(n)
-        radius = rounds + spec.problem.t
+        alg, rounds, m_n = parallel_resample(target.m, n, rounds_coefficient)
+        radius = rounds + problem.t
         ball_r = max_ball_size(encoded, radius)
         ball_2r = max_ball_size(encoded, 2 * radius)
         d_bound = max(ball_2r - 1, 0)
@@ -298,9 +296,8 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
         report.append(entry)
         if not entry["ok"]:
             continue
-        m_n = spec.seed_range(n)
-        compiled, decoder = rand_to_csp(spec.algorithm, spec.problem, encoded,
-                                        m_n, rounds, canon_cap=canon_cap)
+        compiled, decoder = rand_to_csp(alg, problem, encoded, m_n, rounds,
+                                        canon_cap=canon_cap)
         rho_out = compose(red_in.connection, decoder)
         reduction = Reduction(rho_out, compiled)
         return BootstrapResult(

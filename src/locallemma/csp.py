@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
 from .graphs import StructuredGraph
-from .rng import derived_rng
 
 DEFAULT_CAP_BITS = 20
 
@@ -120,27 +119,6 @@ class Constraint:
 def probability(constraint: Constraint, cap_bits: int = DEFAULT_CAP_BITS) -> Fraction:
     """Exact P[B] = |B| / m^|dom(B)|."""
     return Fraction(constraint.body_size(cap_bits), constraint.m ** constraint.arity())
-
-
-@dataclass
-class ProbabilityEstimate:
-    value: Fraction
-    radius: float
-    trials: int
-
-
-def probability_estimate(constraint: Constraint, trials: int, seed: int = 0) -> ProbabilityEstimate:
-    """Monte Carlo estimate for bodies above the enumeration cap; clearly
-    typed so it is never mistaken for an exact value."""
-    from .localrun import hoeffding_radius
-
-    rng = derived_rng(seed, "prob-estimate", constraint.tag, len(constraint.domain))
-    hits = 0
-    for _ in range(trials):
-        values = tuple(rng.randint(1, constraint.m) for _ in constraint.domain)
-        if constraint.contains(values):
-            hits += 1
-    return ProbabilityEstimate(Fraction(hits, trials), hoeffding_radius(trials), trials)
 
 
 @dataclass(frozen=True)

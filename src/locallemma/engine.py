@@ -331,6 +331,7 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
     dangerous_trace = [state.dangerous]
     phi_trace = [phi]
     for cls in classes:
+        state.quiet.clear()  # the walk never returns to a class: keep only its entry
         start, old_probs = state.snapshot(), state.probs
         best = None
         for value in range(1, n + 1):

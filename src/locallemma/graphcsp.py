@@ -3,19 +3,23 @@
 Every ordering of a constraint's domain gets a structure entry holding the
 position-relabeled bodies (a set of sets of value tuples), and the range
 size rides along as a global layer, so one round suffices for a vertex to
-learn every constraint involving it.
+learn every constraint involving it.  The verifier (`csp_to_lcl`) and
+parallel resampling read the encoded constraints of a ball.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from math import ceil, log2
+from typing import Dict, List, Tuple
 
 from .canonical import CanonicalForm
 from .csp import Constraint, Csp, DEFAULT_CAP_BITS
 from .errors import EncodingBudgetError, GraphBuildError
 from .graphs import (
     LAYER_MARK,
+    TAG_IDS,
     TAG_OUTPUT,
+    TAG_RAND,
     TAG_RANGE,
     StructuredGraph,
     base_structure,
@@ -137,3 +141,51 @@ def csp_to_lcl(m: int) -> LclProblem:
         return 1
 
     return LclProblem(t=1, verifier=LocalAlgorithm(name="csp-verifier", rule=verify))
+
+
+def parallel_resample(m0: int, n: int, c: int = 8) -> Tuple[LocalAlgorithm, int, int]:
+    """(algorithm, rounds, seed range) of parallel resampling on the balls
+    of an encoded graph-CSP over [m0] with identifiers, for instance size
+    n.  It runs ceil(c/2 log2 n) logic rounds of two communication rounds
+    each; logic round r resamples every violated constraint whose sorted
+    identifiers are least among the violated constraints it meets, from
+    digit r (base m0) of each seed, so a seed ranges over m0^(rounds/2 + 1).
+    """
+    logic_rounds = max(1, ceil(c / 2 * log2(max(n, 2))))
+
+    def digit(theta: int, r: int) -> int:
+        return ((theta - 1) // m0**r) % m0 + 1
+
+    def rule(form: CanonicalForm) -> int:
+        graph, root = form.decode()
+        theta = {}
+        ids = {}
+        for v in graph.vertices:
+            t = layer_value(graph, v, TAG_RAND)
+            i = layer_value(graph, v, TAG_IDS)
+            if t is None or i is None:
+                return 0
+            theta[v], ids[v] = t, i
+        constraints = encoded_constraints(graph)
+        ident = {dom: tuple(sorted(ids[v] for v in dom)) for dom, _ in constraints}
+        current = {v: digit(theta[v], 0) for v in graph.vertices}
+        for r in range(1, logic_rounds + 1):
+            violated = []
+            for dom, bodies in constraints:
+                pattern = tuple(current[v] for v in dom)
+                if any(pattern in body for body in bodies):
+                    violated.append(dom)
+            if not violated:
+                break
+            vset = set(violated)
+            resample = set()
+            for dom in violated:
+                others = [d for d in vset if d != dom and set(d) & set(dom)]
+                if all(ident[dom] <= ident[d] for d in others):
+                    resample.update(dom)
+            for v in resample:
+                current[v] = digit(theta[v], r)
+        return current[root]
+
+    return (LocalAlgorithm("parallel_resample", rule), 2 * logic_rounds,
+            m0 ** (logic_rounds + 1))

@@ -10,8 +10,6 @@ per distinct canonical form in a run and its output reused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import log, sqrt
 from typing import Callable, List, Optional
 
 from .canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
@@ -19,14 +17,12 @@ from .errors import PipelineError
 from .graphs import (
     TAG_IDS,
     TAG_OUTPUT,
-    TAG_RAND,
     StructuredGraph,
     VertexLabeling,
     ball,
     greedy_power_coloring,
     with_labeling,
 )
-from .rng import derived_rng
 
 
 @dataclass(frozen=True)
@@ -134,42 +130,3 @@ def det_pipeline(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGrap
         "identifier_colors": colors_used,
     }
     return report
-
-
-def hoeffding_radius(trials: int, alpha: float = 0.01) -> float:
-    """Distribution-free two-sided confidence radius at level 1 - alpha."""
-    return sqrt(log(2.0 / alpha) / (2.0 * trials))
-
-
-@dataclass
-class FailureEstimate:
-    rate: Fraction
-    radius: float
-    trials: int
-    failures: int
-
-
-def estimate_randomized_failure(alg: LocalAlgorithm, problem: LclProblem,
-                                graph: StructuredGraph, rounds: int, m: int,
-                                trials: int, seed: int = 0,
-                                canon_cap: int = DEFAULT_SIZE_CAP) -> FailureEstimate:
-    """Empirical failure fraction over uniform seed layers, with a 99%
-    confidence radius."""
-    if trials < 1 or m < 1:
-        raise ValueError("need trials >= 1 and m >= 1")
-    failures = 0
-    for trial in range(trials):
-        rng = derived_rng(seed, "rand-trial", trial)
-        theta = {v: rng.randint(1, m) for v in graph.vertices}
-        attached = with_labeling(graph, theta, TAG_RAND)
-        outputs = run_deterministic(alg, attached, rounds, canon_cap=canon_cap)
-        report = verify_lcl(problem, graph, outputs, canon_cap=canon_cap)
-        if not report.valid:
-            failures += 1
-    return FailureEstimate(
-        rate=Fraction(failures, trials),
-        radius=hoeffding_radius(trials),
-        trials=trials,
-        failures=failures,
-    )
-

@@ -69,13 +69,13 @@ def _all_equal(params, m):
 
 @register_predicate("constant")
 def _constant(params, m):
-    target = int(params["value"])
+    target = params["value"]
     return lambda values: all(v == target for v in values)
 
 
 @register_predicate("parity")
 def _parity(params, m):
-    residue = int(params.get("residue", 0))
+    residue = params.get("residue", 0)
     return lambda values: sum(v - 1 for v in values) % 2 == residue
 
 
@@ -115,6 +115,8 @@ def csp_from_json(data: dict) -> Csp:
     for i, entry in enumerate(data["constraints"]):
         at = f"constraints[{i}]"
         domain = [_strict_int(x, f"{at}.domain[{j}]") for j, x in enumerate(entry["domain"])]
+        if "forbidden" in entry and "predicate" in entry:
+            raise ValueError(f"{at}: has both 'forbidden' and 'predicate'")
         if "forbidden" in entry:
             constraints.append(Constraint.explicit(domain, m, [
                 tuple(_strict_int(v, f"{at}.forbidden[{k}][{j}]") for j, v in enumerate(member))
@@ -124,6 +126,9 @@ def csp_from_json(data: dict) -> Csp:
             params = entry["predicate"].get("params", {})
             if name not in PREDICATES:
                 raise ValueError(f"unknown predicate {name!r}")
+            # every registered predicate's params are ints
+            for key, value in params.items():
+                _strict_int(value, f"{at}.predicate.params.{key}")
             pred = PREDICATES[name](params, m)
             constraints.append(Constraint.from_predicate(
                 domain, m, pred,
@@ -138,8 +143,13 @@ def labeling_to_json(values: Dict[int, int]) -> dict:
 
 
 def labeling_from_json(data: dict) -> Dict[int, int]:
-    return {_strict_int(v, f"values[{i}][0]"): _strict_int(c, f"values[{i}][1]")
-            for i, (v, c) in enumerate(data["values"])}
+    values = {}
+    for i, (v, c) in enumerate(data["values"]):
+        v = _strict_int(v, f"values[{i}][0]")
+        if v in values:
+            raise ValueError(f"values[{i}][0]: duplicate id {v}")
+        values[v] = _strict_int(c, f"values[{i}][1]")
+    return values
 
 
 def weights_to_json(wts: WeightedGroundSet) -> dict:

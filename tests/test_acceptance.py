@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from randomized import probability_estimate
 
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
 from locallemma.binary import binary_reduce
@@ -23,7 +24,6 @@ from locallemma.csp import (
     discrete_partition,
     is_solution,
     probability,
-    probability_estimate,
     restrict_constraint,
     restrict_csp,
     solutions_exhaustive,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from randomized import estimate_randomized_failure, trial_coloring
 from test_canonical import local_det_balls, random_layered_ball
 from test_compilers import seed_echo
 
@@ -12,6 +13,7 @@ from locallemma.algorithms import (
     builtin_algorithm,
     cole_vishkin_rounds,
     cole_vishkin_steps,
+    echo_rule,
     proper_coloring_problem,
 )
 from locallemma.canonical import CanonicalForm, canonical_type
@@ -23,7 +25,6 @@ from locallemma.graphs import (LAYER_MARK, TAG_BASE, TAG_IDS, TAG_OUTPUT, TAG_RA
 from locallemma.localrun import (
     LclProblem,
     det_pipeline,
-    estimate_randomized_failure,
     run_deterministic,
     verify_lcl,
 )
@@ -42,6 +43,40 @@ def test_id_echo_proper():
     outputs = run_deterministic(spec.algorithm, with_labeling(g, ids, TAG_IDS), 0)
     assert outputs == ids
     assert verify_lcl(spec.problem, g, outputs).valid
+
+
+def decoded_echo(tag):
+    """The echo rule as it read the decoded graph (test oracle)."""
+
+    def rule(form):
+        graph, root = form.decode()
+        value = layer_value(graph, root, tag)
+        return value if isinstance(value, int) else 0
+
+    return rule
+
+
+def test_echo_rule_matches_decoding_oracle():
+    rng = random.Random(23)
+    balls = [random_layered_ball(rng) for _ in range(300)]
+    # a root with no value, an int and non-ints, beside a global
+    # entry on () that sorts before the root's (0,)
+    path = build_graph(range(3), [(0, 1), (1, 2)], {(): 9, (0, 1): 1})
+    for value in (None, 7, (1, 2), frozenset([3])):
+        for tag in (TAG_IDS, TAG_RAND):
+            labeled = with_labeling(path, {} if value is None else {1: value, 2: 5}, tag)
+            balls += [ball(labeled, 1, 1), ball(labeled, 0, 0)]
+    balls.append(ball(build_graph(range(2), [(0, 1)], {(0,): 4}), 0, 1))  # a plain label
+    outputs = set()
+    for b in balls:
+        form = canonical_type(b, cap=len(b.graph.vertices))
+        parsed = CanonicalForm.from_hex(form.hex())
+        for tag in (TAG_IDS, TAG_RAND, TAG_OUTPUT):
+            want = decoded_echo(tag)(form)
+            assert echo_rule(tag)(form) == want == echo_rule(tag)(parsed) \
+                == decoded_echo(tag)(parsed)
+            outputs.add(want)
+    assert {0, 7} <= outputs and len(outputs) > 4
 
 
 def test_cole_vishkin_round_declaration_monotone():
@@ -330,10 +365,8 @@ def test_verifier_rejects_a_plain_singleton_label_like_oracle():
 def test_trial_coloring_failure_small():
     n, d = 10, 3
     g = generate("random_regular", {"n": n, "d": d}, seed=2)
-    spec = builtin_algorithm("trial_coloring", {"delta": d, "n": n})
-    rounds = spec.rounds(n)
-    m = spec.seed_range(n)
-    est = estimate_randomized_failure(spec.algorithm, spec.problem, g, rounds,
+    alg, rounds, m = trial_coloring(d, n)
+    est = estimate_randomized_failure(alg, proper_coloring_problem(d + 1), g, rounds,
                                       m=m, trials=60, seed=3,
                                       canon_cap=2 * rounds + 2)
     # deterministic given the seed; the declared bound is failure <= 1/n
@@ -342,7 +375,7 @@ def test_trial_coloring_failure_small():
 
 def test_parallel_resample_on_encoded_instance():
     from locallemma.csp import Constraint, Csp
-    from locallemma.graphcsp import encode_graph_csp
+    from locallemma.graphcsp import encode_graph_csp, parallel_resample
     from locallemma.csp import intersection_graph
 
     # two disjoint binary constraints, m0 = 2, passing the symmetric check
@@ -351,17 +384,15 @@ def test_parallel_resample_on_encoded_instance():
     csp = Csp((0, 1, 2, 3), 2, (c1, c2))
     encoded = encode_graph_csp(intersection_graph(csp), csp)
     n = len(csp.ground)
-    spec = builtin_algorithm("parallel_resample", {"m0": 2, "n": n})
+    alg, rounds, m = parallel_resample(2, n)
     encoded = with_labeling(encoded, {v: v + 1 for v in encoded.vertices}, TAG_IDS)
-    rounds = spec.rounds(n)
-    m = spec.seed_range(n)
     failures = 0
     trials = 40
     for t in range(trials):
         rng = derived_rng(9, "pr-test", t)
         theta = {v: rng.randint(1, m) for v in encoded.vertices}
         seeded = with_labeling(encoded, theta, TAG_RAND)
-        outputs = run_deterministic(spec.algorithm, seeded, rounds, canon_cap=64)
+        outputs = run_deterministic(alg, seeded, rounds, canon_cap=64)
         from locallemma.csp import is_solution
 
         ok, _ = is_solution(csp, outputs)

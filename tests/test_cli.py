@@ -37,16 +37,15 @@ def test_gen_and_run_local(tmp_path, capsys):
 
 @pytest.mark.parametrize("alg", ["trial_coloring", "parallel_resample"])
 def test_run_local_refuses_seed_reading_builtins(tmp_path, capsys, alg):
-    # run-local attaches identifiers but no seed layer, so these built-ins
-    # would output 0 everywhere: an input error, with no report written
+    # built-ins that read a seed layer, which run-local never attaches, are
+    # not registered: an input error, with no report written
     gpath = tmp_path / "g.json"
     assert run(["gen", "--kind", "cycle", "--params", '{"n": 8}', "--out", str(gpath)]) == 0
     out = tmp_path / "r.json"
     capsys.readouterr()
     assert run(["run-local", "--graph", str(gpath), "--alg", alg, "--out", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == (f"error: builtin {alg!r} reads a seed layer; "
-                                       "run-local attaches none\n")
+    assert capsys.readouterr().err == f"error: \"unknown builtin algorithm {alg!r}\"\n"
 
 
 def test_verify_command(tmp_path):

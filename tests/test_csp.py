@@ -77,7 +77,7 @@ def test_stats_caps_out_per_cap_and_caches_only_a_value():
 
 
 def test_probability_estimate_typed():
-    from locallemma.csp import probability_estimate
+    from randomized import probability_estimate
 
     c = Constraint.from_predicate((0, 1, 2), 2, lambda v: all(x == 1 for x in v))
     est = probability_estimate(c, trials=800, seed=3)

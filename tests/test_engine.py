@@ -353,6 +353,29 @@ def test_construct_partial_matches_replay_oracle_on_step_target():
     assert_matches_oracle(encoded, sigma, wts)
 
 
+def test_construct_partial_keeps_only_the_current_class_quiet_entry(monkeypatch):
+    # the walk never returns to a class, so the quiet memo holds at most
+    # the current class's entry, and values 2..m hit value 1's
+    calls = []
+    descend = _LevelState.descend
+
+    def recording(self, cls, value):
+        before = list(self.quiet.values())
+        out = descend(self, cls, value)
+        calls.append((value, before, list(self.quiet.values())))
+        return out
+
+    monkeypatch.setattr(_LevelState, "descend", recording)
+    for seed in range(10):
+        csp = random_binary_lowp_csp(seed)
+        construct_partial(csp, identity_reduction(csp), WeightedGroundSet.uniform(csp.ground))
+    assert len(calls) > 2 * csp.m and max(value for value, _, _ in calls) > 1
+    for value, before, after in calls:
+        assert len(before) <= 1 and len(after) == 1
+        if value > 1:
+            assert after[0] is before[0]
+
+
 def test_construct_partial_precondition():
     c = Constraint.explicit((0, 1), 2, [(1, 1), (2, 2)])  # p = 1/2
     csp = Csp((0, 1), 2, (c,))

@@ -160,13 +160,11 @@ def test_public_checker_flags_only_unnamed_definitions():
 API = {
     ("compilers.py", "bootstrap"),
     ("connect.py", "validate_reduction"),
-    ("csp.py", "probability_estimate"),
     ("engine.py", "branch_trace"),
     ("engine.py", "check_partial_solution"),
     ("generate.py", "lift_coloring"),
     ("graphcsp.py", "decode_graph_csp"),
     ("graphs.py", "power_graph"),
-    ("localrun.py", "estimate_randomized_failure"),
     ("randgen.py", "random_binary_lowp_csp"),
     ("randgen.py", "random_small_csp"),
     ("serialize.py", "csp_to_json"),

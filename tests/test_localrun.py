@@ -4,6 +4,7 @@ from itertools import product
 from math import log2
 
 import pytest
+from randomized import estimate_randomized_failure
 
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
 from locallemma.canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
@@ -13,7 +14,6 @@ from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value, with_lab
 from locallemma.localrun import (
     LocalAlgorithm,
     det_pipeline,
-    estimate_randomized_failure,
     run_deterministic,
     verify_lcl,
 )

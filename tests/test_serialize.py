@@ -140,6 +140,20 @@ COERCED = [
      "ground[0]: expected int, got '0'"),
     (csp_from_json, {"ground": [0, True], "m": 2, "constraints": []},
      "ground[1]: expected int, got True"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [
+        {"domain": [0], "predicate": {"name": "constant", "params": {"value": 1.9}}}]},
+     "constraints[0].predicate.params.value: expected int, got 1.9"),
+    (csp_from_json, {"ground": [0, 1], "m": 2, "constraints": [
+        {"domain": [0, 1], "predicate": {"name": "parity", "params": {"residue": True}}}]},
+     "constraints[0].predicate.params.residue: expected int, got True"),
+    (csp_from_json, {"ground": [0, 1], "m": 2, "constraints": [
+        {"domain": [0], "forbidden": []},
+        {"domain": [0, 1], "predicate": {"name": "parity", "params": {"residue": "1"}}}]},
+     "constraints[1].predicate.params.residue: expected int, got '1'"),
+    # the predicate used to be dropped silently
+    (csp_from_json, {"ground": [0, 1], "m": 2, "constraints": [
+        {"domain": [0, 1], "forbidden": [[1, 1]], "predicate": {"name": "all_equal"}}]},
+     "constraints[0]: has both 'forbidden' and 'predicate'"),
 ]
 
 
@@ -150,13 +164,15 @@ def test_readers_refuse_non_ints(reader, data, message):
     assert str(err.value) == message
 
 
-# a repeated key used to keep its last value: label 2 on (0,), weight 1 on 1
+# a repeated key used to keep its last value: label 2 on (0,), weight 1 on
+# 1, value 2 on vertex 0
 DUPLICATED = [
     (graph_from_json, {"vertices": [0, 1], "structure": [{"tuple": [0], "label": 1},
                                                          {"tuple": [0], "label": 2}]},
      "duplicate structure entry for tuple (0,)"),
     (weights_from_json, {"weights": [[1, "1/2"], [1, "1"], [2, "0"]]},
      "weights[1][0]: duplicate id 1"),
+    (labeling_from_json, {"values": [[0, 1], [0, 2]]}, "values[1][0]: duplicate id 0"),
 ]
 
 
