@@ -139,4 +139,4 @@ def builtin_algorithm(name: str, params: Optional[dict] = None) -> BuiltinSpec:
             name=name, algorithm=alg, rounds=lambda n: 0,
             problem=proper_coloring_problem(None),
         )
-    raise KeyError(f"unknown builtin algorithm {name!r}")
+    raise ValueError(f"unknown builtin algorithm {name!r}")

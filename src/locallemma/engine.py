@@ -626,10 +626,11 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     checked solution witness (a solvable residual is reducible to the
     empty CSP).
 
-    Cost model: one live h and the members ride down the tree, each rule
-    running once per distinct view (see `_family_leaves`); a level that
-    meets no live constraint pays one memo lookup.  The residual is the
-    level state's constraints: `descend` has restricted every live
+    Cost model (see `_family_leaves`): a node pays two dict updates for
+    the readers its level settles, from a table built once per (key set,
+    branch value), and one memoized rule call per other reader; a level
+    that meets no live constraint pays one memo lookup.  The residual is
+    the level state's constraints: `descend` has restricted every live
     constraint that h meets, and a frozen one is never met again, since
     its domain lies in the dangerous set that no later level fixes.  Its p
     (`p_max`), d, certificate and witness are paid once per level state,
@@ -700,12 +701,14 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
     product((1, 2), repeat=len(classes)) order, from one loop stepping
     through the words as an odometer.  h, the carried values and the state
     are live, valid until the next leaf: going down, a level adds its g to
-    h and sets its readers' values (only the source elements whose
-    determining set meets g run their rules again, on views of the extended
-    h); going up, it deletes g's keys, puts the old values back and
-    restores its snapshot.  A member is one copy of the values.  A rule
-    runs once per view (rules are pure): it is memoized on h's values over
-    its determining set, None where h is undefined, exact as values are >= 1."""
+    h and sets its readers' values; going up, it deletes g's keys, puts
+    the old values back and restores its snapshot.  A reader whose
+    determining set lies in g's keys K is settled: h is undefined on K
+    before the level (the classes partition the ground set), so one table
+    per K sets its values in one dict update each way; other readers run
+    their rules on h.  A member is one copy of the values.  A rule runs
+    once per view (rules are pure): it is memoized on h's values over its
+    determining set, None where h is undefined, exact as values are >= 1."""
     elems, rules = conn.source, conn.rules
     dets = [tuple(conn.det_sets[x]) for x in elems]
     memos: List[dict] = [{} for _ in elems]
@@ -717,11 +720,23 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
             memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
         return memos[k][key]
 
+    def settle(keys) -> list:   # [other readers, settled ones' old values, branch 1, branch 2]
+        touched = {k for z in keys for k in readers.get(z, ())}
+        settled = {k for k in touched if keys >= set(dets[k])}
+        old = {elems[k]: rule_on(k, {}) for k in settled}   # h is undefined on keys
+        table = [[k for k in touched if k not in settled], old]
+        for value in (1, 2):   # (new values, change in the None count)
+            new = {elems[k]: rule_on(k, dict.fromkeys(keys, value)) for k in settled}
+            table.append((new, sum(v is None for v in new.values())
+                          - sum(v is None for v in old.values())))
+        return table
+
     h, state = {}, _LevelState(encoded, p, cap_bits)
     values = {x: rule_on(k, h) for k, x in enumerate(elems)}   # None where undefined
     undefined = sum(v is None for v in values.values())
+    tables: Dict[tuple, list] = {}   # tuple(K) -> settle(K)
     levels, level = len(classes), 0
-    # per level: its branch value, (snapshot, g's keys, readers, None count on entry), undo list
+    # per level: its branch value, (snapshot, g's keys, table, None count on entry), undo list
     word, frames, undo = [0] * levels, [None] * levels, [None] * levels
     while True:
         while level < levels:   # down, through the next branch of each level
@@ -730,9 +745,13 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
             g, _ = state.descend(classes[level], value)
             h.update(g)
             if start is not None:   # both branches fix the same elements
-                frames[level] = start, g.keys(), {k for z in g for k in readers.get(z, ())}, undefined
+                table = tables.get(tuple(g)) or tables.setdefault(tuple(g), settle(g.keys()))
+                frames[level] = start, g.keys(), table, undefined
+            table = frames[level][2]
+            values.update(table[value + 1][0])
+            undefined += table[value + 1][1]
             undo[level] = changes = []
-            for k in frames[level][2]:
+            for k in table[0]:
                 x, new = elems[k], rule_on(k, h)
                 changes.append((x, values[x]))
                 undefined += (new is None) - (values[x] is None)
@@ -742,9 +761,10 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
                   else {x: v for x, v in values.items() if v is not None}), state
         while level:   # up, past every level whose second branch is done
             level -= 1
-            start, keys, _, undefined = frames[level]
+            start, keys, table, undefined = frames[level]
             for z in keys:
                 del h[z]
+            values.update(table[1])
             for x, old in undo[level]:
                 values[x] = old
             state.restore(start)

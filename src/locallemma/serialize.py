@@ -52,12 +52,12 @@ def graph_from_json(data: dict) -> StructuredGraph:
                        None if bound is None else _strict_int(bound, "tuple_bound"))
 
 
-PREDICATES = {}
+PREDICATES = {}   # name -> (factory(params, m), {int param: (m -> (lo, hi), default)})
 
 
-def register_predicate(name):
+def register_predicate(name, **params):
     def wrap(factory):
-        PREDICATES[name] = factory
+        PREDICATES[name] = factory, params
         return factory
     return wrap
 
@@ -67,15 +67,15 @@ def _all_equal(params, m):
     return lambda values: len(set(values)) <= 1
 
 
-@register_predicate("constant")
+@register_predicate("constant", value=(lambda m: (1, m), None))
 def _constant(params, m):
     target = params["value"]
     return lambda values: all(v == target for v in values)
 
 
-@register_predicate("parity")
+@register_predicate("parity", residue=(lambda m: (0, 1), 0))
 def _parity(params, m):
-    residue = params.get("residue", 0)
+    residue = params["residue"]
     return lambda values: sum(v - 1 for v in values) % 2 == residue
 
 
@@ -126,12 +126,21 @@ def csp_from_json(data: dict) -> Csp:
             params = entry["predicate"].get("params", {})
             if name not in PREDICATES:
                 raise ValueError(f"unknown predicate {name!r}")
-            # every registered predicate's params are ints
-            for key, value in params.items():
-                _strict_int(value, f"{at}.predicate.params.{key}")
-            pred = PREDICATES[name](params, m)
+            factory, spec = PREDICATES[name]
+            unknown = sorted(set(params) - set(spec))
+            if unknown:
+                raise ValueError(f"{at}.predicate.params.{unknown[0]}: unknown parameter")
+            checked = {}   # the tag keeps params as written, with no default filled in
+            for key, (bounds, default) in spec.items():
+                where, (lo, hi) = f"{at}.predicate.params.{key}", bounds(m)
+                if key not in params and default is None:
+                    raise ValueError(f"{where}: missing")
+                checked[key] = _strict_int(params.get(key, default), where)
+                if not lo <= checked[key] <= hi:
+                    raise ValueError(f"{where}: expected int in [{lo}..{hi}], "
+                                     f"got {checked[key]!r}")
             constraints.append(Constraint.from_predicate(
-                domain, m, pred,
+                domain, m, factory(checked, m),
                 tag="predicate:" + json.dumps([name, params], sort_keys=True)))
         else:
             raise ValueError("constraint needs 'forbidden' or 'predicate'")

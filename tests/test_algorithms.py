@@ -32,7 +32,7 @@ from locallemma.rng import derived_rng
 
 
 def test_unknown_builtin():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown builtin algorithm 'nope'$"):
         builtin_algorithm("nope")
 
 

@@ -38,14 +38,23 @@ def test_gen_and_run_local(tmp_path, capsys):
 @pytest.mark.parametrize("alg", ["trial_coloring", "parallel_resample"])
 def test_run_local_refuses_seed_reading_builtins(tmp_path, capsys, alg):
     # built-ins that read a seed layer, which run-local never attaches, are
-    # not registered: an input error, with no report written
+    # not registered: an input error, with no report written and the
+    # message printed bare, as every other input error is
     gpath = tmp_path / "g.json"
     assert run(["gen", "--kind", "cycle", "--params", '{"n": 8}', "--out", str(gpath)]) == 0
     out = tmp_path / "r.json"
     capsys.readouterr()
     assert run(["run-local", "--graph", str(gpath), "--alg", alg, "--out", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == f"error: \"unknown builtin algorithm {alg!r}\"\n"
+    assert capsys.readouterr().err == f"error: unknown builtin algorithm {alg!r}\n"
+
+
+def test_pipeline_det_refuses_an_unknown_builtin(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["pipeline", "det", "--gen-kind", "directed_cycle", "--gen-params", '{"n": 8}',
+                "--alg", "trial_coloring", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: unknown builtin algorithm 'trial_coloring'\n"
 
 
 def test_verify_command(tmp_path):
@@ -89,6 +98,22 @@ def test_csp_check_general_with_no_neighbours(tmp_path):
     report = json.loads(out.read_text())
     assert report["which"] == "general" and report["holds"]
     assert report["d"] == 0 and report["margin"] == "0/1"
+
+
+def test_csp_check_refuses_an_out_of_range_predicate_param(tmp_path, capsys):
+    # residue 2 used to read as an empty body: the constraint got probability 0
+    cpath, out = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json({"ground": [0, 1], "m": 2, "constraints": [
+        {"domain": [0, 1], "predicate": {"name": "parity", "params": {"residue": 2}}}]}, cpath)
+    capsys.readouterr()
+    assert run(["csp", "check", "--csp", str(cpath), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        "error: constraints[0].predicate.params.residue: expected int in [0..1], got 2\n"
+    # a missing field is still a KeyError, printed as the field's name
+    dump_json({"m": 2, "constraints": []}, cpath)
+    assert run(["csp", "check", "--csp", str(cpath), "--out", str(out)]) == 2
+    assert not out.exists() and capsys.readouterr().err == "error: 'ground'\n"
 
 
 def test_pipeline_reports_reproducible(tmp_path):

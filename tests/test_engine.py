@@ -869,6 +869,88 @@ def test_family_leaves_match_copying_walk_on_zero_and_one_level_csps():
     assert dangerous == [frozenset({0}), frozenset()]   # the unary CSP's two leaves
 
 
+def min_on_partial_view(ys):
+    """A min settled by any 1, None until then or until all of ys is read."""
+    def rule(view):
+        if 1 in view.values():
+            return 1
+        return min(view.values()) if len(view) == len(ys) else None
+    return rule
+
+
+def withdrawn(view):
+    # defined on the empty view only: settling this reader raises the None count
+    return None if view else 2
+
+
+def reading_connection(ground, reads, rules):
+    return Connection(source=tuple(reads), target=tuple(ground),
+                      det_sets={x: frozenset(ys) for x, ys in reads.items()}, rules=rules)
+
+
+def reader_kinds(classes, conn, level=0):
+    """The source elements whose determining set lies in the level's class
+    (settled while it is not dangerous) and those it meets but does not hold."""
+    cls = set(classes[level])
+    dets = [conn.det_sets[x] for x in conn.source]
+    return ([x for x, ys in zip(conn.source, dets) if ys and ys <= cls],
+            [x for x, ys in zip(conn.source, dets) if ys & cls and not ys <= cls])
+
+
+def test_family_leaves_settle_readers_next_to_split_readers():
+    # one level holds both kinds of reader: readers of elements that lie in
+    # no constraint (their bits all fall in the first class), readers whose
+    # bits span several classes (binary encodings at m = 3 and 4), a reader
+    # defined on the empty view only, and a reader of nothing; the same
+    # readers also run on the target itself, whose first class holds 0, 2,
+    # 3 and the free elements
+    for m in (3, 4):
+        target = Csp(tuple(range(8)), m, (
+            Constraint.explicit((0, 1), m, [(1, 1)]),
+            Constraint.explicit((1, 2), m, [(2, 3)]),
+            Constraint.explicit((3, 4, 5), m, [(1, 2, 3)]),
+        ))  # elements 6 and 7 lie in no constraint
+        reads = {0: (0, 1), 1: (1, 6), 2: (6, 7), 3: (6,), 4: (7,), 5: (), 6: (2, 3)}
+        rules = {x: min_on_partial_view(reads[x]) for x in (0, 1, 2, 6)}
+        rules.update({3: withdrawn, 4: lambda view: 3 if view else None, 5: lambda view: 2})
+        rho = reading_connection(target.ground, reads, rules)
+        encoded, tau_red = binary_reduce(target, EPS_BINARY)
+        for csp, conn in ((target, rho), (encoded, compose(rho, tau_red.connection))):
+            settled, split = reader_kinds(discrete_partition(csp), conn)
+            assert 3 in settled and 1 in split and not conn.det_sets[5]
+            assert_walk_matches_copying_walk(csp, conn)
+    # on a constraint-free ground the one level settles every reader, and
+    # the reader defined on the empty view only is the one whose value
+    # changes between defined and None
+    free = Csp((0, 1, 2), 2, ())
+    conn = reading_connection(free.ground, {0: (0, 1), 1: (2,), 2: ()},
+                              {0: withdrawn, 1: lambda view: 1, 2: lambda view: 2})
+    assert reader_kinds(discrete_partition(free), conn) == ([0, 1], [])
+    assert_walk_matches_copying_walk(free, conn)
+
+
+def test_family_leaves_settle_readers_by_key_set_not_by_level():
+    # freezing gives one level of the overlapping CSP's encoding different
+    # key sets in different states: a reader of two elements of one class is
+    # settled where both are fixed, split where one is dangerous and not
+    # read where both are, next to one reader per bit as a cover op has
+    csp = overlapping_cover_csp()
+    encoded, conn = encoded_with_connection(csp)
+    classes = discrete_partition(encoded)
+    reads = {x: tuple(conn.det_sets[x]) for x in conn.source}
+    extra = {100: (6, 16), 101: (16, 25), 102: (9, 28), 103: (25,), 104: (0, 10), 105: ()}
+    reads.update(extra)
+    rules = {**conn.rules, **{x: min_on_partial_view(ys) for x, ys in extra.items()}}
+    rules.update({103: withdrawn, 105: lambda view: 2})
+    mixed = reading_connection(encoded.ground, reads, rules)
+    key_sets = {}
+    for h, _, _ in _family_leaves(encoded, classes, mixed, stats(encoded).p, DEFAULT_CAP_BITS):
+        for level, cls in enumerate(classes):
+            key_sets.setdefault(level, set()).add(tuple(x for x in cls if x in h))
+    assert len(key_sets[6]) == 3 and {(6, 16, 25), (6, 16), (25,)} == key_sets[6]
+    assert_walk_matches_copying_walk(encoded, mixed)
+
+
 @st.composite
 def overlapping_csps(draw, max_m=3):
     """Explicit CSPs on at most 7 elements, with range at most `max_m`,

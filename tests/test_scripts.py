@@ -47,14 +47,16 @@ def test_benchmark_round_zero_matches_reference_digest(workload, seed):
 
 def test_traced_benchmark_finds_every_traced_name():
     # the tracer looks its spans up by module and name, so a moved or
-    # renamed library function fails the traced run, not the untraced one
+    # renamed library function fails the traced run, not the untraced one;
+    # lll_solve also runs the cover walk under the traced cover_family span
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", "rand_compile",
-         "--seed", "0", "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True, result.stdout
+    for workload in ("rand_compile", "lll_solve"):
+        result = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+             "--seed", "0", "--seconds", "0", "--trace", "1"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert json.loads(result.stdout.splitlines()[-1])["correct"] is True, result.stdout
 
 
 def test_scaling_probe_hash_is_stable():

@@ -157,6 +157,50 @@ COERCED = [
 ]
 
 
+# registered-predicate params outside their meaning used to read as an
+# empty body (probability 0); a missing value was a bare KeyError
+OUT_OF_RANGE = [
+    ({"name": "parity", "params": {"residue": 2}},
+     "constraints[0].predicate.params.residue: expected int in [0..1], got 2"),
+    ({"name": "parity", "params": {"residue": -1}},
+     "constraints[0].predicate.params.residue: expected int in [0..1], got -1"),
+    ({"name": "constant", "params": {"value": 0}},
+     "constraints[0].predicate.params.value: expected int in [1..3], got 0"),
+    ({"name": "constant", "params": {"value": 7}},
+     "constraints[0].predicate.params.value: expected int in [1..3], got 7"),
+    ({"name": "constant", "params": {}}, "constraints[0].predicate.params.value: missing"),
+    ({"name": "constant"}, "constraints[0].predicate.params.value: missing"),
+    ({"name": "parity", "params": {"residu": 1}},
+     "constraints[0].predicate.params.residu: unknown parameter"),
+    ({"name": "all_equal", "params": {"value": 1}},
+     "constraints[0].predicate.params.value: unknown parameter"),
+]
+
+
+@pytest.mark.parametrize("predicate,message", OUT_OF_RANGE)
+def test_csp_from_json_refuses_out_of_range_predicate_params(predicate, message):
+    data = {"ground": [0, 1], "m": 3,
+            "constraints": [{"domain": [0, 1], "predicate": predicate}]}
+    with pytest.raises(ValueError) as err:
+        csp_from_json(data)
+    assert str(err.value) == message
+
+
+def test_csp_from_json_keeps_in_range_params_and_their_tags():
+    # every value in range is read, and the tag keeps the params as written
+    # (a default is not filled in), so reports and round trips are unchanged
+    for name, key, values in (("parity", "residue", (0, 1)), ("constant", "value", (1, 2, 3))):
+        for v in values:
+            csp = csp_from_json({"ground": [0, 1], "m": 3, "constraints": [
+                {"domain": [0, 1], "predicate": {"name": name, "params": {key: v}}}]})
+            assert probability(csp.constraints[0]) > 0
+            assert csp_to_json(csp)["constraints"][0]["predicate"]["params"] == {key: v}
+    csp = csp_from_json({"ground": [0, 1], "m": 2, "constraints": [
+        {"domain": [0, 1], "predicate": {"name": "parity"}}]})
+    assert probability(csp.constraints[0]) == Fraction(1, 2)
+    assert csp.constraints[0].tag == 'predicate:["parity", {}]'
+
+
 @pytest.mark.parametrize("reader,data,message", COERCED)
 def test_readers_refuse_non_ints(reader, data, message):
     with pytest.raises(ValueError) as err:
