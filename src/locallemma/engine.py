@@ -40,7 +40,24 @@ from .rng import derived_rng
 
 INV_E_LOWER = Fraction(3678, 10_000)    # certified rational lower bound on e^-1
 INV_E2_LOWER = Fraction(1353, 10_000)   # certified rational lower bound on e^-2
-MEASURABLE_RHS = Fraction(1, 2**15)
+STEP_TARGET_N = 16
+STEP_TARGET_EPS = Fraction(1, 2**32)
+RESIDUAL_N = 8
+RESIDUAL_EPS = Fraction(1, 2**15)
+# binary-reduction slack: the step's target must meet eps / (1 + EPS_BINARY)
+# = 2^-33 before encoding.  Only the direct route can: an amplified target
+# at size n certifies p <= 1/n, and for n <= 4096 that is >= 2^-12.
+EPS_BINARY = Fraction(1)
+
+
+def _residual_margin(p: Fraction, d: int) -> Fraction:
+    """2^-15 - p (d+1)^8: the measurable condition, which every residual meets."""
+    return RESIDUAL_EPS - p * (d + 1) ** RESIDUAL_N
+
+
+def _halves(p: Fraction, d_rho: int) -> bool:
+    """p d(rho)^2 <= 1/4, i.e. d(rho) sqrt(p) <= 1/2: h covers half the weight."""
+    return p * Fraction(d_rho) ** 2 <= Fraction(1, 4)
 
 
 @dataclass
@@ -61,7 +78,7 @@ def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fracti
     if which == "symmetric":
         margin = INV_E_LOWER - st.p * (st.d + 1)
     elif which == "measurable":
-        margin = MEASURABLE_RHS - st.p * (st.d + 1) ** 8
+        margin = _residual_margin(st.p, st.d)
     elif which == "general":
         if eta is None:
             eta = {i: Fraction(1, max(st.d, 1) + 1) for i in range(len(csp.constraints))}
@@ -209,71 +226,73 @@ def _is_dangerous(prob: Fraction, p: Fraction) -> bool:
 
 
 class _LevelState:
-    """Restriction state of the level recursion: the live constraints, their
-    conditional probabilities and the largest, `p_max`, which of them are
-    frozen, and the dangerous set (the union of the frozen constraints'
-    original domains).
-
-    `descend` replaces its lists when it changes any of them, rather than
-    editing them, so a snapshot is a tuple of references that stays valid
-    and the constraints list fixes the state: `descend` memoizes its quiet
-    test per (class, constraints list) by id, holding both (no id reuse).
+    """One restriction state of the level recursion, never changed once
+    made: the live constraints, their conditional probabilities and the
+    largest, `p_max`, which of them are frozen, and the dangerous set (the
+    union of the frozen constraints' original domains).  `descend` returns
+    the next state, so a walk goes back to a state by holding it.  A walk
+    descends from one start state on every branch value: the state
+    memoizes per class the class's elements outside its dangerous set and
+    whether a live constraint meets them, for the values after the first.
     """
 
-    def __init__(self, csp: Csp, p: Fraction, cap_bits: int):
-        self.p = p
-        self.cap_bits = cap_bits
-        self.constraints = list(csp.constraints)
-        self.probs = [probability(c, cap_bits) for c in csp.constraints]
-        self.p_max = max(self.probs, default=Fraction(0))
-        self.original_domains = [frozenset(c.domain) for c in csp.constraints]
-        self.meeting = csp.meeting
-        self.frozen = [_is_dangerous(pr, p) for pr in self.probs]
-        self.dangerous = frozenset().union(
-            *(dom for dom, frozen in zip(self.original_domains, self.frozen) if frozen))
-        self.quiet: Dict[Tuple[int, int], tuple] = {}   # -> (cls, constraints, g's keys, quiet)
+    __slots__ = ("base", "constraints", "probs", "p_max", "frozen", "dangerous", "fixes")
 
-    def snapshot(self):
-        return self.constraints, self.probs, self.p_max, self.frozen, self.dangerous
+    def __init__(self, base: tuple, constraints: List, probs: List[Fraction],
+                 p_max: Fraction, frozen: List[bool], dangerous: frozenset):
+        self.base = base   # (p, cap_bits, original domains, csp.meeting), shared by all states
+        self.constraints = constraints
+        self.probs = probs
+        self.p_max = p_max
+        self.frozen = frozen
+        self.dangerous = dangerous
+        self.fixes: Dict[tuple, tuple] = {}   # class -> (its keys, quiet)
 
-    def restore(self, snap):
-        self.constraints, self.probs, self.p_max, self.frozen, self.dangerous = snap
+    @classmethod
+    def root(cls, csp: Csp, p: Fraction, cap_bits: int) -> "_LevelState":
+        probs = [probability(c, cap_bits) for c in csp.constraints]
+        domains = [frozenset(c.domain) for c in csp.constraints]
+        frozen = [_is_dangerous(pr, p) for pr in probs]
+        return cls((p, cap_bits, domains, csp.meeting), list(csp.constraints), probs,
+                   max(probs, default=Fraction(0)), frozen,
+                   frozenset().union(*(dom for dom, f in zip(domains, frozen) if f)))
 
-    def descend(self, cls: Sequence[int], value: int) -> Tuple[PartialAssignment, List[int]]:
+    def descend(self, cls: Tuple[int, ...], value: int
+                ) -> Tuple[PartialAssignment, List[int], "_LevelState"]:
         """One level: fix the elements of `cls` outside the dangerous set to
         `value`, restrict every live constraint they meet, and freeze those
         whose conditional probability passes sqrt(p).  Returns the
-        assignment made and the indices of the restricted constraints."""
-        constraints, probs, frozen = self.constraints, self.probs, self.frozen
-        memo = self.quiet.get((id(cls), id(constraints)))
-        if memo is None or memo[0] is not cls or memo[1] is not constraints:
+        assignment made, the indices of the restricted constraints and the
+        next state, which is this one when none was restricted."""
+        p, cap_bits, original_domains, meeting = self.base
+        fix = self.fixes.get(cls)
+        if fix is None:
             keys = [x for x in cls if x not in self.dangerous]
-            quiet = not any(not frozen[i] and constraints[i].domain
-                            for x in keys for i in self.meeting.get(x, ()))
-            memo = self.quiet[id(cls), id(constraints)] = cls, constraints, keys, quiet
-        g = const_assignment(memo[2], value)
+            quiet = not any(not self.frozen[i] and self.constraints[i].domain
+                            for x in keys for i in meeting.get(x, ()))
+            fix = self.fixes[cls] = keys, quiet
+        g = const_assignment(fix[0], value)
         changed: List[int] = []
-        if memo[3]:
-            return g, changed  # nothing live meets g: every state list stays as it is
-        constraints, probs, frozen = list(constraints), list(probs), list(frozen)
+        if fix[1]:
+            return g, changed, self  # nothing live meets g
+        constraints, probs, frozen = list(self.constraints), list(self.probs), list(self.frozen)
         newly_frozen = []
-        for i in sorted({i for x in g for i in self.meeting.get(x, ())}):
+        for i in sorted({i for x in g for i in meeting.get(x, ())}):
             if frozen[i] or g.keys().isdisjoint(constraints[i].domain):
                 continue
             changed.append(i)
             constraints[i] = restrict_constraint(constraints[i], g)
-            probs[i] = probability(constraints[i], self.cap_bits)
-            if _is_dangerous(probs[i], self.p):
+            probs[i] = probability(constraints[i], cap_bits)
+            if _is_dangerous(probs[i], p):
                 frozen[i] = True
-                newly_frozen.append(self.original_domains[i])
-        if changed:
-            # the old maximum survives unless a restricted constraint held it
-            held = any(self.probs[i] == self.p_max for i in changed)
-            self.p_max = max(probs) if held else max(self.p_max, *(probs[i] for i in changed))
-            self.constraints, self.probs, self.frozen = constraints, probs, frozen
-        if newly_frozen:
-            self.dangerous = self.dangerous.union(*newly_frozen)
-        return g, changed
+                newly_frozen.append(original_domains[i])
+        if not changed:
+            return g, changed, self
+        # the old maximum survives unless a restricted constraint held it
+        held = any(self.probs[i] == self.p_max for i in changed)
+        p_max = max(probs) if held else max(self.p_max, *(probs[i] for i in changed))
+        dangerous = self.dangerous.union(*newly_frozen) if newly_frozen else self.dangerous
+        return g, changed, _LevelState(self.base, constraints, probs, p_max, frozen, dangerous)
 
 
 def _term(prob: Fraction, p: Fraction) -> QuadExpr:
@@ -312,7 +331,7 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
     d_rho = red.degree()
     conn = red.connection
 
-    state = _LevelState(csp, p, cap_bits)
+    state = _LevelState.root(csp, p, cap_bits)
     # weight of source elements whose determining set meets each original domain
     weight_touching = [Fraction(0)] * len(csp.constraints)
     for x in conn.source:
@@ -331,18 +350,14 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
     dangerous_trace = [state.dangerous]
     phi_trace = [phi]
     for cls in classes:
-        state.quiet.clear()  # the walk never returns to a class: keep only its entry
-        start, old_probs = state.snapshot(), state.probs
         best = None
         for value in range(1, n + 1):
-            g, changed = state.descend(cls, value)
-            cand_phi = sum((weighted_term(i, state.probs) - weighted_term(i, old_probs)
+            g, changed, after = state.descend(cls, value)
+            cand_phi = sum((weighted_term(i, after.probs) - weighted_term(i, state.probs)
                             for i in changed if weight_touching[i]), phi)
             if best is None or cand_phi < best[0]:
-                best = (cand_phi, value, g, state.snapshot())
-            state.restore(start)
-        phi, value, g, snap = best
-        state.restore(snap)
+                best = (cand_phi, value, g, after)
+        phi, value, g, state = best
         h.update(g)
         chosen.append(value)
         dangerous_trace.append(state.dangerous)
@@ -372,23 +387,14 @@ def branch_trace(csp: Csp, word: Sequence[int], cap_bits: int = DEFAULT_CAP_BITS
     classes = discrete_partition(csp)
     if len(word) != len(classes):
         raise ValueError(f"word length {len(word)} != {len(classes)} classes")
-    state = _LevelState(csp, st.p, cap_bits)
+    state = _LevelState.root(csp, st.p, cap_bits)
     h: PartialAssignment = {}
     dangerous = [state.dangerous]
     for cls, value in zip(classes, word):
-        h.update(state.descend(cls, value)[0])
+        g, _, state = state.descend(cls, value)
+        h.update(g)
         dangerous.append(state.dangerous)
     return h, dangerous
-
-
-STEP_TARGET_N = 16
-STEP_TARGET_EPS = Fraction(1, 2**32)
-RESIDUAL_N = 8
-RESIDUAL_EPS = Fraction(1, 2**15)
-# binary-reduction slack: the step's target must meet eps / (1 + EPS_BINARY)
-# = 2^-33 before encoding.  Only the direct route can: an amplified target
-# at size n certifies p <= 1/n, and for n <= 4096 that is >= 2^-12.
-EPS_BINARY = Fraction(1)
 
 
 def direct_entry(p: Fraction, d: int, d_rho: int, N: int = STEP_TARGET_N,
@@ -414,20 +420,20 @@ def _binary_stage(red_in: Reduction, cap_bits: int):
 @dataclass
 class StepResult:
     g: PartialAssignment
-    residual: Csp
     residual_reduction: Reduction
     covered_fraction: Fraction
     certificates: dict
     trace: PartialSolutionTrace
 
 
-def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
+def step(red_in: Reduction, wts: WeightedGroundSet,
          cap_bits: int = DEFAULT_CAP_BITS) -> StepResult:
     """One halving step: check that the target of `red_in` meets the
     direct (16, 2^-33) inequalities, binary-reduce it, build a partial
-    solution by the derandomized level recursion, pull it back.  No step
-    draws randomness.  The direct route is the only one at desk scale (see
-    EPS_BINARY); a target that fails it raises with the failing entry.
+    solution by the derandomized level recursion, pull it back to g on
+    `red_in`'s source; the residual reduction's source is the rest.  No
+    step draws randomness.  The direct route is the only one at desk scale
+    (see EPS_BINARY); a target that fails it raises with the failing entry.
 
     Certifies exactly: the binary target satisfies p (d+1)^16 <= 2^-32 and
     p d(rho)^2 <= 1/4; the returned g covers weight >= 1/2; the residual
@@ -445,7 +451,7 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
         "d_target": est.d,
         "d_sigma": d_sigma,
         "target_(16,2^-32)": est.p * (est.d + 1) ** STEP_TARGET_N <= STEP_TARGET_EPS,
-        "p*d(rho)^2<=1/4": est.p * Fraction(d_sigma) ** 2 <= Fraction(1, 4),
+        "p*d(rho)^2<=1/4": _halves(est.p, d_sigma),
     }
     if not cert["target_(16,2^-32)"] or not cert["p*d(rho)^2<=1/4"]:
         raise StepInfeasibleError(
@@ -453,10 +459,9 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
 
     h, trace = construct_partial(encoded, sigma, wts, cap_bits=cap_bits)
     g, residual_red = pull_partial(sigma, h)
-    residual_target = residual_red.target
-    rst = stats(residual_target, cap_bits)
+    rst = stats(residual_red.target, cap_bits)
     cert["p_residual"] = str(rst.p)
-    cert["residual_(8,2^-15)"] = rst.p * (rst.d + 1) ** RESIDUAL_N <= RESIDUAL_EPS
+    cert["residual_(8,2^-15)"] = _residual_margin(rst.p, rst.d) >= 0
     if not cert["residual_(8,2^-15)"]:
         raise StepInfeasibleError(
             f"residual certification failed: {json.dumps(cert, sort_keys=True)}")
@@ -464,15 +469,7 @@ def step(source: Csp, red_in: Reduction, wts: WeightedGroundSet,
     covered = wts.weight_of(g.keys())
     if covered < Fraction(1, 2):
         raise StepInfeasibleError(f"step covered only {covered} < 1/2")
-    residual_source = restrict_csp(source, g)
-    return StepResult(
-        g=g,
-        residual=residual_source,
-        residual_reduction=residual_red,
-        covered_fraction=covered,
-        certificates=cert,
-        trace=trace,
-    )
+    return StepResult(g, residual_red, covered, cert, trace)
 
 
 def extend_solution(csp: Csp, g: PartialAssignment, seed: int = 0,
@@ -559,29 +556,24 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
         raise StepInfeasibleError(
             f"source fails the measurable condition by {-pre.margin}")
     minw = wts.min_positive()
-    # ceil(log2(1 / min positive weight)) + 1, in exact arithmetic
-    max_iters = 1
-    if minw is not None:
-        k = 0
-        while (1 << k) * minw < 1:
-            k += 1
-        max_iters = k + 1
+    max_iters = 1   # ceil(log2(1 / min positive weight)) + 1, in exact arithmetic
+    while minw is not None and (1 << (max_iters - 1)) * minw < 1:
+        max_iters += 1
 
     g_total: PartialAssignment = {}
-    current = source
-    red = identity_reduction(source)
+    red = identity_reduction(source)   # its source: the elements not yet assigned
     reports: List[dict] = []
     traces: List[PartialSolutionTrace] = []
     iterations = 0
-    while current.ground:
-        live = wts.restricted_normalized(current.ground)
+    while red.connection.source:
+        live = wts.restricted_normalized(red.connection.source)
         if live is None:
             break  # only zero-weight elements remain
         if iterations >= max_iters:
             raise StepInfeasibleError(
                 f"iteration budget {max_iters} exceeded with "
-                f"{len(current.ground)} elements uncovered")
-        result = step(current, red, live, cap_bits=cap_bits)
+                f"{len(red.connection.source)} elements uncovered")
+        result = step(red, live, cap_bits=cap_bits)
         g_total.update(result.g)
         reports.append({
             "iteration": iterations,
@@ -590,7 +582,6 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
             "certificates": result.certificates,
         })
         traces.append(result.trace)
-        current = result.residual
         red = result.residual_reduction
         iterations += 1
 
@@ -629,15 +620,14 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     Cost model (see `_family_leaves`): a node pays two dict updates for
     the readers its level settles, from a table built once per (key set,
     branch value), and one memoized rule call per other reader; a level
-    that meets no live constraint pays one memo lookup.  The residual is
-    the level state's constraints: `descend` has restricted every live
-    constraint that h meets, and a frozen one is never met again, since
-    its domain lies in the dangerous set that no later level fixes.  Its p
-    (`p_max`), d, certificate and witness are paid once per level state,
-    keyed by the identity of `state.constraints` (the memo holds each
-    list, so no id is reused), which fixes the state (see `_LevelState`):
-    the leaves that end on one list share p_max, the dangerous set, the
-    domains and h's key set.  Each leaf gets its own copy of the certificate.
+    that meets no live constraint pays one memo lookup and makes no state.
+    The residual is the leaf state's constraints: `descend` has restricted
+    every live constraint that h meets, and a frozen one is never met
+    again, since its domain lies in the dangerous set that no later level
+    fixes.  Its p (`p_max`), d, certificate and witness are paid once per
+    leaf state, keyed by the state, which never changes (see `_LevelState`):
+    the leaves that end on one state share the dangerous set, the domains
+    and h's key set.  Each leaf gets its own copy of the certificate.
 
     The route is "bootstrap-direct" when the source meets the direct
     (16, 2^-33) inequalities and "direct-binary" otherwise; both encode
@@ -653,7 +643,7 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     if p * (d + 1) ** 2 > INV_E2_LOWER / 4:
         raise StepInfeasibleError(
             "binary target fails the partial-solution precondition")
-    if Fraction(4) * Fraction(d_sigma * d_sigma) * p > 1:
+    if not _halves(p, d_sigma):
         raise StepInfeasibleError(
             "d(rho) sqrt(p) <= 1/2 fails; family coverage not certified")
 
@@ -665,16 +655,15 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
     conn = sigma.connection
     members: List[PartialAssignment] = []
     certificates: List[dict] = []
-    # id(state.constraints) -> [that list, its dangerous set, certificate, leaves]
-    per_state: Dict[int, list] = {}
+    per_state: Dict[_LevelState, list] = {}   # leaf state -> [certificate, leaves]
     for h, member, state in _family_leaves(encoded, classes, conn, p, cap_bits):
         members.append(member)
-        entry = per_state.get(id(state.constraints))
+        entry = per_state.get(state)
         if entry is None:
             domains = [c.domain for c in state.constraints]
             rp, rd = state.p_max, max(overlap_counts(domains, incidence(domains)), default=0)
             cert = {"p_residual": str(rp), "d_residual": rd,
-                    "residual_(8,2^-15)": rp * (rd + 1) ** RESIDUAL_N <= RESIDUAL_EPS}
+                    "residual_(8,2^-15)": _residual_margin(rp, rd) >= 0}
             if not cert["residual_(8,2^-15)"]:
                 residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
                                tuple(state.constraints))
@@ -683,12 +672,12 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
                         "residual neither satisfies the (8,2^-15) inequality "
                         "nor has a verified solution witness")
                 cert["solution_witness"] = True
-            per_state[id(state.constraints)] = entry = [state.constraints, state.dangerous, cert, 0]
-        entry[3] += 1
-        certificates.append(dict(entry[2]))
+            per_state[state] = entry = [cert, 0]
+        entry[1] += 1
+        certificates.append(dict(entry[0]))
 
-    counts = {x: sum(leaves for _, dangerous, _, leaves in per_state.values()
-                     if not (conn.det_sets[x] & dangerous)) for x in source.ground}
+    counts = {x: sum(leaves for state, (_, leaves) in per_state.items()
+                     if not (conn.det_sets[x] & state.dangerous)) for x in source.ground}
     uncovered = [x for x in source.ground if counts[x] == 0]
     if uncovered:
         raise AssertionError(f"family fails to cover {uncovered[:5]}")
@@ -699,10 +688,11 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
                    p: Fraction, cap_bits: int):
     """Yield (h, apply(conn, h), level state) for every branch word, in
     product((1, 2), repeat=len(classes)) order, from one loop stepping
-    through the words as an odometer.  h, the carried values and the state
-    are live, valid until the next leaf: going down, a level adds its g to
-    h and sets its readers' values; going up, it deletes g's keys, puts
-    the old values back and restores its snapshot.  A reader whose
+    through the words as an odometer.  h and the carried values are live,
+    valid until the next leaf: going down, a level adds its g to h, sets
+    its readers' values and moves to the state `descend` returns; going
+    up, it deletes g's keys, puts the old values back and takes up the
+    start state its frame holds.  A reader whose
     determining set lies in g's keys K is settled: h is undefined on K
     before the level (the classes partition the ground set), so one table
     per K sets its values in one dict update each way; other readers run
@@ -731,22 +721,22 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
                           - sum(v is None for v in old.values())))
         return table
 
-    h, state = {}, _LevelState(encoded, p, cap_bits)
+    h, state = {}, _LevelState.root(encoded, p, cap_bits)
     values = {x: rule_on(k, h) for k, x in enumerate(elems)}   # None where undefined
     undefined = sum(v is None for v in values.values())
     tables: Dict[tuple, list] = {}   # tuple(K) -> settle(K)
     levels, level = len(classes), 0
-    # per level: its branch value, (snapshot, g's keys, table, None count on entry), undo list
+    # per level: its branch value, (start state, g's keys, table, None count on entry), undo list
     word, frames, undo = [0] * levels, [None] * levels, [None] * levels
     while True:
         while level < levels:   # down, through the next branch of each level
             value = word[level] = word[level] + 1
-            start = state.snapshot() if value == 1 else None
-            g, _ = state.descend(classes[level], value)
+            g, _, after = state.descend(classes[level], value)
             h.update(g)
-            if start is not None:   # both branches fix the same elements
+            if value == 1:   # both branches fix the same elements
                 table = tables.get(tuple(g)) or tables.setdefault(tuple(g), settle(g.keys()))
-                frames[level] = start, g.keys(), table, undefined
+                frames[level] = state, g.keys(), table, undefined
+            state = after
             table = frames[level][2]
             values.update(table[value + 1][0])
             undefined += table[value + 1][1]
@@ -761,13 +751,12 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
                   else {x: v for x, v in values.items() if v is not None}), state
         while level:   # up, past every level whose second branch is done
             level -= 1
-            start, keys, table, undefined = frames[level]
+            state, keys, table, undefined = frames[level]
             for z in keys:
                 del h[z]
             values.update(table[1])
             for x, old in undo[level]:
                 values[x] = old
-            state.restore(start)
             if word[level] == 1:
                 break
             word[level] = 0

@@ -8,6 +8,7 @@ degree d - 1 whose k-colorability matches G's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 from .errors import InfeasibleParamsError
@@ -109,11 +110,15 @@ class GadgetLayout:
     def block(self) -> int:
         return self.c + 1 + (self.k - 1)
 
+    @cached_property
+    def position(self) -> Dict[int, int]:
+        return {x: i for i, x in enumerate(self.source_order)}
+
     def u_id(self, x: int, alpha: int) -> int:
-        return self.source_order.index(x) * self.block + alpha
+        return self.position[x] * self.block + alpha
 
     def v_id(self, x: int, i: int) -> int:
-        return self.source_order.index(x) * self.block + (self.c + 1) + (i - 1)
+        return self.position[x] * self.block + (self.c + 1) + (i - 1)
 
     def v_ids(self):
         return [self.v_id(x, i) for x in self.source_order for i in range(1, self.k)]

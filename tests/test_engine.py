@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import sqrt
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +14,7 @@ from locallemma.csp import (
     DEFAULT_CAP_BITS,
     Constraint,
     Csp,
+    PartialAssignment,
     const_assignment,
     discrete_partition,
     incidence,
@@ -32,6 +34,7 @@ from locallemma.engine import (
     WeightedGroundSet,
     _LevelState,
     _family_leaves,
+    _is_dangerous,
     _search,
     _term,
     branch_trace,
@@ -353,27 +356,29 @@ def test_construct_partial_matches_replay_oracle_on_step_target():
     assert_matches_oracle(encoded, sigma, wts)
 
 
-def test_construct_partial_keeps_only_the_current_class_quiet_entry(monkeypatch):
-    # the walk never returns to a class, so the quiet memo holds at most
-    # the current class's entry, and values 2..m hit value 1's
+def test_construct_partial_hits_the_class_entry_of_its_start_state(monkeypatch):
+    # every value of a class descends from the class's start state: value 1
+    # makes the state's entry for the class and values 2..m hit that entry
     calls = []
     descend = _LevelState.descend
 
     def recording(self, cls, value):
-        before = list(self.quiet.values())
+        before = self.fixes.get(cls)
         out = descend(self, cls, value)
-        calls.append((value, before, list(self.quiet.values())))
+        calls.append((self, cls, value, before, self.fixes[cls]))
         return out
 
     monkeypatch.setattr(_LevelState, "descend", recording)
     for seed in range(10):
         csp = random_binary_lowp_csp(seed)
         construct_partial(csp, identity_reduction(csp), WeightedGroundSet.uniform(csp.ground))
-    assert len(calls) > 2 * csp.m and max(value for value, _, _ in calls) > 1
-    for value, before, after in calls:
-        assert len(before) <= 1 and len(after) == 1
-        if value > 1:
-            assert after[0] is before[0]
+    assert len(calls) > 2 * csp.m and max(value for _, _, value, _, _ in calls) > 1
+    for state, cls, value, before, after in calls:
+        if value == 1:
+            assert before is None
+            start = state, cls, after
+        else:
+            assert state is start[0] and cls is start[1] and before is after is start[2]
 
 
 def test_construct_partial_precondition():
@@ -398,7 +403,7 @@ def test_construct_partial_h_is_partial_solution():
 def test_step_trivial_source():
     csp = Csp(tuple(range(4)), 4, ())
     wts = WeightedGroundSet.uniform(csp.ground)
-    result = step(csp, identity_reduction(csp), wts)
+    result = step(identity_reduction(csp), wts)
     assert result.covered_fraction == 1
     assert len(result.g) == 4
 
@@ -407,7 +412,7 @@ def test_step_covers_half_and_certifies():
     for seed in (0, 3, 9):
         csp = random_measurable_csp(seed, max_ground=90)
         wts = WeightedGroundSet.uniform(csp.ground)
-        result = step(csp, identity_reduction(csp), wts)
+        result = step(identity_reduction(csp), wts)
         assert result.covered_fraction >= Fraction(1, 2)
         assert result.certificates["target_(16,2^-32)"]
         assert result.certificates["p*d(rho)^2<=1/4"]
@@ -575,7 +580,7 @@ def oracle_cover_family(source, seed=0, budget=1 << 16, cap_bits=DEFAULT_CAP_BIT
             visit(level + 1, state, {**h, **g})
             state.restore(start)
 
-    visit(0, _LevelState(encoded, stats(encoded, cap_bits).p, cap_bits), {})
+    visit(0, MutableLevelState(encoded, stats(encoded, cap_bits).p, cap_bits), {})
     return members, len(classes), counts, certificates, route
 
 
@@ -700,8 +705,69 @@ def test_cover_family_coverage_by_dangerous_set_matches_per_leaf_oracle():
 
 # ------------------------------------- cover walk against the copying walk
 
-class CopyingLevelState(_LevelState):
-    """`_LevelState` with `descend` as it stood before its early return:
+class MutableLevelState:
+    """The level state as it stood while the walks changed it in place and
+    went back to a `snapshot()` by `restore`, with a quiet memo keyed by
+    ids; the value `_LevelState` must make the same states."""
+
+    def __init__(self, csp: Csp, p: Fraction, cap_bits: int):
+        self.p = p
+        self.cap_bits = cap_bits
+        self.constraints = list(csp.constraints)
+        self.probs = [probability(c, cap_bits) for c in csp.constraints]
+        self.p_max = max(self.probs, default=Fraction(0))
+        self.original_domains = [frozenset(c.domain) for c in csp.constraints]
+        self.meeting = csp.meeting
+        self.frozen = [_is_dangerous(pr, p) for pr in self.probs]
+        self.dangerous = frozenset().union(
+            *(dom for dom, frozen in zip(self.original_domains, self.frozen) if frozen))
+        self.quiet: Dict[Tuple[int, int], tuple] = {}   # -> (cls, constraints, g's keys, quiet)
+
+    def snapshot(self):
+        return self.constraints, self.probs, self.p_max, self.frozen, self.dangerous
+
+    def restore(self, snap):
+        self.constraints, self.probs, self.p_max, self.frozen, self.dangerous = snap
+
+    def descend(self, cls: Sequence[int], value: int) -> Tuple[PartialAssignment, List[int]]:
+        """One level: fix the elements of `cls` outside the dangerous set to
+        `value`, restrict every live constraint they meet, and freeze those
+        whose conditional probability passes sqrt(p).  Returns the
+        assignment made and the indices of the restricted constraints."""
+        constraints, probs, frozen = self.constraints, self.probs, self.frozen
+        memo = self.quiet.get((id(cls), id(constraints)))
+        if memo is None or memo[0] is not cls or memo[1] is not constraints:
+            keys = [x for x in cls if x not in self.dangerous]
+            quiet = not any(not frozen[i] and constraints[i].domain
+                            for x in keys for i in self.meeting.get(x, ()))
+            memo = self.quiet[id(cls), id(constraints)] = cls, constraints, keys, quiet
+        g = const_assignment(memo[2], value)
+        changed: List[int] = []
+        if memo[3]:
+            return g, changed  # nothing live meets g: every state list stays as it is
+        constraints, probs, frozen = list(constraints), list(probs), list(frozen)
+        newly_frozen = []
+        for i in sorted({i for x in g for i in self.meeting.get(x, ())}):
+            if frozen[i] or g.keys().isdisjoint(constraints[i].domain):
+                continue
+            changed.append(i)
+            constraints[i] = restrict_constraint(constraints[i], g)
+            probs[i] = probability(constraints[i], self.cap_bits)
+            if _is_dangerous(probs[i], self.p):
+                frozen[i] = True
+                newly_frozen.append(self.original_domains[i])
+        if changed:
+            # the old maximum survives unless a restricted constraint held it
+            held = any(self.probs[i] == self.p_max for i in changed)
+            self.p_max = max(probs) if held else max(self.p_max, *(probs[i] for i in changed))
+            self.constraints, self.probs, self.frozen = constraints, probs, frozen
+        if newly_frozen:
+            self.dangerous = self.dangerous.union(*newly_frozen)
+        return g, changed
+
+
+class CopyingLevelState(MutableLevelState):
+    """`MutableLevelState` with `descend` as it stood before its early return:
     every level builds and sorts the set of constraints its g meets."""
 
     def descend(self, cls, value):
@@ -780,7 +846,7 @@ def recursive_family_leaves(encoded, classes, conn, p, cap_bits):
             memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
         return memos[k][key]
 
-    h, state = {}, _LevelState(encoded, p, cap_bits)
+    h, state = {}, MutableLevelState(encoded, p, cap_bits)
 
     def visit(level, values):   # source element -> value, None where undefined
         if level == len(classes):
@@ -1010,32 +1076,54 @@ FREEZING_PROGRAM = (
 @given(descend_programs())
 def test_descend_memo_matches_copying_descend(program):
     # the memoized quiet test answers exactly as a fresh scan: after every
-    # call both states agree in g (keys and order), the changed constraints
-    # and the whole state, also on repeated classes and after a freeze has
-    # replaced the state or a restore has brought an old one back
+    # call the value state and the copying state agree in g (keys and
+    # order), the changed constraints and the whole state, also on repeated
+    # classes and after a freeze has replaced the state or a restore has
+    # gone back to an old one (a snapshot of the value state is the state)
     csp, classes, calls = program
     p = stats(csp).p
-    memoized = _LevelState(csp, p, DEFAULT_CAP_BITS)
+    state = _LevelState.root(csp, p, DEFAULT_CAP_BITS)
     copying = CopyingLevelState(csp, p, DEFAULT_CAP_BITS)
     snapshots = []
     for call in calls:
         if call[0] == "snapshot":
-            snapshots.append((memoized.snapshot(), copying.snapshot()))
+            snapshots.append((state, copying.snapshot()))
         elif call[0] == "restore" and snapshots:
-            snap, copied = snapshots[call[1] % len(snapshots)]
-            memoized.restore(snap)
+            state, copied = snapshots[call[1] % len(snapshots)]
             copying.restore(copied)
         elif call[0] == "descend":
-            g, changed = memoized.descend(classes[call[1]], call[2])
+            g, changed, state = state.descend(classes[call[1]], call[2])
             want_g, want_changed = copying.descend(classes[call[1]], call[2])
             assert list(g.items()) == list(want_g.items()) and changed == want_changed
-        assert state_view(memoized) == state_view(copying)
+        assert state_view(state) == state_view(copying)
+
+
+@example(FREEZING_PROGRAM)
+@given(descend_programs())
+def test_descend_returns_a_new_state_and_keeps_its_own(program):
+    # a state is a value: `descend` leaves the state it starts from, and
+    # every state made before, as they were, and returns the state itself
+    # exactly when it restricted no constraint
+    csp, classes, calls = program
+    state = _LevelState.root(csp, stats(csp).p, DEFAULT_CAP_BITS)
+    states = [(state, state_view(state))]
+    for call in calls:
+        if call[0] == "restore":
+            state = states[call[1] % len(states)][0]
+        elif call[0] == "descend":
+            before = state_view(state)
+            g, changed, after = state.descend(classes[call[1]], call[2])
+            assert state_view(state) == before
+            assert (after is state) == (not changed)
+            state = after
+            states.append((state, state_view(state)))
+    assert all(state_view(state) == view for state, view in states)
 
 
 def test_descend_memo_program_freezes():
     # the pinned example of the memo test does meet frozen constraints
     csp, classes, calls = FREEZING_PROGRAM
-    state = _LevelState(csp, stats(csp).p, DEFAULT_CAP_BITS)
+    state = MutableLevelState(csp, stats(csp).p, DEFAULT_CAP_BITS)
     state.descend(classes[0], 1)
     assert state.frozen == [True, False] and state.dangerous == {0, 1}
 

@@ -1,9 +1,13 @@
+import importlib
 import itertools
+import random
+from dataclasses import astuple
 
 import pytest
 
 from locallemma.errors import InfeasibleParamsError
 from locallemma.generate import (
+    GadgetLayout,
     gadget_build,
     gadget_layout,
     generate,
@@ -120,3 +124,45 @@ def test_gadget_chromatic_preserved_small():
         assert h.max_degree() <= 3
         if is_k_colorable(g, 2):
             assert is_k_colorable(h, 2)
+
+
+class IndexGadgetLayout(GadgetLayout):
+    """The gadget's vertex ids as they stood when each one looked its
+    source vertex up in the source order by `index`."""
+
+    def u_id(self, x, alpha):
+        return self.source_order.index(x) * self.block + alpha
+
+    def v_id(self, x, i):
+        return self.source_order.index(x) * self.block + (self.c + 1) + (i - 1)
+
+
+def relabeled(graph, scale):
+    """`graph` with vertex v renamed to scale * (n - v) + 1, so that the
+    source order is neither the ids nor their positions."""
+    n = len(graph.vertices)
+    name = {v: scale * (n - v) + 1 for v in graph.vertices}
+    return build_graph([name[v] for v in graph.vertices],
+                       [(name[u], name[v]) for u, v in graph.edges])
+
+
+def test_gadget_matches_index_layout_oracle(monkeypatch):
+    # equal gadget graphs and lifted colorings from the position map and
+    # from `source_order.index`, on random regular graphs and tori
+    graphs = [(generate("random_regular", {"n": n, "d": d}, seed=seed), k)
+              for n, d, k in ((12, 4, 2), (40, 4, 2), (30, 5, 3))
+              for seed in (0, 1)]
+    graphs.append((generate("torus_grid", {"rows": 4, "cols": 5}), 2))
+    graphs += [(relabeled(graph, 3), k) for graph, k in graphs[:4]]
+    rng = random.Random(0)
+    for graph, k in graphs:
+        coloring = {x: rng.randint(1, k) for x in graph.vertices}
+        built, lifted = gadget_build(graph, k), lift_coloring(graph, k, coloring)
+        with monkeypatch.context() as patch:
+            # the package re-exports the function `generate` under the module's name
+            patch.setattr(importlib.import_module("locallemma.generate"), "gadget_layout",
+                          lambda g, k: IndexGadgetLayout(*astuple(gadget_layout(g, k))))
+            want, want_lifted = gadget_build(graph, k), lift_coloring(graph, k, coloring)
+        assert (built.vertices, built.edges, built.structure) == \
+            (want.vertices, want.edges, want.structure)
+        assert list(lifted.items()) == list(want_lifted.items())

@@ -5,9 +5,9 @@ Every private module-level function or class is named somewhere else in
 `src/`, so a change cannot leave a dead helper behind.  No function imports
 from a sibling module that its module already imports from at top level,
 so an import kept inside a function is one that closes a cycle.  Every
-public module-level name is named in `src/`, `scripts/` or `perfbench/`, or
-is on the explicit `API` list of names that only tests and library users
-reach."""
+public module-level name, and every method of a `src/` class other than a
+dunder, is named in `src/`, `scripts/` or `perfbench/`, or is on the
+explicit `API` list of names that only tests and library users reach."""
 
 import ast
 from collections import Counter
@@ -130,17 +130,32 @@ def top_level_names(tree):
             yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
 
 
+def methods(tree):
+    """("Class.method", name, defining node) for each method of each
+    module-level class, dunders aside."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    yield f"{cls.name}.{node.name}", node.name, node
+
+
 def unreferenced_public_names(sources: dict, users: list) -> list:
-    """(module, name) of each public module-level name in `sources` that no
-    source names outside its own definition and no text in `users` names.
-    Any name or attribute spelled the same counts as a use, so the check
-    can miss a dead name but does not flag one that is read."""
+    """(module, name) of each public module-level name in `sources`, and
+    (module, "Class.method") of each method of a class in `sources`, that
+    no source names outside its own definition and no text in `users`
+    names.  Any name or attribute spelled the same counts as a use, so the
+    check can miss a dead name but does not flag one that is read."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     named = sum((names(tree) for tree in trees.values()), Counter())
     named += sum((names(ast.parse(text)) for text in users), Counter())
-    return [(module, name) for module, tree in trees.items()
-            for name, node in top_level_names(tree)
-            if not name.startswith("_") and named[name] == names(node)[name]]
+    public = [(module, name) for module, tree in trees.items()
+              for name, node in top_level_names(tree)
+              if not name.startswith("_") and named[name] == names(node)[name]]
+    return public + [(module, qualified) for module, tree in trees.items()
+                     for qualified, name, node in methods(tree)
+                     if named[name] == names(node)[name]]
 
 
 def test_public_checker_flags_only_unnamed_definitions():
@@ -155,13 +170,36 @@ def test_public_checker_flags_only_unnamed_definitions():
         ("a.py", "PLANTED"), ("a.py", "recursive"), ("a.py", "Planted")]
 
 
+def test_public_checker_flags_only_unnamed_methods():
+    sources = {
+        "a.py": ("class Shape:\n"
+                 "    def __init__(self): self.area()\n"
+                 "    def area(self): return 1\n"
+                 "    @property\n    def side(self): return 2\n"
+                 "    @classmethod\n    def unit(cls): return cls()\n"
+                 "    def grow(self, n):\n        return self.grow(n - 1)\n"
+                 "    def _hidden(self): pass\n"
+                 "    def read_by_user(self): pass\n"
+                 "class _Private:\n    def orphan(self): pass\n"
+                 "def make(): return Shape.unit()\n"),
+        "b.py": "from .a import make\nprint(make().side)\n",
+    }
+    users = ["import a\nprint(a.Shape().read_by_user())\n"]
+    assert unreferenced_public_names(sources, users) == [
+        ("a.py", "Shape.grow"), ("a.py", "Shape._hidden"), ("a.py", "_Private.orphan")]
+
+
 # Public names that only tests and library users reach.  `__init__.py`
 # re-exports by import, so it is not counted as a use.
 API = {
+    # README documents hex forms and reading them back with `from_hex`
+    ("canonical.py", "CanonicalForm.from_hex"),
     ("compilers.py", "bootstrap"),
     ("connect.py", "validate_reduction"),
     ("engine.py", "branch_trace"),
     ("engine.py", "check_partial_solution"),
+    # the vertices whose degree the gadget's correctness proof pins at d - 1
+    ("generate.py", "GadgetLayout.v_ids"),
     ("generate.py", "lift_coloring"),
     ("graphcsp.py", "decode_graph_csp"),
     ("graphs.py", "power_graph"),
