@@ -10,7 +10,6 @@ from .connect import (
     identity_connection,
     identity_reduction,
     pull_partial,
-    validate_reduction,
 )
 from .csp import (
     Constraint,

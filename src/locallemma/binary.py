@@ -16,10 +16,11 @@ takes O(1) memory and O(N) time per decode, whatever the range size n is.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from .connect import Connection, Reduction
+from .connect import Connection, Reduction, identity_reduction
 from .csp import Constraint, Csp, Fixed
 
 
@@ -89,6 +90,20 @@ class BlockCode:
         return count_codes(lo, hi, fixed, self.N)
 
 
+@dataclass(frozen=True)
+class BlockDecode:
+    """One element's decoder: `code.value_of` on its `bits`, once each is 1 or 2."""
+
+    code: BlockCode
+    bits: Tuple[int, ...]
+
+    def __call__(self, view: Dict[int, int]) -> Optional[int]:
+        values = tuple(view.get(z) for z in self.bits)
+        if any(b not in (1, 2) for b in values):
+            return None
+        return self.code.value_of(values)
+
+
 def _encode_constraint(src: Constraint, code: BlockCode,
                        zids: Dict[Tuple[int, int], int]) -> Constraint:
     """Binary view of `src`: a `Fixed` body over every bit position of its
@@ -126,41 +141,29 @@ def binary_reduce(csp: Csp, epsilon: Fraction):
     """(binary CSP D on Y x [N], reduction csp <- D).
 
     Guarantees p(D) <= (1+epsilon) p(csp) and d(D) = d(csp); the decoding
-    connection has width N per source element.
+    connection has width N per source element.  A range-2 CSP is its own
+    encoding (N = 1, the identity block code), with the identity reduction.
     """
     if csp.m < 2:
         raise ValueError("binary reduction needs range size >= 2")
+    if csp.m == 2:
+        return csp, identity_reduction(csp)
     epsilon = Fraction(epsilon)
     delta = choose_delta(epsilon, csp.bound())
     N = choose_bits(csp.m, delta)
     code = BlockCode(csp.m, N)
 
-    y_index = {y: i for i, y in enumerate(csp.ground)}
-    zids = {(y, j): y_index[y] * N + (j - 1) for y in csp.ground for j in range(1, N + 1)}
-    ground = tuple(zids[(y, j)] for y in csp.ground for j in range(1, N + 1))
+    zids = {(y, j): i * N + (j - 1) for i, y in enumerate(csp.ground) for j in range(1, N + 1)}
+    ground = tuple(range(len(csp.ground) * N))   # the bits of each element in ground order
 
     constraints = tuple(_encode_constraint(c, code, zids) for c in csp.constraints)
     encoded = Csp(ground, 2, constraints)
 
-    det_sets = {y: frozenset(zids[(y, j)] for j in range(1, N + 1)) for y in csp.ground}
-
-    def rule_for(y):
-        positions = [zids[(y, j)] for j in range(1, N + 1)]
-
-        def rule(view: Dict[int, int]):
-            if any(z not in view for z in positions):
-                return None
-            bits = tuple(view[z] for z in positions)
-            if any(b not in (1, 2) for b in bits):
-                return None
-            return code.value_of(bits)
-
-        return rule
-
+    bits = {y: tuple(zids[(y, j)] for j in range(1, N + 1)) for y in csp.ground}
     tau = Connection(
         source=csp.ground,
         target=ground,
-        det_sets=det_sets,
-        rules={y: rule_for(y) for y in csp.ground},
+        det_sets={y: frozenset(bits[y]) for y in csp.ground},
+        rules={y: BlockDecode(code, bits[y]) for y in csp.ground},
     )
     return encoded, Reduction(tau, encoded)

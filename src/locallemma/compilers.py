@@ -181,9 +181,9 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
     doms = {x: tuple(sorted(outer[x][0].graph.vertices)) for x in graph.vertices}
     symmetric = alg.symmetric_at(m) and problem.verifier.symmetric_at(m)
     if symmetric:
-        bits = log2(max((_growth_string_count(len(d), m) for d in doms.values()), default=1))
-        if bits > cap_bits:
-            raise EnumerationCapError(bits, cap_bits, what="seed patterns")
+        count = max((_growth_string_count(len(d), m) for d in doms.values()), default=1)
+        if count > 1 << cap_bits:
+            raise EnumerationCapError(log2(count), cap_bits, what="seed patterns")
     constraints = [Constraint.from_predicate(doms[x], m, *make_pred(x, doms[x]), tag=f"B_{x}")
                    for x in graph.vertices]
     compiled = Csp(tuple(graph.vertices), m, tuple(constraints))
@@ -281,7 +281,7 @@ def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
         p_bound = Fraction(1, n)
         w_tau = ball_r
         d_tau = w_tau * (d_bound + 1)
-        d_rho_bound = max(red_in.width(), 1) * d_tau
+        d_rho_bound = max(red_in.connection.width(), 1) * d_tau
         ineq1 = p_bound * (d_bound + 1) ** N
         ineq2 = p_bound * Fraction(d_rho_bound) ** N
         entry = {

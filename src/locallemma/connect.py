@@ -6,8 +6,10 @@ Monotonicity — an extension of a view never changes a defined output — is
 a tested contract of every registered construction, and rules must return
 a value on any total view of S(x).  Rules are pure functions of their
 view: equal views give equal outputs, and a rule keeps no state between
-calls (`rand_to_csp`'s decoder, `pull_partial`'s residual rules and
-`compose` all are), so callers may memoize a rule on its view.
+calls, so callers may memoize a rule on its view.  The library's rules
+are frozen records called on a view (`Identity`, `Residual`, `Composed`
+and `binary.BlockDecode`); a pull-back merges into its `Residual`, and
+`compose` wraps nothing around an identity.
 """
 
 from __future__ import annotations
@@ -15,7 +17,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .csp import Csp, PartialAssignment, is_solution, restrict_csp, solutions_exhaustive
+from .csp import Csp, PartialAssignment, restrict_csp
+
+
+@dataclass(frozen=True)
+class Identity:
+    """The value of target element `x`, where the view has it."""
+
+    x: int
+
+    def __call__(self, view: Dict[int, int]) -> Optional[int]:
+        return view.get(self.x)
+
+
+@dataclass(frozen=True)
+class Residual:
+    """`base` on the view with `fixed`, sorted (element, value) pairs, set."""
+
+    base: Callable
+    fixed: Tuple[Tuple[int, int], ...]
+
+    def __call__(self, view: Dict[int, int]) -> Optional[int]:
+        merged = dict(self.fixed)
+        merged.update(view)
+        return self.base(merged)
+
+
+@dataclass(frozen=True)
+class Composed:
+    """`outer` on the values of the (element, determining set, rule) `inner`."""
+
+    outer: Callable
+    inner: Tuple[Tuple[int, Tuple[int, ...], Callable], ...]
+
+    def __call__(self, view: Dict[int, int]) -> Optional[int]:
+        mid = {}
+        for y, det, rule in self.inner:
+            value = rule({z: view[z] for z in det if z in view})
+            if value is not None:
+                mid[y] = value
+        return self.outer(mid)
 
 
 @dataclass(frozen=True)
@@ -24,7 +65,6 @@ class Connection:
     target: Tuple[int, ...]
     det_sets: Mapping[int, frozenset]
     rules: Mapping[int, Callable[[Dict[int, int]], Optional[int]]]
-    identity: bool = False   # set by identity_connection; compose skips it
 
     def __post_init__(self):
         missing = [x for x in self.source if x not in self.det_sets or x not in self.rules]
@@ -49,52 +89,35 @@ def apply(conn: Connection, f: PartialAssignment) -> PartialAssignment:
 
 def identity_connection(ground) -> Connection:
     ground = tuple(ground)
-
-    def rule_for(x):
-        def rule(view: Dict[int, int]):
-            return view.get(x)
-        return rule
-
     return Connection(
         source=ground,
         target=ground,
         det_sets={x: frozenset([x]) for x in ground},
-        rules={x: rule_for(x) for x in ground},
-        identity=True,
+        rules={x: Identity(x) for x in ground},
     )
 
 
 def compose(rho: Connection, sigma: Connection) -> Connection:
     """rho after sigma: X <- Y composed with Y <- Z gives X <- Z with
     S(x) = union of sigma's determining sets over S_rho(x).  Identity is
-    the unit: with it on either side, the other side's sets and rules."""
-    if rho.identity or sigma.identity:
-        kept = sigma if rho.identity else rho
-        return Connection(
-            source=rho.source,
-            target=sigma.target,
-            det_sets={x: kept.det_sets[x] for x in rho.source},
-            rules={x: kept.rules[x] for x in rho.source},
-        )
+    the unit rule by rule: where rho's rule for x is `Identity(y)` on {y},
+    x gets sigma's set and rule for y; where every sigma rule that x reads
+    is an identity, x keeps rho's set and rule.  Elsewhere x gets one
+    `Composed` rule."""
+    units = {y for y, rule in sigma.rules.items()   # Identity(y) on {y}
+             if isinstance(rule, Identity) and rule.x == y and sigma.det_sets[y] == {y}}
     det_sets = {}
     rules = {}
     for x in rho.source:
-        inner = rho.det_sets[x]
-        union = frozenset().union(*(sigma.det_sets[y] for y in inner)) if inner else frozenset()
-        det_sets[x] = union
-
-        def rule_for(x=x, inner=tuple(inner)):
-            def rule(view: Dict[int, int]):
-                mid = {}
-                for y in inner:
-                    sub = {z: view[z] for z in sigma.det_sets[y] if z in view}
-                    val = sigma.rules[y](sub)
-                    if val is not None:
-                        mid[y] = val
-                return rho.rules[x](mid)
-            return rule
-
-        rules[x] = rule_for()
+        inner, rule = rho.det_sets[x], rho.rules[x]
+        if isinstance(rule, Identity) and inner == {rule.x}:
+            det_sets[x], rules[x] = sigma.det_sets[rule.x], sigma.rules[rule.x]
+        elif inner <= units:
+            det_sets[x], rules[x] = inner, rule
+        else:
+            det_sets[x] = frozenset().union(*(sigma.det_sets[y] for y in inner))
+            rules[x] = Composed(rule, tuple((y, tuple(sigma.det_sets[y]), sigma.rules[y])
+                                            for y in inner))
     return Connection(
         source=rho.source,
         target=sigma.target,
@@ -106,13 +129,10 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
 @dataclass(frozen=True)
 class Reduction:
     """Connection plus target CSP; solutions of the target pull back to
-    solutions of the source (checked by `validate_reduction`)."""
+    solutions of the source."""
 
     connection: Connection
     target: Csp
-
-    def width(self) -> int:
-        return self.connection.width()
 
     def degree(self) -> int:
         """max over x of the number of target constraints meeting S(x)."""
@@ -127,26 +147,23 @@ def identity_reduction(csp: Csp) -> Reduction:
 
 def pull_partial(red: Reduction, g: PartialAssignment):
     """Pull a partial solution g of the target back to the source, and
-    build the residual reduction (source/g-image) <- (target/g)."""
+    build the residual reduction (source/g-image) <- (target/g).  Each
+    remaining element's rule becomes a `Residual` with g's values on its
+    determining set fixed; a rule that already is one takes them into its
+    own fixed values, so residual rules stay one record deep."""
     conn = red.connection
     g_source = apply(conn, g)
     residual_target = restrict_csp(red.target, g)
     remaining = tuple(x for x in conn.source if x not in g_source)
-    fixed = dict(g)
 
     det_sets = {}
     rules = {}
     for x in remaining:
-        det_sets[x] = frozenset(y for y in conn.det_sets[x] if y not in fixed)
-
-        def rule_for(x=x):
-            def rule(view: Dict[int, int]):
-                merged = {y: fixed[y] for y in conn.det_sets[x] if y in fixed}
-                merged.update(view)
-                return conn.rules[x](merged)
-            return rule
-
-        rules[x] = rule_for()
+        det_sets[x] = frozenset(y for y in conn.det_sets[x] if y not in g)
+        rule, fixed = conn.rules[x], tuple((y, g[y]) for y in conn.det_sets[x] if y in g)
+        if isinstance(rule, Residual):
+            rule, fixed = rule.base, rule.fixed + fixed
+        rules[x] = Residual(rule, tuple(sorted(fixed)))
     residual_conn = Connection(
         source=remaining,
         target=residual_target.ground,
@@ -154,22 +171,3 @@ def pull_partial(red: Reduction, g: PartialAssignment):
         rules=rules,
     )
     return g_source, Reduction(residual_conn, residual_target)
-
-
-def validate_reduction(red: Reduction, source: Csp, cap_bits: int = 16,
-                       limit: int = 512) -> Reduction:
-    """Solve the target exhaustively (capped) and check that every decoded
-    solution solves the source; returns the reduction."""
-    checked = 0
-    for f in solutions_exhaustive(red.target, cap_bits):
-        decoded = apply(red.connection, f)
-        missing = [x for x in red.connection.source if x not in decoded]
-        if missing:
-            raise AssertionError(f"decoded solution not total at {missing[:5]}")
-        ok, violated = is_solution(source, decoded)
-        if not ok:
-            raise AssertionError(f"decoded solution violates constraints {violated[:5]}")
-        checked += 1
-        if checked >= limit:
-            break
-    return red

@@ -108,10 +108,9 @@ class Constraint:
 
     def _body(self, cap_bits: int, what: str):
         """The predicate's members, enumerated lazily; the cap is checked
-        at once, and a cap-out names `what`."""
-        bits = self.arity() * log2(self.m) if self.m > 1 else 0
-        if bits > cap_bits:
-            raise EnumerationCapError(bits, cap_bits, what=what)
+        at once, in integers, and a cap-out names `what`."""
+        if self.m ** self.arity() > 1 << cap_bits:
+            raise EnumerationCapError(self.arity() * log2(self.m), cap_bits, what=what)
         return (values for values in product(range(1, self.m + 1), repeat=self.arity())
                 if self.predicate(values))
 
@@ -256,9 +255,9 @@ def is_solution(csp: Csp, assignment: Dict[int, int]):
 
 def solutions_exhaustive(csp: Csp, cap_bits: int = DEFAULT_CAP_BITS):
     """Yield every solution; capped at m^|ground| <= 2^cap_bits."""
-    bits = len(csp.ground) * log2(csp.m) if csp.m > 1 else 0
-    if bits > cap_bits:
-        raise EnumerationCapError(bits, cap_bits, what="solution enumeration")
+    if csp.m ** len(csp.ground) > 1 << cap_bits:
+        raise EnumerationCapError(len(csp.ground) * log2(csp.m), cap_bits,
+                                  what="solution enumeration")
     for values in product(range(1, csp.m + 1), repeat=len(csp.ground)):
         assignment = dict(zip(csp.ground, values))
         if is_solution(csp, assignment)[0]:

@@ -55,6 +55,11 @@ def _residual_margin(p: Fraction, d: int) -> Fraction:
     return RESIDUAL_EPS - p * (d + 1) ** RESIDUAL_N
 
 
+def _partial_surrogate(p: Fraction, d: int, m: int) -> Tuple[Fraction, Fraction]:
+    """(p (d+1)^2, 0.1353/m^2): the partial-solution surrogate holds if first <= second."""
+    return p * (d + 1) ** 2, INV_E2_LOWER / (m * m)
+
+
 def _halves(p: Fraction, d_rho: int) -> bool:
     """p d(rho)^2 <= 1/4, i.e. d(rho) sqrt(p) <= 1/2: h covers half the weight."""
     return p * Fraction(d_rho) ** 2 <= Fraction(1, 4)
@@ -203,9 +208,6 @@ class QuadExpr:
             return (lhs > rhs) - (lhs < rhs)
         return (rhs > lhs) - (rhs < lhs)
 
-    def __le__(self, other: "QuadExpr") -> bool:
-        return (self - other).sign() <= 0
-
     def __lt__(self, other: "QuadExpr") -> bool:
         return (self - other).sign() < 0
 
@@ -321,11 +323,10 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
     n = csp.m
     st = stats(csp, cap_bits)
     p, d = st.p, st.d
-    surrogate = INV_E2_LOWER / Fraction(n * n)
-    if p * (d + 1) ** 2 > surrogate:
+    lhs, surrogate = _partial_surrogate(p, d, n)
+    if lhs > surrogate:
         raise StepInfeasibleError(
-            f"partial-solution precondition fails: p(d+1)^2 = {p * (d + 1) ** 2} "
-            f"> {surrogate}")
+            f"partial-solution precondition fails: p(d+1)^2 = {lhs} > {surrogate}")
 
     classes = discrete_partition(csp)
     d_rho = red.degree()
@@ -640,7 +641,8 @@ def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
 
     encoded, sigma, est, d_sigma = _binary_stage(red_in, cap_bits)
     p, d = est.p, est.d
-    if p * (d + 1) ** 2 > INV_E2_LOWER / 4:
+    lhs, surrogate = _partial_surrogate(p, d, 2)
+    if lhs > surrogate:
         raise StepInfeasibleError(
             "binary target fails the partial-solution precondition")
     if not _halves(p, d_sigma):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import InfeasibleParamsError
 from .graphs import StructuredGraph, build_graph
@@ -56,20 +56,18 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
         if n * d % 2 != 0 or d >= n or d < 0:
             raise InfeasibleParamsError("need n*d even and 0 <= d < n")
         rng = derived_rng(seed, "random_regular", n, d)
-        for _ in range(10_000):
+        for _ in range(10_000):   # the pairing model, restarted on a loop or a repeated edge
             stubs = [v for v in range(n) for _ in range(d)]
             rng.shuffle(stubs)
             edges = set()
-            ok = True
-            for i in range(0, len(stubs), 2):
-                u, v = stubs[i], stubs[i + 1]
-                if u == v or tuple(sorted((u, v))) in edges:
-                    ok = False
+            for pair in zip(stubs[::2], stubs[1::2]):
+                edge = tuple(sorted(pair))
+                if edge[0] == edge[1] or edge in edges:
                     break
-                edges.add(tuple(sorted((u, v))))
-            if ok:
+                edges.add(edge)
+            else:
                 return build_graph(range(n), edges)
-        raise InfeasibleParamsError("pairing model failed to produce a simple graph")
+        return build_graph(range(n), _switched_regular(n, d, rng))
     if kind == "random_tree":
         n = _strict_int(params["n"], "n")
         if n < 1:
@@ -95,6 +93,24 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
         edges.append((u, v))
         return build_graph(range(n), edges)
     raise InfeasibleParamsError(f"unknown generator kind {kind!r}")
+
+
+def _switched_regular(n: int, d: int, rng) -> List[Tuple[int, int]]:
+    """Edges of a simple d-regular graph on range(n) (n d even, d < n): the
+    circulant v ~ v +- 1..d/2 (and v ~ v + n/2 for odd d) after n d seeded
+    double-edge switchings, each kept when it makes no loop or repeated edge."""
+    edges = [tuple(sorted((v, (v + s) % n))) for v in range(n) for s in range(1, d // 2 + 1)]
+    edges += [(v, v + n // 2) for v in range(n // 2)] if d % 2 else []
+    present = set(edges)
+    for _ in range(n * d):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        (a, b), (c, e) = edges[i], edges[j] if rng.randrange(2) else edges[j][::-1]
+        new = tuple(sorted((a, c))), tuple(sorted((b, e)))
+        if a != c and b != e and present.isdisjoint(new):
+            present.difference_update((edges[i], edges[j]))
+            present.update(new)
+            edges[i], edges[j] = new
+    return edges
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .csp import Constraint, Csp, stats
-from .engine import INV_E2_LOWER, lll_check
+from .engine import _partial_surrogate, lll_check
 from .rng import derived_rng
 
 
@@ -74,7 +74,8 @@ def random_binary_lowp_csp(seed: int, max_ground: int = 60, max_degree: int = 4)
             constraints.append(Constraint.explicit(dom, 2, body))
         csp = Csp(tuple(ground), 2, tuple(constraints))
         st = stats(csp)
-        if st.d <= max_degree and st.p * (st.d + 1) ** 2 <= INV_E2_LOWER / 4:
+        lhs, surrogate = _partial_surrogate(st.p, st.d, 2)
+        if st.d <= max_degree and lhs <= surrogate:
             return csp
 
 

@@ -108,12 +108,22 @@ def _strict_int(value, where: str, low: Optional[int] = None) -> int:
     return value
 
 
+def _strict_container(value, kind: type, where: str):
+    """`value` if it is a `kind` (list or dict); anything else is refused,
+    with the field named, rather than read as another container."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: expected {'a list' if kind is list else 'an object'}, "
+                         f"got {value!r}")
+    return value
+
+
 def csp_from_json(data: dict) -> Csp:
     constraints = []
     ground = tuple(_strict_int(x, f"ground[{i}]") for i, x in enumerate(data["ground"]))
     m = _strict_int(data["m"], "m")
-    for i, entry in enumerate(data["constraints"]):
+    for i, entry in enumerate(_strict_container(data["constraints"], list, "constraints")):
         at = f"constraints[{i}]"
+        entry = _strict_container(entry, dict, at)
         domain = [_strict_int(x, f"{at}.domain[{j}]") for j, x in enumerate(entry["domain"])]
         if "forbidden" in entry and "predicate" in entry:
             raise ValueError(f"{at}: has both 'forbidden' and 'predicate'")
@@ -122,8 +132,10 @@ def csp_from_json(data: dict) -> Csp:
                 tuple(_strict_int(v, f"{at}.forbidden[{k}][{j}]") for j, v in enumerate(member))
                 for k, member in enumerate(entry["forbidden"])]))
         elif "predicate" in entry:
-            name = entry["predicate"]["name"]
-            params = entry["predicate"].get("params", {})
+            predicate = _strict_container(entry["predicate"], dict, f"{at}.predicate")
+            name = predicate["name"]
+            params = _strict_container(predicate.get("params", {}), dict,
+                                       f"{at}.predicate.params")
             if name not in PREDICATES:
                 raise ValueError(f"unknown predicate {name!r}")
             factory, spec = PREDICATES[name]
@@ -167,13 +179,14 @@ def weights_to_json(wts: WeightedGroundSet) -> dict:
 
 def weights_from_json(data: dict) -> WeightedGroundSet:
     weights = {}
-    for i, (x, w) in enumerate(data["weights"]):
+    for i, (x, w) in enumerate(_strict_container(data["weights"], list, "weights")):
         x = _strict_int(x, f"weights[{i}][0]")
         if x in weights:
             raise ValueError(f"weights[{i}][0]: duplicate id {x}")
-        if not isinstance(w, str):
-            raise ValueError(f"weights[{i}][1]: expected a rational string, got {w!r}")
-        weights[x] = fraction_from_str(w)
+        try:   # refused: a non-string (read as ""), or text such as "1/0" or "half"
+            weights[x] = fraction_from_str(w if isinstance(w, str) else "")
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"weights[{i}][1]: expected a rational string, got {w!r}") from None
     return WeightedGroundSet(weights)
 
 

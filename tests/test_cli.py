@@ -126,10 +126,21 @@ def test_pipeline_reports_reproducible(tmp_path):
 
 
 def test_reports_identical_across_hash_seeds(tmp_path):
-    # reports must not depend on set/dict iteration order of hashed keys
-    gpath = tmp_path / "g.json"
+    # reports (and the weighted solver's trace file) must not depend on
+    # set/dict iteration order of hashed keys; `csp cover` runs a range-2
+    # CSP, which is its own binary encoding, and a range-3 one, which is not
+    from locallemma.graphs import build_graph
+    from locallemma.randgen import random_measurable_csp
+
+    gpath, star, meas = tmp_path / "g.json", tmp_path / "star5.json", tmp_path / "meas.json"
     assert run(["gen", "--kind", "directed_cycle", "--params", '{"n": 64}',
                 "--out", str(gpath)]) == 0
+    dump_json(graph_to_json(build_graph(range(5), [(0, i) for i in range(1, 5)])), star)
+    dump_json(csp_to_json(random_measurable_csp(900, max_ground=40)), meas)
+    covers = {2: random_cover_csp(1, max_levels=10),
+              3: Csp(tuple(range(5)), 3, (Constraint.explicit((0, 1, 2, 3), 3, [(1, 2, 3, 1)]),))}
+    for m, csp in covers.items():
+        dump_json(csp_to_json(csp), tmp_path / f"cover{m}.json")
     commands = {
         "det": ["pipeline", "det", "--gen-kind", "directed_cycle",
                 "--gen-params", '{"n": 64}', "--seed", "11"],
@@ -137,17 +148,25 @@ def test_reports_identical_across_hash_seeds(tmp_path):
                   "--seed", "3"],
         "rand": ["pipeline", "rand", "--gen-kind", "directed_cycle",
                  "--gen-params", '{"n": 6}', "--params", '{"m": 6}', "--seed", "5"],
+        "weighted": ["csp", "solve", "--csp", str(meas), "--method", "weighted",
+                     "--seed", "7", "--trace"],
+        "cover2": ["csp", "cover", "--csp", str(tmp_path / "cover2.json")],
+        "cover3": ["csp", "cover", "--csp", str(tmp_path / "cover3.json")],
+        "gadget": ["gadget", "--graph", str(star), "--k", "2"],
     }
     src = os.path.dirname(os.path.dirname(locallemma.__file__))
     for name, args in commands.items():
         reports = set()
         for hash_seed in range(4):
-            out = tmp_path / f"{name}-{hash_seed}.json"
+            out, trace = tmp_path / f"{name}-{hash_seed}.json", tmp_path / f"{name}-{hash_seed}.trace"
+            argv = args + [str(trace)] if args[-1] == "--trace" else args
             env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
-            subprocess.run([sys.executable, "-m", "locallemma.cli", *args, "--out", str(out)],
+            subprocess.run([sys.executable, "-m", "locallemma.cli", *argv, "--out", str(out)],
                            env=env, check=True, timeout=300)
-            reports.add(out.read_bytes())
-        assert len(reports) == 1
+            reports.add((out.read_bytes(), trace.read_bytes() if trace.exists() else None))
+        assert len(reports) == 1, name
+        assert json.loads(out.read_text())["passed"], name
+    assert json.loads((tmp_path / "weighted-0.trace").read_text())
 
 
 def test_pipeline_rand(tmp_path):
@@ -202,6 +221,25 @@ def test_out_of_range_int_options_exit_2_without_report(tmp_path, capsys):
     assert run(["csp", "solve", "--cap", "0", "--seed", "1"] + csp + ["--out", str(out)]) in (0, 1)
     report = json.loads(out.read_text())
     assert report["resamples"] == 0 and report["capped"] is not report["passed"]
+
+
+def test_wrong_containers_exit_2_naming_the_field(tmp_path, capsys):
+    cpath, wpath, out = tmp_path / "c.json", tmp_path / "w.json", tmp_path / "r.json"
+    dump_json({"weights": [[0, "1/0"], [1, "1"]]}, wpath)
+    cases = [({"ground": [0, 1], "m": 2, "constraints": 5}, ["csp", "check"],
+              "constraints: expected a list, got 5"),
+             ({"ground": [0, 1], "m": 2, "constraints": [
+                 {"domain": [0, 1], "predicate": {"name": "all_equal", "params": []}}]},
+              ["csp", "cover"], "constraints[0].predicate.params: expected an object, got []"),
+             ({"ground": [0, 1], "m": 2, "constraints": []},
+              ["csp", "solve", "--method", "weighted", "--weights", str(wpath)],
+              "weights[0][1]: expected a rational string, got '1/0'")]
+    for data, argv, message in cases:
+        dump_json(data, cpath)
+        capsys.readouterr()
+        assert run(argv + ["--csp", str(cpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_experiment_validation():
@@ -264,6 +302,7 @@ def test_cap_out_is_reported(tmp_path):
 
 
 def test_certified_infeasibility_is_reported(tmp_path):
+    from locallemma.graphs import build_graph
     from locallemma.randgen import random_measurable_csp
 
     cpath = tmp_path / "c.json"
@@ -479,6 +518,7 @@ def overlap_csp():
 
 
 def test_golden_reports(tmp_path, monkeypatch, capsys):
+    from locallemma.graphs import build_graph
     from locallemma.graphs import build_graph
     from locallemma.randgen import random_measurable_csp
 

@@ -3,17 +3,38 @@ import random
 import pytest
 
 from locallemma.connect import (
+    Composed,
     Connection,
+    Identity,
     Reduction,
+    Residual,
     apply,
     compose,
     identity_connection,
     identity_reduction,
     pull_partial,
-    validate_reduction,
 )
 from locallemma.csp import Constraint, Csp, is_solution, restrict_csp, solutions_exhaustive
 from locallemma.randgen import random_small_csp
+
+
+def validate_reduction(red: Reduction, source: Csp, cap_bits: int = 16,
+                       limit: int = 512) -> Reduction:
+    """Solve the target exhaustively (capped) and check that every decoded
+    solution solves the source; returns the reduction."""
+    checked = 0
+    for f in solutions_exhaustive(red.target, cap_bits):
+        decoded = apply(red.connection, f)
+        missing = [x for x in red.connection.source if x not in decoded]
+        if missing:
+            raise AssertionError(f"decoded solution not total at {missing[:5]}")
+        ok, violated = is_solution(source, decoded)
+        if not ok:
+            raise AssertionError(f"decoded solution violates constraints {violated[:5]}")
+        checked += 1
+        if checked >= limit:
+            break
+    return red
 
 
 def random_connection(rng, source, target, width=2):
@@ -98,16 +119,16 @@ def nested_compose(rho, sigma):
 
 
 def test_compose_identity_neutral():
-    # identity on either side: the other side's sets and rules, the nested
-    # composition's outputs, and a result not flagged as an identity
+    # identity on either side: the other side's sets and rule objects, and
+    # the nested composition's outputs
     rng = random.Random(4)
     for trial in range(20):
         sigma = random_connection(rng, range(3), range(5))
         rho = random_connection(rng, range(2), range(3))
-        for outer, inner in ((identity_connection((0, 1, 2)), sigma),
-                             (rho, identity_connection((0, 1, 2)))):
+        identity = identity_connection((0, 1, 2))
+        for outer, inner, kept in ((identity, sigma, sigma), (rho, identity, rho)):
             comp, want = compose(outer, inner), nested_compose(outer, inner)
-            assert not comp.identity and not want.identity
+            assert all(comp.rules[x] is kept.rules[x] for x in comp.source)
             assert comp.source == want.source and comp.target == want.target
             assert dict(comp.det_sets) == want.det_sets
             for _ in range(20):
@@ -228,3 +249,123 @@ def test_determining_sets_minimal_spot_check():
         for dropped in conn.det_sets[x]:
             view = {z: full[z] for z in conn.det_sets[x] if z != dropped}
             assert conn.rules[x](view) is None  # the bit is genuinely needed
+
+
+def closure_pull_partial(red, g):
+    """pull_partial as it stood with rules as closures: each remaining
+    rule wraps the one before it, merging g's values into its view."""
+    conn = red.connection
+    g_source = apply(conn, g)
+    residual_target = restrict_csp(red.target, g)
+    remaining = tuple(x for x in conn.source if x not in g_source)
+    fixed = dict(g)
+    det_sets, rules = {}, {}
+    for x in remaining:
+        det_sets[x] = frozenset(y for y in conn.det_sets[x] if y not in fixed)
+
+        def rule(view, x=x):
+            merged = {y: fixed[y] for y in conn.det_sets[x] if y in fixed}
+            merged.update(view)
+            return conn.rules[x](merged)
+
+        rules[x] = rule
+    return g_source, Reduction(Connection(remaining, residual_target.ground, det_sets, rules),
+                               residual_target)
+
+
+def random_views(rng, ground, m, count=12):
+    """Partial views (each element kept with probability 0.6) and total ones."""
+    for k in range(count):
+        keep = 0.6 if k % 3 else 1.0
+        yield {y: rng.randint(1, m) for y in ground if rng.random() < keep}
+
+
+def assert_same_connection(conn, want, rng, m):
+    assert conn.source == want.source and conn.target == want.target
+    assert dict(conn.det_sets) == dict(want.det_sets)
+    for f in random_views(rng, conn.target, m):
+        assert apply(conn, f) == apply(want, f)
+        for x in conn.source:
+            view = {y: v for y, v in f.items() if y in conn.det_sets[x]}
+            assert conn.rules[x](view) == want.rules[x](view)
+
+
+def pull_chain_reductions():
+    """Reductions whose rules are records (binary decoders, identities) and
+    closures (random connections), each with a CSP on its target."""
+    from fractions import Fraction
+
+    from locallemma.binary import binary_reduce
+
+    rng = random.Random(12)
+    for seed in range(12):
+        csp = random_small_csp(seed, max_ground=4, max_arity=2, m_choices=(3, 5))
+        yield binary_reduce(csp, Fraction(1, 2))[1]
+        yield identity_reduction(random_small_csp(seed, max_ground=6, m_choices=(2, 3)))
+        conn = random_connection(rng, range(4), range(6))
+        target = random_small_csp(seed, max_ground=6, max_m=3)
+        if target.ground == tuple(range(6)):
+            yield Reduction(conn, target)
+
+
+def test_pull_partial_matches_closure_chain():
+    # three pull-backs in a row: g_source, the residual target, the sets
+    # and every rule's output equal the closure chain's on partial and
+    # total views, and every rule is one Residual over the first rule
+    rng = random.Random(13)
+    chains = 0
+    for red in pull_chain_reductions():
+        first, dets, want = red.connection.rules, red.connection.det_sets, red
+        for _ in range(3):
+            m = red.target.m
+            g = {y: rng.randint(1, m) for y in red.target.ground if rng.random() < 0.3}
+            g_source, red = pull_partial(red, g)
+            want_source, want = closure_pull_partial(want, g)
+            assert g_source == want_source and red.target == want.target
+            assert_same_connection(red.connection, want.connection, rng, m)
+            for x in red.connection.source:
+                rule = red.connection.rules[x]
+                assert type(rule) is Residual and rule.base is first[x]
+                fixed = {y for y, _ in rule.fixed}
+                assert red.connection.det_sets[x] | fixed == dets[x]
+                assert red.connection.det_sets[x].isdisjoint(fixed)
+        chains += 1
+    assert chains >= 24
+
+
+def mixed_connection(rng, source, target, identities=0.4):
+    """A connection whose rules are `Identity` records on singletons with
+    probability `identities` (most reading the element itself), else
+    random closures."""
+    conn = random_connection(rng, source, target)
+    det_sets, rules = dict(conn.det_sets), dict(conn.rules)
+    for x in source:
+        if rng.random() < identities:
+            y = x if x in target and rng.random() < 0.7 else rng.choice(list(target))
+            det_sets[x], rules[x] = frozenset([y]), Identity(y)
+    return Connection(tuple(source), tuple(target), det_sets, rules)
+
+
+def test_compose_matches_nested_compose_rule_by_rule():
+    # identities on some elements of either side: equal sets and outputs,
+    # an identity's partner side kept as is, and no Composed around one
+    rng = random.Random(14)
+    kept = {"outer": 0, "inner": 0, "composed": 0}
+    for trial in range(60):
+        rho = mixed_connection(rng, range(4), range(6))
+        sigma = mixed_connection(rng, range(6), range(9), identities=0.7)
+        comp = compose(rho, sigma)
+        assert_same_connection(comp, nested_compose(rho, sigma), rng, 3)
+        for x in rho.source:
+            rule, inner = rho.rules[x], rho.det_sets[x]
+            if rule == Identity(min(inner)) and len(inner) == 1:
+                assert comp.rules[x] is sigma.rules[min(inner)]
+                kept["inner"] += 1
+            elif all(sigma.rules[y] == Identity(y) and sigma.det_sets[y] == {y}
+                     for y in inner):
+                assert comp.rules[x] is rule and comp.det_sets[x] == inner
+                kept["outer"] += 1
+            else:
+                assert type(comp.rules[x]) is Composed and comp.rules[x].outer is rule
+                kept["composed"] += 1
+    assert min(kept.values()) >= 20

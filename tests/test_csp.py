@@ -67,6 +67,22 @@ def test_probability_cap():
         probability(c, cap_bits=20)
 
 
+def test_caps_are_decided_in_integers():
+    # 2^60 + 1 states at cap 60: log2 reads exactly 60.0 in floating point,
+    # so a float comparison passed both on to enumeration (where the empty
+    # CSP yields its first solution at once); the refusal comes first
+    m = 2**60 + 1
+    body = Constraint.from_predicate((0,), m, lambda v: False)
+    with pytest.raises(EnumerationCapError, match="above the configured cap 2\\^60"):
+        body._body(60, "constraint body count")
+    with pytest.raises(EnumerationCapError, match="solution enumeration"):
+        next(solutions_exhaustive(Csp((0,), m, ()), cap_bits=60))
+    # at the cap itself both still run
+    assert list(Constraint.from_predicate((0, 1), 2, lambda v: v[0] == v[1])._body(2, "")) \
+        == [(1, 1), (2, 2)]
+    assert len(list(solutions_exhaustive(Csp((0, 1), 2, ()), cap_bits=2))) == 4
+
+
 def test_stats_caps_out_per_cap_and_caches_only_a_value():
     body = Constraint.from_predicate((0, 1, 2, 3), 2, lambda v: v[0] == 1)
     csp = Csp((0, 1, 2, 3), 2, (body,))

@@ -7,9 +7,18 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 from hypothesis import example, given, strategies as st
 
-from locallemma.binary import binary_reduce
+from locallemma.binary import BlockCode, BlockDecode, _encode_constraint, binary_reduce
 from locallemma.compilers import bootstrap
-from locallemma.connect import Connection, Reduction, apply, compose, identity_reduction
+from locallemma.connect import (
+    Connection,
+    Identity,
+    Reduction,
+    Residual,
+    apply,
+    compose,
+    identity_reduction,
+    pull_partial,
+)
 from locallemma.csp import (
     DEFAULT_CAP_BITS,
     Constraint,
@@ -1157,3 +1166,111 @@ def test_cover_family_searches_once_per_level_state(monkeypatch):
         (want[1], want[2], want[3], want[4])
     assert list(result.per_element_counts) == list(want[2])
     assert len({id(cert) for cert in result.certificates}) == len(result.certificates)
+
+
+# ------------------------------------------------- range 2 and pull-back depth
+def n1_binary_reduce(csp, epsilon):
+    """binary_reduce with a range-2 CSP encoded as it was before it passed
+    through: N = 1, elements renumbered in ground order, each constraint a
+    Fixed body over its bits, and a BlockDecode reader per element."""
+    if csp.m != 2:
+        return binary_reduce(csp, epsilon)
+    code, zid = BlockCode(2, 1), {y: i for i, y in enumerate(csp.ground)}
+    encoded = Csp(tuple(range(len(csp.ground))), 2, tuple(
+        _encode_constraint(c, code, {(y, 1): zid[y] for y in csp.ground})
+        for c in csp.constraints))
+    tau = Connection(csp.ground, encoded.ground,
+                     {y: frozenset([zid[y]]) for y in csp.ground},
+                     {y: BlockDecode(code, (zid[y],)) for y in csp.ground})
+    return encoded, Reduction(tau, encoded)
+
+
+def test_range_2_cover_family_matches_its_n1_encoding(monkeypatch):
+    import locallemma.engine as engine
+    from test_cli import overlap_csp
+
+    cases = [(random_cover_csp(seed, max_levels=12), seed) for seed in range(8)]
+    cases += [(overlap_csp(), 3), (overlapping_cover_csp(), 0)]
+    got = [cover_family(csp, seed=seed, budget=1 << 14) for csp, seed in cases]
+    monkeypatch.setattr(engine, "binary_reduce", n1_binary_reduce)
+    for result, (csp, seed) in zip(got, cases):
+        want = cover_family(csp, seed=seed, budget=1 << 14)
+        assert [list(m.items()) for m in result.members] == \
+            [list(m.items()) for m in want.members]
+        assert list(result.per_element_counts.items()) == list(want.per_element_counts.items())
+        assert (result.certificates, result.levels, result.route) == \
+            (want.certificates, want.levels, want.route)
+
+
+def range_2_weighted_csp(seed):
+    """Range-2 CSP in the certified regime: constraints of arity 64..72
+    with one or two forbidden patterns, each sharing one element with each
+    neighbour (d <= 2), so p (d+1)^16 <= 2^-33."""
+    rng = random.Random(seed)
+    arity, count = rng.randint(64, 72), rng.randint(2, 4)
+    starts = [i * (arity - 1) for i in range(count)]   # neighbours share one element
+    ground = tuple(range(starts[-1] + arity + rng.randint(0, 5)))
+    return Csp(ground, 2, tuple(
+        Constraint.explicit(range(s, s + arity), 2,
+                            [tuple(rng.randint(1, 2) for _ in range(arity))
+                             for _ in range(rng.randint(1, 2))])
+        for s in starts))
+
+
+def test_range_2_solve_weighted_matches_its_n1_encoding(monkeypatch):
+    import locallemma.engine as engine
+
+    cases = []
+    for seed in range(4):
+        csp = range_2_weighted_csp(seed)
+        weights = {x: Fraction(1 + x % 3) for x in csp.ground}
+        total = sum(weights.values())
+        cases.append((csp, WeightedGroundSet({x: w / total for x, w in weights.items()})))
+    got = [solve_weighted(csp, wts, seed=5) for csp, wts in cases]
+    monkeypatch.setattr(engine, "binary_reduce", n1_binary_reduce)
+    for result, (csp, wts) in zip(got, cases):
+        want = solve_weighted(csp, wts, seed=5)
+        assert result.assignment == want.assignment
+        assert result.step_reports == want.step_reports and result.iterations >= 1
+
+
+def assert_one_record_deep(red, base_kind):
+    """Every rule of `red` is one Residual over a `base_kind` record whose
+    bits are the rule's determining set and fixed elements together."""
+    conn = red.connection
+    assert conn.source
+    for x in conn.source:
+        rule = conn.rules[x]
+        assert type(rule) is Residual and type(rule.base) is base_kind
+        read = {rule.base.x} if base_kind is Identity else set(rule.base.bits)
+        assert conn.det_sets[x] | {y for y, _ in rule.fixed} == read
+
+
+def test_pull_backs_stay_one_record_deep_through_steps():
+    # two zero-weight constraints forbidding all-1: the walk breaks their
+    # ties toward value 1, so both grow until they freeze and keep
+    # elements for later pull-backs; one weighted element covers the weight
+    for m, arity, base_kind in ((2, 80, Identity), (3, 60, BlockDecode)):
+        doms = (tuple(range(arity)), tuple(range(arity, 2 * arity)))
+        ground = tuple(range(2 * arity + 1))
+        csp = Csp(ground, m, tuple(Constraint.explicit(d, m, [(1,) * arity]) for d in doms))
+        first = step(identity_reduction(csp),
+                     WeightedGroundSet({x: Fraction(x == ground[-1]) for x in ground}))
+        red = first.residual_reduction   # pull-back 1
+        assert_one_record_deep(red, base_kind)
+        # pull-back 2: a 2 on the first target element read by doms[0] kills it
+        x = next(x for x in red.connection.source if x in doms[0])
+        g_mid, red = pull_partial(red, {min(red.connection.det_sets[x]): 2})
+        assert_one_record_deep(red, base_kind)
+        # pull-back 3: a step on the residual, weighting what doms[0] keeps
+        kept = [x for x in red.connection.source if x in doms[0]]
+        second = step(red, WeightedGroundSet(
+            {x: Fraction(x in kept, len(kept)) for x in red.connection.source}))
+        assert second.covered_fraction == 1
+        assert_one_record_deep(second.residual_reduction, base_kind)
+        # the three pull-backs decide all but the residual's source, and
+        # with 2 on that (which kills the all-1 pattern) solve the source
+        g = {**first.g, **g_mid, **second.g}
+        rest = second.residual_reduction.connection.source
+        assert set(rest) == set(ground) - g.keys() and set(rest) <= set(doms[1])
+        assert is_solution(csp, {**g, **dict.fromkeys(rest, 2)})[0]

@@ -44,6 +44,51 @@ def test_random_regular():
     assert g2.edges == g.edges
 
 
+def assert_simple_regular(edges, n, d):
+    edges = [tuple(e) for e in edges]
+    assert len(set(map(frozenset, edges))) == len(edges) == n * d // 2
+    assert all(u != v for u, v in edges)
+    assert sorted(itertools.chain.from_iterable(edges)) == sorted(list(range(n)) * d)
+
+
+# sha256 of the JSON of every random_regular graph with n <= 24, d <= 4 and
+# seeds 0-2, as the pairing model generated them before the fallback existed
+PAIRING_GRAPHS = "38d5f43405501460f493ee2830b3e520a437a656c6fd5383ac9a7a41b5bb7894"
+
+
+def test_random_regular_keeps_pairing_graphs_and_falls_back_to_switchings(monkeypatch):
+    import hashlib
+    import json
+
+    from locallemma.serialize import graph_to_json
+
+    digest = hashlib.sha256()
+    for n in range(1, 25):
+        for d in range(min(n, 5)):
+            for seed in range(3) if n * d % 2 == 0 else ():
+                graph = generate("random_regular", {"n": n, "d": d}, seed)
+                digest.update(json.dumps(graph_to_json(graph)).encode())
+    assert digest.hexdigest() == PAIRING_GRAPHS
+    # 10,000 pairing restarts fail at these sizes; the switchings succeed
+    module = importlib.import_module("locallemma.generate")
+    switched, calls = module._switched_regular, []
+    monkeypatch.setattr(module, "_switched_regular",
+                        lambda n, d, rng: calls.append((n, d)) or switched(n, d, rng))
+    for n, d in ((21, 6), (30, 7)):
+        assert_simple_regular(generate("random_regular", {"n": n, "d": d}, 0).edges, n, d)
+    assert calls == [(21, 6), (30, 7)]
+
+
+def test_switched_regular_graphs_are_simple_and_regular():
+    # the fallback on every feasible (n, d) with n <= 40, seeds 0-4; through
+    # `generate` each size whose restarts all fail costs 10,000 shuffles first
+    module = importlib.import_module("locallemma.generate")
+    for n in range(1, 41):
+        for d in range(n):
+            for seed in range(5) if n * d % 2 == 0 else ():
+                assert_simple_regular(module._switched_regular(n, d, random.Random(seed)), n, d)
+
+
 def test_random_regular_parity_rejected():
     with pytest.raises(InfeasibleParamsError):
         generate("random_regular", {"n": 5, "d": 3})

@@ -195,7 +195,6 @@ API = {
     # README documents hex forms and reading them back with `from_hex`
     ("canonical.py", "CanonicalForm.from_hex"),
     ("compilers.py", "bootstrap"),
-    ("connect.py", "validate_reduction"),
     ("engine.py", "branch_trace"),
     ("engine.py", "check_partial_solution"),
     # the vertices whose degree the gadget's correctness proof pins at d - 1

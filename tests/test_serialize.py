@@ -208,6 +208,38 @@ def test_readers_refuse_non_ints(reader, data, message):
     assert str(err.value) == message
 
 
+# wrong containers used to read as something else (a list of params as no
+# params) or to fail with a bare TypeError, and a zero denominator with a
+# bare ZeroDivisionError
+CONTAINERS = [
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [
+        {"domain": [0], "predicate": {"name": "all_equal", "params": []}}]},
+     "constraints[0].predicate.params: expected an object, got []"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [
+        {"domain": [0], "predicate": {"name": "constant", "params": ["value"]}}]},
+     "constraints[0].predicate.params: expected an object, got ['value']"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": 5},
+     "constraints: expected a list, got 5"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [[0]]},
+     "constraints[0]: expected an object, got [0]"),
+    (csp_from_json, {"ground": [0], "m": 2,
+                     "constraints": [{"domain": [0], "predicate": "all_equal"}]},
+     "constraints[0].predicate: expected an object, got 'all_equal'"),
+    (weights_from_json, {"weights": [[0, "1/0"], [1, "1"]]},
+     "weights[0][1]: expected a rational string, got '1/0'"),
+    (weights_from_json, {"weights": [[0, "half"], [1, "1/2"]]},
+     "weights[0][1]: expected a rational string, got 'half'"),
+    (weights_from_json, {"weights": {"0": "1"}}, "weights: expected a list, got {'0': '1'}"),
+]
+
+
+@pytest.mark.parametrize("reader,data,message", CONTAINERS)
+def test_readers_name_the_field_of_a_wrong_container(reader, data, message):
+    with pytest.raises(ValueError) as err:
+        reader(data)
+    assert str(err.value) == message
+
+
 # a repeated key used to keep its last value: label 2 on (0,), weight 1 on
 # 1, value 2 on vertex 0
 DUPLICATED = [
