@@ -36,7 +36,7 @@ from .engine import (
     solve_weighted,
     step,
 )
-from .generate import gadget_build, gadget_layout, generate, lift_coloring
+from .generators import gadget_build, gadget_layout, generate, lift_coloring
 from .graphcsp import csp_to_lcl, decode_graph_csp, encode_graph_csp
 from .graphs import (
     RootedBall,

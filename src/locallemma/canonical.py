@@ -48,6 +48,26 @@ code of the full search while visiting few leaves and writing one:
   pi's subtree and resumes at position k.  Each skipped subtree is an
   image of a searched one, so the least key, the code and the leaf are
   those of the full search.
+- The best leaf cuts subtrees (the paper's other pruning).  Positions
+  fill in order, so below the next level every position is known, and
+  the edges between known positions (a mask of their numeric values
+  a*n + b, grown by each placed vertex's edges) are edges of every leaf
+  below.  Row r holds the edges [r, t], t > r.  In the first row whose
+  vertex has an unplaced neighbour, no open edge takes less than r*n + s,
+  s the first free position of the earliest cell holding one, so the
+  known edges below r*n + s are the first edges of every leaf below.
+  Where their texts first differ from the best key's, a greater text
+  cuts the subtree.  Where all are equal, every leaf's next edge is
+  [r, t] with t at most that cell's last position, and the subtree is
+  cut when every such text is greater than the best key's next one.
+  Texts decide, never values: "[1,10]" < "[1,2]" once a ball has 11
+  vertices (equal masks are equal texts, so masks find where two
+  prefixes first differ).  Only edges are read; structure entries follow
+  every edge.  A cut subtree holds only leaves greater than the best
+  one, and an automorphism skips only images of subtrees searched
+  before, so the first leaf in search order with the least key is still
+  reached and kept: the code and the vertex map are those of the full
+  search.
 
 The search budget counts the leaves of the unpruned search (the product
 of the cell factorials), so which balls cap out does not depend on the
@@ -260,22 +280,28 @@ def _edge_json(n):
     return table
 
 
-def _leaf_key(pos, edges, entries, edge_json):
+def _edge_texts(ends, edge_json):
+    """The JSON texts of the edges whose numeric values a*n + b are the set
+    bits of `ends`, in numeric edge order."""
+    texts = []
+    while ends:
+        low = ends & -ends
+        texts.append(edge_json[low.bit_length() - 1])
+        ends ^= low
+    return tuple(texts)
+
+
+def _leaf_key(pos, edge_texts, entries):
     """Sort key of the leaf that puts vertex i at position pos[i]: the
-    JSON text of each relabeled edge in numeric edge order, then of each
+    texts of its edges in numeric edge order, then the JSON text of each
     relabeled structure entry in numeric tuple order.  Leaves of one
     search order by key as their codes order by bytes."""
-    n = len(pos)
-    ends = []
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        ends.append(a * n + b if a < b else b * n + a)
-    ends.sort()
+    if not entries:
+        return edge_texts, ()
     # mapped tuples are distinct, so the texts never break a tie
     mapped = sorted((tuple([pos[x] for x in tup]), text) for tup, text in entries)
     # tuples built from lists of known length, so freed ones are reused
-    return (tuple([edge_json[e] for e in ends]),
-            tuple(_entry_texts(mapped)))
+    return edge_texts, tuple(_entry_texts(mapped))
 
 
 def _orbits(seeds, gens):
@@ -299,9 +325,10 @@ def _search(graph, order, sizes):
     A vertex alone in its cell keeps its position.  The other positions
     are the search's levels, filled one at a time: position p takes an
     unused id of its cell, lo[p]..hi[p]-1.  A leaf whose key equals the
-    first leaf's or the best leaf's gives an automorphism; see the module
-    docstring for why skipping what it covers is exact.  Recursion goes
-    one call deep per level, and the budget bounds the levels."""
+    first leaf's or the best leaf's gives an automorphism, and a subtree
+    whose every leaf is greater than the best leaf is cut; see the module
+    docstring for why skipping either is exact.  Recursion goes one call
+    deep per level, and the budget bounds the levels."""
     n = len(order)
     index = {v: i for i, v in enumerate(order)}
     lo, hi = [], []
@@ -311,7 +338,6 @@ def _search(graph, order, sizes):
         hi.extend([start + size] * size)
     levels = [p for p in range(n) if hi[p] - lo[p] > 1]
     depth = len(levels)
-    edges = [(index[u], index[v]) for u, v in graph.edges]
     entries = [(tuple(index[x] for x in tup), _encoded(label)[1])
                for tup, label in graph.structure.items()]
     edge_json = _edge_json(n)
@@ -322,17 +348,29 @@ def _search(graph, order, sizes):
     path = list(range(n))  # position -> vertex id
     autos = []
     first = best = None  # (key, path) of the first and of the least leaf
+    nbrs = [[] for _ in range(n)]
+    known = 0  # the edges between vertices alone in their cells
+    for u, v in graph.edges:
+        a, b = index[u], index[v]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+        if pos[a] >= 0 and pos[b] >= 0:
+            known |= 1 << (a * n + b if a < b else b * n + a)
+    for around in nbrs:  # ascending, so a first open neighbour is in the earliest cell
+        around.sort()
+    top, mask = (), 0  # the best leaf's edge texts and the mask of its edges
 
-    def leaf():
+    def leaf(ends):
         """Level to resume at: depth, or the level where this leaf leaves
-        the path of an equal earlier leaf."""
-        nonlocal first, best
-        key = leaf_key(pos, edges, entries, edge_json)
-        if best is None:
-            first = best = (key, path[:])
-            return depth
-        if key < best[0]:
+        the path of an equal earlier leaf.  `ends` is its edges' mask."""
+        nonlocal first, best, top, mask
+        # a leaf with the best leaf's edges has its edge texts too
+        key = leaf_key(pos, top if best and ends == mask else _edge_texts(ends, edge_json),
+                       entries)
+        if best is None or key < best[0]:
             best = (key, path[:])
+            first = first or best
+            top, mask = key[0], ends
             return depth
         ref = first[1] if key == first[0] else best[1] if key == best[0] else None
         if ref is None:
@@ -343,12 +381,50 @@ def _search(graph, order, sizes):
             k += 1
         return k
 
-    def visit(i, fixing, checked):
+    def visit(i, fixing, checked, ends, row, x):
         """Search below levels 0..i-1; `fixing` holds the automorphisms
-        among autos[:checked] that fix the vertices placed there."""
+        among autos[:checked] that fix the vertices placed there, `ends`
+        is the mask of the numeric values of the edges whose positions are
+        known, no row before `row` has an open edge, and x, if open, is
+        row's first open neighbour."""
         if i == depth:
-            return leaf()
-        p = levels[i]
+            return leaf(ends)
+        p = levels[i]  # positions below p are known
+        if best is not None:
+            if x is None or pos[x] >= 0:
+                # the first row whose vertex has an open neighbour, x the
+                # one in the earliest cell
+                while row < p:
+                    for x in nbrs[path[row]]:
+                        if pos[x] < 0:
+                            break
+                    else:
+                        row += 1
+                        continue
+                    break
+            if row < p:  # always in a ball: an open vertex has a neighbour in an earlier cell
+                # the known edges below row * n + start, the head, are
+                # the first edges of every leaf below
+                start = lo[x] if lo[x] > p else p
+                below = (1 << (row * n + start)) - 1
+                head = ends & below
+                differ = head ^ (mask & below)
+                low = differ & -differ  # both agree below this edge value
+                mine = head & -low  # 0 when they are equal
+                if mine:
+                    # at the index j where the two first differ, the head
+                    # has its least edge from low on: the texts decide
+                    j = (head & (low - 1)).bit_count()
+                    if edge_json[(mine & -mine).bit_length() - 1] > top[j]:
+                        return depth
+                else:
+                    # the head is the best leaf's first c edges, and every
+                    # leaf's next edge is [row, t]: x's position or a known
+                    # column before it, so t < hi[x]
+                    c = head.bit_count()
+                    if edge_json[row * n + start] > top[c] and min(
+                            [edge_json[row * n + t] for t in range(start, hi[x])]) > top[c]:
+                        return depth
         searched = []
         covered = ()
         for w in range(lo[p], hi[p]):
@@ -356,7 +432,13 @@ def _search(graph, order, sizes):
                 continue
             pos[w] = p
             path[p] = w
-            back = visit(i + 1, [g for g in fixing if g[w] == w], checked)
+            known = ends
+            for y in nbrs[w]:
+                b = pos[y]
+                if b >= 0:
+                    known |= 1 << (b * n + p if b < p else p * n + b)
+            back = visit(i + 1, [g for g in fixing if g[w] == w] if fixing else fixing,
+                         checked, known, row, x)
             pos[w] = -1
             if back < i:
                 return back
@@ -370,5 +452,5 @@ def _search(graph, order, sizes):
                 covered = _orbits(searched, fixing)
         return depth
 
-    visit(0, [], 0)
+    visit(0, [], 0, known, 0, None)
     return best[1]

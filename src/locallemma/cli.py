@@ -29,7 +29,7 @@ from .engine import (
 )
 from .errors import (CanonicalizationCapError, CoverBudgetError, EnumerationCapError,
                      StepInfeasibleError)
-from .generate import gadget_build, generate
+from .generators import gadget_build, generate
 from .graphs import TAG_IDS, TAG_RAND, greedy_coloring, with_labeling
 from .localrun import LocalAlgorithm, det_pipeline, run_deterministic, verify_lcl
 from .rng import derived_rng

@@ -38,6 +38,7 @@ def graph_to_json(graph: StructuredGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> StructuredGraph:
+    _known_keys(data, ("vertices", "edges", "structure", "tuple_bound"))
     vertices = [_strict_int(v, f"vertices[{i}]") for i, v in enumerate(data["vertices"])]
     edges = [tuple(_strict_int(v, f"edges[{i}][{j}]") for j, v in enumerate(e))
              for i, e in enumerate(data.get("edges", []))]
@@ -117,7 +118,16 @@ def _strict_container(value, kind: type, where: str):
     return value
 
 
+def _known_keys(data: dict, keys) -> None:
+    """Refuse a top-level key that the format does not define, naming the
+    first in sorted order, rather than ignore it."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"{unknown[0]}: unknown key")
+
+
 def csp_from_json(data: dict) -> Csp:
+    _known_keys(data, ("ground", "m", "constraints"))
     constraints = []
     ground = tuple(_strict_int(x, f"ground[{i}]") for i, x in enumerate(data["ground"]))
     m = _strict_int(data["m"], "m")
@@ -164,6 +174,7 @@ def labeling_to_json(values: Dict[int, int]) -> dict:
 
 
 def labeling_from_json(data: dict) -> Dict[int, int]:
+    _known_keys(data, ("values",))
     values = {}
     for i, (v, c) in enumerate(data["values"]):
         v = _strict_int(v, f"values[{i}][0]")
@@ -178,6 +189,7 @@ def weights_to_json(wts: WeightedGroundSet) -> dict:
 
 
 def weights_from_json(data: dict) -> WeightedGroundSet:
+    _known_keys(data, ("weights",))
     weights = {}
     for i, (x, w) in enumerate(_strict_container(data["weights"], list, "weights")):
         x = _strict_int(x, f"weights[{i}][0]")

@@ -38,7 +38,7 @@ from locallemma.engine import (
     solve_weighted,
 )
 from locallemma.errors import StepInfeasibleError
-from locallemma.generate import gadget_build, gadget_layout, generate
+from locallemma.generators import gadget_build, gadget_layout, generate
 from locallemma.graphs import build_graph
 from locallemma.localrun import LocalAlgorithm, det_pipeline, verify_lcl
 from locallemma.graphs import TAG_RAND, layer_value

@@ -19,7 +19,7 @@ from locallemma.algorithms import (
 from locallemma.canonical import CanonicalForm, canonical_type
 from locallemma.compilers import rand_to_csp
 from locallemma.csp import stats
-from locallemma.generate import generate
+from locallemma.generators import generate
 from locallemma.graphs import (LAYER_MARK, TAG_BASE, TAG_IDS, TAG_OUTPUT, TAG_RAND, ball,
                                base_structure, build_graph, layer_value, with_labeling)
 from locallemma.localrun import (

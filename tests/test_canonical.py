@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from locallemma import canonical
-from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm,
-                                  _canonical_map, _edge_json, _encoded, _entry_texts, _leaf_key,
+from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _canonical_map,
+                                  _edge_json, _edge_texts, _encoded, _entry_texts, _leaf_key,
                                   _refine, _tuple_json, canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
-from locallemma.generate import generate
+from locallemma.generators import generate
 from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph,
                                greedy_power_coloring, with_labeling)
 from locallemma.labels import label_key, label_to_json
@@ -358,6 +358,216 @@ def test_budget_counts_the_unpruned_search():
     assert canonical_type(below).code == oracle_code(below)
 
 
+# Oracle for the bound: the search as it was before the best leaf cut
+# subtrees, pruning by automorphisms only, with the key it compared leaves
+# by.  The pruned search must return the same leaf (the first least one in
+# search order), so `_canonical_map` must return the same code and map.
+
+def oracle_leaf_key(pos, edges, entries, edge_json):
+    n = len(pos)
+    ends = []
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        ends.append(a * n + b if a < b else b * n + a)
+    ends.sort()
+    mapped = sorted((tuple([pos[x] for x in tup]), text) for tup, text in entries)
+    return (tuple([edge_json[e] for e in ends]),
+            tuple(_entry_texts(mapped)))
+
+
+def oracle_search(graph, order, sizes):
+    n = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    lo, hi = [], []
+    for size in sizes:
+        start = len(lo)
+        lo.extend([start] * size)
+        hi.extend([start + size] * size)
+    levels = [p for p in range(n) if hi[p] - lo[p] > 1]
+    depth = len(levels)
+    edges = [(index[u], index[v]) for u, v in graph.edges]
+    entries = [(tuple(index[x] for x in tup), _encoded(label)[1])
+               for tup, label in graph.structure.items()]
+    edge_json = _edge_json(n)
+    leaf_key = oracle_leaf_key
+    pos = list(range(n))  # vertex id -> position, -1 while unassigned
+    for p in levels:
+        pos[p] = -1
+    path = list(range(n))  # position -> vertex id
+    autos = []
+    first = best = None  # (key, path) of the first and of the least leaf
+
+    def leaf():
+        nonlocal first, best
+        key = leaf_key(pos, edges, entries, edge_json)
+        if best is None:
+            first = best = (key, path[:])
+            return depth
+        if key < best[0]:
+            best = (key, path[:])
+            return depth
+        ref = first[1] if key == first[0] else best[1] if key == best[0] else None
+        if ref is None:
+            return depth
+        autos.append(tuple([ref[p] for p in pos]))  # ref^-1 . this leaf
+        k = 0
+        while path[levels[k]] == ref[levels[k]]:
+            k += 1
+        return k
+
+    def visit(i, fixing, checked):
+        if i == depth:
+            return leaf()
+        p = levels[i]
+        searched = []
+        covered = ()
+        for w in range(lo[p], hi[p]):
+            if pos[w] >= 0 or w in covered:
+                continue
+            pos[w] = p
+            path[p] = w
+            back = visit(i + 1, [g for g in fixing if g[w] == w], checked)
+            pos[w] = -1
+            if back < i:
+                return back
+            searched.append(w)
+            if checked < len(autos):
+                placed = [path[q] for q in levels[:i]]
+                fixing = fixing + [g for g in autos[checked:]
+                                   if all(g[x] == x for x in placed)]
+                checked = len(autos)
+            if fixing:
+                covered = canonical._orbits(searched, fixing)
+        return depth
+
+    visit(0, [], 0)
+    return best[1]
+
+
+def canonical_result(b, search=None):
+    """_canonical_map(b) as (code, map), or the cap-out's message; with
+    `search`, run in place of the pruned search."""
+    pruned = canonical._search
+    canonical._search = search or pruned
+    try:
+        form, mapping = _canonical_map(b, cap=64)
+        return form.code, mapping
+    except CanonicalizationCapError as err:
+        return str(err)
+    finally:
+        canonical._search = pruned
+
+
+def assert_matches_oracle(balls):
+    searched = 0
+    for b in balls:
+        got = canonical_result(b)
+        assert got == canonical_result(b, oracle_search)
+        searched += isinstance(got, tuple) and len(set(_refine(b).values())) < len(b.graph.vertices)
+    return searched
+
+
+def cube():
+    return build_graph(range(8), [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)
+                                  if v < v ^ bit])
+
+
+def petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(range(10), edges)
+
+
+@given(st.randoms(use_true_random=False).map(random_layered_ball))
+def test_pruned_search_matches_oracle_on_layered_balls(b):
+    assert_matches_oracle([b])
+
+
+def test_pruned_search_matches_oracle_on_symmetric_balls():
+    # every torus root: 13 vertices at R = 2, where "[1,10]" < "[1,2]"
+    torus = generate("torus_grid", {"rows": 12, "cols": 12})
+    balls = [ball(torus, x, radius) for x in torus.vertices for radius in (1, 2)]
+    for d in (3, 4):
+        g = generate("random_regular", {"n": 40, "d": d}, seed=d)
+        balls.extend(ball(g, x, 2) for x in g.vertices)
+    tree = generate("random_tree", {"n": 120}, seed=5)
+    balls.extend(ball(tree, x, radius) for x in tree.vertices[:60] for radius in (3, 4))
+    k7 = build_graph(range(7), [(i, j) for i in range(7) for j in range(i + 1, 7)])
+    balls.extend([ball(star(8), 0, 1), ball(k7, 0, 1), ball(cube(), 0, 3), ball(petersen(), 0, 2)])
+    assert assert_matches_oracle(balls) > 400
+
+
+def test_pruned_search_matches_oracle_on_symmetric_balls_with_tuples():
+    # pair and triple entries that refinement cannot tell apart, so leaves
+    # with equal edges differ in their entries: stars whose leaves are
+    # matched in pairs, and random tuples on other symmetric graphs
+    rng = random.Random(11)
+    balls = []
+    for _ in range(100):
+        k = rng.randint(4, 7)
+        leaves = rng.sample(range(1, k + 1), k)
+        structure = {(leaves[i], leaves[i + 1]): rng.randint(1, 2) for i in range(0, k - 1, 2)}
+        balls.append(ball(build_graph(star(k).vertices, star(k).edges, structure), 0, 1))
+    k5 = build_graph(range(5), [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    graphs = [star(6), generate("cycle", {"n": 8}), k5, cube(), petersen()]
+    for _ in range(150):
+        g = rng.choice(graphs)
+        structure = {tuple(rng.sample(g.vertices[1:], rng.randint(2, 3))): rng.randint(1, 2)
+                     for _ in range(rng.randint(1, 2))}
+        g = build_graph(g.vertices, g.edges, structure)
+        balls.append(ball(g, 0, len(g.vertices)))
+    assert assert_matches_oracle(balls) > 100
+
+
+def local_sym_round_zero_balls(seed):
+    """The balls of perfbench's `local_sym` round 0: its random stream, its
+    graphs and its plan of 24 regular, 8 tree and 2 torus balls."""
+    rng = random.Random(f"local_sym:{seed}:0")
+    graphs = {"regular": (generate("random_regular", {"n": 2000, "d": 3}, rng.randrange(2**31)), 2),
+              "tree": (generate("random_tree", {"n": 300}, rng.randrange(2**31)), 3),
+              "torus": (generate("torus_grid", {"rows": 12, "cols": 12}), 2)}
+    balls = []
+    for kind, count in (("regular", 24), ("tree", 8), ("torus", 2)):
+        graph, radius = graphs[kind]
+        balls.extend(ball(graph, x, radius) for x in rng.sample(graph.vertices, count))
+    return balls
+
+
+def test_pruned_search_matches_oracle_on_local_sym_round_zero():
+    balls = local_sym_round_zero_balls(0)
+    assert len(balls) == 34
+    assert assert_matches_oracle(balls) > 20
+
+
+def leaves_searched(balls, monkeypatch):
+    """The most leaves any of `balls` compares."""
+    counts = []
+    key_of = canonical._leaf_key
+
+    def counting(*args):
+        counts[-1] += 1
+        return key_of(*args)
+
+    monkeypatch.setattr(canonical, "_leaf_key", counting)
+    for b in balls:
+        counts.append(0)
+        canonical_type(b, cap=13)
+    return max(counts)
+
+
+def test_best_leaf_bound_leaf_counts_are_pinned(monkeypatch):
+    # counts, not clocks: the most leaves over every torus root at R = 2
+    # (13,824 unpruned, 2,740 with automorphisms alone) and over the
+    # depth-2 3-regular tree balls of one graph (4,320 unpruned)
+    torus = generate("torus_grid", {"rows": 12, "cols": 12})
+    assert leaves_searched([ball(torus, x, 2) for x in torus.vertices], monkeypatch) <= 38
+    regular = generate("random_regular", {"n": 600, "d": 3}, seed=0)
+    trees = [b for b in (ball(regular, x, 2) for x in regular.vertices)
+             if len(b.graph.vertices) == 10 and len(b.graph.edges) == 9]
+    assert len(trees) > 500
+    assert leaves_searched(trees, monkeypatch) <= 41
+
+
 # The fast paths against their oracles: a form's code against the payload
 # serializer's output for its leaf, the leaf against its parsed and
 # validated code, refinement with its early stop against the byte-key
@@ -429,8 +639,9 @@ def identity_leaf_key(leaf):
     """`_leaf_key` of a leaf at the identity positions: the texts the
     search would write for it."""
     n, edges, entries = leaf
-    return _leaf_key(list(range(n)), edges, [(t, _encoded(label)[1]) for t, label in entries],
-                     _edge_json(n))
+    ends = sum(1 << (a * n + b) for a, b in edges)
+    return _leaf_key(list(range(n)), _edge_texts(ends, _edge_json(n)),
+                     [(t, _encoded(label)[1]) for t, label in entries])
 
 
 def cell_order_map(b):

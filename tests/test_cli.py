@@ -9,7 +9,7 @@ import pytest
 import locallemma
 from locallemma.cli import ExperimentConfig, emit_summary, main, run_experiment
 from locallemma.csp import Constraint, Csp
-from locallemma.generate import generate
+from locallemma.generators import generate
 from locallemma.serialize import csp_to_json, dump_json, graph_to_json
 from locallemma.randgen import random_cover_csp, random_symmetric_csp
 
@@ -233,7 +233,10 @@ def test_wrong_containers_exit_2_naming_the_field(tmp_path, capsys):
               ["csp", "cover"], "constraints[0].predicate.params: expected an object, got []"),
              ({"ground": [0, 1], "m": 2, "constraints": []},
               ["csp", "solve", "--method", "weighted", "--weights", str(wpath)],
-              "weights[0][1]: expected a rational string, got '1/0'")]
+              "weights[0][1]: expected a rational string, got '1/0'"),
+             # a key the format does not define, here a misspelt "constraints"
+             ({"ground": [0, 1], "m": 2, "constraints": [], "constraint": [[0, 1]]},
+              ["csp", "check"], "constraint: unknown key")]
     for data, argv, message in cases:
         dump_json(data, cpath)
         capsys.readouterr()

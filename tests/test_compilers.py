@@ -18,7 +18,7 @@ from locallemma.csp import (
     stats,
 )
 from locallemma.errors import CanonicalizationCapError, EnumerationCapError, GraphBuildError
-from locallemma.generate import generate
+from locallemma.generators import generate
 from locallemma.graphs import (TAG_OUTPUT, TAG_RAND, RootedBall, ball, base_structure,
                                build_graph, layer_value, with_labeling)
 from locallemma.localrun import LocalAlgorithm, verify_lcl

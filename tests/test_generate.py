@@ -1,12 +1,14 @@
-import importlib
 import itertools
 import random
+import types
 from dataclasses import astuple
 
 import pytest
 
+import locallemma
+import locallemma.generators as generators
 from locallemma.errors import InfeasibleParamsError
-from locallemma.generate import (
+from locallemma.generators import (
     GadgetLayout,
     gadget_build,
     gadget_layout,
@@ -15,6 +17,12 @@ from locallemma.generate import (
     ordered_neighbor_classes,
 )
 from locallemma.graphs import build_graph
+
+
+def test_generators_import_binds_the_module():
+    # the package's `generate` is the function, and its module's name differs
+    assert isinstance(generators, types.ModuleType)
+    assert generators.generate is locallemma.generate
 
 
 def test_cycle_basic():
@@ -70,9 +78,8 @@ def test_random_regular_keeps_pairing_graphs_and_falls_back_to_switchings(monkey
                 digest.update(json.dumps(graph_to_json(graph)).encode())
     assert digest.hexdigest() == PAIRING_GRAPHS
     # 10,000 pairing restarts fail at these sizes; the switchings succeed
-    module = importlib.import_module("locallemma.generate")
-    switched, calls = module._switched_regular, []
-    monkeypatch.setattr(module, "_switched_regular",
+    switched, calls = generators._switched_regular, []
+    monkeypatch.setattr(generators, "_switched_regular",
                         lambda n, d, rng: calls.append((n, d)) or switched(n, d, rng))
     for n, d in ((21, 6), (30, 7)):
         assert_simple_regular(generate("random_regular", {"n": n, "d": d}, 0).edges, n, d)
@@ -82,11 +89,10 @@ def test_random_regular_keeps_pairing_graphs_and_falls_back_to_switchings(monkey
 def test_switched_regular_graphs_are_simple_and_regular():
     # the fallback on every feasible (n, d) with n <= 40, seeds 0-4; through
     # `generate` each size whose restarts all fail costs 10,000 shuffles first
-    module = importlib.import_module("locallemma.generate")
     for n in range(1, 41):
         for d in range(n):
             for seed in range(5) if n * d % 2 == 0 else ():
-                assert_simple_regular(module._switched_regular(n, d, random.Random(seed)), n, d)
+                assert_simple_regular(generators._switched_regular(n, d, random.Random(seed)), n, d)
 
 
 def test_random_regular_parity_rejected():
@@ -204,8 +210,7 @@ def test_gadget_matches_index_layout_oracle(monkeypatch):
         coloring = {x: rng.randint(1, k) for x in graph.vertices}
         built, lifted = gadget_build(graph, k), lift_coloring(graph, k, coloring)
         with monkeypatch.context() as patch:
-            # the package re-exports the function `generate` under the module's name
-            patch.setattr(importlib.import_module("locallemma.generate"), "gadget_layout",
+            patch.setattr(generators, "gadget_layout",
                           lambda g, k: IndexGadgetLayout(*astuple(gadget_layout(g, k))))
             want, want_lifted = gadget_build(graph, k), lift_coloring(graph, k, coloring)
         assert (built.vertices, built.edges, built.structure) == \

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from locallemma.algorithms import cole_vishkin_rounds
 from locallemma.errors import GraphBuildError
-from locallemma.generate import generate
+from locallemma.generators import generate
 from locallemma.graphs import (
     LAYER_MARK,
     TAG_BASE,

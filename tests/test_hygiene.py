@@ -198,8 +198,8 @@ API = {
     ("engine.py", "branch_trace"),
     ("engine.py", "check_partial_solution"),
     # the vertices whose degree the gadget's correctness proof pins at d - 1
-    ("generate.py", "GadgetLayout.v_ids"),
-    ("generate.py", "lift_coloring"),
+    ("generators.py", "GadgetLayout.v_ids"),
+    ("generators.py", "lift_coloring"),
     ("graphcsp.py", "decode_graph_csp"),
     ("graphs.py", "power_graph"),
     ("randgen.py", "random_binary_lowp_csp"),

@@ -9,7 +9,7 @@ from randomized import estimate_randomized_failure
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
 from locallemma.canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
 from locallemma.errors import EnumerationCapError, GraphBuildError, PipelineError
-from locallemma.generate import generate
+from locallemma.generators import generate
 from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value, with_labeling
 from locallemma.localrun import (
     LocalAlgorithm,

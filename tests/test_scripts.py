@@ -48,9 +48,10 @@ def test_benchmark_round_zero_matches_reference_digest(workload, seed):
 def test_traced_benchmark_finds_every_traced_name():
     # the tracer looks its spans up by module and name, so a moved or
     # renamed library function fails the traced run, not the untraced one;
-    # lll_solve also runs the cover walk under the traced cover_family span
+    # lll_solve also runs the cover walk under the traced cover_family span,
+    # and local_sym the bijection search under the canonical_type span
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    for workload in ("rand_compile", "lll_solve"):
+    for workload in ("rand_compile", "lll_solve", "local_sym"):
         result = subprocess.run(
             [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
              "--seed", "0", "--seconds", "0", "--trace", "1"],

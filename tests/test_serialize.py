@@ -6,7 +6,7 @@ import pytest
 from locallemma.binary import binary_reduce
 from locallemma.csp import probability, restrict_csp, stats
 from locallemma.engine import WeightedGroundSet
-from locallemma.generate import generate
+from locallemma.generators import generate
 from locallemma.labels import label_from_json, label_key, label_to_json
 from locallemma.randgen import random_small_csp
 from locallemma.serialize import (
@@ -98,6 +98,19 @@ def test_labeling_round_trip():
 def test_weights_round_trip():
     wts = WeightedGroundSet({0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)})
     assert weights_from_json(weights_to_json(wts)).weights == wts.weights
+
+
+@pytest.mark.parametrize("reader, data", [
+    (graph_from_json, graph_to_json(generate("directed_cycle", {"n": 3}))),
+    (csp_from_json, csp_to_json(random_small_csp(1))),
+    (labeling_from_json, labeling_to_json({0: 1, 2: 3})),
+    (weights_from_json,
+     weights_to_json(WeightedGroundSet({0: Fraction(1, 2), 1: Fraction(1, 2)}))),
+], ids=["graph", "csp", "labeling", "weights"])
+def test_readers_refuse_an_unknown_top_level_key(reader, data):
+    reader(data)  # every key a writer writes is read
+    with pytest.raises(ValueError, match=r"^extra: unknown key$"):
+        reader({**data, "zone": 1, "extra": 0})
 
 
 # inputs that int() used to coerce: floats, numeric strings, bools
