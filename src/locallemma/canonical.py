@@ -1,11 +1,11 @@
 """Canonical codes for rooted structured graphs.
 
 Equal codes iff the rooted structured graphs are isomorphic (root to root,
-adjacency preserved, structure map transported).  The code is the least
-serialization, by bytes, over all root-preserving bijections compatible
-with an iterated invariant refinement of the vertices; the refinement
-(root distance, degree and own label, then structure participation and
-neighbor multisets) is what makes the search tractable at desk scale.
+adjacency preserved, structure map transported).  The code is the JSON of
+the least leaf, in native order, over all root-preserving bijections
+compatible with an iterated invariant refinement of the vertices; the
+refinement (root distance, degree and own label, then structure
+participation and neighbor multisets) keeps the search small.
 
 Refinement signatures (same-shape tuples of nonnegative ints and
 self-delimiting `label_key` bytes) are ordered by native tuple order, and
@@ -15,25 +15,27 @@ before own labels joined it differ on some labelled balls).  Root
 distances come with the ball.  Each label's key and compact JSON text are
 computed once and kept in a bounded cache.
 
-The code is the compact, key-sorted JSON object {"edges", "n",
-"structure"}, written by joining texts: the JSON text of each relabeled
-edge, in numeric edge order, then of each relabeled structure entry, in
-numeric tuple order, each from cached tuple and label texts
-(`_entry_texts`).  Every code is joined once, from its leaf's texts.
+A leaf (a bijection onto positions 0..n-1) is keyed by its edge list in
+numeric order (edge [a, b], a < b, has value a*n + b), then its structure
+entries as (position tuple, label_key) pairs in tuple order.  The code is
+the compact, key-sorted JSON object {"edges", "n", "structure"} of the
+least leaf, written once from cached edge, tuple and label texts
+(`_code`).  A leaf's JSON is injective, so equal codes mean isomorphic
+balls.  Earlier codes were the least JSON by bytes.  The two agree on
+every discrete ball (one leaf) and every unlabelled ball of at most 10
+vertices (one-digit positions, no entries); they can differ on a
+searched ball of 11 or more vertices ("[1,10]" < "[1,2]" as text), or
+where leaves first differ in an entry that text orders otherwise
+(tuples of two lengths, labels of 10 and more, tuples and sets).
 
 The search fills positions 0..n-1 one at a time, in cell order, each with
-an unused vertex of its cell; a leaf is one bijection.  It returns the
-code of the full search while visiting few leaves and writing one:
+an unused vertex of its cell.  It returns the least leaf, the first in
+search order, while visiting few leaves:
 
-- Leaves compare without writing a code.  A leaf's key is the pair of
-  tuples of those texts: the texts its code joins, in the code's order.
-  Each text is a complete JSON array, so none is a proper prefix of
-  another, and all leaves of one search have as many edges and entries;
-  so the first text where two keys differ decides the byte order of the
-  two codes, and key order is code order (the texts are ASCII, so text
-  order is byte order).  A leaf's texts are its key's, so the least
-  leaf's code is the least code.  A discrete refinement is the one leaf's
-  map, and no key is built.
+- A leaf's edges are one int mask, edge value v at bit n*n - 1 - v.  All
+  leaves of one search have as many edges, so a larger mask is a smaller
+  edge list, and the key (-mask, entries) compares natively.  A discrete
+  refinement is the one leaf's map, and no key is built.
 - Automorphisms prune (McKay & Piperno, "Practical graph isomorphism,
   II", 2014).  A leaf pi whose key equals the key of an earlier leaf ref
   (the first or the best) relabels the graph into the same graph, so
@@ -45,33 +47,23 @@ code of the full search while visiting few leaves and writing one:
   so far that fix every assigned vertex, is skipped.  And when pi first
   leaves ref's path at position k, g fixes positions 0..k-1 and maps pi's
   vertex at k to ref's, whose subtree is finished: the search abandons
-  pi's subtree and resumes at position k.  Each skipped subtree is an
-  image of a searched one, so the least key, the code and the leaf are
-  those of the full search.
-- The best leaf cuts subtrees (the paper's other pruning).  Positions
-  fill in order, so below the next level every position is known, and
-  the edges between known positions (a mask of their numeric values
-  a*n + b, grown by each placed vertex's edges) are edges of every leaf
-  below.  Row r holds the edges [r, t], t > r.  In the first row whose
-  vertex has an unplaced neighbour, no open edge takes less than r*n + s,
-  s the first free position of the earliest cell holding one, so the
-  known edges below r*n + s are the first edges of every leaf below.
-  Where their texts first differ from the best key's, a greater text
-  cuts the subtree.  Where all are equal, every leaf's next edge is
-  [r, t] with t at most that cell's last position, and the subtree is
-  cut when every such text is greater than the best key's next one.
-  Texts decide, never values: "[1,10]" < "[1,2]" once a ball has 11
-  vertices (equal masks are equal texts, so masks find where two
-  prefixes first differ).  Only edges are read; structure entries follow
-  every edge.  A cut subtree holds only leaves greater than the best
-  one, and an automorphism skips only images of subtrees searched
-  before, so the first leaf in search order with the least key is still
-  reached and kept: the code and the vertex map are those of the full
-  search.
+  pi's subtree and resumes at position k.
+- The best leaf cuts subtrees (the paper's other pruning).  The edges
+  between known positions are edges of every leaf below.  Row r holds
+  the edges [r, t], t > r.  In the first row whose vertex has an unplaced
+  neighbour, no open edge is less than r*n + s, s the first free
+  position of the earliest cell holding one.  So the known edges below
+  r*n + s, the bits of the mask `ends` from shift = n*n - (r*n + s) up,
+  are the first edges of every leaf below, and the subtree is cut iff
+  `ends >> shift < mask >> shift`, mask the best leaf's: every leaf below
+  then has a greater edge list.
 
-The search budget counts the leaves of the unpruned search (the product
-of the cell factorials), so which balls cap out does not depend on the
-pruning.
+A skipped subtree is an image of one searched before, and a cut one
+holds only leaves greater than the best, so the first least leaf in
+search order is still reached and kept: the code and the vertex map are
+those of the full search.  The budget counts the leaves of the unpruned
+search (the product of the cell factorials), so which balls cap out does
+not depend on the pruning.
 
 A form made by `canonical_type` keeps the winning leaf of its search (the
 relabeled edges and structure entries its code was written from), and
@@ -93,6 +85,7 @@ from typing import Optional
 from .errors import CanonicalizationCapError
 from .graphs import RootedBall, StructuredGraph
 from .labels import label_from_json, label_key, label_to_json
+from .serialize import _known_keys, _strict_int
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -170,18 +163,26 @@ def _tuple_json(t):
     return f"[{','.join(map(str, t))}]"
 
 
-def _entry_texts(mapped):
-    """The JSON text "[[a,b],label]" of each (position tuple, label text)."""
-    return [f"[{_tuple_json(t)},{text}]" for t, text in mapped]
+@lru_cache(maxsize=64)
+def _edge_json(n):
+    """Flat table whose entry a*n + b, for a < b < n, is the JSON text of
+    the edge [a, b]."""
+    table = [None] * (n * n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            table[a * n + b] = f"[{a},{b}]"
+    return table
 
 
-def _code(n, edge_texts, entry_texts) -> bytes:
-    """The code: the compact, key-sorted JSON object {"edges", "n",
-    "structure"}, joined from the texts of its edges and entries."""
-    # the one writer of codes; a search's leaf keys are these texts in this
-    # order, so key order is code byte order by construction
-    return (f'{{"edges":[{",".join(edge_texts)}],"n":{n},'
-            f'"structure":[{",".join(entry_texts)}]}}').encode()
+def _code(leaf) -> bytes:
+    """The code of a leaf: the compact, key-sorted JSON object {"edges",
+    "n", "structure"}, joined from cached edge, position-tuple and label
+    texts in the leaf's order."""
+    n, edges, entries = leaf
+    edge_json = _edge_json(n)
+    edge_texts = ",".join([edge_json[a * n + b] for a, b in edges])
+    entry_texts = ",".join([f"[{_tuple_json(t)},{_encoded(label)[1]}]" for t, label in entries])
+    return f'{{"edges":[{edge_texts}],"n":{n},"structure":[{entry_texts}]}}'.encode()
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,14 @@ class CanonicalForm:
         if self.leaf is not None:
             return self.leaf
         payload = json.loads(self.code.decode())
+        _known_keys(payload, ("edges", "n", "structure"))
+        n = _strict_int(payload["n"], "n", low=1)  # root 0 is a vertex
+        edges = [tuple([_strict_int(v, f"edges[{i}][{j}]") for j, v in enumerate(e)])
+                 for i, e in enumerate(payload["edges"])]
         # a list, so the constructor rejects a repeated tuple
-        structure = [(tuple(t), label_from_json(l)) for t, l in payload["structure"]]
-        graph = StructuredGraph(range(payload["n"]), payload["edges"], structure)
+        structure = [(tuple([_strict_int(v, f"structure[{i}][0][{j}]") for j, v in enumerate(t)]),
+                      label_from_json(l)) for i, (t, l) in enumerate(payload["structure"])]
+        graph = StructuredGraph(range(n), edges, structure)
         return _leaf(graph, range(len(graph.vertices)))
 
     def decode(self):
@@ -262,46 +268,22 @@ def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
         order = [v for cell in cell_list for v in cell]
         path = _search(graph, order, [len(cell) for cell in cell_list])
         mapping = {order[i]: p for p, i in enumerate(path)}
-    # the texts the search's key writes for this leaf at identity positions
     leaf = _leaf(graph, mapping)
-    edge_json = _edge_json(n)
-    texts = _entry_texts([(t, _encoded(label)[1]) for t, label in leaf[2]])
-    return CanonicalForm(_code(n, [edge_json[a * n + b] for a, b in leaf[1]], texts), leaf), mapping
+    return CanonicalForm(_code(leaf), leaf), mapping
 
 
-@lru_cache(maxsize=64)
-def _edge_json(n):
-    """Flat table whose entry a*n + b, for a < b < n, is the JSON text of
-    the edge [a, b]."""
-    table = [None] * (n * n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            table[a * n + b] = f"[{a},{b}]"
-    return table
-
-
-def _edge_texts(ends, edge_json):
-    """The JSON texts of the edges whose numeric values a*n + b are the set
-    bits of `ends`, in numeric edge order."""
-    texts = []
-    while ends:
-        low = ends & -ends
-        texts.append(edge_json[low.bit_length() - 1])
-        ends ^= low
-    return tuple(texts)
-
-
-def _leaf_key(pos, edge_texts, entries):
-    """Sort key of the leaf that puts vertex i at position pos[i]: the
-    texts of its edges in numeric edge order, then the JSON text of each
-    relabeled structure entry in numeric tuple order.  Leaves of one
-    search order by key as their codes order by bytes."""
+def _leaf_key(pos, ends, entries):
+    """Sort key of the leaf that puts vertex i at position pos[i]: -ends,
+    `ends` the mask of its edges (edge value v at bit n*n - 1 - v), then
+    its (position tuple, label key) entries in tuple order.  The keys of
+    one search's leaves order as the leaves do."""
     if not entries:
-        return edge_texts, ()
-    # mapped tuples are distinct, so the texts never break a tie
-    mapped = sorted((tuple([pos[x] for x in tup]), text) for tup, text in entries)
+        return -ends, ()
+    # mapped tuples are distinct, so label keys never break a tie
+    mapped = [(tuple([pos[x] for x in tup]), lkey) for tup, lkey in entries]
+    mapped.sort()
     # tuples built from lists of known length, so freed ones are reused
-    return edge_texts, tuple(_entry_texts(mapped))
+    return -ends, tuple(mapped)
 
 
 def _orbits(seeds, gens):
@@ -326,10 +308,11 @@ def _search(graph, order, sizes):
     are the search's levels, filled one at a time: position p takes an
     unused id of its cell, lo[p]..hi[p]-1.  A leaf whose key equals the
     first leaf's or the best leaf's gives an automorphism, and a subtree
-    whose every leaf is greater than the best leaf is cut; see the module
-    docstring for why skipping either is exact.  Recursion goes one call
-    deep per level, and the budget bounds the levels."""
+    whose first edges are a smaller mask than the best leaf's is cut; see
+    the module docstring for why skipping either is exact.  Recursion
+    goes one call deep per level, and the budget bounds the levels."""
     n = len(order)
+    last = n * n - 1  # edge value v is bit last - v of a mask
     index = {v: i for i, v in enumerate(order)}
     lo, hi = [], []
     for size in sizes:
@@ -338,9 +321,8 @@ def _search(graph, order, sizes):
         hi.extend([start + size] * size)
     levels = [p for p in range(n) if hi[p] - lo[p] > 1]
     depth = len(levels)
-    entries = [(tuple(index[x] for x in tup), _encoded(label)[1])
+    entries = [(tuple(index[x] for x in tup), _encoded(label)[0])
                for tup, label in graph.structure.items()]
-    edge_json = _edge_json(n)
     leaf_key = _leaf_key
     pos = list(range(n))  # vertex id -> position, -1 while unassigned
     for p in levels:
@@ -355,22 +337,20 @@ def _search(graph, order, sizes):
         nbrs[a].append(b)
         nbrs[b].append(a)
         if pos[a] >= 0 and pos[b] >= 0:
-            known |= 1 << (a * n + b if a < b else b * n + a)
+            known |= 1 << (last - (a * n + b if a < b else b * n + a))
     for around in nbrs:  # ascending, so a first open neighbour is in the earliest cell
         around.sort()
-    top, mask = (), 0  # the best leaf's edge texts and the mask of its edges
+    mask = 0  # the best leaf's edges; 0 cuts nothing before the first leaf
 
     def leaf(ends):
         """Level to resume at: depth, or the level where this leaf leaves
         the path of an equal earlier leaf.  `ends` is its edges' mask."""
-        nonlocal first, best, top, mask
-        # a leaf with the best leaf's edges has its edge texts too
-        key = leaf_key(pos, top if best and ends == mask else _edge_texts(ends, edge_json),
-                       entries)
+        nonlocal first, best, mask
+        key = leaf_key(pos, ends, entries)
         if best is None or key < best[0]:
             best = (key, path[:])
             first = first or best
-            top, mask = key[0], ends
+            mask = ends
             return depth
         ref = first[1] if key == first[0] else best[1] if key == best[0] else None
         if ref is None:
@@ -384,47 +364,31 @@ def _search(graph, order, sizes):
     def visit(i, fixing, checked, ends, row, x):
         """Search below levels 0..i-1; `fixing` holds the automorphisms
         among autos[:checked] that fix the vertices placed there, `ends`
-        is the mask of the numeric values of the edges whose positions are
-        known, no row before `row` has an open edge, and x, if open, is
-        row's first open neighbour."""
+        is the mask of the edges whose positions are known, no row before
+        `row` has an open edge, and x, if open, is row's first open
+        neighbour."""
         if i == depth:
             return leaf(ends)
         p = levels[i]  # positions below p are known
-        if best is not None:
-            if x is None or pos[x] >= 0:
-                # the first row whose vertex has an open neighbour, x the
-                # one in the earliest cell
-                while row < p:
-                    for x in nbrs[path[row]]:
-                        if pos[x] < 0:
-                            break
-                    else:
-                        row += 1
-                        continue
-                    break
-            if row < p:  # always in a ball: an open vertex has a neighbour in an earlier cell
-                # the known edges below row * n + start, the head, are
-                # the first edges of every leaf below
-                start = lo[x] if lo[x] > p else p
-                below = (1 << (row * n + start)) - 1
-                head = ends & below
-                differ = head ^ (mask & below)
-                low = differ & -differ  # both agree below this edge value
-                mine = head & -low  # 0 when they are equal
-                if mine:
-                    # at the index j where the two first differ, the head
-                    # has its least edge from low on: the texts decide
-                    j = (head & (low - 1)).bit_count()
-                    if edge_json[(mine & -mine).bit_length() - 1] > top[j]:
-                        return depth
+        if x is None or pos[x] >= 0:
+            # the first row whose vertex has an open neighbour, x the one
+            # in the earliest cell
+            while row < p:
+                for x in nbrs[path[row]]:
+                    if pos[x] < 0:
+                        break
                 else:
-                    # the head is the best leaf's first c edges, and every
-                    # leaf's next edge is [row, t]: x's position or a known
-                    # column before it, so t < hi[x]
-                    c = head.bit_count()
-                    if edge_json[row * n + start] > top[c] and min(
-                            [edge_json[row * n + t] for t in range(start, hi[x])]) > top[c]:
-                        return depth
+                    row += 1
+                    continue
+                break
+        # always in a ball: an open vertex has a neighbour in an earlier
+        # cell.  No open edge is below row * n + s, s the first position x
+        # can take, so the mask's bits from `shift` up are the first edges
+        # of every leaf below.
+        if row < p:
+            shift = last + 1 - row * n - (lo[x] if lo[x] > p else p)
+            if ends >> shift < mask >> shift:
+                return depth
         searched = []
         covered = ()
         for w in range(lo[p], hi[p]):
@@ -436,7 +400,7 @@ def _search(graph, order, sizes):
             for y in nbrs[w]:
                 b = pos[y]
                 if b >= 0:
-                    known |= 1 << (b * n + p if b < p else p * n + b)
+                    known |= 1 << (last - (b * n + p if b < p else p * n + b))
             back = visit(i + 1, [g for g in fixing if g[w] == w] if fixing else fixing,
                          checked, known, row, x)
             pos[w] = -1

@@ -1,14 +1,18 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import locallemma
 from locallemma import canonical
-from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _canonical_map,
-                                  _edge_json, _edge_texts, _encoded, _entry_texts, _leaf_key,
-                                  _refine, _tuple_json, canonical_type)
+from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _canonical_map, _encoded,
+                                  _leaf, _leaf_key, _refine, _tuple_json, canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generators import generate
 from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph,
@@ -144,10 +148,11 @@ def test_hex_round_trip():
     assert CanonicalForm.from_hex(form.hex()) == form
 
 
-# Oracle: refinement ordered by a byte key, code entries sorted by
-# (mapped tuple, label_key), every leaf of the search tried.  The initial
-# colour carries each vertex's own singleton label key (b"" for none);
-# code version 1, pinned below, started from (root flag, dist, degree).
+# Oracle: refinement ordered by a byte key, every leaf of the search
+# tried, the code of the natively least leaf: edges in numeric order, then
+# entries by (mapped tuple, label_key).  The initial colour carries each
+# vertex's own singleton label key (b"" for none); code version 1, pinned
+# below, started from (root flag, dist, degree).
 
 def byte_key(obj) -> bytes:
     if isinstance(obj, bytes):
@@ -194,30 +199,40 @@ def byte_key_refine_v1(graph, root):
     return byte_key_refine(graph, root, own_labels=False)
 
 
-def oracle_code(b, refine=byte_key_refine) -> bytes:
+def every_leaf(b, refine):
+    """Every leaf of the cells of `refine`, as (native key, its code)."""
     graph = b.graph
     color = refine(graph, b.root)
     cells = {}
     for v in graph.vertices:
         cells.setdefault(color[v], []).append(v)
     cell_list = [sorted(cells[c]) for c in sorted(cells)]
-    best = None
     for perms in product(*(permutations(cell) for cell in cell_list)):
         mapping = {v: i for i, v in enumerate(v for perm in perms for v in perm)}
         edges = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
                        for (u, v) in graph.edges)
-        entries = sorted(((tuple(mapping[x] for x in t), l) for t, l in graph.structure.items()),
-                         key=lambda e: (e[0], label_key(e[1])))
+        # mapped tuples are distinct, so the labels are never compared
+        entries = sorted((tuple(mapping[x] for x in t), label_key(l), l)
+                         for t, l in graph.structure.items())
         payload = {"n": len(graph.vertices), "edges": [list(e) for e in edges],
-                   "structure": [[list(t), label_to_json(l)] for t, l in entries]}
+                   "structure": [[list(t), label_to_json(l)] for t, _, l in entries]}
         code = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        if best is None or code < best:
-            best = code
-    return best
+        yield (edges, [(t, k) for t, k, _ in entries]), code
+
+
+def oracle_code(b, refine=byte_key_refine) -> bytes:
+    """The code of the least leaf in native order."""
+    return min(every_leaf(b, refine), key=itemgetter(0))[1]
 
 
 def oracle_code_v1(b) -> bytes:
     return oracle_code(b, byte_key_refine_v1)
+
+
+def byte_order_code(b) -> bytes:
+    """The least code by bytes, as codes were chosen before leaves were
+    ordered natively."""
+    return min(code for _, code in every_leaf(b, byte_key_refine))
 
 
 def random_layer_value(rng):
@@ -358,21 +373,20 @@ def test_budget_counts_the_unpruned_search():
     assert canonical_type(below).code == oracle_code(below)
 
 
-# Oracle for the bound: the search as it was before the best leaf cut
-# subtrees, pruning by automorphisms only, with the key it compared leaves
-# by.  The pruned search must return the same leaf (the first least one in
-# search order), so `_canonical_map` must return the same code and map.
+# Oracle for the bound: the search with automorphism pruning only, each
+# leaf keyed natively by its sorted edge values and its (mapped tuple,
+# label_key) entries.  The pruned search must return the same leaf (the
+# first least one in search order), so `_canonical_map` must return the
+# same code and map.
 
-def oracle_leaf_key(pos, edges, entries, edge_json):
+def oracle_leaf_key(pos, edges, entries):
     n = len(pos)
     ends = []
     for u, v in edges:
         a, b = pos[u], pos[v]
         ends.append(a * n + b if a < b else b * n + a)
-    ends.sort()
-    mapped = sorted((tuple([pos[x] for x in tup]), text) for tup, text in entries)
-    return (tuple([edge_json[e] for e in ends]),
-            tuple(_entry_texts(mapped)))
+    return tuple(sorted(ends)), tuple(sorted((tuple(pos[x] for x in tup), key)
+                                             for tup, key in entries))
 
 
 def oracle_search(graph, order, sizes):
@@ -386,9 +400,8 @@ def oracle_search(graph, order, sizes):
     levels = [p for p in range(n) if hi[p] - lo[p] > 1]
     depth = len(levels)
     edges = [(index[u], index[v]) for u, v in graph.edges]
-    entries = [(tuple(index[x] for x in tup), _encoded(label)[1])
+    entries = [(tuple(index[x] for x in tup), label_key(label))
                for tup, label in graph.structure.items()]
-    edge_json = _edge_json(n)
     leaf_key = oracle_leaf_key
     pos = list(range(n))  # vertex id -> position, -1 while unassigned
     for p in levels:
@@ -399,7 +412,7 @@ def oracle_search(graph, order, sizes):
 
     def leaf():
         nonlocal first, best
-        key = leaf_key(pos, edges, entries, edge_json)
+        key = leaf_key(pos, edges, entries)
         if best is None:
             first = best = (key, path[:])
             return depth
@@ -463,7 +476,7 @@ def assert_matches_oracle(balls):
     for b in balls:
         got = canonical_result(b)
         assert got == canonical_result(b, oracle_search)
-        searched += isinstance(got, tuple) and len(set(_refine(b).values())) < len(b.graph.vertices)
+        searched += isinstance(got, tuple) and reaches_search(b)
     return searched
 
 
@@ -483,8 +496,67 @@ def test_pruned_search_matches_oracle_on_layered_balls(b):
     assert_matches_oracle([b])
 
 
+def random_symmetric_ball(rng):
+    """A ball with a symmetry s that fixes its root: a star, cycle,
+    complete or complete bipartite graph, the cube or the Petersen graph,
+    with labels from {1, 2, 10} on a few vertices and up to two pair or
+    triple entries, each copied onto its image under s.  No refinement
+    separates v from s(v), so a draw reaches the bijection search unless
+    its radius leaves out every vertex that s moves."""
+    shape = rng.randrange(6)
+    root, swap = 0, (1, 2)
+    if shape == 0:  # rooted at the centre or at a leaf
+        g, root, swap = star(rng.randint(3, 6)), rng.choice((0, 1)), (2, 3)
+    elif shape == 1:
+        k = rng.randint(3, 6)
+        g = build_graph(range(k), [(i, j) for i in range(k) for j in range(i + 1, k)])
+    elif shape == 2:
+        a, c = rng.randint(1, 3), rng.randint(2, 4)
+        g = build_graph(range(a + c), [(i, j) for i in range(a) for j in range(a, a + c)])
+        swap = (a, a + 1)
+    if shape <= 2:
+        s = {v: v for v in g.vertices}
+        s.update({swap[0]: swap[1], swap[1]: swap[0]})
+    elif shape == 3:  # reflected through the root
+        n = rng.randint(3, 9)
+        g, s = generate("cycle", {"n": n}), {v: -v % n for v in range(n)}
+    elif shape == 4:  # the first two coordinates exchanged
+        g, s = cube(), {v: v & 4 | (v & 1) << 1 | (v & 2) >> 1 for v in range(8)}
+    else:  # reflected through the spoke at 0
+        g, s = petersen(), {v: v - v % 5 + -v % 5 for v in range(10)}
+    structure = {}
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice(g.vertices)
+        structure[(v,)] = structure[(s[v],)] = rng.choice((1, 2, 10))
+    for _ in range(rng.randint(0, 2)):
+        t = tuple(rng.sample(g.vertices, rng.randint(2, 3)))
+        image = tuple(s[x] for x in t)
+        if t not in structure and image not in structure:
+            structure[t] = structure[image] = rng.choice((1, 2, 10))
+    g = build_graph(g.vertices, g.edges, structure)
+    return ball(g, root, rng.randint(1, 3))
+
+
+def reaches_search(b):
+    return len(set(_refine(b).values())) < len(b.graph.vertices)
+
+
+def test_symmetric_draws_reach_the_search():
+    rng = random.Random(3)
+    draws = [random_symmetric_ball(rng) for _ in range(400)]
+    assert sum(map(reaches_search, draws)) >= len(draws) // 2
+
+
+@given(st.randoms(use_true_random=False).map(random_symmetric_ball))
+def test_pruned_search_matches_oracles_on_symmetric_draws(b):
+    # the automorphism-only search and, every bijection tried, the code of
+    # the natively least leaf
+    assert_matches_oracle([b])
+    assert canonical_type(b).code == oracle_code(b)
+
+
 def test_pruned_search_matches_oracle_on_symmetric_balls():
-    # every torus root: 13 vertices at R = 2, where "[1,10]" < "[1,2]"
+    # every torus root: 13 vertices at R = 2, with two-digit positions
     torus = generate("torus_grid", {"rows": 12, "cols": 12})
     balls = [ball(torus, x, radius) for x in torus.vertices for radius in (1, 2)]
     for d in (3, 4):
@@ -516,7 +588,16 @@ def test_pruned_search_matches_oracle_on_symmetric_balls_with_tuples():
                      for _ in range(rng.randint(1, 2))}
         g = build_graph(g.vertices, g.edges, structure)
         balls.append(ball(g, 0, len(g.vertices)))
-    assert assert_matches_oracle(balls) > 100
+    # every ordered pair of a star's leaves, each unordered pair labelled
+    # 1 or 2: every leaf maps the tuples onto the same positions, so leaves
+    # differ only in the labels there
+    for _ in range(40):
+        k = rng.randint(4, 6)
+        colour = {(a, b): rng.randint(1, 2) for a in range(1, k + 1) for b in range(a + 1, k + 1)}
+        structure = {(a, b): colour[min(a, b), max(a, b)]
+                     for a in range(1, k + 1) for b in range(1, k + 1) if a != b}
+        balls.append(ball(build_graph(star(k).vertices, star(k).edges, structure), 0, 1))
+    assert assert_matches_oracle(balls) > 130
 
 
 def local_sym_round_zero_balls(seed):
@@ -557,10 +638,10 @@ def leaves_searched(balls, monkeypatch):
 
 def test_best_leaf_bound_leaf_counts_are_pinned(monkeypatch):
     # counts, not clocks: the most leaves over every torus root at R = 2
-    # (13,824 unpruned, 2,740 with automorphisms alone) and over the
+    # (13,824 unpruned, 2,723 with automorphisms alone) and over the
     # depth-2 3-regular tree balls of one graph (4,320 unpruned)
     torus = generate("torus_grid", {"rows": 12, "cols": 12})
-    assert leaves_searched([ball(torus, x, 2) for x in torus.vertices], monkeypatch) <= 38
+    assert leaves_searched([ball(torus, x, 2) for x in torus.vertices], monkeypatch) <= 30
     regular = generate("random_regular", {"n": 600, "d": 3}, seed=0)
     trees = [b for b in (ball(regular, x, 2) for x in regular.vertices)
              if len(b.graph.vertices) == 10 and len(b.graph.edges) == 9]
@@ -636,12 +717,11 @@ def test_leaf_decode_and_refine_match_oracles_on_id_and_symmetric_balls():
 
 
 def identity_leaf_key(leaf):
-    """`_leaf_key` of a leaf at the identity positions: the texts the
-    search would write for it."""
+    """`_leaf_key` of a leaf at the identity positions: the key the search
+    builds for it."""
     n, edges, entries = leaf
-    ends = sum(1 << (a * n + b) for a, b in edges)
-    return _leaf_key(list(range(n)), _edge_texts(ends, _edge_json(n)),
-                     [(t, _encoded(label)[1]) for t, label in entries])
+    ends = sum(1 << (n * n - 1 - (a * n + b)) for a, b in edges)
+    return _leaf_key(list(range(n)), ends, [(t, label_key(label)) for t, label in entries])
 
 
 def cell_order_map(b):
@@ -656,16 +736,19 @@ def cell_order_map(b):
 
 
 def assert_one_leaf_paths_match(b):
-    """A code is joined from the search's key texts of its leaf at the
-    identity positions, each entry's written by the shared writer; a
-    discrete ball's map is the general path's."""
+    """A form's leaf is the ball relabelled by its map, in the order of the
+    search's key at the identity positions (edges as a mask, entries by
+    (tuple, label_key)), and its code is that leaf's JSON, each text
+    compact; a discrete ball's map is the general path's."""
     form, mapping = _canonical_map(b, cap=max(len(b.graph.vertices), 12))
     n, edges, entries = form.leaf
-    edge_texts, entry_texts = identity_leaf_key(form.leaf)
-    assert list(entry_texts) == _entry_texts([(t, _encoded(l)[1]) for t, l in entries])
-    assert list(entry_texts) == [compact_json([list(t), label_to_json(l)]) for t, l in entries]
-    assert list(edge_texts) == [compact_json(list(e)) for e in edges]
-    assert form.code == canonical._code(n, edge_texts, entry_texts)
+    assert form.leaf == _leaf(b.graph, mapping)
+    keyed = [(t, label_key(l)) for t, l in entries]
+    ends, oracle_entries = oracle_leaf_key(list(range(n)), edges, keyed)
+    assert [a * n + c for a, c in edges] == list(ends) and keyed == list(oracle_entries)
+    assert identity_leaf_key(form.leaf) == (-sum(1 << (n * n - 1 - e) for e in ends),
+                                            oracle_entries)
+    assert form.code == canonical._code(form.leaf) == payload_code(form)
     if len(set(_refine(b).values())) == len(b.graph.vertices):
         assert mapping == cell_order_map(b)
         with pytest.raises(CanonicalizationCapError, match="bijection search"):
@@ -710,6 +793,64 @@ def test_new_codes_equal_version_1_codes_on_pinned_families():
         assert canonical_type(b, cap=15).code == oracle_code_v1(b)
 
 
+CODES_DIGEST = """
+import hashlib
+from locallemma.canonical import canonical_type
+from locallemma.errors import CanonicalizationCapError
+from locallemma.generators import generate
+from locallemma.graphs import ball
+
+def code(b):
+    try:
+        return canonical_type(b, cap=64).code
+    except CanonicalizationCapError as err:
+        return str(err).encode()
+
+torus = generate("torus_grid", {"rows": 12, "cols": 12})
+tree = generate("random_tree", {"n": 300}, seed=0)
+balls = [ball(torus, x, 2) for x in torus.vertices]
+balls += [ball(tree, x, 3) for x in tree.vertices[::10]]
+print(hashlib.sha256(b"|".join(code(b) for b in balls)).hexdigest())
+"""
+
+
+def test_codes_identical_across_hash_seeds():
+    # the search's orbits, sets and dicts must not reach a code: the 144
+    # torus roots at R = 2 and 30 tree balls at R = 3, under four hash seeds
+    src = os.path.dirname(os.path.dirname(locallemma.__file__))
+    digests = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", CODES_DIGEST], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.add(run.stdout)
+    assert len(digests) == 1 and len(digests.pop()) == 65
+
+
+def test_codes_keep_byte_order_codes_on_discrete_and_small_unlabelled_balls():
+    # a discrete ball has one leaf, and an unlabelled ball of at most 10
+    # vertices has one-digit positions and no entries, so text order is
+    # native order: both keep the least code by bytes, as chosen before
+    # leaves were ordered natively
+    rng = random.Random(23)
+    discrete = local_det_balls()[:8]
+    discrete += [b for b in (random_layered_ball(rng) for _ in range(100)) if not reaches_search(b)]
+    torus = generate("torus_grid", {"rows": 12, "cols": 12})
+    regular = generate("random_regular", {"n": 40, "d": 3}, seed=3)
+    tree = generate("random_tree", {"n": 60}, seed=4)
+    unlabelled = [ball(torus, 0, 1), ball(cube(), 0, 3), ball(petersen(), 0, 2),
+                  ball(star(6), 0, 1), ball(star(6), 1, 2)]
+    unlabelled += [ball(regular, x, 2) for x in regular.vertices[:4]]
+    unlabelled += [b for b in (ball(tree, x, 3) for x in tree.vertices)
+                   if len(b.graph.vertices) <= 10][:20]
+    unlabelled += [b for b in (random_symmetric_ball(rng) for _ in range(100))
+                   if not b.graph.structure and len(b.graph.vertices) <= 10]
+    assert len(discrete) > 60 and len(unlabelled) > 40
+    assert sum(map(reaches_search, unlabelled)) > 30
+    for b in discrete + unlabelled:
+        assert canonical_type(b, cap=64).code == byte_order_code(b)
+
+
 @pytest.mark.parametrize("code, error", [
     (b'{"edges":[[0,0]],"n":1,"structure":[]}', GraphBuildError),   # self-loop
     (b'{"edges":[[0,5]],"n":2,"structure":[]}', GraphBuildError),   # unknown vertex
@@ -728,10 +869,29 @@ def test_from_hex_decode_still_validates(code, error):
     (b'{"edges":[],"n":1,"structure":[[[0],true]]}', ValueError),   # bool label
     (b'{"edges":[],"n":1,"structure":[[[0],-1]]}', ValueError),     # negative label
     (b'{"edges":[],"n":2,"structure":[[[0],1],[[0],2]]}', GraphBuildError),  # duplicate
+    (b'{"edges":[[true,2]],"n":3,"structure":[]}', ValueError),    # bool vertex
+    (b'{"edges":[],"n":true,"structure":[]}', ValueError),         # bool size
+    (b'{"edges":[],"n":0,"structure":[]}', ValueError),            # no root
+    (b'{"edges":[],"n":2,"structure":[[[false],1]]}', ValueError),  # bool in a tuple
+    (b'{"edges":[],"extra":1,"n":1,"structure":[]}', ValueError),   # unknown key
 ])
 def test_from_hex_parts_validates(code, error):
     with pytest.raises(error):
         CanonicalForm.from_hex(code.hex()).parts()
+
+
+@pytest.mark.parametrize("code, field", [
+    (b'{"edges":[[true,2]],"n":3,"structure":[]}', "edges[0][0]: expected int"),
+    (b'{"edges":[],"n":true,"structure":[]}', "n: expected int"),
+    (b'{"edges":[],"n":0,"structure":[]}', "n: expected int >= 1"),
+    (b'{"edges":[],"n":2,"structure":[[[false],1]]}', "structure[0][0][0]: expected int"),
+    (b'{"edges":[],"extra":1,"n":1,"structure":[]}', "extra: unknown key"),
+])
+def test_from_hex_parts_names_the_refused_field(code, field):
+    # a code parses to one leaf only from its own bytes: `true` is not 1
+    with pytest.raises(ValueError) as err:
+        CanonicalForm.from_hex(code.hex()).parts()
+    assert str(err.value).startswith(field)
 
 
 def test_from_hex_parts_are_in_leaf_shape():
