@@ -85,7 +85,7 @@ from typing import Optional
 from .errors import CanonicalizationCapError
 from .graphs import RootedBall, StructuredGraph
 from .labels import label_from_json, label_key, label_to_json
-from .serialize import _known_keys, _strict_int
+from .serialize import _int_list, _known_keys, _pairs, _strict_container, _strict_int
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -205,14 +205,17 @@ class CanonicalForm:
         on every call."""
         if self.leaf is not None:
             return self.leaf
-        payload = json.loads(self.code.decode())
-        _known_keys(payload, ("edges", "n", "structure"))
+        try:
+            payload = json.loads(self.code.decode())
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ValueError(f"code: not JSON: {exc}") from None
+        _known_keys(_strict_container(payload, dict, "code"), ("edges", "n", "structure"))
         n = _strict_int(payload["n"], "n", low=1)  # root 0 is a vertex
-        edges = [tuple([_strict_int(v, f"edges[{i}][{j}]") for j, v in enumerate(e)])
-                 for i, e in enumerate(payload["edges"])]
+        edges = [tuple(_int_list(e, f"edges[{i}]"))
+                 for i, e in enumerate(_pairs(payload["edges"], "edges"))]
         # a list, so the constructor rejects a repeated tuple
-        structure = [(tuple([_strict_int(v, f"structure[{i}][0][{j}]") for j, v in enumerate(t)]),
-                      label_from_json(l)) for i, (t, l) in enumerate(payload["structure"])]
+        structure = [(tuple(_int_list(t, f"structure[{i}][0]")), label_from_json(l))
+                     for i, (t, l) in enumerate(_pairs(payload["structure"], "structure"))]
         graph = StructuredGraph(range(n), edges, structure)
         return _leaf(graph, range(len(graph.vertices)))
 

@@ -3,11 +3,11 @@ partial-solution constructor with derandomized branch selection, the
 halving step, the weighted iterated solver, and covering families.
 
 Everything asserted here is an exact rational inequality.  Comparisons
-against sqrt(p) square both sides; the branch-selection estimator, whose
-value is (rational) + (rational) * sqrt(p), is compared inside the
-quadratic field Q[sqrt(p)].  Comparisons against e^-1 and e^-2 use the
-certified rational lower bounds 0.3678 and 0.1353, so passing a check here
-implies the corresponding analytic condition.
+against sqrt(p) square both sides.  The branch-selection estimator phi =
+a + b sqrt(p) is the pair of rationals (a, b), and two values compare by
+one exact sign test, `_sign`, of their difference.  Comparisons against
+e^-1 and e^-2 use the certified rational lower bounds 0.3678 and 0.1353,
+so passing a check here implies the corresponding analytic condition.
 """
 
 from __future__ import annotations
@@ -173,43 +173,14 @@ class WeightedGroundSet:
         return WeightedGroundSet({x: w / total for x, w in sub.items()})
 
 
-class QuadExpr:
-    """Exact value a + b*sqrt(p) in the quadratic field Q[sqrt(p)]."""
-
-    __slots__ = ("a", "b", "p")
-
-    def __init__(self, a: Fraction, b: Fraction, p: Fraction):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.p = Fraction(p)
-
-    def __add__(self, other: "QuadExpr") -> "QuadExpr":
-        return QuadExpr(self.a + other.a, self.b + other.b, self.p)
-
-    def __sub__(self, other: "QuadExpr") -> "QuadExpr":
-        return QuadExpr(self.a - other.a, self.b - other.b, self.p)
-
-    def scaled(self, factor: Fraction) -> "QuadExpr":
-        return QuadExpr(self.a * factor, self.b * factor, self.p)
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0 or self.p == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 p on the dominant side
-        lhs, rhs = a * a, b * b * self.p
-        if a > 0:  # a > 0, b < 0: positive iff a^2 > b^2 p
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
-
-    def __lt__(self, other: "QuadExpr") -> bool:
-        return (self - other).sign() < 0
+def _sign(a: Fraction, b: Fraction, p: Fraction) -> int:
+    """The sign of a + b sqrt(p), exactly: where a and b have opposite
+    signs, a^2 is compared with b^2 p."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0 or not p:   # the terms agree, or one of them is 0
+        return sa or sb * (p > 0)
+    gap = a * a - b * b * p     # opposite signs: the larger square decides
+    return sa * ((gap > 0) - (gap < 0))
 
 
 @dataclass
@@ -219,7 +190,7 @@ class PartialSolutionTrace:
     classes: List[Tuple[int, ...]]
     chosen: List[int]
     dangerous: List[frozenset]      # D(u) per prefix, length len(classes)+1
-    phi: List[QuadExpr]             # estimator per prefix, same length
+    phi: List[Tuple[Fraction, Fraction]]   # (a, b), phi = a + b sqrt(p), same length
     covered_weight: Fraction = Fraction(0)
 
 
@@ -297,14 +268,6 @@ class _LevelState:
         return g, changed, _LevelState(self.base, constraints, probs, p_max, frozen, dangerous)
 
 
-def _term(prob: Fraction, p: Fraction) -> QuadExpr:
-    """min(1, P / sqrt(p)) as an element of Q[sqrt(p)] (P/sqrt(p) equals
-    (P/p) * sqrt(p))."""
-    if _is_dangerous(prob, p):
-        return QuadExpr(Fraction(1), Fraction(0), p)
-    return QuadExpr(Fraction(0), prob / p, p)
-
-
 def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
                       cap_bits: int = DEFAULT_CAP_BITS):
     """Partial solution h of `csp` by the level recursion over a discrete
@@ -339,30 +302,37 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
         for i in {i for z in conn.det_sets[x] for i in csp.meeting.get(z, ())}:
             weight_touching[i] += wts.weights.get(x, Fraction(0))
 
-    def weighted_term(i: int, probs: List[Fraction]) -> QuadExpr:
-        return _term(probs[i], p).scaled(weight_touching[i])
-
-    # phi is a running sum: a level changes only the terms of the
-    # constraints `descend` restricted, and the arithmetic is exact
-    phi = sum((weighted_term(i, state.probs) for i, w in enumerate(weight_touching) if w),
-              QuadExpr(Fraction(0), Fraction(0), p))
+    # phi = a + b sqrt(p) sums w min(1, P / sqrt(p)) over the constraints:
+    # (w, 0) for a dangerous (frozen) one, else (0, w P / p); at the root
+    # none is dangerous, as P <= p <= 1
+    phi_a = Fraction(0)
+    phi_b = sum((w * pr / p for w, pr in zip(weight_touching, state.probs) if w), Fraction(0))
     h: PartialAssignment = {}
     chosen: List[int] = []
     dangerous_trace = [state.dangerous]
-    phi_trace = [phi]
+    phi_trace = [(phi_a, phi_b)]
     for cls in classes:
+        # phi is common to every value, so values compare by their change,
+        # summed over the constraints `descend` restricted (none was frozen)
         best = None
         for value in range(1, n + 1):
             g, changed, after = state.descend(cls, value)
-            cand_phi = sum((weighted_term(i, after.probs) - weighted_term(i, state.probs)
-                            for i in changed if weight_touching[i]), phi)
-            if best is None or cand_phi < best[0]:
-                best = (cand_phi, value, g, after)
-        phi, value, g, state = best
+            da, wdp = Fraction(0), Fraction(0)   # the change in a, and in b times p
+            for i in changed:
+                w = weight_touching[i]
+                if w and after.frozen[i]:
+                    da, wdp = da + w, wdp - w * state.probs[i]
+                elif w:
+                    wdp += w * (after.probs[i] - state.probs[i])
+            db = wdp / p if wdp else wdp
+            if best is None or _sign(da - best[0], db - best[1], p) < 0:
+                best = (da, db, value, g, after)
+        da, db, value, g, state = best
+        phi_a, phi_b = phi_a + da, phi_b + db
         h.update(g)
         chosen.append(value)
         dangerous_trace.append(state.dangerous)
-        phi_trace.append(phi)
+        phi_trace.append((phi_a, phi_b))
 
     # verify the returned guarantees exactly
     if state.p_max * state.p_max > Fraction(n * n) * p:
@@ -551,7 +521,11 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
     remaining (zero-weight) elements are finished by direct extension,
     which `seed` drives when it falls back to resampling.  Remaining
     weight at least halves per iteration, so the loop runs at most
-    ceil(log2(1/min positive weight)) + 1 times."""
+    ceil(log2(1/min positive weight)) + 1 times.  Weights on elements
+    outside the source's ground set are refused."""
+    outside = set(wts.weights).difference(source.ground)
+    if outside:
+        raise ValueError(f"weights: id {min(outside)} is not in the ground set")
     pre = lll_check(source, "measurable", cap_bits=cap_bits)
     if not pre.holds:
         raise StepInfeasibleError(

@@ -38,16 +38,16 @@ def graph_to_json(graph: StructuredGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> StructuredGraph:
-    _known_keys(data, ("vertices", "edges", "structure", "tuple_bound"))
-    vertices = [_strict_int(v, f"vertices[{i}]") for i, v in enumerate(data["vertices"])]
-    edges = [tuple(_strict_int(v, f"edges[{i}][{j}]") for j, v in enumerate(e))
-             for i, e in enumerate(data.get("edges", []))]
+    _known_keys(data, ("vertices",), ("edges", "structure", "tuple_bound"))
+    vertices = _int_list(data["vertices"], "vertices")
+    edges = [tuple(_int_list(e, f"edges[{i}]"))
+             for i, e in enumerate(_pairs(data.get("edges", []), "edges"))]
     # a list of pairs, not a dict, so build_graph refuses a repeated tuple
-    structure = [
-        (tuple(_strict_int(v, f"structure[{i}].tuple[{j}]") for j, v in enumerate(entry["tuple"])),
-         label_from_json(entry["label"]))
-        for i, entry in enumerate(data.get("structure", []))
-    ]
+    structure = []
+    for i, entry in enumerate(_strict_container(data.get("structure", []), list, "structure")):
+        entry = _known_keys(entry, ("tuple", "label"), where=f"structure[{i}]")
+        structure.append((tuple(_int_list(entry["tuple"], f"structure[{i}].tuple")),
+                          label_from_json(entry["label"])))
     bound = data.get("tuple_bound")
     return build_graph(vertices, edges, structure,
                        None if bound is None else _strict_int(bound, "tuple_bound"))
@@ -118,36 +118,58 @@ def _strict_container(value, kind: type, where: str):
     return value
 
 
-def _known_keys(data: dict, keys) -> None:
-    """Refuse a top-level key that the format does not define, naming the
-    first in sorted order, rather than ignore it."""
-    unknown = sorted(set(data) - set(keys))
+def _int_list(value, where: str) -> list:
+    """`value` as a list of `_strict_int`s, each named by its index."""
+    return [_strict_int(v, f"{where}[{i}]")
+            for i, v in enumerate(_strict_container(value, list, where))]
+
+
+def _pairs(value, where: str) -> list:
+    """`value` if it is a list of two-item lists, refused by field otherwise."""
+    for i, pair in enumerate(_strict_container(value, list, where)):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{where}[{i}]: expected a pair, got {pair!r}")
+    return value
+
+
+def _known_keys(data, required, optional=(), where: str = "") -> dict:
+    """`data` if it is an object with every `required` key and no key the
+    format does not define; else refused, naming the first unknown key in
+    sorted order, or else the first missing one, under the field `where`."""
+    at = f"{where}." if where else ""
+    keys = set(_strict_container(data, dict, where or "input"))
+    unknown = sorted(keys.difference(required, optional))
     if unknown:
-        raise ValueError(f"{unknown[0]}: unknown key")
+        raise ValueError(f"{at}{unknown[0]}: unknown key")
+    missing = [key for key in required if key not in keys]
+    if missing:
+        raise ValueError(f"{at}{missing[0]}: missing")
+    return data
 
 
 def csp_from_json(data: dict) -> Csp:
     _known_keys(data, ("ground", "m", "constraints"))
     constraints = []
-    ground = tuple(_strict_int(x, f"ground[{i}]") for i, x in enumerate(data["ground"]))
+    ground = tuple(_int_list(data["ground"], "ground"))
     m = _strict_int(data["m"], "m")
     for i, entry in enumerate(_strict_container(data["constraints"], list, "constraints")):
         at = f"constraints[{i}]"
-        entry = _strict_container(entry, dict, at)
-        domain = [_strict_int(x, f"{at}.domain[{j}]") for j, x in enumerate(entry["domain"])]
+        _known_keys(entry, ("domain",), ("forbidden", "predicate"), where=at)
+        domain = _int_list(entry["domain"], f"{at}.domain")
         if "forbidden" in entry and "predicate" in entry:
             raise ValueError(f"{at}: has both 'forbidden' and 'predicate'")
         if "forbidden" in entry:
             constraints.append(Constraint.explicit(domain, m, [
-                tuple(_strict_int(v, f"{at}.forbidden[{k}][{j}]") for j, v in enumerate(member))
-                for k, member in enumerate(entry["forbidden"])]))
+                tuple(_int_list(member, f"{at}.forbidden[{k}]"))
+                for k, member in enumerate(_strict_container(entry["forbidden"], list,
+                                                             f"{at}.forbidden"))]))
         elif "predicate" in entry:
-            predicate = _strict_container(entry["predicate"], dict, f"{at}.predicate")
+            predicate = _known_keys(entry["predicate"], ("name",), ("params",), f"{at}.predicate")
             name = predicate["name"]
             params = _strict_container(predicate.get("params", {}), dict,
                                        f"{at}.predicate.params")
-            if name not in PREDICATES:
-                raise ValueError(f"unknown predicate {name!r}")
+            if not isinstance(name, str) or name not in PREDICATES:
+                raise ValueError(f"{at}.predicate.name: unknown predicate {name!r}")
             factory, spec = PREDICATES[name]
             unknown = sorted(set(params) - set(spec))
             if unknown:
@@ -165,7 +187,7 @@ def csp_from_json(data: dict) -> Csp:
                 domain, m, factory(checked, m),
                 tag="predicate:" + json.dumps([name, params], sort_keys=True)))
         else:
-            raise ValueError("constraint needs 'forbidden' or 'predicate'")
+            raise ValueError(f"{at}: needs 'forbidden' or 'predicate'")
     return Csp(ground, m, tuple(constraints))
 
 
@@ -176,7 +198,7 @@ def labeling_to_json(values: Dict[int, int]) -> dict:
 def labeling_from_json(data: dict) -> Dict[int, int]:
     _known_keys(data, ("values",))
     values = {}
-    for i, (v, c) in enumerate(data["values"]):
+    for i, (v, c) in enumerate(_pairs(data["values"], "values")):
         v = _strict_int(v, f"values[{i}][0]")
         if v in values:
             raise ValueError(f"values[{i}][0]: duplicate id {v}")
@@ -191,7 +213,7 @@ def weights_to_json(wts: WeightedGroundSet) -> dict:
 def weights_from_json(data: dict) -> WeightedGroundSet:
     _known_keys(data, ("weights",))
     weights = {}
-    for i, (x, w) in enumerate(_strict_container(data["weights"], list, "weights")):
+    for i, (x, w) in enumerate(_pairs(data["weights"], "weights")):
         x = _strict_int(x, f"weights[{i}][0]")
         if x in weights:
             raise ValueError(f"weights[{i}][0]: duplicate id {x}")

@@ -886,6 +886,18 @@ def test_from_hex_parts_validates(code, error):
     (b'{"edges":[],"n":0,"structure":[]}', "n: expected int >= 1"),
     (b'{"edges":[],"n":2,"structure":[[[false],1]]}', "structure[0][0][0]: expected int"),
     (b'{"edges":[],"extra":1,"n":1,"structure":[]}', "extra: unknown key"),
+    # wrong containers, missing keys, bad pairs and bad bytes used to
+    # escape as TypeError, KeyError or JSONDecodeError with no field named
+    (b'[]', "code: expected an object, got []"),
+    (b'{"edges":5,"n":1,"structure":[]}', "edges: expected a list, got 5"),
+    (b'{"edges":[],"n":1,"structure":[5]}', "structure[0]: expected a pair, got 5"),
+    (b'{"edges":[],"n":1,"structure":[[5,1]]}', "structure[0][0]: expected a list, got 5"),
+    (b'{"edges":[],"n":1}', "structure: missing"),
+    (b'{"n":1,"structure":[]}', "edges: missing"),
+    (b'{"edges":[[0]],"n":1,"structure":[]}', "edges[0]: expected a pair, got [0]"),
+    (b'{"edges":[[0,1,2]],"n":3,"structure":[]}', "edges[0]: expected a pair, got [0, 1, 2]"),
+    (b'{"edges":[], "n":1', "code: not JSON"),
+    (b'\xff', "code: not JSON"),
 ])
 def test_from_hex_parts_names_the_refused_field(code, field):
     # a code parses to one leaf only from its own bytes: `true` is not 1

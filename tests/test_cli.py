@@ -110,10 +110,10 @@ def test_csp_check_refuses_an_out_of_range_predicate_param(tmp_path, capsys):
     assert not out.exists()
     assert capsys.readouterr().err == \
         "error: constraints[0].predicate.params.residue: expected int in [0..1], got 2\n"
-    # a missing field is still a KeyError, printed as the field's name
+    # a missing field is refused by name (it used to print as "'ground'")
     dump_json({"m": 2, "constraints": []}, cpath)
     assert run(["csp", "check", "--csp", str(cpath), "--out", str(out)]) == 2
-    assert not out.exists() and capsys.readouterr().err == "error: 'ground'\n"
+    assert not out.exists() and capsys.readouterr().err == "error: ground: missing\n"
 
 
 def test_pipeline_reports_reproducible(tmp_path):
@@ -133,8 +133,10 @@ def test_reports_identical_across_hash_seeds(tmp_path):
     from locallemma.randgen import random_measurable_csp
 
     gpath, star, meas = tmp_path / "g.json", tmp_path / "star5.json", tmp_path / "meas.json"
+    labels = tmp_path / "labels.json"
     assert run(["gen", "--kind", "directed_cycle", "--params", '{"n": 64}',
                 "--out", str(gpath)]) == 0
+    dump_json({"values": [[v, v % 2 + 1] for v in range(64)]}, labels)
     dump_json(graph_to_json(build_graph(range(5), [(0, i) for i in range(1, 5)])), star)
     dump_json(csp_to_json(random_measurable_csp(900, max_ground=40)), meas)
     covers = {2: random_cover_csp(1, max_levels=10),
@@ -148,6 +150,10 @@ def test_reports_identical_across_hash_seeds(tmp_path):
                   "--seed", "3"],
         "rand": ["pipeline", "rand", "--gen-kind", "directed_cycle",
                  "--gen-params", '{"n": 6}', "--params", '{"m": 6}', "--seed", "5"],
+        "verify": ["verify", "--problem", "proper-2", "--graph", str(gpath),
+                   "--labels", str(labels)],
+        "general": ["csp", "check", "--csp", str(meas), "--which", "general"],
+        "growth": ["csp", "check", "--csp", str(meas), "--which", "neighborhood-growth"],
         "weighted": ["csp", "solve", "--csp", str(meas), "--method", "weighted",
                      "--seed", "7", "--trace"],
         "cover2": ["csp", "cover", "--csp", str(tmp_path / "cover2.json")],
@@ -236,13 +242,35 @@ def test_wrong_containers_exit_2_naming_the_field(tmp_path, capsys):
               "weights[0][1]: expected a rational string, got '1/0'"),
              # a key the format does not define, here a misspelt "constraints"
              ({"ground": [0, 1], "m": 2, "constraints": [], "constraint": [[0, 1]]},
-              ["csp", "check"], "constraint: unknown key")]
+              ["csp", "check"], "constraint: unknown key"),
+             # nested: an unknown key used to be ignored (exit 0), a
+             # missing one printed as "error: 'domain'"
+             ({"ground": [0, 1], "m": 2,
+               "constraints": [{"domain": [0, 1], "forbidden": [], "forbiden": [[1, 1]]}]},
+              ["csp", "solve"], "constraints[0].forbiden: unknown key"),
+             ({"ground": [0, 1], "m": 2, "constraints": [{"forbidden": [[1, 1]]}]},
+              ["csp", "cover"], "constraints[0].domain: missing")]
     for data, argv, message in cases:
         dump_json(data, cpath)
         capsys.readouterr()
         assert run(argv + ["--csp", str(cpath), "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_weighted_solve_refuses_weights_outside_the_ground(tmp_path, capsys):
+    # weights on ids 7 and 9, outside ground {0, 1, 2}, used to solve (exit 0)
+    cpath, wpath, out = tmp_path / "c.json", tmp_path / "w.json", tmp_path / "r.json"
+    dump_json({"ground": [0, 1, 2], "m": 2, "constraints": []}, cpath)
+    dump_json({"weights": [[0, "1/2"], [9, "1/4"], [7, "1/4"]]}, wpath)
+    capsys.readouterr()
+    assert run(["csp", "solve", "--csp", str(cpath), "--method", "weighted",
+                "--weights", str(wpath), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: weights: id 7 is not in the ground set\n"
+    dump_json({"weights": [[0, "1/2"], [2, "1/2"]]}, wpath)   # a subset is read
+    assert run(["csp", "solve", "--csp", str(cpath), "--method", "weighted",
+                "--weights", str(wpath), "--out", str(out)]) == 0
 
 
 def test_run_experiment_validation():

@@ -39,13 +39,12 @@ from locallemma.engine import (
     RESIDUAL_N,
     STEP_TARGET_EPS,
     STEP_TARGET_N,
-    QuadExpr,
     WeightedGroundSet,
     _LevelState,
     _family_leaves,
     _is_dangerous,
     _search,
-    _term,
+    _sign,
     branch_trace,
     check_partial_solution,
     construct_partial,
@@ -96,15 +95,62 @@ def test_lll_neighborhood_growth():
     assert verdict.holds  # p = 1/64, 2-ball has 3 vertices
 
 
-# ---------------------------------------------------------------- QuadExpr
+# ---------------------------------------------------------------- _sign
+
+class QuadExpr:
+    """Exact value a + b*sqrt(p) in the quadratic field Q[sqrt(p)]."""
+
+    __slots__ = ("a", "b", "p")
+
+    def __init__(self, a: Fraction, b: Fraction, p: Fraction):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.p = Fraction(p)
+
+    def __add__(self, other: "QuadExpr") -> "QuadExpr":
+        return QuadExpr(self.a + other.a, self.b + other.b, self.p)
+
+    def __sub__(self, other: "QuadExpr") -> "QuadExpr":
+        return QuadExpr(self.a - other.a, self.b - other.b, self.p)
+
+    def scaled(self, factor: Fraction) -> "QuadExpr":
+        return QuadExpr(self.a * factor, self.b * factor, self.p)
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if b == 0 or self.p == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        # opposite signs: compare a^2 against b^2 p on the dominant side
+        lhs, rhs = a * a, b * b * self.p
+        if a > 0:  # a > 0, b < 0: positive iff a^2 > b^2 p
+            return (lhs > rhs) - (lhs < rhs)
+        return (rhs > lhs) - (rhs < lhs)
+
+    def __lt__(self, other: "QuadExpr") -> bool:
+        return (self - other).sign() < 0
+
+
+def _term(prob: Fraction, p: Fraction) -> QuadExpr:
+    """min(1, P / sqrt(p)) as an element of Q[sqrt(p)] (P/sqrt(p) equals
+    (P/p) * sqrt(p))."""
+    if _is_dangerous(prob, p):
+        return QuadExpr(Fraction(1), Fraction(0), p)
+    return QuadExpr(Fraction(0), prob / p, p)
+
 
 def test_quadexpr_signs():
     p = Fraction(1, 4)  # sqrt(p) = 1/2
-    assert QuadExpr(Fraction(1), Fraction(-1), p).sign() == 1   # 1 - 1/2
-    assert QuadExpr(Fraction(-1), Fraction(2), p).sign() == 0   # -1 + 2*(1/2)
-    assert QuadExpr(Fraction(-1), Fraction(1), p).sign() == -1  # -1 + 1/2
-    assert QuadExpr(Fraction(0), Fraction(0), p).sign() == 0
-    assert QuadExpr(Fraction(0), Fraction(1), Fraction(0)).sign() == 0
+    assert _sign(Fraction(1), Fraction(-1), p) == 1   # 1 - 1/2
+    assert _sign(Fraction(-1), Fraction(2), p) == 0   # -1 + 2*(1/2)
+    assert _sign(Fraction(-1), Fraction(1), p) == -1  # -1 + 1/2
+    assert _sign(Fraction(0), Fraction(0), p) == 0
+    assert _sign(Fraction(0), Fraction(1), Fraction(0)) == 0
 
 
 def quad_float(e: QuadExpr) -> float:
@@ -113,13 +159,17 @@ def quad_float(e: QuadExpr) -> float:
 
 
 def test_quadexpr_compare_random_against_float():
+    # `_sign` of the difference orders values as floats do, and gives the
+    # oracle's sign on every difference, ties included
     rng = random.Random(1)
     for _ in range(300):
         p = Fraction(rng.randint(0, 50), 100)
         e1 = QuadExpr(Fraction(rng.randint(-8, 8), 7), Fraction(rng.randint(-8, 8), 5), p)
         e2 = QuadExpr(Fraction(rng.randint(-8, 8), 7), Fraction(rng.randint(-8, 8), 5), p)
+        diff = _sign(e1.a - e2.a, e1.b - e2.b, p)
+        assert diff == (e1 - e2).sign()
         if abs(quad_float(e1) - quad_float(e2)) > 1e-9:
-            assert (e1 < e2) == (quad_float(e1) < quad_float(e2))
+            assert (diff < 0) == (quad_float(e1) < quad_float(e2))
 
 
 # ---------------------------------------------------------------- Moser-Tardos
@@ -190,15 +240,14 @@ def test_construct_partial_guarantees_and_trace():
             if x not in final:
                 assert x in h
         # estimator is non-increasing along the chosen path
-        for a, b in zip(trace.phi, trace.phi[1:]):
-            assert (b - a).sign() <= 0
+        for (a0, b0), (a1, b1) in zip(trace.phi, trace.phi[1:]):
+            assert _sign(a1 - a0, b1 - b0, st.p) <= 0
         # phi at the root is at most d(rho) sqrt(p)
-        root_phi = trace.phi[0]
-        bound = QuadExpr(Fraction(0), Fraction(d_rho), st.p)
-        assert (root_phi - bound).sign() <= 0
+        root_a, root_b = trace.phi[0]
+        assert _sign(root_a, root_b - d_rho, st.p) <= 0
         # final uncovered weight is at most phi at the leaf
-        uncovered = QuadExpr(1 - trace.covered_weight, Fraction(0), st.p)
-        assert (uncovered - trace.phi[-1]).sign() <= 0
+        leaf_a, leaf_b = trace.phi[-1]
+        assert _sign(1 - trace.covered_weight - leaf_a, -leaf_b, st.p) <= 0
 
 
 def test_construct_partial_dangerous_freezing_replay():
@@ -338,7 +387,7 @@ def assert_matches_oracle(csp, red, wts):
     assert trace.classes == list(classes)
     assert trace.chosen == chosen
     assert trace.dangerous == dangerous
-    assert [(e.a, e.b) for e in trace.phi] == [(e.a, e.b) for e in phi]
+    assert trace.phi == [(e.a, e.b) for e in phi]
     assert trace.covered_weight == covered
 
 
@@ -363,6 +412,41 @@ def test_construct_partial_matches_replay_oracle_on_step_target():
     wts = WeightedGroundSet({x: Fraction(w, total) for x, w in raw.items()})
     assert len(set(wts.weights.values())) == 3
     assert_matches_oracle(encoded, sigma, wts)
+
+
+def forced_freeze_csp():
+    """m = 4, p = 2^-11, d = 3: C on x1, x2, x3 (levels 0-2) and e1..e3
+    forbids x = (1, 1, 1) with e in {(1,1,1), (1,1,2)}; sibling j forbids
+    x_j in {2, 3, 4} with its six late elements all 1, and lets its
+    elements fixed before level j - 1 take any value.  Value 1 at level
+    j - 1 multiplies P(C) by 4 and zeroes sibling j, every other value the
+    reverse; the siblings weigh 16, 64 and 256 against C's 1, so the
+    estimator picks 1 three times and C freezes at level 2 (P = 1/32)."""
+    x, e = [0, 1, 2], [3, 4, 5]
+    late = {1: range(6, 12), 2: range(12, 19), 3: range(19, 27)}
+    constraints = [Constraint.explicit(tuple(x + e), 4, [(1,) * 6, (1,) * 5 + (2,)])]
+    for j in (1, 2, 3):
+        constraints.append(Constraint.explicit((x[j - 1], *late[j]), 4, [
+            (v, *free, *(1,) * 6)
+            for v in (2, 3, 4) for free in product(range(1, 5), repeat=j - 1)]))
+    raw = {3: 1}
+    for j, total in ((1, 16), (2, 64), (3, 256)):
+        share, extra = divmod(total, len(late[j]))
+        raw.update({y: share + (k < extra) for k, y in enumerate(late[j])})
+    t = sum(raw.values())
+    return Csp(tuple(range(27)), 4, tuple(constraints)), \
+        WeightedGroundSet({y: Fraction(raw.get(y, 0), t) for y in range(27)})
+
+
+def test_construct_partial_matches_replay_oracle_when_the_chosen_path_freezes():
+    # on the random families no weighted constraint freezes on the chosen
+    # path, so a frozen term's change, (w, 0) - (0, w P / p), is checked here
+    csp, wts = forced_freeze_csp()
+    assert stats(csp).p == Fraction(1, 2048) and stats(csp).d == 3
+    h, trace = construct_partial(csp, identity_reduction(csp), wts)
+    assert trace.chosen[:3] == [1, 1, 1]
+    assert trace.phi[2][0] == 0 and trace.phi[3][0] == wts.weights[3] > 0
+    assert_matches_oracle(csp, identity_reduction(csp), wts)
 
 
 def test_construct_partial_hits_the_class_entry_of_its_start_state(monkeypatch):

@@ -243,6 +243,48 @@ CONTAINERS = [
     (weights_from_json, {"weights": [[0, "half"], [1, "1/2"]]},
      "weights[0][1]: expected a rational string, got 'half'"),
     (weights_from_json, {"weights": {"0": "1"}}, "weights: expected a list, got {'0': '1'}"),
+    (csp_from_json, {"ground": 0, "m": 2, "constraints": []}, "ground: expected a list, got 0"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [{"domain": [0], "forbidden": 1}]},
+     "constraints[0].forbidden: expected a list, got 1"),
+    (graph_from_json, {"vertices": [0], "structure": [[0, 1]]},
+     "structure[0]: expected an object, got [0, 1]"),
+    (labeling_from_json, [[0, 1]], "input: expected an object, got [[0, 1]]"),
+    (csp_from_json, {"ground": [0], "m": 2,
+                     "constraints": [{"domain": [0], "predicate": {"name": ["parity"]}}]},
+     "constraints[0].predicate.name: unknown predicate ['parity']"),
+    (csp_from_json, {"ground": [0], "m": 2,
+                     "constraints": [{"domain": [0], "predicate": {"name": "paritty"}}]},
+     "constraints[0].predicate.name: unknown predicate 'paritty'"),
+    # a missing key used to be a bare KeyError, printed as its name only
+    (csp_from_json, {"m": 2, "constraints": []}, "ground: missing"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [{"forbidden": []}]},
+     "constraints[0].domain: missing"),
+    (csp_from_json, {"ground": [0], "m": 2,
+                     "constraints": [{"domain": [0], "predicate": {"params": {}}}]},
+     "constraints[0].predicate.name: missing"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [{"domain": [0]}]},
+     "constraints[0]: needs 'forbidden' or 'predicate'"),
+    (graph_from_json, {"edges": []}, "vertices: missing"),
+    (graph_from_json, {"vertices": [0], "structure": [{"tuple": [0]}]},
+     "structure[0].label: missing"),
+    (labeling_from_json, {}, "values: missing"),
+    (weights_from_json, {}, "weights: missing"),
+    # an unknown key inside an entry used to be ignored
+    (csp_from_json, {"ground": [0], "m": 2,
+                     "constraints": [{"domain": [0], "forbidden": [], "extra": 1}]},
+     "constraints[0].extra: unknown key"),
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [
+        {"domain": [0], "predicate": {"name": "all_equal", "param": {}}}]},
+     "constraints[0].predicate.param: unknown key"),
+    (graph_from_json, {"vertices": [0], "structure": [{"tuple": [0], "label": 1, "lable": 2}]},
+     "structure[0].lable: unknown key"),
+    # a pair of the wrong length used to fail to unpack, or reach build_graph
+    (graph_from_json, {"vertices": [0, 1], "edges": [[0]]}, "edges[0]: expected a pair, got [0]"),
+    (graph_from_json, {"vertices": [0, 1, 2], "edges": [[0, 1, 2]]},
+     "edges[0]: expected a pair, got [0, 1, 2]"),
+    (labeling_from_json, {"values": [[0, 1], [1]]}, "values[1]: expected a pair, got [1]"),
+    (weights_from_json, {"weights": [[0, "1", "0"]]},
+     "weights[0]: expected a pair, got [0, '1', '0']"),
 ]
 
 
