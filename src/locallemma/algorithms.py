@@ -7,7 +7,8 @@ relabeling: adjacency, structure layers (orientation, identifiers,
 randomness, candidate outputs) and the root.  A rule reads the
 representative either as a graph (`form.decode()`) or, with no graph
 built, as its leaf (`form.parts()`: n, sorted edges, entries sorted by
-tuple, root at position 0).
+tuple, root at position 0).  Cole–Vishkin computes only the root's cone:
+each pass runs over the positions whose colours the later passes read.
 """
 
 from __future__ import annotations
@@ -60,42 +61,53 @@ def _cole_vishkin_rule(n: int) -> Callable[[CanonicalForm], int]:
 
     def rule(form: CanonicalForm) -> int:
         size, edges, entries = form.parts()
-        edge_set = set(edges)
-        ids, succ = [None] * size, [None] * size
-        # entries ascend by tuple: a later orientation entry of u wins
+        colors, succ, arcs = [None] * size, [None] * size, []
         for tup, label in entries:
             if len(tup) == 1:
-                ids[tup[0]] = label_layer(label, TAG_IDS)
-            elif (len(tup) == 2 and base_label(label) == 1
-                  and (tup in edge_set or tup[::-1] in edge_set)):
-                succ[tup[0]] = tup[1]
-        if not all(isinstance(ident, int) for ident in ids):
+                ident = label_layer(label, TAG_IDS)
+                if not isinstance(ident, int):
+                    return 0
+                colors[tup[0]] = ident - 1
+            elif len(tup) == 2 and base_label(label) == 1:
+                arcs.append(tup)
+        if None in colors:  # a vertex with no identifier
             return 0
-        colors = [ident - 1 for ident in ids]  # None once a colour is unknown
+        edge_set = set(edges) if arcs else ()
+        for u, v in arcs:  # ascending by tuple: a later arc of u wins
+            if ((u, v) if u < v else (v, u)) in edge_set:
+                succ[u] = v
         pred = [None] * size  # the last, so largest, u directed into v
         for u, v in enumerate(succ):
             if v is not None:
                 pred[v] = u
-        for _ in range(steps):
-            nxt = [None] * size
-            for v, s in enumerate(succ):
+        # the root's cone, last pass first; a missing link there reaches the root
+        cone, seen, sizes = [0], [True] + [False] * (size - 1), [0]
+        for i in range(steps + 3):
+            sizes.append(len(cone))
+            for v in cone[sizes[-2]:]:  # the positions new at this pass
+                for link in (succ, pred) if i < 3 else (succ,):  # a kill pass reads pred
+                    w = link[v]
+                    if w is None:
+                        return 0
+                    if not seen[w]:
+                        seen[w] = True
+                        cone.append(w)
+        for end in sizes[:3:-1]:  # the step passes in order
+            nxt = colors[:]
+            for v in cone[:end]:
                 c = colors[v]
-                if c is None or s is None or colors[s] is None:
-                    continue
-                diff = c ^ colors[s]
+                diff = c ^ colors[succ[v]]
                 i = (diff & -diff).bit_length() - 1
                 # equal identifiers are broken; verification will catch it
                 nxt[v] = 2 * i + ((c >> i) & 1) if diff else 0
             colors = nxt
-        for kill in (5, 4, 3):
-            nxt = [None] * size
-            for v, s in enumerate(succ):
-                c, p = colors[v], pred[v]
-                if c is None or s is None or p is None or colors[s] is None or colors[p] is None:
-                    continue
-                nxt[v] = min({0, 1, 2} - {colors[s], colors[p]}) if c == kill else c
+        for kill, end in zip((5, 4, 3), sizes[3:0:-1]):
+            nxt = colors[:]
+            for v in cone[:end]:
+                if colors[v] == kill:
+                    nxt[v] = min({0, 1, 2} - {colors[succ[v]], colors[pred[v]]})
             colors = nxt
-        return 0 if colors[0] is None else colors[0] + 1
+        return colors[0] + 1
 
     return rule
 

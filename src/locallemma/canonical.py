@@ -9,24 +9,26 @@ participation and neighbor multisets) keeps the search small.
 
 Refinement signatures (same-shape tuples of nonnegative ints and
 self-delimiting `label_key` bytes) are ordered by native tuple order, and
-refinement stops as soon as every vertex is alone in its cell: a ball
-whose own labels separate its vertices, after the first sort (codes from
-before own labels joined it differ on some labelled balls).  Root
-distances come with the ball.  Each label's key and compact JSON text are
-computed once and kept in a bounded cache.
+refinement stops as soon as every vertex is alone in its cell.  A ball
+whose own labels separate its vertices is ranked by one sort of its first
+colors, and its signature rounds never run (codes from before own labels
+joined the first color differ on some labelled balls).  Root distances
+come with the ball.  Each label's key and compact JSON text are computed
+once and kept in a bounded cache.
 
 A leaf (a bijection onto positions 0..n-1) is keyed by its edge list in
 numeric order (edge [a, b], a < b, has value a*n + b), then its structure
 entries as (position tuple, label_key) pairs in tuple order.  The code is
 the compact, key-sorted JSON object {"edges", "n", "structure"} of the
-least leaf, written once from cached edge, tuple and label texts
-(`_code`).  A leaf's JSON is injective, so equal codes mean isomorphic
-balls.  Earlier codes were the least JSON by bytes.  The two agree on
-every discrete ball (one leaf) and every unlabelled ball of at most 10
-vertices (one-digit positions, no entries); they can differ on a
-searched ball of 11 or more vertices ("[1,10]" < "[1,2]" as text), or
-where leaves first differ in an entry that text orders otherwise
-(tuples of two lengths, labels of 10 and more, tuples and sets).
+least leaf, written once from cached edge texts and one cached text per
+(position tuple, label) entry (`_code`).  A leaf's JSON is injective, so
+equal codes mean isomorphic balls.  Earlier codes were the least JSON by
+bytes.  The two agree on every discrete ball (one leaf) and every
+unlabelled ball of at most 10 vertices (one-digit positions, no
+entries); they can differ on a searched ball of 11 or more vertices
+("[1,10]" < "[1,2]" as text), or where leaves first differ in an entry
+that text orders otherwise (tuples of two lengths, labels of 10 and
+more, tuples and sets).
 
 The search fills positions 0..n-1 one at a time, in cell order, each with
 an unused vertex of its cell.  It returns the least leaf, the first in
@@ -84,8 +86,8 @@ from typing import Optional
 
 from .errors import CanonicalizationCapError
 from .graphs import RootedBall, StructuredGraph
-from .labels import label_from_json, label_key, label_to_json
-from .serialize import _int_list, _known_keys, _pairs, _strict_container, _strict_int
+from .labels import label_key, label_to_json
+from .serialize import _int_list, _known_keys, _label, _pairs, _strict_container, _strict_int
 
 DEFAULT_SIZE_CAP = 12
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -107,24 +109,29 @@ def _refine(b: RootedBall):
     in its cell, colors ordered by an isomorphism-invariant signature).
     The initial color is (root flag, the ball's root distance, degree,
     the vertex's own label key, b"" for none): labels that separate the
-    vertices make it discrete after one sort, with no signature round and
-    no participation lists."""
-    graph, root, dist = b.graph, b.root, b.dist
-    structure, nbrs, n = graph.structure, graph._nbrs, len(graph.vertices)
-    own = {tup[0]: _encoded(label)[0] for tup, label in structure.items() if len(tup) == 1}
+    vertices are ranked by one sort, with no signature round."""
+    graph, root, dist, nbrs = b.graph, b.root, b.dist, b.graph._nbrs
+    own = {tup[0]: _encoded(label)[0] for tup, label in graph.structure.items() if len(tup) == 1}
     color = {v: (0 if v == root else 1, dist[v], len(nbrs[v]), own.get(v, b""))
              for v in graph.vertices}
+    ranked = sorted(color.items(), key=itemgetter(1))
+    color, cells, prev = {}, 0, None
+    for v, c in ranked:  # one sort: ranks of the first colors, equal ones shared
+        cells += c != prev
+        color[v], prev = cells - 1, c
+    return color if cells == len(ranked) else _rounds(graph, color, cells)
+
+
+def _rounds(graph: StructuredGraph, color, cells):
+    """`_refine` from a first coloring with ties (`cells` ids): signature rounds."""
+    nbrs, n = graph._nbrs, len(graph.vertices)
 
     def normalize(sigs):
         index = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
         return {v: index[s] for v, s in sigs.items()}, len(index)
 
-    # a discrete partition is final: color[v] leads every signature
-    color, cells = normalize(color)
-    if cells == n:
-        return color
     participation = {v: [] for v in graph.vertices}
-    for tup, label in structure.items():
+    for tup, label in graph.structure.items():
         lkey = _encoded(label)[0]
         for pos, v in enumerate(tup):
             participation[v].append((len(tup), pos, lkey, tup))
@@ -151,7 +158,11 @@ def _leaf(graph: StructuredGraph, mapping):
         a, b = mapping[u], mapping[v]
         edges.append((a, b) if a < b else (b, a))
     edges.sort()
-    entries = [(tuple([mapping[x] for x in tup]), label) for tup, label in graph.structure.items()]
+    entries = []
+    for tup, label in graph.structure.items():  # short tuples are remapped inline
+        k = len(tup)
+        entries.append(((mapping[tup[0]],) if k == 1 else (mapping[tup[0]], mapping[tup[1]])
+                        if k == 2 else tuple([mapping[x] for x in tup]) if k else tup, label))
     # mapped tuples are distinct, so labels never break a tie
     entries.sort(key=itemgetter(0))
     return len(graph.vertices), edges, entries
@@ -161,6 +172,12 @@ def _leaf(graph: StructuredGraph, mapping):
 def _tuple_json(t):
     """The JSON text of a position tuple, "[a,b]"."""
     return f"[{','.join(map(str, t))}]"
+
+
+@lru_cache(maxsize=_LABEL_CACHE_SIZE)
+def _entry_json(entry):
+    """The JSON text of a (position tuple, label) entry, "[[a,b],label]"."""
+    return f"[{_tuple_json(entry[0])},{_encoded(entry[1])[1]}]"
 
 
 @lru_cache(maxsize=64)
@@ -176,12 +193,12 @@ def _edge_json(n):
 
 def _code(leaf) -> bytes:
     """The code of a leaf: the compact, key-sorted JSON object {"edges",
-    "n", "structure"}, joined from cached edge, position-tuple and label
-    texts in the leaf's order."""
+    "n", "structure"}, joined from cached edge and entry texts in the
+    leaf's order."""
     n, edges, entries = leaf
     edge_json = _edge_json(n)
     edge_texts = ",".join([edge_json[a * n + b] for a, b in edges])
-    entry_texts = ",".join([f"[{_tuple_json(t)},{_encoded(label)[1]}]" for t, label in entries])
+    entry_texts = ",".join(map(_entry_json, entries))
     return f'{{"edges":[{edge_texts}],"n":{n},"structure":[{entry_texts}]}}'.encode()
 
 
@@ -214,7 +231,7 @@ class CanonicalForm:
         edges = [tuple(_int_list(e, f"edges[{i}]"))
                  for i, e in enumerate(_pairs(payload["edges"], "edges"))]
         # a list, so the constructor rejects a repeated tuple
-        structure = [(tuple(_int_list(t, f"structure[{i}][0]")), label_from_json(l))
+        structure = [(tuple(_int_list(t, f"structure[{i}][0]")), _label(l, f"structure[{i}][1]"))
                      for i, (t, l) in enumerate(_pairs(payload["structure"], "structure"))]
         graph = StructuredGraph(range(n), edges, structure)
         return _leaf(graph, range(len(graph.vertices)))

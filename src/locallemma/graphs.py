@@ -152,8 +152,12 @@ class StructuredGraph:
         pos, keys, by_first = self._incidence()
         keep = sorted(kset, key=pos.__getitem__)
         inside, within = kset.__contains__, kset.issuperset
-        nbrs = {u: tuple(filter(inside, self._nbrs[u])) for u in keep}
-        edges = [(u, w) for u in keep for w in nbrs[u] if u < w]
+        nbrs, edges = {}, []
+        for u in keep:
+            nbrs[u] = ws = tuple(filter(inside, self._nbrs[u]))
+            for w in ws:
+                if u < w:
+                    edges.append((u, w))
         hits = [i for v in (None, *keep) for i in by_first.get(v, ()) if within(keys[i])]
         hits.sort()
         struct = {keys[i]: self.structure[keys[i]] for i in hits}

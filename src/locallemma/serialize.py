@@ -47,7 +47,7 @@ def graph_from_json(data: dict) -> StructuredGraph:
     for i, entry in enumerate(_strict_container(data.get("structure", []), list, "structure")):
         entry = _known_keys(entry, ("tuple", "label"), where=f"structure[{i}]")
         structure.append((tuple(_int_list(entry["tuple"], f"structure[{i}].tuple")),
-                          label_from_json(entry["label"])))
+                          _label(entry["label"], f"structure[{i}].label")))
     bound = data.get("tuple_bound")
     return build_graph(vertices, edges, structure,
                        None if bound is None else _strict_int(bound, "tuple_bound"))
@@ -124,6 +124,27 @@ def _int_list(value, where: str) -> list:
             for i, v in enumerate(_strict_container(value, list, where))]
 
 
+def _id_list(value, where: str, ground=None) -> list:
+    """`value` as an `_int_list` of distinct ids, each in `ground` when
+    given; a repeated or unknown id is refused with the field named."""
+    ids, seen = _int_list(value, where), set()
+    for x in ids:
+        if x in seen:
+            raise ValueError(f"{where}: repeated id {x}")
+        if ground is not None and x not in ground:
+            raise ValueError(f"{where}: id {x} is not in the ground set")
+        seen.add(x)
+    return ids
+
+
+def _label(value, where: str):
+    """`label_from_json(value)`, refused with the field named."""
+    try:
+        return label_from_json(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _pairs(value, where: str) -> list:
     """`value` if it is a list of two-item lists, refused by field otherwise."""
     for i, pair in enumerate(_strict_container(value, list, where)):
@@ -150,19 +171,28 @@ def _known_keys(data, required, optional=(), where: str = "") -> dict:
 def csp_from_json(data: dict) -> Csp:
     _known_keys(data, ("ground", "m", "constraints"))
     constraints = []
-    ground = tuple(_int_list(data["ground"], "ground"))
-    m = _strict_int(data["m"], "m")
+    ground = tuple(_id_list(data["ground"], "ground"))
+    m = _strict_int(data["m"], "m", low=1)
+    ground_set = set(ground)
     for i, entry in enumerate(_strict_container(data["constraints"], list, "constraints")):
         at = f"constraints[{i}]"
         _known_keys(entry, ("domain",), ("forbidden", "predicate"), where=at)
-        domain = _int_list(entry["domain"], f"{at}.domain")
+        domain = _id_list(entry["domain"], f"{at}.domain", ground_set)
         if "forbidden" in entry and "predicate" in entry:
             raise ValueError(f"{at}: has both 'forbidden' and 'predicate'")
         if "forbidden" in entry:
-            constraints.append(Constraint.explicit(domain, m, [
-                tuple(_int_list(member, f"{at}.forbidden[{k}]"))
-                for k, member in enumerate(_strict_container(entry["forbidden"], list,
-                                                             f"{at}.forbidden"))]))
+            members = []
+            for k, member in enumerate(_strict_container(entry["forbidden"], list,
+                                                         f"{at}.forbidden")):
+                where = f"{at}.forbidden[{k}]"
+                member = _int_list(member, where)
+                if len(member) != len(domain):
+                    raise ValueError(f"{where}: expected {len(domain)} values, got {len(member)}")
+                bad = [v for v in member if not 1 <= v <= m]
+                if bad:
+                    raise ValueError(f"{where}: value {bad[0]} out of range [1..{m}]")
+                members.append(tuple(member))
+            constraints.append(Constraint.explicit(domain, m, members))
         elif "predicate" in entry:
             predicate = _known_keys(entry["predicate"], ("name",), ("params",), f"{at}.predicate")
             name = predicate["name"]

@@ -218,6 +218,10 @@ def crafted_balls():
         path_ball(distinct, extra={(10, 13): 1}, chords=[(10, 13)]),  # a second successor
         path_ball(distinct, radius=2),  # too few rounds
         ball(with_labeling(cycle, distinct, TAG_IDS), 10, 9),  # undirected cycle
+        # outside the root's cone, at path vertex 1: the last three
+        path_ball({**distinct, 1: (6,)}),  # a non-int identifier
+        path_ball({v: i for v, i in distinct.items() if v != 1}),  # no identifier
+        path_ball(distinct, extra={(1, 3): 1}, chords=[(1, 3)]),  # a second in-arc
     ]
 
 
@@ -252,6 +256,14 @@ def test_cole_vishkin_rule_matches_oracle_on_random_and_crafted_balls():
         seen.update(assert_rule_matches_oracle(oriented, n))
         seen.update(assert_rule_matches_oracle(crafted_balls(), n))
     assert seen >= {0, 1, 2, 3}
+
+
+def test_cole_vishkin_rule_reads_identifiers_outside_the_cone():
+    # an identifier outside the root's cone that is not an int, or is
+    # missing, still gives 0; a second in-arc there changes no output
+    for n in (4, 48, 1024):
+        outside = crafted_balls()[-3:]
+        assert assert_rule_matches_oracle(outside, n)[:2] == [0, 0]
 
 
 # The proper-colouring verifier reads the form's leaf; the oracle is the

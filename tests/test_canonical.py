@@ -795,10 +795,11 @@ def test_new_codes_equal_version_1_codes_on_pinned_families():
 
 CODES_DIGEST = """
 import hashlib
+import random
 from locallemma.canonical import canonical_type
 from locallemma.errors import CanonicalizationCapError
 from locallemma.generators import generate
-from locallemma.graphs import ball
+from locallemma.graphs import TAG_IDS, TAG_OUTPUT, ball, greedy_power_coloring, with_labeling
 
 def code(b):
     try:
@@ -810,13 +811,23 @@ torus = generate("torus_grid", {"rows": 12, "cols": 12})
 tree = generate("random_tree", {"n": 300}, seed=0)
 balls = [ball(torus, x, 2) for x in torus.vertices]
 balls += [ball(tree, x, 3) for x in tree.vertices[::10]]
+# local_det's shapes: identifier balls at R = 7 and radius-1 verdict balls
+cycle = generate("directed_cycle", {"n": 48})
+order = list(cycle.vertices)
+random.Random(0).shuffle(order)
+ids = with_labeling(cycle, greedy_power_coloring(cycle, order, 14)[0], TAG_IDS)
+outputs = with_labeling(cycle, {v: random.Random(v).randint(1, 3) for v in cycle.vertices},
+                        TAG_OUTPUT)
+balls += [ball(ids, x, 7) for x in ids.vertices] + [ball(outputs, x, 1) for x in outputs.vertices]
 print(hashlib.sha256(b"|".join(code(b) for b in balls)).hexdigest())
 """
 
 
 def test_codes_identical_across_hash_seeds():
-    # the search's orbits, sets and dicts must not reach a code: the 144
-    # torus roots at R = 2 and 30 tree balls at R = 3, under four hash seeds
+    # the search's orbits, sets and dicts and the text caches must not
+    # reach a code: the 144 torus roots at R = 2, 30 tree balls at R = 3,
+    # and 48 identifier and 48 verdict balls of a directed 48-cycle, under
+    # four hash seeds
     src = os.path.dirname(os.path.dirname(locallemma.__file__))
     digests = set()
     for hash_seed in range(4):
@@ -898,6 +909,10 @@ def test_from_hex_parts_validates(code, error):
     (b'{"edges":[[0,1,2]],"n":3,"structure":[]}', "edges[0]: expected a pair, got [0, 1, 2]"),
     (b'{"edges":[], "n":1', "code: not JSON"),
     (b'\xff', "code: not JSON"),
+    # a malformed label used to name no field
+    (b'{"edges":[],"n":1,"structure":[[[0],1.5]]}', "structure[0][1]: malformed label json: 1.5"),
+    (b'{"edges":[],"n":1,"structure":[[[0],{"t":[-1]}]]}',
+     "structure[0][1]: labels are nonnegative"),
 ])
 def test_from_hex_parts_names_the_refused_field(code, field):
     # a code parses to one leaf only from its own bytes: `true` is not 1

@@ -249,7 +249,11 @@ def test_wrong_containers_exit_2_naming_the_field(tmp_path, capsys):
                "constraints": [{"domain": [0, 1], "forbidden": [], "forbiden": [[1, 1]]}]},
               ["csp", "solve"], "constraints[0].forbiden: unknown key"),
              ({"ground": [0, 1], "m": 2, "constraints": [{"forbidden": [[1, 1]]}]},
-              ["csp", "cover"], "constraints[0].domain: missing")]
+              ["csp", "cover"], "constraints[0].domain: missing"),
+             # a model-level refusal used to name no field
+             ({"ground": [0, 1], "m": 2,
+               "constraints": [{"domain": [0, 1], "forbidden": [[1, 3]]}]},
+              ["csp", "solve"], "constraints[0].forbidden[0]: value 3 out of range [1..2]")]
     for data, argv, message in cases:
         dump_json(data, cpath)
         capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import log2
@@ -6,12 +7,14 @@ from math import log2
 import pytest
 from randomized import estimate_randomized_failure
 
+from locallemma import canonical
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
 from locallemma.canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
 from locallemma.errors import EnumerationCapError, GraphBuildError, PipelineError
 from locallemma.generators import generate
 from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value, with_labeling
 from locallemma.localrun import (
+    LclProblem,
     LocalAlgorithm,
     det_pipeline,
     run_deterministic,
@@ -96,8 +99,6 @@ def test_det_pipeline_cole_vishkin():
 def test_det_pipeline_trivial_lcl():
     g = generate("cycle", {"n": 8})
     always_one = LocalAlgorithm("one", lambda form: 1)
-    from locallemma.localrun import LclProblem
-
     trivial = LclProblem(t=0, verifier=always_one)
     report = det_pipeline(DEGREE, trivial, g, n=8, rounds=0)
     assert report.valid
@@ -190,3 +191,42 @@ def test_rule_called_once_per_distinct_form():
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 3
     per_vertex = {x: ball_size(canonical_type(ball(g, x, 2))) for x in g.vertices}
     assert outputs == per_vertex == {0: 3, 1: 4, 2: 5, 3: 5, 4: 5, 5: 5, 6: 5, 7: 4, 8: 3}
+
+
+def test_local_det_counts_are_pinned(monkeypatch):
+    # counts, not clocks: det_pipeline on a directed 256-cycle, with the
+    # order test_algorithms' local_det verdict test draws.  Every ball is
+    # typed once, none by the bijection search; the rule runs once per
+    # distinct form, and the verifier and the signature rounds (the
+    # verdict balls whose first colouring ties) stay at most where they are.
+    n = 256
+    g = generate("directed_cycle", {"n": n})
+    spec = builtin_algorithm("cole_vishkin_3color", {"n": n})
+    order = list(g.vertices)
+    random.Random(n).shuffle(order)
+    counts = {"_search": 0, "_canonical_map": 0, "_rounds": 0, "rule": 0, "verifier": 0}
+    forms = []
+
+    def counting(name, fn, record=None):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            out = fn(*args, **kwargs)
+            if record is not None:
+                record.append(out[0])
+            return out
+        return wrapped
+
+    for name in ("_search", "_rounds"):
+        monkeypatch.setattr(canonical, name, counting(name, getattr(canonical, name)))
+    monkeypatch.setattr(canonical, "_canonical_map",
+                        counting("_canonical_map", canonical._canonical_map, forms))
+    alg = replace(spec.algorithm, rule=counting("rule", spec.algorithm.rule))
+    verifier = spec.problem.verifier
+    problem = LclProblem(t=1, verifier=replace(verifier, rule=counting("verifier", verifier.rule)))
+    report = det_pipeline(alg, problem, g, n=n, rounds=spec.rounds(n), order=order, canon_cap=64)
+    assert report.valid
+    # run_deterministic types the identifier balls first, then the verdict balls
+    assert counts["_canonical_map"] == 2 * n and counts["_search"] == 0
+    assert counts["rule"] == len({form.code for form in forms[:n]}) == n
+    assert counts["verifier"] == len({form.code for form in forms[n:]}) <= 12
+    assert counts["_rounds"] <= 108

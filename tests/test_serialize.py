@@ -285,6 +285,26 @@ CONTAINERS = [
     (labeling_from_json, {"values": [[0, 1], [1]]}, "values[1]: expected a pair, got [1]"),
     (weights_from_json, {"weights": [[0, "1", "0"]]},
      "weights[0]: expected a pair, got [0, '1', '0']"),
+    # model-level refusals used to name no field ("member values out of
+    # range [1..2]", "constraint domain outside ground set", ...)
+    (csp_from_json, {"ground": [0], "m": 2, "constraints": [{"domain": [0], "forbidden": [[5]]}]},
+     "constraints[0].forbidden[0]: value 5 out of range [1..2]"),
+    (csp_from_json, {"ground": [0], "m": 2,
+                     "constraints": [{"domain": [0], "forbidden": [[1], [1, 1]]}]},
+     "constraints[0].forbidden[1]: expected 1 values, got 2"),
+    (csp_from_json, {"ground": [0, 1], "m": 2,
+                     "constraints": [{"domain": [0, 7], "forbidden": [[1, 1]]}]},
+     "constraints[0].domain: id 7 is not in the ground set"),
+    (csp_from_json, {"ground": [0, 1], "m": 2,
+                     "constraints": [{"domain": [1, 1], "predicate": {"name": "all_equal"}}]},
+     "constraints[0].domain: repeated id 1"),
+    (csp_from_json, {"ground": [0, 3, 0], "m": 2, "constraints": []}, "ground: repeated id 0"),
+    (csp_from_json, {"ground": [0], "m": 0, "constraints": []}, "m: expected int >= 1, got 0"),
+    (graph_from_json, {"vertices": [0], "structure": [{"tuple": [0], "label": 2},
+                                                      {"tuple": [], "label": 1.5}]},
+     "structure[1].label: malformed label json: 1.5"),
+    (graph_from_json, {"vertices": [0], "structure": [{"tuple": [0], "label": {"t": [-1]}}]},
+     "structure[0].label: labels are nonnegative"),
 ]
 
 
