@@ -28,7 +28,6 @@ from .engine import (
     LllVerdict,
     MoserTardosResult,
     WeightedGroundSet,
-    check_partial_solution,
     construct_partial,
     cover_family,
     lll_check,
@@ -36,7 +35,7 @@ from .engine import (
     solve_weighted,
     step,
 )
-from .generators import gadget_build, gadget_layout, generate, lift_coloring
+from .generators import gadget_build, gadget_layout, generate
 from .graphcsp import csp_to_lcl, decode_graph_csp, encode_graph_csp
 from .graphs import (
     RootedBall,
@@ -45,7 +44,6 @@ from .graphs import (
     ball,
     build_graph,
     greedy_coloring,
-    power_graph,
     with_labeling,
 )
 from .localrun import (

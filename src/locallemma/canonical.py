@@ -13,8 +13,8 @@ refinement stops as soon as every vertex is alone in its cell.  A ball
 whose own labels separate its vertices is ranked by one sort of its first
 colors, and its signature rounds never run (codes from before own labels
 joined the first color differ on some labelled balls).  Root distances
-come with the ball.  Each label's key and compact JSON text are computed
-once and kept in a bounded cache.
+come with the ball.  Each label's key is computed once and kept in a
+bounded cache; a label's JSON text is written only into its entry's text.
 
 A leaf (a bijection onto positions 0..n-1) is keyed by its edge list in
 numeric order (edge [a, b], a < b, has value a*n + b), then its structure
@@ -96,12 +96,10 @@ _LABEL_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_LABEL_CACHE_SIZE)
-def _encoded(label):
-    """(label_key(label), the compact JSON text of label_to_json(label)).
-    Graph labels are validated and never bool, so no two labels that are
-    equal as cache keys (as 1 and True are) encode differently."""
-    return label_key(label), json.dumps(label_to_json(label), sort_keys=True,
-                                        separators=(",", ":"))
+def _label_key(label):
+    """label_key(label).  Graph labels are validated and never bool, so no
+    two labels that are equal as cache keys (as 1 and True are) differ."""
+    return label_key(label)
 
 
 def _refine(b: RootedBall):
@@ -111,7 +109,7 @@ def _refine(b: RootedBall):
     the vertex's own label key, b"" for none): labels that separate the
     vertices are ranked by one sort, with no signature round."""
     graph, root, dist, nbrs = b.graph, b.root, b.dist, b.graph._nbrs
-    own = {tup[0]: _encoded(label)[0] for tup, label in graph.structure.items() if len(tup) == 1}
+    own = {tup[0]: _label_key(label) for tup, label in graph.structure.items() if len(tup) == 1}
     color = {v: (0 if v == root else 1, dist[v], len(nbrs[v]), own.get(v, b""))
              for v in graph.vertices}
     ranked = sorted(color.items(), key=itemgetter(1))
@@ -132,7 +130,7 @@ def _rounds(graph: StructuredGraph, color, cells):
 
     participation = {v: [] for v in graph.vertices}
     for tup, label in graph.structure.items():
-        lkey = _encoded(label)[0]
+        lkey = _label_key(label)
         for pos, v in enumerate(tup):
             participation[v].append((len(tup), pos, lkey, tup))
     while True:
@@ -169,15 +167,13 @@ def _leaf(graph: StructuredGraph, mapping):
 
 
 @lru_cache(maxsize=_LABEL_CACHE_SIZE)
-def _tuple_json(t):
-    """The JSON text of a position tuple, "[a,b]"."""
-    return f"[{','.join(map(str, t))}]"
-
-
-@lru_cache(maxsize=_LABEL_CACHE_SIZE)
 def _entry_json(entry):
-    """The JSON text of a (position tuple, label) entry, "[[a,b],label]"."""
-    return f"[{_tuple_json(entry[0])},{_encoded(entry[1])[1]}]"
+    """The JSON text of a (position tuple, label) entry, "[[a,b],label]",
+    the label compact and key-sorted.  As in `_label_key`, entries that are
+    equal as cache keys have one text."""
+    t, label = entry
+    return (f"[[{','.join(map(str, t))}],"
+            f"{json.dumps(label_to_json(label), sort_keys=True, separators=(',', ':'))}]")
 
 
 @lru_cache(maxsize=64)
@@ -214,7 +210,12 @@ class CanonicalForm:
 
     @staticmethod
     def from_hex(text: str) -> "CanonicalForm":
-        return CanonicalForm(bytes.fromhex(text))
+        """The form whose code `hex()` wrote as `text`; `parts()` checks the
+        code itself."""
+        try:
+            return CanonicalForm(bytes.fromhex(text))
+        except (TypeError, ValueError):   # not a str, or not hex digits
+            raise ValueError(f"code: not hex: {text!r}") from None
 
     def parts(self):
         """The representative as a leaf, root 0: (n, sorted edges, entries
@@ -341,7 +342,7 @@ def _search(graph, order, sizes):
         hi.extend([start + size] * size)
     levels = [p for p in range(n) if hi[p] - lo[p] > 1]
     depth = len(levels)
-    entries = [(tuple(index[x] for x in tup), _encoded(label)[0])
+    entries = [(tuple(index[x] for x in tup), _label_key(label))
                for tup, label in graph.structure.items()]
     leaf_key = _leaf_key
     pos = list(range(n))  # vertex id -> position, -1 while unassigned

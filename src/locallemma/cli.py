@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -34,6 +35,7 @@ from .graphs import TAG_IDS, TAG_RAND, greedy_coloring, with_labeling
 from .localrun import LocalAlgorithm, det_pipeline, run_deterministic, verify_lcl
 from .rng import derived_rng
 from .serialize import (
+    _known_keys,
     _strict_int,
     csp_from_json,
     dump_json,
@@ -47,6 +49,9 @@ from .serialize import (
 )
 
 DEFAULT_CANON_CAP = 64
+# (required, optional) keys of each pipeline's params
+PIPELINE_PARAMS = {"det": ((), ("n", "rounds")), "rand": ((), ("m", "rounds")),
+                   "gadget": (("k",), ())}
 
 
 @dataclass
@@ -63,12 +68,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.cap_enum_bits <= 0:
             raise ValueError("caps must be positive")
+        _known_keys(self.params, *PIPELINE_PARAMS[self.pipeline], "params")
 
 
 def _param(cfg: ExperimentConfig, name: str, default: Optional[int] = None) -> int:
-    """A non-negative int parameter, required when it has no default."""
-    value = cfg.params[name] if default is None else cfg.params.get(name, default)
-    return _strict_int(value, f"params.{name}", low=0)
+    """A non-negative int parameter; `validate` has refused a required one
+    that is missing."""
+    return _strict_int(cfg.params.get(name, default), f"params.{name}", low=0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -218,11 +224,13 @@ def _run_local(args) -> dict:
 
 
 def _verify(args) -> dict:
+    match = re.fullmatch(r"proper-(any|[1-9][0-9]*)", args.problem)
+    if match is None:
+        raise ValueError(f"--problem: expected proper-any or proper-<k> with k >= 1, "
+                         f"got {args.problem!r}")
+    k = None if match[1] == "any" else int(match[1])
     graph = graph_from_json(load_json(args.graph))
     labels = labeling_from_json(load_json(args.labels))
-    if not args.problem.startswith("proper-"):
-        raise ValueError("known problems: proper-<k>")
-    k = None if args.problem == "proper-any" else int(args.problem.split("-")[1])
     run = verify_lcl(proper_coloring_problem(k), graph, labels, canon_cap=DEFAULT_CANON_CAP)
     return _lcl_report(args, run, problem=args.problem, rounds_used=run.rounds_used)
 
@@ -385,7 +393,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        for option, low in (("cap_enum_bits", 1), ("cap", 0), ("budget", 1)):
+        for option, low in (("cap_enum_bits", 1), ("cap", 0), ("budget", 1), ("rounds", 0)):
             if getattr(args, option, None) is not None:  # out of range: an input error
                 _strict_int(getattr(args, option), "--" + option.replace("_", "-"), low)
         # the report command prints its table in place of the summary

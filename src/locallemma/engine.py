@@ -347,27 +347,6 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
                                    covered_weight)
 
 
-def branch_trace(csp: Csp, word: Sequence[int], cap_bits: int = DEFAULT_CAP_BITS):
-    """Raw level recursion for a given branch word (no estimator, no
-    guarantee verification): returns (h_w, dangerous sets per prefix).
-
-    Used to replay the construction along adversarial words, where
-    constraints do get dangerous and freeze.
-    """
-    st = stats(csp, cap_bits)
-    classes = discrete_partition(csp)
-    if len(word) != len(classes):
-        raise ValueError(f"word length {len(word)} != {len(classes)} classes")
-    state = _LevelState.root(csp, st.p, cap_bits)
-    h: PartialAssignment = {}
-    dangerous = [state.dangerous]
-    for cls, value in zip(classes, word):
-        g, _, state = state.descend(cls, value)
-        h.update(g)
-        dangerous.append(state.dangerous)
-    return h, dangerous
-
-
 def direct_entry(p: Fraction, d: int, d_rho: int, N: int = STEP_TARGET_N,
                  epsilon: Fraction = STEP_TARGET_EPS / (1 + EPS_BINARY)) -> dict:
     """The direct route's check, p (d+1)^N <= epsilon and p d(rho)^N <=
@@ -491,20 +470,6 @@ def _search(csp: Csp, seed: int, cap_bits: int) -> Tuple[Optional[Dict[int, int]
     except EnumerationCapError:
         result = moser_tardos_solve(csp, seed=seed, cap=500 * max(1, len(csp.constraints)))
         return result.assignment, result.assignment is not None
-
-
-def check_partial_solution(csp: Csp, g: PartialAssignment,
-                           cap_bits: int = DEFAULT_CAP_BITS, seed: int = 0) -> Optional[bool]:
-    """Whether g extends to a solution of `csp`.  Three-valued: True when
-    a solution is found, False when none exists (exhaustive search within
-    the cap, or an immediate contradiction), None when only the resampling
-    oracle was available and it capped out."""
-    restricted = restrict_csp(csp, g)
-    for c in restricted.constraints:
-        if c.arity() == 0 and c.contains(()):
-            return False  # g already violates a fully-covered constraint
-    solution, decided = _search(restricted, seed, cap_bits)
-    return solution is not None if decided else None
 
 
 @dataclass

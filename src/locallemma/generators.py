@@ -14,13 +14,22 @@ from typing import Dict, List, Tuple
 from .errors import InfeasibleParamsError
 from .graphs import StructuredGraph, build_graph
 from .rng import derived_rng
-from .serialize import _strict_int
+from .serialize import _known_keys, _strict_int
+
+# the params each generator kind takes, all required
+GENERATOR_PARAMS = {"path": ("n",), "cycle": ("n",), "directed_cycle": ("n",),
+                    "torus_grid": ("rows", "cols"), "random_regular": ("n", "d"),
+                    "random_tree": ("n",)}
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
     """Deterministic generator: path, cycle, directed_cycle, torus_grid,
-    random_regular, random_tree.  Size parameters must be ints (not bools);
-    anything else is refused with the field named."""
+    random_regular, random_tree.  `params` must hold exactly the kind's
+    size parameters, each an int (not a bool); anything else is refused
+    with the field named."""
+    if not isinstance(kind, str) or kind not in GENERATOR_PARAMS:
+        raise InfeasibleParamsError(f"unknown generator kind {kind!r}")
+    _known_keys(params, GENERATOR_PARAMS[kind], where="params")
     if kind == "path":
         n = _strict_int(params["n"], "n")
         if n < 1:
@@ -92,7 +101,6 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
         u, v = heapq.heappop(leaves), heapq.heappop(leaves)
         edges.append((u, v))
         return build_graph(range(n), edges)
-    raise InfeasibleParamsError(f"unknown generator kind {kind!r}")
 
 
 def _switched_regular(n: int, d: int, rng) -> List[Tuple[int, int]]:
@@ -135,9 +143,6 @@ class GadgetLayout:
 
     def v_id(self, x: int, i: int) -> int:
         return self.position[x] * self.block + (self.c + 1) + (i - 1)
-
-    def v_ids(self):
-        return [self.v_id(x, i) for x in self.source_order for i in range(1, self.k)]
 
 
 def gadget_layout(graph: StructuredGraph, k: int) -> GadgetLayout:
@@ -185,18 +190,3 @@ def gadget_build(graph: StructuredGraph, k: int) -> StructuredGraph:
                             edges.append((u1, u2))
     n = len(graph.vertices) * layout.block
     return build_graph(range(n), set(edges))
-
-
-def lift_coloring(graph: StructuredGraph, k: int, coloring: Dict[int, int]) -> Dict[int, int]:
-    """Lift a proper k-coloring of the source graph to the gadget: every
-    u-vertex of x gets the color of x, the v-vertices get the other k-1."""
-    layout = gadget_layout(graph, k)
-    out = {}
-    for x in graph.vertices:
-        fx = coloring[x]
-        for a in range(layout.c + 1):
-            out[layout.u_id(x, a)] = fx
-        rest = [col for col in range(1, k + 1) if col != fx]
-        for i, col in enumerate(rest, start=1):
-            out[layout.v_id(x, i)] = col
-    return out

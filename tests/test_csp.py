@@ -19,10 +19,10 @@ from locallemma.csp import (
     solutions_exhaustive,
     stats,
 )
-from locallemma.engine import check_partial_solution
 from locallemma.errors import EnumerationCapError
 from locallemma.graphs import StructuredGraph
-from locallemma.randgen import random_cover_csp, random_small_csp
+from locallemma.randgen import random_cover_csp
+from reference import check_partial_solution, random_small_csp
 
 
 def explicit_constraints(draw_seed, n=4, m=3):

@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import sqrt
@@ -7,6 +9,7 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 from hypothesis import example, given, strategies as st
 
+import locallemma.engine as engine
 from locallemma.binary import BlockCode, BlockDecode, _encode_constraint, binary_reduce
 from locallemma.compilers import bootstrap
 from locallemma.connect import (
@@ -45,8 +48,6 @@ from locallemma.engine import (
     _is_dangerous,
     _search,
     _sign,
-    branch_trace,
-    check_partial_solution,
     construct_partial,
     cover_family,
     extend_solution,
@@ -56,13 +57,14 @@ from locallemma.engine import (
     step,
 )
 from locallemma.errors import StepInfeasibleError
-from locallemma.serialize import csp_from_json
+from locallemma.cli import main
+from locallemma.serialize import csp_from_json, csp_to_json, dump_json
 from locallemma.randgen import (
-    random_binary_lowp_csp,
     random_cover_csp,
     random_measurable_csp,
     random_symmetric_csp,
 )
+from reference import branch_trace, check_partial_solution, random_binary_lowp_csp
 
 
 # ---------------------------------------------------------------- lll_check
@@ -515,6 +517,84 @@ def test_step_covers_half_and_certifies():
         d = result.certificates["d_target"]
         lhs_sq = 4 * p * Fraction((d + 1) ** 16)
         assert lhs_sq <= Fraction(1, 2**30)
+
+
+# One all-1 pattern on 40 binary elements: p = 2^-40 and d = 0 meet the
+# direct (16, 2^-33) inequalities, so every certificate of `step` holds
+# unless a fault is planted.  Each planted fault must be refused by the
+# certificate it breaks, in `step` and through `csp solve --method weighted`.
+STEP_SOURCE = Csp(tuple(range(40)), 2, (Constraint.explicit(tuple(range(40)), 2, [(1,) * 40]),))
+
+
+def assert_step_refuses(monkeypatch, tmp_path, plant, *named):
+    """`plant(patch)` installs a fault; `step` and the weighted solve then
+    raise StepInfeasibleError with every text in `named` in the message,
+    and the CLI exits 4 with outcome `infeasible`."""
+    wts = WeightedGroundSet.uniform(STEP_SOURCE.ground)
+    assert step(identity_reduction(STEP_SOURCE), wts).covered_fraction >= Fraction(1, 2)
+    cpath, out = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json(csp_to_json(STEP_SOURCE), cpath)
+    with monkeypatch.context() as patch:
+        plant(patch)
+        with pytest.raises(StepInfeasibleError) as refused:
+            step(identity_reduction(STEP_SOURCE), wts)
+        assert main(["csp", "solve", "--csp", str(cpath), "--method", "weighted",
+                     "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "infeasible"
+    for text in named:
+        assert text in str(refused.value) and text in report["error"]
+
+
+@pytest.mark.parametrize("field, named", [
+    ("p", '"target_(16,2^-32)": false'),          # p = 2^-20 > 2^-32 at d = 0
+    ("d_sigma", '"p*d(rho)^2<=1/4": false'),      # 2^-40 (2^20)^2 = 1 > 1/4
+])
+def test_step_refuses_a_binary_target_failing_the_step_inequality(monkeypatch, tmp_path,
+                                                                  field, named):
+    real = engine._binary_stage
+
+    def inflated(red_in, cap_bits):
+        encoded, sigma, est, d_sigma = real(red_in, cap_bits)
+        if field == "p":
+            return encoded, sigma, replace(est, p=Fraction(1, 2**20)), d_sigma
+        return encoded, sigma, est, 2**20
+
+    assert_step_refuses(monkeypatch, tmp_path,
+                        lambda patch: patch.setattr(engine, "_binary_stage", inflated),
+                        "step inequality failed: ", named)
+
+
+def test_step_refuses_a_residual_failing_the_measurable_condition(monkeypatch, tmp_path):
+    real_pull, real_stats, residual = engine.pull_partial, engine.stats, []
+
+    def pull(sigma, h):
+        g, red = real_pull(sigma, h)
+        residual.append(red.target)
+        return g, red
+
+    def planted(csp, cap_bits=DEFAULT_CAP_BITS):   # p = 1/2 on a residual target only
+        st = real_stats(csp, cap_bits)
+        return replace(st, p=Fraction(1, 2)) if any(csp is t for t in residual) else st
+
+    def plant(patch):
+        patch.setattr(engine, "pull_partial", pull)
+        patch.setattr(engine, "stats", planted)
+
+    assert_step_refuses(monkeypatch, tmp_path, plant,
+                        "residual certification failed: ", '"residual_(8,2^-15)": false')
+
+
+def test_step_refuses_a_partial_solution_covering_less_than_half(monkeypatch, tmp_path):
+    real_pull = engine.pull_partial
+
+    def smaller(sigma, h):   # keeps the first fifth of g: covered 8/40 = 1/5
+        g, red = real_pull(sigma, h)
+        return dict(sorted(g.items())[:len(g) // 5]), red
+
+    assert_step_refuses(monkeypatch, tmp_path,
+                        lambda patch: patch.setattr(engine, "pull_partial", smaller),
+                        "step covered only 1/5 < 1/2")
 
 
 def test_solve_weighted_no_constraints():

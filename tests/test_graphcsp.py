@@ -4,7 +4,7 @@ from locallemma.csp import Constraint, Csp, intersection_graph, stats
 from locallemma.errors import GraphBuildError
 from locallemma.graphcsp import csp_to_lcl, decode_graph_csp, encode_graph_csp
 from locallemma.localrun import verify_lcl
-from locallemma.randgen import random_small_csp
+from reference import random_small_csp
 
 
 def dedupe(csp: Csp) -> Csp:

@@ -19,14 +19,13 @@ from locallemma.graphs import (
     ball,
     base_structure,
     build_graph,
-    distance_pairs,
     greedy_coloring,
     greedy_power_coloring,
     label_layer,
     layer_value,
-    power_graph,
     with_labeling,
 )
+from reference import distance_pairs, power_graph
 
 
 def random_graph(rng_seed: int, n: int, p_edge: float = 0.4):

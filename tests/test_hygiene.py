@@ -6,10 +6,14 @@ Every private module-level function or class is named somewhere else in
 from a sibling module that its module already imports from at top level,
 so an import kept inside a function is one that closes a cycle.  Every
 public module-level name, and every method of a `src/` class other than a
-dunder, is named in `src/`, `scripts/` or `perfbench/`, or is on the
-explicit `API` list of names that only tests and library users reach."""
+dunder, is reached by a chain of references from what `scripts/` and
+`perfbench/` name, the library's import-time code and the command-line
+entry point, or is on one of two explicit lists: `API`, names that only
+tests and library users reach, kept by decision, and `AMPLIFIED_ROUTE`,
+the bootstrap route that no command runs."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -141,21 +145,57 @@ def methods(tree):
                     yield f"{cls.name}.{node.name}", node.name, node
 
 
-def unreferenced_public_names(sources: dict, users: list) -> list:
+def definitions(tree):
+    """(label, name, the names its definition spells) for each module-level
+    name and each method other than a dunder.  A class spells its bases,
+    decorators, fields and dunders; an assigned name spells nothing, since
+    its value is import-time code."""
+    for name, node in top_level_names(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield name, name, names(node)
+        elif isinstance(node, ast.ClassDef):
+            own = [(q, m, names(n)) for q, m, n in methods(ast.Module([node], []))]
+            yield name, name, names(node) - sum((spells for *_, spells in own), Counter())
+            yield from own
+        else:
+            yield name, name, Counter()
+
+
+def import_time_names(tree) -> Counter:
+    """The names a module's import-time code spells: every statement
+    outside function and class bodies, and the decorators of module-level
+    definitions, but no import and no name an assignment binds."""
+    out = Counter()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out += sum((names(d) for d in node.decorator_list), Counter())
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = Counter(name for name, _ in top_level_names(ast.Module([node], [])))
+            out += names(node) - bound
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += names(node)
+    return out
+
+
+def unreachable_public_names(sources: dict, roots) -> list:
     """(module, name) of each public module-level name in `sources`, and
-    (module, "Class.method") of each method of a class in `sources`, that
-    no source names outside its own definition and no text in `users`
-    names.  Any name or attribute spelled the same counts as a use, so the
-    check can miss a dead name but does not flag one that is read."""
+    (module, "Class.method") of each method of a class in `sources` other
+    than a dunder, that no chain of references reaches from the spellings
+    in `roots` and the sources' import-time code.  A reached definition
+    reaches every definition spelled like a name or attribute it spells,
+    so the check can miss a dead name but does not flag one that is read."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    named = sum((names(tree) for tree in trees.values()), Counter())
-    named += sum((names(ast.parse(text)) for text in users), Counter())
-    public = [(module, name) for module, tree in trees.items()
-              for name, node in top_level_names(tree)
-              if not name.startswith("_") and named[name] == names(node)[name]]
-    return public + [(module, qualified) for module, tree in trees.items()
-                     for qualified, name, node in methods(tree)
-                     if named[name] == names(node)[name]]
+    spelled = set(roots).union(*map(import_time_names, trees.values()))
+    pending = [(module, label, name, spells) for module, tree in trees.items()
+               for label, name, spells in definitions(tree)]
+    while True:
+        reached = [spells for _, _, name, spells in pending if name in spelled]
+        if not reached:
+            break
+        pending = [entry for entry in pending if entry[2] not in spelled]
+        spelled.update(*reached)
+    return [(module, label) for module, label, name, _ in pending
+            if "." in label or not name.startswith("_")]
 
 
 def test_public_checker_flags_only_unnamed_definitions():
@@ -163,10 +203,10 @@ def test_public_checker_flags_only_unnamed_definitions():
         "a.py": ("LIMIT = 3\nTAG: int = 1\nPLANTED = 0\n"
                  "def used(): return LIMIT\ndef recursive(n):\n    return recursive(n - 1)\n"
                  "class Planted: pass\ndef _private(): pass\n"),
-        "b.py": "from .a import used\n",
+        "b.py": "from .a import used\nused()\n",
     }
-    users = ["import a\nprint(a.TAG)\n"]
-    assert unreferenced_public_names(sources, users) == [
+    roots = names(ast.parse("import a\nprint(a.TAG)\n"))
+    assert unreachable_public_names(sources, roots) == [
         ("a.py", "PLANTED"), ("a.py", "recursive"), ("a.py", "Planted")]
 
 
@@ -184,32 +224,80 @@ def test_public_checker_flags_only_unnamed_methods():
                  "def make(): return Shape.unit()\n"),
         "b.py": "from .a import make\nprint(make().side)\n",
     }
-    users = ["import a\nprint(a.Shape().read_by_user())\n"]
-    assert unreferenced_public_names(sources, users) == [
+    roots = names(ast.parse("import a\nprint(a.Shape().read_by_user())\n"))
+    assert unreachable_public_names(sources, roots) == [
         ("a.py", "Shape.grow"), ("a.py", "Shape._hidden"), ("a.py", "_Private.orphan")]
 
 
-# Public names that only tests and library users reach.  `__init__.py`
-# re-exports by import, so it is not counted as a use.
+def test_public_checker_follows_references_from_the_roots_only():
+    """A name that only an unreached name spells is flagged with it, however
+    it is spelled.  Import-time code, decorators, the `__main__` line and
+    the given roots reach; a decorator reaches itself, not what it
+    decorates, and an import binds without reaching."""
+    sources = {
+        "a.py": ("from .b import imported\n"
+                 "def documented(): return _private()\n"
+                 "def _private(): return Deep.method\n"
+                 "class Deep:\n    def method(self): return LIMIT\n"
+                 "LIMIT = 3\n"
+                 "def entry(): return _helper()\n"
+                 "def _helper(): return Base\n"
+                 "class Base: pass\n"
+                 "@register\ndef hooked(): pass\n"
+                 "def register(f): return f\n"
+                 "TABLE = {1: table_row}\n"
+                 "def table_row(): pass\n"
+                 "if __name__ == '__main__':\n    entry()\n"),
+        "b.py": "def imported(): pass\ndef main(): pass\n",
+    }
+    assert unreachable_public_names(sources, {"main"}) == [
+        ("a.py", "documented"), ("a.py", "Deep"), ("a.py", "Deep.method"),
+        ("a.py", "LIMIT"), ("a.py", "hooked"), ("a.py", "TABLE"), ("b.py", "imported")]
+
+
+# Public names that only tests and library users reach, each kept by
+# decision.  `__init__.py` re-exports by import, so it reaches nothing.
 API = {
     # README documents hex forms and reading them back with `from_hex`
     ("canonical.py", "CanonicalForm.from_hex"),
-    ("compilers.py", "bootstrap"),
-    ("engine.py", "branch_trace"),
-    ("engine.py", "check_partial_solution"),
-    # the vertices whose degree the gadget's correctness proof pins at d - 1
-    ("generators.py", "GadgetLayout.v_ids"),
-    ("generators.py", "lift_coloring"),
-    ("graphcsp.py", "decode_graph_csp"),
-    ("graphs.py", "power_graph"),
-    ("randgen.py", "random_binary_lowp_csp"),
-    ("randgen.py", "random_small_csp"),
+    # README documents its refusal of a predicate body it cannot write
     ("serialize.py", "csp_to_json"),
+    # the writer of the `--weights` format, kept beside its reader
     ("serialize.py", "weights_to_json"),
+}
+
+# The amplified route (ROADMAP item 10): `bootstrap`, the names that only it
+# reaches, and `decode_graph_csp`, the graph encoding's inverse that only
+# tests call.  No command runs the route; it stays in `src/` because
+# `perfbench/spans.TRACED` looks up `compilers.bootstrap` by name.
+AMPLIFIED_ROUTE = {
+    ("compilers.py", "bootstrap"),
+    ("compilers.py", "BootstrapResult"),
+    ("compilers.py", "DEFAULT_GRID"),
+    ("compilers.py", "max_ball_size"),
+    ("graphcsp.py", "encode_graph_csp"),
+    ("graphcsp.py", "decode_graph_csp"),
+    ("graphcsp.py", "csp_to_lcl"),
+    ("graphcsp.py", "parallel_resample"),
+    ("graphcsp.py", "encoded_constraints"),
+    ("graphcsp.py", "layer_value_global"),
+    ("graphcsp.py", "ENTRY_BUDGET"),
+    ("graphs.py", "base_structure"),
+    ("graphs.py", "layer_value"),
+    ("graphs.py", "TAG_RANGE"),
+    ("graphs.py", "StructuredGraph.adjacent"),
+    ("connect.py", "Connection.width"),
+    ("csp.py", "Constraint.materialize"),
+    ("errors.py", "BootstrapInfeasibleError"),
+    ("errors.py", "EncodingBudgetError"),
 }
 
 
 def test_every_public_name_is_used_or_listed_as_api():
+    """The roots are every name `scripts/` or `perfbench/` spells and the
+    `[project.scripts]` entry points (`cli.main`)."""
     sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
     users = [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
-    assert sorted(unreferenced_public_names(sources, users)) == sorted(API)
+    roots = set().union(*(names(ast.parse(text)) for text in users))
+    roots.update(re.findall(r'= "locallemma\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    assert sorted(unreachable_public_names(sources, roots)) == sorted(API | AMPLIFIED_ROUTE)

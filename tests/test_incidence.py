@@ -26,7 +26,8 @@ from locallemma.csp import (
 from locallemma.engine import EPS_BINARY, _search, extend_solution, lll_check
 from locallemma.errors import StepInfeasibleError
 from locallemma.graphs import greedy_coloring
-from locallemma.randgen import random_cover_csp, random_measurable_csp, random_small_csp
+from locallemma.randgen import random_cover_csp, random_measurable_csp
+from reference import random_small_csp
 
 
 # ---------------------------------------------------------------- oracles

@@ -8,7 +8,7 @@ from locallemma.csp import probability, restrict_csp, stats
 from locallemma.engine import WeightedGroundSet
 from locallemma.generators import generate
 from locallemma.labels import label_from_json, label_key, label_to_json
-from locallemma.randgen import random_small_csp
+from reference import random_small_csp
 from locallemma.serialize import (
     csp_from_json,
     csp_to_json,
