@@ -3,12 +3,14 @@
 Encodes a range-[n] CSP over ground Y as a range-[2] CSP over Y x [N]:
 each element gets N bit positions, and bit patterns map to values through
 a block assignment of the 2^N codes (block sizes floor/ceil of 2^N/n,
-larger blocks first).  Each encoded constraint is built once, as a
-`csp.Fixed` body: the full-bit decode predicate plus a counter, a
-digit-walk count of codes in a block that match the bits fixed so far.
-Restriction only merges fixed bits into that record, and probabilities stay
-exact without enumeration — this is what lets the partial-solution
-machinery run on encodings with astronomically many patterns.
+larger blocks first).  A range-2 CSP is its own encoding; a range-1 CSP
+encodes with N = 1, both bit values decoding to value 1.  Each encoded
+constraint is built once, as a `csp.Fixed` body: the full-bit decode
+predicate plus a counter, a digit-walk count of codes in a block that
+match the bits fixed so far.  Restriction only merges fixed bits into that
+record, and probabilities stay exact without enumeration — this is what
+lets the partial-solution machinery run on encodings with astronomically
+many patterns.
 
 Cost model: the block geometry is one `divmod` of 2^N by n, so a `BlockCode`
 takes O(1) memory and O(N) time per decode, whatever the range size n is.
@@ -68,7 +70,6 @@ class BlockCode:
     block is [(i-1) q + min(i-1, r), i q + min(i, r))."""
 
     def __init__(self, n: int, N: int):
-        self.n = n
         self.N = N
         self.q, self.r = divmod(1 << N, n)
 
@@ -142,10 +143,9 @@ def binary_reduce(csp: Csp, epsilon: Fraction):
 
     Guarantees p(D) <= (1+epsilon) p(csp) and d(D) = d(csp); the decoding
     connection has width N per source element.  A range-2 CSP is its own
-    encoding (N = 1, the identity block code), with the identity reduction.
+    encoding (N = 1, the identity block code), with the identity reduction;
+    a range-1 CSP gets N = 1 and the block code that maps both bits to 1.
     """
-    if csp.m < 2:
-        raise ValueError("binary reduction needs range size >= 2")
     if csp.m == 2:
         return csp, identity_reduction(csp)
     epsilon = Fraction(epsilon)

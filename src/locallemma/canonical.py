@@ -63,9 +63,10 @@ search order, while visiting few leaves:
 A skipped subtree is an image of one searched before, and a cut one
 holds only leaves greater than the best, so the first least leaf in
 search order is still reached and kept: the code and the vertex map are
-those of the full search.  The budget counts the leaves of the unpruned
-search (the product of the cell factorials), so which balls cap out does
-not depend on the pruning.
+those of the full search.  The search budget, the constant
+`DEFAULT_SEARCH_BUDGET`, counts the leaves of the unpruned search (the
+product of the cell factorials), so which balls cap out does not depend on
+the pruning; a discrete ball, one leaf, never caps out on it.
 
 A form made by `canonical_type` keeps the winning leaf of its search (the
 relabeled edges and structure entries its code was written from), and
@@ -89,7 +90,7 @@ from .graphs import RootedBall, StructuredGraph
 from .labels import label_key, label_to_json
 from .serialize import _int_list, _known_keys, _label, _pairs, _strict_container, _strict_int
 
-DEFAULT_SIZE_CAP = 12
+DEFAULT_SIZE_CAP = 64
 DEFAULT_SEARCH_BUDGET = 100_000
 # distinct labels, or position tuples, kept per text cache; none grows past it
 _LABEL_CACHE_SIZE = 4096
@@ -255,14 +256,13 @@ class CanonicalForm:
         return graph, 0
 
 
-def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
-                   budget: int = DEFAULT_SEARCH_BUDGET) -> CanonicalForm:
-    """Canonical code of a rooted ball, invariant under relabeling."""
-    return _canonical_map(b, cap, budget)[0]
+def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
+    """Canonical code of a rooted ball, invariant under relabeling; a ball
+    of more than `cap` vertices caps out."""
+    return _canonical_map(b, cap)[0]
 
 
-def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
-                   budget: int = DEFAULT_SEARCH_BUDGET):
+def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP):
     """(canonical_type(b), the winning vertex map: ball vertex ->
     canonical position).  The map is an isomorphism from the ball onto
     the form's representative, so two balls with equal codes are carried
@@ -272,8 +272,8 @@ def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
     if n > cap:
         raise CanonicalizationCapError(n, cap)
     color = _refine(b)
-    if len(set(color.values())) == n and budget >= 1:
-        mapping = color  # discrete: the one leaf's map (budget 0 caps out below)
+    if len(set(color.values())) == n:
+        mapping = color  # discrete: the one leaf's map
     else:
         cells = {}
         for v in graph.vertices:
@@ -284,8 +284,9 @@ def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP,
         for cell in cell_list:
             for i in range(2, len(cell) + 1):
                 total *= i
-            if total > budget:
-                raise CanonicalizationCapError(total, budget, what="bijection search")
+            if total > DEFAULT_SEARCH_BUDGET:
+                raise CanonicalizationCapError(total, DEFAULT_SEARCH_BUDGET,
+                                               what="bijection search")
         order = [v for cell in cell_list for v in cell]
         path = _search(graph, order, [len(cell) for cell in cell_list])
         mapping = {order[i]: p for p, i in enumerate(path)}
@@ -331,7 +332,7 @@ def _search(graph, order, sizes):
     first leaf's or the best leaf's gives an automorphism, and a subtree
     whose first edges are a smaller mask than the best leaf's is cut; see
     the module docstring for why skipping either is exact.  Recursion
-    goes one call deep per level, and the budget bounds the levels."""
+    goes one call deep per level, and the search budget bounds the levels."""
     n = len(order)
     last = n * n - 1  # edge value v is bit last - v of a mask
     index = {v: i for i, v in enumerate(order)}

@@ -22,6 +22,7 @@ from .compilers import rand_to_csp
 from .connect import apply
 from .csp import DEFAULT_CAP_BITS, is_solution, stats
 from .engine import (
+    DEFAULT_COVER_BUDGET,
     WeightedGroundSet,
     cover_family,
     lll_check,
@@ -48,7 +49,6 @@ from .serialize import (
     weights_from_json,
 )
 
-DEFAULT_CANON_CAP = 64
 # (required, optional) keys of each pipeline's params
 PIPELINE_PARAMS = {"det": ((), ("n", "rounds")), "rand": ((), ("m", "rounds")),
                    "gadget": (("k",), ())}
@@ -89,8 +89,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "checks": [],
         "passed": False,
     }
-    graph = (generate(cfg.graph["kind"], cfg.graph.get("params", {}), cfg.seed)
-             if "kind" in cfg.graph else graph_from_json(cfg.graph))
+    if "kind" in cfg.graph:   # a generator spec
+        _known_keys(cfg.graph, ("kind",), ("params",), "graph")
+        graph = generate(cfg.graph["kind"], cfg.graph.get("params", {}), cfg.seed)
+    else:
+        graph = graph_from_json(cfg.graph)
     if cfg.pipeline == "det":
         n = _param(cfg, "n", len(graph.vertices))
         spec = builtin_algorithm(cfg.algorithm or "cole_vishkin_3color", {"n": n})
@@ -98,20 +101,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         order = list(graph.vertices)
         derived_rng(cfg.seed, "det-order").shuffle(order)
         run = det_pipeline(spec.algorithm, spec.problem, graph, n=n, rounds=rounds,
-                           order=order, canon_cap=DEFAULT_CANON_CAP)
+                           order=order)
         report["checks"].append({"name": "pipeline-valid", "ok": run.valid,
                                  **run.checks})
         report["outputs"] = labeling_to_json(run.outputs)
         report["passed"] = run.valid
     elif cfg.pipeline == "rand":
-        m = _param(cfg, "m", 16)
+        m = _strict_int(cfg.params.get("m", 16), "params.m", low=1)
         rounds = _param(cfg, "rounds", 0)
         if (cfg.algorithm or "theta_echo") != "theta_echo":
             raise ValueError("the rand pipeline drives the seed-echo algorithm")
         alg = LocalAlgorithm("theta_echo", echo_rule(TAG_RAND), value_symmetric=True)
         problem = proper_coloring_problem(m)
         compiled, decoder = rand_to_csp(alg, problem, graph, m, rounds,
-                                        canon_cap=DEFAULT_CANON_CAP, cap_bits=cfg.cap_enum_bits)
+                                        cap_bits=cfg.cap_enum_bits)
         st = stats(compiled, cfg.cap_enum_bits)
         verdict = lll_check(compiled, "symmetric", cap_bits=cfg.cap_enum_bits)
         report["checks"].append({
@@ -126,7 +129,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                      "resamples": mt.resamples})
             return report
         decoded = apply(decoder, mt.assignment)
-        run = verify_lcl(problem, graph, decoded, canon_cap=DEFAULT_CANON_CAP)
+        run = verify_lcl(problem, graph, decoded)
         report["checks"].append({"name": "solver", "ok": True, "resamples": mt.resamples})
         report["checks"].append({"name": "decoded-coloring-valid", "ok": run.valid,
                                  "violators": run.violating_vertices})
@@ -217,9 +220,8 @@ def _run_local(args) -> dict:
         ids = greedy_coloring(graph, order)
     else:
         ids = {v: i + 1 for i, v in enumerate(graph.vertices)}
-    outputs = run_deterministic(spec.algorithm, with_labeling(graph, ids, TAG_IDS), rounds,
-                                canon_cap=DEFAULT_CANON_CAP)
-    run = verify_lcl(spec.problem, graph, outputs, canon_cap=DEFAULT_CANON_CAP)
+    outputs = run_deterministic(spec.algorithm, with_labeling(graph, ids, TAG_IDS), rounds)
+    run = verify_lcl(spec.problem, graph, outputs)
     return _lcl_report(args, run, seed=args.seed, alg=args.alg, rounds_used=rounds)
 
 
@@ -231,7 +233,7 @@ def _verify(args) -> dict:
     k = None if match[1] == "any" else int(match[1])
     graph = graph_from_json(load_json(args.graph))
     labels = labeling_from_json(load_json(args.labels))
-    run = verify_lcl(proper_coloring_problem(k), graph, labels, canon_cap=DEFAULT_CANON_CAP)
+    run = verify_lcl(proper_coloring_problem(k), graph, labels)
     return _lcl_report(args, run, problem=args.problem, rounds_used=run.rounds_used)
 
 
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
     p_solve.add_argument("--cap", type=int, default=None)
     p_cover = _command(csp_sub, "cover", _csp_cover, "seed", "cap", pipeline="csp-cover")
     p_cover.add_argument("--csp", required=True)
-    p_cover.add_argument("--budget", type=int, default=1 << 16)
+    p_cover.add_argument("--budget", type=int, default=DEFAULT_COVER_BUDGET)
 
     # the positional `pipeline` (det | rand) is the name its reports carry
     p_pipe = _command(sub, "pipeline", _pipeline, "seed", "cap",

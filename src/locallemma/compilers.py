@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import comb, factorial, log2, perm
 from typing import Dict, List, Optional, Tuple
 
-from .canonical import _canonical_map, canonical_type
+from .canonical import DEFAULT_SIZE_CAP, _canonical_map, canonical_type
 from .connect import Connection, Reduction, compose
 from .csp import Constraint, Csp, DEFAULT_CAP_BITS, intersection_graph, stats
 from .engine import direct_entry, lll_check
@@ -88,7 +88,8 @@ def _growth_string_count(size: int, blocks: int) -> int:
 
 
 def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,
-                m: int, rounds: int, canon_cap: int = 64, cap_bits: int = DEFAULT_CAP_BITS):
+                m: int, rounds: int, canon_cap: int = DEFAULT_SIZE_CAP,
+                cap_bits: int = DEFAULT_CAP_BITS):
     """(compiled CSP over seed maps, decoding connection).
 
     Constraint B_x lives on the radius-(rounds + t) ball of x and holds the
@@ -229,7 +230,8 @@ DEFAULT_GRID = (16, 64, 256, 1024, 4096)
 
 def bootstrap(source: Csp, red_in: Reduction, N: int, epsilon: Fraction,
               n_grid=DEFAULT_GRID, rounds_coefficient: int = 8,
-              cap_bits: int = DEFAULT_CAP_BITS, canon_cap: int = 64) -> BootstrapResult:
+              cap_bits: int = DEFAULT_CAP_BITS,
+              canon_cap: int = DEFAULT_SIZE_CAP) -> BootstrapResult:
     """Find a target CSP C and reduction rho' from `source` with
     p(C) (d(C)+1)^N <= epsilon and p(C) d(rho')^N <= epsilon.
 

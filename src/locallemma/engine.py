@@ -48,6 +48,8 @@ RESIDUAL_EPS = Fraction(1, 2**15)
 # = 2^-33 before encoding.  Only the direct route can: an amplified target
 # at size n certifies p <= 1/n, and for n <= 4096 that is >= 2^-12.
 EPS_BINARY = Fraction(1)
+# the most members `cover_family` builds when given no budget (`csp cover --budget`)
+DEFAULT_COVER_BUDGET = 1 << 16
 
 
 def _residual_margin(p: Fraction, d: int) -> Fraction:
@@ -73,28 +75,22 @@ class LllVerdict:
     d: int
 
 
-def lll_check(csp: Csp, which: str = "symmetric", eta: Optional[Dict[int, Fraction]] = None,
+def lll_check(csp: Csp, which: str = "symmetric",
               cap_bits: int = DEFAULT_CAP_BITS) -> LllVerdict:
     """Exact-rational check of one of the solvability conditions:
-    symmetric p(d+1) <= 0.3678, general (per-constraint eta, by default
-    1/(d+1), or 1/2 at d = 0), measurable p(d+1)^8 <= 2^-15,
-    neighborhood-growth p * max|B(x,2)| <= 0.3678."""
+    symmetric p(d+1) <= 0.3678, general P[B_i] <= eta prod (1 - eta) over
+    the constraints meeting B_i (eta = 1/(d+1) for every constraint, or 1/2
+    at d = 0), measurable p(d+1)^8 <= 2^-15, neighborhood-growth
+    p * max|B(x,2)| <= 0.3678."""
     st = stats(csp, cap_bits)
     if which == "symmetric":
         margin = INV_E_LOWER - st.p * (st.d + 1)
     elif which == "measurable":
         margin = _residual_margin(st.p, st.d)
     elif which == "general":
-        if eta is None:
-            eta = {i: Fraction(1, max(st.d, 1) + 1) for i in range(len(csp.constraints))}
-        gaps = []
-        for i, c in enumerate(csp.constraints):
-            if not (0 <= eta[i] < 1):
-                raise ValueError("eta values must lie in [0, 1)")
-            rhs = eta[i]
-            for j in {j for x in c.domain for j in csp.meeting[x]} - {i}:
-                rhs *= 1 - eta[j]
-            gaps.append(rhs - probability(c, cap_bits))
+        eta = Fraction(1, max(st.d, 1) + 1)
+        gaps = [eta * (1 - eta) ** len({j for x in c.domain for j in csp.meeting[x]} - {i})
+                - probability(c, cap_bits) for i, c in enumerate(csp.constraints)]
         margin = min(gaps, default=Fraction(1))
     elif which == "neighborhood-growth":
         graph = intersection_graph(csp)
@@ -477,7 +473,6 @@ class SolveResult:
     assignment: Dict[int, int]
     iterations: int
     step_reports: List[dict]
-    traces: List[PartialSolutionTrace]
 
 
 def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
@@ -503,7 +498,6 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
     g_total: PartialAssignment = {}
     red = identity_reduction(source)   # its source: the elements not yet assigned
     reports: List[dict] = []
-    traces: List[PartialSolutionTrace] = []
     iterations = 0
     while red.connection.source:
         live = wts.restricted_normalized(red.connection.source)
@@ -521,7 +515,6 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
             "covered_elements": len(result.g),
             "certificates": result.certificates,
         })
-        traces.append(result.trace)
         red = result.residual_reduction
         iterations += 1
 
@@ -529,12 +522,7 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
     ok, violated = is_solution(source, assignment)
     if not ok:
         raise AssertionError(f"solver produced an invalid assignment: {violated[:5]}")
-    return SolveResult(
-        assignment=assignment,
-        iterations=iterations,
-        step_reports=reports,
-        traces=traces,
-    )
+    return SolveResult(assignment=assignment, iterations=iterations, step_reports=reports)
 
 
 @dataclass
@@ -546,7 +534,7 @@ class CoverResult:
     route: str
 
 
-def cover_family(source: Csp, seed: int = 0, budget: int = 1 << 16,
+def cover_family(source: Csp, seed: int = 0, budget: int = DEFAULT_COVER_BUDGET,
                  cap_bits: int = DEFAULT_CAP_BITS) -> CoverResult:
     """Finite covering family: the pulled-back partial solutions h_w over
     every branch word w in [2]^N of the binary construction.

@@ -26,22 +26,22 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
     """Deterministic generator: path, cycle, directed_cycle, torus_grid,
     random_regular, random_tree.  `params` must hold exactly the kind's
     size parameters, each an int (not a bool); anything else is refused
-    with the field named."""
+    with the field named, as `params.<name>`."""
     if not isinstance(kind, str) or kind not in GENERATOR_PARAMS:
         raise InfeasibleParamsError(f"unknown generator kind {kind!r}")
     _known_keys(params, GENERATOR_PARAMS[kind], where="params")
+    sizes = {name: _strict_int(params[name], f"params.{name}")
+             for name in GENERATOR_PARAMS[kind]}
+    n = sizes.get("n")
     if kind == "path":
-        n = _strict_int(params["n"], "n")
         if n < 1:
             raise InfeasibleParamsError("path needs n >= 1")
         return build_graph(range(n), [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
-        n = _strict_int(params["n"], "n")
         if n < 3:
             raise InfeasibleParamsError("cycle needs n >= 3")
         return build_graph(range(n), [(i, (i + 1) % n) for i in range(n)])
     if kind == "directed_cycle":
-        n = _strict_int(params["n"], "n")
         if n < 3:
             raise InfeasibleParamsError("directed cycle needs n >= 3")
         edges = [(i, (i + 1) % n) for i in range(n)]
@@ -49,7 +49,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
         structure = {(i, (i + 1) % n): 1 for i in range(n)}
         return build_graph(range(n), edges, structure, tuple_bound=2)
     if kind == "torus_grid":
-        rows, cols = _strict_int(params["rows"], "rows"), _strict_int(params["cols"], "cols")
+        rows, cols = sizes["rows"], sizes["cols"]
         if rows < 3 or cols < 3:
             raise InfeasibleParamsError("torus grid needs rows, cols >= 3")
         def vid(i, j):
@@ -61,7 +61,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
                 edges.add(tuple(sorted((vid(i, j), vid(i, (j + 1) % cols)))))
         return build_graph(range(rows * cols), edges)
     if kind == "random_regular":
-        n, d = _strict_int(params["n"], "n"), _strict_int(params["d"], "d")
+        d = sizes["d"]
         if n * d % 2 != 0 or d >= n or d < 0:
             raise InfeasibleParamsError("need n*d even and 0 <= d < n")
         rng = derived_rng(seed, "random_regular", n, d)
@@ -78,7 +78,6 @@ def generate(kind: str, params: dict, seed: int = 0) -> StructuredGraph:
                 return build_graph(range(n), edges)
         return build_graph(range(n), _switched_regular(n, d, rng))
     if kind == "random_tree":
-        n = _strict_int(params["n"], "n")
         if n < 1:
             raise InfeasibleParamsError("tree needs n >= 1")
         if n <= 2:

@@ -35,7 +35,9 @@ def _nonnegative_int(value) -> bool:
 
 
 def label_key(value) -> bytes:
-    """Total-order key. Ints sort numerically, then tuples, then sets."""
+    """Total-order key. Ints sort numerically, then sets, then tuples (the
+    keys start b"i", b"s(" and b"t("); every canonical code depends on
+    this order."""
     if _nonnegative_int(value):
         digits = str(value).encode()
         # length-prefixed decimal keeps numeric order for nonnegative ints

@@ -60,13 +60,12 @@ class LclProblem:
 class RunReport:
     outputs: VertexLabeling
     rounds_used: int
-    valid: bool
     violating_vertices: List[int]
     checks: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.valid != (not self.violating_vertices):
-            raise ValueError("valid must mirror an empty violator list")
+    @property
+    def valid(self) -> bool:
+        return not self.violating_vertices
 
 
 def run_deterministic(alg: LocalAlgorithm, graph: StructuredGraph, rounds: int,
@@ -95,12 +94,8 @@ def verify_lcl(problem: LclProblem, graph: StructuredGraph, labeling: VertexLabe
     attached = with_labeling(graph, labeling, TAG_OUTPUT)
     results = run_deterministic(problem.verifier, attached, problem.t, canon_cap=canon_cap)
     violators = sorted(v for v, bit in results.items() if bit != 1)
-    return RunReport(
-        outputs=dict(labeling),
-        rounds_used=problem.t,
-        valid=not violators,
-        violating_vertices=violators,
-    )
+    return RunReport(outputs=dict(labeling), rounds_used=problem.t,
+                     violating_vertices=violators)
 
 
 def det_pipeline(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,

@@ -10,7 +10,7 @@ draw live in `tests/reference.py`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .csp import Constraint, Csp
 from .engine import lll_check
@@ -37,10 +37,10 @@ def _random_domains(rng, ground: List[int], count: int, arity_choices,
     return domains
 
 
-def random_symmetric_csp(seed: int, size: Optional[int] = None) -> Csp:
+def random_symmetric_csp(seed: int) -> Csp:
     """Random CSP passing the symmetric surrogate p(d+1) <= 0.3678."""
     rng = derived_rng(seed, "symmetric-instance")
-    n = size or rng.randint(8, 24)
+    n = rng.randint(8, 24)
     ground = list(range(n))
     m = rng.choice([2, 2, 3])
     while True:

@@ -53,8 +53,8 @@ def _bits(x, N):
     return tuple(((x >> (N - j)) & 1) + 1 for j in range(1, N + 1))
 
 
-def _widths(code):
-    return tuple(hi - lo for lo, hi in map(code.block_range, range(1, code.n + 1)))
+def _widths(code, n):
+    return tuple(hi - lo for lo, hi in map(code.block_range, range(1, n + 1)))
 
 
 def test_choose_delta_bound():
@@ -67,9 +67,9 @@ def test_choose_delta_bound():
 def test_power_of_two_range_is_exact():
     # n = 2 and n = 4 encode exactly: one code per value
     assert choose_bits(2, Fraction(1, 10)) == 1
-    assert _widths(BlockCode(2, 1)) == (1, 1)
+    assert _widths(BlockCode(2, 1), 2) == (1, 1)
     assert choose_bits(4, Fraction(1, 10)) == 2
-    assert _widths(BlockCode(4, 2)) == (1, 1, 1, 1)
+    assert _widths(BlockCode(4, 2), 4) == (1, 1, 1, 1)
 
 
 def test_three_values_spec_example():
@@ -77,7 +77,7 @@ def test_three_values_spec_example():
     delta = choose_delta(Fraction(1, 2), 1)
     N = choose_bits(3, delta)
     assert N == 2
-    assert _widths(BlockCode(3, 2)) == (2, 1, 1)
+    assert _widths(BlockCode(3, 2), 3) == (2, 1, 1)
 
 
 def test_count_codes_matches_enumeration():
@@ -158,6 +158,26 @@ def test_binary_reduce_probability_and_degree():
             # neighborhoods carry over one-to-one per constraint
             assert neighborhood_counts(encoded) == neighborhood_counts(csp)
             assert red.connection.width() == (len(encoded.ground) // max(1, len(csp.ground)))
+
+
+def test_range_one_csps_encode_with_one_bit():
+    # one value: N = 1, and both bit values decode to it
+    assert choose_bits(1, Fraction(1, 10)) == 1
+    code = BlockCode(1, 1)
+    assert _widths(code, 1) == (2,)
+    assert code.value_of((1,)) == code.value_of((2,)) == 1
+    free = Csp((0, 1, 2), 1, ())
+    forbidding = Csp((0, 1, 2), 1, (Constraint.explicit((0, 1), 1, [(1, 1)]),
+                                    Constraint.explicit((1, 2), 1, [])))
+    for csp in (free, forbidding):
+        encoded, red = binary_reduce(csp, Fraction(1))
+        st, est = stats(csp), stats(encoded)
+        assert (est.p, est.d) == (st.p, st.d)
+        assert encoded.m == 2 and red.connection.width() == 1
+        for bits in product((1, 2), repeat=len(encoded.ground)):
+            assert apply(red.connection, dict(zip(encoded.ground, bits))) == {0: 1, 1: 1, 2: 1}
+        assert bool(list(solutions_exhaustive(encoded))) == is_solution(
+            csp, {0: 1, 1: 1, 2: 1})[0]
 
 
 def test_binary_reduce_solutions_decode():

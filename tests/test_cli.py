@@ -501,11 +501,12 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
     # "3" as 3, d true as 1; a key the kind does not take used to be
     # ignored, a list to print "list indices must be integers or slices,
     # not str", and a missing size to print "'cols'"
-    for kind, params, field in (("directed_cycle", '{"n": 16.9}', "n: expected int, got 16.9"),
+    for kind, params, field in (("directed_cycle", '{"n": 16.9}',
+                                 "params.n: expected int, got 16.9"),
                                 ("torus_grid", '{"rows": "3", "cols": 3}',
-                                 "rows: expected int, got '3'"),
+                                 "params.rows: expected int, got '3'"),
                                 ("random_regular", '{"n": 4, "d": true}',
-                                 "d: expected int, got True"),
+                                 "params.d: expected int, got True"),
                                 ("cycle", '{"n": 5, "x": 1}', "params.x: unknown key"),
                                 ("random_tree", '{"n": 5, "d": 2}', "params.d: unknown key"),
                                 ("cycle", '[]', "params: expected an object, got []"),
@@ -516,6 +517,41 @@ def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
             assert run(argv + ["--out", str(out)]) == 2
             assert not out.exists()
             assert capsys.readouterr().err == f"error: {field}\n"
+
+
+def test_range_one_csps_solve_and_cover(tmp_path):
+    # the binary reduction encodes range 1 with one bit per element
+    free, forbidding = tmp_path / "free.json", tmp_path / "forbidding.json"
+    out = tmp_path / "r.json"
+    dump_json({"ground": [0, 1, 2], "m": 1, "constraints": []}, free)
+    dump_json({"ground": [0, 1, 2], "m": 1,
+               "constraints": [{"domain": [0, 1], "forbidden": [[1, 1]]}]}, forbidding)
+    weighted = ["csp", "solve", "--method", "weighted", "--csp"]
+    assert run(weighted + [str(free), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["assignment"] == {"values": [[0, 1], [1, 1], [2, 1]]}
+    assert run(["csp", "cover", "--csp", str(free), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["members"] == 2
+    for argv, error in ((weighted, "source fails the measurable condition by 32767/32768"),
+                        (["csp", "cover", "--csp"],
+                         "binary target fails the partial-solution precondition")):
+        assert run(argv + [str(forbidding), "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert (report["outcome"], report["error"]) == ("infeasible", error)
+
+
+def test_generator_specs_and_the_rand_range_name_their_fields(tmp_path, capsys):
+    # a generator spec's unknown key used to be ignored, and m = 0 to be
+    # refused as "range size must be >= 1", naming no field
+    spec, out = tmp_path / "spec.json", tmp_path / "r.json"
+    dump_json({"kind": "directed_cycle", "params": {"n": 6}, "bogus": 1}, spec)
+    for argv, error in ((["pipeline", "det", "--graph", str(spec)], "graph.bogus: unknown key"),
+                        (["pipeline", "rand", "--gen-kind", "directed_cycle", "--gen-params",
+                          '{"n": 6}', "--params", '{"m": 0}'],
+                         "params.m: expected int >= 1, got 0")):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_gadget_command(tmp_path):

@@ -597,6 +597,79 @@ def test_step_refuses_a_partial_solution_covering_less_than_half(monkeypatch, tm
                         "step covered only 1/5 < 1/2")
 
 
+def assert_refused(monkeypatch, tmp_path, source, command, call, message, plant=None):
+    """With `plant(patch)` installed, if given, `call(source)` raises
+    StepInfeasibleError with exactly `message`, and `csp <command>` on
+    `source` exits 4 with outcome `infeasible` and that error."""
+    cpath, out = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json(csp_to_json(source), cpath)
+    with monkeypatch.context() as patch:
+        if plant is not None:
+            plant(patch)
+        with pytest.raises(StepInfeasibleError) as refused:
+            call(source)
+        assert main(["csp", *command, "--csp", str(cpath), "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "infeasible"
+    assert str(refused.value) == report["error"] == message
+
+
+def test_cover_family_refuses_a_target_failing_the_partial_solution_precondition(
+        monkeypatch, tmp_path):
+    # p = 1/2 and d = 0: p (d+1)^2 = 1/2 > 0.1353/4, with no fault planted
+    source = csp_from_json({"ground": [0, 1], "m": 2,
+                            "constraints": [{"domain": [0], "forbidden": [[1]]}]})
+    assert_refused(monkeypatch, tmp_path, source, ["cover"], cover_family,
+                   "binary target fails the partial-solution precondition")
+
+
+def test_cover_family_refuses_an_uncertified_coverage(monkeypatch, tmp_path):
+    # once the precondition holds, d(sigma) <= d + 1 gives p d(sigma)^2 <=
+    # 0.1353/4, so no input reaches this check: the binary stage is made to
+    # report d(sigma) = 2^20, and 2^-40 (2^20)^2 = 1 > 1/4
+    real = engine._binary_stage
+
+    def inflated(red_in, cap_bits):
+        encoded, sigma, est, _ = real(red_in, cap_bits)
+        return encoded, sigma, est, 2**20
+
+    assert_refused(monkeypatch, tmp_path, STEP_SOURCE, ["cover"], cover_family,
+                   "d(rho) sqrt(p) <= 1/2 fails; family coverage not certified",
+                   lambda patch: patch.setattr(engine, "_binary_stage", inflated))
+
+
+def test_cover_family_refuses_a_residual_with_no_certificate(monkeypatch, tmp_path):
+    # every residual is made to fail the (8, 2^-15) inequality and to have
+    # no solution witness
+    def plant(patch):
+        patch.setattr(engine, "_residual_margin", lambda p, d: Fraction(-1))
+        patch.setattr(engine, "_search", lambda csp, seed, cap_bits: (None, True))
+
+    assert_refused(monkeypatch, tmp_path, random_cover_csp(0, max_levels=10), ["cover"],
+                   cover_family, "residual neither satisfies the (8,2^-15) inequality "
+                   "nor has a verified solution witness", plant)
+
+
+def test_solve_weighted_refuses_past_its_iteration_budget(monkeypatch, tmp_path):
+    # a step that covers nothing returns the reduction it was given; four
+    # elements of weight 1/4 allow ceil(log2 4) + 1 = 3 iterations
+    calls = []
+
+    def stalled(red, wts, cap_bits=DEFAULT_CAP_BITS):
+        calls.append(red)
+        if len(calls) > 10:   # the budget failed to stop the loop
+            raise RuntimeError("step called past the iteration budget")
+        return engine.StepResult({}, red, Fraction(0), {}, None)
+
+    def solve(source):
+        return solve_weighted(source, WeightedGroundSet.uniform(source.ground))
+
+    assert_refused(monkeypatch, tmp_path, Csp(tuple(range(4)), 2, ()),
+                   ["solve", "--method", "weighted"], solve,
+                   "iteration budget 3 exceeded with 4 elements uncovered",
+                   lambda patch: patch.setattr(engine, "step", stalled))
+
+
 def test_solve_weighted_no_constraints():
     csp = Csp(tuple(range(5)), 3, ())
     wts = WeightedGroundSet.uniform(csp.ground)

@@ -10,7 +10,12 @@ dunder, is reached by a chain of references from what `scripts/` and
 `perfbench/` name, the library's import-time code and the command-line
 entry point, or is on one of two explicit lists: `API`, names that only
 tests and library users reach, kept by decision, and `AMPLIFIED_ROUTE`,
-the bootstrap route that no command runs."""
+the bootstrap route that no command runs.  Every defaulted parameter of a
+`src/` function is passed at some call in `src/`, `scripts/` or
+`perfbench/`, and every attribute a `src/` class defines is read there,
+unless it is listed (`UNPASSED`, `UNREAD`) or belongs to
+`AMPLIFIED_ROUTE`: the library keeps no knob and no field that only tests
+use."""
 
 import ast
 import re
@@ -293,11 +298,226 @@ AMPLIFIED_ROUTE = {
 }
 
 
+def program_sources():
+    """(the library's modules but `__init__.py`, by file name; the texts of
+    `scripts/` and `perfbench/`)."""
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    users = [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
+    return sources, users
+
+
 def test_every_public_name_is_used_or_listed_as_api():
     """The roots are every name `scripts/` or `perfbench/` spells and the
     `[project.scripts]` entry points (`cli.main`)."""
-    sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
-    users = [p.read_text() for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
+    sources, users = program_sources()
     roots = set().union(*(names(ast.parse(text)) for text in users))
     roots.update(re.findall(r'= "locallemma\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
     assert sorted(unreachable_public_names(sources, roots)) == sorted(API | AMPLIFIED_ROUTE)
+
+
+def scoped_definitions(tree, path=()):
+    """(enclosing definitions, node) for each function and class in `tree`,
+    however deeply nested."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield path, node
+            yield from scoped_definitions(node, path + (node,))
+        else:
+            yield from scoped_definitions(node, path)
+
+
+def spelled(call: ast.Call):
+    """The name a call spells its callee by, or None."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def defaulted_parameters(trees: dict):
+    """(module, qualified name, parameter, the spellings that call it, its
+    position among the arguments a call passes by position or None) for
+    each parameter with a default of each function and method in `trees`.
+    A method's receiver takes no position; a class's call, or a subclass's,
+    calls its `__init__`."""
+    subclasses = {}   # class name -> the names of it and its subclasses
+    for tree in trees.values():
+        for _, node in scoped_definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    name = getattr(base, "id", getattr(base, "attr", None))
+                    subclasses.setdefault(name, set()).add(node.name)
+    for module, tree in trees.items():
+        for path, node in scoped_definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            owner = path[-1] if path and isinstance(path[-1], ast.ClassDef) else None
+            spellings = {node.name}
+            if owner is not None and node.name == "__init__":
+                pending = [owner.name]
+                while pending:
+                    name = pending.pop()
+                    if name not in spellings:
+                        spellings.add(name)
+                        pending += subclasses.get(name, ())
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            receiver = owner is not None and not static
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first_default = len(positional) - len(args.defaults)
+            label = ".".join(n.name for n in path + (node,))
+            for i, arg in enumerate(positional[first_default:], first_default):
+                yield module, label, arg.arg, spellings, i - receiver
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield module, label, arg.arg, spellings, None
+
+
+def unpassed_parameters(sources: dict, users=()) -> list:
+    """(module, qualified name, parameter) of each parameter with a default
+    of a function or method in `sources` that no call in `sources` or
+    `users` passes: by keyword, by position, or through `*` or `**`.  A
+    call matches every definition of the name it spells, so the check can
+    miss a parameter that is never passed; a call whose callee is neither a
+    name nor an attribute (`table[k](x)`, `make()(x)`) spells none and
+    matches nothing."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = {}   # spelling -> [(positions before a `*`, `*` passed, keywords, `**` passed)]
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (name := spelled(node)):
+                stars = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                calls.setdefault(name, []).append(
+                    (stars[0] if stars else len(node.args), bool(stars),
+                     {k.arg for k in node.keywords}, None in {k.arg for k in node.keywords}))
+    return [(module, label, param)
+            for module, label, param, spellings, position in defaulted_parameters(trees)
+            if not any((position is not None and (position < count or star))
+                       or param in keywords or double_star
+                       for name in spellings for count, star, keywords, double_star
+                       in calls.get(name, ()))]
+
+
+def test_parameter_checker_flags_only_parameters_no_call_passes():
+    sources = {
+        "a.py": ("def f(x, by_keyword=1, by_position=2, never=3, *, only_keyword=4,\n"
+                 "      unpassed_keyword=5): pass\n"
+                 "def g(a, through_star=1, through_double_star=2): pass\n"
+                 "class Base:\n"
+                 "    def __init__(self, by_subclass=0, never=1): pass\n"
+                 "    def method(self, by_position=0, never=1): pass\n"
+                 "    @staticmethod\n    def static(by_position=0, never=1): pass\n"
+                 "class Child(Base): pass\n"
+                 "def outer():\n    def inner(x=0): pass\n    return inner\n"),
+        "b.py": ("from .a import f, g, Child\n"
+                 "f(0, by_keyword=1, only_keyword=2)\nf(0, 1, 2)\n"
+                 "g(*[0, 1])\ng(0, **{})\nChild(0)\n"
+                 "Child().method(0)\nChild.static(0)\n"),
+    }
+    assert unpassed_parameters(sources) == [
+        ("a.py", "f", "never"), ("a.py", "f", "unpassed_keyword"),
+        ("a.py", "Base.__init__", "never"), ("a.py", "Base.method", "never"),
+        ("a.py", "Base.static", "never"), ("a.py", "outer.inner", "x")]
+    # a call is matched by the name it spells, here `inner`
+    users = ["from a import outer\ninner = outer()\ninner(x=1)\n"]
+    assert unpassed_parameters(sources, users) == [
+        ("a.py", "f", "never"), ("a.py", "f", "unpassed_keyword"),
+        ("a.py", "Base.__init__", "never"), ("a.py", "Base.method", "never"),
+        ("a.py", "Base.static", "never")]
+
+
+# Defaulted parameters that no call in the program passes, each kept by
+# decision.  The functions of `AMPLIFIED_ROUTE` are exempt as a whole.
+UNPASSED = {
+    # the entry point: `python -m locallemma.cli` reads sys.argv, tests pass lists
+    ("cli.py", "main", "argv"),
+}
+
+
+def test_every_defaulted_parameter_is_passed_or_listed():
+    found = unpassed_parameters(*program_sources())
+    assert sorted(entry for entry in found
+                  if (entry[0], entry[1]) not in AMPLIFIED_ROUTE) == sorted(UNPASSED)
+
+
+def defined_attributes(tree):
+    """("Class.attribute", attribute) for each attribute a class in `tree`
+    defines: an annotated name in its body (a dataclass field), a
+    `__slots__` entry, a store through its methods' first parameter
+    (`self.x = ...`), and a property."""
+    for _, cls in scoped_definitions(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        found = []
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                found.append(node.target.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__"
+                                                      for t in node.targets):
+                found += [c.value for c in ast.walk(node.value)
+                          if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(getattr(d, "id", None) in ("property", "cached_property")
+                       for d in node.decorator_list):
+                    found.append(node.name)
+                if node.args.args:
+                    receiver = node.args.args[0].arg
+                    found += [a.attr for a in ast.walk(node)
+                              if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Store)
+                              and getattr(a.value, "id", None) == receiver]
+        yield from ((f"{cls.name}.{name}", name) for name in dict.fromkeys(found))
+
+
+def unread_attributes(sources: dict, users=()) -> list:
+    """(module, "Class.attribute") of each attribute a class in `sources`
+    defines that no source in `sources` or `users` reads as an attribute
+    (`x.name` in a load, or the target of an augmented assignment).  A read
+    matches every attribute of that name, so the check can miss an unread
+    attribute but does not flag a read one."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    nodes = [node for tree in [*trees.values(), *map(ast.parse, users)]
+             for node in ast.walk(tree)]
+    read = {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    read.update(node.target.attr for node in nodes
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute))
+    return [(module, label) for module, tree in trees.items()
+            for label, name in defined_attributes(tree) if name not in read]
+
+
+def test_attribute_checker_flags_only_unread_attributes():
+    sources = {
+        "a.py": ("from dataclasses import dataclass\n"
+                 "@dataclass\nclass Record:\n    read: int\n    unread: int = 0\n"
+                 "class Slotted:\n    __slots__ = ('kept', 'dropped')\n"
+                 "class Stored:\n"
+                 "    def __init__(self):\n"
+                 "        self.count, self.total = 0, 0\n        self.orphan = 1\n"
+                 "    def bump(this):\n        this.count += 1\n        this.later = 2\n"
+                 "    @property\n    def shown(self): return self.total\n"
+                 "    @property\n    def hidden(self): return 0\n"),
+        "b.py": "from .a import Record\nprint(Record(1).read)\n",
+    }
+    assert unread_attributes(sources, ["def f(s): return s.kept, s.shown\n"]) == [
+        ("a.py", "Record.unread"), ("a.py", "Slotted.dropped"), ("a.py", "Stored.orphan"),
+        ("a.py", "Stored.later"), ("a.py", "Stored.hidden")]
+
+
+# Attributes that nothing in the program reads, each kept by decision.  The
+# attributes of the classes in `AMPLIFIED_ROUTE` are exempt as a whole.
+UNREAD = {
+    # the replay record of a level walk, which the tests' oracles read
+    # (ROADMAP item 3 writes it with `csp solve --trace`)
+    ("engine.py", "PartialSolutionTrace.classes"),
+    ("engine.py", "PartialSolutionTrace.chosen"),
+    ("engine.py", "PartialSolutionTrace.phi"),
+    ("engine.py", "PartialSolutionTrace.covered_weight"),
+    # a cap-out carries its cap and its need (errors.py)
+    ("errors.py", "CanonicalizationCapError.size"),
+    ("errors.py", "EnumerationCapError.cap_bits"),
+    ("errors.py", "CoverBudgetError.n_levels"),
+}
+
+
+def test_every_attribute_is_read_or_listed():
+    found = unread_attributes(*program_sources())
+    assert sorted(entry for entry in found
+                  if (entry[0], entry[1].split(".")[0]) not in AMPLIFIED_ROUTE) == sorted(UNREAD)

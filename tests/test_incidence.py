@@ -80,20 +80,17 @@ def extend_oracle(csp: Csp, g, seed=0, cap_bits=DEFAULT_CAP_BITS):
     return current
 
 
-def general_margin_oracle(csp: Csp, eta=None):
-    """min over constraints of eta_i * prod over every other domain that
-    shares an element of (1 - eta_j), minus P[B_i]."""
-    if eta is None:
-        eta = {i: Fraction(1, max(stats(csp).d, 1) + 1) for i in range(len(csp.constraints))}
+def general_margin_oracle(csp: Csp):
+    """min over constraints of eta * prod over every other domain that
+    shares an element of (1 - eta), minus P[B_i], eta = 1/(max(d, 1) + 1)."""
+    eta = Fraction(1, max(stats(csp).d, 1) + 1)
     doms = [set(c.domain) for c in csp.constraints]
     margin = None
     for i, c in enumerate(csp.constraints):
-        if not (0 <= eta[i] < 1):
-            raise ValueError("eta values must lie in [0, 1)")
-        rhs = eta[i]
+        rhs = eta
         for j, dom in enumerate(doms):
             if j != i and dom & doms[i]:
-                rhs *= 1 - eta[j]
+                rhs *= 1 - eta
         gap = rhs - probability(c)
         margin = gap if margin is None else min(margin, gap)
     return Fraction(1) if margin is None else margin
@@ -107,8 +104,8 @@ def outcome(fn, *args, **kwargs):
         return type(err).__name__, str(err)
 
 
-def general_margin(csp: Csp, eta=None):
-    return lll_check(csp, "general", eta).margin
+def general_margin(csp: Csp):
+    return lll_check(csp, "general").margin
 
 
 # ---------------------------------------------------------------- inputs
@@ -223,13 +220,10 @@ def test_general_lll_matches_pairwise_oracle():
         assert outcome(general_margin, csp) == outcome(general_margin_oracle, csp)
 
 
-@given(explicit_csps(), st.lists(st.fractions(0, 1, max_denominator=9), min_size=5,
-                                 max_size=5))
-def test_general_lll_matches_oracle_on_explicit_csps(csp, draws):
-    # the default eta is 1/(d+1), or 1/2 when d = 0
+@given(explicit_csps())
+def test_general_lll_matches_oracle_on_explicit_csps(csp):
+    # eta is 1/(d+1), or 1/2 when d = 0
     assert outcome(general_margin, csp) == outcome(general_margin_oracle, csp)
-    eta = {i: draws[i] for i in range(len(csp.constraints))}
-    assert outcome(general_margin, csp, eta) == outcome(general_margin_oracle, csp, eta)
 
 
 def test_extend_solution_matches_full_scan_oracle():

@@ -96,6 +96,16 @@ def test_det_pipeline_cole_vishkin():
     assert report.checks["max_ball_2R"] <= n
 
 
+def test_det_pipeline_runs_at_the_library_default_cap():
+    # the default cap is the one every command uses; a cap of 12 refused
+    # this run's balls of 13 vertices
+    n = 256
+    g = generate("directed_cycle", {"n": n})
+    spec = builtin_algorithm("cole_vishkin_3color", {"n": n})
+    report = det_pipeline(spec.algorithm, spec.problem, g, n=n, rounds=spec.rounds(n))
+    assert report.valid and report.violating_vertices == []
+
+
 def test_det_pipeline_trivial_lcl():
     g = generate("cycle", {"n": 8})
     always_one = LocalAlgorithm("one", lambda form: 1)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import locallemma
+from locallemma.canonical import DEFAULT_SIZE_CAP
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(locallemma.__file__))
@@ -69,3 +71,14 @@ def test_scaling_probe_hash_is_stable():
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "hash b249eb69ec668e23" in result.stdout, result.stdout
+
+
+def test_benchmark_cap_is_the_library_default():
+    # perfbench pins its cap rather than reading it, so that a lower library
+    # cap shows as cap-outs; the pin is still the cap every command uses
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    pins = [ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["CANON_CAP"]]
+    assert pins == [DEFAULT_SIZE_CAP]
