@@ -12,9 +12,15 @@ self-delimiting `label_key` bytes) are ordered by native tuple order, and
 refinement stops as soon as every vertex is alone in its cell.  A ball
 whose own labels separate its vertices is ranked by one sort of its first
 colors, and its signature rounds never run (codes from before own labels
-joined the first color differ on some labelled balls).  Root distances
-come with the ball.  Each label's key is computed once and kept in a
-bounded cache; a label's JSON text is written only into its entry's text.
+joined the first color differ on some labelled balls).  The ball comes
+in BFS positions (`graphs.RootedBall`), and refinement, leaves and the
+search read its distances, neighbour tuples and entries directly.  A
+cell's positions are searched in BFS order, which picks the least leaf
+and vertex map that vertex id order would: two least leaves first differ
+in a cell at some distance by an automorphism fixing every nearer vertex,
+so the two vertices there have the same parents and the BFS took them in
+id order.  Each label's key is computed once and kept in a bounded cache;
+a label's JSON text is written only into its entry's text.
 
 A leaf (a bijection onto positions 0..n-1) is keyed by its edge list in
 numeric order (edge [a, b], a < b, has value a*n + b), then its structure
@@ -86,7 +92,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import CanonicalizationCapError
-from .graphs import RootedBall, StructuredGraph
+from .graphs import RootedBall, StructuredGraph, _positions_graph
 from .labels import label_key, label_to_json
 from .serialize import _int_list, _known_keys, _label, _pairs, _strict_container, _strict_int
 
@@ -104,67 +110,67 @@ def _label_key(label):
 
 
 def _refine(b: RootedBall):
-    """Iterated invariant partition; returns v -> color id (root is alone
-    in its cell, colors ordered by an isomorphism-invariant signature).
-    The initial color is (root flag, the ball's root distance, degree,
-    the vertex's own label key, b"" for none): labels that separate the
-    vertices are ranked by one sort, with no signature round."""
-    graph, root, dist, nbrs = b.graph, b.root, b.dist, b.graph._nbrs
-    own = {tup[0]: _label_key(label) for tup, label in graph.structure.items() if len(tup) == 1}
-    color = {v: (0 if v == root else 1, dist[v], len(nbrs[v]), own.get(v, b""))
-             for v in graph.vertices}
-    ranked = sorted(color.items(), key=itemgetter(1))
-    color, cells, prev = {}, 0, None
-    for v, c in ranked:  # one sort: ranks of the first colors, equal ones shared
+    """Iterated invariant partition: each position's color id, colors
+    ordered by an isomorphism-invariant signature.  The first color is
+    (root distance, alone 0 at the root; degree; own label key, b"" for
+    none), so labels that separate the positions are ranked by one sort."""
+    dist, nbrs, n = b.dist, b.nbrs, len(b.vertices)
+    own = [b""] * n
+    for tup, label in b.entries:
+        if len(tup) == 1:
+            own[tup[0]] = _label_key(label)
+    first = [(dist[p], len(nbrs[p]), own[p]) for p in range(n)]
+    color, cells, prev = [0] * n, 0, None
+    for p in sorted(range(n), key=first.__getitem__):  # ranks, equal colors sharing one
+        c = first[p]
         cells += c != prev
-        color[v], prev = cells - 1, c
-    return color if cells == len(ranked) else _rounds(graph, color, cells)
+        color[p], prev = cells - 1, c
+    return color if cells == n else _rounds(b, color, cells)
 
 
-def _rounds(graph: StructuredGraph, color, cells):
+def _rounds(b: RootedBall, color, cells):
     """`_refine` from a first coloring with ties (`cells` ids): signature rounds."""
-    nbrs, n = graph._nbrs, len(graph.vertices)
-
-    def normalize(sigs):
-        index = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        return {v: index[s] for v, s in sigs.items()}, len(index)
-
-    participation = {v: [] for v in graph.vertices}
-    for tup, label in graph.structure.items():
+    nbrs, n = b.nbrs, len(b.vertices)
+    participation = [[] for _ in range(n)]
+    for tup, label in b.entries:
         lkey = _label_key(label)
-        for pos, v in enumerate(tup):
-            participation[v].append((len(tup), pos, lkey, tup))
+        for pos, p in enumerate(tup):
+            participation[p].append((len(tup), pos, lkey, tup))
     while True:
-        sigs = {}
-        for v in graph.vertices:
-            nb = [color[w] for w in nbrs[v]]
+        sigs = []
+        for p in range(n):
+            nb = [color[q] for q in nbrs[p]]
             nb.sort()
             struct = [(length, pos, lkey, tuple([color[x] for x in tup]))
-                      for (length, pos, lkey, tup) in participation[v]]
+                      for (length, pos, lkey, tup) in participation[p]]
             struct.sort()
-            sigs[v] = (color[v], tuple(nb), tuple(struct))
-        new, new_cells = normalize(sigs)
-        if new_cells in (cells, n):
+            sigs.append((color[p], tuple(nb), tuple(struct)))
+        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [index[s] for s in sigs]
+        if len(index) in (cells, n):
             return new
-        color, cells = new, new_cells
+        color, cells = new, len(index)
 
 
-def _leaf(graph: StructuredGraph, mapping):
-    """The graph relabeled by `mapping`, as the leaf its code is written
-    from: (n, sorted edges, structure entries sorted by tuple)."""
+def _leaf(b: RootedBall, mapping):
+    """The ball relabeled by `mapping` (position -> canonical position), as
+    the leaf its code is written from: (n, sorted edges, sorted entries)."""
     edges = []
-    for u, v in graph.edges:
-        a, b = mapping[u], mapping[v]
-        edges.append((a, b) if a < b else (b, a))
+    for u, ws in enumerate(b.nbrs):
+        a = mapping[u]
+        for w in ws:
+            if u < w:
+                c = mapping[w]
+                edges.append((a, c) if a < c else (c, a))
     edges.sort()
     entries = []
-    for tup, label in graph.structure.items():  # short tuples are remapped inline
+    for tup, label in b.entries:  # short tuples are remapped inline
         k = len(tup)
         entries.append(((mapping[tup[0]],) if k == 1 else (mapping[tup[0]], mapping[tup[1]])
                         if k == 2 else tuple([mapping[x] for x in tup]) if k else tup, label))
     # mapped tuples are distinct, so labels never break a tie
     entries.sort(key=itemgetter(0))
-    return len(graph.vertices), edges, entries
+    return len(b.nbrs), edges, entries
 
 
 @lru_cache(maxsize=_LABEL_CACHE_SIZE)
@@ -236,24 +242,19 @@ class CanonicalForm:
         structure = [(tuple(_int_list(t, f"structure[{i}][0]")), _label(l, f"structure[{i}][1]"))
                      for i, (t, l) in enumerate(_pairs(payload["structure"], "structure"))]
         graph = StructuredGraph(range(n), edges, structure)
-        return _leaf(graph, range(len(graph.vertices)))
+        return n, sorted(graph.edges), sorted(graph.structure.items(), key=itemgetter(0))
 
     def decode(self):
         """Canonical representative: (graph on vertices 0..n-1, root 0),
         built fresh from `parts()` on every call, neighbor tuples
         ascending and structure in tuple order."""
         n, edges, entries = self.parts()
-        vertices = tuple(range(n))
-        nbrs = {v: [] for v in vertices}
+        nbrs = [[] for _ in range(n)]
         for u, v in edges:  # sorted, so every neighbor tuple ascends
             nbrs[u].append(v)
             nbrs[v].append(u)
-        structure = dict(entries)
-        tuple_bound = max(max((len(t) for t in structure), default=0), 1)
-        graph = StructuredGraph._trusted(
-            vertices, frozenset(vertices), frozenset(edges), structure, tuple_bound,
-            {v: tuple(ws) for v, ws in nbrs.items()})
-        return graph, 0
+        tuple_bound = max(max((len(t) for t, _ in entries), default=0), 1)
+        return _positions_graph(range(n), nbrs, entries, tuple_bound), 0
 
 
 def canonical_type(b: RootedBall, cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
@@ -267,18 +268,16 @@ def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP):
     canonical position).  The map is an isomorphism from the ball onto
     the form's representative, so two balls with equal codes are carried
     onto each other by one map followed by the other's inverse."""
-    graph = b.graph
-    n = len(graph.vertices)
+    vertices = b.vertices
+    n = len(vertices)
     if n > cap:
         raise CanonicalizationCapError(n, cap)
-    color = _refine(b)
-    if len(set(color.values())) == n:
-        mapping = color  # discrete: the one leaf's map
-    else:
+    mapping = _refine(b)  # position -> canonical position once discrete
+    if len(set(mapping)) < n:
         cells = {}
-        for v in graph.vertices:
-            cells.setdefault(color[v], []).append(v)
-        cell_list = [sorted(cells[c]) for c in sorted(cells)]
+        for p, c in enumerate(mapping):
+            cells.setdefault(c, []).append(p)
+        cell_list = [cells[c] for c in sorted(cells)]  # positions ascend in a cell
         # the budget counts every leaf of the unpruned search
         total = 1
         for cell in cell_list:
@@ -287,11 +286,12 @@ def _canonical_map(b: RootedBall, cap: int = DEFAULT_SIZE_CAP):
             if total > DEFAULT_SEARCH_BUDGET:
                 raise CanonicalizationCapError(total, DEFAULT_SEARCH_BUDGET,
                                                what="bijection search")
-        order = [v for cell in cell_list for v in cell]
-        path = _search(graph, order, [len(cell) for cell in cell_list])
-        mapping = {order[i]: p for p, i in enumerate(path)}
-    leaf = _leaf(graph, mapping)
-    return CanonicalForm(_code(leaf), leaf), mapping
+        order = [p for cell in cell_list for p in cell]
+        path = _search(b, order, [len(cell) for cell in cell_list])
+        for p, i in enumerate(path):
+            mapping[order[i]] = p
+    leaf = _leaf(b, mapping)
+    return CanonicalForm(_code(leaf), leaf), dict(zip(vertices, mapping))
 
 
 def _leaf_key(pos, ends, entries):
@@ -322,9 +322,9 @@ def _orbits(seeds, gens):
     return out
 
 
-def _search(graph, order, sizes):
+def _search(b: RootedBall, order, sizes):
     """The least leaf of the bijection search, as the vertex ids (indices
-    into `order`, the vertices in cell order) at positions 0..n-1.
+    into `order`, the ball's positions in cell order) at positions 0..n-1.
 
     A vertex alone in its cell keeps its position.  The other positions
     are the search's levels, filled one at a time: position p takes an
@@ -335,7 +335,9 @@ def _search(graph, order, sizes):
     goes one call deep per level, and the search budget bounds the levels."""
     n = len(order)
     last = n * n - 1  # edge value v is bit last - v of a mask
-    index = {v: i for i, v in enumerate(order)}
+    index = [0] * n
+    for i, p in enumerate(order):
+        index[p] = i
     lo, hi = [], []
     for size in sizes:
         start = len(lo)
@@ -343,8 +345,7 @@ def _search(graph, order, sizes):
         hi.extend([start + size] * size)
     levels = [p for p in range(n) if hi[p] - lo[p] > 1]
     depth = len(levels)
-    entries = [(tuple(index[x] for x in tup), _label_key(label))
-               for tup, label in graph.structure.items()]
+    entries = [(tuple(index[x] for x in tup), _label_key(label)) for tup, label in b.entries]
     leaf_key = _leaf_key
     pos = list(range(n))  # vertex id -> position, -1 while unassigned
     for p in levels:
@@ -354,12 +355,13 @@ def _search(graph, order, sizes):
     first = best = None  # (key, path) of the first and of the least leaf
     nbrs = [[] for _ in range(n)]
     known = 0  # the edges between vertices alone in their cells
-    for u, v in graph.edges:
-        a, b = index[u], index[v]
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-        if pos[a] >= 0 and pos[b] >= 0:
-            known |= 1 << (last - (a * n + b if a < b else b * n + a))
+    for u, ws in enumerate(b.nbrs):
+        a = index[u]
+        for w in ws:
+            c = index[w]
+            nbrs[a].append(c)
+            if a < c and pos[a] >= 0 and pos[c] >= 0:
+                known |= 1 << (last - (a * n + c))
     for around in nbrs:  # ascending, so a first open neighbour is in the earliest cell
         around.sort()
     mask = 0  # the best leaf's edges; 0 cuts nothing before the first leaf
@@ -420,9 +422,9 @@ def _search(graph, order, sizes):
             path[p] = w
             known = ends
             for y in nbrs[w]:
-                b = pos[y]
-                if b >= 0:
-                    known |= 1 << (last - (b * n + p if b < p else p * n + b))
+                q = pos[y]
+                if q >= 0:
+                    known |= 1 << (last - (q * n + p if q < p else p * n + q))
             back = visit(i + 1, [g for g in fixing if g[w] == w] if fixing else fixing,
                          checked, known, row, x)
             pos[w] = -1

@@ -27,6 +27,7 @@ from .engine import (
     cover_family,
     lll_check,
     moser_tardos_solve,
+    refuse_full_bodies,
     solve_weighted,
 )
 from .errors import (CanonicalizationCapError, CoverBudgetError, EnumerationCapError,
@@ -122,6 +123,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "p": fraction_str(st.p), "d": st.d, "b": st.b,
             "symmetric-margin": fraction_str(verdict.margin),
         })
+        refuse_full_bodies(compiled, cfg.cap_enum_bits)
         mt = moser_tardos_solve(compiled, seed=cfg.seed,
                                 cap=200 * max(1, len(compiled.constraints)))
         if mt.assignment is None:
@@ -249,6 +251,7 @@ def _csp_solve(args) -> dict:
     csp = csp_from_json(load_json(args.csp))
     report = {"pipeline": args.pipeline, "method": args.method, "seed": args.seed}
     if args.method == "mt":
+        refuse_full_bodies(csp, args.cap_enum_bits)
         result = moser_tardos_solve(csp, seed=args.seed, cap=args.cap)
         ok = result.assignment is not None and is_solution(csp, result.assignment)[0]
         return {**report, "resamples": result.resamples, "capped": result.capped,

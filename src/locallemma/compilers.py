@@ -67,7 +67,7 @@ def _typed(rooted: RootedBall, canon_cap: int):
     try:
         form, mapping = _canonical_map(rooted, cap=canon_cap)
     except CanonicalizationCapError:
-        return rooted, rooted.root, tuple(sorted(rooted.graph.vertices))
+        return rooted, rooted.root, tuple(sorted(rooted.vertices))
     return rooted, form.code, tuple(sorted(mapping, key=mapping.__getitem__))
 
 
@@ -117,8 +117,7 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
         out = outputs.get(canon)
         if out is None:
             seeded = with_labeling(rooted.graph, {v: seeds[v] for v in order}, TAG_RAND)
-            form = canonical_type(RootedBall._trusted(seeded, y, rounds, rooted.dist),
-                                  cap=canon_cap)
+            form = canonical_type(ball(seeded, y, rounds), cap=canon_cap)
             out = outputs[canon] = int(alg(form))
         return out
 
@@ -127,14 +126,13 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
         ball.  Outputs are computed in BFS order from x, the per-vertex
         path's order, so a cap-out raises on the same ball."""
         rooted, key, order = near[x]
-        outs = {y: output_at(y, seeds) for y in rooted.dist}
+        outs = {y: output_at(y, seeds) for y in rooted.vertices}
         canon = (key, tuple([(seeds[v], outs[v]) for v in order]))
         result = verdicts.get(canon)
         if result is None:
             labeled = _with_layers(rooted.graph, ((TAG_RAND, {v: seeds[v] for v in order}),
                                                   (TAG_OUTPUT, outs)))
-            form = canonical_type(RootedBall._trusted(labeled, x, t, rooted.dist),
-                                  cap=canon_cap)
+            form = canonical_type(ball(labeled, x, t), cap=canon_cap)
             result = verdicts[canon] = int(problem.verifier(form)) == 0
         return result
 
@@ -179,7 +177,7 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
 
         return predicate, None
 
-    doms = {x: tuple(sorted(outer[x][0].graph.vertices)) for x in graph.vertices}
+    doms = {x: tuple(sorted(outer[x][0].vertices)) for x in graph.vertices}
     symmetric = alg.symmetric_at(m) and problem.verifier.symmetric_at(m)
     if symmetric:
         count = max((_growth_string_count(len(d), m) for d in doms.values()), default=1)

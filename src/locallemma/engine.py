@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .binary import binary_reduce
@@ -131,6 +132,20 @@ def moser_tardos_solve(csp: Csp, seed: int = 0, cap: Optional[int] = None) -> Mo
         for x in violated.domain:
             assignment[x] = rng.randint(1, csp.m)
         resamples += 1
+
+
+def refuse_full_bodies(csp: Csp, cap_bits: int):
+    """Raise StepInfeasibleError at the first constraint whose body is all
+    m^arity assignments of its domain (p = 1), so that no solution exists.
+    A predicate of unknown count is read up to its first allowed
+    assignment, and not at all past 2^cap_bits assignments."""
+    for i, c in enumerate(csp.constraints):
+        total = c.m ** c.arity()
+        if (c.body_size() == total if c.predicate is None or c.count is not None
+                else total <= 1 << cap_bits and all(
+                    map(c.predicate, product(range(1, c.m + 1), repeat=c.arity())))):
+            raise StepInfeasibleError(f"constraint {i}{f' ({c.tag})' if c.tag else ''} forbids "
+                                      f"all {total} assignments of its domain: p = 1")
 
 
 @dataclass(frozen=True)

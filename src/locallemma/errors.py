@@ -50,7 +50,7 @@ class BootstrapInfeasibleError(RuntimeError):
 
 
 class StepInfeasibleError(RuntimeError):
-    """A solver step could not certify its required inequalities."""
+    """A step cannot certify its inequalities, or a constraint forbids everything."""
 
 
 class CoverBudgetError(RuntimeError):

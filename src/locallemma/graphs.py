@@ -9,7 +9,7 @@ so a local rule can tell the layers apart after canonicalization.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import GraphBuildError
 from .labels import Label, is_label
@@ -132,74 +132,84 @@ class StructuredGraph:
         return dist
 
     def _incidence(self):
-        """(vertex -> position, structure keys in insertion order, first
-        vertex -> positions of its keys; the empty key is filed under
-        None), built on first use."""
+        """First vertex -> the (tuple, label) entries whose tuple starts
+        there (the empty tuple's under None), built on first use."""
         if self._index is None:
-            keys = tuple(self.structure)
             by_first: Dict[Optional[int], list] = {}
-            for i, tup in enumerate(keys):
-                by_first.setdefault(tup[0] if tup else None, []).append(i)
-            pos = {v: i for i, v in enumerate(self.vertices)}
-            object.__setattr__(self, "_index", (pos, keys, by_first))
+            for entry in self.structure.items():
+                tup = entry[0]
+                by_first.setdefault(tup[0] if tup else None, []).append(entry)
+            object.__setattr__(self, "_index", by_first)
         return self._index
-
-    def induced(self, vertices: Iterable[int]) -> "StructuredGraph":
-        """Induced structured subgraph on the given vertices (unknown ones
-        are ignored), in this graph's vertex and structure order, with one
-        sort of the structure hits; O(subgraph) after a one-time index."""
-        kset = self._vset.intersection(vertices)
-        pos, keys, by_first = self._incidence()
-        keep = sorted(kset, key=pos.__getitem__)
-        inside, within = kset.__contains__, kset.issuperset
-        nbrs, edges = {}, []
-        for u in keep:
-            nbrs[u] = ws = tuple(filter(inside, self._nbrs[u]))
-            for w in ws:
-                if u < w:
-                    edges.append((u, w))
-        hits = [i for v in (None, *keep) for i in by_first.get(v, ()) if within(keys[i])]
-        hits.sort()
-        struct = {keys[i]: self.structure[keys[i]] for i in hits}
-        return StructuredGraph._trusted(tuple(keep), kset, frozenset(edges), struct,
-                                        self.tuple_bound, nbrs)
 
 
 class RootedBall:
-    """Induced substructure on all vertices within `radius` of `root`;
-    `dist` maps every vertex to its distance from the root."""
+    """A rooted ball in BFS positions: `vertices` maps position -> vertex id
+    (root 0, then by distance, each vertex's neighbours in ascending id
+    order), `dist` gives each position's distance from the root, `nbrs` its
+    neighbours as positions (ascending by id) and `entries` the structure
+    as (position tuple, label) pairs, all tuples.  `graph` is built on
+    first use; it and `verify_lcl`'s memo assume no slot is rebound."""
 
-    __slots__ = ("graph", "root", "radius", "dist")
+    __slots__ = ("root", "radius", "vertices", "dist", "nbrs", "entries", "tuple_bound", "_graph")
 
     def __init__(self, graph: StructuredGraph, root: int, radius: int):
+        """The ball of the whole of `graph`, which must lie within `radius`
+        of `root`."""
         if not graph.has_vertex(root):
             raise GraphBuildError(f"root {root} not in ball graph")
+        self._fill(graph, root, radius)
+        if len(self.vertices) < len(graph.vertices):
+            far = [v for v in graph.vertices if v not in self.vertices]
+            raise GraphBuildError(f"vertices {far} beyond radius {radius} of root")
+
+    def _fill(self, graph: StructuredGraph, root: int, radius: int):
+        """One BFS from the root, then one pass over the graph's incidence index."""
         if radius < 0:
             raise GraphBuildError("radius must be nonnegative")
-        dist = graph.distances_from(root)
-        far = [v for v in graph.vertices if dist.get(v, radius + 1) > radius]
-        if far:
-            raise GraphBuildError(f"vertices {far} beyond radius {radius} of root")
-        self._set(graph, root, int(radius), dist)
+        gnbrs, by_first, at = graph._nbrs, graph._incidence(), {root: 0}
+        vertices, dist, nbrs = [root], [0], []
+        for v, d in zip(vertices, dist):  # both grow as the BFS finds vertices
+            ws = gnbrs[v]
+            if d < radius:
+                for w in ws:
+                    if w not in at:
+                        at[w] = len(vertices)
+                        vertices.append(w)
+                        dist.append(d + 1)
+            nbrs.append(tuple([at[w] for w in ws if w in at]))  # all but at the radius
+        get = at.get
+        entries = list(by_first.get(None, ()))
+        for p, v in enumerate(vertices):
+            for tup, label in by_first.get(v, ()):  # tup[0] is v, at position p
+                k = len(tup)  # short tuples are mapped inline
+                mapped = (p,) if k == 1 else (p, get(tup[1])) if k == 2 else tuple(map(get, tup))
+                if None not in mapped:
+                    entries.append((mapped, label))
+        self.root, self.radius, self.vertices, self.dist = root, int(radius), tuple(vertices), tuple(dist)
+        self.nbrs, self.entries, self.tuple_bound = tuple(nbrs), tuple(entries), graph.tuple_bound
+        self._graph = None
 
-    def _set(self, graph, root, radius, dist):
-        for name, value in (("graph", graph), ("root", root), ("radius", radius),
-                            ("dist", dist)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _trusted(cls, graph, root, radius, dist):
-        """Unchecked constructor; `dist` must hold the in-ball distance
-        from the root of every vertex of `graph`, and no other key."""
-        rooted = object.__new__(cls)
-        rooted._set(graph, root, int(radius), dist)
-        return rooted
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("RootedBall is immutable")
+    @property
+    def graph(self) -> StructuredGraph:
+        """The ball as a structured graph on its vertex ids, in BFS order."""
+        if self._graph is None:
+            self._graph = _positions_graph(self.vertices, self.nbrs, self.entries,
+                                           self.tuple_bound)
+        return self._graph
 
     def __repr__(self):
-        return f"RootedBall(root={self.root}, R={self.radius}, |V|={len(self.graph.vertices)})"
+        return f"RootedBall(root={self.root}, R={self.radius}, |V|={len(self.vertices)})"
+
+
+def _positions_graph(vertices, nbrs, entries, tuple_bound) -> StructuredGraph:
+    """The graph on `vertices` (position -> vertex id) whose neighbours and
+    entries are given in positions; each neighbour tuple must ascend by id."""
+    nbrs = {v: tuple([vertices[q] for q in ws]) for v, ws in zip(vertices, nbrs)}
+    edges = frozenset([(v, w) for v, ws in nbrs.items() for w in ws if v < w])
+    structure = {tuple([vertices[q] for q in t]): label for t, label in entries}
+    return StructuredGraph._trusted(tuple(vertices), frozenset(vertices), edges, structure,
+                                    tuple_bound, nbrs)
 
 
 def build_graph(vertices, edges, structure=None, tuple_bound=None) -> StructuredGraph:
@@ -209,14 +219,13 @@ def build_graph(vertices, edges, structure=None, tuple_bound=None) -> Structured
 
 
 def ball(graph: StructuredGraph, x: int, radius: int) -> RootedBall:
-    """Rooted ball of the given radius: induced structured subgraph on the
-    vertices at distance <= radius from x."""
-    # raises on an unknown vertex; a path of length <= radius from x stays
-    # inside the ball, so these are the in-ball distances
-    dist = graph.distances_from(x, limit=radius)
-    if radius < 0:
-        raise GraphBuildError("radius must be nonnegative")
-    return RootedBall._trusted(graph.induced(dist.keys()), x, radius, dist)
+    """The ball of the given radius around x, in BFS positions: O(ball)
+    after the graph's incidence index is built once."""
+    if not graph.has_vertex(x):
+        raise GraphBuildError(f"unknown vertex {x}")
+    rooted = object.__new__(RootedBall)
+    rooted._fill(graph, x, radius)
+    return rooted
 
 
 def greedy_coloring(graph: StructuredGraph, order) -> VertexLabeling:

@@ -87,15 +87,31 @@ def run_deterministic(alg: LocalAlgorithm, graph: StructuredGraph, rounds: int,
 def verify_lcl(problem: LclProblem, graph: StructuredGraph, labeling: VertexLabeling,
                canon_cap: int = DEFAULT_SIZE_CAP) -> RunReport:
     """Run the verifier on the graph with `labeling` attached as the output
-    layer; valid iff every vertex reports 1."""
+    layer; valid iff every vertex reports 1.  A verdict is memoized by the
+    ball's neighbour tuples and entries in BFS positions: equal keys mean
+    the BFS bijection carries one ball onto the other (distances follow
+    from the neighbours), so one form.  The memo pays where balls repeat
+    up to BFS order, as under a proper coloring of a cycle or a torus; a
+    ball that repeats none pays a hash of its key, which the memo keeps,
+    and is typed and judged once per form.  A hit repeats a ball typed
+    without a cap-out, so cap-outs are those of typing every ball."""
     missing = [v for v in graph.vertices if v not in labeling]
     if missing:
         raise ValueError(f"labeling must be total; missing {missing[:5]}")
     attached = with_labeling(graph, labeling, TAG_OUTPUT)
-    results = run_deterministic(problem.verifier, attached, problem.t, canon_cap=canon_cap)
-    violators = sorted(v for v, bit in results.items() if bit != 1)
+    verdicts, violators = {}, []  # BFS keys and form codes -> verdict
+    for x in attached.vertices:
+        rooted = ball(attached, x, problem.t)
+        key = rooted.nbrs, rooted.entries
+        if key not in verdicts:
+            form = canonical_type(rooted, cap=canon_cap)
+            if form.code not in verdicts:
+                verdicts[form.code] = int(problem.verifier(form))
+            verdicts[key] = verdicts[form.code]
+        if verdicts[key] != 1:
+            violators.append(x)
     return RunReport(outputs=dict(labeling), rounds_used=problem.t,
-                     violating_vertices=violators)
+                     violating_vertices=sorted(violators))
 
 
 def det_pipeline(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,

@@ -15,9 +15,10 @@ from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _canonical_m
                                   _label_key, _leaf, _leaf_key, _refine, canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generators import generate
-from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph,
+from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, _with_layers, ball, build_graph,
                                greedy_power_coloring, with_labeling)
 from locallemma.labels import label_key, label_sorted, label_to_json
+from reference import GraphBall, graph_ball, graph_canonical_map, graph_refine
 
 
 def random_rooted(rng, n_max=5, with_structure=True):
@@ -30,9 +31,7 @@ def random_rooted(rng, n_max=5, with_structure=True):
             tup = tuple(rng.randrange(n) for _ in range(k))
             structure[tup] = rng.randint(0, 2)
     g = build_graph(range(n), edges, structure)
-    root = 0
-    comp = g.distances_from(root)
-    return ball(g.induced(comp.keys()), root, n)
+    return ball(g, 0, n)  # the root's component
 
 
 def relabeled(b, rng):
@@ -389,9 +388,9 @@ def oracle_leaf_key(pos, edges, entries):
                                              for tup, key in entries))
 
 
-def oracle_search(graph, order, sizes):
+def oracle_search(b, order, sizes):
     n = len(order)
-    index = {v: i for i, v in enumerate(order)}
+    index = {v: i for i, v in enumerate(order)}  # positions of the ball
     lo, hi = [], []
     for size in sizes:
         start = len(lo)
@@ -399,9 +398,8 @@ def oracle_search(graph, order, sizes):
         hi.extend([start + size] * size)
     levels = [p for p in range(n) if hi[p] - lo[p] > 1]
     depth = len(levels)
-    edges = [(index[u], index[v]) for u, v in graph.edges]
-    entries = [(tuple(index[x] for x in tup), label_key(label))
-               for tup, label in graph.structure.items()]
+    edges = [(index[u], index[v]) for u, ws in enumerate(b.nbrs) for v in ws if u < v]
+    entries = [(tuple(index[x] for x in tup), label_key(label)) for tup, label in b.entries]
     leaf_key = oracle_leaf_key
     pos = list(range(n))  # vertex id -> position, -1 while unassigned
     for p in levels:
@@ -538,7 +536,7 @@ def random_symmetric_ball(rng):
 
 
 def reaches_search(b):
-    return len(set(_refine(b).values())) < len(b.graph.vertices)
+    return len(set(_refine(b))) < len(b.vertices)
 
 
 def test_symmetric_draws_reach_the_search():
@@ -680,7 +678,7 @@ def assert_leaf_decodes_like_code(b):
     for v in slow.vertices:
         assert fast.neighbors(v) == slow.neighbors(v)
     assert form.decode()[0] is not fast
-    assert _refine(b) == byte_key_refine(b.graph, b.root)
+    assert dict(zip(b.vertices, _refine(b))) == byte_key_refine(b.graph, b.root)
 
 
 @given(st.randoms(use_true_random=False).map(random_layered_ball))
@@ -727,9 +725,9 @@ def identity_leaf_key(leaf):
 def cell_order_map(b):
     """Oracle: a one-leaf ball's map as the general path builds it: cells
     in colour order, each cell's vertices ascending, positions in turn."""
-    color = _refine(b)
+    color = dict(zip(b.vertices, _refine(b)))
     cells = {}
-    for v in b.graph.vertices:
+    for v in b.vertices:
         cells.setdefault(color[v], []).append(v)
     order = [v for c in sorted(cells) for v in sorted(cells[c])]
     return {v: i for i, v in enumerate(order)}
@@ -742,20 +740,20 @@ def assert_one_leaf_paths_match(b):
     compact; a discrete ball's map is the general path's."""
     form, mapping = _canonical_map(b, cap=max(len(b.graph.vertices), 12))
     n, edges, entries = form.leaf
-    assert form.leaf == _leaf(b.graph, mapping)
+    assert form.leaf == _leaf(b, [mapping[v] for v in b.vertices])
     keyed = [(t, label_key(l)) for t, l in entries]
     ends, oracle_entries = oracle_leaf_key(list(range(n)), edges, keyed)
     assert [a * n + c for a, c in edges] == list(ends) and keyed == list(oracle_entries)
     assert identity_leaf_key(form.leaf) == (-sum(1 << (n * n - 1 - e) for e in ends),
                                             oracle_entries)
     assert form.code == canonical._code(form.leaf) == payload_code(form)
-    if len(set(_refine(b).values())) == len(b.graph.vertices):
+    if not reaches_search(b):
         assert mapping == cell_order_map(b)
 
 
 def test_one_leaf_texts_and_map_match_the_search_on_local_det_balls():
     balls = local_det_balls()
-    assert all(len(set(_refine(b).values())) == len(b.graph.vertices) for b in balls)
+    assert not any(map(reaches_search, balls))
     for b in balls:
         assert_one_leaf_paths_match(b)
 
@@ -966,3 +964,107 @@ def test_label_cache_is_bounded():
         assert _entry_json(((0,), value)) == compact_json([[0], label_to_json(value)])
     assert _label_key.cache_info().currsize <= _LABEL_CACHE_SIZE
     assert _entry_json.cache_info().currsize <= _LABEL_CACHE_SIZE
+
+
+# The positions path against the graph-ball oracle (`tests/reference.py`):
+# a ball's BFS order, distances, graph and refinement, and its code, leaf,
+# vertex map or cap-out, on each family above used as source graphs (every
+# root, several radii), on identifier-labelled directed cycles, and on the
+# seeded balls `rand_to_csp` builds.
+
+def map_result(canonical_map, b, cap):
+    """(code, leaf, vertex map), or the cap-out's message."""
+    try:
+        form, mapping = canonical_map(b, cap)
+        return form.code, form.leaf, mapping
+    except CanonicalizationCapError as err:
+        return str(err)
+
+
+def assert_positions_match_graph_ball(new, old, cap=64):
+    assert list(new.vertices) == list(old.dist) and new.dist == tuple(old.dist.values())
+    assert (new.root, new.radius) == (old.root, old.radius)
+    got, want = new.graph, old.graph
+    assert set(got.vertices) == set(want.vertices) and got.edges == want.edges
+    assert got.structure == want.structure and got.tuple_bound == want.tuple_bound
+    assert all(got.neighbors(v) == want.neighbors(v) for v in want.vertices)
+    assert dict(zip(new.vertices, _refine(new))) == graph_refine(old)
+    for c in {cap, len(new.vertices) - 1}:
+        assert map_result(_canonical_map, new, c) == map_result(graph_canonical_map, old, c)
+
+
+def assert_balls_match_graph_balls(graph, radii=(0, 1, 2, 3), cap=64):
+    for x in graph.vertices:
+        for radius in radii:
+            assert_positions_match_graph_ball(ball(graph, x, radius),
+                                              graph_ball(graph, x, radius), cap)
+
+
+def test_positions_match_graph_balls_on_drawn_families():
+    rng = random.Random(29)
+    draws = [random_rooted(rng) for _ in range(60)]
+    draws += [random_layered_ball(rng) for _ in range(80)]
+    draws += [random_small_layered_ball(rng, rng.randint(2, 6)) for _ in range(60)]
+    draws += [random_symmetric_ball(rng) for _ in range(120)]
+    draws += [swapped_labels(b, rng) for b in draws[-40:] if len(b.vertices) > 1]
+    for b in draws:
+        assert_balls_match_graph_balls(b.graph)
+
+
+def test_positions_match_graph_balls_on_symmetric_and_tuple_graphs():
+    rng = random.Random(31)
+    graphs = [star(6), star(9), cube(), petersen(), regular_tree_ball().graph,
+              build_graph(range(7), [(i, j) for i in range(7) for j in range(i + 1, 7)]),
+              generate("torus_grid", {"rows": 12, "cols": 12}),
+              generate("random_regular", {"n": 40, "d": 3}, seed=3),
+              generate("random_tree", {"n": 60}, seed=4)]
+    for k in (4, 6):
+        colour = {(a, b): rng.randint(1, 2) for a in range(1, k + 1) for b in range(a + 1, k + 1)}
+        graphs.append(build_graph(star(k).vertices, star(k).edges,
+                                  {(a, b): colour[min(a, b), max(a, b)]
+                                   for a in range(1, k + 1) for b in range(1, k + 1) if a != b}))
+    for g in (cube(), petersen(), generate("cycle", {"n": 8})):
+        structure = {tuple(rng.sample(g.vertices, rng.randint(2, 3))): rng.randint(1, 2)
+                     for _ in range(3)}
+        graphs.append(random_layered_graph(rng, build_graph(g.vertices, g.edges, structure)))
+    for g in graphs:
+        assert_balls_match_graph_balls(g, cap=13)
+
+
+def test_positions_match_graph_balls_on_identifier_cycles_and_local_sym():
+    for b in local_det_balls(48, 7, 0) + local_det_balls(30, 5, 3):
+        assert_balls_match_graph_balls(b.graph, radii=(1, 7))
+    cycle = generate("directed_cycle", {"n": 48})
+    order = list(cycle.vertices)
+    random.Random(0).shuffle(order)
+    ids = with_labeling(cycle, greedy_power_coloring(cycle, order, 14)[0], TAG_IDS)
+    assert_balls_match_graph_balls(ids, radii=(1, 7))
+    rng = random.Random("local_sym:0:0")
+    regular = generate("random_regular", {"n": 2000, "d": 3}, rng.randrange(2**31))
+    tree = generate("random_tree", {"n": 300}, rng.randrange(2**31))
+    for graph, radius in ((regular, 2), (tree, 3)):
+        for x in graph.vertices[::50]:
+            assert_positions_match_graph_ball(ball(graph, x, radius), graph_ball(graph, x, radius))
+
+
+def test_positions_match_graph_balls_on_seeded_balls():
+    # rand_to_csp's balls: the seed-free ball's graph with seeds attached in
+    # canonical order, re-balled at the root; then outputs attached for
+    # the verdict ball.  The oracle attaches them to the induced graph
+    # and hands the seed-free distances over.
+    rng = random.Random(37)
+    for kind, params in (("directed_cycle", {"n": 7}), ("cycle", {"n": 9}),
+                         ("torus_grid", {"rows": 3, "cols": 3}),
+                         ("random_tree", {"n": 12})):
+        graph = generate(kind, params, seed=1)
+        for x in graph.vertices:
+            for radius in (0, 1, 2):
+                new, old = ball(graph, x, radius), graph_ball(graph, x, radius)
+                order = list(new.vertices)
+                rng.shuffle(order)
+                seeds = {v: rng.randint(1, 3) for v in order}
+                outs = {v: rng.randint(0, 3) for v in new.vertices}
+                for layers in (((TAG_RAND, seeds),), ((TAG_RAND, seeds), (TAG_OUTPUT, outs))):
+                    seeded = _with_layers(new.graph, layers)
+                    oracle = GraphBall(_with_layers(old.graph, layers), x, radius, old.dist)
+                    assert_positions_match_graph_ball(ball(seeded, x, radius), oracle)

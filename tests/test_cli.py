@@ -156,10 +156,16 @@ def test_reports_identical_across_hash_seeds(tmp_path):
     from locallemma.randgen import random_measurable_csp
 
     gpath, star, meas = tmp_path / "g.json", tmp_path / "star5.json", tmp_path / "meas.json"
-    labels = tmp_path / "labels.json"
+    labels, torus, torus_labels = (tmp_path / "labels.json", tmp_path / "torus.json",
+                                   tmp_path / "torus_labels.json")
     assert run(["gen", "--kind", "directed_cycle", "--params", '{"n": 64}',
                 "--out", str(gpath)]) == 0
     dump_json({"values": [[v, v % 2 + 1] for v in range(64)]}, labels)
+    # a proper 3-colouring of the 6x6 torus, (row + col) % 3: its verifier
+    # balls have symmetries, so the verdict memo misses on BFS order
+    assert run(["gen", "--kind", "torus_grid", "--params", '{"rows": 6, "cols": 6}',
+                "--out", str(torus)]) == 0
+    dump_json({"values": [[v, (v // 6 + v % 6) % 3 + 1] for v in range(36)]}, torus_labels)
     dump_json(graph_to_json(build_graph(range(5), [(0, i) for i in range(1, 5)])), star)
     dump_json(csp_to_json(random_measurable_csp(900, max_ground=40)), meas)
     covers = {2: random_cover_csp(1, max_levels=10),
@@ -175,6 +181,8 @@ def test_reports_identical_across_hash_seeds(tmp_path):
                  "--gen-params", '{"n": 6}', "--params", '{"m": 6}', "--seed", "5"],
         "verify": ["verify", "--problem", "proper-2", "--graph", str(gpath),
                    "--labels", str(labels)],
+        "verify-torus": ["verify", "--problem", "proper-3", "--graph", str(torus),
+                         "--labels", str(torus_labels)],
         "general": ["csp", "check", "--csp", str(meas), "--which", "general"],
         "growth": ["csp", "check", "--csp", str(meas), "--which", "neighborhood-growth"],
         "weighted": ["csp", "solve", "--csp", str(meas), "--method", "weighted",
@@ -379,6 +387,48 @@ def test_certified_infeasibility_is_reported(tmp_path):
     assert "bootstrap infeasible" in report["error"] and "p(d+1)^N" in report["error"]
     payload = json.loads(report["error"].split(": ", 1)[1])
     assert isinstance(payload, list) and all(isinstance(e, dict) for e in payload)
+
+
+def test_rand_pipeline_with_one_seed_value_is_certified_infeasible(tmp_path, monkeypatch):
+    # at m = 1 the one seed pattern makes every compiled constraint reject:
+    # p = 1, refused before Moser-Tardos runs
+    from locallemma import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("Moser-Tardos ran")
+
+    monkeypatch.setattr(cli, "moser_tardos_solve", never)
+    out = tmp_path / "r.json"
+    assert run(["pipeline", "rand", "--gen-kind", "directed_cycle", "--gen-params", '{"n": 6}',
+                "--params", '{"m": 1}', "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["pipeline"] == "rand" and report["outcome"] == "infeasible"
+    assert report["passed"] is False
+    assert report["error"] == ("constraint 0 (B_0) forbids all 1 assignments of its domain: "
+                               "p = 1")
+
+
+@pytest.mark.parametrize("full, index", [
+    ({"domain": [1, 2], "forbidden": [[1, 1], [1, 2], [2, 1], [2, 2]]}, 1),
+    ({"domain": [2], "predicate": {"name": "all_equal"}}, 1),
+    ({"domain": [], "predicate": {"name": "parity"}}, 1),
+])
+def test_csp_solve_mt_refuses_a_constraint_that_forbids_everything(tmp_path, full, index):
+    # exit 1 with the resampling cap spent, before the refusal
+    cpath, out = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json({"ground": [0, 1, 2], "m": 2, "constraints": [
+        {"domain": [0], "forbidden": [[1]]}, full]}, cpath)
+    assert run(["csp", "solve", "--csp", str(cpath), "--method", "mt",
+                "--out", str(out)]) == 4
+    report = json.loads(out.read_text())
+    assert report["pipeline"] == "csp-solve" and report["outcome"] == "infeasible"
+    assert report["error"].startswith(f"constraint {index} ")
+    assert report["error"].endswith("of its domain: p = 1")
+    # the same CSP less the full constraint solves
+    dump_json({"ground": [0, 1, 2], "m": 2, "constraints": [
+        {"domain": [0], "forbidden": [[1]]}]}, cpath)
+    assert run(["csp", "solve", "--csp", str(cpath), "--method", "mt",
+                "--out", str(out)]) == 0
 
 
 def test_direct_route_failure_is_certified_not_an_input_error(tmp_path):

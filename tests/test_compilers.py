@@ -19,8 +19,8 @@ from locallemma.csp import (
 )
 from locallemma.errors import CanonicalizationCapError, EnumerationCapError, GraphBuildError
 from locallemma.generators import generate
-from locallemma.graphs import (TAG_OUTPUT, TAG_RAND, RootedBall, ball, base_structure,
-                               build_graph, layer_value, with_labeling)
+from locallemma.graphs import (TAG_OUTPUT, TAG_RAND, ball, base_structure, build_graph,
+                               layer_value, with_labeling)
 from locallemma.localrun import LocalAlgorithm, verify_lcl
 
 
@@ -144,7 +144,7 @@ def _run_on_ball(alg: LocalAlgorithm, rooted, rounds: int, inner_radius: int,
     radius `rounds` around those vertices lie inside)."""
     graph = rooted.graph
     out = {}
-    for y, d in rooted.dist.items():
+    for y, d in zip(rooted.vertices, rooted.dist):
         if d <= inner_radius:
             form = canonical_type(ball(graph, y, rounds), cap=canon_cap)
             out[y] = int(alg(form))
@@ -166,9 +166,8 @@ def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
             if values not in memo:
                 dom = tuple(sorted(rooted.graph.vertices))
                 seeded = with_labeling(rooted.graph, dict(zip(dom, values)), TAG_RAND)
-                outputs = _run_on_ball(
-                    alg, RootedBall._trusted(seeded, rooted.root, rooted.radius, rooted.dist),
-                    rounds, problem.t, canon_cap)
+                outputs = _run_on_ball(alg, ball(seeded, rooted.root, rooted.radius),
+                                       rounds, problem.t, canon_cap)
                 labeled = with_labeling(seeded, outputs, TAG_OUTPUT)
                 form = canonical_type(ball(labeled, x, problem.t), cap=canon_cap)
                 memo[values] = int(problem.verifier(form)) == 0

@@ -25,7 +25,7 @@ from locallemma.graphs import (
     layer_value,
     with_labeling,
 )
-from reference import distance_pairs, power_graph
+from reference import distance_pairs, incidence, induced, power_graph
 
 
 def random_graph(rng_seed: int, n: int, p_edge: float = 0.4):
@@ -241,7 +241,7 @@ def test_layers_on_one_copy_match_the_two_call_chain():
         order = list(rooted.graph.vertices)
         rng.shuffle(order)
         seeds = {v: rng.randint(1, 4) for v in order}
-        outs = {y: rng.randint(0, 3) for y in rooted.dist}
+        outs = {y: rng.randint(0, 3) for y in rooted.vertices}
         chain = with_labeling(with_labeling(rooted.graph, seeds, TAG_RAND), outs, TAG_OUTPUT)
         got = _with_layers(rooted.graph, ((TAG_RAND, seeds), (TAG_OUTPUT, outs)))
         assert list(got.structure.items()) == list(chain.structure.items())
@@ -298,16 +298,17 @@ def test_distance_pairs_zero_radius():
 
 @given(st.integers(0, 40), st.integers(1, 12), st.integers(0, 4))
 def test_ball_distances_match_in_ball_bfs(seed, n, radius):
-    # the truncated BFS that `ball` hands over against a BFS of the ball
+    # the BFS positions and distances of `ball` against a BFS of the ball
     # itself and against the checking public constructor
     g = random_graph(seed, n, p_edge=0.25)
     for x in g.vertices:
         b = ball(g, x, radius)
         in_ball = b.graph.distances_from(x)
-        assert b.dist == in_ball
-        assert list(b.dist) == list(in_ball)
+        assert dict(zip(b.vertices, b.dist)) == in_ball
+        assert list(b.vertices) == list(in_ball)
         checked = RootedBall(b.graph, x, radius)
-        assert checked.dist == in_ball and checked.radius == b.radius == radius
+        assert dict(zip(checked.vertices, checked.dist)) == in_ball
+        assert checked.radius == b.radius == radius
 
 
 def test_public_rooted_ball_still_checks_radius():
@@ -425,7 +426,7 @@ def test_max_ball_and_pairs_matches_two_passes(seed, n, k):
 
 def test_induced_accepts_one_shot_iterable():
     g = generate("path", {"n": 5})
-    sub = g.induced(v for v in [1, 2, 3])
+    sub = induced(g, (v for v in [1, 2, 3]))
     assert sub.vertices == (1, 2, 3)
     assert sub.edges == frozenset({(1, 2), (2, 3)})
 
@@ -466,7 +467,7 @@ def test_induced_matches_full_scan(case):
     graph, subsets = case
     balls = [graph.distances_from(x, limit=1).keys() for x in graph.vertices]
     for subset in subsets + balls:
-        got, want = graph.induced(subset), full_scan_induced(graph, subset)
+        got, want = induced(graph, subset), full_scan_induced(graph, subset)
         assert got.vertices == want.vertices
         assert got.edges == want.edges
         assert list(got.structure.items()) == list(want.structure.items())
@@ -481,7 +482,7 @@ def index_induced(graph, vertices):
     """Oracle: the induced subgraph from the incidence index as it was
     built before the one-loop version, with generator expressions."""
     kset = graph._vset.intersection(vertices)
-    pos, keys, by_first = graph._incidence()
+    pos, keys, by_first = incidence(graph)
     keep = tuple(sorted(kset, key=pos.__getitem__))
     nbrs = {u: tuple(w for w in graph._nbrs[u] if w in kset) for u in keep}
     edges = frozenset((u, w) for u in keep for w in nbrs[u] if u < w)
@@ -507,7 +508,7 @@ def test_induced_matches_index_oracle_on_layered_graphs(case):
     graph, subsets = case
     balls = [graph.distances_from(x, limit=r).keys() for x in graph.vertices for r in (1, 2)]
     for subset in subsets + balls:
-        got, want = graph.induced(subset), index_induced(graph, subset)
+        got, want = induced(graph, subset), index_induced(graph, subset)
         assert got.vertices == want.vertices and type(got.vertices) is tuple
         assert got.edges == want.edges and type(got.edges) is frozenset
         assert list(got.structure.items()) == list(want.structure.items())

@@ -12,10 +12,11 @@ from locallemma.algorithms import builtin_algorithm, proper_coloring_problem
 from locallemma.canonical import DEFAULT_SIZE_CAP, CanonicalForm, canonical_type
 from locallemma.errors import EnumerationCapError, GraphBuildError, PipelineError
 from locallemma.generators import generate
-from locallemma.graphs import TAG_RAND, ball, build_graph, layer_value, with_labeling
+from locallemma.graphs import TAG_OUTPUT, TAG_RAND, ball, build_graph, layer_value, with_labeling
 from locallemma.localrun import (
     LclProblem,
     LocalAlgorithm,
+    RunReport,
     det_pipeline,
     run_deterministic,
     verify_lcl,
@@ -205,10 +206,12 @@ def test_rule_called_once_per_distinct_form():
 
 def test_local_det_counts_are_pinned(monkeypatch):
     # counts, not clocks: det_pipeline on a directed 256-cycle, with the
-    # order test_algorithms' local_det verdict test draws.  Every ball is
-    # typed once, none by the bijection search; the rule runs once per
-    # distinct form, and the verifier and the signature rounds (the
-    # verdict balls whose first colouring ties) stay at most where they are.
+    # order test_algorithms' local_det verdict test draws.  Every
+    # identifier ball is typed once, and a verdict ball only when its BFS
+    # key is new (14 keys for 12 forms); none goes to the bijection search.
+    # The rule runs once per distinct form, the verifier at most 12 times
+    # and the signature rounds (typed verdict balls whose first colouring
+    # ties) at most 7 times.
     n = 256
     g = generate("directed_cycle", {"n": n})
     spec = builtin_algorithm("cole_vishkin_3color", {"n": n})
@@ -235,8 +238,75 @@ def test_local_det_counts_are_pinned(monkeypatch):
     problem = LclProblem(t=1, verifier=replace(verifier, rule=counting("verifier", verifier.rule)))
     report = det_pipeline(alg, problem, g, n=n, rounds=spec.rounds(n), order=order, canon_cap=64)
     assert report.valid
-    # run_deterministic types the identifier balls first, then the verdict balls
-    assert counts["_canonical_map"] == 2 * n and counts["_search"] == 0
+    # run_deterministic types the identifier balls first, then verify_lcl
+    # the verdict balls whose key misses
+    assert counts["_canonical_map"] == n + 14 and counts["_search"] == 0
     assert counts["rule"] == len({form.code for form in forms[:n]}) == n
     assert counts["verifier"] == len({form.code for form in forms[n:]}) <= 12
-    assert counts["_rounds"] <= 108
+    assert counts["_rounds"] <= 7
+
+
+def unmemoized_verify(problem, graph, labeling):
+    """Oracle: verify_lcl with no BFS-key memo, every verifier ball typed
+    by run_deterministic."""
+    results = run_deterministic(problem.verifier, with_labeling(graph, labeling, TAG_OUTPUT),
+                                problem.t)
+    return RunReport(outputs=dict(labeling), rounds_used=problem.t,
+                     violating_vertices=sorted(v for v, bit in results.items() if bit != 1))
+
+
+def test_verify_lcl_matches_the_unmemoized_oracle(monkeypatch):
+    # valid and broken labellings of directed cycles, cycles and tori; the
+    # torus balls have symmetries, so isomorphic balls in other BFS orders
+    # miss the key memo and are typed again
+    rng = random.Random(41)
+    cases = []
+    for kind, params in (("directed_cycle", {"n": 48}), ("cycle", {"n": 30}),
+                         ("torus_grid", {"rows": 6, "cols": 6}),
+                         ("torus_grid", {"rows": 9, "cols": 12})):
+        graph = generate(kind, params)
+        cols = params.get("cols", 1)
+        proper = {v: (v // cols + v % cols) % 3 + 1 for v in graph.vertices}
+        if kind != "torus_grid":
+            proper = {v: v % 2 + 1 for v in graph.vertices}
+            if len(graph.vertices) % 2:
+                proper[graph.vertices[-1]] = 3
+        broken = dict(proper)
+        for v in rng.sample(graph.vertices, 3):
+            broken[v] = rng.randint(1, 4)
+        noise = {v: rng.randint(1, 3) for v in graph.vertices}
+        cases += [(graph, labels) for labels in (proper, broken, noise)]
+    # balls with one distance list and one set of entries, with and without
+    # an edge between two neighbours: a 3x3 torus (every radius-1 ball
+    # holds two triangles) beside a 4x4 one (none), labelled alike
+    small, large = generate("torus_grid", {"rows": 3, "cols": 3}), generate(
+        "torus_grid", {"rows": 4, "cols": 4})
+    both = build_graph(list(range(9)) + [9 + v for v in large.vertices],
+                       list(small.edges) + [(9 + u, 9 + v) for u, v in large.edges])
+    cases += [(both, {v: 1 if v in (0, 9) else 2 for v in both.vertices})]
+    typed = []
+    canonical_map = canonical._canonical_map
+
+    def counting(b, cap):
+        typed.append(b)
+        return canonical_map(b, cap)
+
+    monkeypatch.setattr(canonical, "_canonical_map", counting)
+    for k in (3, 4, None):
+        problem = proper_coloring_problem(k)
+        for graph, labels in cases:
+            got = verify_lcl(problem, graph, labels)
+            want = unmemoized_verify(problem, graph, labels)
+            assert (got.outputs, got.rounds_used, got.violating_vertices, got.checks) == \
+                   (want.outputs, want.rounds_used, want.violating_vertices, want.checks)
+    # the proper torus colouring: more keys than forms, fewer than balls
+    torus = generate("torus_grid", {"rows": 6, "cols": 6})
+    labels = {v: (v // 6 + v % 6) % 3 + 1 for v in torus.vertices}
+    attached = with_labeling(torus, labels, TAG_OUTPUT)
+    balls = [ball(attached, x, 1) for x in attached.vertices]
+    keys = {(b.nbrs, b.entries) for b in balls}
+    forms = {canonical_type(b).code for b in balls}
+    assert len(forms) < len(keys) < len(balls)
+    typed.clear()
+    assert verify_lcl(proper_coloring_problem(3), torus, labels).valid
+    assert len(typed) == len(keys)
