@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         # the report command prints its table in place of the summary
         return _emit(_outcome(args), args.out, echo=args.handler is not _report)
     except Exception as exc:  # input error: no report
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

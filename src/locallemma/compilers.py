@@ -18,17 +18,18 @@ order):
 - the algorithm's output at y: radius-T type, seeds;
 - the verifier's verdict at x: radius-t type, (seed, output) pairs.
 
-Cost: each vertex's seed-free balls are built and typed once per radius.
-Each predicate type enumerates its m^|B| patterns once, and every vertex
-of that type pays one lookup per pattern.  A predicate miss makes one
-output lookup per vertex within t of x and one verdict lookup; an output
-or verdict miss canonicalizes the vertex's own seeded ball.  At T = 0 an
-inner ball is one seeded vertex, so at most m outputs per inner type are
-computed.  The decoder reads the same output memo.  A ball that caps out
-is a type of its own, in sorted vertex order.  Whether a seeded ball caps
-out depends only on its refinement, which isomorphic balls share, so
-compiling caps out at the pattern, and with the error, of the per-vertex
-path.
+Cost: each vertex's seed-free balls are built once per radius and typed
+once per BFS key, as `verify_lcl` keys its balls.  Each predicate type
+enumerates its m^|B| patterns once, and every vertex of that type pays one
+lookup per pattern.  A predicate miss makes one output lookup per vertex
+within t of x and one verdict lookup; an output or verdict miss layers
+the seeds (and outputs) onto the seed-free ball in its own positions
+(`layered_ball`) and canonicalizes that.  At T = 0 an inner ball is one
+seeded vertex, so at most m outputs per inner type are computed.  The
+decoder reads the same output memo.  A ball that caps out is a type of its
+own, in sorted vertex order.  Whether a seeded ball caps out depends only
+on its refinement, which isomorphic balls share, so compiling caps out at
+the pattern, and with the error, of the per-vertex path.
 
 Value-symmetric pairs (`LocalAlgorithm.symmetric_at`) get a fourth memo
 above these: a permutation of [m] on the seeds then fixes every verdict,
@@ -54,21 +55,28 @@ from .csp import Constraint, Csp, DEFAULT_CAP_BITS, intersection_graph, stats
 from .engine import direct_entry, lll_check
 from .errors import (BootstrapInfeasibleError, CanonicalizationCapError, EncodingBudgetError,
                      EnumerationCapError)
-from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, _with_layers,
-                     ball, with_labeling)
+from .graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, RootedBall, StructuredGraph, ball,
+                     layered_ball, with_labeling)
 from .graphcsp import csp_to_lcl, encode_graph_csp, parallel_resample
 from .localrun import LclProblem, LocalAlgorithm
 
 
-def _typed(rooted: RootedBall, canon_cap: int):
+def _typed(rooted: RootedBall, canon_cap: int, types: dict):
     """(rooted, type key, its vertices in canonical position order) for a
-    seed-free ball; a ball that caps out is keyed by its root, in sorted
-    vertex order."""
-    try:
-        form, mapping = _canonical_map(rooted, cap=canon_cap)
-    except CanonicalizationCapError:
+    seed-free ball, typed once per BFS key (equal keys are equal balls in BFS
+    positions) in `types`; a cap-out is keyed by its root, in sorted order."""
+    key = rooted.nbrs, rooted.entries
+    if key not in types:
+        try:
+            form, mapping = _canonical_map(rooted, cap=canon_cap)
+            at = [mapping[v] for v in rooted.vertices]
+            types[key] = form.code, sorted(range(len(at)), key=at.__getitem__)
+        except CanonicalizationCapError:
+            types[key] = None
+    if types[key] is None:
         return rooted, rooted.root, tuple(sorted(rooted.vertices))
-    return rooted, form.code, tuple(sorted(mapping, key=mapping.__getitem__))
+    code, positions = types[key]
+    return rooted, code, tuple([rooted.vertices[p] for p in positions])
 
 
 def _growth_strings(size: int, blocks: int, prefix: Tuple[int, ...] = ()):
@@ -100,7 +108,8 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
     t = problem.t
     radius = rounds + t
     # per radius: x -> (its seed-free ball, type key, canonical order)
-    typed = {r: {x: _typed(ball(graph, x, r), canon_cap) for x in graph.vertices}
+    types: dict = {}
+    typed = {r: {x: _typed(ball(graph, x, r), canon_cap, types) for x in graph.vertices}
              for r in {radius, rounds, t}}
     outer, inner, near = typed[radius], typed[rounds], typed[t]
     outputs: Dict[tuple, int] = {}
@@ -116,8 +125,7 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
         canon = (key, tuple([seeds[v] for v in order]))
         out = outputs.get(canon)
         if out is None:
-            seeded = with_labeling(rooted.graph, {v: seeds[v] for v in order}, TAG_RAND)
-            form = canonical_type(ball(seeded, y, rounds), cap=canon_cap)
+            form = canonical_type(layered_ball(rooted, ((TAG_RAND, seeds),)), cap=canon_cap)
             out = outputs[canon] = int(alg(form))
         return out
 
@@ -130,9 +138,8 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
         canon = (key, tuple([(seeds[v], outs[v]) for v in order]))
         result = verdicts.get(canon)
         if result is None:
-            labeled = _with_layers(rooted.graph, ((TAG_RAND, {v: seeds[v] for v in order}),
-                                                  (TAG_OUTPUT, outs)))
-            form = canonical_type(ball(labeled, x, t), cap=canon_cap)
+            labeled = layered_ball(rooted, ((TAG_RAND, seeds), (TAG_OUTPUT, outs)))
+            form = canonical_type(labeled, cap=canon_cap)
             result = verdicts[canon] = int(problem.verifier(form)) == 0
         return result
 

@@ -148,10 +148,10 @@ class RootedBall:
     (root 0, then by distance, each vertex's neighbours in ascending id
     order), `dist` gives each position's distance from the root, `nbrs` its
     neighbours as positions (ascending by id) and `entries` the structure
-    as (position tuple, label) pairs, all tuples.  `graph` is built on
-    first use; it and `verify_lcl`'s memo assume no slot is rebound."""
+    as (position tuple, label) pairs, all tuples.  The memos of
+    `verify_lcl` and `rand_to_csp` assume no slot is rebound."""
 
-    __slots__ = ("root", "radius", "vertices", "dist", "nbrs", "entries", "tuple_bound", "_graph")
+    __slots__ = ("root", "radius", "vertices", "dist", "nbrs", "entries", "tuple_bound")
 
     def __init__(self, graph: StructuredGraph, root: int, radius: int):
         """The ball of the whole of `graph`, which must lie within `radius`
@@ -188,15 +188,6 @@ class RootedBall:
                     entries.append((mapped, label))
         self.root, self.radius, self.vertices, self.dist = root, int(radius), tuple(vertices), tuple(dist)
         self.nbrs, self.entries, self.tuple_bound = tuple(nbrs), tuple(entries), graph.tuple_bound
-        self._graph = None
-
-    @property
-    def graph(self) -> StructuredGraph:
-        """The ball as a structured graph on its vertex ids, in BFS order."""
-        if self._graph is None:
-            self._graph = _positions_graph(self.vertices, self.nbrs, self.entries,
-                                           self.tuple_bound)
-        return self._graph
 
     def __repr__(self):
         return f"RootedBall(root={self.root}, R={self.radius}, |V|={len(self.vertices)})"
@@ -254,10 +245,21 @@ def greedy_power_coloring(graph: StructuredGraph, order, k: int):
     return colors, max_ball
 
 
-def _layer_pairs(label) -> Optional[tuple]:
+def _append_layers(label, pairs: tuple):
+    """A singleton or empty-tuple label (None for none) with the layer
+    `pairs` appended; a plain label is first wrapped under TAG_BASE."""
+    if label is None:
+        return (LAYER_MARK,) + pairs
     if isinstance(label, tuple) and label and label[0] == LAYER_MARK:
-        return label[1:]
-    return None
+        return label + pairs
+    return (LAYER_MARK, (TAG_BASE, label)) + pairs
+
+
+def _checked(v, value):
+    """A layer value for vertex v, refused unless it is a label."""
+    if not is_label(value):
+        raise GraphBuildError(f"invalid layer value for {v}: {value!r}")
+    return value
 
 
 def with_labeling(graph: StructuredGraph, values: Mapping[int, int],
@@ -269,38 +271,39 @@ def with_labeling(graph: StructuredGraph, values: Mapping[int, int],
     changes the structure; repeated application nests.  New values are
     checked here, so the result shares the graph's vertices and edges.
     """
-    return _with_layers(graph, ((tag, values),))
-
-
-def _with_layers(graph: StructuredGraph, layers) -> StructuredGraph:
-    """with_labeling for each (tag, values) in turn, on one structure copy."""
+    bad = [v for v in values if not graph.has_vertex(v)]
+    if bad:
+        raise GraphBuildError(f"labeling mentions unknown vertices {bad}")
     struct = dict(graph.structure)
-
-    def append_pair(tup, pair):
-        old = struct.get(tup)
-        pairs = () if old is None else _layer_pairs(old)
-        if pairs is None:  # a plain label
-            pairs = ((TAG_BASE, old),)
-        struct[tup] = (LAYER_MARK,) + pairs + (pair,)
-
-    for tag, values in layers:
-        bad = [v for v in values if not graph.has_vertex(v)]
-        if bad:
-            raise GraphBuildError(f"labeling mentions unknown vertices {bad}")
-        append_pair((), (tag, 0))
-        for v, value in values.items():
-            if not is_label(value):
-                raise GraphBuildError(f"invalid layer value for {v}: {value!r}")
-            append_pair((v,), (tag, value))
+    struct[()] = _append_layers(struct.get(()), ((tag, 0),))
+    for v, value in values.items():
+        struct[(v,)] = _append_layers(struct.get((v,)), ((tag, _checked(v, value)),))
     return StructuredGraph._trusted(graph.vertices, graph._vset, graph.edges, struct,
                                     max(graph.tuple_bound, 1), graph._nbrs)
+
+
+def layered_ball(rooted: RootedBall, layers) -> RootedBall:
+    """The ball of `with_labeling` for each (tag, values) of `layers` in
+    turn on the ball's graph, at the same root and radius, built in the
+    ball's own positions; `values` must cover the ball.  Only the order of
+    its entries differs, which no canonical form reads."""
+    struct = dict(rooted.entries)
+    struct[()] = _append_layers(struct.get(()), tuple([(tag, 0) for tag, _ in layers]))
+    for p, v in enumerate(rooted.vertices):
+        pairs = tuple([(tag, _checked(v, values[v])) for tag, values in layers])
+        struct[(p,)] = _append_layers(struct.get((p,)), pairs)
+    out = object.__new__(RootedBall)
+    for name in RootedBall.__slots__:
+        setattr(out, name, getattr(rooted, name))
+    out.entries, out.tuple_bound = tuple(struct.items()), max(rooted.tuple_bound, 1)
+    return out
 
 
 def label_layer(label, tag):
     """Last value under `tag` in a layered label, or None (also for a
     plain label)."""
     found = None
-    # _layer_pairs's test, inline: rules call this once per vertex
+    # the layered-label test, inline: rules call this once per vertex
     if isinstance(label, tuple) and label and label[0] == LAYER_MARK:
         for p in label:  # the marker is no pair, so it never matches
             if isinstance(p, tuple) and len(p) == 2 and p[0] == tag:

@@ -1,7 +1,8 @@
 """Reference code that only tests call: the raw branch recursion and the
 three-valued extension check of the engine, the gadget's colouring lift
 and its v-vertices, the distance-k power graph, two random CSP families,
-and balls as induced graphs with the canonicalization that read them.
+a ball's graph, several layers attached to a graph in one copy, and balls
+as induced graphs with the canonicalization that read them.
 No command, engine path, script or benchmark workload reaches them, so
 they live beside the tests that use them as oracles and instance
 sources."""
@@ -25,7 +26,8 @@ from locallemma.csp import (
 from locallemma.engine import _LevelState, _partial_surrogate, _search
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generators import GadgetLayout
-from locallemma.graphs import StructuredGraph
+from locallemma.graphs import LAYER_MARK, TAG_BASE, RootedBall, StructuredGraph, _positions_graph
+from locallemma.labels import is_label
 from locallemma.randgen import _random_domains
 from locallemma.rng import derived_rng
 
@@ -141,6 +143,43 @@ def random_small_csp(seed: int, max_ground: int = 6, max_m: int = 6,
             body.add(tuple(rng.randint(1, m) for _ in dom))
         constraints.append(Constraint.explicit(dom, m, body))
     return Csp(tuple(ground), m, tuple(constraints))
+
+
+def ball_graph(b: RootedBall) -> StructuredGraph:
+    """The ball as a structured graph on its vertex ids, in BFS order."""
+    return _positions_graph(b.vertices, b.nbrs, b.entries, b.tuple_bound)
+
+
+def layer_pairs(label) -> Optional[tuple]:
+    """The (tag, value) pairs of a layered label, or None for a plain one."""
+    if isinstance(label, tuple) and label and label[0] == LAYER_MARK:
+        return label[1:]
+    return None
+
+
+def with_layers(graph: StructuredGraph, layers) -> StructuredGraph:
+    """`with_labeling` for each (tag, values) in turn, on one structure
+    copy: the several layers that `rand_to_csp`'s verifier balls carry."""
+    struct = dict(graph.structure)
+
+    def append_pair(tup, pair):
+        old = struct.get(tup)
+        pairs = () if old is None else layer_pairs(old)
+        if pairs is None:  # a plain label
+            pairs = ((TAG_BASE, old),)
+        struct[tup] = (LAYER_MARK,) + pairs + (pair,)
+
+    for tag, values in layers:
+        bad = [v for v in values if not graph.has_vertex(v)]
+        if bad:
+            raise GraphBuildError(f"labeling mentions unknown vertices {bad}")
+        append_pair((), (tag, 0))
+        for v, value in values.items():
+            if not is_label(value):
+                raise GraphBuildError(f"invalid layer value for {v}: {value!r}")
+            append_pair((v,), (tag, value))
+    return StructuredGraph._trusted(graph.vertices, graph._vset, graph.edges, struct,
+                                    max(graph.tuple_bound, 1), graph._nbrs)
 
 
 # The ball as a graph: `ball`, `induced`, `RootedBall` with `dist` and the

@@ -29,6 +29,7 @@ from locallemma.localrun import (
     verify_lcl,
 )
 from locallemma.rng import derived_rng
+from reference import ball_graph
 
 
 def test_unknown_builtin():
@@ -69,7 +70,7 @@ def test_echo_rule_matches_decoding_oracle():
     balls.append(ball(build_graph(range(2), [(0, 1)], {(0,): 4}), 0, 1))  # a plain label
     outputs = set()
     for b in balls:
-        form = canonical_type(b, cap=len(b.graph.vertices))
+        form = canonical_type(b, cap=len(ball_graph(b).vertices))
         parsed = CanonicalForm.from_hex(form.hex())
         for tag in (TAG_IDS, TAG_RAND, TAG_OUTPUT):
             want = decoded_echo(tag)(form)
@@ -231,7 +232,7 @@ def assert_rule_matches_oracle(balls, n):
     fast, slow = _cole_vishkin_rule(n), oracle_cole_vishkin_rule(n)
     outputs = []
     for b in balls:
-        form = canonical_type(b, cap=len(b.graph.vertices))
+        form = canonical_type(b, cap=len(ball_graph(b).vertices))
         parsed = CanonicalForm.from_hex(form.hex())
         want = slow(form)
         assert fast(form) == want == fast(parsed) == slow(parsed)
@@ -304,7 +305,7 @@ def assert_verifier_matches_oracle(forms, palettes=(None, 1, 2, 3, 5)):
 
 
 def forms_of(balls):
-    return [canonical_type(b, cap=max(len(b.graph.vertices), 12)) for b in balls]
+    return [canonical_type(b, cap=max(len(ball_graph(b).vertices), 12)) for b in balls]
 
 
 @pytest.mark.parametrize("n", [48, 256])

@@ -15,10 +15,11 @@ from locallemma.canonical import (_LABEL_CACHE_SIZE, CanonicalForm, _canonical_m
                                   _label_key, _leaf, _leaf_key, _refine, canonical_type)
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generators import generate
-from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, _with_layers, ball, build_graph,
-                               greedy_power_coloring, with_labeling)
+from locallemma.graphs import (TAG_IDS, TAG_OUTPUT, TAG_RAND, ball, build_graph,
+                               greedy_power_coloring, layered_ball, with_labeling)
 from locallemma.labels import label_key, label_sorted, label_to_json
-from reference import GraphBall, graph_ball, graph_canonical_map, graph_refine
+from reference import (GraphBall, ball_graph, graph_ball, graph_canonical_map, graph_refine,
+                       with_layers)
 
 
 def random_rooted(rng, n_max=5, with_structure=True):
@@ -35,7 +36,7 @@ def random_rooted(rng, n_max=5, with_structure=True):
 
 
 def relabeled(b, rng):
-    g = b.graph
+    g = ball_graph(b)
     perm = list(g.vertices)
     rng.shuffle(perm)
     mapping = dict(zip(g.vertices, perm))
@@ -77,7 +78,7 @@ def are_isomorphic(b1, b2) -> bool:
 
     Tries every bijection matching roots; exponential, only for tiny balls.
     """
-    g1, g2 = b1.graph, b2.graph
+    g1, g2 = ball_graph(b1), ball_graph(b2)
     v1 = [v for v in g1.vertices if v != b1.root]
     v2 = [v for v in g2.vertices if v != b2.root]
     if len(v1) != len(v2):
@@ -200,7 +201,7 @@ def byte_key_refine_v1(graph, root):
 
 def every_leaf(b, refine):
     """Every leaf of the cells of `refine`, as (native key, its code)."""
-    graph = b.graph
+    graph = ball_graph(b)
     color = refine(graph, b.root)
     cells = {}
     for v in graph.vertices:
@@ -305,7 +306,7 @@ def random_small_layered_ball(rng, n):
 
 def swapped_labels(b, rng):
     """b with the singleton labels of two of its vertices exchanged."""
-    g = b.graph
+    g = ball_graph(b)
     structure = dict(g.structure)
     u, w = rng.sample(g.vertices, 2)
     at_u, at_w = structure.pop((u,), None), structure.pop((w,), None)
@@ -642,7 +643,7 @@ def test_best_leaf_bound_leaf_counts_are_pinned(monkeypatch):
     assert leaves_searched([ball(torus, x, 2) for x in torus.vertices], monkeypatch) <= 30
     regular = generate("random_regular", {"n": 600, "d": 3}, seed=0)
     trees = [b for b in (ball(regular, x, 2) for x in regular.vertices)
-             if len(b.graph.vertices) == 10 and len(b.graph.edges) == 9]
+             if len(ball_graph(b).vertices) == 10 and len(ball_graph(b).edges) == 9]
     assert len(trees) > 500
     assert leaves_searched(trees, monkeypatch) <= 41
 
@@ -663,7 +664,7 @@ def payload_code(form) -> bytes:
 
 
 def assert_leaf_decodes_like_code(b):
-    form = canonical_type(b, cap=max(len(b.graph.vertices), 12))
+    form = canonical_type(b, cap=max(len(ball_graph(b).vertices), 12))
     assert form.code == payload_code(form)
     parsed = CanonicalForm.from_hex(form.hex())
     assert form.leaf is not None and parsed.leaf is None
@@ -678,7 +679,7 @@ def assert_leaf_decodes_like_code(b):
     for v in slow.vertices:
         assert fast.neighbors(v) == slow.neighbors(v)
     assert form.decode()[0] is not fast
-    assert dict(zip(b.vertices, _refine(b))) == byte_key_refine(b.graph, b.root)
+    assert dict(zip(b.vertices, _refine(b))) == byte_key_refine(ball_graph(b), b.root)
 
 
 @given(st.randoms(use_true_random=False).map(random_layered_ball))
@@ -738,7 +739,7 @@ def assert_one_leaf_paths_match(b):
     search's key at the identity positions (edges as a mask, entries by
     (tuple, label_key)), and its code is that leaf's JSON, each text
     compact; a discrete ball's map is the general path's."""
-    form, mapping = _canonical_map(b, cap=max(len(b.graph.vertices), 12))
+    form, mapping = _canonical_map(b, cap=max(len(ball_graph(b).vertices), 12))
     n, edges, entries = form.leaf
     assert form.leaf == _leaf(b, [mapping[v] for v in b.vertices])
     keyed = [(t, label_key(l)) for t, l in entries]
@@ -849,9 +850,9 @@ def test_codes_keep_byte_order_codes_on_discrete_and_small_unlabelled_balls():
                   ball(star(6), 0, 1), ball(star(6), 1, 2)]
     unlabelled += [ball(regular, x, 2) for x in regular.vertices[:4]]
     unlabelled += [b for b in (ball(tree, x, 3) for x in tree.vertices)
-                   if len(b.graph.vertices) <= 10][:20]
+                   if len(ball_graph(b).vertices) <= 10][:20]
     unlabelled += [b for b in (random_symmetric_ball(rng) for _ in range(100))
-                   if not b.graph.structure and len(b.graph.vertices) <= 10]
+                   if not ball_graph(b).structure and len(ball_graph(b).vertices) <= 10]
     assert len(discrete) > 60 and len(unlabelled) > 40
     assert sum(map(reaches_search, unlabelled)) > 30
     for b in discrete + unlabelled:
@@ -984,7 +985,7 @@ def map_result(canonical_map, b, cap):
 def assert_positions_match_graph_ball(new, old, cap=64):
     assert list(new.vertices) == list(old.dist) and new.dist == tuple(old.dist.values())
     assert (new.root, new.radius) == (old.root, old.radius)
-    got, want = new.graph, old.graph
+    got, want = ball_graph(new), old.graph
     assert set(got.vertices) == set(want.vertices) and got.edges == want.edges
     assert got.structure == want.structure and got.tuple_bound == want.tuple_bound
     assert all(got.neighbors(v) == want.neighbors(v) for v in want.vertices)
@@ -1008,12 +1009,12 @@ def test_positions_match_graph_balls_on_drawn_families():
     draws += [random_symmetric_ball(rng) for _ in range(120)]
     draws += [swapped_labels(b, rng) for b in draws[-40:] if len(b.vertices) > 1]
     for b in draws:
-        assert_balls_match_graph_balls(b.graph)
+        assert_balls_match_graph_balls(ball_graph(b))
 
 
 def test_positions_match_graph_balls_on_symmetric_and_tuple_graphs():
     rng = random.Random(31)
-    graphs = [star(6), star(9), cube(), petersen(), regular_tree_ball().graph,
+    graphs = [star(6), star(9), cube(), petersen(), ball_graph(regular_tree_ball()),
               build_graph(range(7), [(i, j) for i in range(7) for j in range(i + 1, 7)]),
               generate("torus_grid", {"rows": 12, "cols": 12}),
               generate("random_regular", {"n": 40, "d": 3}, seed=3),
@@ -1033,7 +1034,7 @@ def test_positions_match_graph_balls_on_symmetric_and_tuple_graphs():
 
 def test_positions_match_graph_balls_on_identifier_cycles_and_local_sym():
     for b in local_det_balls(48, 7, 0) + local_det_balls(30, 5, 3):
-        assert_balls_match_graph_balls(b.graph, radii=(1, 7))
+        assert_balls_match_graph_balls(ball_graph(b), radii=(1, 7))
     cycle = generate("directed_cycle", {"n": 48})
     order = list(cycle.vertices)
     random.Random(0).shuffle(order)
@@ -1048,10 +1049,10 @@ def test_positions_match_graph_balls_on_identifier_cycles_and_local_sym():
 
 
 def test_positions_match_graph_balls_on_seeded_balls():
-    # rand_to_csp's balls: the seed-free ball's graph with seeds attached in
-    # canonical order, re-balled at the root; then outputs attached for
-    # the verdict ball.  The oracle attaches them to the induced graph
-    # and hands the seed-free distances over.
+    # seeded balls by the graph path: the seed-free ball's graph with seeds
+    # attached in canonical order, re-balled at the root; then outputs
+    # attached for the verdict ball.  The oracle attaches them to the
+    # induced graph and hands the seed-free distances over.
     rng = random.Random(37)
     for kind, params in (("directed_cycle", {"n": 7}), ("cycle", {"n": 9}),
                          ("torus_grid", {"rows": 3, "cols": 3}),
@@ -1065,6 +1066,105 @@ def test_positions_match_graph_balls_on_seeded_balls():
                 seeds = {v: rng.randint(1, 3) for v in order}
                 outs = {v: rng.randint(0, 3) for v in new.vertices}
                 for layers in (((TAG_RAND, seeds),), ((TAG_RAND, seeds), (TAG_OUTPUT, outs))):
-                    seeded = _with_layers(new.graph, layers)
-                    oracle = GraphBall(_with_layers(old.graph, layers), x, radius, old.dist)
+                    seeded = with_layers(ball_graph(new), layers)
+                    oracle = GraphBall(with_layers(old.graph, layers), x, radius, old.dist)
                     assert_positions_match_graph_ball(ball(seeded, x, radius), oracle)
+
+
+# `layered_ball` against the graph path it replaces in `rand_to_csp`: the
+# layers attached to the ball's graph (`with_labeling` for one layer, the
+# reference `with_layers` for several), then `ball` at the same root and
+# radius.  Positions, distances and neighbours are the seed-free ball's,
+# the entries the same set, and so the code and vertex map are equal.
+
+def assert_layered_matches_graph_path(rooted, layers):
+    """`layers` are (tag, vertex -> value) pairs covering the ball; the
+    graph path gets them restricted to it."""
+    got = layered_ball(rooted, layers)
+    layers = [(tag, {v: values[v] for v in rooted.vertices}) for tag, values in layers]
+    graph = ball_graph(rooted)
+    graph = (with_labeling(graph, layers[0][1], layers[0][0]) if len(layers) == 1
+             else with_layers(graph, layers))
+    want = ball(graph, rooted.root, rooted.radius)
+    assert (got.root, got.radius) == (want.root, want.radius)
+    assert (got.vertices, got.dist, got.nbrs) == (want.vertices, want.dist, want.nbrs)
+    assert (got.vertices, got.dist, got.nbrs) == (rooted.vertices, rooted.dist, rooted.nbrs)
+    assert len(got.entries) == len(want.entries) and set(got.entries) == set(want.entries)
+    assert got.tuple_bound == want.tuple_bound
+    for cap in (64, len(rooted.vertices) - 1):
+        assert map_result(_canonical_map, got, cap) == map_result(_canonical_map, want, cap)
+
+
+def seeded_layers(rng, rooted):
+    """rand_to_csp's two layer shapes on `rooted`: seeds, then seeds and outputs."""
+    order = list(rooted.vertices)
+    rng.shuffle(order)
+    seeds = {v: rng.randint(1, 3) for v in order}
+    outs = {v: rng.randint(0, 3) for v in rooted.vertices}
+    return ((TAG_RAND, seeds),), ((TAG_RAND, seeds), (TAG_OUTPUT, outs))
+
+
+def test_layered_balls_match_the_graph_path_on_seeded_families():
+    rng = random.Random(41)
+    for kind, params in (("directed_cycle", {"n": 7}), ("cycle", {"n": 9}),
+                         ("torus_grid", {"rows": 3, "cols": 3}),
+                         ("random_tree", {"n": 12})):
+        graph = generate(kind, params, seed=1)
+        # plain singleton and empty-tuple labels, then already-layered ones
+        plain = build_graph(graph.vertices, graph.edges,
+                            {**graph.structure, (): 9,
+                             **{(v,): rng.randint(0, 4) for v in graph.vertices[::2]}})
+        for g in (graph, plain, random_layered_graph(rng, plain),
+                  with_labeling(graph, {v: v + 1 for v in graph.vertices}, TAG_IDS)):
+            for x in g.vertices:
+                for radius in (0, 1, 2):
+                    rooted = ball(g, x, radius)
+                    for layers in seeded_layers(rng, rooted):
+                        assert_layered_matches_graph_path(rooted, layers)
+
+
+def test_layered_balls_match_the_graph_path_on_drawn_balls():
+    rng = random.Random(43)
+    for _ in range(150):
+        rooted = random_layered_ball(rng)
+        for layers in seeded_layers(rng, rooted):
+            assert_layered_matches_graph_path(rooted, layers)
+        values = {v: random_layer_value(rng) for v in rooted.vertices}
+        assert_layered_matches_graph_path(rooted, ((TAG_IDS, values),))
+
+
+def test_layered_balls_match_rand_to_csps_inner_and_verdict_balls(monkeypatch):
+    # every ball rand_to_csp layers, checked against the graph path as built
+    from locallemma import compilers
+    from locallemma.algorithms import proper_coloring_problem
+    from locallemma.csp import stats
+    from test_compilers import seed_mix
+
+    seen = []
+
+    def checked(rooted, layers):
+        seen.append(len(layers))
+        assert_layered_matches_graph_path(rooted, layers)
+        return layered_ball(rooted, layers)
+
+    monkeypatch.setattr(compilers, "layered_ball", checked)
+    for kind, params in (("directed_cycle", {"n": 6}), ("cycle", {"n": 5})):
+        compiled, _ = compilers.rand_to_csp(seed_mix(2), proper_coloring_problem(2),
+                                            generate(kind, params), 2, 1)
+        stats(compiled)
+    assert 1 in seen and 2 in seen
+
+
+def test_layered_balls_refuse_what_with_labeling_refuses():
+    graph = build_graph(range(3), [(0, 1), (1, 2)], {(1,): 4})
+    rooted = ball(graph, 1, 1)
+    for bad in (-1, True, "x", (1, -2)):
+        values = {0: bad, 1: 1, 2: 2}
+        with pytest.raises(GraphBuildError) as got:
+            layered_ball(rooted, ((TAG_RAND, values),))
+        with pytest.raises(GraphBuildError) as want:
+            with_labeling(ball_graph(rooted), values, TAG_RAND)
+        assert str(got.value) == str(want.value) == f"invalid layer value for 0: {bad!r}"
+    with pytest.raises(KeyError):  # values must cover the ball
+        layered_ball(rooted, ((TAG_RAND, {1: 1, 2: 2}),))
+

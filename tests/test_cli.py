@@ -469,6 +469,18 @@ def test_internal_error_is_reported(tmp_path, monkeypatch, capsys):
     assert not out.exists() and capsys.readouterr().err.startswith("error: ")
 
 
+def test_an_error_without_text_is_named_by_its_type(tmp_path, monkeypatch, capsys):
+    from locallemma import cli
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_gen", exhausted)
+    out = tmp_path / "r.json"
+    assert run(["gen", "--kind", "cycle", "--params", '{"n": 4}', "--out", str(out)]) == 2
+    assert not out.exists() and capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_coerced_inputs_exit_2_without_report(tmp_path, capsys):
     # files that int() used to read: m 2.9 as 2, domain [1.7, 2.2] as (1, 2),
     # forbidden [1, true] as (1, 1), labels [["3", 2.5], [1, true]] as {3: 2, 1: 1}

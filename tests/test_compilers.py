@@ -1,13 +1,17 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Tuple
 
 import pytest
 
+from locallemma import compilers
 from locallemma.algorithms import proper_coloring_problem
-from locallemma.canonical import canonical_type
-from locallemma.compilers import _growth_string_count, _growth_strings, bootstrap, rand_to_csp
+from locallemma.canonical import _canonical_map, canonical_type
+from locallemma.cli import ExperimentConfig, run_experiment
+from locallemma.compilers import (_growth_string_count, _growth_strings, _typed, bootstrap,
+                                  rand_to_csp)
 from locallemma.connect import Connection, apply, identity_reduction
 from locallemma.csp import (
     Constraint,
@@ -22,6 +26,7 @@ from locallemma.generators import generate
 from locallemma.graphs import (TAG_OUTPUT, TAG_RAND, ball, base_structure, build_graph,
                                layer_value, with_labeling)
 from locallemma.localrun import LocalAlgorithm, verify_lcl
+from reference import ball_graph
 
 
 def seed_echo():
@@ -142,7 +147,7 @@ def _run_on_ball(alg: LocalAlgorithm, rooted, rounds: int, inner_radius: int,
     """Outputs of alg at every vertex within inner_radius of the root,
     computed entirely inside the stored ball (valid because sub-balls of
     radius `rounds` around those vertices lie inside)."""
-    graph = rooted.graph
+    graph = ball_graph(rooted)
     out = {}
     for y, d in zip(rooted.vertices, rooted.dist):
         if d <= inner_radius:
@@ -164,8 +169,8 @@ def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
         def predicate(values):
             values = tuple(values)
             if values not in memo:
-                dom = tuple(sorted(rooted.graph.vertices))
-                seeded = with_labeling(rooted.graph, dict(zip(dom, values)), TAG_RAND)
+                dom = tuple(sorted(ball_graph(rooted).vertices))
+                seeded = with_labeling(ball_graph(rooted), dict(zip(dom, values)), TAG_RAND)
                 outputs = _run_on_ball(alg, ball(seeded, rooted.root, rooted.radius),
                                        rounds, problem.t, canon_cap)
                 labeled = with_labeling(seeded, outputs, TAG_OUTPUT)
@@ -176,17 +181,17 @@ def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
         return predicate
 
     constraints = tuple(
-        Constraint.from_predicate(sorted(balls[x].graph.vertices), m, make_pred(x),
+        Constraint.from_predicate(sorted(ball_graph(balls[x]).vertices), m, make_pred(x),
                                   tag=f"B_{x}")
         for x in graph.vertices)
 
     def rule_for(x):
-        positions = tuple(sorted(balls[x].graph.vertices))
+        positions = tuple(sorted(ball_graph(balls[x]).vertices))
 
         def rule(view):
             if any(y not in view for y in positions):
                 return None
-            seeded = with_labeling(balls[x].graph, {y: view[y] for y in positions},
+            seeded = with_labeling(ball_graph(balls[x]), {y: view[y] for y in positions},
                                    TAG_RAND)
             return int(alg(canonical_type(ball(seeded, x, rounds), cap=canon_cap)))
 
@@ -194,7 +199,7 @@ def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
 
     decoder = Connection(
         source=tuple(graph.vertices), target=tuple(graph.vertices),
-        det_sets={x: frozenset(balls[x].graph.vertices) for x in graph.vertices},
+        det_sets={x: frozenset(ball_graph(balls[x]).vertices) for x in graph.vertices},
         rules={x: rule_for(x) for x in graph.vertices})
     return Csp(tuple(graph.vertices), m, constraints), decoder
 
@@ -290,6 +295,72 @@ def test_vertices_of_one_type_share_the_enumeration():
     # one inner type of one seeded vertex, one verifier type; the
     # per-vertex path made 12 * 64 * 3 algorithm and 12 * 64 verifier calls
     assert calls == {"alg": 4, "verifier": 4**3}
+
+
+def per_vertex_type(rooted, canon_cap):
+    """(type key, canonical order) of a seed-free ball by its own
+    `_canonical_map`, or its root and sorted vertices on a cap-out (oracle
+    of the memoized typing)."""
+    try:
+        form, mapping = _canonical_map(rooted, cap=canon_cap)
+    except CanonicalizationCapError:
+        return rooted.root, tuple(sorted(rooted.vertices))
+    return form.code, tuple(sorted(mapping, key=mapping.__getitem__))
+
+
+def test_typing_by_bfs_key_matches_per_vertex_typing():
+    rng = random.Random(5)
+    graphs = [generate("directed_cycle", {"n": 9}), generate("cycle", {"n": 9}),
+              generate("torus_grid", {"rows": 3, "cols": 4}),
+              generate("random_tree", {"n": 14}, seed=2),
+              build_graph(range(10), [(0, i) for i in range(1, 10)])]  # 9! leaves at the centre
+    graphs.append(with_labeling(graphs[1], {v: rng.randint(1, 2) for v in range(9)}, TAG_RAND))
+    for graph in graphs:
+        for canon_cap in (64, 4):  # the radius-2 balls of the 9-cycles cap out at 4
+            types: dict = {}
+            balls = [ball(graph, x, r) for r in (0, 1, 2) for x in graph.vertices]
+            for rooted in balls:
+                got = _typed(rooted, canon_cap, types)
+                assert got[0] is rooted
+                assert got[1:] == per_vertex_type(rooted, canon_cap)
+            assert len(types) < len(balls)
+    # each cap-out seen: by size, and by the centre's search budget
+    cycle, star = graphs[1], graphs[4]
+    assert _typed(ball(cycle, 3, 2), 4, {})[1] == 3
+    assert _typed(ball(star, 0, 1), 64, {})[1] == 0
+
+
+def test_rand_compile_counts_are_pinned(monkeypatch):
+    """Counts, not clocks: the canonicalizations, balls and graph layerings
+    inside rand_to_csp on the README's `pipeline rand` instance (directed
+    16-cycle, m = 16, seed 1), and at n = 256, where the seed-free balls
+    are still typed once per BFS key: radius 0, and radius 1 at vertices 0
+    and n - 1 (successor first) and elsewhere (predecessor first).  The
+    pins are ceilings."""
+    counts = Counter()
+
+    def counting(name):
+        inner = getattr(compilers, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(compilers, name, wrapper)
+
+    for name in ("_canonical_map", "canonical_type", "ball", "with_labeling"):
+        counting(name)
+    for n, canonicalized in ((16, 27), (256, 29)):
+        counts.clear()
+        report = run_experiment(ExperimentConfig(
+            pipeline="rand", graph={"kind": "directed_cycle", "params": {"n": n}}, seed=1,
+            params={"m": 16}))
+        assert report["passed"]
+        # the seed-free typings; each canonical_type call is one more
+        assert counts["_canonical_map"] <= 3
+        assert counts["_canonical_map"] + counts["canonical_type"] <= canonicalized
+        assert counts["ball"] <= 2 * n
+        assert counts["with_labeling"] == 0
 
 
 def test_inner_cap_out_raises_as_the_oracle_does():

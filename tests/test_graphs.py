@@ -14,8 +14,6 @@ from locallemma.graphs import (
     TAG_RAND,
     RootedBall,
     StructuredGraph,
-    _layer_pairs,
-    _with_layers,
     ball,
     base_structure,
     build_graph,
@@ -25,7 +23,8 @@ from locallemma.graphs import (
     layer_value,
     with_labeling,
 )
-from reference import distance_pairs, incidence, induced, power_graph
+from reference import (ball_graph, distance_pairs, incidence, induced, layer_pairs, power_graph,
+                       with_layers)
 
 
 def random_graph(rng_seed: int, n: int, p_edge: float = 0.4):
@@ -38,7 +37,7 @@ def random_graph(rng_seed: int, n: int, p_edge: float = 0.4):
 
 def graph_layer_tags(graph: StructuredGraph) -> tuple:
     """Tags of the layers recorded on the empty-tuple entry, in order."""
-    pairs = _layer_pairs(graph.structure.get(()))
+    pairs = layer_pairs(graph.structure.get(()))
     if pairs is None:
         return ()
     return tuple(p[0] for p in pairs if isinstance(p, tuple) and len(p) == 2)
@@ -68,15 +67,15 @@ def test_build_rejects_duplicate_structure():
 def test_ball_on_path():
     g = generate("path", {"n": 5})
     b = ball(g, 2, 1)
-    assert sorted(b.graph.vertices) == [1, 2, 3]
-    assert len(b.graph.edges) == 2
+    assert sorted(ball_graph(b).vertices) == [1, 2, 3]
+    assert len(ball_graph(b).edges) == 2
 
 
 def test_ball_radius_zero():
     g = generate("cycle", {"n": 6})
     b = ball(g, 3, 0)
-    assert list(b.graph.vertices) == [3]
-    assert not b.graph.edges
+    assert list(ball_graph(b).vertices) == [3]
+    assert not ball_graph(b).edges
 
 
 def test_torus_ball_size_brute_force():
@@ -85,7 +84,7 @@ def test_torus_ball_size_brute_force():
     dist = g.distances_from(0)
     expected = sum(1 for d in dist.values() if d <= 2)
     b = ball(g, 0, 2)
-    assert len(b.graph.vertices) == expected == 11
+    assert len(ball_graph(b).vertices) == expected == 11
 
 
 def test_power_graph_identity():
@@ -237,24 +236,25 @@ def test_layers_on_one_copy_match_the_two_call_chain():
         if rng.random() < 0.5:
             graph = with_labeling(graph, {v: rng.randint(1, 9) for v in graph.vertices}, TAG_IDS)
         rooted = ball(graph, rng.choice(graph.vertices), rng.randint(0, 2))
-        before = list(rooted.graph.structure.items())
-        order = list(rooted.graph.vertices)
+        source = ball_graph(rooted)
+        before = list(source.structure.items())
+        order = list(source.vertices)
         rng.shuffle(order)
         seeds = {v: rng.randint(1, 4) for v in order}
         outs = {y: rng.randint(0, 3) for y in rooted.vertices}
-        chain = with_labeling(with_labeling(rooted.graph, seeds, TAG_RAND), outs, TAG_OUTPUT)
-        got = _with_layers(rooted.graph, ((TAG_RAND, seeds), (TAG_OUTPUT, outs)))
+        chain = with_labeling(with_labeling(source, seeds, TAG_RAND), outs, TAG_OUTPUT)
+        got = with_layers(source, ((TAG_RAND, seeds), (TAG_OUTPUT, outs)))
         assert list(got.structure.items()) == list(chain.structure.items())
         assert got == chain and got.vertices == chain.vertices
         assert got.tuple_bound == chain.tuple_bound
-        assert list(rooted.graph.structure.items()) == before
+        assert list(source.structure.items()) == before
 
 
 def pair_loop_base_structure(graph):
     """base_structure as one loop over each label's pairs (test oracle)."""
     out = {}
     for tup, label in graph.structure.items():
-        pairs = _layer_pairs(label)
+        pairs = layer_pairs(label)
         if pairs is None:
             if tup != ():
                 out[tup] = label
@@ -286,7 +286,7 @@ def test_label_readers_match_the_pair_loop():
         assert list(base_structure(graph).items()) == list(pair_loop_base_structure(graph).items())
     for label in labels:
         for tag in (TAG_BASE, TAG_IDS, TAG_RAND, TAG_OUTPUT):
-            pairs = _layer_pairs(label) or ()
+            pairs = layer_pairs(label) or ()
             want = [p[1] for p in pairs if isinstance(p, tuple) and len(p) == 2 and p[0] == tag]
             assert label_layer(label, tag) == (want[-1] if want else None)
 
@@ -303,10 +303,10 @@ def test_ball_distances_match_in_ball_bfs(seed, n, radius):
     g = random_graph(seed, n, p_edge=0.25)
     for x in g.vertices:
         b = ball(g, x, radius)
-        in_ball = b.graph.distances_from(x)
+        in_ball = ball_graph(b).distances_from(x)
         assert dict(zip(b.vertices, b.dist)) == in_ball
         assert list(b.vertices) == list(in_ball)
-        checked = RootedBall(b.graph, x, radius)
+        checked = RootedBall(ball_graph(b), x, radius)
         assert dict(zip(checked.vertices, checked.dist)) == in_ball
         assert checked.radius == b.radius == radius
 
