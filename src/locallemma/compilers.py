@@ -187,7 +187,7 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
     doms = {x: tuple(sorted(outer[x][0].vertices)) for x in graph.vertices}
     symmetric = alg.symmetric_at(m) and problem.verifier.symmetric_at(m)
     if symmetric:
-        count = max((_growth_string_count(len(d), m) for d in doms.values()), default=1)
+        count = _growth_string_count(max(map(len, doms.values()), default=0), m)   # grows with size
         if count > 1 << cap_bits:
             raise EnumerationCapError(log2(count), cap_bits, what="seed patterns")
     constraints = [Constraint.from_predicate(doms[x], m, *make_pred(x, doms[x]), tag=f"B_{x}")

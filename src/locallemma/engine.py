@@ -216,8 +216,8 @@ class _LevelState:
     union of the frozen constraints' original domains).  `descend` returns
     the next state, so a walk goes back to a state by holding it.  A walk
     descends from one start state on every branch value: the state
-    memoizes per class the class's elements outside its dangerous set and
-    whether a live constraint meets them, for the values after the first.
+    memoizes per class (`fix`) the class's elements outside its dangerous
+    set and whether a live constraint meets them, for every later value.
     """
 
     __slots__ = ("base", "constraints", "probs", "p_max", "frozen", "dangerous", "fixes")
@@ -241,6 +241,14 @@ class _LevelState:
                    max(probs, default=Fraction(0)), frozen,
                    frozenset().union(*(dom for dom, f in zip(domains, frozen) if f)))
 
+    def fix(self, cls: Tuple[int, ...]) -> Tuple[Tuple[int, ...], bool]:
+        """(cls's elements outside the dangerous set, whether no live constraint meets them)."""
+        if cls not in self.fixes:
+            keys = tuple(x for x in cls if x not in self.dangerous)
+            self.fixes[cls] = keys, not any(not self.frozen[i] and self.constraints[i].domain
+                                            for x in keys for i in self.base[3].get(x, ()))
+        return self.fixes[cls]
+
     def descend(self, cls: Tuple[int, ...], value: int
                 ) -> Tuple[PartialAssignment, List[int], "_LevelState"]:
         """One level: fix the elements of `cls` outside the dangerous set to
@@ -249,15 +257,10 @@ class _LevelState:
         assignment made, the indices of the restricted constraints and the
         next state, which is this one when none was restricted."""
         p, cap_bits, original_domains, meeting = self.base
-        fix = self.fixes.get(cls)
-        if fix is None:
-            keys = [x for x in cls if x not in self.dangerous]
-            quiet = not any(not self.frozen[i] and self.constraints[i].domain
-                            for x in keys for i in meeting.get(x, ()))
-            fix = self.fixes[cls] = keys, quiet
-        g = const_assignment(fix[0], value)
+        keys, quiet = self.fix(cls)
+        g = const_assignment(keys, value)
         changed: List[int] = []
-        if fix[1]:
+        if quiet:
             return g, changed, self  # nothing live meets g
         constraints, probs, frozen = list(self.constraints), list(self.probs), list(self.frozen)
         newly_frozen = []
@@ -560,17 +563,17 @@ def cover_family(source: Csp, seed: int = 0, budget: int = DEFAULT_COVER_BUDGET,
     checked solution witness (a solvable residual is reducible to the
     empty CSP).
 
-    Cost model (see `_family_leaves`): a node pays two dict updates for
-    the readers its level settles, from a table built once per (key set,
-    branch value), and one memoized rule call per other reader; a level
-    that meets no live constraint pays one memo lookup and makes no state.
+    Cost model (see `_family_leaves`): a leaf below the last level that
+    restricts a constraint costs two dict updates, merged once per level
+    state, a memoized rule call per reader that the changed levels do not
+    settle, and the member's copy; a level above it costs one `descend`.
     The residual is the leaf state's constraints: `descend` has restricted
     every live constraint that h meets, and a frozen one is never met
     again, since its domain lies in the dangerous set that no later level
     fixes.  Its p (`p_max`), d, certificate and witness are paid once per
-    leaf state, keyed by the state, which never changes (see `_LevelState`):
-    the leaves that end on one state share the dangerous set, the domains
-    and h's key set.  Each leaf gets its own copy of the certificate.
+    leaf state, which never changes (see `_LevelState`) and whose leaves
+    share the dangerous set, the domains and h's key set.  Each leaf gets
+    its own copy of the certificate.
 
     The route is "bootstrap-direct" when the source meets the direct
     (16, 2^-33) inequalities and "direct-binary" otherwise; both encode
@@ -631,18 +634,22 @@ def cover_family(source: Csp, seed: int = 0, budget: int = DEFAULT_COVER_BUDGET,
 def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Connection,
                    p: Fraction, cap_bits: int):
     """Yield (h, apply(conn, h), level state) for every branch word, in
-    product((1, 2), repeat=len(classes)) order, from one loop stepping
-    through the words as an odometer.  h and the carried values are live,
-    valid until the next leaf: going down, a level adds its g to h, sets
-    its readers' values and moves to the state `descend` returns; going
-    up, it deletes g's keys, puts the old values back and takes up the
-    start state its frame holds.  A reader whose
-    determining set lies in g's keys K is settled: h is undefined on K
-    before the level (the classes partition the ground set), so one table
-    per K sets its values in one dict update each way; other readers run
-    their rules on h.  A member is one copy of the values.  A rule runs
-    once per view (rules are pure): it is memoized on h's values over its
-    determining set, None where h is undefined, exact as values are >= 1."""
+    product((1, 2), repeat=len(classes)) order; h and the carried values
+    are live, valid until the next leaf.  A level is quiet at a state when
+    its class meets no live constraint there (`_LevelState.fix`).  An
+    odometer steps through the levels above the state's quiet suffix (its
+    last quiet levels): going down, a level adds its g to h, sets its
+    readers' values and moves to the state `descend` returns; going up, it
+    deletes g's keys and puts back the values and its start state.  The
+    suffix's 2^k words keep the state: the next word's h and settled values
+    differ at the levels whose branch changed, merged once per state into
+    one update each.  A reader whose determining set lies in g's keys K is
+    settled: h is undefined on K before the level (the classes partition
+    the ground set), so one table per K holds its values; other readers
+    run their rules on h.  A member is one copy of the values.  A rule
+    runs once per view (rules are pure): it is memoized on h's values over
+    its determining set, None where h is undefined, exact as values are
+    >= 1; a reader is put back by running it again."""
     elems, rules = conn.source, conn.rules
     dets = [tuple(conn.det_sets[x]) for x in elems]
     memos: List[dict] = [{} for _ in elems]
@@ -654,53 +661,76 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
             memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
         return memos[k][key]
 
-    def settle(keys) -> list:   # [other readers, settled ones' old values, branch 1, branch 2]
-        touched = {k for z in keys for k in readers.get(z, ())}
-        settled = {k for k in touched if keys >= set(dets[k])}
-        old = {elems[k]: rule_on(k, {}) for k in settled}   # h is undefined on keys
-        table = [[k for k in touched if k not in settled], old]
-        for value in (1, 2):   # (new values, change in the None count)
-            new = {elems[k]: rule_on(k, dict.fromkeys(keys, value)) for k in settled}
-            table.append((new, sum(v is None for v in new.values())
-                          - sum(v is None for v in old.values())))
-        return table
+    def table_of(keys: tuple) -> list:   # [other readers, (g, settled values) per value]
+        if keys not in tables:   # the values None (h undefined on keys), 1 and 2
+            touched = {k for z in keys for k in readers.get(z, ())}
+            settled = {k for k in touched if set(keys) >= set(dets[k])}
+            tables[keys] = [[k for k in touched if k not in settled]] + [
+                (g, {elems[k]: rule_on(k, g) for k in settled})
+                for g in (dict.fromkeys(keys, value) for value in (None, 1, 2))]
+        return tables[keys]
 
     h, state = {}, _LevelState.root(encoded, p, cap_bits)
     values = {x: rule_on(k, h) for k, x in enumerate(elems)}   # None where undefined
     undefined = sum(v is None for v in values.values())
-    tables: Dict[tuple, list] = {}   # tuple(K) -> settle(K)
+    tables: Dict[tuple, list] = {}   # K -> table_of(K)
+    suffixes: Dict[_LevelState, tuple] = {}   # state -> (suffix's first level, tables, moves)
     levels, level = len(classes), 0
-    # per level: its branch value, (start state, g's keys, table, None count on entry), undo list
-    word, frames, undo = [0] * levels, [None] * levels, [None] * levels
+    word, frames = [0] * levels, [None] * levels   # branch; (start state, table, None count)
     while True:
-        while level < levels:   # down, through the next branch of each level
+        while True:   # down, through the next branch of each level above the quiet suffix
+            if state not in suffixes:   # its first visit, at the level after its descend
+                start = next((i + 1 for i in range(levels - 1, level - 1, -1)
+                              if not state.fix(classes[i])[1]), level)
+                run = [table_of(state.fix(cls)[0]) for cls in classes[start:]]
+                # n - (w & -w).bit_length(): word w's new branches over w - 1's (w = 0: None)
+                changes = [[(t[3], t[2])] + [(u[2], u[3]) for u in run[j + 1:]]
+                           for j, t in enumerate(run)] + [[(t[2], t[1]) for t in run]]
+                suffixes[state] = start, run, [(   # (g, values, None change, other readers)
+                    *(dict(kv for new, _ in change for kv in new[i].items()) for i in (0, 1)),
+                    sum((v is None) - (u is None) for new, old in change
+                        for v, u in zip(new[1].values(), old[1].values())),
+                    list(dict.fromkeys(k for table in run[-len(change):] for k in table[0])))
+                    for change in changes]
+            start, run, moves = suffixes[state]
+            if level == start:
+                break
             value = word[level] = word[level] + 1
             g, _, after = state.descend(classes[level], value)
-            h.update(g)
             if value == 1:   # both branches fix the same elements
-                table = tables.get(tuple(g)) or tables.setdefault(tuple(g), settle(g.keys()))
-                frames[level] = state, g.keys(), table, undefined
-            state = after
-            table = frames[level][2]
-            values.update(table[value + 1][0])
-            undefined += table[value + 1][1]
-            undo[level] = changes = []
+                frames[level] = state, table_of(tuple(g)), undefined
+            table = frames[level][1]
+            h.update(g)
+            values.update(table[value + 1][1])
+            undefined += sum((v is None) - (u is None)
+                             for v, u in zip(table[value + 1][1].values(), table[1][1].values()))
             for k in table[0]:
                 x, new = elems[k], rule_on(k, h)
-                changes.append((x, values[x]))
                 undefined += (new is None) - (values[x] is None)
                 values[x] = new
-            level += 1
-        yield h, (values.copy() if not undefined
-                  else {x: v for x, v in values.items() if v is not None}), state
+            level, state = level + 1, after
+        for w in range(1 << len(run)):   # the suffix's words, from w - 1 to w by one move
+            g, new, delta, others = moves[len(run) - (w & -w).bit_length()]
+            h.update(g)
+            values.update(new)
+            undefined += delta
+            for k in others:
+                x, new = elems[k], rule_on(k, h)
+                undefined += (new is None) - (values[x] is None)
+                values[x] = new
+            yield h, (values.copy() if not undefined
+                      else {x: v for x, v in values.items() if v is not None}), state
+        for i, table in enumerate(run, start):   # the suffix's levels, for the way up
+            frames[i], word[i] = (state, table, undefined), 2
+        level = levels
         while level:   # up, past every level whose second branch is done
             level -= 1
-            state, keys, table, undefined = frames[level]
-            for z in keys:
+            state, table, undefined = frames[level]
+            for z in table[1][0]:
                 del h[z]
-            values.update(table[1])
-            for x, old in undo[level]:
-                values[x] = old
+            values.update(table[1][1])
+            for k in table[0]:
+                values[elems[k]] = rule_on(k, h)
             if word[level] == 1:
                 break
             word[level] = 0

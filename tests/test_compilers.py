@@ -415,6 +415,37 @@ def test_growth_strings_are_counted_by_stirling_sums():
     assert list(_growth_strings(3, 2)) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
 
 
+def test_growth_string_count_grows_with_the_size():
+    # rand_to_csp's cap check reads the count at the largest domain only
+    for blocks in range(1, 7):
+        counts = [_growth_string_count(size, blocks) for size in range(12)]
+        assert counts == sorted(counts) and counts[0] == 1
+
+
+def test_seed_pattern_count_is_computed_once_per_compile(monkeypatch):
+    # the count depends on a domain's size alone: the directed 256-cycle's
+    # 256 radius-1 domains of 3 seeds ask for it once, as do a path's
+    # domains of sizes 2 and 3 and a star's of 2 and 9
+    sizes = []
+    real = compilers._growth_string_count
+
+    def counting(size, blocks):
+        sizes.append((size, blocks))
+        return real(size, blocks)
+
+    monkeypatch.setattr(compilers, "_growth_string_count", counting)
+    report = run_experiment(ExperimentConfig(
+        pipeline="rand", graph={"kind": "directed_cycle", "params": {"n": 256}}, seed=1,
+        params={"m": 16}))
+    assert report["passed"] and sizes == [(3, 16)]
+    alg, problem = declared(seed_echo(), proper_coloring_problem(None))
+    for graph, largest in ((generate("path", {"n": 6}), 3),
+                           (build_graph(range(9), [(0, i) for i in range(1, 9)]), 9)):
+        sizes.clear()
+        rand_to_csp(alg, problem, graph, 3, 0)
+        assert sizes == [(largest, 3)]
+
+
 SYMMETRIC_CASES = [(k, p, m, 0) for k, p in CYCLES for m in (1, 3, 6)]
 SYMMETRIC_CASES += [(k, p, m, 1) for k, p in CYCLES for m in (2, 4)]
 SYMMETRIC_CASES += [(*TORUS, m, 0) for m in (2, 4, 6)]

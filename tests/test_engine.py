@@ -670,6 +670,88 @@ def test_solve_weighted_refuses_past_its_iteration_budget(monkeypatch, tmp_path)
                    lambda patch: patch.setattr(engine, "step", stalled))
 
 
+def assert_internal_error(monkeypatch, tmp_path, source, command, call, message, plant):
+    """With `plant(patch)` installed, `call(source)` raises AssertionError
+    with exactly `message`, and `csp <command>` on `source` exits 5 with
+    outcome `internal-error` and that error."""
+    cpath, out = tmp_path / "c.json", tmp_path / "r.json"
+    dump_json(csp_to_json(source), cpath)
+    with monkeypatch.context() as patch:
+        plant(patch)
+        with pytest.raises(AssertionError) as broken:
+            call(source)
+        assert main(["csp", *command, "--csp", str(cpath), "--out", str(out)]) == 5
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "internal-error" and report["passed"] is False
+    assert str(broken.value) == report["error"] == message
+
+
+def weighted_solve(source):
+    return solve_weighted(source, WeightedGroundSet.uniform(source.ground))
+
+
+def planted_root(**fields):
+    """A patch of `_LevelState.root` whose start state has `fields` (a
+    value, or a function of the CSP) in place of its own."""
+    real = _LevelState.root
+
+    def root(cls, csp, p, cap_bits):
+        state = real(csp, p, cap_bits)
+        for name, value in fields.items():
+            setattr(state, name, value(csp) if callable(value) else value)
+        return state
+
+    return lambda patch: patch.setattr(_LevelState, "root", classmethod(root))
+
+
+# The invariants below hold on every input (construct_partial proves its
+# two bounds, the family covers by d(rho) sqrt(p) <= 1/2, and the solver
+# checks what it already built); each test plants the fault that breaks one.
+
+def test_construct_partial_refuses_a_restricted_probability_over_its_bound(
+        monkeypatch, tmp_path):
+    # the walk carries p_max = 1 from the root: 1 > 2^2 p at p = 2^-40
+    assert_internal_error(monkeypatch, tmp_path, STEP_SOURCE, ["solve", "--method", "weighted"],
+                          weighted_solve, "restricted probability bound violated",
+                          planted_root(p_max=Fraction(1)))
+
+
+def test_construct_partial_refuses_a_coverage_under_its_bound(monkeypatch, tmp_path):
+    # every element starts dangerous: no level fixes one, nothing is
+    # covered, and a shortfall of 1 exceeds d(rho)^2 p
+    assert_internal_error(monkeypatch, tmp_path, STEP_SOURCE, ["solve", "--method", "weighted"],
+                          weighted_solve, "coverage bound violated",
+                          planted_root(dangerous=lambda csp: frozenset(csp.ground)))
+
+
+def test_cover_family_refuses_a_family_that_misses_an_element(monkeypatch, tmp_path):
+    # the walk drops the leaves of every state under which element 0 is
+    # covered (its determining set avoids the dangerous set); its whole
+    # domain freezes together, so the error names that domain's first five
+    real = engine._family_leaves
+
+    def dropping(encoded, classes, conn, p, cap_bits):
+        for h, member, state in real(encoded, classes, conn, p, cap_bits):
+            if conn.det_sets[0] & state.dangerous:
+                yield h, member, state
+
+    source = random_cover_csp(0, max_levels=10)
+    assert cover_family(source).per_element_counts[0] < 2 ** 10
+    assert_internal_error(monkeypatch, tmp_path, source, ["cover"], cover_family,
+                          "family fails to cover [0, 1, 2, 3, 4]",
+                          lambda patch: patch.setattr(engine, "_family_leaves", dropping))
+
+
+def test_solve_weighted_refuses_an_assignment_that_violates_the_source(monkeypatch, tmp_path):
+    # the extension returns all 1s, the pattern STEP_SOURCE forbids
+    def all_ones(csp, g, seed=0, cap_bits=DEFAULT_CAP_BITS):
+        return dict.fromkeys(csp.ground, 1)
+
+    assert_internal_error(monkeypatch, tmp_path, STEP_SOURCE, ["solve", "--method", "weighted"],
+                          weighted_solve, "solver produced an invalid assignment: [0]",
+                          lambda patch: patch.setattr(engine, "extend_solution", all_ones))
+
+
 def test_solve_weighted_no_constraints():
     csp = Csp(tuple(range(5)), 3, ())
     wts = WeightedGroundSet.uniform(csp.ground)
@@ -1125,13 +1207,17 @@ def leaf_view(h, member, state):
     return (list(h.items()), list(member.items())) + state_view(state)
 
 
-def assert_walk_matches_copying_walk(encoded, conn):
+def assert_walk_matches_copying_walk(encoded, conn, classes=None):
     """Leaf by leaf, the live walk equals the recursive walk and the
     copying walk in h (values and key order), member, dangerous set, p_max
     and the constraints' domains, probabilities and freezing, and each h
     is the branch trace of its word in product((1, 2), repeat=levels)
-    order.  Returns the leaves' dangerous sets."""
-    classes, p = discrete_partition(encoded), stats(encoded).p
+    order.  The classes default to the discrete partition; given, they
+    need only partition the ground set.  Returns the leaves' dangerous
+    sets."""
+    custom = classes is not None
+    classes = classes if custom else discrete_partition(encoded)
+    p = stats(encoded).p
     words = product((1, 2), repeat=len(classes))
     leaves = zip(_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
                  recursive_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
@@ -1140,10 +1226,39 @@ def assert_walk_matches_copying_walk(encoded, conn):
     dangerous = []
     for live, recursive, copied, word in leaves:
         assert leaf_view(*live) == leaf_view(*recursive) == leaf_view(*copied)
-        assert list(live[0].items()) == list(branch_trace(encoded, word)[0].items())
+        trace = replay(encoded, classes, word) if custom else branch_trace(encoded, word)
+        assert list(live[0].items()) == list(trace[0].items())
         dangerous.append(live[2].dangerous)
     assert len(dangerous) == 2 ** len(classes)
     return dangerous
+
+
+def replay(csp, classes, word):
+    """`branch_trace` over any classes: (h, leaf state, the first level of
+    its quiet suffix, that is one past the last level that moved the state)."""
+    state, h, start = _LevelState.root(csp, stats(csp).p, DEFAULT_CAP_BITS), {}, 0
+    for level, (cls, value) in enumerate(zip(classes, word)):
+        g, _, after = state.descend(cls, value)
+        h.update(g)
+        if after is not state:
+            state, start = after, level + 1
+    return h, state, start
+
+
+def suffix_leaves(csp, conn, classes):
+    """Per branch word: (its leaf state, the first level of the state's
+    quiet suffix, the readers that some suffix level's keys meet but do not
+    hold, so the walk runs their rules below the suffix's first level)."""
+    out = []
+    for word in product((1, 2), repeat=len(classes)):
+        _, state, start = replay(csp, classes, word)
+        split = set()
+        for cls in classes[start:]:
+            keys = set(state.fix(cls)[0])
+            split |= {x for x in conn.source
+                      if conn.det_sets[x] & keys and not conn.det_sets[x] <= keys}
+        out.append((state, start, split))
+    return out
 
 
 def overlapping_cover_csp():
@@ -1264,11 +1379,11 @@ def test_family_leaves_settle_readers_by_key_set_not_by_level():
 
 
 @st.composite
-def overlapping_csps(draw, max_m=3):
-    """Explicit CSPs on at most 7 elements, with range at most `max_m`,
-    whose domains overlap: each domain after the first shares an element
-    with an earlier one."""
-    n, m = draw(st.integers(2, 7)), draw(st.integers(2, max_m))
+def overlapping_csps(draw, max_m=3, min_m=2):
+    """Explicit CSPs on at most 7 elements, with range from `min_m` to
+    `max_m`, whose domains overlap: each domain after the first shares an
+    element with an earlier one."""
+    n, m = draw(st.integers(2, 7)), draw(st.integers(min_m, max_m))
     ground = tuple(range(n))
     constraints, used = [], set()
     for _ in range(draw(st.integers(1, 4))):
@@ -1291,6 +1406,105 @@ def test_family_leaves_match_copying_walk_on_overlapping_csps(csp):
     encoded, conn = encoded_with_connection(csp)
     if len(discrete_partition(encoded)) <= 8:
         assert_walk_matches_copying_walk(encoded, conn)
+
+
+def counted_descends(monkeypatch):
+    """Patch `_LevelState.descend` to record its calls; returns the record."""
+    calls, real = [], _LevelState.descend
+
+    def counting(self, cls, value):
+        calls.append((cls, value))
+        return real(self, cls, value)
+
+    monkeypatch.setattr(_LevelState, "descend", counting)
+    return calls
+
+
+def test_family_leaves_walk_a_suffix_from_level_0(monkeypatch):
+    # no constraint: every level is quiet at the root, so the whole walk is
+    # one suffix and calls no descend.  Given classes split the readers'
+    # determining sets, on the CSP itself (readers of several elements,
+    # one defined on the empty view only, one of nothing) and on a range-4
+    # encoding whose bits each take a class of their own
+    free = Csp(tuple(range(6)), 2, ())
+    reads = {0: (0, 1, 2), 1: (1,), 2: (2, 5), 3: (3, 4), 4: (4,), 5: ()}
+    rules = {x: min_on_partial_view(ys) for x, ys in reads.items() if len(ys) > 1}
+    rules.update({1: withdrawn, 4: lambda view: 2 if view else None, 5: lambda view: 1})
+    encoded, tau_red = binary_reduce(Csp((0, 1, 2), 4, ()), EPS_BINARY)
+    cases = [(free, reading_connection(free.ground, reads, rules), [(0, 1), (2, 3), (4,), (5,)],
+              {0, 2, 3}),
+             (encoded, tau_red.connection, [(z,) for z in encoded.ground], {0, 1, 2})]
+    for csp, conn, classes, split_readers in cases:
+        calls = counted_descends(monkeypatch)
+        assert_walk_matches_copying_walk(csp, conn, classes)
+        calls.clear()
+        assert sum(1 for _ in _family_leaves(csp, classes, conn, stats(csp).p,
+                                             DEFAULT_CAP_BITS)) == 2 ** len(classes)
+        assert calls == []
+        monkeypatch.undo()
+        leaves = suffix_leaves(csp, conn, classes)
+        assert all(start == 0 and split == split_readers for _, start, split in leaves)
+
+
+def test_family_leaves_walk_a_suffix_after_a_deep_freeze():
+    # the all-1 pattern on 0..4 freezes once three of its elements are 1
+    # (P^2 = 2^-4 > p = 2^-5): on the words 1, 1, 1, ... the walk descends
+    # three levels and its last two, all dangerous, form the suffix; a 2
+    # anywhere kills the pattern, and the suffix starts right after it
+    csp = Csp(tuple(range(6)), 2, (Constraint.explicit(tuple(range(5)), 2, [(1,) * 5]),))
+    conn = identity_reduction(csp).connection
+    classes = discrete_partition(csp)
+    assert classes == [(0, 5), (1,), (2,), (3,), (4,)]
+    leaves = suffix_leaves(csp, conn, classes)
+    assert [start for _, start, _ in leaves[:4]] == [3, 3, 3, 3]
+    assert leaves[0][0].dangerous == frozenset(range(5))
+    assert {start for _, start, _ in leaves} == {1, 2, 3}
+    assert_walk_matches_copying_walk(csp, conn)
+    assert_walk_matches_copying_walk(*encoded_with_connection(csp))
+    # on the overlapping CSP's encoding, leaves that froze a constraint
+    # make their last move as late as level 5, leaving four suffix levels
+    encoded, conn = encoded_with_connection(overlapping_cover_csp())
+    classes = discrete_partition(encoded)
+    assert len(classes) == 10 and 6 in {start for state, start, _ in
+                                        suffix_leaves(encoded, conn, classes) if state.dangerous}
+
+
+SPLIT_BITS_CSP = Csp((0, 1), 3, (Constraint.explicit((0, 1), 3, [(1, 1)]),))
+
+
+def test_split_bits_example_leaves_readers_below_the_suffix():
+    # a range-3 element's bits lie in classes of their own; once a fixed
+    # bit kills the pattern, its domain empties and the bits left form a
+    # suffix whose levels the element's reader spans
+    encoded, conn = encoded_with_connection(SPLIT_BITS_CSP)
+    leaves = suffix_leaves(encoded, conn, discrete_partition(encoded))
+    assert any(split for _, start, split in leaves if start < len(discrete_partition(encoded)))
+
+
+@example(SPLIT_BITS_CSP)
+@given(overlapping_csps(max_m=4, min_m=3))
+def test_family_leaves_match_copying_walk_on_range_3_and_4_encodings(csp):
+    # encoded bit by bit, an element of range 3 or 4 spans several
+    # classes; the walk agrees with both oracles wherever the encoding has
+    # at most 8 levels, also where suffix levels leave such readers
+    encoded, conn = encoded_with_connection(csp)
+    if len(discrete_partition(encoded)) <= 8:
+        assert_walk_matches_copying_walk(encoded, conn)
+
+
+def test_cover_walk_descend_calls_are_pinned(monkeypatch):
+    """Counts, not clocks: the `descend` calls of `cover_family`'s walk on
+    a fixed 12 x 2 cover instance (12 levels, 4,096 leaves) and on the
+    overlapping CSP (10 levels), where every level used to descend on both
+    branches: 8,190 and 2,046 calls.  The pins are ceilings."""
+    cover = random_cover_csp(13, max_levels=12)
+    assert (len(cover.constraints[0].domain), len(cover.constraints)) == (12, 2)
+    calls = counted_descends(monkeypatch)
+    for csp, levels, ceiling in ((cover, 12, 20), (overlapping_cover_csp(), 10, 20)):
+        calls.clear()
+        result = cover_family(csp, budget=1 << 14)
+        assert (result.levels, len(result.members)) == (levels, 2 ** levels)
+        assert len(calls) <= ceiling
 
 
 @st.composite
