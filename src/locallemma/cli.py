@@ -38,6 +38,7 @@ from .localrun import LocalAlgorithm, det_pipeline, run_deterministic, verify_lc
 from .rng import derived_rng
 from .serialize import (
     _known_keys,
+    _strict_container,
     _strict_int,
     csp_from_json,
     dump_json,
@@ -162,20 +163,20 @@ def emit_summary(report_paths: List[str]):
                 raise ValueError(f"expected a JSON object, got {type(data).__name__}")
             if not isinstance(data.get("pipeline", "?"), str):
                 raise TypeError("field 'pipeline' is not a string")
-            if not isinstance(data.get("iterations", 0), int):
-                raise TypeError("field 'iterations' is not an integer")
+            if not isinstance(data.get("passed", False), bool):
+                raise TypeError("field 'passed' is not a boolean")
             row = {
                 "path": path,
                 "pipeline": data.get("pipeline", "?"),
-                "passed": bool(data.get("passed")),
-                "checks": len(data.get("checks", [])),
+                "passed": data.get("passed", False),
+                "checks": len(_strict_container(data.get("checks", []), list, "field 'checks'")),
             }
             if "margin" in data:
                 row["margin"] = data["margin"]
                 margins.append(data["margin"])
             if "iterations" in data:
-                row["iterations"] = data["iterations"]
-                iterations.append(data["iterations"])
+                row["iterations"] = _strict_int(data["iterations"], "field 'iterations'")
+                iterations.append(row["iterations"])
             rows.append(row)
         except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON, not a report
             errors.append({"path": path, "error": str(exc)})

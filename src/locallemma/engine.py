@@ -636,20 +636,21 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
     """Yield (h, apply(conn, h), level state) for every branch word, in
     product((1, 2), repeat=len(classes)) order; h and the carried values
     are live, valid until the next leaf.  A level is quiet at a state when
-    its class meets no live constraint there (`_LevelState.fix`).  An
-    odometer steps through the levels above the state's quiet suffix (its
-    last quiet levels): going down, a level adds its g to h, sets its
-    readers' values and moves to the state `descend` returns; going up, it
-    deletes g's keys and puts back the values and its start state.  The
-    suffix's 2^k words keep the state: the next word's h and settled values
-    differ at the levels whose branch changed, merged once per state into
-    one update each.  A reader whose determining set lies in g's keys K is
-    settled: h is undefined on K before the level (the classes partition
-    the ground set), so one table per K holds its values; other readers
-    run their rules on h.  A member is one copy of the values.  A rule
-    runs once per view (rules are pure): it is memoized on h's values over
-    its determining set, None where h is undefined, exact as values are
-    >= 1; a reader is put back by running it again."""
+    its class meets no live constraint there (`_LevelState.fix`); the
+    state's quiet suffix is its last quiet levels.  `walk(level, state)`
+    recurses above the suffix: for each branch, the level moves by that
+    branch's row of its table, walks on from the state `descend` returns
+    and goes back.  At the suffix's first level the state stays for all
+    2^k words: the next word's h and settled values differ at the levels
+    whose branch changed, merged once per state into one move each; then
+    the suffix's levels go back.  A reader whose determining set lies in
+    g's keys K is settled: h is undefined on K before the level (the
+    classes partition the ground set), so one table per K holds its values
+    and each row's change in None count against the None row; other
+    readers run their rules on h.  A member is one copy of the values.  A
+    rule runs once per view (rules are pure): it is memoized on h's values
+    over its determining set, None where h is undefined, exact as values
+    are >= 1; a reader is put back by running it again."""
     elems, rules = conn.source, conn.rules
     dets = [tuple(conn.det_sets[x]) for x in elems]
     memos: List[dict] = [{} for _ in elems]
@@ -661,78 +662,68 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
             memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
         return memos[k][key]
 
-    def table_of(keys: tuple) -> list:   # [other readers, (g, settled values) per value]
+    def table_of(keys: tuple) -> list:   # [other readers, (g, settled values, None change) per value]
         if keys not in tables:   # the values None (h undefined on keys), 1 and 2
             touched = {k for z in keys for k in readers.get(z, ())}
             settled = {k for k in touched if set(keys) >= set(dets[k])}
+            rows = [(g, {elems[k]: rule_on(k, g) for k in settled})
+                    for g in (dict.fromkeys(keys, value) for value in (None, 1, 2))]
+            nones = [sum(v is None for v in new.values()) for _, new in rows]
             tables[keys] = [[k for k in touched if k not in settled]] + [
-                (g, {elems[k]: rule_on(k, g) for k in settled})
-                for g in (dict.fromkeys(keys, value) for value in (None, 1, 2))]
+                (g, new, n - nones[0]) for (g, new), n in zip(rows, nones)]
         return tables[keys]
 
-    h, state = {}, _LevelState.root(encoded, p, cap_bits)
+    def move(g: PartialAssignment, new: dict, delta: int, others: list):
+        nonlocal undefined
+        h.update(g)
+        values.update(new)
+        undefined += delta
+        for k in others:
+            x, value = elems[k], rule_on(k, h)
+            undefined += (value is None) - (values[x] is None)
+            values[x] = value
+
+    def back(table: list):   # undoes the table's level; the caller restores `undefined`
+        for z in table[1][0]:
+            del h[z]
+        values.update(table[1][1])
+        for k in table[0]:
+            values[elems[k]] = rule_on(k, h)
+
+    def walk(level: int, state: _LevelState):
+        nonlocal undefined
+        if state not in suffixes:   # its first visit, at the level after its descend
+            start = next((i + 1 for i in range(levels - 1, level - 1, -1)
+                          if not state.fix(classes[i])[1]), level)
+            run = [table_of(state.fix(cls)[0]) for cls in classes[start:]]
+            # n - (w & -w).bit_length(): word w's new branches over w - 1's (w = 0: None)
+            changes = [[(t[3], t[2])] + [(u[2], u[3]) for u in run[j + 1:]]
+                       for j, t in enumerate(run)] + [[(t[2], t[1]) for t in run]]
+            suffixes[state] = start, run, [(   # move's arguments
+                *(dict(kv for new, _ in change for kv in new[i].items()) for i in (0, 1)),
+                sum(new[2] - old[2] for new, old in change),
+                list(dict.fromkeys(k for table in run[-len(change):] for k in table[0])))
+                for change in changes]
+        start, run, moves = suffixes[state]
+        if level < start:
+            table, before = table_of(state.fix(classes[level])[0]), undefined
+            for value in (1, 2):
+                after = state.descend(classes[level], value)[2]
+                move(*table[value + 1], table[0])
+                yield from walk(level + 1, after)
+                back(table)
+                undefined = before
+            return
+        for w in range(1 << len(run)):   # the suffix's words, from w - 1 to w by one move
+            move(*moves[len(run) - (w & -w).bit_length()])
+            yield h, (values.copy() if not undefined
+                      else {x: v for x, v in values.items() if v is not None}), state
+        for table in reversed(run):
+            back(table)
+
+    h, levels = {}, len(classes)
     values = {x: rule_on(k, h) for k, x in enumerate(elems)}   # None where undefined
     undefined = sum(v is None for v in values.values())
     tables: Dict[tuple, list] = {}   # K -> table_of(K)
     suffixes: Dict[_LevelState, tuple] = {}   # state -> (suffix's first level, tables, moves)
-    levels, level = len(classes), 0
-    word, frames = [0] * levels, [None] * levels   # branch; (start state, table, None count)
-    while True:
-        while True:   # down, through the next branch of each level above the quiet suffix
-            if state not in suffixes:   # its first visit, at the level after its descend
-                start = next((i + 1 for i in range(levels - 1, level - 1, -1)
-                              if not state.fix(classes[i])[1]), level)
-                run = [table_of(state.fix(cls)[0]) for cls in classes[start:]]
-                # n - (w & -w).bit_length(): word w's new branches over w - 1's (w = 0: None)
-                changes = [[(t[3], t[2])] + [(u[2], u[3]) for u in run[j + 1:]]
-                           for j, t in enumerate(run)] + [[(t[2], t[1]) for t in run]]
-                suffixes[state] = start, run, [(   # (g, values, None change, other readers)
-                    *(dict(kv for new, _ in change for kv in new[i].items()) for i in (0, 1)),
-                    sum((v is None) - (u is None) for new, old in change
-                        for v, u in zip(new[1].values(), old[1].values())),
-                    list(dict.fromkeys(k for table in run[-len(change):] for k in table[0])))
-                    for change in changes]
-            start, run, moves = suffixes[state]
-            if level == start:
-                break
-            value = word[level] = word[level] + 1
-            g, _, after = state.descend(classes[level], value)
-            if value == 1:   # both branches fix the same elements
-                frames[level] = state, table_of(tuple(g)), undefined
-            table = frames[level][1]
-            h.update(g)
-            values.update(table[value + 1][1])
-            undefined += sum((v is None) - (u is None)
-                             for v, u in zip(table[value + 1][1].values(), table[1][1].values()))
-            for k in table[0]:
-                x, new = elems[k], rule_on(k, h)
-                undefined += (new is None) - (values[x] is None)
-                values[x] = new
-            level, state = level + 1, after
-        for w in range(1 << len(run)):   # the suffix's words, from w - 1 to w by one move
-            g, new, delta, others = moves[len(run) - (w & -w).bit_length()]
-            h.update(g)
-            values.update(new)
-            undefined += delta
-            for k in others:
-                x, new = elems[k], rule_on(k, h)
-                undefined += (new is None) - (values[x] is None)
-                values[x] = new
-            yield h, (values.copy() if not undefined
-                      else {x: v for x, v in values.items() if v is not None}), state
-        for i, table in enumerate(run, start):   # the suffix's levels, for the way up
-            frames[i], word[i] = (state, table, undefined), 2
-        level = levels
-        while level:   # up, past every level whose second branch is done
-            level -= 1
-            state, table, undefined = frames[level]
-            for z in table[1][0]:
-                del h[z]
-            values.update(table[1][1])
-            for k in table[0]:
-                values[elems[k]] = rule_on(k, h)
-            if word[level] == 1:
-                break
-            word[level] = 0
-        else:
-            return
+    yield from walk(0, _LevelState.root(encoded, p, cap_bits))

@@ -358,6 +358,15 @@ def test_emit_summary(tmp_path):
     tally, _ = emit_summary(many)
     assert tally["reports"] == 10 and tally["total_iterations"] == 10
 
+    # each field is read as its own type, never converted: a string
+    # "false" is no pass, a string is no list of checks, true is no count
+    for field, value in (("passed", "false"), ("checks", "abc"), ("iterations", True)):
+        p = tmp_path / f"strict_{field}.json"
+        dump_json({"pipeline": "csp-solve", "passed": True, "checks": [], field: value}, p)
+        strict, _ = emit_summary([str(p)])
+        assert strict["reports"] == 0 and strict["total_iterations"] == 0
+        assert len(strict["errors"]) == 1 and f"'{field}'" in strict["errors"][0]["error"]
+
 
 def test_cap_out_is_reported(tmp_path):
     # a 30-ary parity predicate has 2^30 states, above the 2^20 cap

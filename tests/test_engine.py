@@ -1283,6 +1283,9 @@ def test_family_leaves_match_copying_walk_on_cover_csps():
         frozen_somewhere += len(set(dangerous)) > 1
     dangerous = assert_walk_matches_copying_walk(*encoded_with_connection(overlapping_cover_csp()))
     assert len(set(dangerous)) >= 3 and frozen_somewhere > 0
+    # the descend-call pin's 12 x 2 instance, as deep as perfbench
+    # lll_solve's cover12x2: 12 levels, 4,096 leaves
+    assert_walk_matches_copying_walk(*encoded_with_connection(random_cover_csp(13, max_levels=12)))
 
 
 def test_family_leaves_match_copying_walk_on_zero_and_one_level_csps():
@@ -1481,7 +1484,16 @@ def test_split_bits_example_leaves_readers_below_the_suffix():
     assert any(split for _, start, split in leaves if start < len(discrete_partition(encoded)))
 
 
+# a range-3 pair whose encoding freezes no bits on some branches, the
+# first element's bits on others and all bits on the rest: a decoding
+# reader that one state's levels split is not read in another's, so going
+# back must rerun it and restore the None count
+FREEZING_PAIR_CSP = Csp((0, 1), 3, (Constraint.explicit((0,), 3, [(1,)]),
+                                    Constraint.explicit((0, 1), 3, [(2, 1), (2, 2)])))
+
+
 @example(SPLIT_BITS_CSP)
+@example(FREEZING_PAIR_CSP)
 @given(overlapping_csps(max_m=4, min_m=3))
 def test_family_leaves_match_copying_walk_on_range_3_and_4_encodings(csp):
     # encoded bit by bit, an element of range 3 or 4 spans several

@@ -15,7 +15,8 @@ the bootstrap route that no command runs.  Every defaulted parameter of a
 `perfbench/`, and every attribute a `src/` class defines is read there,
 unless it is listed (`UNPASSED`, `UNREAD`) or belongs to
 `AMPLIFIED_ROUTE`: the library keeps no knob and no field that only tests
-use."""
+use.  `src/` holds at most `SRC_LINES` lines, counted as `wc -l` counts
+them; a change that needs more raises the ceiling and says why."""
 
 import ast
 import re
@@ -521,3 +522,13 @@ def test_every_attribute_is_read_or_listed():
     found = unread_attributes(*program_sources())
     assert sorted(entry for entry in found
                   if (entry[0], entry[1].split(".")[0]) not in AMPLIFIED_ROUTE) == sorted(UNREAD)
+
+
+# The line ceiling of src/locallemma/*.py (ROADMAP aim 2: the line count
+# goes down or stays flat).
+SRC_LINES = 4153
+
+
+def test_src_lines_stay_under_the_ceiling():
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINES, f"src/ has {lines} lines, over the ceiling {SRC_LINES}"
