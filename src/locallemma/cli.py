@@ -39,6 +39,7 @@ from .rng import derived_rng
 from .serialize import (
     _known_keys,
     _strict_container,
+    _strict_fraction,
     _strict_int,
     csp_from_json,
     dump_json,
@@ -152,10 +153,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def emit_summary(report_paths: List[str]):
     """Aggregate pass rates / margins / iteration counts over report files."""
-    rows = []
-    errors = []
-    margins = []
-    iterations = []
+    rows, errors = [], []
     for path in report_paths:
         try:
             data = load_json(path)
@@ -171,29 +169,22 @@ def emit_summary(report_paths: List[str]):
                 "passed": data.get("passed", False),
                 "checks": len(_strict_container(data.get("checks", []), list, "field 'checks'")),
             }
-            if "margin" in data:
+            if "margin" in data:   # a rational string, kept as written
+                _strict_fraction(data["margin"], "field 'margin'")
                 row["margin"] = data["margin"]
-                margins.append(data["margin"])
             if "iterations" in data:
                 row["iterations"] = _strict_int(data["iterations"], "field 'iterations'")
-                iterations.append(row["iterations"])
             rows.append(row)
         except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON, not a report
             errors.append({"path": path, "error": str(exc)})
-    summary = {
-        "reports": len(rows),
-        "passed": sum(1 for r in rows if r["passed"]),
-        "failed": sum(1 for r in rows if not r["passed"]),
-        "margins": margins,
-        "total_iterations": sum(iterations),
-        "rows": rows,
-        "errors": errors,
-    }
-    lines = [f"{'path':40} {'pipeline':10} {'passed':6} checks"]
-    for r in rows:
-        lines.append(f"{r['path']:40} {r['pipeline']:10} {str(r['passed']):6} {r['checks']}")
-    for e in errors:
-        lines.append(f"{e['path']:40} PARSE ERROR: {e['error']}")
+    passed = sum(r["passed"] for r in rows)
+    summary = {"reports": len(rows), "passed": passed, "failed": len(rows) - passed,
+               "margins": [r["margin"] for r in rows if "margin" in r],
+               "total_iterations": sum(r.get("iterations", 0) for r in rows),
+               "rows": rows, "errors": errors}
+    lines = [f"{'path':40} {'pipeline':10} {'passed':6} checks"] + [
+        f"{r['path']:40} {r['pipeline']:10} {str(r['passed']):6} {r['checks']}" for r in rows]
+    lines += [f"{e['path']:40} PARSE ERROR: {e['error']}" for e in errors]
     return summary, "\n".join(lines)
 
 

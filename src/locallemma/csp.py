@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 from math import log2
-from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError
@@ -288,11 +287,16 @@ def discrete_partition(csp: Csp) -> List[Tuple[int, ...]]:
     coloring of the intersection graph); at most (b-1)(d+1)+1 classes."""
     meeting = csp.meeting
     taken = [0] * len(csp.constraints)   # bit c set: class c already meets the domain
-    classes: Dict[int, List[int]] = {}   # first fit opens classes in index order
+    classes: Dict[int, List[int]] = {0: []}   # first fit opens classes in index order
     for x in csp.ground:
-        used = reduce(or_, (taken[i] for i in meeting.get(x, ())), 0)
+        ids, used = meeting.get(x), 0
+        if not ids:   # x meets no domain: the first class
+            classes[0].append(x)
+            continue
+        for i in ids:
+            used |= taken[i]
         c = (~used & (used + 1)).bit_length() - 1   # the lowest class not in use
         classes.setdefault(c, []).append(x)
-        for i in meeting.get(x, ()):
+        for i in ids:
             taken[i] |= 1 << c
-    return [tuple(cls) for cls in classes.values()]
+    return [tuple(cls) for cls in classes.values() if cls]

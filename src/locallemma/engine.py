@@ -570,10 +570,10 @@ def cover_family(source: Csp, seed: int = 0, budget: int = DEFAULT_COVER_BUDGET,
     The residual is the leaf state's constraints: `descend` has restricted
     every live constraint that h meets, and a frozen one is never met
     again, since its domain lies in the dangerous set that no later level
-    fixes.  Its p (`p_max`), d, certificate and witness are paid once per
-    leaf state, which never changes (see `_LevelState`) and whose leaves
-    share the dangerous set, the domains and h's key set.  Each leaf gets
-    its own copy of the certificate.
+    fixes.  The walk hands over one batch of members per leaf state, whose
+    leaves share the dangerous set, the domains and h's key set: its p
+    (`p_max`), d, certificate, witness and leaf count are paid once per
+    batch, and each leaf gets its own copy of the certificate.
 
     The route is "bootstrap-direct" when the source meets the direct
     (16, 2^-33) inequalities and "direct-binary" otherwise; both encode
@@ -600,31 +600,26 @@ def cover_family(source: Csp, seed: int = 0, budget: int = DEFAULT_COVER_BUDGET,
         raise CoverBudgetError(levels, budget)
 
     conn = sigma.connection
-    members: List[PartialAssignment] = []
-    certificates: List[dict] = []
-    per_state: Dict[_LevelState, list] = {}   # leaf state -> [certificate, leaves]
-    for h, member, state in _family_leaves(encoded, classes, conn, p, cap_bits):
-        members.append(member)
-        entry = per_state.get(state)
-        if entry is None:
-            domains = [c.domain for c in state.constraints]
-            rp, rd = state.p_max, max(overlap_counts(domains, incidence(domains)), default=0)
-            cert = {"p_residual": str(rp), "d_residual": rd,
-                    "residual_(8,2^-15)": _residual_margin(rp, rd) >= 0}
-            if not cert["residual_(8,2^-15)"]:
-                residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
-                               tuple(state.constraints))
-                if _search(residual, seed, cap_bits)[0] is None:
-                    raise StepInfeasibleError(
-                        "residual neither satisfies the (8,2^-15) inequality "
-                        "nor has a verified solution witness")
-                cert["solution_witness"] = True
-            per_state[state] = entry = [cert, 0]
-        entry[1] += 1
-        certificates.append(dict(entry[0]))
+    members, certificates, runs = [], [], []   # runs: (a leaf state's dangerous set, leaves)
+    for h, batch, state in _family_leaves(encoded, classes, conn, p, cap_bits):
+        members += batch
+        domains = [c.domain for c in state.constraints]
+        rp, rd = state.p_max, max(overlap_counts(domains, incidence(domains)), default=0)
+        cert = {"p_residual": str(rp), "d_residual": rd,
+                "residual_(8,2^-15)": _residual_margin(rp, rd) >= 0}
+        if not cert["residual_(8,2^-15)"]:
+            residual = Csp(tuple(z for z in encoded.ground if z not in h), 2,
+                           tuple(state.constraints))
+            if _search(residual, seed, cap_bits)[0] is None:
+                raise StepInfeasibleError(
+                    "residual neither satisfies the (8,2^-15) inequality "
+                    "nor has a verified solution witness")
+            cert["solution_witness"] = True
+        runs.append((state.dangerous, len(batch)))
+        certificates += [dict(cert) for _ in batch]
 
-    counts = {x: sum(leaves for state, (_, leaves) in per_state.items()
-                     if not (conn.det_sets[x] & state.dangerous)) for x in source.ground}
+    counts = {x: sum(leaves for dangerous, leaves in runs if not (conn.det_sets[x] & dangerous))
+              for x in source.ground}
     uncovered = [x for x in source.ground if counts[x] == 0]
     if uncovered:
         raise AssertionError(f"family fails to cover {uncovered[:5]}")
@@ -633,18 +628,20 @@ def cover_family(source: Csp, seed: int = 0, budget: int = DEFAULT_COVER_BUDGET,
 
 def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Connection,
                    p: Fraction, cap_bits: int):
-    """Yield (h, apply(conn, h), level state) for every branch word, in
-    product((1, 2), repeat=len(classes)) order; h and the carried values
-    are live, valid until the next leaf.  A level is quiet at a state when
-    its class meets no live constraint there (`_LevelState.fix`); the
-    state's quiet suffix is its last quiet levels.  `walk(level, state)`
-    recurses above the suffix: for each branch, the level moves by that
-    branch's row of its table, walks on from the state `descend` returns
-    and goes back.  At the suffix's first level the state stays for all
-    2^k words: the next word's h and settled values differ at the levels
-    whose branch changed, merged once per state into one move each; then
-    the suffix's levels go back.  A reader whose determining set lies in
-    g's keys K is settled: h is undefined on K before the level (the
+    """Yield (h, members, leaf state) once per leaf state, the members
+    apply(conn, h_w) of the branch words w that end in that state: the
+    batches concatenate to every word's member in product((1, 2),
+    repeat=len(classes)) order.  A level is quiet at a state when its
+    class meets no live constraint there (`_LevelState.fix`); the state's
+    quiet suffix is its last quiet levels.  h is live until the next
+    batch and holds the batch's last word, on the key set its words share.
+    `walk(level, state)` recurses above the suffix: for each branch, the
+    level moves by that branch's row of its table, walks on from the state
+    `descend` returns and goes back.  At the suffix's first level the state
+    stays for all 2^k words: the next word's h and settled values differ at
+    the levels whose branch changed, merged once per state into one move
+    each; then the suffix's levels go back.  A reader whose determining set
+    lies in g's keys K is settled: h is undefined on K before the level (the
     classes partition the ground set), so one table per K holds its values
     and each row's change in None count against the None row; other
     readers run their rules on h.  A member is one copy of the values.  A
@@ -714,10 +711,12 @@ def _family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]], conn: Conne
                 back(table)
                 undefined = before
             return
+        batch = []
         for w in range(1 << len(run)):   # the suffix's words, from w - 1 to w by one move
             move(*moves[len(run) - (w & -w).bit_length()])
-            yield h, (values.copy() if not undefined
-                      else {x: v for x, v in values.items() if v is not None}), state
+            batch.append(values.copy() if not undefined
+                         else {x: v for x, v in values.items() if v is not None})
+        yield h, batch, state
         for table in reversed(run):
             back(table)
 

@@ -109,6 +109,15 @@ def _strict_int(value, where: str, low: Optional[int] = None) -> int:
     return value
 
 
+def _strict_fraction(value, where: str) -> Fraction:
+    """`value` read by `fraction_from_str`; a non-string (read as ""), or
+    text such as "1/0" or "half", is refused with the field named."""
+    try:
+        return fraction_from_str(value if isinstance(value, str) else "")
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}: expected a rational string, got {value!r}") from None
+
+
 def _strict_container(value, kind: type, where: str):
     """`value` if it is a `kind` (list or dict); anything else is refused,
     with the field named, rather than read as another container."""
@@ -247,10 +256,7 @@ def weights_from_json(data: dict) -> WeightedGroundSet:
         x = _strict_int(x, f"weights[{i}][0]")
         if x in weights:
             raise ValueError(f"weights[{i}][0]: duplicate id {x}")
-        try:   # refused: a non-string (read as ""), or text such as "1/0" or "half"
-            weights[x] = fraction_from_str(w if isinstance(w, str) else "")
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"weights[{i}][1]: expected a rational string, got {w!r}") from None
+        weights[x] = _strict_fraction(w, f"weights[{i}][1]")
     return WeightedGroundSet(weights)
 
 

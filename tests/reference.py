@@ -1,4 +1,5 @@
-"""Reference code that only tests call: the raw branch recursion and the
+"""Reference code that only tests call: the raw branch recursion, the
+leaf-by-leaf cover walk, the reduce form of the discrete partition and the
 three-valued extension check of the engine, the gadget's colouring lift
 and its v-vertices, the distance-k power graph, two random CSP families,
 a ball's graph, several layers attached to a graph in one copy, and balls
@@ -8,8 +9,10 @@ they live beside the tests that use them as oracles and instance
 sources."""
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, Iterable, Optional, Sequence
+from fractions import Fraction
+from functools import reduce
+from operator import itemgetter, or_
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from locallemma import generators
 from locallemma.canonical import (DEFAULT_SEARCH_BUDGET, DEFAULT_SIZE_CAP, CanonicalForm, _code,
@@ -20,9 +23,11 @@ from locallemma.csp import (
     DEFAULT_CAP_BITS,
     PartialAssignment,
     discrete_partition,
+    incidence as csp_incidence,
     restrict_csp,
     stats,
 )
+from locallemma.connect import Connection
 from locallemma.engine import _LevelState, _partial_surrogate, _search
 from locallemma.errors import CanonicalizationCapError, GraphBuildError
 from locallemma.generators import GadgetLayout
@@ -51,6 +56,106 @@ def branch_trace(csp: Csp, word: Sequence[int], cap_bits: int = DEFAULT_CAP_BITS
         h.update(g)
         dangerous.append(state.dangerous)
     return h, dangerous
+
+
+def reduce_discrete_partition(csp: Csp) -> List[Tuple[int, ...]]:
+    """`csp.discrete_partition` as it stood with a `reduce` over every
+    element's constraints, an element that meets no domain included."""
+    meeting = csp.meeting
+    taken = [0] * len(csp.constraints)   # bit c set: class c already meets the domain
+    classes: Dict[int, List[int]] = {}   # first fit opens classes in index order
+    for x in csp.ground:
+        used = reduce(or_, (taken[i] for i in meeting.get(x, ())), 0)
+        c = (~used & (used + 1)).bit_length() - 1   # the lowest class not in use
+        classes.setdefault(c, []).append(x)
+        for i in meeting.get(x, ()):
+            taken[i] |= 1 << c
+    return [tuple(cls) for cls in classes.values()]
+
+
+def leafwise_family_leaves(encoded: Csp, classes: Sequence[Tuple[int, ...]],
+                           conn: Connection, p: Fraction, cap_bits: int):
+    """`engine._family_leaves` as it stood yielding once per leaf, not once
+    per leaf state: (h, apply(conn, h), level state) for every branch
+    word, in product((1, 2), repeat=len(classes)) order; h and the carried
+    values are live, valid until the next leaf.  The walk is the engine's:
+    recursion above each state's quiet suffix, merged moves within it."""
+    elems, rules = conn.source, conn.rules
+    dets = [tuple(conn.det_sets[x]) for x in elems]
+    memos: List[dict] = [{} for _ in elems]
+    readers = csp_incidence(dets)   # target element -> positions in elems of its readers
+
+    def rule_on(k: int, h: PartialAssignment):
+        key = tuple(map(h.get, dets[k]))
+        if key not in memos[k]:
+            memos[k][key] = rules[elems[k]]({z: v for z, v in zip(dets[k], key) if v is not None})
+        return memos[k][key]
+
+    def table_of(keys: tuple) -> list:   # [other readers, (g, settled values, None change) per value]
+        if keys not in tables:   # the values None (h undefined on keys), 1 and 2
+            touched = {k for z in keys for k in readers.get(z, ())}
+            settled = {k for k in touched if set(keys) >= set(dets[k])}
+            rows = [(g, {elems[k]: rule_on(k, g) for k in settled})
+                    for g in (dict.fromkeys(keys, value) for value in (None, 1, 2))]
+            nones = [sum(v is None for v in new.values()) for _, new in rows]
+            tables[keys] = [[k for k in touched if k not in settled]] + [
+                (g, new, n - nones[0]) for (g, new), n in zip(rows, nones)]
+        return tables[keys]
+
+    def move(g: PartialAssignment, new: dict, delta: int, others: list):
+        nonlocal undefined
+        h.update(g)
+        values.update(new)
+        undefined += delta
+        for k in others:
+            x, value = elems[k], rule_on(k, h)
+            undefined += (value is None) - (values[x] is None)
+            values[x] = value
+
+    def back(table: list):   # undoes the table's level; the caller restores `undefined`
+        for z in table[1][0]:
+            del h[z]
+        values.update(table[1][1])
+        for k in table[0]:
+            values[elems[k]] = rule_on(k, h)
+
+    def walk(level: int, state: _LevelState):
+        nonlocal undefined
+        if state not in suffixes:   # its first visit, at the level after its descend
+            start = next((i + 1 for i in range(levels - 1, level - 1, -1)
+                          if not state.fix(classes[i])[1]), level)
+            run = [table_of(state.fix(cls)[0]) for cls in classes[start:]]
+            # n - (w & -w).bit_length(): word w's new branches over w - 1's (w = 0: None)
+            changes = [[(t[3], t[2])] + [(u[2], u[3]) for u in run[j + 1:]]
+                       for j, t in enumerate(run)] + [[(t[2], t[1]) for t in run]]
+            suffixes[state] = start, run, [(   # move's arguments
+                *(dict(kv for new, _ in change for kv in new[i].items()) for i in (0, 1)),
+                sum(new[2] - old[2] for new, old in change),
+                list(dict.fromkeys(k for table in run[-len(change):] for k in table[0])))
+                for change in changes]
+        start, run, moves = suffixes[state]
+        if level < start:
+            table, before = table_of(state.fix(classes[level])[0]), undefined
+            for value in (1, 2):
+                after = state.descend(classes[level], value)[2]
+                move(*table[value + 1], table[0])
+                yield from walk(level + 1, after)
+                back(table)
+                undefined = before
+            return
+        for w in range(1 << len(run)):   # the suffix's words, from w - 1 to w by one move
+            move(*moves[len(run) - (w & -w).bit_length()])
+            yield h, (values.copy() if not undefined
+                      else {x: v for x, v in values.items() if v is not None}), state
+        for table in reversed(run):
+            back(table)
+
+    h, levels = {}, len(classes)
+    values = {x: rule_on(k, h) for k, x in enumerate(elems)}   # None where undefined
+    undefined = sum(v is None for v in values.values())
+    tables: Dict[tuple, list] = {}   # K -> table_of(K)
+    suffixes: Dict[_LevelState, tuple] = {}   # state -> (suffix's first level, tables, moves)
+    yield from walk(0, _LevelState.root(encoded, p, cap_bits))
 
 
 def check_partial_solution(csp: Csp, g: PartialAssignment,

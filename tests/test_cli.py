@@ -367,6 +367,24 @@ def test_emit_summary(tmp_path):
         assert strict["reports"] == 0 and strict["total_iterations"] == 0
         assert len(strict["errors"]) == 1 and f"'{field}'" in strict["errors"][0]["error"]
 
+    # a margin is a rational string, as the library writes it: an object,
+    # a float, true or other text is an error row, and is not listed
+    for i, value in enumerate(({"a": [1]}, 1.5, True, "x")):
+        p = tmp_path / f"margin{i}.json"
+        dump_json({"pipeline": "csp-check", "passed": True, "checks": [], "margin": value}, p)
+        strict, _ = emit_summary([str(p)])
+        assert strict["reports"] == 0 and strict["margins"] == []
+        assert len(strict["errors"]) == 1 and "'margin'" in strict["errors"][0]["error"]
+    p = tmp_path / "margin_ok.json"
+    dump_json({"pipeline": "csp-check", "passed": True, "checks": [], "margin": "1/3"}, p)
+    kept, _ = emit_summary([str(p)])
+    assert kept["reports"] == 1 and kept["margins"] == ["1/3"] and kept["errors"] == []
+    # a report refused for a field read after its margin lists no margin
+    dump_json({"pipeline": "csp-solve", "passed": True, "checks": [], "margin": "1/3",
+               "iterations": True}, p)
+    refused, _ = emit_summary([str(p)])
+    assert refused["margins"] == [] and len(refused["errors"]) == 1
+
 
 def test_cap_out_is_reported(tmp_path):
     # a 30-ary parity predicate has 2^30 states, above the 2^20 cap

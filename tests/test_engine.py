@@ -2,7 +2,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import sqrt
 from typing import Dict, List, Sequence, Tuple
 
@@ -64,7 +64,8 @@ from locallemma.randgen import (
     random_measurable_csp,
     random_symmetric_csp,
 )
-from reference import branch_trace, check_partial_solution, random_binary_lowp_csp
+from reference import (branch_trace, check_partial_solution, leafwise_family_leaves,
+                       random_binary_lowp_csp)
 
 
 # ---------------------------------------------------------------- lll_check
@@ -954,8 +955,7 @@ def test_family_leaves_carry_members_of_partial_view_rules():
     conn = compose(rho, tau_red.connection)
     classes = discrete_partition(encoded)
     leaves = early = 0
-    for h, member, state in _family_leaves(encoded, classes, conn, stats(encoded).p,
-                                           DEFAULT_CAP_BITS):
+    for h, member, state in live_leaves(encoded, classes, conn, stats(encoded).p):
         want = apply(conn, h)
         assert member == want and list(member) == list(want)
         leaves += 1
@@ -994,8 +994,8 @@ def test_family_leaves_run_each_rule_once_per_distinct_view():
                           rules={x: counted(x, plain.rules[x]) for x in reads})
     classes = discrete_partition(target)
     leaves = 0
-    for h, member, state in _family_leaves(target, classes, counting, stats(target).p,
-                                           DEFAULT_CAP_BITS):
+    for h, member, state in live_leaves(target, classes, counting, stats(target).p,
+                                        oracle_conn=plain):
         assert member == apply(plain, h)
         leaves += 1
     assert leaves == 2 ** len(classes) == 256
@@ -1013,9 +1013,9 @@ def test_cover_family_coverage_by_dangerous_set_matches_per_leaf_oracle():
     encoded, tau_red = binary_reduce(csp, EPS_BINARY)
     conn = compose(identity_reduction(csp).connection, tau_red.connection)
     dangerous = {}
-    for h, member, state in _family_leaves(encoded, discrete_partition(encoded), conn,
-                                           stats(encoded).p, DEFAULT_CAP_BITS):
-        dangerous[state.dangerous] = dangerous.get(state.dangerous, 0) + 1
+    for h, batch, state in _family_leaves(encoded, discrete_partition(encoded), conn,
+                                          stats(encoded).p, DEFAULT_CAP_BITS):
+        dangerous[state.dangerous] = dangerous.get(state.dangerous, 0) + len(batch)
     assert len(dangerous) >= 3 and max(dangerous.values()) > 1
 
     result = cover_family(csp, seed=3, budget=1 << 14)
@@ -1207,19 +1207,44 @@ def leaf_view(h, member, state):
     return (list(h.items()), list(member.items())) + state_view(state)
 
 
+def live_leaves(encoded, classes, conn, p, oracle_conn=None):
+    """The live walk's batches, each checked against the leaves of
+    `leafwise_family_leaves` (on `oracle_conn`, default `conn`) that it
+    stands for: equal members item for item, key order included; one
+    oracle leaf state per batch and another at the next batch; that
+    state's view; and the oracle's h at the batch's last leaf.  Yields
+    (h, member, state) per branch word: a copy of the oracle's h and the
+    live walk's member and state."""
+    oracle = leafwise_family_leaves(encoded, classes, oracle_conn or conn, p, DEFAULT_CAP_BITS)
+    previous = None
+    for h, batch, state in _family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS):
+        leaves = [(dict(want), member, after) for want, member, after in
+                  islice(oracle, len(batch))]
+        assert [list(m.items()) for m in batch] == [list(m.items()) for _, m, _ in leaves]
+        assert leaves[0][2] is not previous
+        assert all(after is leaves[0][2] for _, _, after in leaves)
+        previous = leaves[0][2]
+        assert state_view(state) == state_view(previous)
+        assert list(h.items()) == list(leaves[-1][0].items())
+        for (want, _, _), member in zip(leaves, batch):
+            yield want, member, state
+    assert next(oracle, None) is None
+
+
 def assert_walk_matches_copying_walk(encoded, conn, classes=None):
-    """Leaf by leaf, the live walk equals the recursive walk and the
-    copying walk in h (values and key order), member, dangerous set, p_max
-    and the constraints' domains, probabilities and freezing, and each h
-    is the branch trace of its word in product((1, 2), repeat=levels)
-    order.  The classes default to the discrete partition; given, they
-    need only partition the ground set.  Returns the leaves' dangerous
-    sets."""
+    """Leaf by leaf, the leaf-by-leaf walk equals the recursive walk and
+    the copying walk in h (values and key order), member, dangerous set,
+    p_max and the constraints' domains, probabilities and freezing, and
+    each h is the branch trace of its word in product((1, 2),
+    repeat=levels) order; batch by batch, the live walk equals the
+    leaf-by-leaf walk (`live_leaves`).  The classes default to the
+    discrete partition; given, they need only partition the ground set.
+    Returns the leaves' dangerous sets."""
     custom = classes is not None
     classes = classes if custom else discrete_partition(encoded)
     p = stats(encoded).p
     words = product((1, 2), repeat=len(classes))
-    leaves = zip(_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
+    leaves = zip(leafwise_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
                  recursive_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS),
                  copying_family_leaves(encoded, classes, conn, p, DEFAULT_CAP_BITS), words,
                  strict=True)
@@ -1230,6 +1255,7 @@ def assert_walk_matches_copying_walk(encoded, conn, classes=None):
         assert list(live[0].items()) == list(trace[0].items())
         dangerous.append(live[2].dangerous)
     assert len(dangerous) == 2 ** len(classes)
+    assert sum(1 for _ in live_leaves(encoded, classes, conn, p)) == len(dangerous)
     return dangerous
 
 
@@ -1441,8 +1467,9 @@ def test_family_leaves_walk_a_suffix_from_level_0(monkeypatch):
         calls = counted_descends(monkeypatch)
         assert_walk_matches_copying_walk(csp, conn, classes)
         calls.clear()
-        assert sum(1 for _ in _family_leaves(csp, classes, conn, stats(csp).p,
-                                             DEFAULT_CAP_BITS)) == 2 ** len(classes)
+        batches = [len(batch) for _, batch, _ in _family_leaves(csp, classes, conn, stats(csp).p,
+                                                                 DEFAULT_CAP_BITS)]
+        assert batches == [2 ** len(classes)]   # one leaf state: one batch
         assert calls == []
         monkeypatch.undo()
         leaves = suffix_leaves(csp, conn, classes)
@@ -1517,6 +1544,27 @@ def test_cover_walk_descend_calls_are_pinned(monkeypatch):
         result = cover_family(csp, budget=1 << 14)
         assert (result.levels, len(result.members)) == (levels, 2 ** levels)
         assert len(calls) <= ceiling
+
+
+def test_cover_walk_batches_are_pinned(monkeypatch):
+    """Counts, not clocks: the batches of `cover_family`'s walk, one per
+    leaf state, on the instances of the `descend` pin, where the walk
+    yielded once per leaf: 4,096 and 1,024 times.  The pins are ceilings,
+    and the batches add up to every leaf."""
+    batches, real = [], engine._family_leaves
+
+    def counting(*args):
+        for leaf in real(*args):
+            batches.append(len(leaf[1]))
+            yield leaf
+
+    monkeypatch.setattr(engine, "_family_leaves", counting)
+    for csp, levels, ceiling in ((random_cover_csp(13, max_levels=12), 12, 11),
+                                 (overlapping_cover_csp(), 10, 11)):
+        batches.clear()
+        result = cover_family(csp, budget=1 << 14)
+        assert sum(batches) == len(result.members) == 2 ** levels
+        assert len(batches) <= ceiling
 
 
 @st.composite
@@ -1608,9 +1656,10 @@ def test_cover_family_searches_once_per_level_state(monkeypatch):
     encoded, conn = encoded_with_connection(csp)
     states = {}   # id -> the list itself, held so that no id is reused
     witness_leaves = 0
-    for (h, member, state), cert in zip(
-            _family_leaves(encoded, discrete_partition(encoded), conn, stats(encoded).p,
-                           DEFAULT_CAP_BITS), want[3]):
+    batches = _family_leaves(encoded, discrete_partition(encoded), conn, stats(encoded).p,
+                             DEFAULT_CAP_BITS)
+    leaf_states = (state for _, batch, state in batches for _ in batch)
+    for state, cert in zip(leaf_states, want[3], strict=True):
         if "solution_witness" in cert:
             states[id(state.constraints)] = state.constraints
             witness_leaves += 1

@@ -1,6 +1,7 @@
 """`Csp.meeting`, the element -> constraint incidence index, and the sites
 that read it, each against the code it replaced: the all-domains
-`Reduction.degree`, the graph-built `discrete_partition`, the full-scan
+`Reduction.degree`, the graph-built and the reduce-form
+`discrete_partition`, the full-scan
 `extend_solution` and the pairwise `lll_check("general")` product."""
 
 import dataclasses
@@ -27,7 +28,7 @@ from locallemma.engine import EPS_BINARY, _search, extend_solution, lll_check
 from locallemma.errors import StepInfeasibleError
 from locallemma.graphs import greedy_coloring
 from locallemma.randgen import random_cover_csp, random_measurable_csp
-from reference import random_small_csp
+from reference import random_small_csp, reduce_discrete_partition
 
 
 # ---------------------------------------------------------------- oracles
@@ -213,6 +214,23 @@ def test_discrete_partition_matches_graph_coloring_oracle():
 @given(explicit_csps())
 def test_discrete_partition_matches_oracle_on_explicit_csps(csp):
     assert discrete_partition(csp) == partition_oracle(csp)
+
+
+def test_discrete_partition_matches_its_reduce_form():
+    # elements that meet no domain go straight to the first class, in
+    # ground order among the others: here 0 (first in the ground) and 4
+    free_first = Csp(tuple(range(6)), 2, (Constraint.explicit((1, 2), 2, [(1, 1)]),
+                                          Constraint.explicit((2, 3, 5), 2, [(1, 2, 1)])))
+    assert discrete_partition(free_first) == [(0, 1, 3, 4), (2,), (5,)]
+    csps = ([free_first, Csp((), 2, ())]
+            + [random_small_csp(seed, max_ground=10, max_constraints=6) for seed in range(40)]
+            + [binary_reduce(random_measurable_csp(seed, max_ground=60), EPS_BINARY)[0]
+               for seed in range(6)])
+    free = 0
+    for csp in csps:
+        assert discrete_partition(csp) == reduce_discrete_partition(csp)
+        free += any(x not in csp.meeting for x in csp.ground)
+    assert free > 10
 
 
 def test_general_lll_matches_pairwise_oracle():
