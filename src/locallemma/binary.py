@@ -160,10 +160,6 @@ def binary_reduce(csp: Csp, epsilon: Fraction):
     encoded = Csp(ground, 2, constraints)
 
     bits = {y: tuple(zids[(y, j)] for j in range(1, N + 1)) for y in csp.ground}
-    tau = Connection(
-        source=csp.ground,
-        target=ground,
-        det_sets={y: frozenset(bits[y]) for y in csp.ground},
-        rules={y: BlockDecode(code, bits[y]) for y in csp.ground},
-    )
+    tau = Connection(source=csp.ground, det_sets={y: frozenset(bits[y]) for y in csp.ground},
+                     rules={y: BlockDecode(code, bits[y]) for y in csp.ground})
     return encoded, Reduction(tau, encoded)

@@ -11,11 +11,10 @@ Refinement signatures (same-shape tuples of nonnegative ints and
 self-delimiting `label_key` bytes) are ordered by native tuple order, and
 refinement stops as soon as every vertex is alone in its cell.  A ball
 whose own labels separate its vertices is ranked by one sort of its first
-colors, and its signature rounds never run (codes from before own labels
-joined the first color differ on some labelled balls).  The ball comes
-in BFS positions (`graphs.RootedBall`), and refinement, leaves and the
-search read its distances, neighbour tuples and entries directly.  A
-cell's positions are searched in BFS order, which picks the least leaf
+colors, and its signature rounds never run.  The ball comes in BFS
+positions (`graphs.RootedBall`), and refinement, leaves and the search
+read its distances, neighbour tuples and entries directly.  A cell's
+positions are searched in BFS order, which picks the least leaf
 and vertex map that vertex id order would: two least leaves first differ
 in a cell at some distance by an automorphism fixing every nearer vertex,
 so the two vertices there have the same parents and the BFS took them in
@@ -28,13 +27,7 @@ entries as (position tuple, label_key) pairs in tuple order.  The code is
 the compact, key-sorted JSON object {"edges", "n", "structure"} of the
 least leaf, written once from cached edge texts and one cached text per
 (position tuple, label) entry (`_code`).  A leaf's JSON is injective, so
-equal codes mean isomorphic balls.  Earlier codes were the least JSON by
-bytes.  The two agree on every discrete ball (one leaf) and every
-unlabelled ball of at most 10 vertices (one-digit positions, no
-entries); they can differ on a searched ball of 11 or more vertices
-("[1,10]" < "[1,2]" as text), or where leaves first differ in an entry
-that text orders otherwise (tuples of two lengths, labels of 10 and
-more, tuples and sets).
+equal codes mean isomorphic balls.
 
 The search fills positions 0..n-1 one at a time, in cell order, each with
 an unused vertex of its cell.  It returns the least leaf, the first in

@@ -240,6 +240,9 @@ def _csp_check(args) -> dict:
 
 
 def _csp_solve(args) -> dict:
+    for option in ("weights", "trace") if args.method == "mt" else ("cap",):
+        if getattr(args, option) is not None:   # an option the method would not read
+            raise ValueError(f"--{option} does not apply to --method {args.method}")
     csp = csp_from_json(load_json(args.csp))
     report = {"pipeline": args.pipeline, "method": args.method, "seed": args.seed}
     if args.method == "mt":

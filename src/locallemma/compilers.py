@@ -98,7 +98,7 @@ def _growth_string_count(size: int, blocks: int) -> int:
 def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph,
                 m: int, rounds: int, canon_cap: int = DEFAULT_SIZE_CAP,
                 cap_bits: int = DEFAULT_CAP_BITS):
-    """(compiled CSP over seed maps, decoding connection).
+    """(compiled CSP over seed maps, decoding connection on its ground).
 
     Constraint B_x lives on the radius-(rounds + t) ball of x and holds the
     seed patterns making the verifier output 0 at x.  The connection runs
@@ -204,12 +204,9 @@ def rand_to_csp(alg: LocalAlgorithm, problem: LclProblem, graph: StructuredGraph
 
         return rule
 
-    decoder = Connection(
-        source=tuple(graph.vertices),
-        target=tuple(graph.vertices),
-        det_sets={x: frozenset(doms[x]) for x in graph.vertices},
-        rules={x: rule_for(x) for x in graph.vertices},
-    )
+    decoder = Connection(source=tuple(graph.vertices),
+                         det_sets={x: frozenset(doms[x]) for x in graph.vertices},
+                         rules={x: rule_for(x) for x in graph.vertices})
     return compiled, decoder
 
 

@@ -1,7 +1,8 @@
 """Connections: intensional local maps between labeling spaces.
 
 Each source element carries a determining set S(x) in the target ground
-and a local rule from (possibly partial) views on S(x) to a value or None.
+(the ground of the CSP a `Reduction` pairs the connection with) and a
+local rule from (possibly partial) views on S(x) to a value or None.
 Monotonicity — an extension of a view never changes a defined output — is
 a tested contract of every registered construction, and rules must return
 a value on any total view of S(x).  Rules are pure functions of their
@@ -62,7 +63,6 @@ class Composed:
 @dataclass(frozen=True)
 class Connection:
     source: Tuple[int, ...]
-    target: Tuple[int, ...]
     det_sets: Mapping[int, frozenset]
     rules: Mapping[int, Callable[[Dict[int, int]], Optional[int]]]
 
@@ -89,12 +89,8 @@ def apply(conn: Connection, f: PartialAssignment) -> PartialAssignment:
 
 def identity_connection(ground) -> Connection:
     ground = tuple(ground)
-    return Connection(
-        source=ground,
-        target=ground,
-        det_sets={x: frozenset([x]) for x in ground},
-        rules={x: Identity(x) for x in ground},
-    )
+    return Connection(source=ground, det_sets={x: frozenset([x]) for x in ground},
+                      rules={x: Identity(x) for x in ground})
 
 
 def compose(rho: Connection, sigma: Connection) -> Connection:
@@ -118,12 +114,7 @@ def compose(rho: Connection, sigma: Connection) -> Connection:
             det_sets[x] = frozenset().union(*(sigma.det_sets[y] for y in inner))
             rules[x] = Composed(rule, tuple((y, tuple(sigma.det_sets[y]), sigma.rules[y])
                                             for y in inner))
-    return Connection(
-        source=rho.source,
-        target=sigma.target,
-        det_sets=det_sets,
-        rules=rules,
-    )
+    return Connection(source=rho.source, det_sets=det_sets, rules=rules)
 
 
 @dataclass(frozen=True)
@@ -164,10 +155,4 @@ def pull_partial(red: Reduction, g: PartialAssignment):
         if isinstance(rule, Residual):
             rule, fixed = rule.base, rule.fixed + fixed
         rules[x] = Residual(rule, tuple(sorted(fixed)))
-    residual_conn = Connection(
-        source=remaining,
-        target=residual_target.ground,
-        det_sets=det_sets,
-        rules=rules,
-    )
-    return g_source, Reduction(residual_conn, residual_target)
+    return g_source, Reduction(Connection(remaining, det_sets, rules), residual_target)

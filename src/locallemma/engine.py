@@ -284,9 +284,9 @@ class _LevelState:
 
 def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
                       cap_bits: int = DEFAULT_CAP_BITS):
-    """Partial solution h of `csp` by the level recursion over a discrete
-    partition, freezing constraints whose conditional probability exceeds
-    sqrt(p).
+    """Partial solution h of `csp`, the target of `red`, by the level
+    recursion over a discrete partition, freezing constraints whose
+    conditional probability exceeds sqrt(p).
 
     Each level takes the branch value in 1..m that minimizes the
     pessimistic estimator phi (the smallest such value on a tie); the trace
@@ -306,14 +306,17 @@ def construct_partial(csp: Csp, red: Reduction, wts: WeightedGroundSet,
             f"partial-solution precondition fails: p(d+1)^2 = {lhs} > {surrogate}")
 
     classes = discrete_partition(csp)
-    d_rho = red.degree()
     conn = red.connection
 
     state = _LevelState.root(csp, p, cap_bits)
-    # weight of source elements whose determining set meets each original domain
+    # weight of source elements whose determining set meets each original
+    # domain, and d(rho), the most domains one determining set meets
     weight_touching = [Fraction(0)] * len(csp.constraints)
+    d_rho = 0
     for x in conn.source:
-        for i in {i for z in conn.det_sets[x] for i in csp.meeting.get(z, ())}:
+        touching = {i for z in conn.det_sets[x] for i in csp.meeting.get(z, ())}
+        d_rho = max(d_rho, len(touching))
+        for i in touching:
             weight_touching[i] += wts.weights.get(x, Fraction(0))
 
     # phi = a + b sqrt(p) sums w min(1, P / sqrt(p)) over the constraints:
@@ -387,7 +390,6 @@ class StepResult:
     residual_reduction: Reduction
     covered_fraction: Fraction
     certificates: dict
-    trace: PartialSolutionTrace
 
 
 def step(red_in: Reduction, wts: WeightedGroundSet,
@@ -421,7 +423,7 @@ def step(red_in: Reduction, wts: WeightedGroundSet,
         raise StepInfeasibleError(
             f"step inequality failed: {json.dumps(cert, sort_keys=True)}")
 
-    h, trace = construct_partial(encoded, sigma, wts, cap_bits=cap_bits)
+    h, _ = construct_partial(encoded, sigma, wts, cap_bits=cap_bits)
     g, residual_red = pull_partial(sigma, h)
     rst = stats(residual_red.target, cap_bits)
     cert["p_residual"] = str(rst.p)
@@ -433,7 +435,7 @@ def step(red_in: Reduction, wts: WeightedGroundSet,
     covered = wts.weight_of(g.keys())
     if covered < Fraction(1, 2):
         raise StepInfeasibleError(f"step covered only {covered} < 1/2")
-    return StepResult(g, residual_red, covered, cert, trace)
+    return StepResult(g, residual_red, covered, cert)
 
 
 def extend_solution(csp: Csp, g: PartialAssignment, seed: int = 0,
@@ -508,10 +510,8 @@ def solve_weighted(source: Csp, wts: WeightedGroundSet, seed: int = 0,
     if not pre.holds:
         raise StepInfeasibleError(
             f"source fails the measurable condition by {-pre.margin}")
-    minw = wts.min_positive()
-    max_iters = 1   # ceil(log2(1 / min positive weight)) + 1, in exact arithmetic
-    while minw is not None and (1 << (max_iters - 1)) * minw < 1:
-        max_iters += 1
+    minw = wts.min_positive()   # budget: the least k with 2^(k-1) * minw >= 1
+    max_iters = 1 if minw is None else (-(-1 // minw) - 1).bit_length() + 1
 
     g_total: PartialAssignment = {}
     red = identity_reduction(source)   # its source: the elements not yet assigned

@@ -249,8 +249,7 @@ def test_criterion_5_composition_bounds():
             rules[x] = rule_for()
         from locallemma.connect import Connection
 
-        return Connection(source=tuple(source), target=tuple(target),
-                          det_sets=det, rules=rules)
+        return Connection(source=tuple(source), det_sets=det, rules=rules)
 
     checked = 0
     for trial in range(100):

@@ -313,6 +313,30 @@ def test_weighted_solve_refuses_weights_outside_the_ground(tmp_path, capsys):
                 "--weights", str(wpath), "--out", str(out)]) == 0
 
 
+def test_csp_solve_refuses_options_its_method_does_not_read(tmp_path, capsys):
+    # each used to be dropped without a word (exit 0): mt never opened the
+    # weights path nor wrote a trace, and weighted never read the cap
+    cpath, out, trace = tmp_path / "c.json", tmp_path / "r.json", tmp_path / "t.json"
+    dump_json({"ground": [0, 1, 2], "m": 2, "constraints": []}, cpath)
+    solve = ["csp", "solve", "--csp", str(cpath), "--out", str(out)]
+    for extra, message in (
+            (["--method", "mt", "--weights", str(tmp_path / "none.json")],
+             "--weights does not apply to --method mt"),
+            (["--trace", str(trace)], "--trace does not apply to --method mt"),
+            (["--method", "mt", "--cap", "3", "--trace", str(trace)],
+             "--trace does not apply to --method mt"),
+            (["--method", "weighted", "--cap", "3"], "--cap does not apply to --method weighted"),
+            (["--method", "weighted", "--cap", "0", "--trace", str(trace)],
+             "--cap does not apply to --method weighted")):
+        capsys.readouterr()
+        assert run(solve + extra) == 2
+        assert not out.exists() and not trace.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(solve + ["--method", "mt", "--cap", "3"]) == 0
+    assert run(solve + ["--method", "weighted", "--trace", str(trace)]) == 0
+    assert trace.exists()
+
+
 def test_run_experiment_validation():
     for pipeline in ("bogus", "lll-suite"):
         with pytest.raises(ValueError):

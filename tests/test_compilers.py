@@ -198,7 +198,7 @@ def oracle_rand_to_csp(alg, problem, graph, m, rounds, canon_cap=64):
         return rule
 
     decoder = Connection(
-        source=tuple(graph.vertices), target=tuple(graph.vertices),
+        source=tuple(graph.vertices),
         det_sets={x: frozenset(ball_graph(balls[x]).vertices) for x in graph.vertices},
         rules={x: rule_for(x) for x in graph.vertices})
     return Csp(tuple(graph.vertices), m, constraints), decoder

@@ -52,8 +52,7 @@ def random_connection(rng, source, target, width=2):
             return rule
 
         rules[x] = rule_for()
-    return Connection(source=tuple(source), target=tuple(target),
-                      det_sets=det_sets, rules=rules)
+    return Connection(source=tuple(source), det_sets=det_sets, rules=rules)
 
 
 def test_identity_apply():
@@ -114,8 +113,7 @@ def nested_compose(rho, sigma):
             return rho.rules[x](mid)
 
         rules[x] = rule
-    return Connection(source=rho.source, target=sigma.target, det_sets=det_sets,
-                      rules=rules)
+    return Connection(source=rho.source, det_sets=det_sets, rules=rules)
 
 
 def test_compose_identity_neutral():
@@ -129,7 +127,7 @@ def test_compose_identity_neutral():
         for outer, inner, kept in ((identity, sigma, sigma), (rho, identity, rho)):
             comp, want = compose(outer, inner), nested_compose(outer, inner)
             assert all(comp.rules[x] is kept.rules[x] for x in comp.source)
-            assert comp.source == want.source and comp.target == want.target
+            assert comp.source == want.source
             assert dict(comp.det_sets) == want.det_sets
             for _ in range(20):
                 f = {y: rng.randint(1, 3) for y in range(5) if rng.random() < 0.6}
@@ -161,12 +159,12 @@ def test_compose_bounds_tight_for_disjoint_sets():
     from locallemma.connect import Connection
 
     rho = Connection(
-        source=(0,), target=(0, 1),
+        source=(0,),
         det_sets={0: frozenset([0, 1])},
         rules={0: lambda view: view.get(0)},
     )
     sigma = Connection(
-        source=(0, 1), target=(0, 1, 2, 3),
+        source=(0, 1),
         det_sets={0: frozenset([0, 1]), 1: frozenset([2, 3])},
         rules={0: lambda view: view.get(0), 1: lambda view: view.get(2)},
     )
@@ -242,7 +240,7 @@ def test_determining_sets_minimal_spot_check():
     csp = random_small_csp(33, max_ground=3, max_arity=2, m_choices=(3,))
     _, red = binary_reduce(csp, Fraction(1, 2))
     conn = red.connection
-    full = {z: 1 for z in conn.target}
+    full = {z: 1 for z in red.target.ground}
     for x in conn.source:
         base = conn.rules[x]({z: full[z] for z in conn.det_sets[x]})
         assert base is not None
@@ -269,8 +267,7 @@ def closure_pull_partial(red, g):
             return conn.rules[x](merged)
 
         rules[x] = rule
-    return g_source, Reduction(Connection(remaining, residual_target.ground, det_sets, rules),
-                               residual_target)
+    return g_source, Reduction(Connection(remaining, det_sets, rules), residual_target)
 
 
 def random_views(rng, ground, m, count=12):
@@ -280,10 +277,10 @@ def random_views(rng, ground, m, count=12):
         yield {y: rng.randint(1, m) for y in ground if rng.random() < keep}
 
 
-def assert_same_connection(conn, want, rng, m):
-    assert conn.source == want.source and conn.target == want.target
+def assert_same_connection(conn, want, ground, rng, m):
+    assert conn.source == want.source
     assert dict(conn.det_sets) == dict(want.det_sets)
-    for f in random_views(rng, conn.target, m):
+    for f in random_views(rng, ground, m):
         assert apply(conn, f) == apply(want, f)
         for x in conn.source:
             view = {y: v for y, v in f.items() if y in conn.det_sets[x]}
@@ -322,7 +319,7 @@ def test_pull_partial_matches_closure_chain():
             g_source, red = pull_partial(red, g)
             want_source, want = closure_pull_partial(want, g)
             assert g_source == want_source and red.target == want.target
-            assert_same_connection(red.connection, want.connection, rng, m)
+            assert_same_connection(red.connection, want.connection, red.target.ground, rng, m)
             for x in red.connection.source:
                 rule = red.connection.rules[x]
                 assert type(rule) is Residual and rule.base is first[x]
@@ -343,7 +340,7 @@ def mixed_connection(rng, source, target, identities=0.4):
         if rng.random() < identities:
             y = x if x in target and rng.random() < 0.7 else rng.choice(list(target))
             det_sets[x], rules[x] = frozenset([y]), Identity(y)
-    return Connection(tuple(source), tuple(target), det_sets, rules)
+    return Connection(tuple(source), det_sets, rules)
 
 
 def test_compose_matches_nested_compose_rule_by_rule():
@@ -355,7 +352,7 @@ def test_compose_matches_nested_compose_rule_by_rule():
         rho = mixed_connection(rng, range(4), range(6))
         sigma = mixed_connection(rng, range(6), range(9), identities=0.7)
         comp = compose(rho, sigma)
-        assert_same_connection(comp, nested_compose(rho, sigma), rng, 3)
+        assert_same_connection(comp, nested_compose(rho, sigma), tuple(range(9)), rng, 3)
         for x in rho.source:
             rule, inner = rho.rules[x], rho.det_sets[x]
             if rule == Identity(min(inner)) and len(inner) == 1:

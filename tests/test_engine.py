@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, product
 from math import sqrt
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
@@ -66,6 +68,8 @@ from locallemma.randgen import (
 )
 from reference import (branch_trace, check_partial_solution, leafwise_family_leaves,
                        random_binary_lowp_csp)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------- lll_check
@@ -660,7 +664,7 @@ def test_solve_weighted_refuses_past_its_iteration_budget(monkeypatch, tmp_path)
         calls.append(red)
         if len(calls) > 10:   # the budget failed to stop the loop
             raise RuntimeError("step called past the iteration budget")
-        return engine.StepResult({}, red, Fraction(0), {}, None)
+        return engine.StepResult({}, red, Fraction(0), {})
 
     def solve(source):
         return solve_weighted(source, WeightedGroundSet.uniform(source.ground))
@@ -669,6 +673,73 @@ def test_solve_weighted_refuses_past_its_iteration_budget(monkeypatch, tmp_path)
                    ["solve", "--method", "weighted"], solve,
                    "iteration budget 3 exceeded with 4 elements uncovered",
                    lambda patch: patch.setattr(engine, "step", stalled))
+
+
+def doubling_budget(minw):
+    """`solve_weighted`'s iteration budget as a loop computed it: the least
+    k with 2^(k-1) minw >= 1, by doubling."""
+    k = 1
+    while (1 << (k - 1)) * minw < 1:
+        k += 1
+    return k
+
+
+def test_solve_weighted_budget_matches_the_doubling_loop(monkeypatch):
+    # read off the refusal of a step that covers nothing, over least
+    # positive weights 1/1 ... 1/70, other fractions a/b and powers of two
+    calls = []
+
+    def stalled(red, wts, cap_bits=DEFAULT_CAP_BITS):
+        calls.append(red)
+        if len(calls) > 100:   # the budget failed to stop the loop
+            raise RuntimeError("step called past the iteration budget")
+        return engine.StepResult({}, red, Fraction(0), {})
+
+    monkeypatch.setattr(engine, "step", stalled)
+    least = ([Fraction(1, b) for b in range(1, 71)]
+             + [Fraction(a, b) for a, b in ((2, 5), (3, 7), (2, 9), (5, 11), (7, 100), (3, 1000),
+                                            (99, 200), (1000, 2001), (3, 2 ** 40))]
+             + [Fraction(1, 2 ** k) for k in range(1, 80)]
+             + [Fraction(1, 2 ** k + 1) for k in range(1, 40)])
+    source = Csp((0, 1), 2, ())
+    for w in least:
+        wts = WeightedGroundSet({0: w, 1: 1 - w})
+        assert wts.min_positive() == w
+        calls.clear()
+        with pytest.raises(StepInfeasibleError) as refused:
+            solve_weighted(source, wts)
+        assert str(refused.value) == (f"iteration budget {doubling_budget(w)} exceeded "
+                                      f"with 2 elements uncovered")
+
+
+def test_step_computes_the_degree_twice(monkeypatch):
+    """Counts, not clocks: a `step` calls `Reduction.degree` for its input
+    reduction and for the binary stage's, and `construct_partial` reads
+    d(rho) off the sets it builds for the weights (3 calls when it called
+    `degree` itself).  On the scaling probe's instance at n = 300, one
+    step."""
+    spec = importlib.util.spec_from_file_location(
+        "probe_scaling", ROOT / "scripts" / "probe_scaling.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    csp = probe.probe_csp(300)
+    calls, steps = [], []
+    real_degree, real_step = Reduction.degree, engine.step
+
+    def degree(red):
+        calls.append(red)
+        return real_degree(red)
+
+    def counted_step(*args, **kwargs):
+        steps.append(args)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(Reduction, "degree", degree)
+    monkeypatch.setattr(engine, "step", counted_step)
+    result = solve_weighted(csp, WeightedGroundSet.uniform(csp.ground))
+    assert is_solution(csp, result.assignment)[0]
+    assert len(steps) == result.iterations == 1
+    assert len(calls) == 2 * len(steps)
 
 
 def assert_internal_error(monkeypatch, tmp_path, source, command, call, message, plant):
@@ -723,6 +794,25 @@ def test_construct_partial_refuses_a_coverage_under_its_bound(monkeypatch, tmp_p
     assert_internal_error(monkeypatch, tmp_path, STEP_SOURCE, ["solve", "--method", "weighted"],
                           weighted_solve, "coverage bound violated",
                           planted_root(dangerous=lambda csp: frozenset(csp.ground)))
+
+
+def test_construct_partial_coverage_bound_is_d_rho_sqrt_p(monkeypatch):
+    # element 0 starts dangerous and only it stays uncovered: p = 2^-40 and
+    # d(rho) = 1, the degree of every element but the last, which meets no
+    # constraint; a shortfall of exactly sqrt(p) = 2^-20 passes, one above
+    # it breaks the bound
+    csp = Csp(tuple(range(41)), 2, (Constraint.explicit(tuple(range(40)), 2, [(1,) * 40]),))
+    planted_root(dangerous=frozenset([0]))(monkeypatch)
+    for shortfall, holds in ((Fraction(1, 2 ** 20), True),
+                             (Fraction(1, 2 ** 20) + Fraction(1, 2 ** 60), False)):
+        rest = (1 - shortfall) / 40
+        wts = WeightedGroundSet({0: shortfall, **{x: rest for x in range(1, 41)}})
+        if holds:
+            _, trace = construct_partial(csp, identity_reduction(csp), wts)
+            assert trace.covered_weight == 1 - shortfall
+        else:
+            with pytest.raises(AssertionError, match="^coverage bound violated$"):
+                construct_partial(csp, identity_reduction(csp), wts)
 
 
 def test_cover_family_refuses_a_family_that_misses_an_element(monkeypatch, tmp_path):
@@ -949,7 +1039,7 @@ def test_family_leaves_carry_members_of_partial_view_rules():
 
     rules = {x: settled_min(ys) for x, ys in reads.items() if x < 3}
     rules.update({3: lambda view: 3, 4: lambda view: 2})
-    rho = Connection(source=tuple(reads), target=target.ground,
+    rho = Connection(source=tuple(reads),
                      det_sets={x: frozenset(ys) for x, ys in reads.items()}, rules=rules)
     encoded, tau_red = binary_reduce(target, EPS_BINARY)
     conn = compose(rho, tau_red.connection)
@@ -988,9 +1078,9 @@ def test_family_leaves_run_each_rule_once_per_distinct_view():
         return counting_rule
 
     det_sets = {x: frozenset(ys) for x, ys in reads.items()}
-    plain = Connection(source=tuple(reads), target=target.ground, det_sets=det_sets,
+    plain = Connection(source=tuple(reads), det_sets=det_sets,
                        rules={x: weighted_sum(ys) for x, ys in reads.items()})
-    counting = Connection(source=plain.source, target=target.ground, det_sets=det_sets,
+    counting = Connection(source=plain.source, det_sets=det_sets,
                           rules={x: counted(x, plain.rules[x]) for x in reads})
     classes = discrete_partition(target)
     leaves = 0
@@ -1339,8 +1429,8 @@ def withdrawn(view):
     return None if view else 2
 
 
-def reading_connection(ground, reads, rules):
-    return Connection(source=tuple(reads), target=tuple(ground),
+def reading_connection(reads, rules):
+    return Connection(source=tuple(reads),
                       det_sets={x: frozenset(ys) for x, ys in reads.items()}, rules=rules)
 
 
@@ -1369,7 +1459,7 @@ def test_family_leaves_settle_readers_next_to_split_readers():
         reads = {0: (0, 1), 1: (1, 6), 2: (6, 7), 3: (6,), 4: (7,), 5: (), 6: (2, 3)}
         rules = {x: min_on_partial_view(reads[x]) for x in (0, 1, 2, 6)}
         rules.update({3: withdrawn, 4: lambda view: 3 if view else None, 5: lambda view: 2})
-        rho = reading_connection(target.ground, reads, rules)
+        rho = reading_connection(reads, rules)
         encoded, tau_red = binary_reduce(target, EPS_BINARY)
         for csp, conn in ((target, rho), (encoded, compose(rho, tau_red.connection))):
             settled, split = reader_kinds(discrete_partition(csp), conn)
@@ -1379,7 +1469,7 @@ def test_family_leaves_settle_readers_next_to_split_readers():
     # the reader defined on the empty view only is the one whose value
     # changes between defined and None
     free = Csp((0, 1, 2), 2, ())
-    conn = reading_connection(free.ground, {0: (0, 1), 1: (2,), 2: ()},
+    conn = reading_connection({0: (0, 1), 1: (2,), 2: ()},
                               {0: withdrawn, 1: lambda view: 1, 2: lambda view: 2})
     assert reader_kinds(discrete_partition(free), conn) == ([0, 1], [])
     assert_walk_matches_copying_walk(free, conn)
@@ -1398,7 +1488,7 @@ def test_family_leaves_settle_readers_by_key_set_not_by_level():
     reads.update(extra)
     rules = {**conn.rules, **{x: min_on_partial_view(ys) for x, ys in extra.items()}}
     rules.update({103: withdrawn, 105: lambda view: 2})
-    mixed = reading_connection(encoded.ground, reads, rules)
+    mixed = reading_connection(reads, rules)
     key_sets = {}
     for h, _, _ in _family_leaves(encoded, classes, mixed, stats(encoded).p, DEFAULT_CAP_BITS):
         for level, cls in enumerate(classes):
@@ -1460,7 +1550,7 @@ def test_family_leaves_walk_a_suffix_from_level_0(monkeypatch):
     rules = {x: min_on_partial_view(ys) for x, ys in reads.items() if len(ys) > 1}
     rules.update({1: withdrawn, 4: lambda view: 2 if view else None, 5: lambda view: 1})
     encoded, tau_red = binary_reduce(Csp((0, 1, 2), 4, ()), EPS_BINARY)
-    cases = [(free, reading_connection(free.ground, reads, rules), [(0, 1), (2, 3), (4,), (5,)],
+    cases = [(free, reading_connection(reads, rules), [(0, 1), (2, 3), (4,), (5,)],
               {0, 2, 3}),
              (encoded, tau_red.connection, [(z,) for z in encoded.ground], {0, 1, 2})]
     for csp, conn, classes, split_readers in cases:
@@ -1691,8 +1781,7 @@ def n1_binary_reduce(csp, epsilon):
     encoded = Csp(tuple(range(len(csp.ground))), 2, tuple(
         _encode_constraint(c, code, {(y, 1): zid[y] for y in csp.ground})
         for c in csp.constraints))
-    tau = Connection(csp.ground, encoded.ground,
-                     {y: frozenset([zid[y]]) for y in csp.ground},
+    tau = Connection(csp.ground, {y: frozenset([zid[y]]) for y in csp.ground},
                      {y: BlockDecode(code, (zid[y],)) for y in csp.ground})
     return encoded, Reduction(tau, encoded)
 

@@ -15,7 +15,10 @@ the bootstrap route that no command runs.  Every defaulted parameter of a
 `perfbench/`, and every attribute a `src/` class defines is read there,
 unless it is listed (`UNPASSED`, `UNREAD`) or belongs to
 `AMPLIFIED_ROUTE`: the library keeps no knob and no field that only tests
-use.  `src/` holds at most `SRC_LINES` lines, counted as `wc -l` counts
+use.  The attribute rule matches by spelling: a read of any attribute of
+that name counts, so it missed `StepResult.trace` (read, as it seemed, by
+`args.trace`) and `Connection.target` (by `Reduction.target`), both since
+removed.  `src/` holds at most `SRC_LINES` lines, counted as `wc -l` counts
 them; a change that needs more raises the ceiling and says why."""
 
 import ast
@@ -526,7 +529,7 @@ def test_every_attribute_is_read_or_listed():
 
 # The line ceiling of src/locallemma/*.py (ROADMAP aim 2: the line count
 # goes down or stays flat).
-SRC_LINES = 4153
+SRC_LINES = 4127
 
 
 def test_src_lines_stay_under_the_ceiling():

@@ -197,7 +197,7 @@ def test_degree_matches_all_domains_oracle():
 def test_degree_matches_oracle_on_explicit_csps(csp, det_sets):
     # the determining sets of identity and binary reductions each lie in one
     # target element's constraints; free ones may straddle several, or none
-    free = Connection(source=tuple(range(len(det_sets))), target=csp.ground,
+    free = Connection(source=tuple(range(len(det_sets))),
                       det_sets={x: frozenset(s) for x, s in enumerate(det_sets)},
                       rules={x: lambda view: None for x in range(len(det_sets))})
     for red in reductions(csp) + [Reduction(free, csp)]:
